@@ -21,6 +21,7 @@ PLAN = [
     ("parabola_min.json", ["certify", "check-cq"]),
     ("min_quartic.json", ["certify"]),
     ("mscq_fail.json", ["check-cq"]),
+    ("polyhedron_m6.json", ["analyze"]),
 ]
 
 

@@ -24,6 +24,7 @@ from .errors import (
     BasePointInfeasible,
     EmptyMultiplierSet,
     EpidiffError,
+    MSCQFailed,
     NotStationary,
     ParseError,
     UnsupportedSpectralMultiplicity,
@@ -101,6 +102,8 @@ def _resolve_kappa(spec: ProblemSpec, seed: int):
     if spec.kappa is not None:
         return spec.kappa, "user-asserted", None
     mscq = composite.check_mscq(spec.problem, spec.x, n_samples=120, radius=0.25, seed=seed)
+    if not math.isfinite(mscq.kappa_hat):
+        raise MSCQFailed("MSCQ fails empirically: kappa_hat is infinite (restoration failed)")
     kappa = max(_next_pow2(mscq.kappa_hat), 1e-6)
     prov = "verified-empirically" if mscq.holds_evidence else "failed-empirically"
     return kappa, prov, mscq
@@ -175,7 +178,7 @@ def cmd_analyze(spec: ProblemSpec, raw_dirs, seed: int) -> Report:
             "direction": w,
             "dual": info.dual_value,
             "primal": info.primal_value,
-            "gap": info.gap if math.isfinite(info.gap) else 0.0,
+            "gap": info.gap if math.isfinite(info.gap) else "+inf",
             "argmax_y": info.argmax_y if info.argmax_y is not None else None,
             "provenance": "closed-form" if info.primal_exact else "numeric-fallback",
         }

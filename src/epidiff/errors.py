@@ -78,6 +78,11 @@ class NotStationary(EpidiffError):
     pass
 
 
+class MSCQFailed(EpidiffError):
+    """The empirical metric-subregularity modulus is infinite: no kappa can
+    be derived when the problem file gives none."""
+
+
 # -- cli ----------------------------------------------------------------------
 
 class ParseError(EpidiffError):

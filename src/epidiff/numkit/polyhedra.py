@@ -3,15 +3,21 @@ variational calculus needs: tangent cones, vertex and extreme-ray enumeration,
 polar conversions between H- and V-representations, Euclidean projections by
 face enumeration, and a deterministic vertex-enumeration LP.
 
-Everything here trades asymptotic speed for determinism and exactness at
-dimensions <= 8: enumeration over constraint subsets replaces iterative
-solvers, so ties break identically on every run.
+Vertices and extreme rays come from one pivoting kernel.  A dense phase-1
+simplex with Bland's rule (Bland 1977) finds a feasible basis or proves the
+polyhedron empty; a breadth-first walk over single-row swaps then visits every
+feasible basis (adjacency enumeration in the sense of Avis & Fukuda 1992), so
+the work grows with the number of feasible bases, not with the number of row
+subsets.  Each basis is solved and accepted exactly as an enumeration of all
+row subsets would, and results are sorted, so ties break identically on every
+run.  Projections still enumerate active sets.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,9 @@ DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
 ACT_TOL = 1e-9
 RANK_TOL = 1e-9
+_PIVOT_TOL = 1e-12  # smallest pivot the simplex and the walk divide by
+_PRED_TOL = 1e-6  # slack on predicted swaps; every candidate is solved exactly
+_MAX_PIVOTS = 10_000
 
 
 def _as_rows(M, dim: int) -> np.ndarray:
@@ -181,31 +190,179 @@ def _dedupe_sorted(points: list[np.ndarray], tol: float = DEDUP_TOL) -> list[np.
     return kept
 
 
+def _basic_solution(P: Polyhedron, S: tuple) -> np.ndarray | None:
+    """The point where the equality rows and the inequality rows S hold with
+    equality, or None when those rows are rank deficient or inconsistent."""
+    M = np.vstack([P.E, P.G[list(S)]])
+    b = np.concatenate([P.d, P.h[list(S)]])
+    if _rank(M) < P.dim:
+        return None
+    x, *_ = np.linalg.lstsq(M, b, rcond=None)
+    if np.max(np.abs(M @ x - b)) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
+        return None
+    return x
+
+
+def _phase1(P: Polyhedron) -> np.ndarray | None:
+    """A point of P, or None if P is empty: a dense Bland's-rule phase-1
+    simplex on {G x + s = h, E x = d, s >= 0} with x split into two
+    nonnegative parts and one artificial variable per row."""
+    scales = np.concatenate([P.g_scales, P.e_scales])
+    scales[scales <= RANK_TOL] = 1.0  # a zero row stays as it is: 0 <= h or 0 = d
+    A = np.block([
+        [P.G, -P.G, np.eye(P.n_ineq)],
+        [P.E, -P.E, np.zeros((P.n_eq, P.n_ineq))],
+    ]) / scales[:, None]
+    b = np.concatenate([P.h, P.d]) / scales
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    rows, cols = A.shape
+    T = np.hstack([A, np.eye(rows), b[:, None]])
+    cost = np.concatenate([-A.sum(axis=0), np.zeros(rows), [-b.sum()]])
+    basis = list(range(cols, cols + rows))
+    for _ in range(_MAX_PIVOTS):
+        entering = np.nonzero(cost[:cols] < -_PIVOT_TOL)[0]
+        if entering.size == 0:
+            break
+        j = entering[0]
+        pos = np.nonzero(T[:, j] > _PIVOT_TOL)[0]
+        ratios = T[pos, -1] / T[pos, j]
+        ties = pos[ratios <= ratios.min() + _PIVOT_TOL]
+        i = min(ties, key=lambda r: basis[r])
+        T[i] /= T[i, j]
+        others = np.arange(rows) != i
+        T[others] -= np.outer(T[others, j], T[i])
+        cost -= cost[j] * T[i]
+        basis[i] = j
+    else:
+        raise RuntimeError("phase-1 simplex exceeded its pivot budget")
+    if -cost[-1] > FEAS_TOL * (1.0 + float(b.max(initial=0.0))):
+        return None
+    values = np.zeros(cols)
+    for i, var in enumerate(basis):
+        if var < cols:
+            values[var] = T[i, -1]
+    return values[: P.dim] - values[P.dim : 2 * P.dim]
+
+
+def _feasible_basis(P: Polyhedron, x: np.ndarray, need: int) -> tuple:
+    """Rows of a feasible basis of the pointed polyhedron P, reached from its
+    point x by moving inside the tight rows until `need` independent
+    inequality rows are tight."""
+    while True:
+        slack = (P.h - P.G @ x) / P.g_scales
+        tol = FEAS_TOL * (1.0 + float(np.abs(x).max(initial=0.0)))
+        rows, M, rank = [], P.E, _rank(P.E)
+        for j in np.nonzero(slack <= tol)[0]:
+            grown = np.vstack([M, P.G[j]])
+            if _rank(grown) > rank:
+                rows.append(int(j))
+                M, rank = grown, rank + 1
+            if len(rows) == need:
+                return tuple(rows)
+        d = _nullspace(M, P.dim)[:, 0]
+        a = (P.G @ d) / P.g_scales
+        if not np.any(a > _PIVOT_TOL):
+            d, a = -d, -a
+        block = a > _PIVOT_TOL
+        x = x + float(np.min(np.maximum(slack[block], 0.0) / a[block])) * d
+
+
+def _neighbours(P: Polyhedron, S: tuple, x: np.ndarray, bounded: bool) -> list[tuple]:
+    """Bases one swap away from the basis S with point x whose point is
+    feasible up to _PRED_TOL: along each edge direction, the rows that tie in
+    the ratio test and, at a degenerate vertex, every other tight row.  The
+    ties follow every edge of P, and swaps among tight rows connect all bases
+    of one vertex (basis exchange), so a walk over these reaches every
+    feasible basis."""
+    M = np.vstack([P.E, P.G[list(S)]])
+    D = -np.linalg.pinv(M)[:, P.n_eq :]  # column k leaves row S[k]
+    W = P.G @ D
+    resid = P.G @ x - P.h
+    row_tol = _PRED_TOL * np.maximum(1.0, P.g_scales)
+    nonbasic = np.delete(np.arange(P.n_ineq), S)
+    out = []
+    for k in range(len(S)):
+        a = W[:, k]
+        if bounded and not np.any(a > FEAS_TOL * np.linalg.norm(D[:, k])):
+            raise Unbounded("polyhedron has a nontrivial recession cone")
+        js = nonbasic[np.abs(a[nonbasic]) > _PIVOT_TOL * P.g_scales[nonbasic]]
+        t = -resid[js] / a[js]
+        viol = resid[None, :] + t[:, None] * a[None, :]
+        size = 1.0 + np.abs(x[None, :] + t[:, None] * D[:, k]).max(axis=1)
+        ok = np.all(viol <= row_tol[None, :] * size[:, None], axis=1)
+        rest = S[:k] + S[k + 1 :]
+        out += [tuple(sorted(rest + (int(j),))) for j in js[ok]]
+    return out
+
+
+def _walk(P: Polyhedron, start: tuple, solve, bounded: bool) -> list[tuple]:
+    """Breadth-first walk over the feasible bases of the pointed polyhedron P.
+
+    A basis is a sorted tuple of inequality rows that, with the equality
+    rows, pin one point.  ``solve(S)`` returns the point of basis S (None if
+    S is singular) and whether S is accepted; accepted bases are expanded by
+    single-row swaps.  With ``bounded``, an edge that no row blocks raises
+    Unbounded.  Returns the accepted bases in lexicographic order, so callers
+    see them in the order an enumeration of all row subsets would.
+    """
+    seen = {start: solve(start)}
+    queue = deque([start])
+    while queue:
+        S = queue.popleft()
+        x, _ = seen[S]
+        if x is None:
+            continue
+        for T in _neighbours(P, S, x, bounded):
+            if T not in seen:
+                seen[T] = solve(T)
+                if seen[T][1]:
+                    queue.append(T)
+    return sorted(S for S, (_, ok) in seen.items() if ok)
+
+
+def _ray_slice(G: np.ndarray, eqs: np.ndarray) -> Polyhedron:
+    """K ∩ {c x = 1} for the pointed cone K = {G x <= 0, eqs x = 0} and
+    c = -sum_i G_i / |G_i|: c is positive on K minus the origin, so the slice is a
+    polytope whose vertices are the extreme rays of K, and it is empty iff
+    K = {0}."""
+    c = -(G / _row_scales(G)[:, None]).sum(axis=0)
+    dim = G.shape[1]
+    return Polyhedron.make(
+        dim, G, np.zeros(G.shape[0]), np.vstack([eqs, c]), np.append(np.zeros(eqs.shape[0]), 1.0)
+    )
+
+
 def vertices(P: Polyhedron) -> list[np.ndarray]:
     """All vertices of a bounded polyhedron, deduplicated and in lexicographic
-    order.  Enumerates basic solutions: every vertex is the unique solution of
-    the equality rows plus dim - rank(E) active inequality rows."""
+    order.  Every vertex is the unique solution of the equality rows plus
+    dim - rank(E) active inequality rows (a basis); the feasible bases are
+    found by a walk from a phase-1 basis, and each is solved exactly as an
+    enumeration of all row subsets would solve it."""
     if P.dim > MAX_DIM:
         raise DimensionTooLarge(f"vertex enumeration supports dim <= {MAX_DIM}")
-    rc_rays, rc_lines = cone_generators(recession_cone(P))
-    if rc_rays or rc_lines:
-        raise Unbounded("polyhedron has a nontrivial recession cone")
-    rank_eq = _rank(P.E)
-    need = P.dim - rank_eq
-    if need < 0:
-        return []
-    found: list[np.ndarray] = []
-    for S in itertools.combinations(range(P.n_ineq), need):
-        M = np.vstack([P.E, P.G[list(S)]])
-        b = np.concatenate([P.d, P.h[list(S)]])
-        if _rank(M) < P.dim:
-            continue
-        x, *_ = np.linalg.lstsq(M, b, rcond=None)
-        if np.max(np.abs(M @ x - b)) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
-            continue
-        if contains(P, x, FEAS_TOL * (1.0 + float(np.abs(x).max(initial=0.0)))):
-            found.append(x)
-    return _dedupe_sorted(found)
+    need = P.dim - _rank(P.E)
+    if need and _rank(np.vstack([P.G, P.E])) < P.dim:
+        raise Unbounded("polyhedron has a nontrivial recession cone")  # a lineality space
+    points: dict[tuple, np.ndarray | None] = {}
+
+    def solve(S):
+        x = points[S] = _basic_solution(P, S)
+        if x is None:
+            return None, False
+        return x, contains(P, x, FEAS_TOL * (1.0 + float(np.abs(x).max(initial=0.0))))
+
+    if need == 0:
+        bases = [()] if solve(())[1] else []
+    else:
+        x0 = _phase1(P)
+        if x0 is None:
+            if _phase1(_ray_slice(P.G, P.E)) is not None:
+                raise Unbounded("polyhedron has a nontrivial recession cone")
+            return []
+        bases = _walk(P, _feasible_basis(P, x0, need), solve, bounded=True)
+    return _dedupe_sorted([points[S] for S in bases])
 
 
 def recession_cone(P: Polyhedron) -> PolyCone:
@@ -218,7 +375,9 @@ def cone_generators(K: Polyhedron) -> tuple[list[np.ndarray], list[np.ndarray]]:
     Rays are unit vectors, deduplicated and lexicographically sorted; together
     with the lineality columns they positively span the cone.  An extreme ray
     of the pointed part is the 1-dimensional nullspace of dim-1 independent
-    active rows (equalities, the lineality complement, and a subset of G rows).
+    active rows (equalities, the lineality complement, and a subset of G rows);
+    those subsets are the feasible bases of a polytope slice of the pointed
+    part, found by a walk.
     """
     if K.dim > MAX_DIM:
         raise DimensionTooLarge(f"ray enumeration supports dim <= {MAX_DIM}")
@@ -226,24 +385,36 @@ def cone_generators(K: Polyhedron) -> tuple[list[np.ndarray], list[np.ndarray]]:
     L = _nullspace(stacked, K.dim)  # lineality space
     lines = [L[:, j] for j in range(L.shape[1])]
     eqs = np.vstack([K.E, L.T])  # restrict to the pointed part K ∩ L^perp
-    rank_eq = _rank(eqs)
-    need = K.dim - 1 - rank_eq
+    need = K.dim - 1 - _rank(eqs)
     if need < 0:
         return [], lines
-    rays: list[np.ndarray] = []
-    for S in itertools.combinations(range(K.n_ineq), need):
+    Q = _ray_slice(K.G, eqs) if need else None
+    found: dict[tuple, list[np.ndarray]] = {}
+
+    def solve(S):
         M = np.vstack([eqs, K.G[list(S)]])
+        found[S] = []
         if _rank(M) != K.dim - 1:
-            continue
+            return None, False
         u = _nullspace(M, K.dim)
         if u.shape[1] != 1:
-            continue
+            return None, False
         u = u[:, 0]
         for cand in (u, -u):
             if K.n_ineq == 0 or np.max(K.G @ cand) <= FEAS_TOL:
-                rays.append(cand / np.linalg.norm(cand))
-    rays = _dedupe_sorted(rays, tol=1e-8)
-    return rays, lines
+                found[S].append(cand / np.linalg.norm(cand))
+        scale = 0.0 if Q is None else float(Q.E[-1] @ u)
+        return (u / scale if scale != 0.0 else None), bool(found[S])
+
+    if need == 0:
+        bases = [()] if solve(())[1] else []
+    else:
+        x0 = _phase1(Q)
+        if x0 is None:
+            return [], lines
+        bases = _walk(Q, _feasible_basis(Q, x0, need), solve, bounded=False)
+    rays = [r for S in bases for r in found[S]]
+    return _dedupe_sorted(rays, tol=1e-8), lines
 
 
 def vrep_to_hrep(points, rays=(), lines=(), dim: int | None = None) -> Polyhedron:
@@ -372,4 +543,4 @@ def min_norm_point(P: Polyhedron) -> np.ndarray | None:
 
 
 def is_empty(P: Polyhedron) -> bool:
-    return project(P, np.zeros(P.dim)) is None
+    return _phase1(P) is None

@@ -22,7 +22,7 @@ from .composite import (
     multipliers,
 )
 from .core import CompositeProblem, component_hessian, gradient, hessian, jacobian, poly_eval
-from .errors import NotStationary
+from .errors import EpidiffError, NotStationary
 from .extreal import PLUS_INF, ExtReal
 from .numkit import SymMatrix, project
 from .outer import PolyhedralConeRepr
@@ -73,7 +73,7 @@ def _stationary_data(prob: CompositeProblem, x, kappa: float):
     v = -gradient(prob.phi, x)
     try:
         ms = multipliers(prob, x, v, kappa=kappa)
-    except Exception as exc:
+    except EpidiffError as exc:
         raise NotStationary(f"no multipliers at the base point: {exc}") from exc
     if ms.is_empty:
         raise NotStationary("-grad phi(x) is not a subgradient of g(F(.)) at x")

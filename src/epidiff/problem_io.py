@@ -9,6 +9,7 @@ symmetric matrices, so for them F must map into R^(n(n+1)/2).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,24 @@ def _vec(data, name: str) -> np.ndarray:
         raise ValidationError(f"{name}: expected a numeric vector") from exc
     _require(arr.ndim == 1, f"{name}: expected a flat vector")
     return arr
+
+
+def _finite_vec(data, name: str) -> np.ndarray:
+    arr = _vec(data, name)
+    _require(bool(np.all(np.isfinite(arr))), f"{name}: entries must be finite")
+    return arr
+
+
+def _optional_scalar(data: dict, name: str) -> float | None:
+    """A finite nonnegative constant such as kappa or ell, or None if absent."""
+    if data.get(name) is None:
+        return None
+    try:
+        val = float(data[name])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: expected a number") from exc
+    _require(math.isfinite(val) and val >= 0.0, f"{name}: expected a finite nonnegative number")
+    return val
 
 
 def _mat(data, name: str) -> np.ndarray:
@@ -149,7 +168,7 @@ def parse_problem_dict(data: dict) -> ProblemSpec:
     _require(isinstance(data, dict), "problem file must be a JSON object")
     for key in ("phi", "F", "g", "x"):
         _require(key in data, f"missing field {key!r}")
-    x = _vec(data["x"], "x")
+    x = _finite_vec(data["x"], "x")
     n = x.shape[0]
     try:
         phi = PolyMap.from_strings([data["phi"]], n)
@@ -165,12 +184,12 @@ def parse_problem_dict(data: dict) -> ProblemSpec:
         raise ValidationError(str(exc)) from exc
     v_given = "v" in data and data["v"] is not None
     if v_given:
-        v = _vec(data["v"], "v")
+        v = _finite_vec(data["v"], "v")
         _require(v.shape == (n,), "v: wrong length")
     else:
         v = -gradient(phi, x)
-    kappa = float(data["kappa"]) if data.get("kappa") is not None else None
-    ell = float(data["ell"]) if data.get("ell") is not None else None
+    kappa = _optional_scalar(data, "kappa")
+    ell = _optional_scalar(data, "ell")
     seed = int(data.get("seed", DEFAULT_SEED))
     sched_data = dict(data.get("schedule") or {})
     sched_data.setdefault("seed", seed)

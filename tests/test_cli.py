@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from epidiff.cli import run
@@ -146,6 +147,31 @@ def test_analyze_golden_values():
     assert all(entry["argmax_y"] == [1.0] for entry in block["directions"])
 
 
+def test_analyze_polyhedron_m6_golden_values():
+    """All six constraints of a non-axis polyhedron in R^6 are active, and four
+    of their pulled-back normals lie in one plane, so the multiplier set is a
+    polygon (five vertices once the tau box cuts it) and the critical cone is
+    the ray -e3.  The dual value there is max y3 over that polygon, which is
+    5/12 at y = (0, 1/3, 5/12, 1/12, 0, 0), computed by hand."""
+    code, text = run(["analyze", _fixture("polyhedron_m6.json")])
+    assert code == 0
+    block = _json_block(text)
+    data = json.loads(Path(_fixture("polyhedron_m6.json")).read_text())
+    assert block["tau"] == pytest.approx(float(np.linalg.norm(data["v"])), rel=1e-9)
+    G = np.array(data["g"]["G"], dtype=float)
+    J = np.array([[1, 0, 0], [-1, 1, 0], [2, 0, 0], [0, -1, 0], [0, 1, 1], [1, 0, 0]], dtype=float)
+    ys = np.array(block["multipliers"])
+    assert ys.shape == (5, 6)
+    assert np.allclose(ys @ J, data["v"], atol=1e-9)
+    assert np.all(np.linalg.solve(G.T, ys.T) >= -1e-9)  # y = G^T lam with lam >= 0
+    (entry,) = block["directions"]
+    assert np.allclose(entry["direction"], [0.0, 0.0, -1.0], atol=1e-12)
+    assert entry["dual"] == pytest.approx(5.0 / 12.0, abs=1e-9)
+    assert entry["primal"] == pytest.approx(5.0 / 12.0, abs=1e-9)
+    assert np.allclose(entry["argmax_y"], [0.0, 1.0 / 3.0, 5.0 / 12.0, 1.0 / 12.0, 0.0, 0.0], atol=1e-9)
+    assert entry["provenance"] == "closed-form"
+
+
 def test_analyze_off_cone_direction_renders_plus_inf():
     code, text = run(["analyze", _fixture("a1_parabola.json"), "--dir", "0,1"])
     assert code == 0
@@ -216,3 +242,37 @@ def test_check_cq_report():
     block = _json_block(text)
     assert block["mscq"]["holds_evidence"] is False
     assert block["basic_cq"] is False
+
+
+def test_parse_rejects_non_finite_or_negative_inputs(tmp_path):
+    base = json.loads(Path(_fixture("plq_abs.json")).read_text())
+    cases = (("x", [float("inf")]), ("v", [float("nan")]), ("kappa", float("inf")),
+             ("ell", float("nan")), ("kappa", -1.0))
+    for key, value in cases:
+        data = dict(base, **{key: value})
+        p = tmp_path / f"bad_{key}.json"
+        p.write_text(json.dumps(data))
+        code, text = run(["analyze", str(p)])
+        assert code == 3 and text.startswith(f"error: {key}:")
+
+
+def test_infinite_kappa_hat_exits_2(tmp_path):
+    # restoration into the orthant fails for F = (x1, x2, x1 x2, x1^2), so MSCQ
+    # cannot supply a kappa when the file gives none
+    data = {
+        "phi": ["x1", "x2"],
+        "F": [["x1"], ["x2"], ["x1 x2"], ["x1^2"]],
+        "g": {"tag": "ind_nonpos", "dim": 4},
+        "x": [0.0, 0.0],
+    }
+    p = tmp_path / "no_kappa.json"
+    p.write_text(json.dumps(data))
+    code, text = run(["analyze", str(p)])
+    assert code == 2 and "kappa_hat is infinite" in text
+
+
+def test_analyze_infinite_gap_renders_plus_inf():
+    code, text = run(["analyze", _fixture("mscq_fail.json")])
+    assert code == 1
+    entries = _json_block(text)["directions"]
+    assert entries and all(e["primal"] == "+inf" and e["gap"] == "+inf" for e in entries)

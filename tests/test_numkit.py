@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from epidiff.errors import DimensionTooLarge, EmptyPolyhedron, PointNotInSet, Unbounded
 from epidiff.numkit import (
+    PolyCone,
     Polyhedron,
     box,
     cone_generators,
@@ -14,6 +17,7 @@ from epidiff.numkit import (
     min_norm_point,
     pinv,
     project,
+    recession_cone,
     smat,
     svec,
     sym_eig,
@@ -21,6 +25,7 @@ from epidiff.numkit import (
     vertices,
     vrep_to_hrep,
 )
+from epidiff.numkit.polyhedra import FEAS_TOL, _dedupe_sorted, _nullspace, _rank, is_empty
 
 
 # -- eigensolver ----------------------------------------------------------------
@@ -203,6 +208,168 @@ def test_projection_and_min_norm():
     simplex = Polyhedron.make(2, G=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], h=[0.0, 0.0, 1.0])
     assert np.allclose(min_norm_point(simplex), [0.0, 0.0])
     assert project(Polyhedron.make(1, G=[[1.0], [-1.0]], h=[-1.0, 0.0]), [0.0]) is None
+
+
+# -- pivoting kernel against the subset enumeration it replaced --------------------------
+#
+# The reference below tries every row subset of the right size, exactly as the
+# library did before the pivoting walk; the walk must give bitwise-equal
+# results, including which exception is raised.
+
+
+def _enum_cone_generators(K):
+    if K.dim > 8:
+        raise DimensionTooLarge("reference")
+    L = _nullspace(np.vstack([K.G, K.E]), K.dim)
+    lines = [L[:, j] for j in range(L.shape[1])]
+    eqs = np.vstack([K.E, L.T])
+    need = K.dim - 1 - _rank(eqs)
+    if need < 0:
+        return [], lines
+    rays = []
+    for S in itertools.combinations(range(K.n_ineq), need):
+        M = np.vstack([eqs, K.G[list(S)]])
+        if _rank(M) != K.dim - 1:
+            continue
+        u = _nullspace(M, K.dim)
+        if u.shape[1] != 1:
+            continue
+        u = u[:, 0]
+        for cand in (u, -u):
+            if K.n_ineq == 0 or np.max(K.G @ cand) <= FEAS_TOL:
+                rays.append(cand / np.linalg.norm(cand))
+    return _dedupe_sorted(rays, tol=1e-8), lines
+
+
+def _enum_vertices(P):
+    if P.dim > 8:
+        raise DimensionTooLarge("reference")
+    rays, lines = _enum_cone_generators(recession_cone(P))
+    if rays or lines:
+        raise Unbounded("reference")
+    found = []
+    for S in itertools.combinations(range(P.n_ineq), P.dim - _rank(P.E)):
+        M = np.vstack([P.E, P.G[list(S)]])
+        b = np.concatenate([P.d, P.h[list(S)]])
+        if _rank(M) < P.dim:
+            continue
+        x, *_ = np.linalg.lstsq(M, b, rcond=None)
+        if np.max(np.abs(M @ x - b)) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
+            continue
+        if contains(P, x, FEAS_TOL * (1.0 + float(np.abs(x).max(initial=0.0)))):
+            found.append(x)
+    return _dedupe_sorted(found)
+
+
+def _enum_lp_max(c, verts):
+    if isinstance(verts, str):
+        return verts
+    if not verts:
+        return "EmptyPolyhedron"
+    values = [float(c @ v) for v in verts]
+    best = max(values)
+    optimal = [v for v, val in zip(verts, values) if val >= best - 1e-9 * (1.0 + abs(best))]
+    arg = optimal[0]
+    for v in optimal[1:]:
+        lex_less = next((x < y for x, y in zip(v, arg) if abs(x - y) > 1e-9), False)
+        if lex_less:
+            arg = v
+    return best, arg
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DimensionTooLarge, EmptyPolyhedron, Unbounded) as exc:
+        return type(exc).__name__
+
+
+def _bits(value):
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, (np.ndarray, float)):
+        return np.asarray(value, dtype=float).tobytes()
+    return value
+
+
+def _assert_kernel_matches_enumeration(P, objectives=()):
+    ref_vertices = _outcome(_enum_vertices, P)
+    assert _bits(_outcome(vertices, P)) == _bits(ref_vertices)
+    for K in (P, recession_cone(P)):
+        assert _bits(_outcome(cone_generators, K)) == _bits(_outcome(_enum_cone_generators, K))
+    assert is_empty(P) == (project(P, np.zeros(P.dim)) is None)
+    for c in objectives:
+        assert _bits(_outcome(lp_max, c, P)) == _bits(_enum_lp_max(c, ref_vertices))
+
+
+@st.composite
+def _integer_polyhedra(draw):
+    dim = draw(st.integers(1, 4))
+    n_ineq, n_eq = draw(st.integers(0, 7)), draw(st.integers(0, 2))
+
+    def ints(count, lo, hi):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=count, max_size=count)), float)
+
+    P = Polyhedron.make(
+        dim,
+        ints(n_ineq * dim, -3, 3).reshape(n_ineq, dim),
+        ints(n_ineq, -2, 3),
+        ints(n_eq * dim, -2, 2).reshape(n_eq, dim) if n_eq else None,
+        ints(n_eq, -1, 1) if n_eq else None,
+    )
+    if draw(st.booleans()):
+        P = intersect(P, box(dim, float(draw(st.integers(1, 3)))))
+    return P, [ints(dim, -2, 2) for _ in range(2)]
+
+
+@given(_integer_polyhedra())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_enumeration_on_random_polyhedra(case):
+    P, objectives = case
+    _assert_kernel_matches_enumeration(P, objectives)
+
+
+def _pyramid(facets: int) -> Polyhedron:
+    angles = 2.0 * np.pi * np.arange(facets) / facets
+    sides = np.column_stack([np.cos(angles), np.sin(angles), np.ones(facets)])
+    G = np.vstack([sides, [[0.0, 0.0, -1.0]]])
+    return Polyhedron.make(3, G, np.append(np.ones(facets), 0.0))
+
+
+@pytest.mark.parametrize("facets", [4, 5, 6])
+def test_kernel_matches_enumeration_at_pyramid_apex(facets):
+    P = _pyramid(facets)
+    assert any(np.allclose(v, [0.0, 0.0, 1.0]) for v in vertices(P))
+    _assert_kernel_matches_enumeration(P, [np.array([0.0, 0.0, 1.0]), np.zeros(3)])
+    apex_cone = tangent_cone(P, [0.0, 0.0, 1.0])
+    assert apex_cone.n_ineq == facets
+    assert _bits(cone_generators(apex_cone)) == _bits(_enum_cone_generators(apex_cone))
+
+
+def test_kernel_matches_enumeration_with_duplicated_and_redundant_rows():
+    sq = box(2, 0.5, center=[0.5, 0.5])
+    duplicated = intersect(sq, sq, Polyhedron.make(2, G=[[2.0, 0.0]], h=[2.0]))
+    redundant = intersect(sq, Polyhedron.make(2, G=[[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]], h=[2.0, 5.0, 1.0]))
+    for P in (duplicated, redundant):
+        _assert_kernel_matches_enumeration(P, [np.array([1.0, 1.0]), np.array([1.0, 0.0])])
+    cube_with_diagonal = intersect(box(3, 1.0), Polyhedron.make(3, G=[[1.0, 1.0, 1.0]], h=[3.0]))
+    _assert_kernel_matches_enumeration(cube_with_diagonal, [np.ones(3)])
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_kernel_matches_enumeration_on_multiplier_polytopes(m):
+    """{y >= 0, J^T y = v} cut by the tau box, as the multiplier set of an
+    all-active orthant is built; the optimum of the LP ties on purpose."""
+    rng = np.random.default_rng(m)
+    n = max(2, m - 4)  # at most 4 free dimensions keeps the reference enumeration quick
+    J = rng.integers(-4, 5, size=(m, n)) / 4.0
+    y0 = rng.integers(0, 5, size=m) / 4.0
+    core = intersect(
+        PolyCone.make_cone(m, G=-np.eye(m)), Polyhedron.make(m, E=J.T, d=J.T @ y0)
+    )
+    P = intersect(core, box(m, 2.0))
+    assert vertices(P)
+    _assert_kernel_matches_enumeration(P, [np.zeros(m), np.eye(m)[0], rng.standard_normal(m)])
 
 
 # -- symmetric vectorization ------------------------------------------------------------------
