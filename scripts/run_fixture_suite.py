@@ -2,9 +2,13 @@
 """Drive the CLI over the bundled fixture problems and summarize the results.
 
 Usage: python scripts/run_fixture_suite.py [--seed N]
+
+Each line ends with the first 12 hex digits of the sha256 of the rendered
+report; equal digests in two runs mean byte-identical reports.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -21,7 +25,7 @@ PLAN = [
     ("parabola_min.json", ["certify", "check-cq"]),
     ("min_quartic.json", ["certify"]),
     ("mscq_fail.json", ["check-cq"]),
-    ("polyhedron_m6.json", ["analyze"]),
+    ("polyhedron_m6.json", ["analyze", "check-cq"]),
 ]
 
 
@@ -54,16 +58,17 @@ def main() -> int:
                         f"sms={block['sms_certificate']['affirmative']}"
                     )
                 else:
-                    summary = (
-                        f"mscq={block['mscq']['holds_evidence']} "
-                        f"kappa_hat={block['mscq']['kappa_hat']:.3g}"
-                    )
+                    kappa_hat = block["mscq"]["kappa_hat"]
+                    if not isinstance(kappa_hat, str):
+                        kappa_hat = f"{kappa_hat:.3g}"
+                    summary = f"mscq={block['mscq']['holds_evidence']} kappa_hat={kappa_hat}"
             status = "ok" if code in (0, 1) else f"exit {code}"
             # exit 1 marks a numerical disagreement: surface it
             if code == 1:
                 status = "DISAGREEMENT"
                 failures += 1
-            print(f"{fixture:22s} {command:9s} [{status}] {elapsed:6.2f}s  {summary}")
+            digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+            print(f"{fixture:22s} {command:9s} [{status}] {elapsed:6.2f}s {digest}  {summary}")
     return 1 if failures else 0
 
 

@@ -4,8 +4,13 @@ whose common value is the second subderivative of g(F(.)).
 
 The dual side maximizes <y, d2F(w,w)> + d2g(F(x), y)(dF(x) w) over the
 multiplier set truncated to the tau-ball box; the primal side minimizes the
-parabolic chain value minus <z, v>.  For polyhedral data both sides reduce to
-exact LPs; spectral instances fall back to numeric grids and are flagged.
+parabolic chain value minus <z, v>.  This module does the problem-level work:
+it evaluates F and its derivatives, builds the multiplier set from the shape
+of the subdifferential, and pulls the critical cone back.  Each catalog
+member answers for its own pieces of the chain rule (``dual_value``,
+``primal_value``, ``basic_cq`` of ``OuterFunction``): exact LPs for
+polyhedral data, closed forms for smooth data, and a flagged numeric grid
+for the spectral members.
 """
 
 from __future__ import annotations
@@ -21,38 +26,21 @@ from .errors import (
     CriticalConePreconditionFailed,
     EmptyMultiplierSet,
     EmptyPolyhedron,
+    PointNotInDomain,
     UnsupportedSpectralMultiplicity,
     UnsupportedTag,
 )
 from .extreal import PLUS_INF, ExtReal
-from .numkit import (
-    PolyCone,
-    Polyhedron,
-    box,
-    cone_generators,
-    intersect,
-    lp_max,
-    min_norm_point,
-    operator_norm,
-    smat,
-    svec,
-    tangent_cone,
-    vertices,
-)
+from .numkit import PolyCone, Polyhedron, box, intersect, min_norm_point, operator_norm, vertices
 from .numkit.polyhedra import is_empty
-from .oracle import SampledFunction, _pattern_refine, estimate_parabolic_subderivative
+from .oracle import SampledFunction
 from .outer import (
-    NegSemidefIndicator,
     OuterFunction,
-    PlqFunction,
     PointRep,
     PolyhedralConeRepr,
-    PolyhedralIndicator,
     PolyhedronRep,
     PredicateConeRepr,
-    SmoothQuadratic,
     SpectralRep,
-    second_order_tangent_cone,
 )
 
 AFFINE_TOL = 1e-8
@@ -77,6 +65,23 @@ class MultiplierSet:
         if self.is_empty:
             raise EmptyMultiplierSet("no Lagrange multipliers")
         return self.multipliers[0]
+
+    def ball_argmax(self, H, argmax):
+        """The dual maximum of <y, H> is attained inside the Euclidean
+        tau-ball; if the lexicographic LP vertex lies outside, swap in the
+        minimum-norm point of the optimal face (same value)."""
+        if argmax is None or self.polyhedron is None:
+            return argmax
+        if float(np.linalg.norm(argmax)) <= self.tau + 1e-8:
+            return argmax
+        face = intersect(
+            self.polyhedron,
+            Polyhedron.make(self.polyhedron.dim, E=H.reshape(1, -1), d=np.array([float(H @ argmax)])),
+        )
+        near = min_norm_point(face)
+        if near is not None and float(np.linalg.norm(near)) <= self.tau + 1e-8:
+            return near
+        return argmax
 
 
 @dataclass
@@ -193,11 +198,15 @@ def multipliers(
 
 def _restore_feasible_point(prob: CompositeProblem, x0: np.ndarray, max_iter: int = 60):
     """Gauss-Newton restoration of F(x) into dom g; returns a feasible point
-    close to x0, or None if the iteration stalls infeasibly."""
+    close to x0, or None if the iteration stalls infeasibly or runs so far
+    out that dom g can no longer be projected onto."""
     x = np.array(x0, dtype=float)
     for _ in range(max_iter):
         u = poly_eval(prob.F, x)
-        p = np.asarray(prob.g.domain_project(u), dtype=float)
+        try:
+            p = np.asarray(prob.g.domain_project(u), dtype=float)
+        except PointNotInDomain:
+            return None
         r = u - p
         if float(np.linalg.norm(r)) <= 1e-12 * (1.0 + float(np.linalg.norm(u))):
             return x
@@ -212,7 +221,11 @@ def _restore_feasible_point(prob: CompositeProblem, x0: np.ndarray, max_iter: in
             break
         x = x + step
     u = poly_eval(prob.F, x)
-    if prob.g.domain_distance(u) <= 1e-9 * (1.0 + float(np.linalg.norm(u))):
+    try:
+        dist = prob.g.domain_distance(u)
+    except PointNotInDomain:
+        return None
+    if dist <= 1e-9 * (1.0 + float(np.linalg.norm(u))):
         return x
     return None
 
@@ -265,100 +278,13 @@ def check_mscq(
     )
 
 
-def _domain_normal_cone_rows(g: OuterFunction, z: np.ndarray):
-    """H-representation rows (G, E) of the normal cone to dom g at z, for the
-    polyhedral catalog tags."""
-    if isinstance(g, PolyhedralIndicator):
-        T = tangent_cone(g.C, z, 1e-9)
-        rays, lines = cone_generators(T)
-        return rays, lines
-    if isinstance(g, PlqFunction):
-        rows_r, rows_l = [], []
-        for i in g._active(z):
-            T = tangent_cone(g.pieces[i].domain, z, 1e-9)
-            t_rays, t_lines = cone_generators(T)
-            rows_r.extend(t_rays)
-            rows_l.extend(t_lines)
-        return rows_r, rows_l
-    raise UnsupportedTag(type(g).__name__)
-
-
 def check_basic_cq(prob: CompositeProblem, x) -> bool:
     """Whether N_dom g(F(x)) meets ker adj(dF(x)) only at the origin."""
     x = np.asarray(x, dtype=float)
     z = poly_eval(prob.F, x)
     if not prob.g.value(z).is_finite:
         raise BasePointInfeasible("F(x) lies outside dom g")
-    g = prob.g
-    J = jacobian(prob.F, x)
-    if isinstance(g, (SmoothQuadratic,)) or (
-        hasattr(g, "tag") and g.tag in ("max_eig", "sum_top_eig", "alpha_eig")
-    ):
-        return True  # full domain, normal cone is {0}
-    if isinstance(g, (PolyhedralIndicator, PlqFunction)):
-        t_rays, t_lines = _domain_normal_cone_rows(g, z)
-        ncone = PolyCone.make_cone(
-            prob.m,
-            np.vstack(t_rays) if t_rays else None,
-            np.vstack(t_lines) if t_lines else None,
-        )
-        probe = PolyCone.make_cone(
-            prob.m, ncone.G if ncone.n_ineq else None, np.vstack([ncone.E, J.T])
-        )
-        rays, lines = cone_generators(probe)
-        return not rays and not lines
-    if isinstance(g, NegSemidefIndicator):
-        A = smat(z) if np.asarray(z).ndim == 1 else z
-        E0 = g._zero_cluster_basis(A)
-        k = E0.shape[1]
-        if k == 0:
-            return True
-        if k == 1:
-            gen = svec(np.outer(E0[:, 0], E0[:, 0]))
-            return float(np.linalg.norm(J.T @ gen)) > 1e-8
-        if k == 2:
-            return not _psd_slice_meets_kernel(J, E0)
-        raise UnsupportedSpectralMultiplicity("normal cone cluster of dimension > 2")
-    raise UnsupportedTag(type(g).__name__)
-
-
-def _psd_slice_meets_kernel(J: np.ndarray, E0: np.ndarray) -> bool:
-    """Whether some nonzero Theta >= 0 on a 2-dimensional cluster satisfies
-    adj(J) svec(E0 Theta E0^T) = 0; deterministic grid plus refinement over the
-    trace-one slice."""
-
-    def defect(params):
-        phi, c = params
-        u = np.array([math.cos(phi), math.sin(phi)])
-        theta = c * np.outer(u, u) + (1.0 - c) * (np.eye(2) - np.outer(u, u))
-        V = E0 @ theta @ E0.T
-        return float(np.linalg.norm(J.T @ svec(V)))
-
-    best, best_p = math.inf, None
-    for phi in np.linspace(0.0, math.pi, 60):
-        for c in np.linspace(0.5, 1.0, 20):
-            d = defect((phi, c))
-            if d < best:
-                best, best_p = d, (phi, c)
-    # local refinement
-    step = 0.05
-    p = list(best_p)
-    for _ in range(60):
-        improved = False
-        for i in range(2):
-            for sgn in (1.0, -1.0):
-                q = list(p)
-                q[i] += sgn * step
-                q[1] = min(max(q[1], 0.5), 1.0)
-                d = defect(q)
-                if d < best - 1e-15:
-                    best, p = d, q
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-9:
-                break
-    return best <= 1e-8
+    return prob.g.basic_cq(z, jacobian(prob.F, x))
 
 
 # -- chain rules ----------------------------------------------------------------------
@@ -414,70 +340,6 @@ def parabolic_chain(prob: CompositeProblem, x, w, z) -> ExtReal:
 # -- the dual side -----------------------------------------------------------------------
 
 
-def _dual_over_finite(g, zbar, u, H, ys):
-    best_val, best_y = None, None
-    for y in ys:
-        term = g.second_subderivative(zbar, y, u)
-        if term.is_plus_inf:
-            return PLUS_INF, None
-        val = float(np.asarray(y) @ H) + term.value
-        if best_val is None or val > best_val + 1e-12:
-            best_val, best_y = val, y
-    return ExtReal(best_val), best_y
-
-
-def _dual_polyhedral(g, zbar, u, H, multys: MultiplierSet):
-    """Exact dual over a polyhedral multiplier set.
-
-    Indicators contribute a zero second-order term on critical data, so one LP
-    suffices.  PLQ pieces contribute piecewise-constant terms on affine slices
-    of the multiplier polyhedron: one LP per admissible piece, ties broken by
-    piece index then lexicographic argmax."""
-    P = multys.polyhedron
-    if isinstance(g, PolyhedralIndicator):
-        val, arg = lp_max(H, P)
-        return ExtReal(val), arg
-    assert isinstance(g, PlqFunction)
-    best = None
-    utol = AFFINE_TOL * (1.0 + float(np.linalg.norm(u)))
-    for i in g._admissible(zbar, u):
-        piece = g.pieces[i]
-        grad = piece.grad(zbar)
-        # admissibility of piece i for multiplier y: <y - grad_i, u> = 0
-        slice_poly = intersect(
-            P,
-            Polyhedron.make(P.dim, E=u.reshape(1, -1), d=np.array([float(grad @ u)])),
-        )
-        try:
-            val, arg = lp_max(H, slice_poly)
-        except EmptyPolyhedron:
-            continue
-        total = val + float(u @ piece.A @ u)
-        if best is None or total > best[0] + utol:
-            best = (total, arg)
-    if best is None:
-        return PLUS_INF, None
-    return ExtReal(best[0]), best[1]
-
-
-def _ball_adjust_argmax(g, zbar, u, H, multys, dual_val, argmax):
-    """The dual maximum is attained inside the Euclidean tau-ball; if the
-    lexicographic LP vertex lies outside, swap in the minimum-norm point of the
-    optimal face (same value)."""
-    if argmax is None or multys.polyhedron is None:
-        return argmax
-    if float(np.linalg.norm(argmax)) <= multys.tau + 1e-8:
-        return argmax
-    face = intersect(
-        multys.polyhedron,
-        Polyhedron.make(multys.polyhedron.dim, E=H.reshape(1, -1), d=np.array([float(H @ argmax)])),
-    )
-    near = min_norm_point(face)
-    if near is not None and float(np.linalg.norm(near)) <= multys.tau + 1e-8:
-        return near
-    return argmax
-
-
 def chain_dual_value(
     prob: CompositeProblem, x, v, w, multys: MultiplierSet
 ) -> tuple[ExtReal, np.ndarray | None]:
@@ -493,14 +355,7 @@ def chain_dual_value(
         return PLUS_INF, None
     zbar = poly_eval(prob.F, x)
     J = jacobian(prob.F, x)
-    u = J @ w
-    H = second_form(prob.F, x, w)
-    if multys.polyhedron is not None and isinstance(prob.g, (PolyhedralIndicator, PlqFunction)):
-        dual_val, argmax = _dual_polyhedral(prob.g, zbar, u, H, multys)
-        argmax = _ball_adjust_argmax(prob.g, zbar, u, H, multys, dual_val, argmax)
-    else:
-        dual_val, argmax = _dual_over_finite(prob.g, zbar, u, H, multys.multipliers)
-    return dual_val, argmax
+    return prob.g.dual_value(zbar, J @ w, second_form(prob.F, x, w), multys)
 
 
 def second_subderivative_chain(
@@ -526,7 +381,7 @@ def second_subderivative_chain(
     if not critical_cone(prob, x, v, multys).contains(w):
         return DualityInfo(PLUS_INF, PLUS_INF, None, multys.tau, 0.0, True, mscq_provenance)
     dual_val, argmax = chain_dual_value(prob, x, v, w, multys)
-    primal_val, primal_exact = _primal_value(prob, x, v, w, sched, cone_checked=True)
+    primal_val, primal_exact = _primal_value(prob, x, v, w, sched)
     if primal_val.is_finite and dual_val.is_finite:
         gap = abs(primal_val.value - dual_val.value)
     elif primal_val.is_plus_inf and dual_val.is_plus_inf:
@@ -541,145 +396,27 @@ def second_subderivative_chain(
 # -- the primal side ------------------------------------------------------------------------
 
 
-def _lp_min_adaptive(c: np.ndarray, P: Polyhedron, start_width: float):
-    """min <c, z> over P via the vertex LP, growing the bounding box until the
-    value stabilizes; raises EmptyPolyhedron if P is infeasible."""
-    width = start_width
-    prev = None
-    for _ in range(4):
-        val, arg = lp_max(-c, intersect(P, box(P.dim, width)))
-        val = -val
-        if prev is not None and abs(val - prev[0]) <= 1e-9 * (1.0 + abs(val)):
-            return val, arg
-        prev = (val, arg)
-        width *= 4.0
-    return prev
-
-
 def _primal_value(
-    prob: CompositeProblem,
-    x,
-    v,
-    w,
-    sched: GridSchedule | None,
-    cone_checked: bool = False,
+    prob: CompositeProblem, x, v, w, sched: GridSchedule | None
 ) -> tuple[ExtReal, bool]:
+    """The primal value and whether it is exact, for w on the critical cone."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    zbar = poly_eval(prob.F, x)
     J = jacobian(prob.F, x)
-    u = J @ w
-    H = second_form(prob.F, x, w)
-    g = prob.g
-    width0 = 16.0 * (1.0 + float(np.linalg.norm(H)) + float(np.linalg.norm(v)))
-
-    if isinstance(g, PolyhedralIndicator):
-        T2 = second_order_tangent_cone(g.C, zbar, u)
-        rows_G = T2.G @ J if T2.n_ineq else None
-        rows_E = T2.E @ J if T2.n_eq else None
-        P = Polyhedron.make(
-            prob.n,
-            rows_G,
-            -(T2.G @ H) if T2.n_ineq else None,
-            rows_E,
-            -(T2.E @ H) if T2.n_eq else None,
-        )
-        try:
-            val, _ = _lp_min_adaptive(-v, P, width0)
-        except EmptyPolyhedron:
-            return PLUS_INF, True
-        return ExtReal(val), True
-
-    if isinstance(g, PlqFunction):
-        best = None
-        for i in g._admissible(zbar, u):
-            piece = g.pieces[i]
-            grad = piece.grad(zbar)
-            T2 = second_order_tangent_cone(piece.domain, zbar, u)
-            P = Polyhedron.make(
-                prob.n,
-                T2.G @ J if T2.n_ineq else None,
-                -(T2.G @ H) if T2.n_ineq else None,
-                T2.E @ J if T2.n_eq else None,
-                -(T2.E @ H) if T2.n_eq else None,
-            )
-            c = -v + J.T @ grad
-            const = float(u @ piece.A @ u) + float(grad @ H)
-            try:
-                val, _ = _lp_min_adaptive(c, P, width0)
-            except EmptyPolyhedron:
-                continue
-            total = val + const
-            if best is None or total < best:
-                best = total
-        return (ExtReal(best), True) if best is not None else (PLUS_INF, True)
-
-    if isinstance(g, SmoothQuadratic):
-        grad = g.grad(zbar)
-        resid = float(np.linalg.norm(J.T @ grad - v))
-        if resid > AFFINE_TOL * (1.0 + float(np.linalg.norm(v))):
-            raise CriticalConePreconditionFailed(
-                "smooth outer gradient does not match the pairing vector"
-            )
-        return ExtReal(float(u @ g.hess(zbar) @ u) + float(grad @ H)), True
-
-    # spectral tags: numeric z-grid with refinement (flagged)
-    sched = sched or GridSchedule()
-    f = SampledFunction(
-        evaluator=lambda p: g.value(p),
-        dim=g.ambient_dim,
-        description="outer evaluator",
-        batch_evaluator=g.value_batch,
-    )
-    dgw = g.subderivative(zbar, u)
-    if not dgw.is_finite:
-        return PLUS_INF, False
-    cheap = GridSchedule(
-        t0=sched.t0 * sched.ratio ** max(0, sched.steps - 4),
-        ratio=sched.ratio,
-        steps=4,
-        radius_coeff=sched.radius_coeff,
-        samples_per_axis=min(sched.samples_per_axis, 7),
-        radius_exponent=sched.radius_exponent,
-        seed=sched.seed,
-    )
-
-    def score(zv, schedule, polish):
-        inner = J @ zv + H
-        val = estimate_parabolic_subderivative(f, zbar, u, dgw.value, inner, schedule, polish=polish)
-        return val.as_float() - float(zv @ v)
-
-    rng = np.random.default_rng(sched.seed)
-    spa = min(sched.samples_per_axis, 7)
-    if spa ** prob.n <= 100_000:
-        axis = np.linspace(-10.0, 10.0, spa)
-        grid = np.stack(np.meshgrid(*([axis] * prob.n), indexing="ij"), axis=-1).reshape(-1, prob.n)
-    else:
-        grid = rng.uniform(-10.0, 10.0, size=(2000, prob.n))
-    scores = np.array([score(zv, cheap, False) for zv in grid])
-    finite = np.isfinite(scores)
-    if not finite.any():
-        return PLUS_INF, False
-    idx = int(np.argmin(np.where(finite, scores, math.inf)))
-    z_best, s_best = grid[idx], float(scores[idx])
-
-    def q(zv):
-        return score(zv, cheap, False), zv
-
-    _, z_best = _pattern_refine(q, z_best, s_best, z_best, 5.0, max_evals=800)
-    return ExtReal(score(z_best, sched, True)), False
+    return prob.g.primal_value(poly_eval(prob.F, x), J, J @ w, second_form(prob.F, x, w), v, sched)
 
 
 def primal_value(
     prob: CompositeProblem, x, v, w, sched: GridSchedule | None = None
 ) -> ExtReal:
-    """min over z of parabolic_chain(x, w, z) - <z, v>; an exact LP for
-    polyhedral outer structure, a refined grid otherwise."""
+    """min over z of parabolic_chain(x, w, z) - <z, v>; exact LPs for
+    polyhedral outer structure, a closed form for smooth g, a flagged
+    numeric grid otherwise."""
     cone = critical_cone(prob, x, v)
     if not cone.contains(np.asarray(w, dtype=float)):
         raise CriticalConePreconditionFailed("w is outside the critical cone")
-    val, _ = _primal_value(prob, x, v, w, sched, cone_checked=True)
+    val, _ = _primal_value(prob, x, v, w, sched)
     return val
 
 

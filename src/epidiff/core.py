@@ -9,7 +9,7 @@ enters the verification chain on the smooth side.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -256,6 +256,16 @@ class GridSchedule:
 
     def radius(self, t: float) -> float:
         return self.radius_coeff * t ** self.radius_exponent
+
+    def coarse(self) -> "GridSchedule":
+        """The four finest levels at no more than 7 samples per axis: cheap
+        enough to rank many trial points."""
+        return replace(
+            self,
+            t0=self.t0 * self.ratio ** max(0, self.steps - 4),
+            steps=4,
+            samples_per_axis=min(self.samples_per_axis, 7),
+        )
 
 
 class CompositeProblem:

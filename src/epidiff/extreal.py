@@ -22,7 +22,7 @@ NEG_GUARD = -1e15
 
 @total_ordering
 class ExtReal:
-    """An immutable extended real: ``finite(x)`` or ``PLUS_INF``."""
+    """An immutable extended real: ``ExtReal(x)`` for finite x, or ``PLUS_INF``."""
 
     __slots__ = ("_value",)
 
@@ -41,14 +41,6 @@ class ExtReal:
 
     def __setattr__(self, name, val):  # pragma: no cover - immutability guard
         raise AttributeError("ExtReal is immutable")
-
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def finite(x: float) -> "ExtReal":
-        if x is None or math.isinf(float(x)):
-            raise ValueError("finite() requires a finite payload")
-        return ExtReal(x)
 
     # -- predicates and access ------------------------------------------------
 

@@ -161,6 +161,16 @@ def residuals(P: Polyhedron, x) -> float:
     return worst
 
 
+def residuals_batch(P: Polyhedron, Z: np.ndarray) -> np.ndarray:
+    """`residuals` at each row of an (N, dim) batch."""
+    worst = np.zeros(Z.shape[0])
+    if P.n_ineq:
+        worst = np.maximum(worst, np.max((Z @ P.G.T - P.h) / P.g_scales, axis=1))
+    if P.n_eq:
+        worst = np.maximum(worst, np.max(np.abs(Z @ P.E.T - P.d) / P.e_scales, axis=1))
+    return worst
+
+
 def contains(P: Polyhedron, x, tol: float = FEAS_TOL) -> bool:
     return residuals(P, x) <= tol
 
@@ -458,6 +468,21 @@ def vrep_to_hrep(points, rays=(), lines=(), dim: int | None = None) -> Polyhedro
     )
 
 
+def lp_min_adaptive(c, P: Polyhedron, start_width: float) -> tuple[float, np.ndarray]:
+    """min <c, z> over P via the vertex LP on P cut by a box, growing the box
+    until the value stabilizes; raises EmptyPolyhedron if P is infeasible."""
+    width = start_width
+    prev = None
+    for _ in range(4):
+        val, arg = lp_max(-c, intersect(P, box(P.dim, width)))
+        val = -val
+        if prev is not None and abs(val - prev[0]) <= 1e-9 * (1.0 + abs(val)):
+            return val, arg
+        prev = (val, arg)
+        width *= 4.0
+    return prev
+
+
 def _lex_less(a: np.ndarray, b: np.ndarray, tol: float = DEDUP_TOL) -> bool:
     for x, y in zip(a, b):
         if x < y - tol:
@@ -504,6 +529,30 @@ def tangent_cone(P: Polyhedron, x, act_tol: float = ACT_TOL) -> PolyCone:
     else:
         active = np.zeros((0, P.dim))
     return PolyCone.make_cone(P.dim, active, P.E)
+
+
+def normal_cone_hrep(polys, z, act_tol: float = ACT_TOL) -> PolyCone:
+    """H-representation of the normal cone at z to the union of the
+    polyhedra polys, all containing z: the polar of each tangent cone, cut
+    out by its generators, and intersected over the polyhedra (the normal
+    cone of a convex union is the intersection of the pieces' ones)."""
+    rows_G, rows_E = [], []
+    for C in polys:
+        t_rays, t_lines = cone_generators(tangent_cone(C, z, act_tol))
+        rows_G.extend(t_rays)
+        rows_E.extend(t_lines)
+    return PolyCone.make_cone(
+        polys[0].dim,
+        np.vstack(rows_G) if rows_G else None,
+        np.vstack(rows_E) if rows_E else None,
+    )
+
+
+def kernel_meets_cone(K: Polyhedron, A) -> bool:
+    """Whether some nonzero y of the cone K = {G y <= 0, E y = 0} has A y = 0."""
+    probe = PolyCone.make_cone(K.dim, K.G if K.n_ineq else None, np.vstack([K.E, A]))
+    rays, lines = cone_generators(probe)
+    return bool(rays or lines)
 
 
 def project(P: Polyhedron, u) -> np.ndarray | None:

@@ -122,8 +122,20 @@ def pinv(A, cutoff: float | None = None) -> SymMatrix:
     if cutoff <= 0:
         raise ValueError("pinv cutoff must be positive")
     lams, Q = sym_eig(A)
-    inv = np.array([0.0 if abs(l) <= cutoff else 1.0 / l for l in lams])
-    return SymMatrix(Q @ np.diag(inv) @ Q.T)
+    return SymMatrix(eigen_pinv(lams, Q, np.abs(lams) <= cutoff))
+
+
+def eigen_pinv(lams, Q: np.ndarray, kill) -> np.ndarray:
+    """Q diag(1/lams) Q^T with the eigenvalues marked in the boolean mask kill
+    inverted to zero instead."""
+    inv = np.array([0.0 if k else 1.0 / l for l, k in zip(lams, kill)])
+    return Q @ np.diag(inv) @ Q.T
+
+
+def cluster_tol(A, axis=None):
+    """Eigenvalues of A closer than this are one cluster: 1e-8 * (1 + |A|_F),
+    per matrix over the given axes of a stack."""
+    return 1e-8 * (1.0 + np.linalg.norm(A, axis=axis))
 
 
 def operator_norm(M) -> float:

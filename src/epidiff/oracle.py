@@ -419,12 +419,38 @@ def check_twice_epi_diff(
     return reports
 
 
-def _z_grid(dim: int, sched: GridSchedule, rng) -> np.ndarray:
-    spa = sched.samples_per_axis
-    if spa ** dim <= Z_GRID_CAP:
-        axis = np.linspace(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, spa)
-        return np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    return rng.uniform(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, size=(10_000, dim))
+def parabolic_z_minimum(
+    f: SampledFunction, x, w, dfw: float, v, inner, dim: int, sched: GridSchedule,
+    samples_per_axis: int, random_samples: int, max_evals: int,
+) -> ExtReal:
+    """min over z in R^dim of the parabolic estimate at inner(z) minus <z, v>.
+
+    The coarse schedule scores a z-grid over the box |z|_inf <= 10 (a seeded
+    uniform sample of random_samples points when the grid exceeds
+    Z_GRID_CAP), pattern search refines the best finite point, and the full
+    schedule values the result.  PlusInf when no grid point scores finite."""
+    cheap = sched.coarse()
+
+    def score(z, schedule=cheap, polish=False):
+        val = estimate_parabolic_subderivative(f, x, w, dfw, inner(z), schedule, polish=polish)
+        return val.as_float() - float(z @ v)
+
+    rng = np.random.default_rng(sched.seed)
+    if samples_per_axis ** dim <= Z_GRID_CAP:
+        axis = np.linspace(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, samples_per_axis)
+        grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    else:
+        grid = rng.uniform(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, size=(random_samples, dim))
+    scores = np.array([score(z) for z in grid])
+    finite_mask = np.isfinite(scores)
+    if not finite_mask.any():
+        return PLUS_INF
+    idx = int(np.argmin(np.where(finite_mask, scores, math.inf)))
+    _, z_best = _pattern_refine(
+        lambda z: (score(z), z), grid[idx], float(scores[idx]), grid[idx],
+        Z_GRID_HALF_WIDTH / 2, max_evals=max_evals,
+    )
+    return ExtReal(score(z_best, sched, True))
 
 
 def check_parabolic_regularity(
@@ -448,39 +474,10 @@ def check_parabolic_regularity(
     dfw = float(v @ w)
     if lhs is None:
         lhs = estimate_second_subderivative(f, x, v, w, sched)
-
-    cheap = GridSchedule(
-        t0=sched.t0 * sched.ratio ** max(0, sched.steps - 4),
-        ratio=sched.ratio,
-        steps=4,
-        radius_coeff=sched.radius_coeff,
-        samples_per_axis=min(sched.samples_per_axis, 7),
-        radius_exponent=sched.radius_exponent,
-        seed=sched.seed,
+    rhs = parabolic_z_minimum(
+        f, x, w, dfw, v, lambda z: z, w.shape[0], sched,
+        samples_per_axis=sched.samples_per_axis, random_samples=10_000, max_evals=1500,
     )
-
-    def score(z):
-        val = estimate_parabolic_subderivative(f, x, w, dfw, z, cheap, polish=False)
-        return val.as_float() - float(z @ v)
-
-    rng = np.random.default_rng(sched.seed)
-    grid = _z_grid(w.shape[0], sched, rng)
-    scores = np.array([score(z) for z in grid])
-    finite_mask = np.isfinite(scores)
-    if not finite_mask.any():
-        rhs = PLUS_INF
-    else:
-        idx = int(np.argmin(np.where(finite_mask, scores, math.inf)))
-        z_best, s_best = grid[idx], float(scores[idx])
-
-        def q(z):
-            return score(z), z
-
-        _, z_best = _pattern_refine(
-            q, z_best, s_best, z_best, Z_GRID_HALF_WIDTH / 2, max_evals=1500
-        )
-        final = estimate_parabolic_subderivative(f, x, w, dfw, z_best, sched)
-        rhs = final - float(z_best @ v) if final.is_finite else PLUS_INF
     if lhs.is_plus_inf or rhs.is_plus_inf:
         holds = lhs.is_plus_inf and rhs.is_plus_inf
     else:

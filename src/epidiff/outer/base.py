@@ -3,14 +3,34 @@
 Every catalog member is a proper lsc convex function with closed-form (or
 explicitly numeric-flagged) first- and second-order objects.  All operations
 are pure; instances are immutable after construction.
+
+A new member implements ``value``, ``subdifferential`` (in one of the three
+shapes of ``reprs``), ``subderivative``, ``second_subderivative``,
+``parabolic_subderivative``, ``second_order_tangent_contains``,
+``critical_cone``, ``lipschitz_bound``, ``domain_distance`` and
+``domain_project``.  It also answers for its own part of the composite chain
+rule, where the defaults fit a member with a finite multiplier list and a
+full domain:
+
+- ``dual_value`` maximizes over the materialized multipliers one by one; a
+  polyhedral multiplier set needs an LP override.
+- ``primal_value`` runs the flagged numeric z-grid over the parabolic
+  subderivative; a member with a closed form overrides it and reports it
+  exact.
+- ``basic_cq`` returns True, since the normal cone to a full domain is {0};
+  a member with a proper domain overrides it.
+
+``value_batch`` loops over ``value`` by default; hot members override it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core import GridSchedule
 from ..errors import DimensionMismatch, NotASubgradient, PointNotInDomain
-from ..extreal import ExtReal
+from ..extreal import PLUS_INF, ExtReal
+from ..oracle import SampledFunction, parabolic_z_minimum
 from .reprs import CriticalConeRepr, SubdiffRepr
 
 SUBGRADIENT_TOL = 1e-8
@@ -62,6 +82,49 @@ class OuterFunction:
 
     def domain_project(self, z) -> np.ndarray:
         raise NotImplementedError
+
+    # -- the member's part of the composite chain rule ----------------------------
+    #
+    # z = F(x), J = dF(x), u = J w and H = d2F(x)(w, w) for the probed
+    # direction w; multys is the composite's multiplier set.
+
+    def dual_value(self, z, u, H, multys):
+        """max over the multipliers y of <y, H> + d2 g(z, y)(u), with its
+        argmax; PlusInf as soon as one second-order term is infinite."""
+        best_val, best_y = None, None
+        for y in multys.multipliers:
+            term = self.second_subderivative(z, y, u)
+            if term.is_plus_inf:
+                return PLUS_INF, None
+            val = float(np.asarray(y) @ H) + term.value
+            if best_val is None or val > best_val + 1e-12:
+                best_val, best_y = val, y
+        return ExtReal(best_val), best_y
+
+    def primal_value(self, z, J, u, H, v, sched: GridSchedule | None = None) -> tuple[ExtReal, bool]:
+        """min over z' of d2 g(z)(u | J z' + H) - <z', v> and whether the
+        value is exact.  Numeric fallback (flagged): the oracle's z-grid over
+        the parabolic subderivative estimate of g."""
+        sched = sched or GridSchedule()
+        f = SampledFunction(
+            evaluator=lambda p: self.value(p),
+            dim=self.ambient_dim,
+            description="outer evaluator",
+            batch_evaluator=self.value_batch,
+        )
+        dgu = self.subderivative(z, u)
+        if not dgu.is_finite:
+            return PLUS_INF, False
+        val = parabolic_z_minimum(
+            f, z, u, dgu.value, v, lambda zv: J @ zv + H, J.shape[1], sched,
+            samples_per_axis=min(sched.samples_per_axis, 7), random_samples=2000, max_evals=800,
+        )
+        return val, False
+
+    def basic_cq(self, z, J) -> bool:
+        """Whether the normal cone to dom g at z meets ker adj(J) only at the
+        origin; always so for a full domain."""
+        return True
 
     # -- shared precondition helpers ----------------------------------------------
 

@@ -5,12 +5,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import PointNotInDomain, SubderivativeNotFinite, TangentPreconditionFailed
+from ..errors import (
+    EmptyPolyhedron,
+    PointNotInDomain,
+    SubderivativeNotFinite,
+    TangentPreconditionFailed,
+    UnsupportedSpectralMultiplicity,
+)
 from ..extreal import PLUS_INF, ExtReal
 from ..numkit import (
     PolyCone,
     Polyhedron,
+    cluster_tol,
     cone_generators,
+    eigen_pinv,
+    lp_max,
     project,
     smat,
     smat_batch,
@@ -19,7 +28,15 @@ from ..numkit import (
     sym_eig,
     tangent_cone,
 )
-from ..numkit.polyhedra import _row_scales, residuals
+from ..numkit.polyhedra import (
+    _nullspace,
+    _row_scales,
+    kernel_meets_cone,
+    lp_min_adaptive,
+    normal_cone_hrep,
+    residuals,
+    residuals_batch,
+)
 from .base import OuterFunction
 from .reprs import PolyhedralConeRepr, PolyhedronRep, PredicateConeRepr, SpectralRep
 
@@ -51,17 +68,33 @@ def second_order_tangent_cone(C: Polyhedron, z, w, act_tol: float = ACT_TOL) -> 
     return PolyCone.make_cone(C.dim, np.vstack(rows) if rows else None, C.E)
 
 
+def pullback_lp_min(c, C: Polyhedron, z, u, J, H, v) -> float | None:
+    """min <c, z'> over the z' with J z' + H in the second-order tangent cone
+    to C at z along u, or None when there is no such z'.  The LP box starts at
+    16 (1 + |H| + |v|) and grows until the value settles."""
+    T2 = second_order_tangent_cone(C, z, u)
+    P = Polyhedron.make(
+        J.shape[1],
+        T2.G @ J if T2.n_ineq else None,
+        -(T2.G @ H) if T2.n_ineq else None,
+        T2.E @ J if T2.n_eq else None,
+        -(T2.E @ H) if T2.n_eq else None,
+    )
+    width0 = 16.0 * (1.0 + float(np.linalg.norm(H)) + float(np.linalg.norm(v)))
+    try:
+        val, _ = lp_min_adaptive(c, P, width0)
+    except EmptyPolyhedron:
+        return None
+    return val
+
+
 def normal_cone_rep(C: Polyhedron, z, act_tol: float = ACT_TOL) -> PolyhedronRep:
     """Normal cone to a polyhedron at z with both H- and V-representations.
 
     The polar of the tangent cone: its generators are recovered by one ray
     enumeration, and its H-representation is cut out by the tangent generators.
     """
-    T = tangent_cone(C, z, act_tol)
-    t_rays, t_lines = cone_generators(T)
-    G = np.vstack(t_rays) if t_rays else None
-    E = np.vstack(t_lines) if t_lines else None
-    hrep = PolyCone.make_cone(C.dim, G, E)
+    hrep = normal_cone_hrep([C], z, act_tol)
     n_rays, n_lines = cone_generators(hrep)
     return PolyhedronRep(
         polyhedron=hrep,
@@ -113,14 +146,7 @@ class PolyhedralIndicator(OuterFunction):
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         tol = INDICATOR_FEAS_TOL * (1.0 + np.linalg.norm(Z, axis=1))
-        worst = np.zeros(Z.shape[0])
-        if self.C.n_ineq:
-            scale = _row_scales(self.C.G)
-            worst = np.maximum(worst, np.max((Z @ self.C.G.T - self.C.h) / scale, axis=1))
-        if self.C.n_eq:
-            scale = _row_scales(self.C.E)
-            worst = np.maximum(worst, np.max(np.abs(Z @ self.C.E.T - self.C.d) / scale, axis=1))
-        return np.where(worst <= tol, 0.0, np.inf)
+        return np.where(residuals_batch(self.C, Z) <= tol, 0.0, np.inf)
 
     def subdifferential(self, z):
         self._require_in_domain_geom(z)
@@ -158,6 +184,20 @@ class PolyhedralIndicator(OuterFunction):
             description="tangent cone cut by the multiplier hyperplane",
         )
 
+    def dual_value(self, z, u, H, multys):
+        """The second-order term vanishes on critical data, so one LP over
+        the multiplier polyhedron suffices."""
+        val, arg = lp_max(H, multys.polyhedron)
+        return ExtReal(val), multys.ball_argmax(H, arg)
+
+    def primal_value(self, z, J, u, H, v, sched=None):
+        """An exact LP over the pullback of the second-order tangent cone."""
+        val = pullback_lp_min(-v, self.C, z, u, J, H, v)
+        return (PLUS_INF if val is None else ExtReal(val)), True
+
+    def basic_cq(self, z, J) -> bool:
+        return not kernel_meets_cone(normal_cone_hrep([self.C], z), J.T)
+
     def lipschitz_bound(self, z) -> float:
         return 0.0
 
@@ -172,7 +212,9 @@ class PolyhedralIndicator(OuterFunction):
             return np.clip(z, lo, hi)
         p = project(self.C, z)
         if p is None:
-            raise ValueError("empty indicator domain")
+            # the domain is empty, or the point lies so far out that no face
+            # candidate passes the feasibility test of project
+            raise PointNotInDomain("no projection onto the indicator domain found")
         return p
 
     def _require_in_domain_geom(self, z):
@@ -209,7 +251,7 @@ class NegSemidefIndicator(OuterFunction):
         """Orthonormal basis of the near-zero top eigenvalue cluster (empty if
         the matrix is negative definite at the clustering tolerance)."""
         lams, Q = sym_eig(A)
-        gap = 1e-8 * (1.0 + float(np.linalg.norm(A)))
+        gap = cluster_tol(A)
         idx = [j for j, l in enumerate(lams) if abs(l) <= gap]
         return Q[:, idx] if idx else np.zeros((self.n, 0))
 
@@ -252,9 +294,7 @@ class NegSemidefIndicator(OuterFunction):
         if not self.critical_cone(z, y).contains(svec(W)):
             return PLUS_INF
         lams, Q = sym_eig(A)
-        gap = 1e-8 * (1.0 + float(np.linalg.norm(A)))
-        inv = np.array([0.0 if abs(l) <= gap else 1.0 / l for l in lams])
-        Adag = Q @ np.diag(inv) @ Q.T
+        Adag = eigen_pinv(lams, Q, np.abs(lams) <= cluster_tol(A))
         return ExtReal(-2.0 * float(np.tensordot(V, W @ Adag @ W)))
 
     def parabolic_subderivative(self, z, w, u, schedule=None) -> ExtReal:
@@ -310,6 +350,35 @@ class NegSemidefIndicator(OuterFunction):
                 pos = Q @ np.diag(np.maximum(lams, 0.0)) @ Q.T
                 W = W - E0 @ pos @ E0.T
         return svec(W)
+
+    def basic_cq(self, z, J) -> bool:
+        """Exact test on the normal cone {E0 Theta E0^T : Theta >= 0} over
+        the zero cluster E0 (Bonnans & Shapiro 2000, sec. 5.3).  With a
+        2-dimensional cluster, L(Theta) = adj(J) svec(E0 Theta E0^T) acts on
+        S^2, and S^2_+ is self-dual (isometric to the 3-D Lorentz cone): with
+        r = dim ker L, the kernel meets S^2_+ minus {0} never for r = 0,
+        always for r = 3, iff its generator is semidefinite for r = 1, and
+        iff the normal of the kernel plane is not definite for r = 2."""
+        E0 = self._zero_cluster_basis(self._to_mat(z))
+        k = E0.shape[1]
+        if k == 0:
+            return True
+        if k == 1:
+            gen = svec(np.outer(E0[:, 0], E0[:, 0]))
+            return float(np.linalg.norm(J.T @ gen)) > 1e-8
+        if k > 2:
+            raise UnsupportedSpectralMultiplicity("normal cone cluster of dimension > 2")
+        L = np.column_stack([J.T @ svec(E0 @ smat(e) @ E0.T) for e in np.eye(3)])
+        K = _nullspace(L, 3)
+        r = K.shape[1]
+        if r in (0, 3):
+            return r == 0
+        tol = 1e-9
+        if r == 1:
+            lams = np.linalg.eigvalsh(smat(K[:, 0]))
+            return lams[0] < -tol and lams[-1] > tol  # indefinite: no cone point
+        lams = np.linalg.eigvalsh(smat(np.cross(K[:, 0], K[:, 1])))
+        return lams[0] > tol or lams[-1] < -tol  # definite normal: plane misses the cone
 
     def lipschitz_bound(self, z) -> float:
         return 0.0

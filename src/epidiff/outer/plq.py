@@ -12,12 +12,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PointNotInDomain, SubderivativeNotFinite, ValidationError
+from ..errors import EmptyPolyhedron, PointNotInDomain, SubderivativeNotFinite, ValidationError
 from ..extreal import PLUS_INF, ExtReal, ext_min
-from ..numkit import PolyCone, Polyhedron, cone_generators, project, tangent_cone, vrep_to_hrep
-from ..numkit.polyhedra import _row_scales, residuals
+from ..numkit import (
+    PolyCone,
+    Polyhedron,
+    cone_generators,
+    intersect,
+    lp_max,
+    project,
+    tangent_cone,
+    vrep_to_hrep,
+)
+from ..numkit.polyhedra import kernel_meets_cone, normal_cone_hrep, residuals, residuals_batch
 from .base import OuterFunction
-from .indicators import ACT_TOL, INDICATOR_FEAS_TOL as VALUE_TOL, second_order_tangent_cone
+from .indicators import (
+    ACT_TOL,
+    INDICATOR_FEAS_TOL as VALUE_TOL,
+    pullback_lp_min,
+    second_order_tangent_cone,
+)
 from .reprs import PolyhedralConeRepr, PolyhedronRep
 
 
@@ -56,6 +70,11 @@ class PlqFunction(OuterFunction):
         tol = ACT_TOL * (1.0 + float(np.linalg.norm(z)))
         return [i for i, p in enumerate(self.pieces) if residuals(p.domain, z) <= tol]
 
+    def _domain_normal_cone(self, z: np.ndarray, active: list[int]) -> PolyCone:
+        """H-representation of the normal cone to dom g at z: the
+        intersection of the active pieces' normal cones."""
+        return normal_cone_hrep([self.pieces[i].domain for i in active], z, ACT_TOL)
+
     def _admissible(self, z: np.ndarray, w: np.ndarray) -> list[int]:
         """Active pieces whose tangent cone at z contains w."""
         wtol = ACT_TOL * (1.0 + float(np.linalg.norm(w)))
@@ -84,16 +103,7 @@ class PlqFunction(OuterFunction):
         out = np.full(Z.shape[0], np.inf)
         tol = VALUE_TOL * (1.0 + np.linalg.norm(Z, axis=1))
         for p in self.pieces:
-            worst = np.zeros(Z.shape[0])
-            if p.domain.n_ineq:
-                scale = _row_scales(p.domain.G)
-                worst = np.maximum(worst, np.max((Z @ p.domain.G.T - p.domain.h) / scale, axis=1))
-            if p.domain.n_eq:
-                scale = _row_scales(p.domain.E)
-                worst = np.maximum(
-                    worst, np.max(np.abs(Z @ p.domain.E.T - p.domain.d) / scale, axis=1)
-                )
-            mask = worst <= tol
+            mask = residuals_batch(p.domain, Z) <= tol
             if mask.any():
                 vals = 0.5 * np.einsum("ni,ij,nj->n", Z, p.A, Z) + Z @ p.a + p.alpha
                 out[mask] = np.minimum(out[mask], vals[mask])
@@ -110,18 +120,7 @@ class PlqFunction(OuterFunction):
         if not active:
             raise PointNotInDomain("point outside dom g")
         points = [self.pieces[i].grad(z) for i in active]
-        rows_G, rows_E = [], []
-        for i in active:
-            T = tangent_cone(self.pieces[i].domain, z, ACT_TOL)
-            t_rays, t_lines = cone_generators(T)
-            rows_G.extend(t_rays)
-            rows_E.extend(t_lines)
-        ncone = PolyCone.make_cone(
-            self.ambient_dim,
-            np.vstack(rows_G) if rows_G else None,
-            np.vstack(rows_E) if rows_E else None,
-        )
-        n_rays, n_lines = cone_generators(ncone)
+        n_rays, n_lines = cone_generators(self._domain_normal_cone(z, active))
         hrep = vrep_to_hrep(points, n_rays, n_lines, dim=self.ambient_dim)
         return PolyhedronRep(polyhedron=hrep, points=points, rays=n_rays, lines=n_lines)
 
@@ -196,6 +195,51 @@ class PlqFunction(OuterFunction):
             ),
             description="directions where the subderivative matches the multiplier pairing",
         )
+
+    def dual_value(self, z, u, H, multys):
+        """Exact dual over the multiplier polyhedron: PLQ pieces contribute
+        piecewise-constant terms on affine slices of it, so one LP per
+        admissible piece, ties broken by piece index then lexicographic
+        argmax."""
+        P = multys.polyhedron
+        best = None
+        utol = 1e-8 * (1.0 + float(np.linalg.norm(u)))
+        for i in self._admissible(z, u):
+            piece = self.pieces[i]
+            grad = piece.grad(z)
+            # admissibility of piece i for multiplier y: <y - grad_i, u> = 0
+            slice_poly = intersect(
+                P,
+                Polyhedron.make(P.dim, E=u.reshape(1, -1), d=np.array([float(grad @ u)])),
+            )
+            try:
+                val, arg = lp_max(H, slice_poly)
+            except EmptyPolyhedron:
+                continue
+            total = val + float(u @ piece.A @ u)
+            if best is None or total > best[0] + utol:
+                best = (total, arg)
+        if best is None:
+            return PLUS_INF, None
+        return ExtReal(best[0]), multys.ball_argmax(H, best[1])
+
+    def primal_value(self, z, J, u, H, v, sched=None):
+        """Exact: per admissible piece, an LP over the pullback of the
+        piece's second-order tangent cone; the smallest total wins."""
+        best = None
+        for i in self._admissible(z, u):
+            piece = self.pieces[i]
+            grad = piece.grad(z)
+            val = pullback_lp_min(-v + J.T @ grad, piece.domain, z, u, J, H, v)
+            if val is None:
+                continue
+            total = val + (float(u @ piece.A @ u) + float(grad @ H))
+            if best is None or total < best:
+                best = total
+        return (PLUS_INF if best is None else ExtReal(best)), True
+
+    def basic_cq(self, z, J) -> bool:
+        return not kernel_meets_cone(self._domain_normal_cone(z, self._active(z)), J.T)
 
     def lipschitz_bound(self, z) -> float:
         z = np.asarray(z, dtype=float)

@@ -113,10 +113,6 @@ class CriticalConeRepr:
     def contains(self, w, tol: float = 1e-8) -> bool:
         raise NotImplementedError
 
-    @property
-    def is_polyhedral(self) -> bool:
-        return isinstance(self, PolyhedralConeRepr)
-
 
 @dataclass
 class PolyhedralConeRepr(CriticalConeRepr):

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import PolyMap, gradient, hessian, poly_eval, poly_eval_batch
-from ..errors import ValidationError
+from ..errors import CriticalConePreconditionFailed, ValidationError
 from ..extreal import ExtReal
 from ..numkit import PolyCone
-from .base import OuterFunction
+from .base import SUBGRADIENT_TOL, OuterFunction
 from .reprs import PointRep, PolyhedralConeRepr
 
 
@@ -98,6 +98,16 @@ class SmoothQuadratic(OuterFunction):
 
     def second_order_tangent_contains(self, z, w, u, schedule=None) -> bool:
         return True
+
+    def primal_value(self, z, J, u, H, v, sched=None):
+        """Closed form <hess u, u> + <grad, H>; needs adj(J) grad = v."""
+        grad = self.grad(z)
+        resid = float(np.linalg.norm(J.T @ grad - v))
+        if resid > SUBGRADIENT_TOL * (1.0 + float(np.linalg.norm(v))):
+            raise CriticalConePreconditionFailed(
+                "smooth outer gradient does not match the pairing vector"
+            )
+        return ExtReal(float(u @ self.hess(z) @ u) + float(grad @ H)), True
 
     def critical_cone(self, z, y):
         self._require_subgradient(z, y)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..extreal import PLUS_INF, ExtReal
-from ..numkit import smat, smat_batch, svec, svec_dim, sym_eig
+from ..numkit import cluster_tol, eigen_pinv, smat, smat_batch, svec, svec_dim, sym_eig
 from .base import OuterFunction
 from .reprs import PredicateConeRepr, SpectralRep
 
@@ -44,8 +44,7 @@ def clustered_eig(A: np.ndarray):
     (start, end) index ranges partitioning 0..n-1.
     """
     lams, Q = sym_eig(A)
-    gap = 1e-8 * (1.0 + float(np.linalg.norm(A)))
-    return lams, Q, cluster_ranges(lams, gap)
+    return lams, Q, cluster_ranges(lams, cluster_tol(A))
 
 
 def _group(clusters, idx: int) -> tuple[int, int]:
@@ -109,13 +108,12 @@ class AlphaEigFunction(OuterFunction):
     def value(self, z) -> ExtReal:
         A = _to_mat(self._require_dim(z))
         lams = np.linalg.eigvalsh(A)[::-1]
-        gap = 1e-8 * (1.0 + float(np.linalg.norm(A)))
-        return ExtReal(self._value_from_spectrum(lams, gap))
+        return ExtReal(self._value_from_spectrum(lams, cluster_tol(A)))
 
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
         mats = smat_batch(np.atleast_2d(np.asarray(Z, dtype=float)))
         spectra = np.linalg.eigvalsh(mats)[:, ::-1]
-        gaps = 1e-8 * (1.0 + np.linalg.norm(mats, axis=(1, 2)))
+        gaps = cluster_tol(mats, axis=(1, 2))
         return np.array(
             [self._value_from_spectrum(lams, gap) for lams, gap in zip(spectra, gaps)]
         )
@@ -148,11 +146,8 @@ class AlphaEigFunction(OuterFunction):
         dval = self.subderivative(z, svec(W))
         if abs(dval.value - pair) > 1e-8 * (1.0 + abs(pair) + float(np.linalg.norm(W))):
             return PLUS_INF
-        lam_i = lams[self.i - 1]
-        inv = np.array(
-            [0.0 if c_start <= j < c_end else 1.0 / (lam_i - lams[j]) for j in range(self.n)]
-        )
-        pinv_mat = Q @ np.diag(inv) @ Q.T
+        kill = [c_start <= j < c_end for j in range(self.n)]
+        pinv_mat = eigen_pinv(lams[self.i - 1] - lams, Q, kill)
         V_alpha = V
         if self._include_smooth:
             V_alpha = V - self._smooth_part(lams, Q, c_start)

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from epidiff.composite import (
+    _restore_feasible_point,
     chain_dual_value,
     check_basic_cq,
     check_mscq,
@@ -21,16 +24,19 @@ from epidiff.errors import (
     EmptyMultiplierSet,
     UnsupportedSpectralMultiplicity,
 )
-from epidiff.numkit import svec, vertices
+from epidiff.numkit import Polyhedron, svec, vertices
 from epidiff.oracle import estimate_second_subderivative
 from epidiff.outer import (
     MaxEigFunction,
     NegSemidefIndicator,
+    PlqFunction,
+    PlqPiece,
     SumTopEigFunction,
     absolute_value,
     nonpositive_orthant,
     zero_function,
 )
+from epidiff.problem_io import parse_problem
 
 from _instances import (
     a1_problem,
@@ -160,6 +166,65 @@ def test_basic_cq_spectral_paths():
         check_basic_cq(prob3, svec(np.zeros((3, 3))))
 
 
+def _psd3_affine(J, scale):
+    """F(x) = svec(diag(0, 0, -1)) + scale J x into S^3 with the negative
+    semidefinite cone; at x = 0 the zero cluster is span(e1, e2), and
+    adj(F') svec(E0 Theta E0^T) = scale J[:3]^T svec(Theta)."""
+    J = np.asarray(J, dtype=float)
+    base = svec(np.diag([0.0, 0.0, -1.0]))
+    k = J.shape[1]
+    comps = [
+        [(base[i], (0,) * k)]
+        + [(scale * J[i, j], tuple(int(c == j) for c in range(k))) for j in range(k)]
+        for i in range(6)
+    ]
+    return CompositeProblem(PolyMap.zero(k), PolyMap(k, comps), NegSemidefIndicator(3))
+
+
+def _block(rows):
+    """A 6 x k Jacobian whose top 3 x k block (the svec(S^2) coordinates of
+    the zero cluster) is rows^T and whose other rows are 1."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    return np.vstack([rows.T, np.ones((3, rows.shape[0]))])
+
+
+def test_basic_cq_two_dim_cluster():
+    d = svec(np.diag([0.1, 0.9, 0.0]))
+    planted = (np.eye(6) - np.outer(d, d) / float(d @ d))[:, :3]
+    cases = [
+        # kernel spanned by diag(0.1, 0.9), positive definite: CQ fails
+        (planted, False),
+        # trivial kernel
+        (_block(np.eye(3)), True),
+        # kernel spanned by diag(1, -1), indefinite
+        (_block([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), True),
+        # kernel plane tr Theta = 0, definite normal I
+        (_block([[1.0, 0.0, 1.0]]), True),
+        # kernel plane theta11 = theta22 holds I, indefinite normal
+        (_block([[1.0, 0.0, -1.0]]), False),
+        # the whole of S^2
+        (_block(np.zeros((1, 3))), False),
+    ]
+    for J, holds in cases:
+        for scale in (1.0, 16.0, 1.0 / 16.0):
+            assert check_basic_cq(_psd3_affine(J, scale), np.zeros(J.shape[1])) == holds, (J, scale)
+    for scale in (1.0, 16.0, 1.0 / 16.0):
+        ident = CompositeProblem(
+            PolyMap.zero(6), PolyMap.linear(scale * np.eye(6)), NegSemidefIndicator(3)
+        )
+        assert check_basic_cq(ident, svec(np.diag([0.0, 0.0, -1.0])) / scale)
+
+
+def test_restoration_failure_far_from_a_polyhedral_domain():
+    """From this sample point of check-cq on polyhedron_m6.json (seed 11, 240
+    samples), Gauss-Newton restoration runs off to |F(x)| about 1e14, where
+    no projection onto the polyhedron passes its feasibility test; that is a
+    failed restoration, not an error."""
+    spec = parse_problem(str(Path(__file__).parent / "fixtures" / "polyhedron_m6.json"))
+    xp = np.array([-0.04367559640324119, 0.03126440965306517, -0.005593801632823578])
+    assert _restore_feasible_point(spec.problem, xp) is None
+
+
 # -- chain rules ---------------------------------------------------------------------------
 
 
@@ -213,6 +278,47 @@ def test_primal_value_examples():
     assert primal_value(probA, [1.0], [1.0], [1.0]).value == pytest.approx(0.0)
     with pytest.raises(CriticalConePreconditionFailed):
         primal_value(prob, A1_X, A1_V, [0.0, 1.0])
+
+
+# Golden values: the numeric-fallback and piecewise primal/dual values as the
+# CLI renders them, pinned before the chain-rule pieces moved into the catalog.
+
+
+def test_numeric_primal_golden_negsemidef():
+    zA, zV = psd_base_data()
+    w = svec(np.array([[0.0, 0.4], [0.4, -0.8]]))
+    info = second_subderivative_chain(psd_problem(), zA, zV, w, kappa=1.0)
+    assert not info.primal_exact
+    assert f"{info.primal_value.value:.12g}" == "0.3122072046"
+
+
+def test_numeric_primal_golden_max_eig():
+    F = PolyMap.from_strings([["1"], ["x1"], ["-1 x1^2"]], 1)
+    prob = CompositeProblem(PolyMap.zero(1), F, MaxEigFunction(2))
+    info = second_subderivative_chain(prob, [0.0], [0.0], [1.0], kappa=1.0)
+    assert not info.primal_exact
+    assert f"{info.primal_value.value:.12g}" == "0.999999987592"
+
+
+def test_plq_primal_dual_golden_several_pieces():
+    """max(z1, z2, 0) + z1^2 / 2 through a quadratic F: two pieces are
+    admissible along u = (1, 1) and the multipliers form a segment."""
+    A = np.diag([1.0, 0.0])
+    pieces = [
+        PlqPiece(Polyhedron.make(2, G=[[-1.0, 1.0], [-1.0, 0.0]], h=[0.0, 0.0]), A, np.array([1.0, 0.0]), 0.0),
+        PlqPiece(Polyhedron.make(2, G=[[1.0, -1.0], [0.0, -1.0]], h=[0.0, 0.0]), A, np.array([0.0, 1.0]), 0.0),
+        PlqPiece(Polyhedron.make(2, G=[[1.0, 0.0], [0.0, 1.0]], h=[0.0, 0.0]), A, np.zeros(2), 0.0),
+    ]
+    F = PolyMap.from_strings([["x1", "x2^2"], ["x1", "-0.5 x2^2", "0.3 x1 x2"]], 2)
+    prob = CompositeProblem(PolyMap.zero(2), F, PlqFunction(pieces))
+    x, v, w = np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.7])
+    ms = multipliers(prob, x, v, kappa=1.0)
+    assert len(ms.multipliers) == 2
+    info = second_subderivative_chain(prob, x, v, w, kappa=1.0, multys=ms)
+    assert info.primal_exact
+    assert f"{info.primal_value.value:.12g}" == "1.98"
+    assert f"{info.dual_value.value:.12g}" == "1.98"
+    assert np.allclose(info.argmax_y, [1.0, 0.0], atol=1e-12)
 
 
 def test_empty_multiplier_raise():
