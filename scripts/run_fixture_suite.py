@@ -26,6 +26,10 @@ PLAN = [
     ("min_quartic.json", ["certify"]),
     ("mscq_fail.json", ["check-cq"]),
     ("polyhedron_m6.json", ["analyze", "check-cq"]),
+    ("max_eig.json", ["analyze", "verify"]),
+    ("sum_top_eig.json", ["analyze", "verify"]),
+    ("alpha_eig.json", ["analyze", "verify"]),
+    ("plq_2d.json", ["analyze", "verify"]),
 ]
 
 

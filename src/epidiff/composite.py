@@ -9,8 +9,9 @@ it evaluates F and its derivatives, builds the multiplier set from the shape
 of the subdifferential, and pulls the critical cone back.  Each catalog
 member answers for its own pieces of the chain rule (``dual_value``,
 ``primal_value``, ``basic_cq`` of ``OuterFunction``): exact LPs for
-polyhedral data, closed forms for smooth data, and a flagged numeric grid
-for the spectral members.
+polyhedral data and for the spectral members whose binding eigenvalue
+sub-cluster is simple, a conjugate value for larger clusters, and closed
+forms for smooth data.  Every primal value is a closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CompositeProblem, GridSchedule, jacobian, poly_eval, poly_eval_batch, second_form
+from .core import CompositeProblem, jacobian, poly_eval, poly_eval_batch, second_form
 from .errors import (
     BasePointInfeasible,
     CriticalConePreconditionFailed,
@@ -105,7 +106,6 @@ class DualityInfo:
     argmax_y: np.ndarray | None
     tau: float
     gap: float
-    primal_exact: bool = True
     mscq_provenance: str = "user-asserted"
 
 
@@ -365,7 +365,6 @@ def second_subderivative_chain(
     w,
     kappa: float = 1.0,
     ell: float | None = None,
-    sched: GridSchedule | None = None,
     multys: MultiplierSet | None = None,
     mscq_provenance: str = "user-asserted",
 ) -> DualityInfo:
@@ -379,44 +378,37 @@ def second_subderivative_chain(
     if multys.is_empty:
         raise EmptyMultiplierSet("v is not a subgradient of g(F(.)) at x")
     if not critical_cone(prob, x, v, multys).contains(w):
-        return DualityInfo(PLUS_INF, PLUS_INF, None, multys.tau, 0.0, True, mscq_provenance)
+        return DualityInfo(PLUS_INF, PLUS_INF, None, multys.tau, 0.0, mscq_provenance)
     dual_val, argmax = chain_dual_value(prob, x, v, w, multys)
-    primal_val, primal_exact = _primal_value(prob, x, v, w, sched)
+    primal_val, _ = _primal_value(prob, x, v, w)
     if primal_val.is_finite and dual_val.is_finite:
         gap = abs(primal_val.value - dual_val.value)
     elif primal_val.is_plus_inf and dual_val.is_plus_inf:
         gap = 0.0
     else:
         gap = math.inf
-    return DualityInfo(
-        primal_val, dual_val, argmax, multys.tau, gap, primal_exact, mscq_provenance
-    )
+    return DualityInfo(primal_val, dual_val, argmax, multys.tau, gap, mscq_provenance)
 
 
 # -- the primal side ------------------------------------------------------------------------
 
 
-def _primal_value(
-    prob: CompositeProblem, x, v, w, sched: GridSchedule | None
-) -> tuple[ExtReal, bool]:
-    """The primal value and whether it is exact, for w on the critical cone."""
+def _primal_value(prob: CompositeProblem, x, v, w) -> tuple[ExtReal, bool]:
+    """The primal value for w on the critical cone, paired with True (every
+    member's primal value is exact), the shape that tracing tools read."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     J = jacobian(prob.F, x)
-    return prob.g.primal_value(poly_eval(prob.F, x), J, J @ w, second_form(prob.F, x, w), v, sched)
+    return prob.g.primal_value(poly_eval(prob.F, x), J, J @ w, second_form(prob.F, x, w), v), True
 
 
-def primal_value(
-    prob: CompositeProblem, x, v, w, sched: GridSchedule | None = None
-) -> ExtReal:
-    """min over z of parabolic_chain(x, w, z) - <z, v>; exact LPs for
-    polyhedral outer structure, a closed form for smooth g, a flagged
-    numeric grid otherwise."""
+def primal_value(prob: CompositeProblem, x, v, w) -> ExtReal:
+    """min over z of parabolic_chain(x, w, z) - <z, v>, in closed form."""
     cone = critical_cone(prob, x, v)
     if not cone.contains(np.asarray(w, dtype=float)):
         raise CriticalConePreconditionFailed("w is outside the critical cone")
-    val, _ = _primal_value(prob, x, v, w, sched)
+    val, _ = _primal_value(prob, x, v, w)
     return val
 
 

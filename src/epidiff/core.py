@@ -108,6 +108,8 @@ def parse_monomial(text: str, n_in: int) -> Monomial:
             coeff = float(tokens[0])
         except ValueError as exc:
             raise ValidationError(f"bad coefficient in monomial {text!r}") from exc
+        if not np.isfinite(coeff):
+            raise ValidationError(f"non-finite coefficient in monomial {text!r}")
         start = 1
     exps = [0] * n_in
     for tok in tokens[start:]:

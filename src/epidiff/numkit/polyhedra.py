@@ -483,6 +483,19 @@ def lp_min_adaptive(c, P: Polyhedron, start_width: float) -> tuple[float, np.nda
     return prev
 
 
+def pullback_lp_min(c, T: Polyhedron, J, H, v) -> float | None:
+    """min <c, z> over the z with J z + H in T, or None when there is no such
+    z.  The LP box starts at 16 (1 + |H| + |v|) and grows until the value
+    settles."""
+    P = Polyhedron.make(J.shape[1], T.G @ J, T.h - T.G @ H, T.E @ J, T.d - T.E @ H)
+    width0 = 16.0 * (1.0 + float(np.linalg.norm(H)) + float(np.linalg.norm(v)))
+    try:
+        val, _ = lp_min_adaptive(c, P, width0)
+    except EmptyPolyhedron:
+        return None
+    return val
+
+
 def _lex_less(a: np.ndarray, b: np.ndarray, tol: float = DEDUP_TOL) -> bool:
     for x, y in zip(a, b):
         if x < y - tol:

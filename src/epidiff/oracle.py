@@ -419,28 +419,27 @@ def check_twice_epi_diff(
     return reports
 
 
-def parabolic_z_minimum(
-    f: SampledFunction, x, w, dfw: float, v, inner, dim: int, sched: GridSchedule,
-    samples_per_axis: int, random_samples: int, max_evals: int,
-) -> ExtReal:
-    """min over z in R^dim of the parabolic estimate at inner(z) minus <z, v>.
+def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSchedule) -> ExtReal:
+    """min over z of the parabolic estimate at z minus <z, v>.
 
-    The coarse schedule scores a z-grid over the box |z|_inf <= 10 (a seeded
-    uniform sample of random_samples points when the grid exceeds
-    Z_GRID_CAP), pattern search refines the best finite point, and the full
-    schedule values the result.  PlusInf when no grid point scores finite."""
+    The coarse schedule scores a z-grid of sched.samples_per_axis points per
+    axis over the box |z|_inf <= 10 (a seeded uniform sample of 10,000
+    points when the grid exceeds Z_GRID_CAP), pattern search refines the
+    best finite point within 1,500 evaluations, and the full schedule values
+    the result.  PlusInf when no grid point scores finite."""
     cheap = sched.coarse()
+    dim = w.shape[0]
 
     def score(z, schedule=cheap, polish=False):
-        val = estimate_parabolic_subderivative(f, x, w, dfw, inner(z), schedule, polish=polish)
+        val = estimate_parabolic_subderivative(f, x, w, dfw, z, schedule, polish=polish)
         return val.as_float() - float(z @ v)
 
     rng = np.random.default_rng(sched.seed)
-    if samples_per_axis ** dim <= Z_GRID_CAP:
-        axis = np.linspace(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, samples_per_axis)
+    if sched.samples_per_axis ** dim <= Z_GRID_CAP:
+        axis = np.linspace(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, sched.samples_per_axis)
         grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     else:
-        grid = rng.uniform(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, size=(random_samples, dim))
+        grid = rng.uniform(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, size=(10_000, dim))
     scores = np.array([score(z) for z in grid])
     finite_mask = np.isfinite(scores)
     if not finite_mask.any():
@@ -448,7 +447,7 @@ def parabolic_z_minimum(
     idx = int(np.argmin(np.where(finite_mask, scores, math.inf)))
     _, z_best = _pattern_refine(
         lambda z: (score(z), z), grid[idx], float(scores[idx]), grid[idx],
-        Z_GRID_HALF_WIDTH / 2, max_evals=max_evals,
+        Z_GRID_HALF_WIDTH / 2, max_evals=1500,
     )
     return ExtReal(score(z_best, sched, True))
 
@@ -474,10 +473,7 @@ def check_parabolic_regularity(
     dfw = float(v @ w)
     if lhs is None:
         lhs = estimate_second_subderivative(f, x, v, w, sched)
-    rhs = parabolic_z_minimum(
-        f, x, w, dfw, v, lambda z: z, w.shape[0], sched,
-        samples_per_axis=sched.samples_per_axis, random_samples=10_000, max_evals=1500,
-    )
+    rhs = parabolic_z_minimum(f, x, w, dfw, v, sched)
     if lhs.is_plus_inf or rhs.is_plus_inf:
         holds = lhs.is_plus_inf and rhs.is_plus_inf
     else:

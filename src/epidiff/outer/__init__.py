@@ -21,7 +21,7 @@ from .reprs import (
     SubdiffRepr,
 )
 from .smooth import SmoothQuadratic, zero_function
-from .spectral import AlphaEigFunction, MaxEigFunction, SumTopEigFunction, clustered_eig
+from .spectral import AlphaEigFunction, MaxEigFunction, SumTopEigFunction
 
 __all__ = [
     "OuterFunction",
@@ -38,7 +38,6 @@ __all__ = [
     "AlphaEigFunction",
     "MaxEigFunction",
     "SumTopEigFunction",
-    "clustered_eig",
     "SubdiffRepr",
     "PolyhedronRep",
     "SpectralRep",

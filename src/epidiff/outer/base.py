@@ -1,24 +1,23 @@
 """Abstract interface of the outer-function catalog.
 
-Every catalog member is a proper lsc convex function with closed-form (or
-explicitly numeric-flagged) first- and second-order objects.  All operations
-are pure; instances are immutable after construction.
+Every catalog member is a proper lsc convex function with closed-form first-
+and second-order objects; none of them calls the difference-quotient oracle,
+which exists to check them.  All operations are pure; instances are
+immutable after construction.
 
 A new member implements ``value``, ``subdifferential`` (in one of the three
 shapes of ``reprs``), ``subderivative``, ``second_subderivative``,
-``parabolic_subderivative``, ``second_order_tangent_contains``,
-``critical_cone``, ``lipschitz_bound``, ``domain_distance`` and
-``domain_project``.  It also answers for its own part of the composite chain
-rule, where the defaults fit a member with a finite multiplier list and a
-full domain:
+``parabolic_subderivative``, ``critical_cone``, ``lipschitz_bound``,
+``domain_distance``, ``domain_project`` and, for its part of the composite
+chain rule, ``primal_value``: the closed-form minimum of the parabolic
+subderivative over the pulled-back second-order directions (no default).
+The other defaults fit a finite multiplier list and a full domain:
 
 - ``dual_value`` maximizes over the materialized multipliers one by one; a
   polyhedral multiplier set needs an LP override.
-- ``primal_value`` runs the flagged numeric z-grid over the parabolic
-  subderivative; a member with a closed form overrides it and reports it
-  exact.
-- ``basic_cq`` returns True, since the normal cone to a full domain is {0};
-  a member with a proper domain overrides it.
+- ``second_order_tangent_contains`` and ``basic_cq`` return True, since a
+  full domain has every second-order tangent and the normal cone {0}; a
+  member with a proper domain overrides both.
 
 ``value_batch`` loops over ``value`` by default; hot members override it.
 """
@@ -27,10 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import GridSchedule
 from ..errors import DimensionMismatch, NotASubgradient, PointNotInDomain
 from ..extreal import PLUS_INF, ExtReal
-from ..oracle import SampledFunction, parabolic_z_minimum
 from .reprs import CriticalConeRepr, SubdiffRepr
 
 SUBGRADIENT_TOL = 1e-8
@@ -39,8 +36,6 @@ SUBGRADIENT_TOL = 1e-8
 class OuterFunction:
     #: ambient dimension of the (vectorized) argument space
     ambient_dim: int
-    #: whether parabolic_subderivative is a closed form (False: numeric fallback)
-    parabolic_closed_form: bool = True
     tag: str = "outer"
 
     # -- required operations ---------------------------------------------------
@@ -62,11 +57,13 @@ class OuterFunction:
     def second_subderivative(self, z, y, u) -> ExtReal:
         raise NotImplementedError
 
-    def parabolic_subderivative(self, z, w, u, schedule=None) -> ExtReal:
+    def parabolic_subderivative(self, z, w, u) -> ExtReal:
         raise NotImplementedError
 
-    def second_order_tangent_contains(self, z, w, u, schedule=None) -> bool:
-        raise NotImplementedError
+    def second_order_tangent_contains(self, z, w, u) -> bool:
+        """Whether u lies in the second-order tangent set to dom g at z
+        along w; always so for a full domain."""
+        return True
 
     def critical_cone(self, z, y) -> CriticalConeRepr:
         raise NotImplementedError
@@ -101,25 +98,9 @@ class OuterFunction:
                 best_val, best_y = val, y
         return ExtReal(best_val), best_y
 
-    def primal_value(self, z, J, u, H, v, sched: GridSchedule | None = None) -> tuple[ExtReal, bool]:
-        """min over z' of d2 g(z)(u | J z' + H) - <z', v> and whether the
-        value is exact.  Numeric fallback (flagged): the oracle's z-grid over
-        the parabolic subderivative estimate of g."""
-        sched = sched or GridSchedule()
-        f = SampledFunction(
-            evaluator=lambda p: self.value(p),
-            dim=self.ambient_dim,
-            description="outer evaluator",
-            batch_evaluator=self.value_batch,
-        )
-        dgu = self.subderivative(z, u)
-        if not dgu.is_finite:
-            return PLUS_INF, False
-        val = parabolic_z_minimum(
-            f, z, u, dgu.value, v, lambda zv: J @ zv + H, J.shape[1], sched,
-            samples_per_axis=min(sched.samples_per_axis, 7), random_samples=2000, max_evals=800,
-        )
-        return val, False
+    def primal_value(self, z, J, u, H, v) -> ExtReal:
+        """min over z' of d2 g(z)(u | J z' + H) - <z', v>."""
+        raise NotImplementedError
 
     def basic_cq(self, z, J) -> bool:
         """Whether the normal cone to dom g at z meets ker adj(J) only at the

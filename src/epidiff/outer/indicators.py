@@ -1,12 +1,15 @@
 """Indicator members of the catalog: polyhedral sets and the negative
-semidefinite cone."""
+semidefinite cone.
+
+Both second-order tangent sets are closed forms: active-row algebra for a
+polyhedron, and for the semidefinite cone the set of Bonnans & Shapiro
+(*Perturbation Analysis of Optimization Problems*, 2000, sec. 5.3)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import (
-    EmptyPolyhedron,
     PointNotInDomain,
     SubderivativeNotFinite,
     TangentPreconditionFailed,
@@ -32,13 +35,14 @@ from ..numkit.polyhedra import (
     _nullspace,
     _row_scales,
     kernel_meets_cone,
-    lp_min_adaptive,
     normal_cone_hrep,
+    pullback_lp_min,
     residuals,
     residuals_batch,
 )
 from .base import OuterFunction
 from .reprs import PolyhedralConeRepr, PolyhedronRep, PredicateConeRepr, SpectralRep
+from .spectral import arc_expansion
 
 # Indicator feasibility must be decided much tighter than geometric activity:
 # a boundary fuzz of size eps shifts second-order quotients by ~eps / t^2.
@@ -68,26 +72,6 @@ def second_order_tangent_cone(C: Polyhedron, z, w, act_tol: float = ACT_TOL) -> 
     return PolyCone.make_cone(C.dim, np.vstack(rows) if rows else None, C.E)
 
 
-def pullback_lp_min(c, C: Polyhedron, z, u, J, H, v) -> float | None:
-    """min <c, z'> over the z' with J z' + H in the second-order tangent cone
-    to C at z along u, or None when there is no such z'.  The LP box starts at
-    16 (1 + |H| + |v|) and grows until the value settles."""
-    T2 = second_order_tangent_cone(C, z, u)
-    P = Polyhedron.make(
-        J.shape[1],
-        T2.G @ J if T2.n_ineq else None,
-        -(T2.G @ H) if T2.n_ineq else None,
-        T2.E @ J if T2.n_eq else None,
-        -(T2.E @ H) if T2.n_eq else None,
-    )
-    width0 = 16.0 * (1.0 + float(np.linalg.norm(H)) + float(np.linalg.norm(v)))
-    try:
-        val, _ = lp_min_adaptive(c, P, width0)
-    except EmptyPolyhedron:
-        return None
-    return val
-
-
 def normal_cone_rep(C: Polyhedron, z, act_tol: float = ACT_TOL) -> PolyhedronRep:
     """Normal cone to a polyhedron at z with both H- and V-representations.
 
@@ -104,7 +88,20 @@ def normal_cone_rep(C: Polyhedron, z, act_tol: float = ACT_TOL) -> PolyhedronRep
     )
 
 
-class PolyhedralIndicator(OuterFunction):
+class _Indicator(OuterFunction):
+    """Shared by the indicators: the parabolic subderivative is 0 on the
+    second-order tangent set, +inf off it; the value is constant on the domain."""
+
+    def parabolic_subderivative(self, z, w, u) -> ExtReal:
+        if not self.subderivative(z, w).is_finite:
+            raise SubderivativeNotFinite("parabolic subderivative needs d g(z)(w) finite")
+        return ExtReal(0.0) if self.second_order_tangent_contains(z, w, u) else PLUS_INF
+
+    def lipschitz_bound(self, z) -> float:
+        return 0.0
+
+
+class PolyhedralIndicator(_Indicator):
     """Indicator of a polyhedron in H-representation."""
 
     tag = "ind_polyhedron"
@@ -163,12 +160,7 @@ class PolyhedralIndicator(OuterFunction):
         self._require_subgradient(z, y)
         return ExtReal(0.0) if self.critical_cone(z, y).contains(u) else PLUS_INF
 
-    def parabolic_subderivative(self, z, w, u, schedule=None) -> ExtReal:
-        if not self.subderivative(z, w).is_finite:
-            raise SubderivativeNotFinite("parabolic subderivative needs d g(z)(w) finite")
-        return ExtReal(0.0) if self.second_order_tangent_contains(z, w, u) else PLUS_INF
-
-    def second_order_tangent_contains(self, z, w, u, schedule=None) -> bool:
+    def second_order_tangent_contains(self, z, w, u) -> bool:
         cone = second_order_tangent_cone(self.C, z, w)
         u = np.asarray(u, dtype=float)
         return residuals(cone, u) <= ACT_TOL * (1.0 + float(np.linalg.norm(u)))
@@ -190,16 +182,13 @@ class PolyhedralIndicator(OuterFunction):
         val, arg = lp_max(H, multys.polyhedron)
         return ExtReal(val), multys.ball_argmax(H, arg)
 
-    def primal_value(self, z, J, u, H, v, sched=None):
+    def primal_value(self, z, J, u, H, v) -> ExtReal:
         """An exact LP over the pullback of the second-order tangent cone."""
-        val = pullback_lp_min(-v, self.C, z, u, J, H, v)
-        return (PLUS_INF if val is None else ExtReal(val)), True
+        val = pullback_lp_min(-v, second_order_tangent_cone(self.C, z, u), J, H, v)
+        return PLUS_INF if val is None else ExtReal(val)
 
     def basic_cq(self, z, J) -> bool:
         return not kernel_meets_cone(normal_cone_hrep([self.C], z), J.T)
-
-    def lipschitz_bound(self, z) -> float:
-        return 0.0
 
     def domain_distance(self, z) -> float:
         p = self.domain_project(z)
@@ -231,11 +220,10 @@ def zero_set(dim: int) -> PolyhedralIndicator:
     return PolyhedralIndicator(Polyhedron.make(dim, E=np.eye(dim), d=np.zeros(dim)))
 
 
-class NegSemidefIndicator(OuterFunction):
+class NegSemidefIndicator(_Indicator):
     """Indicator of the negative semidefinite cone on vectorized S^n."""
 
     tag = "ind_negsemidef"
-    parabolic_closed_form = False
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -251,9 +239,7 @@ class NegSemidefIndicator(OuterFunction):
         """Orthonormal basis of the near-zero top eigenvalue cluster (empty if
         the matrix is negative definite at the clustering tolerance)."""
         lams, Q = sym_eig(A)
-        gap = cluster_tol(A)
-        idx = [j for j, l in enumerate(lams) if abs(l) <= gap]
-        return Q[:, idx] if idx else np.zeros((self.n, 0))
+        return Q[:, np.abs(lams) <= cluster_tol(A)]
 
     # -- catalog operations -------------------------------------------------------
 
@@ -282,8 +268,7 @@ class NegSemidefIndicator(OuterFunction):
             return ExtReal(0.0)
         comp = E0.T @ W @ E0
         lams, _ = sym_eig(0.5 * (comp + comp.T))
-        tol = 1e-9 * (1.0 + float(np.linalg.norm(W)))
-        return ExtReal(0.0) if lams[0] <= tol else PLUS_INF
+        return ExtReal(0.0) if lams[0] <= ACT_TOL * (1.0 + float(np.linalg.norm(W))) else PLUS_INF
 
     def second_subderivative(self, z, y, u) -> ExtReal:
         """-2 <V, W pinv(A) W> on the critical cone, +inf elsewhere; the
@@ -297,29 +282,47 @@ class NegSemidefIndicator(OuterFunction):
         Adag = eigen_pinv(lams, Q, np.abs(lams) <= cluster_tol(A))
         return ExtReal(-2.0 * float(np.tensordot(V, W @ Adag @ W)))
 
-    def parabolic_subderivative(self, z, w, u, schedule=None) -> ExtReal:
-        if not self.subderivative(z, w).is_finite:
-            raise SubderivativeNotFinite("parabolic subderivative needs d g(z)(w) finite")
-        ok = self.second_order_tangent_contains(z, w, u, schedule)
-        return ExtReal(0.0) if ok else PLUS_INF
-
-    def second_order_tangent_contains(self, z, w, u, schedule=None) -> bool:
-        """Numeric membership (flagged): the parabolic arc's distance to the
-        cone must vanish faster than t^2.  Membership holds when the scaled
-        violation at the finest steps is negligible or clearly decaying."""
-        from ..core import GridSchedule
-
-        sched = schedule or GridSchedule()
+    def _arc(self, z, w, u):
+        """arc_expansion's (E1, C) at the zero cluster of A, or None when A is
+        negative definite or W pushes the whole zero cluster inward."""
         A, W, U = self._to_mat(z), self._to_mat(w), self._to_mat(u)
-        scale = 1.0 + float(np.linalg.norm(U))
-        ratios = []
-        for t in sched.t_levels():
-            M = A + t * W + 0.5 * t * t * U
-            lams, _ = sym_eig(M)
-            dist = float(np.linalg.norm(np.maximum(lams, 0.0)))
-            ratios.append(dist / (0.5 * t * t))
-        tail = ratios[-3:]
-        return tail[-1] <= 1e-2 * scale or tail[-1] <= 0.3 * max(tail[0], 1e-300)
+        lams, Q = sym_eig(A)
+        zero = np.abs(lams) <= cluster_tol(A)
+        if not zero.any():
+            return None
+        mu, _, E1, C = arc_expansion(lams, Q, zero, 0.0, W, U, 1)
+        if mu[0] < -ACT_TOL * (1.0 + float(np.linalg.norm(W))):
+            return None
+        return E1, C
+
+    def second_order_tangent_contains(self, z, w, u) -> bool:
+        """Closed form (Bonnans & Shapiro 2000, sec. 5.3): E1^T (U - 2 W A^+ W)
+        E1 <= 0, E1 spanning the part of the zero cluster E0 of A on which
+        E0^T W E0 vanishes; the set is empty when W is not tangent."""
+        if not self.subderivative(z, w).is_finite:
+            return False
+        arc = self._arc(z, w, u)
+        if arc is None:
+            return True
+        E1, C = arc
+        nu, _ = sym_eig(E1.T @ C @ E1)
+        return nu[0] <= ACT_TOL * (1.0 + float(np.linalg.norm(C)))
+
+    def primal_value(self, z, J, u, H, v) -> ExtReal:
+        """An LP when E1 is one vector e (the set is then the half-space
+        <e e^T, U + D> <= 0, D = -2 W A^+ W); else the conjugate value
+        <y, H + D> (see the spectral module)."""
+        arc = self._arc(z, u, np.zeros(self.ambient_dim))
+        T = Polyhedron.make(self.ambient_dim)
+        if arc is not None:
+            E1, D = arc
+            if E1.shape[1] > 1:
+                y = np.linalg.lstsq(J.T, v, rcond=None)[0]
+                return ExtReal(float(y @ (H + svec(D))))
+            row = svec(np.outer(E1[:, 0], E1[:, 0]))
+            T = Polyhedron.make(self.ambient_dim, G=[row], h=[-float(row @ svec(D))])
+        val = pullback_lp_min(-v, T, J, H, v)
+        return PLUS_INF if val is None else ExtReal(val)
 
     def critical_cone(self, z, y):
         self._require_subgradient(z, y)
@@ -379,9 +382,6 @@ class NegSemidefIndicator(OuterFunction):
             return lams[0] < -tol and lams[-1] > tol  # indefinite: no cone point
         lams = np.linalg.eigvalsh(smat(np.cross(K[:, 0], K[:, 1])))
         return lams[0] > tol or lams[-1] < -tol  # definite normal: plane misses the cone
-
-    def lipschitz_bound(self, z) -> float:
-        return 0.0
 
     def domain_distance(self, z) -> float:
         A = self._to_mat(z)

@@ -24,14 +24,15 @@ from ..numkit import (
     tangent_cone,
     vrep_to_hrep,
 )
-from ..numkit.polyhedra import kernel_meets_cone, normal_cone_hrep, residuals, residuals_batch
-from .base import OuterFunction
-from .indicators import (
-    ACT_TOL,
-    INDICATOR_FEAS_TOL as VALUE_TOL,
+from ..numkit.polyhedra import (
+    kernel_meets_cone,
+    normal_cone_hrep,
     pullback_lp_min,
-    second_order_tangent_cone,
+    residuals,
+    residuals_batch,
 )
+from .base import OuterFunction
+from .indicators import ACT_TOL, INDICATOR_FEAS_TOL as VALUE_TOL, second_order_tangent_cone
 from .reprs import PolyhedralConeRepr, PolyhedronRep
 
 
@@ -149,7 +150,7 @@ class PlqFunction(OuterFunction):
                 return ExtReal(float(u @ piece.A @ u))
         return PLUS_INF
 
-    def parabolic_subderivative(self, z, w, u, schedule=None) -> ExtReal:
+    def parabolic_subderivative(self, z, w, u) -> ExtReal:
         """Active-piece expansion <A_i w, w> + <grad_i(z), u> minimized over the
         pieces whose polyhedron admits the parabolic arc."""
         z = np.asarray(z, dtype=float)
@@ -166,7 +167,7 @@ class PlqFunction(OuterFunction):
                 vals.append(ExtReal(float(w @ piece.A @ w) + float(piece.grad(z) @ u)))
         return ext_min(vals) if vals else PLUS_INF
 
-    def second_order_tangent_contains(self, z, w, u, schedule=None) -> bool:
+    def second_order_tangent_contains(self, z, w, u) -> bool:
         z = np.asarray(z, dtype=float)
         w = np.asarray(w, dtype=float)
         u = np.asarray(u, dtype=float)
@@ -223,20 +224,21 @@ class PlqFunction(OuterFunction):
             return PLUS_INF, None
         return ExtReal(best[0]), multys.ball_argmax(H, best[1])
 
-    def primal_value(self, z, J, u, H, v, sched=None):
+    def primal_value(self, z, J, u, H, v) -> ExtReal:
         """Exact: per admissible piece, an LP over the pullback of the
         piece's second-order tangent cone; the smallest total wins."""
         best = None
         for i in self._admissible(z, u):
             piece = self.pieces[i]
             grad = piece.grad(z)
-            val = pullback_lp_min(-v + J.T @ grad, piece.domain, z, u, J, H, v)
+            T2 = second_order_tangent_cone(piece.domain, z, u)
+            val = pullback_lp_min(-v + J.T @ grad, T2, J, H, v)
             if val is None:
                 continue
             total = val + (float(u @ piece.A @ u) + float(grad @ H))
             if best is None or total < best:
                 best = total
-        return (PLUS_INF if best is None else ExtReal(best)), True
+        return PLUS_INF if best is None else ExtReal(best)
 
     def basic_cq(self, z, J) -> bool:
         return not kernel_meets_cone(self._domain_normal_cone(z, self._active(z)), J.T)

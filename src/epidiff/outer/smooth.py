@@ -91,15 +91,12 @@ class SmoothQuadratic(OuterFunction):
         u = np.asarray(u, dtype=float)
         return ExtReal(float(u @ self.hess(z) @ u))
 
-    def parabolic_subderivative(self, z, w, u, schedule=None) -> ExtReal:
+    def parabolic_subderivative(self, z, w, u) -> ExtReal:
         w = np.asarray(w, dtype=float)
         u = np.asarray(u, dtype=float)
         return ExtReal(float(w @ self.hess(z) @ w) + float(self.grad(z) @ u))
 
-    def second_order_tangent_contains(self, z, w, u, schedule=None) -> bool:
-        return True
-
-    def primal_value(self, z, J, u, H, v, sched=None):
+    def primal_value(self, z, J, u, H, v) -> ExtReal:
         """Closed form <hess u, u> + <grad, H>; needs adj(J) grad = v."""
         grad = self.grad(z)
         resid = float(np.linalg.norm(J.T @ grad - v))
@@ -107,7 +104,7 @@ class SmoothQuadratic(OuterFunction):
             raise CriticalConePreconditionFailed(
                 "smooth outer gradient does not match the pairing vector"
             )
-        return ExtReal(float(u @ self.hess(z) @ u) + float(grad @ H)), True
+        return ExtReal(float(u @ self.hess(z) @ u) + float(grad @ H))
 
     def critical_cone(self, z, y):
         self._require_subgradient(z, y)

@@ -6,6 +6,16 @@ the group bookkeeping (how many of the eigenvalues tied with the i-th are
 ranked at or before i) drives every formula here, and the clustering rule
 makes that bookkeeping reproducible under roundoff.
 
+The parabolic subderivatives are closed forms for every cluster size: the
+second-order expansion of an eigenvalue cluster along a parabolic arc
+(Shapiro & Fan 1995 for the largest eigenvalue, Torki 2001 for every
+eigenvalue), built once in arc_expansion and shared with the semidefinite
+cone indicator.  The primal value minimizes that parabolic function over
+U = J z' + H: by an LP when it is polyhedral in U (a simple binding
+sub-cluster, or a sum that counts all of it); otherwise multipliers() has
+already required J to be surjective, U ranges over all of S^n, and the
+minimum is the conjugate value at the unique multiplier y.
+
 Arguments live on the isometrically vectorized space of symmetric matrices;
 plain matrices are accepted and converted.
 """
@@ -15,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..extreal import PLUS_INF, ExtReal
-from ..numkit import cluster_tol, eigen_pinv, smat, smat_batch, svec, svec_dim, sym_eig
+from ..numkit import Polyhedron, cluster_tol, eigen_pinv, smat, smat_batch, svec, svec_dim, sym_eig
+from ..numkit.polyhedra import pullback_lp_min
 from .base import OuterFunction
 from .reprs import PredicateConeRepr, SpectralRep
 
@@ -37,16 +48,6 @@ def cluster_ranges(lams_desc: np.ndarray, gap: float) -> list[tuple[int, int]]:
     return clusters
 
 
-def clustered_eig(A: np.ndarray):
-    """Eigendecomposition plus maximal clusters of near-equal eigenvalues.
-
-    Returns (lams descending, Q, clusters) where clusters is a list of
-    (start, end) index ranges partitioning 0..n-1.
-    """
-    lams, Q = sym_eig(A)
-    return lams, Q, cluster_ranges(lams, cluster_tol(A))
-
-
 def _group(clusters, idx: int) -> tuple[int, int]:
     for a, b in clusters:
         if a <= idx < b:
@@ -54,11 +55,28 @@ def _group(clusters, idx: int) -> tuple[int, int]:
     raise IndexError(idx)
 
 
+def arc_expansion(lams, Q, cluster, lam: float, W, U, pos: int):
+    """Second-order expansion of an eigenvalue cluster of A = Q diag(lams) Q^T
+    along the arc A + t W + t^2 U / 2 (Shapiro & Fan 1995; Torki 2001).
+
+    cluster is a boolean mask of the cluster's eigenvalues, all near lam.
+    With E its eigenvectors, they move as lam + t mu_j + t^2 nu_j / 2 + o(t^2):
+    mu are the eigenvalues of E^T W E, descending, and on the sub-cluster of
+    mu spanned by E1 the nu are the eigenvalues of E1^T C E1, with
+    C = U + 2 W (lam I - A)^+ W.  Returns (mu, E_above, E1, C) for the
+    sub-cluster E1 holding the pos-th mu; E_above spans the mu before it."""
+    E = Q[:, cluster]
+    M = E.T @ W @ E
+    mu, R = sym_eig(0.5 * (M + M.T))
+    a, b = _group(cluster_ranges(mu, cluster_tol(M)), pos - 1)
+    C = U + 2.0 * W @ eigen_pinv(lam - lams, Q, cluster) @ W
+    return mu, E @ R[:, :a], E @ R[:, a:b], C
+
+
 class AlphaEigFunction(OuterFunction):
     """Sum of the eigenvalues tied with the i-th one and ranked at or before i."""
 
     tag = "alpha_eig"
-    parabolic_closed_form = False
 
     def __init__(self, n: int, i: int = 1):
         if not 1 <= i <= n:
@@ -72,25 +90,22 @@ class AlphaEigFunction(OuterFunction):
     def _structure(self, A: np.ndarray):
         """(lams, Q, c_start, c_end, group_count) at the clustered spectrum;
         group_count is the number of tied eigenvalues ranked at or before i."""
-        lams, Q, clusters = clustered_eig(A)
+        lams, Q = sym_eig(A)
         idx = self.i - 1
-        c_start, c_end = _group(clusters, idx)
+        c_start, c_end = _group(cluster_ranges(lams, cluster_tol(A)), idx)
         return lams, Q, c_start, c_end, idx - c_start + 1
 
     def _smooth_part(self, lams, Q, c_start) -> np.ndarray:
-        """Gradient of the sum of the eigenvalues strictly above the cluster."""
-        if c_start == 0:
-            return np.zeros((self.n, self.n))
-        P = Q[:, :c_start]
+        """Gradient of the sum of the eigenvalues strictly above the cluster,
+        zero unless the member counts them."""
+        P = Q[:, : c_start if self._include_smooth else 0]
         return P @ P.T
 
     def _smooth_quadratic(self, lams, Q, c_start, W: np.ndarray) -> float:
-        """Exact second-order form of the strictly-above-cluster eigenvalue sum."""
-        if c_start == 0:
-            return 0.0
+        """Exact second-order form of that sum, zero unless it is counted."""
         Wt = Q.T @ W @ Q
         total = 0.0
-        for j in range(c_start):
+        for j in range(c_start if self._include_smooth else 0):
             for l in range(c_start, self.n):
                 total += Wt[j, l] ** 2 / (lams[j] - lams[l])
         return 2.0 * total
@@ -121,8 +136,7 @@ class AlphaEigFunction(OuterFunction):
     def subdifferential(self, z):
         A = _to_mat(z)
         lams, Q, c_start, c_end, count = self._structure(A)
-        base = self._smooth_part(lams, Q, c_start) if self._include_smooth else np.zeros((self.n, self.n))
-        return SpectralRep(self.n, base, Q[:, c_start:c_end], float(count))
+        return SpectralRep(self.n, self._smooth_part(lams, Q, c_start), Q[:, c_start:c_end], float(count))
 
     def subderivative(self, z, w) -> ExtReal:
         A, W = _to_mat(z), _to_mat(w)
@@ -130,10 +144,8 @@ class AlphaEigFunction(OuterFunction):
         E = Q[:, c_start:c_end]
         comp = E.T @ W @ E
         mu, _ = sym_eig(0.5 * (comp + comp.T))
-        val = float(np.sum(mu[:count]))
-        if self._include_smooth and c_start:
-            val += float(np.tensordot(self._smooth_part(lams, Q, c_start), W))
-        return ExtReal(val)
+        smooth = float(np.tensordot(self._smooth_part(lams, Q, c_start), W))
+        return ExtReal(float(np.sum(mu[:count])) + smooth)
 
     def second_subderivative(self, z, y, u) -> ExtReal:
         """2 <V, W pinv(lam_i I - A) W> on the critical cone, +inf elsewhere.
@@ -148,33 +160,38 @@ class AlphaEigFunction(OuterFunction):
             return PLUS_INF
         kill = [c_start <= j < c_end for j in range(self.n)]
         pinv_mat = eigen_pinv(lams[self.i - 1] - lams, Q, kill)
-        V_alpha = V
-        if self._include_smooth:
-            V_alpha = V - self._smooth_part(lams, Q, c_start)
+        V_alpha = V - self._smooth_part(lams, Q, c_start)
         total = 2.0 * float(np.tensordot(V_alpha, W @ pinv_mat @ W))
-        if self._include_smooth:
-            total += self._smooth_quadratic(lams, Q, c_start, W)
-        return ExtReal(total)
+        return ExtReal(total + self._smooth_quadratic(lams, Q, c_start, W))
 
-    def parabolic_subderivative(self, z, w, u, schedule=None) -> ExtReal:
-        """Numeric fallback (flagged): parabolic difference-quotient estimate."""
-        from ..core import GridSchedule
-        from ..oracle import SampledFunction, estimate_parabolic_subderivative
+    def _arc(self, z, w, u):
+        """(E_above, E1, r, C, P, s): the parabolic subderivative is
+        tr(E_above^T C E_above) + (sum of the top r eigenvalues of
+        E1^T C E1) + s, where the sums add s = <P, U> + (Hessian form) for
+        the eigenvalues strictly above the cluster, P being their gradient."""
+        A, W, U = _to_mat(z), _to_mat(w), _to_mat(u)
+        lams, Q, c_start, c_end, count = self._structure(A)
+        cluster = np.array([c_start <= j < c_end for j in range(self.n)])
+        _, E_above, E1, C = arc_expansion(lams, Q, cluster, lams[self.i - 1], W, U, count)
+        P = self._smooth_part(lams, Q, c_start)
+        s = float(np.tensordot(P, U)) + self._smooth_quadratic(lams, Q, c_start, W)
+        return E_above, E1, count - E_above.shape[1], C, P, s
 
-        sched = schedule or GridSchedule()
-        f = SampledFunction(
-            evaluator=lambda x: self.value(x),
-            dim=self.ambient_dim,
-            description=f"{self.tag} evaluator",
-        )
-        z = svec(_to_mat(z))
-        w = svec(_to_mat(w))
-        u = svec(_to_mat(u))
-        dfw = self.subderivative(z, w).value
-        return estimate_parabolic_subderivative(f, z, w, dfw, u, sched)
+    def parabolic_subderivative(self, z, w, u) -> ExtReal:
+        E_above, E1, r, C, _, s = self._arc(z, w, u)
+        nu, _ = sym_eig(E1.T @ C @ E1)
+        return ExtReal(float(np.trace(E_above.T @ C @ E_above)) + float(np.sum(nu[:r])) + s)
 
-    def second_order_tangent_contains(self, z, w, u, schedule=None) -> bool:
-        return True  # full domain
+    def primal_value(self, z, J, u, H, v) -> ExtReal:
+        """An unconstrained LP when r covers E1 (the parabolic function is
+        then affine in U); else the conjugate value, attained at U = -C(0)."""
+        E_above, E1, r, D, P, _ = self._arc(z, u, np.zeros(self.ambient_dim))
+        if r == E1.shape[1]:
+            grad = svec(P + E_above @ E_above.T + E1 @ E1.T)
+            val = pullback_lp_min(J.T @ grad - v, Polyhedron.make(self.ambient_dim), J, H, v)
+            return self.parabolic_subderivative(z, u, H) + val
+        y = np.linalg.lstsq(J.T, v, rcond=None)[0]
+        return self.parabolic_subderivative(z, u, -svec(D)) + float(y @ (H + svec(D)))
 
     def critical_cone(self, z, y):
         self._require_subgradient(z, y)

@@ -55,17 +55,12 @@ def _require(cond: bool, msg: str):
         raise ValidationError(msg)
 
 
-def _vec(data, name: str) -> np.ndarray:
+def _finite_vec(data, name: str) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
     except Exception as exc:
         raise ValidationError(f"{name}: expected a numeric vector") from exc
     _require(arr.ndim == 1, f"{name}: expected a flat vector")
-    return arr
-
-
-def _finite_vec(data, name: str) -> np.ndarray:
-    arr = _vec(data, name)
     _require(bool(np.all(np.isfinite(arr))), f"{name}: entries must be finite")
     return arr
 
@@ -87,7 +82,7 @@ def _mat(data, name: str) -> np.ndarray:
         arr = np.asarray(data, dtype=float)
     except Exception as exc:
         raise ValidationError(f"{name}: expected a numeric matrix") from exc
-    _require(arr.ndim == 2, f"{name}: expected a matrix")
+    _require(arr.ndim == 2 and bool(np.all(np.isfinite(arr))), f"{name}: expected a finite matrix")
     return arr
 
 
@@ -96,71 +91,76 @@ def _build_polyhedron(payload: dict, dim: int, name: str) -> Polyhedron:
     if payload.get("G"):
         _require(payload.get("h") is not None, f"{name}: G without h")
         G = _mat(payload["G"], f"{name}.G")
-        h = _vec(payload["h"], f"{name}.h")
+        h = _finite_vec(payload["h"], f"{name}.h")
     if payload.get("E"):
         _require(payload.get("d") is not None, f"{name}: E without d")
         E = _mat(payload["E"], f"{name}.E")
-        d = _vec(payload["d"], f"{name}.d")
+        d = _finite_vec(payload["d"], f"{name}.d")
     try:
         return Polyhedron.make(dim, G, h, E, d)
     except Exception as exc:
         raise ValidationError(f"{name}: {exc}") from exc
 
 
+def _count(payload: dict, tag: str, key: str) -> int:
+    """A positive integer field (dim, n or i) that the tag requires."""
+    _require(key in payload, f"g: {tag} requires {key}")
+    try:
+        val = int(payload[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"g: {tag}: {key} must be an integer") from exc
+    _require(val >= 1, f"g: {tag}: {key} must be positive")
+    return val
+
+
 def build_outer(payload: dict) -> OuterFunction:
     _require(isinstance(payload, dict) and "tag" in payload, "g: missing tag")
     tag = payload["tag"]
     if tag == "ind_nonpos":
-        _require("dim" in payload, "g: ind_nonpos requires dim")
-        return nonpositive_orthant(int(payload["dim"]))
+        return nonpositive_orthant(_count(payload, tag, "dim"))
     if tag == "ind_polyhedron":
-        _require("dim" in payload, "g: ind_polyhedron requires dim")
-        dim = int(payload["dim"])
+        dim = _count(payload, tag, "dim")
         return PolyhedralIndicator(_build_polyhedron(payload, dim, "g"))
     if tag == "abs":
         return absolute_value()
     if tag == "plq":
-        _require("dim" in payload and "pieces" in payload, "g: plq requires dim and pieces")
-        dim = int(payload["dim"])
+        dim, pcs = _count(payload, tag, "dim"), payload.get("pieces")
+        _require(isinstance(pcs, list) and all(isinstance(pc, dict) for pc in pcs), "g: plq requires pieces")
         pieces = []
-        for k, pc in enumerate(payload["pieces"]):
+        for k, pc in enumerate(pcs):
             dom = _build_polyhedron(pc, dim, f"g.pieces[{k}]")
             A = _mat(pc["A"], f"g.pieces[{k}].A") if pc.get("A") else np.zeros((dim, dim))
-            a = _vec(pc["a"], f"g.pieces[{k}].a") if pc.get("a") is not None else np.zeros(dim)
+            a = _finite_vec(pc["a"], f"g.pieces[{k}].a") if pc.get("a") is not None else np.zeros(dim)
             _require(A.shape == (dim, dim), f"g.pieces[{k}].A: wrong shape")
             _require(a.shape == (dim,), f"g.pieces[{k}].a: wrong shape")
-            pieces.append(PlqPiece(dom, A, a, float(pc.get("alpha", 0.0))))
+            alpha = _finite_vec([pc.get("alpha", 0.0)], f"g.pieces[{k}].alpha")[0]
+            pieces.append(PlqPiece(dom, A, a, alpha))
         g = PlqFunction(pieces)
         if not g.spot_check_agreement(n_samples=40):
             raise ValidationError("g: PLQ piece values disagree on shared faces")
         return g
     if tag == "ind_negsemidef":
-        _require("n" in payload, "g: ind_negsemidef requires n")
-        return NegSemidefIndicator(int(payload["n"]))
+        return NegSemidefIndicator(_count(payload, tag, "n"))
     if tag == "max_eig":
-        _require("n" in payload, "g: max_eig requires n")
-        return MaxEigFunction(int(payload["n"]))
-    if tag == "sum_top_eig":
-        _require("n" in payload and "i" in payload, "g: sum_top_eig requires n and i")
-        return SumTopEigFunction(int(payload["n"]), int(payload["i"]))
-    if tag == "alpha_eig":
-        _require("n" in payload and "i" in payload, "g: alpha_eig requires n and i")
-        return AlphaEigFunction(int(payload["n"]), int(payload["i"]))
+        return MaxEigFunction(_count(payload, tag, "n"))
+    if tag in ("sum_top_eig", "alpha_eig"):
+        n, i = _count(payload, tag, "n"), _count(payload, tag, "i")
+        _require(i <= n, f"g: {tag}: i must not exceed n")
+        cls = SumTopEigFunction if tag == "sum_top_eig" else AlphaEigFunction
+        return cls(n, i)
     if tag == "twice_semidiff":
-        _require("dim" in payload, "g: twice_semidiff requires dim")
-        dim = int(payload["dim"])
-        base = PolyMap.from_strings([payload.get("base", [])], dim)
-        h = PolyMap.from_strings([payload.get("h", [])], dim)
-        center = _vec(payload["center"], "g.center") if payload.get("center") else None
+        dim = _count(payload, tag, "dim")
+        center = _finite_vec(payload["center"], "g.center") if payload.get("center") else None
         try:
+            base = PolyMap.from_strings([payload.get("base") or []], dim)
+            h = PolyMap.from_strings([payload.get("h") or []], dim)
             return SmoothQuadratic(base, h, center)
         except ValidationError:
             raise
         except Exception as exc:
             raise ValidationError(f"g: {exc}") from exc
     if tag == "zero":
-        _require("dim" in payload, "g: zero requires dim")
-        return zero_function(int(payload["dim"]))
+        return zero_function(_count(payload, tag, "dim"))
     raise ValidationError(f"g: unknown tag {tag!r}")
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from epidiff.cli import run
 from epidiff.problem_io import parse_problem, parse_problem_dict, problem_to_dict
@@ -172,6 +174,62 @@ def test_analyze_polyhedron_m6_golden_values():
     assert entry["provenance"] == "closed-form"
 
 
+def _analyze_duals(fixture, dirs, expected):
+    """Run analyze along the given directions and check every dual against
+    its hand-derived value, primal = dual and the closed-form provenance."""
+    argv = ["analyze", _fixture(fixture)] + [f"--dir={d}" for d in dirs]
+    code, text = run(argv)
+    assert code == 0
+    entries = _json_block(text)["directions"]
+    assert len(entries) == len(expected)
+    for entry, want in zip(entries, expected):
+        assert entry["provenance"] == "closed-form"
+        if want == "+inf":
+            assert entry["dual"] == entry["primal"] == "+inf"
+            continue
+        assert entry["dual"] == pytest.approx(want, abs=1e-9)
+        assert abs(entry["primal"] - entry["dual"]) <= 1e-9 * (1.0 + abs(want))
+    return _json_block(text)
+
+
+def test_analyze_max_eig_golden_values():
+    """A(x) = [[1 + x1 + x2^2, x2/sqrt2], [x2/sqrt2, x1 - x2^2]] at x = 0:
+    A = diag(1, 0) with a simple top eigenvalue, so y = e1 e1^T is the only
+    multiplier (v = dF^T y = (1, 0)) and every w is critical.  With
+    W = [[w1, w2/sqrt2], [w2/sqrt2, w1]] and H11 = 2 w2^2:
+    dual = H11 + 2 (W diag(0, 1) W)11 = 2 w2^2 + w2^2 = 3 w2^2."""
+    block = _analyze_duals("max_eig.json", ["1,0", "0,1", "0.6,0.8"], [0.0, 3.0, 1.92])
+    assert block["multipliers"] == [[1.0, 0.0, 0.0]]
+
+
+def test_analyze_sum_top_eig_golden_values():
+    """Sum of the top two eigenvalues at A = diag(3, 1, 0), with x1 and x2
+    entering A31 and A32 as x/sqrt2 and x2^2 added to A11: y = diag(1, 1, 0),
+    v = 0, and the smooth second-order form gives
+    dual = H11 + 2 (W31^2 / 3 + W32^2 / 1) = 2 w2^2 + w1^2 / 3 + w2^2."""
+    _analyze_duals("sum_top_eig.json", ["1,0", "0,1", "0.6,0.8"], [1.0 / 3.0, 3.0, 2.04])
+
+
+def test_analyze_alpha_eig_golden_values():
+    """The middle eigenvalue of A = diag(3, 1, 0), with x1 in A21 and x2 in
+    A32 (each as x/sqrt2) and x2^2 added to A22: y = e2 e2^T, v = 0, and
+    dual = H22 + 2 (W21^2 / (1 - 3) + W23^2 / (1 - 0))
+    = 2 w2^2 - w1^2 / 2 + w2^2."""
+    _analyze_duals("alpha_eig.json", ["1,0", "0,1", "0.6,0.8"], [-0.5, 3.0, 1.74])
+
+
+def test_analyze_plq_2d_golden_values():
+    """g(z) = max(z1, z2, 0) + z1^2 / 2 through F = (x1 + x2^2,
+    x1 - x2^2 / 2 + 0.3 x1 x2) at x = 0 with v = (1, 0): dF = [[1, 0], [1, 0]],
+    so the multipliers form the segment from (1, 0) to (0, 1) and w is
+    critical iff w1 >= 0.  Along w the pieces add w1^2 and
+    H = (2 w2^2, -w2^2 + 0.6 w1 w2), so dual = max(H1, H2) + w1^2:
+    1.98 at (1, 0.7), 2 at (0, 1), 1 at (1, 0) and +inf at (-1, 0)."""
+    block = _analyze_duals("plq_2d.json", ["1,0.7", "0,1", "1,0", "-1,0"], [1.98, 2.0, 1.0, "+inf"])
+    ys = sorted(np.round(block["multipliers"], 9).tolist())
+    assert ys == [[0.0, 1.0], [1.0, 0.0]]
+
+
 def test_analyze_off_cone_direction_renders_plus_inf():
     code, text = run(["analyze", _fixture("a1_parabola.json"), "--dir", "0,1"])
     assert code == 0
@@ -276,3 +334,92 @@ def test_analyze_infinite_gap_renders_plus_inf():
     assert code == 1
     entries = _json_block(text)["directions"]
     assert entries and all(e["primal"] == "+inf" and e["gap"] == "+inf" for e in entries)
+
+
+# -- exit-code contract under generated input ---------------------------------------
+
+_NUMBER = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -0.25])
+_MALFORMED = st.sampled_from(["NaN", "Infinity", "-Infinity", "abc", None, [], {}, -1, 0, 1e400])
+_SPECTRAL = ("ind_negsemidef", "max_eig", "sum_top_eig", "alpha_eig")
+_TAGS = ("ind_nonpos", "ind_polyhedron", "abs", "plq", "twice_semidiff", "zero") + _SPECTRAL
+
+
+def _monomials(n: int, max_size: int):
+    """Non-constant monomials in x1..xn with small coefficients."""
+    mono = st.tuples(_NUMBER, st.lists(st.integers(0, 2), min_size=n, max_size=n)).filter(
+        lambda ce: any(ce[1])
+    ).map(lambda ce: " ".join([f"{ce[0]:g}"] + [f"x{j + 1}^{p}" for j, p in enumerate(ce[1]) if p]))
+    return st.lists(mono, max_size=max_size)
+
+
+def _outer_payload(draw, tag: str, m: int) -> dict:
+    """A well-formed payload of the tag on R^m, which is R^(k(k+1)/2) for the
+    spectral tags."""
+    k = {1: 1, 3: 2}[m] if tag in _SPECTRAL else None
+    if tag in ("ind_nonpos", "zero"):
+        return {"tag": tag, "dim": m}
+    if tag == "ind_polyhedron":
+        rows = draw(st.lists(st.lists(_NUMBER, min_size=m, max_size=m), min_size=1, max_size=3))
+        return {"tag": tag, "dim": m, "G": rows, "h": [abs(draw(_NUMBER)) for _ in rows]}
+    if tag == "abs":
+        return {"tag": tag}
+    if tag == "plq":
+        return {"tag": tag, "dim": 1, "pieces": [
+            {"G": [[1.0]], "h": [0.0], "A": [[0.0]], "a": [-1.0]},
+            {"G": [[-1.0]], "h": [0.0], "A": [[draw(st.sampled_from([0.0, 1.0]))]], "a": [1.0]},
+        ]}
+    if tag == "twice_semidiff":
+        return {"tag": tag, "dim": m, "base": draw(_monomials(m, 2)), "h": [f"x{j + 1}^2" for j in range(m)]}
+    payload = {"tag": tag, "n": k}
+    if tag in ("sum_top_eig", "alpha_eig"):
+        payload["i"] = draw(st.integers(1, k))
+    return payload
+
+
+@st.composite
+def _problem_files(draw):
+    """A problem file over any tag, whose F(0) lies in dom g when x = 0, with
+    at most one field then replaced by a non-finite or malformed value."""
+    tag = draw(st.sampled_from(_TAGS))
+    m = 1 if tag in ("abs", "plq") else draw(st.sampled_from([1, 3] if tag in _SPECTRAL else [1, 2]))
+    n = draw(st.integers(1, 2))
+    if tag == "ind_nonpos":
+        base = draw(st.lists(st.sampled_from([0.0, -1.0]), min_size=m, max_size=m))
+    elif tag in ("ind_negsemidef", "ind_polyhedron"):
+        base = [0.0] * m if m != 3 else draw(st.sampled_from([[0.0, 0.0, -1.0], [0.0] * 3, [-1.0, 0.0, -1.0]]))
+    else:
+        base = draw(st.lists(_NUMBER, min_size=m, max_size=m))
+    data = {
+        "phi": draw(_monomials(n, 2)),
+        "F": [[f"{c:g}"] + draw(_monomials(n, 2)) for c in base],
+        "g": _outer_payload(draw, tag, m),
+        "x": draw(st.sampled_from([[0.0] * n, [0.0] * n, [0.5] * n])),
+        "kappa": draw(st.sampled_from([1.0, 1.0, 0.5, None])),
+    }
+    if draw(st.booleans()):
+        data["v"] = draw(st.lists(_NUMBER, min_size=n, max_size=n))
+    key = draw(st.sampled_from([None, None, None, "x", "v", "kappa", "F", "phi", "g"]))
+    if key == "g":
+        field = draw(st.sampled_from([f for f in data["g"] if f != "tag"] or ["tag"]))
+        data["g"][field] = draw(_MALFORMED)
+    elif key in ("x", "v"):
+        data[key] = [draw(_MALFORMED)] + [0.0] * (n - 1)
+    elif key in ("F", "phi"):
+        data[key] = draw(st.sampled_from([[["x9"]], [["2 y1"]], [["x1^-1"]], [[3]], "x1", [["1e400 x1"]]]))
+    elif key is not None:
+        data[key] = draw(_MALFORMED)
+    w = draw(st.lists(_NUMBER, min_size=n, max_size=n))
+    return data, ",".join(f"{c:g}" for c in w)
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_problem_files())
+def test_generated_problem_files_keep_exit_code_contract(tmp_path, case):
+    """Every problem file, well formed or not, ends in exit 0-3 and a report
+    or an error line; nothing is raised."""
+    data, w = case
+    p = tmp_path / "fuzz.json"
+    p.write_text(json.dumps(data))
+    code, text = run(["analyze", str(p), f"--dir={w}"])
+    assert code in (0, 1, 2, 3), text

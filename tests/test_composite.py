@@ -280,24 +280,52 @@ def test_primal_value_examples():
         primal_value(prob, A1_X, A1_V, [0.0, 1.0])
 
 
-# Golden values: the numeric-fallback and piecewise primal/dual values as the
-# CLI renders them, pinned before the chain-rule pieces moved into the catalog.
+# Golden values, derived by hand: the spectral primal values are closed forms
+# and meet the dual exactly.
 
 
-def test_numeric_primal_golden_negsemidef():
+def test_closed_form_primal_golden_negsemidef():
+    """A = diag(0, -1), V = diag(1, 0), W = [[0, 0.4], [0.4, -0.8]], F = id:
+    E0 = E1 = e1 because W11 = 0, and W A^+ W = [[-0.16, 0.32], [0.32, -0.64]].
+    The primal LP minimizes -U11 over U11 <= 2 (W A^+ W)11 = -0.32, so
+    primal = 0.32 = -2 <V, W A^+ W> = dual."""
     zA, zV = psd_base_data()
     w = svec(np.array([[0.0, 0.4], [0.4, -0.8]]))
     info = second_subderivative_chain(psd_problem(), zA, zV, w, kappa=1.0)
-    assert not info.primal_exact
-    assert f"{info.primal_value.value:.12g}" == "0.3122072046"
+    assert info.primal_value.value == pytest.approx(0.32, abs=1e-12)
+    assert abs(info.primal_value.value - info.dual_value.value) <= 1e-12
 
 
-def test_numeric_primal_golden_max_eig():
+def test_closed_form_primal_golden_max_eig():
+    """F(x) = svec([[1, x/sqrt2], [x/sqrt2, -x^2]]) at x = 0 along w = 1:
+    A = diag(1, 0) with a simple top eigenvalue, W = [[0, 1], [1, 0]] / sqrt2
+    and H = diag(0, -2).  The parabolic value U11 + 2 (W (I - A)^+ W)11 is
+    affine with gradient e1 e1^T, which dF annihilates, so
+    primal = 2 (W (I - A)^+ W)11 = 1 = dual."""
     F = PolyMap.from_strings([["1"], ["x1"], ["-1 x1^2"]], 1)
     prob = CompositeProblem(PolyMap.zero(1), F, MaxEigFunction(2))
     info = second_subderivative_chain(prob, [0.0], [0.0], [1.0], kappa=1.0)
-    assert not info.primal_exact
-    assert f"{info.primal_value.value:.12g}" == "0.999999987592"
+    assert info.primal_value.value == pytest.approx(1.0, abs=1e-12)
+    assert abs(info.primal_value.value - info.dual_value.value) <= 1e-12
+
+
+def test_primal_dual_two_column_cluster():
+    """S^3 at A = diag(0, 0, -1), F = id: W couples e1 and e2 to e3 only, so
+    E0^T W E0 = 0 and E1 is the whole 2-dimensional zero cluster; the
+    second-order tangent set is semidefinite, not polyhedral.  With
+    p = (W13, W23) = (1, 2) and V = [[1, 0.5], [0.5, 1]] on the cluster,
+    dual = -2 <V, W A^+ W> = 2 p^T V p = 14, and the primal conjugate value
+    at the unique multiplier must equal it."""
+    W = np.zeros((3, 3))
+    W[0, 2] = W[2, 0] = 1.0
+    W[1, 2] = W[2, 1] = 2.0
+    V = np.zeros((3, 3))
+    V[:2, :2] = [[1.0, 0.5], [0.5, 1.0]]
+    prob = CompositeProblem(PolyMap.zero(6), PolyMap.identity(6), NegSemidefIndicator(3))
+    x, v = svec(np.diag([0.0, 0.0, -1.0])), svec(V)
+    info = second_subderivative_chain(prob, x, v, svec(W), kappa=1.0)
+    assert info.dual_value.value == pytest.approx(14.0, abs=1e-12)
+    assert abs(info.primal_value.value - info.dual_value.value) <= 1e-12
 
 
 def test_plq_primal_dual_golden_several_pieces():
@@ -315,7 +343,6 @@ def test_plq_primal_dual_golden_several_pieces():
     ms = multipliers(prob, x, v, kappa=1.0)
     assert len(ms.multipliers) == 2
     info = second_subderivative_chain(prob, x, v, w, kappa=1.0, multys=ms)
-    assert info.primal_exact
     assert f"{info.primal_value.value:.12g}" == "1.98"
     assert f"{info.dual_value.value:.12g}" == "1.98"
     assert np.allclose(info.argmax_y, [1.0, 0.0], atol=1e-12)

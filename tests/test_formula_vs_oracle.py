@@ -1,6 +1,7 @@
 """The central cross-check: every closed-form second subderivative in the
-catalog must agree with the brute-force difference-quotient estimate on seeded
-random critical directions."""
+catalog, and every closed-form parabolic subderivative of the spectral
+members, must agree with the brute-force difference-quotient estimate on
+seeded random critical directions."""
 
 import zlib
 
@@ -9,8 +10,9 @@ import pytest
 
 from epidiff.core import PolyMap
 from epidiff.numkit import svec
-from epidiff.oracle import estimate_second_subderivative
+from epidiff.oracle import estimate_parabolic_subderivative, estimate_second_subderivative
 from epidiff.outer import (
+    AlphaEigFunction,
     MaxEigFunction,
     NegSemidefIndicator,
     SmoothQuadratic,
@@ -22,6 +24,7 @@ from epidiff.outer import (
 from _instances import half_square_plq, outer_sampled, psd_base_data
 
 N_DIRECTIONS = 50
+N_PARABOLIC = 6
 
 
 def _tol(value: float) -> float:
@@ -64,6 +67,7 @@ CASES = [
         svec(np.diag([3.0, 1.0, 0.0])),
         svec(np.diag([1.0, 1.0, 0.0])),
     ),
+    ("alpha_eig", AlphaEigFunction(2, 2), svec(np.diag([2.0, 1.0])), svec(np.diag([0.0, 1.0]))),
     (
         "twice_semidiff",
         SmoothQuadratic(
@@ -91,3 +95,43 @@ def test_closed_form_matches_oracle(name, g, z, y):
         worst = max(worst, gap - _tol(closed.value))
         assert gap <= _tol(closed.value), (name, w, closed.value, est.value)
     assert worst <= 0.0
+
+
+def _cluster_directions(rng, count):
+    """At A = I on S^2 with y = I / 2 the critical cone of max_eig is the line
+    through I; its unit directions have a 2-dimensional E1."""
+    return [rng.choice([-1.0, 1.0]) * svec(np.eye(2)) / np.sqrt(2.0) for _ in range(count)]
+
+
+PARABOLIC_CASES = [
+    ("ind_negsemidef", NegSemidefIndicator(2), *psd_base_data()),
+    # A = 0: a 2-dimensional zero cluster
+    ("ind_negsemidef_zero_cluster", NegSemidefIndicator(2), svec(np.zeros((2, 2))), np.zeros(3)),
+    ("max_eig", MaxEigFunction(2), svec(np.diag([2.0, 1.0])), svec(np.diag([1.0, 0.0]))),
+    ("max_eig_cluster", MaxEigFunction(2), svec(np.eye(2)), svec(0.5 * np.eye(2))),
+    (
+        "sum_top_eig",
+        SumTopEigFunction(3, 2),
+        svec(np.diag([3.0, 1.0, 0.0])),
+        svec(np.diag([1.0, 1.0, 0.0])),
+    ),
+    ("alpha_eig", AlphaEigFunction(2, 2), svec(np.diag([2.0, 1.0])), svec(np.diag([0.0, 1.0]))),
+]
+
+
+@pytest.mark.parametrize("name,g,z,y", PARABOLIC_CASES, ids=[c[0] for c in PARABOLIC_CASES])
+def test_parabolic_closed_form_matches_oracle(name, g, z, y):
+    rng = np.random.default_rng(zlib.crc32(("parabolic " + name).encode()))
+    f = outer_sampled(g)
+    if name == "max_eig_cluster":
+        dirs = _cluster_directions(rng, N_PARABOLIC)
+    else:
+        dirs = _critical_directions(g, z, y, rng, N_PARABOLIC)
+    assert len(dirs) == N_PARABOLIC, name
+    for w in dirs:
+        u = rng.standard_normal(g.ambient_dim)
+        closed = g.parabolic_subderivative(z, w, u)
+        est = estimate_parabolic_subderivative(f, z, w, g.subderivative(z, w).value, u)
+        assert closed.is_finite == est.is_finite, (name, w, u, closed, est)
+        if closed.is_finite:
+            assert abs(closed.value - est.value) <= _tol(closed.value), (name, w, u, closed, est)

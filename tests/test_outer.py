@@ -154,7 +154,9 @@ def test_second_order_tangent_examples():
     assert not ind.second_order_tangent_contains([0.0], [0.0], [1.0])
 
 
-def test_psd_second_order_tangent_numeric():
+def test_psd_second_order_tangent_closed_form():
+    """At A = diag(0, -1) along W = [[0, 1], [1, 0]] the set is
+    {U : U11 <= 2 (W A^+ W)11 = -2}: E0 = E1 = e1 since E0^T W E0 = 0."""
     nsd = NegSemidefIndicator(2)
     zA, _ = psd_base_data()
     W = svec(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -164,6 +166,12 @@ def test_psd_second_order_tangent_numeric():
     assert nsd.second_order_tangent_contains(zA, W, inside)
     assert nsd.second_order_tangent_contains(zA, W, boundary)
     assert not nsd.second_order_tangent_contains(zA, W, outside)
+    # only U11 is constrained, so the other entries are free
+    assert nsd.second_order_tangent_contains(zA, W, svec(np.array([[-2.0, 5.0], [5.0, 9.0]])))
+    # W pointing into the cone on the zero cluster leaves U free; a W that
+    # leaves the cone admits no arc at all
+    assert nsd.second_order_tangent_contains(zA, svec(np.diag([-1.0, 0.0])), outside)
+    assert not nsd.second_order_tangent_contains(zA, svec(np.diag([1.0, 0.0])), inside)
 
 
 # -- critical cones -----------------------------------------------------------------------------
@@ -258,8 +266,6 @@ def test_domain_law_matches_critical_cone():
 def test_parabolic_lipschitz_relative_to_domain():
     rng = np.random.default_rng(15)
     for g, z, y in _catalog_instances():
-        if not g.parabolic_closed_form:
-            continue  # numeric fallbacks carry oracle tolerances instead
         ell = g.lipschitz_bound(z)
         cone = g.critical_cone(z, y)
         w = next(
