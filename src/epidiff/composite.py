@@ -9,9 +9,9 @@ it evaluates F and its derivatives, builds the multiplier set from the shape
 of the subdifferential, and pulls the critical cone back.  Each catalog
 member answers for its own pieces of the chain rule (``dual_value``,
 ``primal_value``, ``basic_cq`` of ``OuterFunction``): exact LPs for
-polyhedral data and for the spectral members whose binding eigenvalue
-sub-cluster is simple, a conjugate value for larger clusters, and closed
-forms for smooth data.  Every primal value is a closed form.
+polyhedral data, a conjugate value at the multiplier for the spectral
+members, and closed forms for smooth data.  Every primal value is a closed
+form.
 """
 
 from __future__ import annotations

@@ -309,20 +309,16 @@ class NegSemidefIndicator(_Indicator):
         return nu[0] <= ACT_TOL * (1.0 + float(np.linalg.norm(C)))
 
     def primal_value(self, z, J, u, H, v) -> ExtReal:
-        """An LP when E1 is one vector e (the set is then the half-space
-        <e e^T, U + D> <= 0, D = -2 W A^+ W); else the conjugate value
-        <y, H + D> (see the spectral module)."""
+        """The conjugate value <y, H + D>, D = -2 W A^+ W, at the unique
+        multiplier y: a nonempty zero cluster leaves the multiplier cone
+        unpinned, so multipliers() has already required J to be surjective,
+        and criticality puts y on E1, where the tangent set is
+        E1^T (U + D) E1 <= 0.  Zero when W pushes the whole cluster inward."""
         arc = self._arc(z, u, np.zeros(self.ambient_dim))
-        T = Polyhedron.make(self.ambient_dim)
-        if arc is not None:
-            E1, D = arc
-            if E1.shape[1] > 1:
-                y = np.linalg.lstsq(J.T, v, rcond=None)[0]
-                return ExtReal(float(y @ (H + svec(D))))
-            row = svec(np.outer(E1[:, 0], E1[:, 0]))
-            T = Polyhedron.make(self.ambient_dim, G=[row], h=[-float(row @ svec(D))])
-        val = pullback_lp_min(-v, T, J, H, v)
-        return PLUS_INF if val is None else ExtReal(val)
+        if arc is None:
+            return ExtReal(0.0)
+        y = np.linalg.lstsq(J.T, v, rcond=None)[0]
+        return ExtReal(float(y @ (H + svec(arc[1]))))
 
     def critical_cone(self, z, y):
         self._require_subgradient(z, y)

@@ -11,10 +11,10 @@ second-order expansion of an eigenvalue cluster along a parabolic arc
 (Shapiro & Fan 1995 for the largest eigenvalue, Torki 2001 for every
 eigenvalue), built once in arc_expansion and shared with the semidefinite
 cone indicator.  The primal value minimizes that parabolic function over
-U = J z' + H: by an LP when it is polyhedral in U (a simple binding
-sub-cluster, or a sum that counts all of it); otherwise multipliers() has
-already required J to be surjective, U ranges over all of S^n, and the
-minimum is the conjugate value at the unique multiplier y.
+U = J z' + H in one formula, the conjugate value at the multiplier y: when
+the sum counts the whole binding sub-cluster, the function is affine in U
+and y is its gradient; otherwise multipliers() has already required J to be
+surjective, U ranges over all of S^n, and y is unique.
 
 Arguments live on the isometrically vectorized space of symmetric matrices;
 plain matrices are accepted and converted.
@@ -25,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..extreal import PLUS_INF, ExtReal
-from ..numkit import Polyhedron, cluster_tol, eigen_pinv, smat, smat_batch, svec, svec_dim, sym_eig
-from ..numkit.polyhedra import pullback_lp_min
+from ..numkit import cluster_tol, eigen_pinv, smat, smat_batch, svec, svec_dim, sym_eig
 from .base import OuterFunction
 from .reprs import PredicateConeRepr, SpectralRep
 
@@ -183,14 +182,16 @@ class AlphaEigFunction(OuterFunction):
         return ExtReal(float(np.trace(E_above.T @ C @ E_above)) + float(np.sum(nu[:r])) + s)
 
     def primal_value(self, z, J, u, H, v) -> ExtReal:
-        """An unconstrained LP when r covers E1 (the parabolic function is
-        then affine in U); else the conjugate value, attained at U = -C(0)."""
+        """The conjugate value p(-D) + <y, H + D> at the multiplier y, with
+        D = C(0) and p the parabolic function, whose minimum over U is
+        attained at U = -D.  When r covers E1, p is affine in U and y is its
+        gradient; otherwise multipliers() has already required J to be
+        surjective, and y is the unique solution of J^T y = v."""
         E_above, E1, r, D, P, _ = self._arc(z, u, np.zeros(self.ambient_dim))
         if r == E1.shape[1]:
-            grad = svec(P + E_above @ E_above.T + E1 @ E1.T)
-            val = pullback_lp_min(J.T @ grad - v, Polyhedron.make(self.ambient_dim), J, H, v)
-            return self.parabolic_subderivative(z, u, H) + val
-        y = np.linalg.lstsq(J.T, v, rcond=None)[0]
+            y = svec(P + E_above @ E_above.T + E1 @ E1.T)
+        else:
+            y = np.linalg.lstsq(J.T, v, rcond=None)[0]
         return self.parabolic_subderivative(z, u, -svec(D)) + float(y @ (H + svec(D)))
 
     def critical_cone(self, z, y):

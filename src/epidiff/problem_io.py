@@ -105,12 +105,11 @@ def _build_polyhedron(payload: dict, dim: int, name: str) -> Polyhedron:
 def _count(payload: dict, tag: str, key: str) -> int:
     """A positive integer field (dim, n or i) that the tag requires."""
     _require(key in payload, f"g: {tag} requires {key}")
-    try:
-        val = int(payload[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"g: {tag}: {key} must be an integer") from exc
+    val = payload[key]
+    integral = isinstance(val, int) or (isinstance(val, float) and val.is_integer())
+    _require(integral and not isinstance(val, bool), f"g: {tag}: {key} must be an integer")
     _require(val >= 1, f"g: {tag}: {key} must be positive")
-    return val
+    return int(val)
 
 
 def build_outer(payload: dict) -> OuterFunction:
