@@ -14,15 +14,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import composite, optimality
 from .core import GridSchedule
 from .errors import (
-    BasePointInfeasible,
-    EmptyMultiplierSet,
     EpidiffError,
     MSCQFailed,
     NotStationary,
@@ -31,6 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .extreal import ExtReal
+from .numkit import dedupe
+from .numkit.polyhedra import DEDUP_TOL
 from .oracle import check_parabolic_regularity, check_twice_epi_diff
 from .optimality import sample_critical_directions
 from .problem_io import ProblemSpec, parse_problem
@@ -112,9 +112,8 @@ def _resolve_kappa(spec: ProblemSpec, seed: int):
 def _direction_set(spec: ProblemSpec, ms, seed: int, n_random: int = 8, off_cone: int = 0):
     """The default probing set: extreme rays plus seeded random unit critical
     directions, with optional off-cone probes for the PlusInf branch."""
-    prob, x, v = spec.problem, spec.x, spec.v
-    cone = composite.critical_cone(prob, x, v, ms)
-    dirs = sample_critical_directions(prob, x, v, ms, cone, n_random, seed)
+    prob = spec.problem
+    dirs = sample_critical_directions(prob, ms, n_random, seed)
     rng = np.random.default_rng(seed + 1)
     off: list[np.ndarray] = []
     attempts = 0
@@ -122,13 +121,9 @@ def _direction_set(spec: ProblemSpec, ms, seed: int, n_random: int = 8, off_cone
         attempts += 1
         s = rng.standard_normal(prob.n)
         s /= max(float(np.linalg.norm(s)), 1e-300)
-        if not cone.contains(s):
+        if not ms.cone.contains(s):
             off.append(s)
-    kept: list[np.ndarray] = []
-    for d in dirs + off:
-        if all(np.max(np.abs(d - k)) > 1e-9 for k in kept):
-            kept.append(d)
-    return kept, cone
+    return dedupe(dirs + off, DEDUP_TOL)
 
 
 def _parse_dirs(raw_dirs, n) -> list[np.ndarray]:
@@ -165,8 +160,7 @@ def cmd_analyze(spec: ProblemSpec, raw_dirs, seed: int) -> Report:
         )
     dirs = _parse_dirs(raw_dirs, prob.n)
     if not dirs:
-        dirs, _ = _direction_set(spec, ms, seed)
-    cone = composite.critical_cone(prob, x, v, ms)
+        dirs = _direction_set(spec, ms, seed)
     results = []
     worst_gap = 0.0
     for w in dirs:
@@ -192,7 +186,7 @@ def cmd_analyze(spec: ProblemSpec, raw_dirs, seed: int) -> Report:
         "tau": ms.tau,
         "kappa": kappa,
         "mscq": prov,
-        "critical_cone": cone.description,
+        "critical_cone": ms.cone.description,
         "directions": results,
         "seed": seed,
         "tolerances": {"gap": tol},
@@ -208,7 +202,7 @@ def cmd_verify(spec: ProblemSpec, raw_dirs, seed: int, sched: GridSchedule) -> R
         return Report("verify", {"error": "v is not a subgradient of g(F(.)) at x"}, exit_code=2)
     dirs = _parse_dirs(raw_dirs, prob.n)
     if not dirs:
-        dirs, _ = _direction_set(spec, ms, seed, off_cone=2)
+        dirs = _direction_set(spec, ms, seed, off_cone=2)
     break_offset = float(os.environ.get("EPIDIFF_BREAK_FORMULA", "0") or 0)
 
     def formula(w):
@@ -280,7 +274,7 @@ def cmd_certify(spec: ProblemSpec, seed: int) -> Report:
         growth_rows.append(
             {"ell": 0.1, "epsilon": 0.1, "samples": rep.samples, "violations": rep.violations}
         )
-    cert = optimality.sms_certificate(prob, x, seed=seed, kappa=kappa, mscq_provenance=prov)
+    cert = optimality.sms_certificate(ssosc, mscq_provenance=prov)
     payload = {
         "sonc": {
             "holds": sonc.holds,
@@ -375,17 +369,12 @@ def run(argv=None) -> tuple[int, str]:
         if args.command == "analyze":
             report = cmd_analyze(spec, args.dir, seed)
         elif args.command == "verify":
-            sched_kwargs = {"seed": seed}
-            base = spec.schedule
-            for name in ("t0", "ratio", "steps"):
-                val = getattr(args, name)
-                sched_kwargs[name] = val if val is not None else getattr(base, name)
-            sched = GridSchedule(
-                radius_coeff=base.radius_coeff,
-                samples_per_axis=base.samples_per_axis,
-                radius_exponent=base.radius_exponent,
-                **sched_kwargs,
-            )
+            given = {
+                name: getattr(args, name)
+                for name in ("t0", "ratio", "steps")
+                if getattr(args, name) is not None
+            }
+            sched = replace(spec.schedule, seed=seed, **given)
             report = cmd_verify(spec, args.dir, seed, sched)
         elif args.command == "certify":
             report = cmd_certify(spec, seed)
@@ -393,8 +382,6 @@ def run(argv=None) -> tuple[int, str]:
             report = cmd_check_cq(spec, args.samples, args.radius, seed)
     except (ValidationError, ParseError) as exc:
         return 3, f"error: {exc}"
-    except (NotStationary, BasePointInfeasible, EmptyMultiplierSet) as exc:
-        return 2, f"error: {exc}"
     except EpidiffError as exc:
         return 2, f"error: {exc}"
     return report.exit_code, report.render()

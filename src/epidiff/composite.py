@@ -4,20 +4,23 @@ whose common value is the second subderivative of g(F(.)).
 
 The dual side maximizes <y, d2F(w,w)> + d2g(F(x), y)(dF(x) w) over the
 multiplier set truncated to the tau-ball box; the primal side minimizes the
-parabolic chain value minus <z, v>.  This module does the problem-level work:
-it evaluates F and its derivatives, builds the multiplier set from the shape
-of the subdifferential, and pulls the critical cone back.  Each catalog
-member answers for its own pieces of the chain rule (``dual_value``,
-``primal_value``, ``basic_cq`` of ``OuterFunction``): exact LPs for
-polyhedral data, a conjugate value at the multiplier for the spectral
-members, and closed forms for smooth data.  Every primal value is a closed
-form.
+parabolic chain value minus <z, v>.  This module does the problem-level work.
+``multipliers`` evaluates one base point (x, v) once: its ``MultiplierSet``
+is the per-point record that carries z = F(x), J = dF(x), the multipliers
+built from the shape of the subdifferential, and the critical cone pulled
+back under J.  Every chain-rule function reads the base point from that
+record and adds only the per-direction work.  Each catalog member answers for
+its own pieces of the chain rule (``dual_value``, ``primal_value``,
+``basic_cq`` of ``OuterFunction``): exact LPs for polyhedral data, a
+conjugate value at the multiplier for the spectral members, and closed forms
+for smooth data.  Every primal value is a closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -49,12 +52,17 @@ AFFINE_TOL = 1e-8
 
 @dataclass
 class MultiplierSet:
-    """Lagrange multipliers {y : adj(dF(x)) y = v, y in subdiff g(F(x))},
-    truncated to the tau-ball box before vertex enumeration."""
+    """The first-order record of one base point (x, v): z = F(x), J = dF(x)
+    and the Lagrange multipliers {y : adj(J) y = v, y in subdiff g(z)},
+    truncated to the tau-ball box before vertex enumeration.  ``cone`` is
+    the pulled-back critical cone, worked out on first use and kept."""
 
-    multipliers: list = field(default_factory=list)
+    g: OuterFunction
+    z: np.ndarray
+    J: np.ndarray
+    tau: float
+    multipliers: list
     polyhedron: Polyhedron | None = None
-    tau: float = 0.0
     truncated: bool = False
     tau_enlargements: int = 0
 
@@ -66,6 +74,29 @@ class MultiplierSet:
         if self.is_empty:
             raise EmptyMultiplierSet("no Lagrange multipliers")
         return self.multipliers[0]
+
+    @cached_property
+    def cone(self):
+        """Pullback of the outer critical cone under J; the outer cone is the
+        same for every multiplier, so the first one is used."""
+        if self.is_empty:
+            raise EmptyMultiplierSet("v is not a subgradient of g(F(.)) at x")
+        outer_cone = self.g.critical_cone(self.z, self.first())
+        J = self.J
+        if isinstance(outer_cone, PolyhedralConeRepr):
+            K = outer_cone.cone
+            return PolyhedralConeRepr(
+                PolyCone.make_cone(
+                    J.shape[1],
+                    K.G @ J if K.n_ineq else None,
+                    K.E @ J if K.n_eq else None,
+                ),
+                description="pullback of the outer critical cone",
+            )
+        return PredicateConeRepr(
+            lambda w: outer_cone.contains(J @ np.asarray(w, dtype=float)),
+            description="pullback membership of the outer critical cone",
+        )
 
     def ball_argmax(self, H, argmax):
         """The dual maximum of <y, H> is attained inside the Euclidean
@@ -116,20 +147,21 @@ def lipschitz_constant(g: OuterFunction, z) -> LipschitzInfo:
     return LipschitzInfo(ell=float(g.lipschitz_bound(np.asarray(z, dtype=float))))
 
 
-def tau_bound(prob: CompositeProblem, x, v, kappa: float, ell: float) -> float:
-    """kappa * ell * |dF(x)| + kappa * |v| + ell, operator norm via sym_eig."""
+def tau_bound(J, v, kappa: float, ell: float) -> float:
+    """kappa * ell * |dF(x)| + kappa * |v| + ell for J = dF(x), operator
+    norm via sym_eig."""
     if kappa < 0 or ell < 0:
         raise ValueError("kappa and ell must be nonnegative")
-    J = jacobian(prob.F, np.asarray(x, dtype=float))
     return kappa * ell * operator_norm(J) + kappa * float(np.linalg.norm(v)) + ell
 
 
 def multipliers(
     prob: CompositeProblem, x, v, kappa: float = 1.0, ell: float | None = None
 ) -> MultiplierSet:
-    """The multiplier set, materialized as tau-box-truncated vertices for
-    polyhedral subdifferentials and as the unique candidate for spectral or
-    singleton subdifferentials."""
+    """The record of the base point (x, v): F(x), dF(x) and the multiplier
+    set, materialized as tau-box-truncated vertices for polyhedral
+    subdifferentials and as the unique candidate for spectral or singleton
+    subdifferentials."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     z = poly_eval(prob.F, x)
@@ -138,7 +170,8 @@ def multipliers(
     J = jacobian(prob.F, x)
     if ell is None:
         ell = prob.g.lipschitz_bound(z)
-    tau = tau_bound(prob, x, v, kappa, ell)
+    tau = tau_bound(J, v, kappa, ell)
+    make = partial(MultiplierSet, prob.g, z, J, tau)
     rep = prob.g.subdifferential(z)
 
     def _affine_ok(y) -> bool:
@@ -158,26 +191,20 @@ def multipliers(
             if verts:
                 break
             if is_empty(core):
-                return MultiplierSet([], None, tau, True, 0)
+                return make([], None, True)
             tau_eff *= 2.0
             enlargements += 1
         verts = [y for y in verts if _affine_ok(y) and rep.contains(y, 1e-7)]
-        return MultiplierSet(
-            verts,
-            intersect(core, box(prob.m, tau_eff)),
-            tau,
-            truncated=True,
-            tau_enlargements=enlargements,
-        )
+        return make(verts, intersect(core, box(prob.m, tau_eff)), True, enlargements)
 
     if isinstance(rep, PointRep):
         y0 = rep.point
-        return MultiplierSet([y0] if _affine_ok(y0) else [], None, tau, False, 0)
+        return make([y0] if _affine_ok(y0) else [])
 
     if isinstance(rep, SpectralRep):
         unique = rep.unique_element()
         if unique is not None:
-            return MultiplierSet([unique] if _affine_ok(unique) else [], None, tau, False, 0)
+            return make([unique] if _affine_ok(unique) else [])
         # clustered spectrum: only an injective adjoint pins y
         JT = J.T
         s = np.linalg.svd(JT, compute_uv=False)
@@ -188,7 +215,7 @@ def multipliers(
             )
         y, *_ = np.linalg.lstsq(JT, v, rcond=None)
         ok = _affine_ok(y) and rep.contains(y, 1e-7)
-        return MultiplierSet([y] if ok else [], None, tau, False, 0)
+        return make([y] if ok else [])
 
     raise UnsupportedTag(f"unknown subdifferential representation {type(rep).__name__}")
 
@@ -300,30 +327,11 @@ def subderivative_chain(prob: CompositeProblem, x, w) -> ExtReal:
 
 
 def critical_cone(prob: CompositeProblem, x, v, multys: MultiplierSet | None = None):
-    """Pullback of the outer critical cone under dF(x); the outer cone is the
-    same for every multiplier, so the first stored one is used."""
-    x = np.asarray(x, dtype=float)
+    """Pullback of the outer critical cone under dF(x): the cone the
+    multiplier set of (x, v) keeps."""
     if multys is None:
         multys = multipliers(prob, x, v)
-    if multys.is_empty:
-        raise EmptyMultiplierSet("v is not a subgradient of g(F(.)) at x")
-    z = poly_eval(prob.F, x)
-    J = jacobian(prob.F, x)
-    outer_cone = prob.g.critical_cone(z, multys.first())
-    if isinstance(outer_cone, PolyhedralConeRepr):
-        K = outer_cone.cone
-        return PolyhedralConeRepr(
-            PolyCone.make_cone(
-                prob.n,
-                K.G @ J if K.n_ineq else None,
-                K.E @ J if K.n_eq else None,
-            ),
-            description="pullback of the outer critical cone",
-        )
-    return PredicateConeRepr(
-        lambda w: outer_cone.contains(J @ np.asarray(w, dtype=float)),
-        description="pullback membership of the outer critical cone",
-    )
+    return multys.cone
 
 
 def parabolic_chain(prob: CompositeProblem, x, w, z) -> ExtReal:
@@ -345,17 +353,11 @@ def chain_dual_value(
 ) -> tuple[ExtReal, np.ndarray | None]:
     """The dual-side maximum alone: max over the multiplier set of
     <y, d2F(x)(w,w)> + d2g(F(x), y)(dF(x) w), PlusInf off the critical cone."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    if multys.is_empty:
-        raise EmptyMultiplierSet("v is not a subgradient of g(F(.)) at x")
-    cone = critical_cone(prob, x, v, multys)
-    if not cone.contains(w):
+    if not multys.cone.contains(w):
         return PLUS_INF, None
-    zbar = poly_eval(prob.F, x)
-    J = jacobian(prob.F, x)
-    return prob.g.dual_value(zbar, J @ w, second_form(prob.F, x, w), multys)
+    H = second_form(prob.F, np.asarray(x, dtype=float), w)
+    return prob.g.dual_value(multys.z, multys.J @ w, H, multys)
 
 
 def second_subderivative_chain(
@@ -369,18 +371,18 @@ def second_subderivative_chain(
     mscq_provenance: str = "user-asserted",
 ) -> DualityInfo:
     """The second subderivative of g(F(.)) at x for v along w, as the maximum
-    over multipliers, together with the primal minimization value."""
+    over multipliers, together with the primal minimization value; both
+    sides share dF(x) w and d2F(x)(w, w)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     if multys is None:
         multys = multipliers(prob, x, v, kappa=kappa, ell=ell)
-    if multys.is_empty:
-        raise EmptyMultiplierSet("v is not a subgradient of g(F(.)) at x")
-    if not critical_cone(prob, x, v, multys).contains(w):
+    if not multys.cone.contains(w):
         return DualityInfo(PLUS_INF, PLUS_INF, None, multys.tau, 0.0, mscq_provenance)
-    dual_val, argmax = chain_dual_value(prob, x, v, w, multys)
-    primal_val, _ = _primal_value(prob, x, v, w)
+    u, H = multys.J @ w, second_form(prob.F, x, w)
+    dual_val, argmax = prob.g.dual_value(multys.z, u, H, multys)
+    primal_val, _ = _primal_value(prob, v, u, H, multys)
     if primal_val.is_finite and dual_val.is_finite:
         gap = abs(primal_val.value - dual_val.value)
     elif primal_val.is_plus_inf and dual_val.is_plus_inf:
@@ -393,22 +395,21 @@ def second_subderivative_chain(
 # -- the primal side ------------------------------------------------------------------------
 
 
-def _primal_value(prob: CompositeProblem, x, v, w) -> tuple[ExtReal, bool]:
-    """The primal value for w on the critical cone, paired with True (every
-    member's primal value is exact), the shape that tracing tools read."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    J = jacobian(prob.F, x)
-    return prob.g.primal_value(poly_eval(prob.F, x), J, J @ w, second_form(prob.F, x, w), v), True
+def _primal_value(prob: CompositeProblem, v, u, H, multys: MultiplierSet) -> tuple[ExtReal, bool]:
+    """The primal value for u = dF(x) w, H = d2F(x)(w, w) with w on the
+    critical cone, paired with True (every member's primal value is exact),
+    the shape that tracing tools read."""
+    return prob.g.primal_value(multys.z, multys.J, u, H, v), True
 
 
 def primal_value(prob: CompositeProblem, x, v, w) -> ExtReal:
     """min over z of parabolic_chain(x, w, z) - <z, v>, in closed form."""
-    cone = critical_cone(prob, x, v)
-    if not cone.contains(np.asarray(w, dtype=float)):
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    ms = multipliers(prob, x, v)
+    if not ms.cone.contains(w):
         raise CriticalConePreconditionFailed("w is outside the critical cone")
-    val, _ = _primal_value(prob, x, v, w)
+    val, _ = _primal_value(prob, np.asarray(v, dtype=float), ms.J @ w, second_form(prob.F, x, w), ms)
     return val
 
 

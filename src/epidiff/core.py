@@ -288,7 +288,7 @@ class CompositeProblem:
         self.n = F.n_in
         self.m = F.n_out
 
-    def check_feasible(self, x, tol: float = 0.0) -> bool:
+    def check_feasible(self, x) -> bool:
         """Base-point feasibility F(x) in dom g."""
         return self.g.value(poly_eval(self.F, x)).is_finite
 

@@ -192,12 +192,21 @@ def _nullspace(M: np.ndarray, dim: int) -> np.ndarray:
     return Vt[rank:].T
 
 
+def dedupe(points, tol: float) -> list[np.ndarray]:
+    """The points in order, without those within tol (max norm) of an
+    earlier kept one; each is compared with all kept points at once."""
+    points = list(points)
+    if not points:
+        return []
+    P = np.asarray(points, dtype=float)
+    keep = np.zeros(len(points), dtype=bool)
+    for i in range(len(points)):
+        keep[i] = np.all(np.max(np.abs(P[keep] - P[i]), axis=1) > tol)
+    return [p for p, k in zip(points, keep) if k]
+
+
 def _dedupe_sorted(points: list[np.ndarray], tol: float = DEDUP_TOL) -> list[np.ndarray]:
-    kept: list[np.ndarray] = []
-    for p in sorted(points, key=lambda v: tuple(v)):
-        if all(np.max(np.abs(p - q)) > tol for q in kept):
-            kept.append(p)
-    return kept
+    return dedupe(sorted(points, key=lambda v: tuple(v)), tol)
 
 
 def _basic_solution(P: Polyhedron, S: tuple) -> np.ndarray | None:

@@ -18,13 +18,13 @@ from .composite import (
     MultiplierSet,
     _restore_feasible_point,
     chain_dual_value,
-    critical_cone,
     multipliers,
 )
-from .core import CompositeProblem, component_hessian, gradient, hessian, jacobian, poly_eval
+from .core import CompositeProblem, component_hessian, gradient, hessian, poly_eval
 from .errors import EpidiffError, NotStationary
 from .extreal import PLUS_INF, ExtReal
-from .numkit import SymMatrix, project
+from .numkit import SymMatrix, dedupe, project
+from .numkit.polyhedra import DEDUP_TOL
 from .outer import PolyhedralConeRepr
 
 SONC_TOL = 1e-6
@@ -69,6 +69,8 @@ def lagrangian_hessian(prob: CompositeProblem, x, y) -> SymMatrix:
 
 
 def _stationary_data(prob: CompositeProblem, x, kappa: float):
+    """v = -grad phi(x), the multiplier set of (x, v) and the Hessian of phi
+    at x: everything the conditions need from the base point."""
     x = np.asarray(x, dtype=float)
     v = -gradient(prob.phi, x)
     try:
@@ -77,16 +79,15 @@ def _stationary_data(prob: CompositeProblem, x, kappa: float):
         raise NotStationary(f"no multipliers at the base point: {exc}") from exc
     if ms.is_empty:
         raise NotStationary("-grad phi(x) is not a subgradient of g(F(.)) at x")
-    return v, ms
+    return v, ms, hessian(prob.phi, x)
 
 
-def _condition_value(prob: CompositeProblem, x, v, w, ms: MultiplierSet) -> ExtReal:
+def _condition_value(prob: CompositeProblem, x, v, w, ms: MultiplierSet, phi_hess) -> ExtReal:
     w = np.asarray(w, dtype=float)
     dual, _ = chain_dual_value(prob, x, v, w, ms)
     if dual.is_plus_inf:
         return PLUS_INF
-    phi_form = float(w @ hessian(prob.phi, np.asarray(x, dtype=float)) @ w)
-    return ExtReal(phi_form + dual.value)
+    return ExtReal(float(w @ phi_hess @ w) + dual.value)
 
 
 def _unit_sphere_seeds(dim: int, count: int, rng) -> list[np.ndarray]:
@@ -124,19 +125,18 @@ def _project_to_cone(cone, w: np.ndarray) -> np.ndarray | None:
     return p / nrm
 
 
-def sample_critical_directions(prob, x, v, ms, cone, n_dirs: int, seed: int, dense: bool = False):
-    """Extreme rays of a polyhedral critical cone plus projected random (or
-    sphere-lattice) unit directions.
+def sample_critical_directions(prob, ms: MultiplierSet, n_dirs: int, seed: int, dense: bool = False):
+    """Extreme rays of the polyhedral critical cone of the multiplier set
+    plus projected random (or sphere-lattice) unit directions.
 
     Predicate cones (spectral instances) are handled by pulling a random image
     direction onto the outer critical cone and solving it back through the
     Jacobian when the catalog member exposes a projection."""
     rng = np.random.default_rng(seed)
+    cone, J = ms.cone, ms.J
     dirs: list[np.ndarray] = []
     if isinstance(cone, PolyhedralConeRepr):
         dirs.extend(cone.directions())
-    J = jacobian(prob.F, np.asarray(x, dtype=float))
-    zbar = poly_eval(prob.F, np.asarray(x, dtype=float))
     project_critical = getattr(prob.g, "project_critical", None)
     if dense:
         # deterministic sphere lattice for minimization coverage
@@ -146,8 +146,8 @@ def sample_critical_directions(prob, x, v, ms, cone, n_dirs: int, seed: int, den
         seeds = list(raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300))
     for s in seeds:
         p = _project_to_cone(cone, s)
-        if p is None and project_critical is not None and not ms.is_empty:
-            u = project_critical(zbar, ms.first(), J @ s)
+        if p is None and project_critical is not None:
+            u = project_critical(ms.z, ms.first(), J @ s)
             sol, *_ = np.linalg.lstsq(J, u, rcond=None)
             nrm = float(np.linalg.norm(sol))
             if nrm > 1e-9:
@@ -156,26 +156,21 @@ def sample_critical_directions(prob, x, v, ms, cone, n_dirs: int, seed: int, den
                     p = cand
         if p is not None and cone.contains(p):
             dirs.append(p)
-    kept: list[np.ndarray] = []
-    for d in dirs:
-        if all(np.max(np.abs(d - k)) > 1e-9 for k in kept):
-            kept.append(d)
-    return kept
+    return dedupe(dirs, DEDUP_TOL)
 
 
 def check_sonc(prob: CompositeProblem, x, n_dirs: int = 16, seed: int = 0, kappa: float = 1.0) -> SOCReport:
     """Necessary condition: the condition value is nonnegative on every tested
     critical direction."""
     x = np.asarray(x, dtype=float)
-    v, ms = _stationary_data(prob, x, kappa)
-    cone = critical_cone(prob, x, v, ms)
-    dirs = sample_critical_directions(prob, x, v, ms, cone, n_dirs, seed)
-    method = "extreme_rays" if isinstance(cone, PolyhedralConeRepr) else "sphere_grid"
+    v, ms, phi_hess = _stationary_data(prob, x, kappa)
+    dirs = sample_critical_directions(prob, ms, n_dirs, seed)
+    method = "extreme_rays" if isinstance(ms.cone, PolyhedralConeRepr) else "sphere_grid"
     if not dirs:
         return SOCReport("necessary", True, None, ExtReal(0.0), 0, method)
     worst_val, worst_dir = None, None
     for w in dirs:
-        val = _condition_value(prob, x, v, w, ms)
+        val = _condition_value(prob, x, v, w, ms, phi_hess)
         if worst_val is None or val < worst_val:
             worst_val, worst_dir = val, w
     holds = worst_val.is_plus_inf or worst_val.value >= -SONC_TOL
@@ -214,21 +209,21 @@ def check_ssosc(prob: CompositeProblem, x, n_dirs: int = 16, seed: int = 0, kapp
     otherwise a sphere lattice plus local refinement searches for the minimum
     (an interior direction can be the minimizer in wider cones)."""
     x = np.asarray(x, dtype=float)
-    v, ms = _stationary_data(prob, x, kappa)
-    cone = critical_cone(prob, x, v, ms)
+    v, ms, phi_hess = _stationary_data(prob, x, kappa)
+    cone = ms.cone
     exact_rays = isinstance(cone, PolyhedralConeRepr) and cone.dimension() <= 1
     if exact_rays:
         dirs = cone.directions()
         method = "extreme_rays"
     else:
-        dirs = sample_critical_directions(prob, x, v, ms, cone, n_dirs, seed, dense=True)
+        dirs = sample_critical_directions(prob, ms, n_dirs, seed, dense=True)
         method = "sphere_grid"
     if not dirs:
         # the critical cone is {0}: the condition over nonzero directions is vacuous
         return SOCReport("sufficient", True, None, PLUS_INF, 0, method)
 
     def val_fn(w):
-        return _condition_value(prob, x, v, w, ms).as_float()
+        return _condition_value(prob, x, v, w, ms, phi_hess).as_float()
 
     worst_val, worst_dir = math.inf, None
     for w in dirs:
@@ -292,17 +287,10 @@ def verify_growth(
     )
 
 
-def sms_certificate(
-    prob: CompositeProblem,
-    x,
-    n_dirs: int = 16,
-    seed: int = 0,
-    kappa: float = 1.0,
-    mscq_provenance: str = "user-asserted",
-) -> SmsCertificate:
-    """Certificate tying the sufficient condition to local minimality plus
-    strong metric subregularity of the subgradient mapping at (x, 0)."""
-    ssosc = check_ssosc(prob, x, n_dirs=n_dirs, seed=seed, kappa=kappa)
+def sms_certificate(ssosc: SOCReport, mscq_provenance: str = "user-asserted") -> SmsCertificate:
+    """Certificate tying the sufficient condition, as reported by
+    ``check_ssosc``, to local minimality plus strong metric subregularity of
+    the subgradient mapping at (x, 0)."""
     assumptions = {
         "constraint_qualification": mscq_provenance,
         "outer_parabolic_epi_differentiability": "catalog-guaranteed",

@@ -165,14 +165,14 @@ def test_A7_optimality_certificates():
     assert ssosc.holds and ssosc.worst_value.value == pytest.approx(2.0, abs=0.05)
     growth = verify_growth(prob, [0.0, 0.0], ell=1.0, epsilon=0.05, n_samples=2000, seed=5)
     assert growth.violations == 0 and growth.samples == 2000
-    cert = sms_certificate(prob, [0.0, 0.0], seed=5)
+    cert = sms_certificate(ssosc)
     assert cert.affirmative
     flat = quartic_problem()
     ssosc_flat = check_ssosc(flat, [0.0], seed=5)
     assert not ssosc_flat.holds
     growth_flat = verify_growth(flat, [0.0], ell=0.1, epsilon=0.5, n_samples=1000, seed=5)
     assert growth_flat.violations > 0
-    assert not sms_certificate(flat, [0.0], seed=5).affirmative
+    assert not sms_certificate(ssosc_flat).affirmative
     elapsed = time.time() - start
     assert elapsed < 30.0
     print(f"\n[A7] optimality: SSOSC min {ssosc.worst_value.value:.3f} (2 ± 0.05), "

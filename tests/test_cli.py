@@ -306,6 +306,33 @@ def test_certify_exit_codes(tmp_path):
     assert code2 == 2
 
 
+def test_certify_runs_each_condition_and_cone_once(monkeypatch):
+    """One certify runs check_ssosc once (the certificate reuses its report),
+    and each multiplier set pulls the catalog's critical cone back once, not
+    once per probed direction."""
+    from epidiff import optimality
+    from epidiff.outer import PolyhedralIndicator
+
+    calls = {"ssosc": 0, "sets": 0, "cone": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(optimality, "check_ssosc", counted("ssosc", optimality.check_ssosc))
+    monkeypatch.setattr(optimality, "multipliers", counted("sets", optimality.multipliers))
+    monkeypatch.setattr(
+        PolyhedralIndicator, "critical_cone", counted("cone", PolyhedralIndicator.critical_cone)
+    )
+    code, text = run(["certify", _fixture("parabola_min.json")])
+    assert code == 0 and _json_block(text)["ssosc"]["directions_tested"] > 1
+    assert calls["ssosc"] == 1
+    # the base point's set is built once by each condition
+    assert calls["sets"] == 2 and calls["cone"] == calls["sets"]
+
+
 def test_check_cq_report():
     code, text = run(["check-cq", _fixture("mscq_fail.json")])
     assert code == 0

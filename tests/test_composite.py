@@ -18,7 +18,7 @@ from epidiff.composite import (
     subderivative_chain,
     tau_bound,
 )
-from epidiff.core import CompositeProblem, PolyMap
+from epidiff.core import CompositeProblem, PolyMap, jacobian
 from epidiff.errors import (
     CriticalConePreconditionFailed,
     EmptyMultiplierSet,
@@ -126,10 +126,10 @@ def test_lipschitz_constants():
 
 
 def test_tau_examples():
-    assert tau_bound(a1_problem(), A1_X, A1_V, 1.0, 0.0) == pytest.approx(1.0)
-    assert tau_bound(a1_problem(), A1_X, A1_V, 0.0, 0.0) == 0.0
-    prob3 = CompositeProblem(PolyMap.zero(1), PolyMap.linear([[3.0]]), nonpositive_orthant(1))
-    assert tau_bound(prob3, [0.0], [1.0], 2.0, 1.0) == pytest.approx(9.0)
+    J1 = jacobian(a1_problem().F, A1_X)
+    assert tau_bound(J1, A1_V, 1.0, 0.0) == pytest.approx(1.0)
+    assert tau_bound(J1, A1_V, 0.0, 0.0) == 0.0
+    assert tau_bound(np.array([[3.0]]), [1.0], 2.0, 1.0) == pytest.approx(9.0)
 
 
 # -- constraint qualifications -----------------------------------------------------------

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from epidiff.core import PolyMap
-from epidiff.numkit import svec
+from epidiff.numkit import Polyhedron, svec
 from epidiff.oracle import estimate_parabolic_subderivative, estimate_second_subderivative
 from epidiff.outer import (
     AlphaEigFunction,
     MaxEigFunction,
     NegSemidefIndicator,
+    PolyhedralIndicator,
     SmoothQuadratic,
     SumTopEigFunction,
     absolute_value,
@@ -59,6 +60,14 @@ CASES = [
     ("plq_abs", absolute_value(), np.array([0.0]), np.array([1.0])),
     ("plq_half_square", half_square_plq(), np.array([0.0]), np.array([0.0])),
     ("ind_orthant", nonpositive_orthant(2), np.array([0.0, -1.0]), np.array([1.0, 0.0])),
+    # the wedge {z2 <= 0, z1 + z2 <= 0} at its apex, y normal to the slanted
+    # row: not axis-aligned, so restoration projects through the face search
+    (
+        "ind_polyhedron_wedge",
+        PolyhedralIndicator(Polyhedron.make(2, G=np.array([[0.0, 1.0], [1.0, 1.0]]), h=np.zeros(2))),
+        np.array([0.0, 0.0]),
+        np.array([1.0, 1.0]),
+    ),
     ("ind_negsemidef", NegSemidefIndicator(2), *psd_base_data()),
     ("max_eig", MaxEigFunction(2), svec(np.diag([2.0, 1.0])), svec(np.diag([1.0, 0.0]))),
     (

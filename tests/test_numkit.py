@@ -12,6 +12,7 @@ from epidiff.numkit import (
     box,
     cone_generators,
     contains,
+    dedupe,
     intersect,
     lp_max,
     min_norm_point,
@@ -373,6 +374,39 @@ def test_kernel_matches_enumeration_on_multiplier_polytopes(m):
 
 
 # -- symmetric vectorization ------------------------------------------------------------------
+
+
+def _pairwise_dedupe(points, tol):
+    """The pairwise loop the shared helper replaced, kept as its reference."""
+    kept = []
+    for p in points:
+        if all(np.max(np.abs(p - q)) > tol for q in kept):
+            kept.append(p)
+    return kept
+
+
+@st.composite
+def _directions_with_near_duplicates(draw):
+    """Unit-box points plus copies shifted in one coordinate by just below or
+    just above 1e-9 (copies of copies too), shuffled."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    coord = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    points = [np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+              for _ in range(draw(st.integers(min_value=1, max_value=10)))]
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        q = points[draw(st.integers(min_value=0, max_value=len(points) - 1))].copy()
+        shift = draw(st.sampled_from([0.5, 0.99, 1.0, 1.01, 2.0])) * 1e-9
+        q[draw(st.integers(min_value=0, max_value=dim - 1))] += draw(st.sampled_from([-1.0, 1.0])) * shift
+        points.append(q)
+    return draw(st.permutations(points))
+
+
+@given(_directions_with_near_duplicates())
+@settings(max_examples=300, deadline=None)
+def test_dedupe_keeps_what_the_pairwise_loop_kept(points):
+    kept = dedupe(points, 1e-9)
+    ref = _pairwise_dedupe(points, 1e-9)
+    assert len(kept) == len(ref) and all(a is b for a, b in zip(kept, ref))
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10_000))

@@ -83,10 +83,10 @@ def test_growth_examples():
 
 
 def test_sms_certificate():
-    assert sms_certificate(parabola_min_problem(), [0.0, 0.0], seed=1).affirmative
-    assert not sms_certificate(quartic_problem(), [0.0], seed=1).affirmative
+    assert sms_certificate(check_ssosc(parabola_min_problem(), [0.0, 0.0], seed=1)).affirmative
+    assert not sms_certificate(check_ssosc(quartic_problem(), [0.0], seed=1)).affirmative
     with pytest.raises(NotStationary):
-        sms_certificate(parabola_min_problem(), [0.5, 0.25], seed=1)
+        check_ssosc(parabola_min_problem(), [0.5, 0.25], seed=1)
 
 
 # -- invariants & properties --------------------------------------------------------
