@@ -4,7 +4,8 @@
 Usage: python scripts/run_fixture_suite.py [--seed N]
 
 Each line ends with the first 12 hex digits of the sha256 of the rendered
-report; equal digests in two runs mean byte-identical reports.
+report; equal digests in two runs mean byte-identical reports.  The script
+exits 1 if any command exits nonzero.
 """
 
 import argparse
@@ -66,11 +67,10 @@ def main() -> int:
                     if not isinstance(kappa_hat, str):
                         kappa_hat = f"{kappa_hat:.3g}"
                     summary = f"mscq={block['mscq']['holds_evidence']} kappa_hat={kappa_hat}"
-            status = "ok" if code in (0, 1) else f"exit {code}"
-            # exit 1 marks a numerical disagreement: surface it
-            if code == 1:
-                status = "DISAGREEMENT"
-                failures += 1
+            # every fixture is expected to pass: exit 1 marks a numerical
+            # disagreement, any other nonzero exit a failed precondition or parse
+            status = {0: "ok", 1: "DISAGREEMENT"}.get(code, f"exit {code}")
+            failures += code != 0
             digest = hashlib.sha256(text.encode()).hexdigest()[:12]
             print(f"{fixture:22s} {command:9s} [{status}] {elapsed:6.2f}s {digest}  {summary}")
     return 1 if failures else 0

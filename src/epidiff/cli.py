@@ -33,7 +33,7 @@ from .numkit import dedupe
 from .numkit.polyhedra import DEDUP_TOL
 from .oracle import check_parabolic_regularity, check_twice_epi_diff
 from .optimality import sample_critical_directions
-from .problem_io import ProblemSpec, parse_problem
+from .problem_io import ProblemSpec, parse_problem, parse_seed
 
 GAP_TOL_ABS = 0.05
 
@@ -91,8 +91,6 @@ def _render_block(data, indent=0) -> list[str]:
 
 
 def _next_pow2(x: float) -> float:
-    if x <= 0:
-        return 0.0
     return float(2.0 ** math.ceil(math.log2(x))) if x > 1e-12 else 0.0
 
 
@@ -133,8 +131,8 @@ def _parse_dirs(raw_dirs, n) -> list[np.ndarray]:
             vec = np.array([float(t) for t in raw.split(",")], dtype=float)
         except ValueError as exc:
             raise ValidationError(f"--dir {raw!r}: expected comma-separated floats") from exc
-        if vec.shape != (n,):
-            raise ValidationError(f"--dir {raw!r}: expected {n} components")
+        if vec.shape != (n,) or not np.all(np.isfinite(vec)):
+            raise ValidationError(f"--dir {raw!r}: expected {n} finite components")
         out.append(vec)
     return out
 
@@ -148,7 +146,7 @@ def _gap_tol(value: ExtReal) -> float:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_analyze(spec: ProblemSpec, raw_dirs, seed: int) -> Report:
+def cmd_analyze(spec: ProblemSpec, dirs: list, seed: int) -> Report:
     prob, x, v = spec.problem, spec.x, spec.v
     kappa, prov, _ = _resolve_kappa(spec, seed)
     ms = composite.multipliers(prob, x, v, kappa=kappa, ell=spec.ell)
@@ -158,7 +156,6 @@ def cmd_analyze(spec: ProblemSpec, raw_dirs, seed: int) -> Report:
             {"error": "v is not a subgradient of g(F(.)) at x", "multipliers": []},
             exit_code=2,
         )
-    dirs = _parse_dirs(raw_dirs, prob.n)
     if not dirs:
         dirs = _direction_set(spec, ms, seed)
     results = []
@@ -194,13 +191,12 @@ def cmd_analyze(spec: ProblemSpec, raw_dirs, seed: int) -> Report:
     return Report("analyze", payload, exit_code=0 if worst_gap <= tol else 1)
 
 
-def cmd_verify(spec: ProblemSpec, raw_dirs, seed: int, sched: GridSchedule) -> Report:
+def cmd_verify(spec: ProblemSpec, dirs: list, seed: int, sched: GridSchedule) -> Report:
     prob, x, v = spec.problem, spec.x, spec.v
     kappa, prov, _ = _resolve_kappa(spec, seed)
     ms = composite.multipliers(prob, x, v, kappa=kappa, ell=spec.ell)
     if ms.is_empty:
         return Report("verify", {"error": "v is not a subgradient of g(F(.)) at x"}, exit_code=2)
-    dirs = _parse_dirs(raw_dirs, prob.n)
     if not dirs:
         dirs = _direction_set(spec, ms, seed, off_cone=2)
     break_offset = float(os.environ.get("EPIDIFF_BREAK_FORMULA", "0") or 0)
@@ -251,45 +247,40 @@ def cmd_verify(spec: ProblemSpec, raw_dirs, seed: int, sched: GridSchedule) -> R
     return Report("verify", payload, exit_code=0 if all_ok else 1)
 
 
+def _condition_row(rep: optimality.SOCReport) -> dict:
+    return {
+        "holds": rep.holds,
+        "worst_value": rep.worst_value,
+        "worst_direction": rep.worst_direction,
+        "directions_tested": rep.directions_tested,
+        "method": rep.method,
+    }
+
+
 def cmd_certify(spec: ProblemSpec, seed: int) -> Report:
     prob, x = spec.problem, spec.x
     kappa, prov, _ = _resolve_kappa(spec, seed)
     try:
-        sonc = optimality.check_sonc(prob, x, seed=seed, kappa=kappa)
-        ssosc = optimality.check_ssosc(prob, x, seed=seed, kappa=kappa)
+        base = optimality.stationary_data(prob, x, kappa)
+        sonc = optimality.check_sonc(prob, x, seed=seed, base=base)
+        ssosc = optimality.check_ssosc(prob, x, seed=seed, base=base)
     except NotStationary as exc:
         return Report("certify", {"error": f"not stationary: {exc}"}, exit_code=2)
+    strict = ssosc.holds and ssosc.worst_value.is_finite
+    ell = 0.5 * ssosc.worst_value.value if strict else 0.1
     growth_rows = []
-    consistent = True
-    if ssosc.holds and ssosc.worst_value.is_finite:
-        ell = 0.5 * ssosc.worst_value.value
-        for eps in (0.1, 0.05, 0.01):
-            rep = optimality.verify_growth(prob, x, ell=ell, epsilon=eps, n_samples=2000, seed=seed)
-            growth_rows.append(
-                {"ell": ell, "epsilon": eps, "samples": rep.samples, "violations": rep.violations}
-            )
-        consistent = growth_rows[-1]["violations"] == 0
-    else:
-        rep = optimality.verify_growth(prob, x, ell=0.1, epsilon=0.1, n_samples=1000, seed=seed)
-        growth_rows.append(
-            {"ell": 0.1, "epsilon": 0.1, "samples": rep.samples, "violations": rep.violations}
+    for eps in (0.1, 0.05, 0.01) if strict else (0.1,):
+        rep = optimality.verify_growth(
+            prob, x, ell=ell, epsilon=eps, n_samples=2000 if strict else 1000, seed=seed
         )
+        growth_rows.append(
+            {"ell": ell, "epsilon": eps, "samples": rep.samples, "violations": rep.violations}
+        )
+    consistent = not (strict and growth_rows[-1]["violations"])
     cert = optimality.sms_certificate(ssosc, mscq_provenance=prov)
     payload = {
-        "sonc": {
-            "holds": sonc.holds,
-            "worst_value": sonc.worst_value,
-            "worst_direction": sonc.worst_direction,
-            "directions_tested": sonc.directions_tested,
-            "method": sonc.method,
-        },
-        "ssosc": {
-            "holds": ssosc.holds,
-            "worst_value": ssosc.worst_value,
-            "worst_direction": ssosc.worst_direction,
-            "directions_tested": ssosc.directions_tested,
-            "method": ssosc.method,
-        },
+        "sonc": _condition_row(sonc),
+        "ssosc": _condition_row(ssosc),
         "growth": growth_rows,
         "sms_certificate": {
             "affirmative": cert.affirmative,
@@ -328,8 +319,15 @@ def cmd_check_cq(spec: ProblemSpec, n_samples: int, radius: float, seed: int) ->
 # -- dispatch ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are parse errors: exit 3 with an error line."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="epidiff", description=__doc__)
+    parser = _Parser(prog="epidiff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     pa = sub.add_parser("analyze", help="multipliers, tau, and the chain-rule values")
     pa.add_argument("file")
@@ -353,21 +351,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> tuple[int, str]:
+def _parse(argv) -> tuple:
+    """(args, spec, seed, dirs): argv, file and environment, all checked first."""
     args = build_parser().parse_args(argv)
-    try:
-        spec = parse_problem(args.file)
-    except (ParseError, ValidationError) as exc:
-        return 3, f"error: {exc}"
-    seed = spec.seed
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
+    spec = parse_problem(args.file)
+    seed = spec.seed if args.seed is None else parse_seed(args.seed, "--seed")
     env_seed = os.environ.get("EPIDIFF_SEED")
     if env_seed:
-        seed = int(env_seed)
+        seed = parse_seed(env_seed, "EPIDIFF_SEED")
+    if args.command == "check-cq":
+        if args.samples < 1:
+            raise ValidationError("--samples: must be at least 1")
+        if not (math.isfinite(args.radius) and args.radius > 0):
+            raise ValidationError("--radius: must be finite and positive")
+    return args, spec, seed, _parse_dirs(getattr(args, "dir", None), spec.problem.n)
+
+
+def run(argv=None) -> tuple[int, str]:
+    try:
+        args, spec, seed, dirs = _parse(argv)
+    except (ParseError, ValidationError) as exc:
+        return 3, f"error: {exc}"
     try:
         if args.command == "analyze":
-            report = cmd_analyze(spec, args.dir, seed)
+            report = cmd_analyze(spec, dirs, seed)
         elif args.command == "verify":
             given = {
                 name: getattr(args, name)
@@ -375,7 +382,7 @@ def run(argv=None) -> tuple[int, str]:
                 if getattr(args, name) is not None
             }
             sched = replace(spec.schedule, seed=seed, **given)
-            report = cmd_verify(spec, args.dir, seed, sched)
+            report = cmd_verify(spec, dirs, seed, sched)
         elif args.command == "certify":
             report = cmd_certify(spec, seed)
         else:

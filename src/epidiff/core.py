@@ -4,10 +4,19 @@ problem container.
 Smooth data (phi and F) are restricted to polynomial maps so Jacobians and
 Hessians are exact: no automatic differentiation or finite-difference error
 enters the verification chain on the smooth side.
+
+A ``PolyMap`` is compiled on first use into arrays (coefficient, exponent
+row and owning output of every monomial, in monomial order), and so are its
+first and second partials, once each.  One evaluator serves values, batches,
+Jacobians and Hessians.  Each entry point builds its own power table: a point
+by the scalar power ``x_i ** k``, a batch by the array power ``X[:, i] ** k``.
+numpy's vectorized array power can differ from the scalar one in the last
+bit, so the two are never mixed.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -22,11 +31,43 @@ MAX_DEGREE = 6
 Monomial = tuple[float, tuple[int, ...]]
 
 
-def _merge(monomials: Sequence[Monomial]) -> list[Monomial]:
+def _merge(monomials: Sequence[Monomial], n_in: int) -> list[Monomial]:
+    """Validated monomials, like terms added up, sorted by exponents, zeros dropped."""
     acc: dict[tuple[int, ...], float] = {}
     for coeff, exps in monomials:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != n_in:
+            raise DimensionMismatch("monomial exponent length != n_in")
+        if any(e < 0 for e in exps):
+            raise ValidationError("negative exponent in monomial")
+        if sum(exps) > MAX_DEGREE:
+            raise ValidationError(f"monomial degree exceeds {MAX_DEGREE}")
         acc[exps] = acc.get(exps, 0.0) + float(coeff)
     return [(c, e) for e, c in sorted(acc.items()) if c != 0.0]
+
+
+class _Compiled:
+    """A polynomial map as arrays: the coefficient, exponent row and owning
+    output (0..size-1) of every monomial, in monomial order.  A power table
+    holds 1.0, then x_i ** k for i = 1..n_in, k = 1..degree; ``index[i][m]``
+    is the entry that monomial m takes for x_i."""
+
+    def __init__(self, n_in: int, size: int, coeffs, exps, owner):
+        self.n_in, self.size = n_in, size
+        self.coeffs, self.exps, self.owner = coeffs, exps, owner
+        self.degree = int(exps.max(initial=0))
+        entries = np.arange(n_in)[:, None] * self.degree + exps.T
+        self.index = list(np.where(exps.T > 0, entries, 0))
+
+    @functools.cached_property
+    def derivative(self) -> "_Compiled":
+        """All first partials, output o * n_in + i being d(output o)/dx_i: monomial
+        m gives coeff_m * e_mi and e_mi - 1, each output in monomial order."""
+        m, i = np.nonzero(self.exps)
+        exps = self.exps[m]
+        exps[np.arange(m.size), i] -= 1
+        return _Compiled(self.n_in, self.size * self.n_in, self.coeffs[m] * self.exps[m, i],
+                         exps, self.owner[m] * self.n_in + i)
 
 
 class PolyMap:
@@ -35,20 +76,7 @@ class PolyMap:
     def __init__(self, n_in: int, components: Sequence[Sequence[Monomial]]):
         self.n_in = int(n_in)
         self.n_out = len(components)
-        comps = []
-        for comp in components:
-            merged = []
-            for coeff, exps in comp:
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != self.n_in:
-                    raise DimensionMismatch("monomial exponent length != n_in")
-                if any(e < 0 for e in exps):
-                    raise ValidationError("negative exponent in monomial")
-                if sum(exps) > MAX_DEGREE:
-                    raise ValidationError(f"monomial degree exceeds {MAX_DEGREE}")
-                merged.append((float(coeff), exps))
-            comps.append(_merge(merged))
-        self.components: list[list[Monomial]] = comps
+        self.components: list[list[Monomial]] = [_merge(comp, self.n_in) for comp in components]
 
     # -- construction helpers --------------------------------------------------
 
@@ -59,16 +87,8 @@ class PolyMap:
     @staticmethod
     def linear(A: np.ndarray) -> "PolyMap":
         A = np.asarray(A, dtype=float)
-        comps = []
-        for row in A:
-            comp = []
-            for j, c in enumerate(row):
-                if c != 0.0:
-                    exps = [0] * A.shape[1]
-                    exps[j] = 1
-                    comp.append((float(c), tuple(exps)))
-            comps.append(comp)
-        return PolyMap(A.shape[1], comps)
+        unit = np.eye(A.shape[1], dtype=int)
+        return PolyMap(A.shape[1], [[(c, unit[j]) for j, c in enumerate(row) if c != 0.0] for row in A])
 
     @staticmethod
     def identity(n: int) -> "PolyMap":
@@ -88,6 +108,16 @@ class PolyMap:
         return f"PolyMap(n_in={self.n_in}, n_out={self.n_out})"
 
     # -- evaluation and exact derivatives ---------------------------------------
+
+    @functools.cached_property
+    def _compiled(self) -> _Compiled:
+        monos = [mono for comp in self.components for mono in comp]
+        return _Compiled(
+            self.n_in, self.n_out,
+            np.array([c for c, _ in monos], dtype=float),
+            np.array([e for _, e in monos], dtype=np.intp).reshape(len(monos), self.n_in),
+            np.repeat(np.arange(self.n_out), [len(comp) for comp in self.components]),
+        )
 
     def __call__(self, x) -> np.ndarray:
         return poly_eval(self, x)
@@ -124,89 +154,67 @@ def parse_monomial(text: str, n_in: int) -> Monomial:
     return coeff, tuple(exps)
 
 
-def poly_eval(p: PolyMap, x) -> np.ndarray:
+def _evaluate(c: _Compiled, x: np.ndarray) -> np.ndarray:
+    """Every output of c at a point x, shape (size,), or at each row of a
+    batch x, shape (N, size).
+
+    The power table of a point holds the scalar powers x_i ** k; that of a
+    batch, one column per point, the array powers x[:, i] ** k.  Each term is
+    coeff * x_1^e_1 * ... * x_n^e_n, multiplied left to right, and each output
+    starts from 0.0 and adds its terms in monomial order, as bincount does."""
+    if x.ndim == 1:
+        table = np.array([1.0] + [xi ** k for xi in x for k in range(1, c.degree + 1)])
+        terms = c.coeffs
+    else:
+        table = np.ones((1 + c.n_in * c.degree, len(x)))
+        for i in range(c.n_in):
+            for k in range(1, c.degree + 1):
+                table[i * c.degree + k] = x[:, i] ** k
+        terms = c.coeffs[:, None]
+    for entries in c.index:
+        terms = terms * table[entries]
+    if x.ndim == 1:
+        return np.bincount(c.owner, terms, c.size).astype(float, copy=False)
+    bins = c.owner[:, None] + c.size * np.arange(len(x))
+    out = np.bincount(bins.ravel(), np.broadcast_to(terms, bins.shape).ravel(), c.size * len(x))
+    return out.astype(float, copy=False).reshape(len(x), c.size)
+
+
+def _point(p: PolyMap, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n_in,):
         raise DimensionMismatch(f"expected point in R^{p.n_in}")
-    out = np.zeros(p.n_out)
-    for j, comp in enumerate(p.components):
-        s = 0.0
-        for coeff, exps in comp:
-            term = coeff
-            for xi, e in zip(x, exps):
-                if e:
-                    term *= xi ** e
-            s += term
-        out[j] = s
-    return out
+    return x
+
+
+def poly_eval(p: PolyMap, x) -> np.ndarray:
+    return _evaluate(p._compiled, _point(p, x))
 
 
 def poly_eval_batch(p: PolyMap, X: np.ndarray) -> np.ndarray:
     """Evaluate on a batch of points, shape (N, n_in) -> (N, n_out)."""
-    X = np.asarray(X, dtype=float)
-    out = np.zeros((X.shape[0], p.n_out))
-    for j, comp in enumerate(p.components):
-        for coeff, exps in comp:
-            term = np.full(X.shape[0], coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * X[:, i] ** e
-            out[:, j] += term
-    return out
-
-
-def _diff_monomial(coeff: float, exps: tuple[int, ...], i: int) -> Monomial | None:
-    if exps[i] == 0:
-        return None
-    new = list(exps)
-    new[i] -= 1
-    return coeff * exps[i], tuple(new)
+    return _evaluate(p._compiled, np.atleast_2d(np.asarray(X, dtype=float)))
 
 
 def jacobian(p: PolyMap, x) -> np.ndarray:
     """Exact Jacobian, shape (n_out, n_in)."""
-    x = np.asarray(x, dtype=float)
-    J = np.zeros((p.n_out, p.n_in))
-    for j, comp in enumerate(p.components):
-        for coeff, exps in comp:
-            for i in range(p.n_in):
-                d = _diff_monomial(coeff, exps, i)
-                if d is None:
-                    continue
-                c, e = d
-                term = c
-                for xi, ee in zip(x, e):
-                    if ee:
-                        term *= xi ** ee
-                J[j, i] += term
-    return J
+    return _evaluate(p._compiled.derivative, _point(p, x)).reshape(p.n_out, p.n_in)
 
 
 def gradient(p: PolyMap, x) -> np.ndarray:
     return jacobian(p.scalar(), x)[0]
 
 
+def _hessians(p: PolyMap, x) -> np.ndarray:
+    """Exact Hessians of all components, shape (n_out, n_in, n_in)."""
+    H = _evaluate(p._compiled.derivative.derivative, _point(p, x))
+    H = H.reshape(p.n_out, p.n_in, p.n_in)
+    return 0.5 * (H + H.transpose(0, 2, 1))
+
+
 def component_hessian(p: PolyMap, x, j: int) -> np.ndarray:
     """Exact Hessian of component j, shape (n_in, n_in)."""
-    x = np.asarray(x, dtype=float)
-    H = np.zeros((p.n_in, p.n_in))
-    for coeff, exps in p.components[j]:
-        for a in range(p.n_in):
-            d1 = _diff_monomial(coeff, exps, a)
-            if d1 is None:
-                continue
-            c1, e1 = d1
-            for b in range(p.n_in):
-                d2 = _diff_monomial(c1, e1, b)
-                if d2 is None:
-                    continue
-                c2, e2 = d2
-                term = c2
-                for xi, ee in zip(x, e2):
-                    if ee:
-                        term *= xi ** ee
-                H[a, b] += term
-    return 0.5 * (H + H.T)
+    return _hessians(p, x)[j]
 
 
 def hessian(p: PolyMap, x) -> np.ndarray:
@@ -218,7 +226,7 @@ def second_form(p: PolyMap, x, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (p.n_in,):
         raise DimensionMismatch(f"expected direction in R^{p.n_in}")
-    return np.array([w @ component_hessian(p, x, j) @ w for j in range(p.n_out)])
+    return np.array([w @ H @ w for H in _hessians(p, x)])
 
 
 @dataclass(frozen=True)

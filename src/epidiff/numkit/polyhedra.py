@@ -19,6 +19,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -81,21 +82,13 @@ class Polyhedron:
             arr.flags.writeable = False
         return Polyhedron(dim, G, h, E, d)
 
-    @property
+    @cached_property
     def g_scales(self) -> np.ndarray:
-        cached = getattr(self, "_g_scales", None)
-        if cached is None:
-            cached = _row_scales(self.G)
-            object.__setattr__(self, "_g_scales", cached)
-        return cached
+        return _row_scales(self.G)
 
-    @property
+    @cached_property
     def e_scales(self) -> np.ndarray:
-        cached = getattr(self, "_e_scales", None)
-        if cached is None:
-            cached = _row_scales(self.E)
-            object.__setattr__(self, "_e_scales", cached)
-        return cached
+        return _row_scales(self.E)
 
     @property
     def n_ineq(self) -> int:
@@ -114,13 +107,8 @@ class PolyCone(Polyhedron):
 
     @staticmethod
     def make_cone(dim: int, G=None, E=None) -> "PolyCone":
-        G = _as_rows(G, dim)
-        E = _as_rows(E, dim)
-        h = np.zeros(G.shape[0])
-        d = np.zeros(E.shape[0])
-        for arr in (G, h, E, d):
-            arr.flags.writeable = False
-        return PolyCone(dim, G, h, E, d)
+        P = Polyhedron.make(dim, G, None, E, None)
+        return PolyCone(dim, P.G, P.h, P.E, P.d)
 
 
 def box(dim: int, half_width: float, center=None) -> Polyhedron:
@@ -514,26 +502,24 @@ def _lex_less(a: np.ndarray, b: np.ndarray, tol: float = DEDUP_TOL) -> bool:
     return False
 
 
-def lp_max(c, P: Polyhedron) -> tuple[float, np.ndarray]:
-    """Maximize <c, y> over a nonempty bounded polyhedron.
-
-    The maximum is attained at a vertex; among optimal vertices the
-    lexicographically smallest is returned so ties break identically on
-    every run.
-    """
+def max_vertex(c, verts) -> tuple[float, np.ndarray]:
+    """The maximum of <c, y> over a nonempty list of points, with the
+    lexicographically smallest point within 1e-9 (relative) of it, so ties
+    break identically on every run."""
     c = np.asarray(c, dtype=float)
-    verts = vertices(P)  # raises Unbounded on nontrivial recession cone
-    if not verts:
-        raise EmptyPolyhedron("LP over an infeasible polyhedron")
     values = [float(c @ v) for v in verts]
     best = max(values)
     tol = 1e-9 * (1.0 + abs(best))
     optimal = [v for v, val in zip(verts, values) if val >= best - tol]
-    arg = optimal[0]
-    for v in optimal[1:]:
-        if _lex_less(v, arg):
-            arg = v
-    return best, arg
+    return best, reduce(lambda arg, v: v if _lex_less(v, arg) else arg, optimal)
+
+
+def lp_max(c, P: Polyhedron) -> tuple[float, np.ndarray]:
+    """Maximize <c, y> over a nonempty bounded polyhedron: its best vertex."""
+    verts = vertices(P)  # raises Unbounded on nontrivial recession cone
+    if not verts:
+        raise EmptyPolyhedron("LP over an infeasible polyhedron")
+    return max_vertex(c, verts)
 
 
 def tangent_cone(P: Polyhedron, x, act_tol: float = ACT_TOL) -> PolyCone:

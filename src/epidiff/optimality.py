@@ -68,9 +68,9 @@ def lagrangian_hessian(prob: CompositeProblem, x, y) -> SymMatrix:
     return SymMatrix(H)
 
 
-def _stationary_data(prob: CompositeProblem, x, kappa: float):
+def stationary_data(prob: CompositeProblem, x, kappa: float):
     """v = -grad phi(x), the multiplier set of (x, v) and the Hessian of phi
-    at x: everything the conditions need from the base point."""
+    at x: what both conditions need from the base point (their ``base``)."""
     x = np.asarray(x, dtype=float)
     v = -gradient(prob.phi, x)
     try:
@@ -113,12 +113,10 @@ def _project_to_cone(cone, w: np.ndarray) -> np.ndarray | None:
     """Nearest cone point, renormalized; None when the projection vanishes."""
     if isinstance(cone, PolyhedralConeRepr):
         p = project(cone.cone, w)
-        if p is None:
-            return None
     else:
         p = w if cone.contains(w) else None
-        if p is None:
-            return None
+    if p is None:
+        return None
     nrm = float(np.linalg.norm(p))
     if nrm <= 1e-9:
         return None
@@ -159,11 +157,12 @@ def sample_critical_directions(prob, ms: MultiplierSet, n_dirs: int, seed: int, 
     return dedupe(dirs, DEDUP_TOL)
 
 
-def check_sonc(prob: CompositeProblem, x, n_dirs: int = 16, seed: int = 0, kappa: float = 1.0) -> SOCReport:
+def check_sonc(prob: CompositeProblem, x, n_dirs: int = 16, seed: int = 0, kappa: float = 1.0,
+               base=None) -> SOCReport:
     """Necessary condition: the condition value is nonnegative on every tested
     critical direction."""
     x = np.asarray(x, dtype=float)
-    v, ms, phi_hess = _stationary_data(prob, x, kappa)
+    v, ms, phi_hess = base or stationary_data(prob, x, kappa)
     dirs = sample_critical_directions(prob, ms, n_dirs, seed)
     method = "extreme_rays" if isinstance(ms.cone, PolyhedralConeRepr) else "sphere_grid"
     if not dirs:
@@ -201,7 +200,8 @@ def _sphere_refine(val_fn, cone, w0: np.ndarray, f0: float):
     return fw, w
 
 
-def check_ssosc(prob: CompositeProblem, x, n_dirs: int = 16, seed: int = 0, kappa: float = 1.0) -> SOCReport:
+def check_ssosc(prob: CompositeProblem, x, n_dirs: int = 16, seed: int = 0, kappa: float = 1.0,
+                base=None) -> SOCReport:
     """Sufficient condition: the condition value is strictly positive on the
     unit sphere of the critical cone.
 
@@ -209,7 +209,7 @@ def check_ssosc(prob: CompositeProblem, x, n_dirs: int = 16, seed: int = 0, kapp
     otherwise a sphere lattice plus local refinement searches for the minimum
     (an interior direction can be the minimizer in wider cones)."""
     x = np.asarray(x, dtype=float)
-    v, ms, phi_hess = _stationary_data(prob, x, kappa)
+    v, ms, phi_hess = base or stationary_data(prob, x, kappa)
     cone = ms.cone
     exact_rays = isinstance(cone, PolyhedralConeRepr) and cone.dimension() <= 1
     if exact_rays:

@@ -8,13 +8,15 @@ immutable after construction.
 A new member implements ``value``, ``subdifferential`` (in one of the three
 shapes of ``reprs``), ``subderivative``, ``second_subderivative``,
 ``parabolic_subderivative``, ``critical_cone``, ``lipschitz_bound``,
-``domain_distance``, ``domain_project`` and, for its part of the composite
-chain rule, ``primal_value``: the closed-form minimum of the parabolic
-subderivative over the pulled-back second-order directions (no default).
+``domain_project`` and, for its part of the composite chain rule,
+``primal_value``: the closed-form minimum of the parabolic subderivative
+over the pulled-back second-order directions (no default).
 The other defaults fit a finite multiplier list and a full domain:
 
 - ``dual_value`` maximizes over the materialized multipliers one by one; a
-  polyhedral multiplier set needs an LP override.
+  member whose second-order term is piecewise on a polyhedral multiplier
+  set overrides it with LPs.
+- ``domain_distance`` is the distance to ``domain_project(z)``.
 - ``second_order_tangent_contains`` and ``basic_cq`` return True, since a
   full domain has every second-order tangent and the normal cone {0}; a
   member with a proper domain overrides both.
@@ -75,7 +77,8 @@ class OuterFunction:
     # -- domain geometry ---------------------------------------------------------
 
     def domain_distance(self, z) -> float:
-        raise NotImplementedError
+        """|z - domain_project(z)|; members with a cheaper closed form override."""
+        return float(np.linalg.norm(np.asarray(z, dtype=float) - self.domain_project(z)))
 
     def domain_project(self, z) -> np.ndarray:
         raise NotImplementedError

@@ -22,7 +22,6 @@ from ..numkit import (
     cluster_tol,
     cone_generators,
     eigen_pinv,
-    lp_max,
     project,
     smat,
     smat_batch,
@@ -35,6 +34,7 @@ from ..numkit.polyhedra import (
     _nullspace,
     _row_scales,
     kernel_meets_cone,
+    max_vertex,
     normal_cone_hrep,
     pullback_lp_min,
     residuals,
@@ -177,9 +177,10 @@ class PolyhedralIndicator(_Indicator):
         )
 
     def dual_value(self, z, u, H, multys):
-        """The second-order term vanishes on critical data, so one LP over
-        the multiplier polyhedron suffices."""
-        val, arg = lp_max(H, multys.polyhedron)
+        """The second-order term vanishes on critical data, so the dual is
+        the best of the multiplier set's vertices, enumerated once per
+        base point."""
+        val, arg = max_vertex(H, multys.multipliers)
         return ExtReal(val), multys.ball_argmax(H, arg)
 
     def primal_value(self, z, J, u, H, v) -> ExtReal:
@@ -189,10 +190,6 @@ class PolyhedralIndicator(_Indicator):
 
     def basic_cq(self, z, J) -> bool:
         return not kernel_meets_cone(normal_cone_hrep([self.C], z), J.T)
-
-    def domain_distance(self, z) -> float:
-        p = self.domain_project(z)
-        return float(np.linalg.norm(np.asarray(z, dtype=float) - p))
 
     def domain_project(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)

@@ -251,14 +251,6 @@ class PlqFunction(OuterFunction):
             best = max(best, float(np.linalg.norm(p.grad(z))) + spec)
         return best
 
-    def domain_distance(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        return min(
-            float(np.linalg.norm(z - q))
-            for q in (project(p.domain, z) for p in self.pieces)
-            if q is not None
-        )
-
     def domain_project(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         best, best_d = None, np.inf

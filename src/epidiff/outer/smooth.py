@@ -119,9 +119,6 @@ class SmoothQuadratic(OuterFunction):
             self.h, z - self.center, 1.0
         )
 
-    def domain_distance(self, z) -> float:
-        return 0.0
-
     def domain_project(self, z) -> np.ndarray:
         return np.asarray(z, dtype=float)
 

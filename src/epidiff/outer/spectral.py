@@ -209,9 +209,6 @@ class AlphaEigFunction(OuterFunction):
     def lipschitz_bound(self, z) -> float:
         return 2.0 * self.i
 
-    def domain_distance(self, z) -> float:
-        return 0.0
-
     def domain_project(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return z if z.ndim == 1 else svec(_to_mat(z))

@@ -102,14 +102,29 @@ def _build_polyhedron(payload: dict, dim: int, name: str) -> Polyhedron:
         raise ValidationError(f"{name}: {exc}") from exc
 
 
+def _integer(val, name: str, least: int) -> int:
+    """An int or a float without fraction, never a bool, of at least ``least``."""
+    integral = isinstance(val, int) or (isinstance(val, float) and val.is_integer())
+    _require(integral and not isinstance(val, bool), f"{name}: must be an integer")
+    _require(val >= least, f"{name}: must be at least {least}")
+    return int(val)
+
+
 def _count(payload: dict, tag: str, key: str) -> int:
     """A positive integer field (dim, n or i) that the tag requires."""
     _require(key in payload, f"g: {tag} requires {key}")
-    val = payload[key]
-    integral = isinstance(val, int) or (isinstance(val, float) and val.is_integer())
-    _require(integral and not isinstance(val, bool), f"g: {tag}: {key} must be an integer")
-    _require(val >= 1, f"g: {tag}: {key} must be positive")
-    return int(val)
+    return _integer(payload[key], f"g: {tag}: {key}", 1)
+
+
+def parse_seed(val, name: str) -> int:
+    """A random seed: a nonnegative integer.  Text (argv, environment) must
+    spell a decimal integer; numbers follow the rule of the count fields."""
+    if isinstance(val, str):
+        try:
+            val = int(val)
+        except ValueError as exc:
+            raise ValidationError(f"{name}: must be an integer") from exc
+    return _integer(val, name, 0)
 
 
 def build_outer(payload: dict) -> OuterFunction:
@@ -189,9 +204,12 @@ def parse_problem_dict(data: dict) -> ProblemSpec:
         v = -gradient(phi, x)
     kappa = _optional_scalar(data, "kappa")
     ell = _optional_scalar(data, "ell")
-    seed = int(data.get("seed", DEFAULT_SEED))
-    sched_data = dict(data.get("schedule") or {})
-    sched_data.setdefault("seed", seed)
+    seed = parse_seed(data.get("seed", DEFAULT_SEED), "seed")
+    sched_data = data.get("schedule") or {}
+    _require(isinstance(sched_data, dict), "schedule: expected an object")
+    sched_data = dict(sched_data, seed=parse_seed(sched_data.get("seed", seed), "schedule: seed"))
+    for key in [k for k in ("steps", "samples_per_axis") if k in sched_data]:
+        sched_data[key] = _integer(sched_data[key], f"schedule: {key}", 0)
     try:
         schedule = GridSchedule(**sched_data)
     except TypeError as exc:
@@ -222,20 +240,13 @@ def parse_problem(path: str) -> ProblemSpec:
     return parse_problem_dict(data)
 
 
+def _monomial_string(coeff: float, exps) -> str:
+    factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e]
+    return " ".join([f"{coeff:.12g}"] + factors)
+
+
 def _monomials_to_strings(p: PolyMap) -> list[list[str]]:
-    out = []
-    for comp in p.components:
-        strs = []
-        for coeff, exps in comp:
-            factors = [f"{coeff:.12g}"]
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            strs.append(" ".join(factors))
-        out.append(strs)
-    return out
+    return [[_monomial_string(c, e) for c, e in comp] for comp in p.components]
 
 
 def problem_to_dict(spec: ProblemSpec) -> dict:

@@ -43,7 +43,8 @@ def test_parse_errors():
 
 
 def test_parse_requires_integral_counts():
-    """dim, n and i take integral numbers only: no truncation, no booleans."""
+    """dim, n, i, the seed and the schedule's counts take integral numbers
+    only: no truncation, no booleans."""
     base = {"phi": ["x1"], "F": [["x1"]], "x": [0.0]}
     for g in ({"tag": "ind_nonpos", "dim": 1.5}, {"tag": "ind_nonpos", "dim": True},
               {"tag": "ind_nonpos", "dim": "1"}, {"tag": "max_eig", "n": float("nan")},
@@ -51,7 +52,9 @@ def test_parse_requires_integral_counts():
         with pytest.raises(Exception) as err:
             parse_problem_dict(dict(base, g=g))
         assert "must be an integer" in str(err.value)
-    assert parse_problem_dict(dict(base, g={"tag": "ind_nonpos", "dim": 1.0})).problem.m == 1
+    spec = parse_problem_dict(dict(base, g={"tag": "ind_nonpos", "dim": 1.0}, seed=7.0,
+                                   schedule={"steps": 4.0}))
+    assert spec.problem.m == 1 and spec.seed == 7 and spec.schedule.steps == 4
 
 
 def test_parse_rejects_mismatched_plq():
@@ -308,8 +311,9 @@ def test_certify_exit_codes(tmp_path):
 
 def test_certify_runs_each_condition_and_cone_once(monkeypatch):
     """One certify runs check_ssosc once (the certificate reuses its report),
-    and each multiplier set pulls the catalog's critical cone back once, not
-    once per probed direction."""
+    builds the base point's multiplier set once for both conditions, and
+    pulls the catalog's critical cone back once, not once per probed
+    direction."""
     from epidiff import optimality
     from epidiff.outer import PolyhedralIndicator
 
@@ -329,8 +333,8 @@ def test_certify_runs_each_condition_and_cone_once(monkeypatch):
     code, text = run(["certify", _fixture("parabola_min.json")])
     assert code == 0 and _json_block(text)["ssosc"]["directions_tested"] > 1
     assert calls["ssosc"] == 1
-    # the base point's set is built once by each condition
-    assert calls["sets"] == 2 and calls["cone"] == calls["sets"]
+    # the base point's set is built once and shared by both conditions
+    assert calls["sets"] == 1 and calls["cone"] == calls["sets"]
 
 
 def test_check_cq_report():
@@ -344,7 +348,10 @@ def test_check_cq_report():
 def test_parse_rejects_non_finite_or_negative_inputs(tmp_path):
     base = json.loads(Path(_fixture("plq_abs.json")).read_text())
     cases = (("x", [float("inf")]), ("v", [float("nan")]), ("kappa", float("inf")),
-             ("ell", float("nan")), ("kappa", -1.0))
+             ("ell", float("nan")), ("kappa", -1.0), ("seed", -1), ("seed", "abc"),
+             ("seed", None), ("seed", 2.7), ("schedule", "ab"), ("schedule", [1]),
+             ("schedule", {"steps": 3.5}), ("schedule", {"samples_per_axis": True}),
+             ("schedule", {"seed": -1}))
     for key, value in cases:
         data = dict(base, **{key: value})
         p = tmp_path / f"bad_{key}.json"
@@ -437,7 +444,7 @@ def _problem_files(draw):
     }
     if draw(st.booleans()):
         data["v"] = draw(st.lists(_NUMBER, min_size=n, max_size=n))
-    key = draw(st.sampled_from([None, None, None, "x", "v", "kappa", "F", "phi", "g"]))
+    key = draw(st.sampled_from([None, None, None, "x", "v", "kappa", "F", "phi", "g", "seed", "schedule"]))
     if key == "g":
         field = draw(st.sampled_from([f for f in data["g"] if f != "tag"] or ["tag"]))
         data["g"][field] = draw(_MALFORMED)
@@ -462,3 +469,80 @@ def test_generated_problem_files_keep_exit_code_contract(tmp_path, case):
     p.write_text(json.dumps(data))
     code, text = run(["analyze", str(p), f"--dir={w}"])
     assert code in (0, 1, 2, 3), text
+
+
+# (valid, invalid) spellings of each argument; any invalid one must exit 3
+_ARGV_VALUES = {
+    "--seed": (["0", "7", "123456789012345678901234567890"], ["-1", "2.7", "abc", ""]),
+    "--dir": (["1,0", "0,1", "-0.5,2"], ["inf,0", "nan,0", "1e400,0", "1", "a,b"]),
+    "--samples": (["1", "3", "12"], ["-5", "0", "2.5", "abc"]),
+    "--radius": (["0.1", "1e-3"], ["nan", "-1", "0", "inf", "abc"]),
+}
+_ENV_SEEDS = (["3", " 5", ""], ["abc", "-1", "2.5"])
+_FILE_SEEDS = ([3, 3.0, 0], [-1, "abc", None, 2.7, True, float("inf")])
+
+
+def _pick(draw, valid_and_invalid):
+    valid, invalid = valid_and_invalid
+    bad = draw(st.booleans()) and draw(st.booleans())
+    return draw(st.sampled_from(invalid if bad else valid)), bad
+
+
+@st.composite
+def _invocations(draw):
+    """analyze or check-cq on a1_parabola with a draw of flags, an
+    EPIDIFF_SEED and a file seed, each valid or not."""
+    command = draw(st.sampled_from(["analyze", "check-cq"]))
+    flags = ["--seed"] + (["--dir"] if command == "analyze" else ["--samples", "--radius"])
+    argv, invalid = [], False
+    for flag in flags:
+        if draw(st.booleans()):
+            value, bad = _pick(draw, _ARGV_VALUES[flag])
+            argv.append(f"{flag}={value}")
+            invalid |= bad
+    env, file_seed = None, ...
+    if draw(st.booleans()):
+        env, bad = _pick(draw, _ENV_SEEDS)
+        invalid |= bad
+    if draw(st.booleans()):
+        file_seed, bad = _pick(draw, _FILE_SEEDS)
+        invalid |= bad
+    return command, argv, env, file_seed, invalid
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_invocations())
+def test_generated_arguments_keep_exit_code_contract(tmp_path, case):
+    """Argv flags, EPIDIFF_SEED and the file's seed: any invalid one ends in
+    exit 3 and an error line, and nothing is raised."""
+    command, argv, env, file_seed, invalid = case
+    data = json.loads(Path(_fixture("a1_parabola.json")).read_text())
+    if file_seed is not ...:
+        data["seed"] = file_seed
+    p = tmp_path / "args.json"
+    p.write_text(json.dumps(data))
+    saved = os.environ.pop("EPIDIFF_SEED", None)
+    try:
+        if env is not None:
+            os.environ["EPIDIFF_SEED"] = env
+        code, text = run([command, str(p)] + argv)
+    finally:
+        os.environ.pop("EPIDIFF_SEED", None)
+        if saved is not None:
+            os.environ["EPIDIFF_SEED"] = saved
+    if invalid:
+        assert code == 3 and text.startswith("error:"), (argv, env, file_seed, text)
+    else:
+        assert code == 0, (argv, env, file_seed, text)
+
+
+def test_argument_errors_exit_3():
+    """The argument cases that used to end in a traceback or exit 0."""
+    a1, cq = _fixture("a1_parabola.json"), ["check-cq", _fixture("a1_parabola.json")]
+    for argv in (["analyze", a1, "--dir", "inf,0"], ["analyze", a1, "--dir", "nan,0"],
+                 cq + ["--samples", "-5"], cq + ["--samples", "0"], cq + ["--radius", "nan"],
+                 cq + ["--radius", "-1"], ["analyze", a1, "--seed", "-1"], ["analyze"],
+                 ["bogus", a1]):
+        code, text = run(argv)
+        assert code == 3 and text.startswith("error:"), argv

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidiff.core import (
+    MAX_DEGREE,
     CompositeProblem,
     GridSchedule,
     PolyMap,
+    component_hessian,
+    gradient,
+    hessian,
     jacobian,
     parse_monomial,
     poly_eval,
@@ -122,3 +128,141 @@ def test_composite_problem_consistency():
     assert not prob.check_feasible([0.0, 1.0])
     with pytest.raises(Exception):
         CompositeProblem(phi, F, nonpositive_orthant(2))
+
+
+# -- the compiled kernel against monomial-by-monomial interpreters -------------------
+#
+# The reference below interprets the monomial lists directly, term by term,
+# the way the library did before it compiled maps: the compiled kernel must
+# reproduce its results bit for bit.
+
+
+def _ref_term(coeff, exps, x):
+    term = coeff
+    for xi, e in zip(x, exps):
+        if e:
+            term *= xi ** e
+    return term
+
+
+def _ref_diff(coeff, exps, i):
+    if exps[i] == 0:
+        return None
+    new = list(exps)
+    new[i] -= 1
+    return coeff * exps[i], tuple(new)
+
+
+def _ref_eval(p, x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(p.n_out)
+    for j, comp in enumerate(p.components):
+        s = 0.0
+        for coeff, exps in comp:
+            s += _ref_term(coeff, exps, x)
+        out[j] = s
+    return out
+
+
+def _ref_eval_batch(p, X):
+    X = np.asarray(X, dtype=float)
+    out = np.zeros((X.shape[0], p.n_out))
+    for j, comp in enumerate(p.components):
+        for coeff, exps in comp:
+            term = np.full(X.shape[0], coeff)
+            for i, e in enumerate(exps):
+                if e:
+                    term = term * X[:, i] ** e
+            out[:, j] += term
+    return out
+
+
+def _ref_jacobian(p, x):
+    x = np.asarray(x, dtype=float)
+    J = np.zeros((p.n_out, p.n_in))
+    for j, comp in enumerate(p.components):
+        for coeff, exps in comp:
+            for i in range(p.n_in):
+                d = _ref_diff(coeff, exps, i)
+                if d is not None:
+                    J[j, i] += _ref_term(*d, x)
+    return J
+
+
+def _ref_hessian(p, x, j):
+    x = np.asarray(x, dtype=float)
+    H = np.zeros((p.n_in, p.n_in))
+    for coeff, exps in p.components[j]:
+        for a in range(p.n_in):
+            d1 = _ref_diff(coeff, exps, a)
+            if d1 is None:
+                continue
+            for b in range(p.n_in):
+                d2 = _ref_diff(*d1, b)
+                if d2 is not None:
+                    H[a, b] += _ref_term(*d2, x)
+    return 0.5 * (H + H.T)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shape, dtype and bits; two NaNs match whatever their sign bit,
+    which the float formatting of a report never shows."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    equal = a.view(np.uint64) == b.view(np.uint64)
+    return bool(np.all(equal | (np.isnan(a) & np.isnan(b))))
+
+
+_COEFFS = st.sampled_from([1.0, -2.0, 0.1, 1.0 / 3.0, -0.7071067811865476, 3.5e300, -1e-300])
+_VALUES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 1e60, -1e60, 1e200, 1e-200, np.inf, -np.inf, np.nan]),
+)
+
+
+@st.composite
+def _maps_and_points(draw):
+    n = draw(st.integers(1, 3))
+    mono = st.tuples(_COEFFS, st.lists(st.integers(0, MAX_DEGREE), min_size=n, max_size=n)).filter(
+        lambda ce: sum(ce[1]) <= MAX_DEGREE
+    )
+    comps = draw(st.lists(st.lists(mono, max_size=5), max_size=3))
+    p = PolyMap(n, comps)
+    x = np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    rows = draw(st.integers(0, 20))
+    X = np.array(draw(st.lists(_VALUES, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    return p, x, w, X
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_maps_and_points())
+def test_compiled_kernel_matches_interpreters_bitwise(case):
+    """Values, batches, Jacobians, Hessians and second forms of the compiled
+    kernel equal the monomial interpreters bit for bit: all degrees up to
+    MAX_DEGREE, empty components, the zero map, overflow and NaN inputs."""
+    p, x, w, X = case
+    with np.errstate(all="ignore"):
+        assert _same_bits(poly_eval(p, x), _ref_eval(p, x))
+        assert _same_bits(poly_eval_batch(p, X), _ref_eval_batch(p, X))
+        assert _same_bits(jacobian(p, x), _ref_jacobian(p, x))
+        hessians = [_ref_hessian(p, x, j) for j in range(p.n_out)]
+        for j, H in enumerate(hessians):
+            assert _same_bits(component_hessian(p, x, j), H)
+        assert _same_bits(second_form(p, x, w), np.array([w @ H @ w for H in hessians]))
+        if p.n_out == 1:
+            assert _same_bits(gradient(p, x), _ref_jacobian(p, x)[0])
+            assert _same_bits(hessian(p, x), hessians[0])
+
+
+def test_compiled_kernel_zero_map_and_shapes():
+    zero = PolyMap.zero(2, 3)
+    assert _same_bits(poly_eval(zero, [1.0, 2.0]), np.zeros(3))
+    assert _same_bits(poly_eval_batch(zero, np.ones((4, 2))), np.zeros((4, 3)))
+    assert _same_bits(jacobian(zero, [1.0, 2.0]), np.zeros((3, 2)))
+    assert _same_bits(second_form(zero, [1.0, 2.0], [1.0, 0.0]), np.zeros(3))
+    p = PolyMap.from_strings([["x1 x2"]], 2)
+    assert poly_eval_batch(p, np.zeros((0, 2))).shape == (0, 1)
+    with pytest.raises(Exception):
+        poly_eval(p, [1.0, 2.0, 3.0])
