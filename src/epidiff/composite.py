@@ -54,8 +54,10 @@ AFFINE_TOL = 1e-8
 class MultiplierSet:
     """The first-order record of one base point (x, v): z = F(x), J = dF(x)
     and the Lagrange multipliers {y : adj(J) y = v, y in subdiff g(z)},
-    truncated to the tau-ball box before vertex enumeration.  ``cone`` is
-    the pulled-back critical cone, worked out on first use and kept."""
+    truncated to the tau-ball box before vertex enumeration.  ``vertices``
+    are all the vertices of ``polyhedron``, before ``multipliers`` keeps
+    those that pass the affine and membership checks.  ``cone`` is the
+    pulled-back critical cone, worked out on first use and kept."""
 
     g: OuterFunction
     z: np.ndarray
@@ -65,6 +67,7 @@ class MultiplierSet:
     polyhedron: Polyhedron | None = None
     truncated: bool = False
     tau_enlargements: int = 0
+    vertices: list = field(default_factory=list)
 
     @property
     def is_empty(self) -> bool:
@@ -194,8 +197,8 @@ def multipliers(
                 return make([], None, True)
             tau_eff *= 2.0
             enlargements += 1
-        verts = [y for y in verts if _affine_ok(y) and rep.contains(y, 1e-7)]
-        return make(verts, intersect(core, box(prob.m, tau_eff)), True, enlargements)
+        kept = [y for y in verts if _affine_ok(y) and rep.contains(y, 1e-7)]
+        return make(kept, intersect(core, box(prob.m, tau_eff)), True, enlargements, verts)
 
     if isinstance(rep, PointRep):
         y0 = rep.point

@@ -11,7 +11,8 @@ first and second partials, once each.  One evaluator serves values, batches,
 Jacobians and Hessians.  Each entry point builds its own power table: a point
 by the scalar power ``x_i ** k``, a batch by the array power ``X[:, i] ** k``.
 numpy's vectorized array power can differ from the scalar one in the last
-bit, so the two are never mixed.
+bit, so the two are never mixed.  A batch's table is summed a block of
+points at a time, so no temporary grows with the batch.
 """
 
 from __future__ import annotations
@@ -46,18 +47,43 @@ def _merge(monomials: Sequence[Monomial], n_in: int) -> list[Monomial]:
     return [(c, e) for e, c in sorted(acc.items()) if c != 0.0]
 
 
+# A batch is evaluated a block of points at a time, sized so that each
+# (slots x points) temporary holds at most about this many floats: larger
+# temporaries made batches of thousands of points slower than a
+# per-monomial loop over all of them.
+_BLOCK_FLOATS = 2 ** 14
+
+
 class _Compiled:
     """A polynomial map as arrays: the coefficient, exponent row and owning
-    output (0..size-1) of every monomial, in monomial order.  A power table
-    holds 1.0, then x_i ** k for i = 1..n_in, k = 1..degree; ``index[i][m]``
-    is the entry that monomial m takes for x_i."""
+    output (0..size-1) of every monomial, in monomial order.
+
+    For evaluation the monomials sit in ``width`` slots per output, output
+    o's from slot o * width on, in monomial order; the slots left over hold
+    a zero coefficient.  A power table holds 1.0, then x_i ** k for
+    i = 1..n_in, k = 1..degree.  ``factors[f][s]`` is the f-th table entry
+    that slot s multiplies by: the entries of its nonzero exponents, which
+    grow with i and so keep variable order, after as many 0s (the 1.0) as
+    it has fewer of them than the slot with the most."""
 
     def __init__(self, n_in: int, size: int, coeffs, exps, owner):
         self.n_in, self.size = n_in, size
         self.coeffs, self.exps, self.owner = coeffs, exps, owner
         self.degree = int(exps.max(initial=0))
-        entries = np.arange(n_in)[:, None] * self.degree + exps.T
-        self.index = list(np.where(exps.T > 0, entries, 0))
+        counts = np.bincount(owner, minlength=size)
+        self.width = int(counts.max(initial=0))
+        order = np.argsort(owner, kind="stable")
+        rows = owner[order]
+        slots = np.arange(owner.size) + rows * self.width - (np.cumsum(counts) - counts)[rows]
+        self.slot_owner = np.repeat(np.arange(size), self.width)
+        self.slot_coeffs = np.zeros(size * self.width)
+        self.slot_coeffs[slots] = coeffs[order]
+        entries = np.where(exps > 0, np.arange(n_in) * self.degree + exps, 0)
+        entries = np.sort(np.pad(entries, ((0, 0), (1, 0))), axis=1)  # a 0 even when n_in = 0
+        used = max(1, int(np.count_nonzero(exps, axis=1).max(initial=0)))
+        factors = np.zeros((size * self.width, used), dtype=np.intp)
+        factors[slots] = entries[order, n_in + 1 - used:]
+        self.factors = list(factors.T)
 
     @functools.cached_property
     def derivative(self) -> "_Compiled":
@@ -87,8 +113,16 @@ class PolyMap:
     @staticmethod
     def linear(A: np.ndarray) -> "PolyMap":
         A = np.asarray(A, dtype=float)
-        unit = np.eye(A.shape[1], dtype=int)
-        return PolyMap(A.shape[1], [[(c, unit[j]) for j, c in enumerate(row) if c != 0.0] for row in A])
+        comps = []
+        for row in A:
+            comp = []
+            for j, c in enumerate(row):
+                if c != 0.0:
+                    exps = [0] * A.shape[1]
+                    exps[j] = 1
+                    comp.append((float(c), tuple(exps)))
+            comps.append(comp)
+        return PolyMap(A.shape[1], comps)
 
     @staticmethod
     def identity(n: int) -> "PolyMap":
@@ -154,51 +188,58 @@ def parse_monomial(text: str, n_in: int) -> Monomial:
     return coeff, tuple(exps)
 
 
-def _evaluate(c: _Compiled, x: np.ndarray) -> np.ndarray:
-    """Every output of c at a point x, shape (size,), or at each row of a
-    batch x, shape (N, size).
+def _evaluate(c: _Compiled, table: np.ndarray) -> np.ndarray:
+    """Every output of c from a power table: shape (size,) from a point's,
+    (size, N) from a batch's, whose columns are the points.
 
-    The power table of a point holds the scalar powers x_i ** k; that of a
-    batch, one column per point, the array powers x[:, i] ** k.  Each term is
-    coeff * x_1^e_1 * ... * x_n^e_n, multiplied left to right, and each output
-    starts from 0.0 and adds its terms in monomial order, as bincount does."""
-    if x.ndim == 1:
-        table = np.array([1.0] + [xi ** k for xi in x for k in range(1, c.degree + 1)])
-        terms = c.coeffs
-    else:
-        table = np.ones((1 + c.n_in * c.degree, len(x)))
-        for i in range(c.n_in):
-            for k in range(1, c.degree + 1):
-                table[i * c.degree + k] = x[:, i] ** k
-        terms = c.coeffs[:, None]
-    for entries in c.index:
+    Each term is coeff * x_1^e_1 * ... * x_n^e_n over the nonzero exponents,
+    multiplied left to right, and each output starts from 0.0 and adds its
+    terms in monomial order; adding the zero slots after them changes no sum.
+    A point's few terms are summed by one bincount; a batch's, slot by slot
+    over all points at once, which bincount's (output x point) bins are far
+    slower at."""
+    terms = c.slot_coeffs if table.ndim == 1 else c.slot_coeffs[:, None]
+    for entries in c.factors:
         terms = terms * table[entries]
-    if x.ndim == 1:
-        return np.bincount(c.owner, terms, c.size).astype(float, copy=False)
-    bins = c.owner[:, None] + c.size * np.arange(len(x))
-    out = np.bincount(bins.ravel(), np.broadcast_to(terms, bins.shape).ravel(), c.size * len(x))
-    return out.astype(float, copy=False).reshape(len(x), c.size)
+    if table.ndim == 1:
+        return np.bincount(c.slot_owner, terms, c.size).astype(float, copy=False)
+    terms = terms.reshape(c.size, c.width, table.shape[1])
+    out = np.zeros((c.size, table.shape[1]))
+    for k in range(c.width):
+        out += terms[:, k]
+    return out
 
 
-def _point(p: PolyMap, x) -> np.ndarray:
+def _at_point(p: PolyMap, c: _Compiled, x) -> np.ndarray:
+    """c, p's map or one of its partial maps, at the point x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n_in,):
         raise DimensionMismatch(f"expected point in R^{p.n_in}")
-    return x
+    return _evaluate(c, np.array([1.0] + [xi ** k for xi in x for k in range(1, c.degree + 1)]))
 
 
 def poly_eval(p: PolyMap, x) -> np.ndarray:
-    return _evaluate(p._compiled, _point(p, x))
+    return _at_point(p, p._compiled, x)
 
 
 def poly_eval_batch(p: PolyMap, X: np.ndarray) -> np.ndarray:
     """Evaluate on a batch of points, shape (N, n_in) -> (N, n_out)."""
-    return _evaluate(p._compiled, np.atleast_2d(np.asarray(X, dtype=float)))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    c = p._compiled
+    table = np.ones((1 + c.n_in * c.degree, len(X)))
+    for i in range(c.n_in):
+        for k in range(1, c.degree + 1):
+            table[i * c.degree + k] = X[:, i] ** k
+    step = _BLOCK_FLOATS // max(1, c.size * c.width) + 1
+    out = np.empty((len(X), c.size))
+    for s in range(0, len(X), step):
+        out[s:s + step] = _evaluate(c, table[:, s:s + step]).T
+    return out
 
 
 def jacobian(p: PolyMap, x) -> np.ndarray:
     """Exact Jacobian, shape (n_out, n_in)."""
-    return _evaluate(p._compiled.derivative, _point(p, x)).reshape(p.n_out, p.n_in)
+    return _at_point(p, p._compiled.derivative, x).reshape(p.n_out, p.n_in)
 
 
 def gradient(p: PolyMap, x) -> np.ndarray:
@@ -207,7 +248,7 @@ def gradient(p: PolyMap, x) -> np.ndarray:
 
 def _hessians(p: PolyMap, x) -> np.ndarray:
     """Exact Hessians of all components, shape (n_out, n_in, n_in)."""
-    H = _evaluate(p._compiled.derivative.derivative, _point(p, x))
+    H = _at_point(p, p._compiled.derivative.derivative, x)
     H = H.reshape(p.n_out, p.n_in, p.n_in)
     return 0.5 * (H + H.transpose(0, 2, 1))
 

@@ -19,7 +19,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -503,23 +503,26 @@ def _lex_less(a: np.ndarray, b: np.ndarray, tol: float = DEDUP_TOL) -> bool:
 
 
 def max_vertex(c, verts) -> tuple[float, np.ndarray]:
-    """The maximum of <c, y> over a nonempty list of points, with the
-    lexicographically smallest point within 1e-9 (relative) of it, so ties
+    """The maximum of <c, y> over the vertex list of a polytope, with the
+    lexicographically smallest vertex within 1e-9 (relative) of it, so ties
     break identically on every run."""
+    if not verts:
+        raise EmptyPolyhedron("LP over an infeasible polyhedron")
     c = np.asarray(c, dtype=float)
     values = [float(c @ v) for v in verts]
     best = max(values)
     tol = 1e-9 * (1.0 + abs(best))
     optimal = [v for v, val in zip(verts, values) if val >= best - tol]
-    return best, reduce(lambda arg, v: v if _lex_less(v, arg) else arg, optimal)
+    arg = optimal[0]
+    for v in optimal[1:]:
+        if _lex_less(v, arg):
+            arg = v
+    return best, arg
 
 
 def lp_max(c, P: Polyhedron) -> tuple[float, np.ndarray]:
     """Maximize <c, y> over a nonempty bounded polyhedron: its best vertex."""
-    verts = vertices(P)  # raises Unbounded on nontrivial recession cone
-    if not verts:
-        raise EmptyPolyhedron("LP over an infeasible polyhedron")
-    return max_vertex(c, verts)
+    return max_vertex(c, vertices(P))  # raises Unbounded on nontrivial recession cone
 
 
 def tangent_cone(P: Polyhedron, x, act_tol: float = ACT_TOL) -> PolyCone:

@@ -69,8 +69,9 @@ def lagrangian_hessian(prob: CompositeProblem, x, y) -> SymMatrix:
 
 
 def stationary_data(prob: CompositeProblem, x, kappa: float):
-    """v = -grad phi(x), the multiplier set of (x, v) and the Hessian of phi
-    at x: what both conditions need from the base point (their ``base``)."""
+    """(x, v, ms, phi_hess): the base point x, v = -grad phi(x), the
+    multiplier set of (x, v) and the Hessian of phi at x, which is what
+    both conditions take as their ``base``."""
     x = np.asarray(x, dtype=float)
     v = -gradient(prob.phi, x)
     try:
@@ -79,7 +80,7 @@ def stationary_data(prob: CompositeProblem, x, kappa: float):
         raise NotStationary(f"no multipliers at the base point: {exc}") from exc
     if ms.is_empty:
         raise NotStationary("-grad phi(x) is not a subgradient of g(F(.)) at x")
-    return v, ms, hessian(prob.phi, x)
+    return x, v, ms, hessian(prob.phi, x)
 
 
 def _condition_value(prob: CompositeProblem, x, v, w, ms: MultiplierSet, phi_hess) -> ExtReal:
@@ -157,12 +158,10 @@ def sample_critical_directions(prob, ms: MultiplierSet, n_dirs: int, seed: int, 
     return dedupe(dirs, DEDUP_TOL)
 
 
-def check_sonc(prob: CompositeProblem, x, n_dirs: int = 16, seed: int = 0, kappa: float = 1.0,
-               base=None) -> SOCReport:
-    """Necessary condition: the condition value is nonnegative on every tested
-    critical direction."""
-    x = np.asarray(x, dtype=float)
-    v, ms, phi_hess = base or stationary_data(prob, x, kappa)
+def check_sonc(prob: CompositeProblem, base, n_dirs: int = 16, seed: int = 0) -> SOCReport:
+    """Necessary condition at the base point ``base = stationary_data(...)``:
+    the condition value is nonnegative on every tested critical direction."""
+    x, v, ms, phi_hess = base
     dirs = sample_critical_directions(prob, ms, n_dirs, seed)
     method = "extreme_rays" if isinstance(ms.cone, PolyhedralConeRepr) else "sphere_grid"
     if not dirs:
@@ -200,16 +199,15 @@ def _sphere_refine(val_fn, cone, w0: np.ndarray, f0: float):
     return fw, w
 
 
-def check_ssosc(prob: CompositeProblem, x, n_dirs: int = 16, seed: int = 0, kappa: float = 1.0,
-                base=None) -> SOCReport:
-    """Sufficient condition: the condition value is strictly positive on the
-    unit sphere of the critical cone.
+def check_ssosc(prob: CompositeProblem, base, n_dirs: int = 16, seed: int = 0) -> SOCReport:
+    """Sufficient condition at the base point ``base = stationary_data(...)``:
+    the condition value is strictly positive on the unit sphere of the
+    critical cone.
 
     A cone of dimension <= 1 is covered exactly by its normalized generators;
     otherwise a sphere lattice plus local refinement searches for the minimum
     (an interior direction can be the minimizer in wider cones)."""
-    x = np.asarray(x, dtype=float)
-    v, ms, phi_hess = base or stationary_data(prob, x, kappa)
+    x, v, ms, phi_hess = base
     cone = ms.cone
     exact_rays = isinstance(cone, PolyhedralConeRepr) and cone.dimension() <= 1
     if exact_rays:

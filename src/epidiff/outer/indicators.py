@@ -178,9 +178,10 @@ class PolyhedralIndicator(_Indicator):
 
     def dual_value(self, z, u, H, multys):
         """The second-order term vanishes on critical data, so the dual is
-        the best of the multiplier set's vertices, enumerated once per
-        base point."""
-        val, arg = max_vertex(H, multys.multipliers)
+        an LP over the multiplier polytope: its best vertex, from the
+        vertices the multiplier set enumerated once (all of them, also those
+        its membership checks dropped)."""
+        val, arg = max_vertex(H, multys.vertices)
         return ExtReal(val), multys.ball_argmax(H, arg)
 
     def primal_value(self, z, J, u, H, v) -> ExtReal:

@@ -205,7 +205,8 @@ def parse_problem_dict(data: dict) -> ProblemSpec:
     kappa = _optional_scalar(data, "kappa")
     ell = _optional_scalar(data, "ell")
     seed = parse_seed(data.get("seed", DEFAULT_SEED), "seed")
-    sched_data = data.get("schedule") or {}
+    sched_data = data.get("schedule")
+    sched_data = {} if sched_data is None else sched_data
     _require(isinstance(sched_data, dict), "schedule: expected an object")
     sched_data = dict(sched_data, seed=parse_seed(sched_data.get("seed", seed), "schedule: seed"))
     for key in [k for k in ("steps", "samples_per_axis") if k in sched_data]:
@@ -240,13 +241,20 @@ def parse_problem(path: str) -> ProblemSpec:
     return parse_problem_dict(data)
 
 
-def _monomial_string(coeff: float, exps) -> str:
-    factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e]
-    return " ".join([f"{coeff:.12g}"] + factors)
-
-
 def _monomials_to_strings(p: PolyMap) -> list[list[str]]:
-    return [[_monomial_string(c, e) for c, e in comp] for comp in p.components]
+    out = []
+    for comp in p.components:
+        strs = []
+        for coeff, exps in comp:
+            factors = [f"{coeff:.12g}"]
+            for i, e in enumerate(exps):
+                if e == 1:
+                    factors.append(f"x{i + 1}")
+                elif e > 1:
+                    factors.append(f"x{i + 1}^{e}")
+            strs.append(" ".join(factors))
+        out.append(strs)
+    return out
 
 
 def problem_to_dict(spec: ProblemSpec) -> dict:

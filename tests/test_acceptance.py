@@ -13,7 +13,7 @@ from epidiff.composite import check_basic_cq, check_mscq, second_subderivative_c
 from epidiff.core import GridSchedule
 from epidiff.numkit import svec
 from epidiff.oracle import estimate_second_subderivative
-from epidiff.optimality import check_ssosc, sms_certificate, verify_growth
+from epidiff.optimality import check_ssosc, sms_certificate, stationary_data, verify_growth
 from epidiff.outer import MaxEigFunction, NegSemidefIndicator
 
 from _instances import (
@@ -161,14 +161,14 @@ def test_A6_twice_epi_differentiability(fixture):
 def test_A7_optimality_certificates():
     start = time.time()
     prob = parabola_min_problem()
-    ssosc = check_ssosc(prob, [0.0, 0.0], seed=5)
+    ssosc = check_ssosc(prob, stationary_data(prob, [0.0, 0.0], 1.0), seed=5)
     assert ssosc.holds and ssosc.worst_value.value == pytest.approx(2.0, abs=0.05)
     growth = verify_growth(prob, [0.0, 0.0], ell=1.0, epsilon=0.05, n_samples=2000, seed=5)
     assert growth.violations == 0 and growth.samples == 2000
     cert = sms_certificate(ssosc)
     assert cert.affirmative
     flat = quartic_problem()
-    ssosc_flat = check_ssosc(flat, [0.0], seed=5)
+    ssosc_flat = check_ssosc(flat, stationary_data(flat, [0.0], 1.0), seed=5)
     assert not ssosc_flat.holds
     growth_flat = verify_growth(flat, [0.0], ell=0.1, epsilon=0.5, n_samples=1000, seed=5)
     assert growth_flat.violations > 0

@@ -350,6 +350,7 @@ def test_parse_rejects_non_finite_or_negative_inputs(tmp_path):
     cases = (("x", [float("inf")]), ("v", [float("nan")]), ("kappa", float("inf")),
              ("ell", float("nan")), ("kappa", -1.0), ("seed", -1), ("seed", "abc"),
              ("seed", None), ("seed", 2.7), ("schedule", "ab"), ("schedule", [1]),
+             ("schedule", []), ("schedule", False), ("schedule", 0), ("schedule", ""),
              ("schedule", {"steps": 3.5}), ("schedule", {"samples_per_axis": True}),
              ("schedule", {"seed": -1}))
     for key, value in cases:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from epidiff.errors import (
     EmptyMultiplierSet,
     UnsupportedSpectralMultiplicity,
 )
-from epidiff.numkit import Polyhedron, svec, vertices
+from epidiff.numkit import Polyhedron, lp_max, svec, vertices
 from epidiff.oracle import estimate_second_subderivative
 from epidiff.outer import (
     MaxEigFunction,
@@ -84,6 +85,25 @@ def test_multipliers_invariant():
     for y in ms.multipliers:
         assert abs(float((J.T @ y)[0]) - 1.0) <= 1e-8
         assert rep.contains(y, 1e-8)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_polyhedral_dual_is_the_lp_over_the_multiplier_polytope():
+    """The dual value maximizes over every vertex of the multiplier polytope,
+    the list lp_max would walk, even one the membership checks dropped from
+    ``multipliers``: the value and argmax stay those of lp_max."""
+    prob = two_multiplier_problem()
+    ms = multipliers(prob, [0.0], [1.0], kappa=1.0)
+    assert _bits(ms.vertices) == _bits(vertices(ms.polyhedron))
+    for H in (np.array([1.0, -1.0]), np.array([-1.0, 1.0]), np.array([0.5, 0.5])):
+        expect = lp_max(H, ms.polyhedron)
+        dropped = [y for y in ms.multipliers if not np.array_equal(y, expect[1])]
+        for kept in (ms, replace(ms, multipliers=dropped)):
+            val, arg = prob.g.dual_value(kept.z, np.zeros(2), H, kept)
+            assert _bits([val.value, *arg]) == _bits([expect[0], *expect[1]])
 
 
 def test_spectral_multiplier_unique_candidate():

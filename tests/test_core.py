@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epidiff import core
 from epidiff.core import (
     MAX_DEGREE,
     CompositeProblem,
@@ -241,11 +244,15 @@ def _maps_and_points(draw):
 def test_compiled_kernel_matches_interpreters_bitwise(case):
     """Values, batches, Jacobians, Hessians and second forms of the compiled
     kernel equal the monomial interpreters bit for bit: all degrees up to
-    MAX_DEGREE, empty components, the zero map, overflow and NaN inputs."""
+    MAX_DEGREE, empty components, the zero map, overflow and NaN inputs;
+    batches also split into blocks of one point."""
     p, x, w, X = case
     with np.errstate(all="ignore"):
         assert _same_bits(poly_eval(p, x), _ref_eval(p, x))
-        assert _same_bits(poly_eval_batch(p, X), _ref_eval_batch(p, X))
+        batch = _ref_eval_batch(p, X)
+        assert _same_bits(poly_eval_batch(p, X), batch)
+        with mock.patch.object(core, "_BLOCK_FLOATS", 0):
+            assert _same_bits(poly_eval_batch(p, X), batch)
         assert _same_bits(jacobian(p, x), _ref_jacobian(p, x))
         hessians = [_ref_hessian(p, x, j) for j in range(p.n_out)]
         for j, H in enumerate(hessians):
@@ -256,6 +263,17 @@ def test_compiled_kernel_matches_interpreters_bitwise(case):
             assert _same_bits(hessian(p, x), hessians[0])
 
 
+def test_compiled_kernel_batches_span_blocks():
+    """A batch of several blocks equals the interpreter bit for bit and comes
+    back C-contiguous, like the interpreter's."""
+    rng = np.random.default_rng(7)
+    p = PolyMap.from_strings([["2 x1^3 x2", "-x2^2", "0.5"], ["x1 x2 x3", "3 x3^6"], []], 3)
+    X = rng.standard_normal((3 * core._BLOCK_FLOATS // 9 + 5, 3)) * 3.0  # 9 slots
+    out = poly_eval_batch(p, X)
+    assert out.flags.c_contiguous
+    assert _same_bits(out, _ref_eval_batch(p, X))
+
+
 def test_compiled_kernel_zero_map_and_shapes():
     zero = PolyMap.zero(2, 3)
     assert _same_bits(poly_eval(zero, [1.0, 2.0]), np.zeros(3))
@@ -264,5 +282,9 @@ def test_compiled_kernel_zero_map_and_shapes():
     assert _same_bits(second_form(zero, [1.0, 2.0], [1.0, 0.0]), np.zeros(3))
     p = PolyMap.from_strings([["x1 x2"]], 2)
     assert poly_eval_batch(p, np.zeros((0, 2))).shape == (0, 1)
+    const = PolyMap.from_strings([["2"], []], 0)  # no variables
+    assert _same_bits(poly_eval(const, []), np.array([2.0, 0.0]))
+    assert _same_bits(poly_eval_batch(const, np.zeros((3, 0))), np.tile([2.0, 0.0], (3, 1)))
+    assert jacobian(const, []).shape == (2, 0)
     with pytest.raises(Exception):
         poly_eval(p, [1.0, 2.0, 3.0])

@@ -10,6 +10,7 @@ from epidiff.optimality import (
     check_ssosc,
     lagrangian_hessian,
     sms_certificate,
+    stationary_data,
     verify_growth,
 )
 from epidiff.outer import nonpositive_orthant, zero_function
@@ -20,6 +21,14 @@ from _instances import (
     parabola_min_problem,
     quartic_problem,
 )
+
+
+def _sonc(prob, x, seed):
+    return check_sonc(prob, stationary_data(prob, x, 1.0), seed=seed)
+
+
+def _ssosc(prob, x, seed):
+    return check_ssosc(prob, stationary_data(prob, x, 1.0), seed=seed)
 
 
 def test_lagrangian_hessian_examples():
@@ -36,7 +45,7 @@ def test_lagrangian_hessian_examples():
 
 
 def test_sonc_accepts_minimum():
-    rep = check_sonc(parabola_min_problem(), [0.0, 0.0], seed=1)
+    rep = _sonc(parabola_min_problem(), [0.0, 0.0], seed=1)
     assert rep.holds
     assert rep.worst_value.value == pytest.approx(2.0, abs=1e-9)
     assert abs(rep.worst_direction[0]) == pytest.approx(1.0)
@@ -46,7 +55,7 @@ def test_sonc_rejects_non_minimum():
     phi = PolyMap.from_strings([["-1 x2"]], 2)
     F = PolyMap.from_strings([["x2", "-1 x1^2"]], 2)
     prob = CompositeProblem(phi, F, nonpositive_orthant(1))
-    rep = check_sonc(prob, [0.0, 0.0], seed=1)
+    rep = _sonc(prob, [0.0, 0.0], seed=1)
     assert not rep.holds
     assert rep.worst_value.value == pytest.approx(-2.0, abs=1e-9)
 
@@ -55,17 +64,17 @@ def test_sonc_unconstrained_quadratic():
     prob = CompositeProblem(
         PolyMap.from_strings([["x1^2", "x2^2"]], 2), PolyMap.zero(2, 1), zero_function(1)
     )
-    rep = check_sonc(prob, [0.0, 0.0], seed=2)
+    rep = _sonc(prob, [0.0, 0.0], seed=2)
     assert rep.holds and rep.worst_value.value == pytest.approx(2.0, abs=1e-6)
 
 
 def test_ssosc_examples():
-    rep = check_ssosc(parabola_min_problem(), [0.0, 0.0], seed=1)
+    rep = _ssosc(parabola_min_problem(), [0.0, 0.0], seed=1)
     assert rep.holds and rep.method == "extreme_rays"
     assert rep.worst_value.value == pytest.approx(2.0, abs=1e-9)
-    flat = check_ssosc(quartic_problem(), [0.0], seed=1)
+    flat = _ssosc(quartic_problem(), [0.0], seed=1)
     assert not flat.holds and flat.worst_value.value == pytest.approx(0.0, abs=1e-9)
-    eq = check_ssosc(eq_constrained_problem(), [0.0, 0.0], seed=1)
+    eq = _ssosc(eq_constrained_problem(), [0.0, 0.0], seed=1)
     assert eq.holds and eq.worst_value.value == pytest.approx(2.0, abs=1e-9)
 
 
@@ -83,10 +92,10 @@ def test_growth_examples():
 
 
 def test_sms_certificate():
-    assert sms_certificate(check_ssosc(parabola_min_problem(), [0.0, 0.0], seed=1)).affirmative
-    assert not sms_certificate(check_ssosc(quartic_problem(), [0.0], seed=1)).affirmative
+    assert sms_certificate(_ssosc(parabola_min_problem(), [0.0, 0.0], seed=1)).affirmative
+    assert not sms_certificate(_ssosc(quartic_problem(), [0.0], seed=1)).affirmative
     with pytest.raises(NotStationary):
-        check_ssosc(parabola_min_problem(), [0.5, 0.25], seed=1)
+        stationary_data(parabola_min_problem(), [0.5, 0.25], 1.0)
 
 
 # -- invariants & properties --------------------------------------------------------
@@ -94,7 +103,7 @@ def test_sms_certificate():
 
 def test_growth_consistent_with_ssosc():
     prob = parabola_min_problem()
-    rep = check_ssosc(prob, [0.0, 0.0], seed=4)
+    rep = _ssosc(prob, [0.0, 0.0], seed=4)
     assert rep.holds
     ell = 0.5 * rep.worst_value.value
     for eps in (0.1, 0.05, 0.01):
@@ -134,7 +143,7 @@ def test_ssosc_implies_sonc():
         (quartic_problem(), np.zeros(1)),
         (eq_constrained_problem(), np.zeros(2)),
     ]:
-        suff = check_ssosc(prob, x, seed=6)
-        nec = check_sonc(prob, x, seed=6)
+        suff = _ssosc(prob, x, seed=6)
+        nec = _sonc(prob, x, seed=6)
         if suff.holds:
             assert nec.holds
