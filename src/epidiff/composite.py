@@ -29,7 +29,6 @@ from .errors import (
     BasePointInfeasible,
     CriticalConePreconditionFailed,
     EmptyMultiplierSet,
-    EmptyPolyhedron,
     PointNotInDomain,
     UnsupportedSpectralMultiplicity,
     UnsupportedTag,
@@ -185,12 +184,8 @@ def multipliers(
             rep.polyhedron, Polyhedron.make(prob.m, E=J.T, d=v)
         )
         tau_eff, enlargements = max(tau, 1e-6), 0
-        verts: list[np.ndarray] = []
         for _ in range(6):
-            try:
-                verts = vertices(intersect(core, box(prob.m, tau_eff)))
-            except EmptyPolyhedron:
-                verts = []
+            verts = vertices(intersect(core, box(prob.m, tau_eff)))  # [] when empty
             if verts:
                 break
             if is_empty(core):
@@ -228,8 +223,8 @@ def multipliers(
 
 def _restore_feasible_point(prob: CompositeProblem, x0: np.ndarray, max_iter: int = 60):
     """Gauss-Newton restoration of F(x) into dom g; returns a feasible point
-    close to x0, or None if the iteration stalls infeasibly or runs so far
-    out that dom g can no longer be projected onto."""
+    close to x0, or None if the iteration stalls infeasibly or dom g cannot
+    be projected onto (it is empty)."""
     x = np.array(x0, dtype=float)
     for _ in range(max_iter):
         u = poly_eval(prob.F, x)
@@ -270,11 +265,10 @@ def check_mscq(
     if not prob.check_feasible(x):
         raise BasePointInfeasible("F(x) lies outside dom g")
     rng = np.random.default_rng(seed)
-    per_level = max(1, n_samples // 3)
     kappa_hat, worst, total = 0.0, None, 0
     observations: list[tuple[float, float]] = []
-    for rad in (radius, radius / 2.0, radius / 4.0):
-        for _ in range(per_level):
+    for level, rad in enumerate((radius, radius / 2.0, radius / 4.0)):
+        for _ in range(n_samples // 3 + (level < n_samples % 3)):
             step = rng.standard_normal(prob.n)
             step *= rad * rng.random() / max(float(np.linalg.norm(step)), 1e-300)
             xp = x + step

@@ -1,22 +1,20 @@
 """Polyhedra in H-representation with the exact desk-scale machinery the
 variational calculus needs: tangent cones, vertex and extreme-ray enumeration,
-polar conversions between H- and V-representations, Euclidean projections by
-face enumeration, and a deterministic vertex-enumeration LP.
+polar conversions between H- and V-representations, Euclidean projections,
+and a deterministic vertex-enumeration LP.
 
-Vertices and extreme rays come from one pivoting kernel.  A dense phase-1
-simplex with Bland's rule (Bland 1977) finds a feasible basis or proves the
-polyhedron empty; a breadth-first walk over single-row swaps then visits every
-feasible basis (adjacency enumeration in the sense of Avis & Fukuda 1992), so
-the work grows with the number of feasible bases, not with the number of row
-subsets.  Each basis is solved and accepted exactly as an enumeration of all
-row subsets would, and results are sorted, so ties break identically on every
-run.  Projections still enumerate active sets.
+One least-distance kernel, Lawson & Hanson's NNLS (1974, ch. 23), finds the
+point of P nearest to u: it gives ``project``, ``min_norm_point`` and
+``is_empty``, and the start of the vertex walk.  From there a breadth-first
+walk over single-row swaps visits every feasible basis (adjacency enumeration
+in the sense of Avis & Fukuda 1992), so the work grows with the number of
+feasible bases, not of row subsets.  Each basis is solved and accepted exactly
+as an enumeration of all row subsets would, and results are sorted, so ties
+break identically on every run.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,9 +34,8 @@ DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
 ACT_TOL = 1e-9
 RANK_TOL = 1e-9
-_PIVOT_TOL = 1e-12  # smallest pivot the simplex and the walk divide by
+_PIVOT_TOL = 1e-12  # smallest pivot the walk divides by; smallest dual entering NNLS
 _PRED_TOL = 1e-6  # slack on predicted swaps; every candidate is solved exactly
-_MAX_PIVOTS = 10_000
 
 
 def _as_rows(M, dim: int) -> np.ndarray:
@@ -210,49 +207,6 @@ def _basic_solution(P: Polyhedron, S: tuple) -> np.ndarray | None:
     return x
 
 
-def _phase1(P: Polyhedron) -> np.ndarray | None:
-    """A point of P, or None if P is empty: a dense Bland's-rule phase-1
-    simplex on {G x + s = h, E x = d, s >= 0} with x split into two
-    nonnegative parts and one artificial variable per row."""
-    scales = np.concatenate([P.g_scales, P.e_scales])
-    scales[scales <= RANK_TOL] = 1.0  # a zero row stays as it is: 0 <= h or 0 = d
-    A = np.block([
-        [P.G, -P.G, np.eye(P.n_ineq)],
-        [P.E, -P.E, np.zeros((P.n_eq, P.n_ineq))],
-    ]) / scales[:, None]
-    b = np.concatenate([P.h, P.d]) / scales
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    rows, cols = A.shape
-    T = np.hstack([A, np.eye(rows), b[:, None]])
-    cost = np.concatenate([-A.sum(axis=0), np.zeros(rows), [-b.sum()]])
-    basis = list(range(cols, cols + rows))
-    for _ in range(_MAX_PIVOTS):
-        entering = np.nonzero(cost[:cols] < -_PIVOT_TOL)[0]
-        if entering.size == 0:
-            break
-        j = entering[0]
-        pos = np.nonzero(T[:, j] > _PIVOT_TOL)[0]
-        ratios = T[pos, -1] / T[pos, j]
-        ties = pos[ratios <= ratios.min() + _PIVOT_TOL]
-        i = min(ties, key=lambda r: basis[r])
-        T[i] /= T[i, j]
-        others = np.arange(rows) != i
-        T[others] -= np.outer(T[others, j], T[i])
-        cost -= cost[j] * T[i]
-        basis[i] = j
-    else:
-        raise RuntimeError("phase-1 simplex exceeded its pivot budget")
-    if -cost[-1] > FEAS_TOL * (1.0 + float(b.max(initial=0.0))):
-        return None
-    values = np.zeros(cols)
-    for i, var in enumerate(basis):
-        if var < cols:
-            values[var] = T[i, -1]
-    return values[: P.dim] - values[P.dim : 2 * P.dim]
-
-
 def _feasible_basis(P: Polyhedron, x: np.ndarray, need: int) -> tuple:
     """Rows of a feasible basis of the pointed polyhedron P, reached from its
     point x by moving inside the tight rows until `need` independent
@@ -345,8 +299,8 @@ def vertices(P: Polyhedron) -> list[np.ndarray]:
     """All vertices of a bounded polyhedron, deduplicated and in lexicographic
     order.  Every vertex is the unique solution of the equality rows plus
     dim - rank(E) active inequality rows (a basis); the feasible bases are
-    found by a walk from a phase-1 basis, and each is solved exactly as an
-    enumeration of all row subsets would solve it."""
+    found by a walk from a basis at the minimum-norm point, and each is
+    solved exactly as an enumeration of all row subsets would solve it."""
     if P.dim > MAX_DIM:
         raise DimensionTooLarge(f"vertex enumeration supports dim <= {MAX_DIM}")
     need = P.dim - _rank(P.E)
@@ -363,9 +317,9 @@ def vertices(P: Polyhedron) -> list[np.ndarray]:
     if need == 0:
         bases = [()] if solve(())[1] else []
     else:
-        x0 = _phase1(P)
+        x0 = min_norm_point(P)
         if x0 is None:
-            if _phase1(_ray_slice(P.G, P.E)) is not None:
+            if not is_empty(_ray_slice(P.G, P.E)):
                 raise Unbounded("polyhedron has a nontrivial recession cone")
             return []
         bases = _walk(P, _feasible_basis(P, x0, need), solve, bounded=True)
@@ -416,7 +370,7 @@ def cone_generators(K: Polyhedron) -> tuple[list[np.ndarray], list[np.ndarray]]:
     if need == 0:
         bases = [()] if solve(())[1] else []
     else:
-        x0 = _phase1(Q)
+        x0 = min_norm_point(Q)
         if x0 is None:
             return [], lines
         bases = _walk(Q, _feasible_basis(Q, x0, need), solve, bounded=False)
@@ -566,36 +520,91 @@ def kernel_meets_cone(K: Polyhedron, A) -> bool:
     return bool(rays or lines)
 
 
+def _nnls(A: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The lam >= 0 minimizing |A lam - f| by the active-set algorithm of
+    Lawson & Hanson (1974, ch. 23): it stops when no free column has a
+    positive dual A^T (f - A lam), which certifies optimality, or when a
+    pass does not lower the residual, so rounding cannot make it cycle."""
+
+    def solve(cols):
+        out = np.zeros(A.shape[1])
+        out[cols] = np.linalg.lstsq(A[:, cols], f, rcond=None)[0]
+        return out
+
+    lam = np.zeros(A.shape[1])
+    passive = np.zeros(A.shape[1], dtype=bool)
+    resid = float(f @ f)
+    while True:
+        dual = A.T @ (f - A @ lam)
+        dual[passive] = 0.0
+        j = int(np.argmax(dual))
+        if dual[j] <= _PIVOT_TOL:
+            return lam
+        trial, x = passive.copy(), lam.copy()
+        trial[j] = True
+        s = solve(trial)
+        if s[j] <= 0.0:
+            return lam  # rounding: the entering column does not enter
+        while np.any(s[trial] <= 0.0):  # step back to the first coefficient that hits 0
+            neg = np.flatnonzero(trial & (s <= 0.0))
+            ratios = x[neg] / (x[neg] - s[neg])
+            x += ratios.min() * (s - x)
+            x[neg[np.argmin(ratios)]] = 0.0
+            trial &= x > 0.0
+            s = solve(trial)
+        r = f - A @ s
+        if float(r @ r) >= resid:
+            return lam
+        lam, passive, resid = s, trial, float(r @ r)
+
+
+def _slice_point(P: Polyhedron, u: np.ndarray, S) -> np.ndarray:
+    """The projection of u onto {E y = d, G_S y = h_S}."""
+    M = np.vstack([P.E, P.G[list(S)]])
+    if M.shape[0] == 0:
+        return u
+    b = np.concatenate([P.d, P.h[list(S)]])
+    lam = np.linalg.pinv(M @ M.T) @ (b - M @ u)
+    return u + M.T @ lam
+
+
 def project(P: Polyhedron, u) -> np.ndarray | None:
     """Exact Euclidean projection of u onto P, or None if P is empty.
 
-    Enumerates candidate active sets: for each subset of inequality rows the
-    projection onto the corresponding affine slice is a least-squares solve;
-    the feasible candidate nearest to u is the projection.
+    One least-distance program (Lawson & Hanson 1974, ch. 23).  With y0 the
+    projection of u onto the equality rows, N an orthonormal basis of their
+    nullspace and b the row-normalized violations at y0 over the largest, c,
+    the answer is y0 + c N z for the least z with -G N z >= b.  NNLS on
+    [-(G N)^T; b^T] against e_last gives z = -r[:-1] / r[-1] from its
+    residual r, and r = 0 means P is empty.  The point is then solved on the
+    slice of the rows with a positive multiplier, as an active-set
+    enumeration solves it, and kept when feasible up to FEAS_TOL at the size
+    of u and the right-hand sides; violations within that count as none.
     """
-    if P.dim > MAX_DIM:
-        raise DimensionTooLarge(f"projection supports dim <= {MAX_DIM}")
     u = np.asarray(u, dtype=float)
-    best, best_d = None, math.inf
-    max_active = P.dim - _rank(P.E)
-    for k in range(0, max_active + 1):
-        for S in itertools.combinations(range(P.n_ineq), k):
-            M = np.vstack([P.E, P.G[list(S)]])
-            b = np.concatenate([P.d, P.h[list(S)]])
-            if M.shape[0] == 0:
-                y = u
-            else:
-                lam = np.linalg.pinv(M @ M.T) @ (b - M @ u)
-                y = u + M.T @ lam
-            scale = 1.0 + float(np.abs(y).max(initial=0.0))
-            if not contains(P, y, 1e-8 * scale):
-                continue
-            dist = float(np.linalg.norm(y - u))
-            if dist < best_d - 1e-12 or (
-                abs(dist - best_d) <= 1e-12 and best is not None and _lex_less(y, best)
-            ):
-                best, best_d = y, dist
-    return best
+    scales = np.concatenate([P.g_scales, P.e_scales])
+    scales[scales <= RANK_TOL] = 1.0  # a zero row stays as it is: 0 <= h or 0 = d
+    rhs = np.concatenate([P.h, P.d]) / scales
+    tol = FEAS_TOL * (1.0 + max(np.abs(u).max(initial=0.0), np.abs(rhs).max(initial=0.0)))
+    y0 = _slice_point(P, u, ())
+    viol = np.vstack([P.G, P.E]) @ y0 / scales - rhs
+    if np.any(np.abs(viol[P.n_ineq :]) > tol):
+        return None  # the equality rows disagree
+    b = np.where(viol > tol, viol, np.minimum(viol, 0.0))[: P.n_ineq]
+    if not np.any(b > 0.0):
+        return y0
+    c, N = float(b.max()), _nullspace(P.E, P.dim)
+    A = np.vstack([-(P.G @ N / scales[: P.n_ineq, None]).T, b / c])
+    e = np.eye(A.shape[0])[-1]
+    lam = _nnls(A, e)
+    r = A @ lam - e
+    candidates = [_slice_point(P, u, np.flatnonzero(lam > 0.0))]
+    if r[-1] < 0.0:
+        candidates.append(y0 - c * N @ (r[:-1] / r[-1]))
+    for y in candidates:
+        if residuals(P, y) <= tol:
+            return y
+    return None  # r[-1] is zero up to rounding: P is empty
 
 
 def min_norm_point(P: Polyhedron) -> np.ndarray | None:
@@ -603,4 +612,4 @@ def min_norm_point(P: Polyhedron) -> np.ndarray | None:
 
 
 def is_empty(P: Polyhedron) -> bool:
-    return _phase1(P) is None
+    return min_norm_point(P) is None

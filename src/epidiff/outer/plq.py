@@ -267,13 +267,7 @@ class PlqFunction(OuterFunction):
         rng = np.random.default_rng(seed)
         for i in range(len(self.pieces)):
             for j in range(i + 1, len(self.pieces)):
-                both = Polyhedron.make(
-                    self.ambient_dim,
-                    np.vstack([self.pieces[i].domain.G, self.pieces[j].domain.G]),
-                    np.concatenate([self.pieces[i].domain.h, self.pieces[j].domain.h]),
-                    np.vstack([self.pieces[i].domain.E, self.pieces[j].domain.E]),
-                    np.concatenate([self.pieces[i].domain.d, self.pieces[j].domain.d]),
-                )
+                both = intersect(self.pieces[i].domain, self.pieces[j].domain)
                 for _ in range(n_samples):
                     cand = rng.normal(size=self.ambient_dim)
                     q = project(both, cand)

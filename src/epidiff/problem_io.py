@@ -183,6 +183,7 @@ def parse_problem_dict(data: dict) -> ProblemSpec:
     for key in ("phi", "F", "g", "x"):
         _require(key in data, f"missing field {key!r}")
     x = _finite_vec(data["x"], "x")
+    _require(x.size > 0, "x: expected at least one variable")
     n = x.shape[0]
     try:
         phi = PolyMap.from_strings([data["phi"]], n)

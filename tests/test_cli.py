@@ -345,6 +345,14 @@ def test_check_cq_report():
     assert block["basic_cq"] is False
 
 
+def test_check_cq_runs_the_samples_asked_for():
+    """The three radius levels share the samples, the first levels taking
+    the remainder, so the report counts exactly --samples."""
+    for samples in ("1", "2", "5"):
+        code, text = run(["check-cq", _fixture("a1_parabola.json"), "--samples", samples])
+        assert code == 0 and _json_block(text)["mscq"]["samples"] == int(samples)
+
+
 def test_parse_rejects_non_finite_or_negative_inputs(tmp_path):
     base = json.loads(Path(_fixture("plq_abs.json")).read_text())
     cases = (("x", [float("inf")]), ("v", [float("nan")]), ("kappa", float("inf")),
@@ -359,6 +367,13 @@ def test_parse_rejects_non_finite_or_negative_inputs(tmp_path):
         p.write_text(json.dumps(data))
         code, text = run(["analyze", str(p)])
         assert code == 3 and text.startswith(f"error: {key}:")
+    # a problem with no variables: certify used to divide by n = 0
+    p = tmp_path / "no_variables.json"
+    p.write_text(json.dumps({"phi": ["1"], "F": [["-1"]], "g": {"tag": "ind_nonpos", "dim": 1},
+                             "x": []}))
+    for command in ("analyze", "certify", "check-cq"):
+        code, text = run([command, str(p)])
+        assert code == 3 and text.startswith("error: x:"), (command, text)
 
 
 def test_infinite_kappa_hat_exits_2(tmp_path):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,19 +20,22 @@ from epidiff.composite import (
     subderivative_chain,
     tau_bound,
 )
-from epidiff.core import CompositeProblem, PolyMap, jacobian
+from epidiff.core import CompositeProblem, PolyMap, jacobian, poly_eval
 from epidiff.errors import (
     CriticalConePreconditionFailed,
     EmptyMultiplierSet,
+    PointNotInDomain,
     UnsupportedSpectralMultiplicity,
 )
 from epidiff.numkit import Polyhedron, lp_max, svec, vertices
+from epidiff.numkit.polyhedra import residuals
 from epidiff.oracle import estimate_second_subderivative
 from epidiff.outer import (
     MaxEigFunction,
     NegSemidefIndicator,
     PlqFunction,
     PlqPiece,
+    PolyhedralIndicator,
     SumTopEigFunction,
     absolute_value,
     nonpositive_orthant,
@@ -235,14 +239,38 @@ def test_basic_cq_two_dim_cluster():
         assert check_basic_cq(ident, svec(np.diag([0.0, 0.0, -1.0])) / scale)
 
 
-def test_restoration_failure_far_from_a_polyhedral_domain():
+def test_restoration_projects_far_from_a_polyhedral_domain(monkeypatch):
     """From this sample point of check-cq on polyhedron_m6.json (seed 11, 240
-    samples), Gauss-Newton restoration runs off to |F(x)| about 1e14, where
-    no projection onto the polyhedron passes its feasibility test; that is a
-    failed restoration, not an error."""
+    samples), Gauss-Newton restoration runs off to |F(x)| about 6e15 before it
+    turns back.  Every projection onto the polyhedron on the way succeeds and
+    lands in it; the active-set enumeration found none past about 1e14,
+    because its containment test scaled with the candidate, not with u."""
     spec = parse_problem(str(Path(__file__).parent / "fixtures" / "polyhedron_m6.json"))
+    g = spec.problem.g
+    seen = []
+
+    def recording_project(z):
+        seen.append((float(np.abs(z).max()), math.inf))
+        p = type(g).domain_project(g, z)
+        seen[-1] = (seen[-1][0], residuals(g.C, p))
+        return p
+
+    monkeypatch.setattr(g, "domain_project", recording_project)
     xp = np.array([-0.04367559640324119, 0.03126440965306517, -0.005593801632823578])
-    assert _restore_feasible_point(spec.problem, xp) is None
+    restored = _restore_feasible_point(spec.problem, xp)
+    assert max(size for size, _ in seen) > 1e14
+    assert all(resid <= 1e-9 * (1.0 + size) for size, resid in seen)
+    assert restored is None or g.value(poly_eval(spec.problem.F, restored)).is_finite
+
+
+def test_restoration_into_an_empty_domain_returns_none():
+    """An empty polyhedral domain cannot be projected onto: restoration
+    reports failure instead of raising."""
+    empty = PolyhedralIndicator(Polyhedron.make(1, G=[[1.0], [-1.0]], h=[-1.0, 0.0]))
+    prob = CompositeProblem(PolyMap.zero(1), PolyMap.identity(1), empty)
+    with pytest.raises(PointNotInDomain):
+        empty.domain_project(np.array([0.5]))
+    assert _restore_feasible_point(prob, np.array([0.5])) is None
 
 
 # -- chain rules ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from epidiff.numkit import (
     vertices,
     vrep_to_hrep,
 )
-from epidiff.numkit.polyhedra import FEAS_TOL, _dedupe_sorted, _nullspace, _rank, is_empty
+from epidiff.numkit.polyhedra import (
+    FEAS_TOL,
+    _dedupe_sorted,
+    _lex_less,
+    _nullspace,
+    _rank,
+    is_empty,
+)
 
 
 # -- eigensolver ----------------------------------------------------------------
@@ -419,3 +427,69 @@ def test_svec_isometry(n, seed):
     B = 0.5 * (B + B.T)
     assert np.isclose(float(svec(A) @ svec(B)), float(np.tensordot(A, B)))
     assert np.allclose(smat(svec(A)), A)
+
+
+# -- least-distance projection against the active-set enumeration it replaced -------------
+#
+# The reference tries every active set of at most dim - rank(E) inequality
+# rows, projects onto each affine slice and keeps the nearest candidate that
+# passes its containment test, exactly as the library did before the NNLS
+# kernel.
+
+
+def _enum_project(P, u):
+    u = np.asarray(u, dtype=float)
+    best, best_d = None, math.inf
+    for k in range(0, P.dim - _rank(P.E) + 1):
+        for S in itertools.combinations(range(P.n_ineq), k):
+            M = np.vstack([P.E, P.G[list(S)]])
+            b = np.concatenate([P.d, P.h[list(S)]])
+            y = u if M.shape[0] == 0 else u + M.T @ (np.linalg.pinv(M @ M.T) @ (b - M @ u))
+            if not contains(P, y, 1e-8 * (1.0 + float(np.abs(y).max(initial=0.0)))):
+                continue
+            dist = float(np.linalg.norm(y - u))
+            if dist < best_d - 1e-12 or (
+                abs(dist - best_d) <= 1e-12 and best is not None and _lex_less(y, best)
+            ):
+                best, best_d = y, dist
+    return best
+
+
+@st.composite
+def _projection_cases(draw):
+    """An integer polyhedron from _integer_polyhedra, sometimes with a
+    duplicated row and a redundant (shifted, scaled) copy of a row, and a
+    point to project: integral, or a float of either sign."""
+    P, _ = draw(_integer_polyhedra())
+    G, h = P.G, P.h
+    if P.n_ineq and draw(st.booleans()):
+        i = draw(st.integers(0, P.n_ineq - 1))
+        G, h = np.vstack([G, G[i], 2.0 * G[i]]), np.append(h, [h[i], 2.0 * h[i] + 1.0])
+    P = Polyhedron.make(P.dim, G, h, P.E, P.d)
+    coords = st.integers(-4, 4) if draw(st.booleans()) else st.floats(-5.0, 5.0, width=32)
+    u = np.array(draw(st.lists(coords, min_size=P.dim, max_size=P.dim)), dtype=float)
+    return P, u
+
+
+@given(_projection_cases())
+@settings(max_examples=150, deadline=None)
+def test_projection_matches_active_set_enumeration(case):
+    P, u = case
+    ref, got = _enum_project(P, u), project(P, u)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert np.max(np.abs(got - ref)) <= 1e-9 * (1.0 + np.abs(ref).max())
+    assert is_empty(P) == (min_norm_point(P) is None)
+
+
+def test_projection_far_out_onto_the_apex():
+    """Points of the polar cone project onto the apex, however far out.  The
+    enumeration's containment test scaled with the candidate (here 0), not
+    with u, so at 1e14 it found no projection for half of these points."""
+    G = np.eye(6) + np.eye(6, k=-1)
+    K = Polyhedron.make(6, G=G, h=np.zeros(6))
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        u = 1e14 * (G.T @ rng.random(6))
+        p = project(K, u)
+        assert p is not None and np.abs(p).max() <= 1e-9 * np.abs(u).max()
