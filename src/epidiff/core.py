@@ -289,18 +289,21 @@ class GridSchedule:
     seed: int = 20240
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValidationError("t0 must be positive")
+        if not (np.isfinite(self.t0) and self.t0 > 0):
+            raise ValidationError("t0 must be finite and positive")
         if not 0 < self.ratio < 1:
             raise ValidationError("ratio must lie in (0, 1)")
         if self.steps < 3:
             raise ValidationError("steps must be at least 3")
-        if self.radius_coeff < 0:
-            raise ValidationError("radius_coeff must be nonnegative")
+        if not (np.isfinite(self.radius_coeff) and self.radius_coeff >= 0):
+            raise ValidationError("radius_coeff must be finite and nonnegative")
         if self.samples_per_axis < 2:
             raise ValidationError("samples_per_axis must be at least 2")
-        if not self.radius_exponent > 0:
-            raise ValidationError("radius_exponent must be positive")
+        if not (np.isfinite(self.radius_exponent) and self.radius_exponent > 0):
+            raise ValidationError("radius_exponent must be finite and positive")
+        t_min = self.t0 * self.ratio ** (self.steps - 1)
+        if not 0.5 * t_min * t_min > 0:
+            raise ValidationError("steps: t0 * ratio^(steps - 1) underflows in t^2 / 2")
 
     def t_levels(self) -> list[float]:
         return [self.t0 * self.ratio ** k for k in range(self.steps)]

@@ -21,7 +21,7 @@ from .reprs import (
     SubdiffRepr,
 )
 from .smooth import SmoothQuadratic, zero_function
-from .spectral import AlphaEigFunction, MaxEigFunction, SumTopEigFunction
+from .spectral import EigSumFunction, alpha_eig, max_eig, sum_top_eig
 
 __all__ = [
     "OuterFunction",
@@ -35,9 +35,10 @@ __all__ = [
     "absolute_value",
     "SmoothQuadratic",
     "zero_function",
-    "AlphaEigFunction",
-    "MaxEigFunction",
-    "SumTopEigFunction",
+    "EigSumFunction",
+    "max_eig",
+    "sum_top_eig",
+    "alpha_eig",
     "SubdiffRepr",
     "PolyhedronRep",
     "SpectralRep",

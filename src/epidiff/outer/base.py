@@ -1,9 +1,9 @@
 """Abstract interface of the outer-function catalog.
 
-Every catalog member is a proper lsc convex function with closed-form first-
-and second-order objects; none of them calls the difference-quotient oracle,
-which exists to check them.  All operations are pure; instances are
-immutable after construction.
+Every catalog member is a proper lsc function, convex except alpha_eig with
+s > 0 (see spectral), with closed-form first- and second-order objects; none
+of them calls the difference-quotient oracle, which exists to check them.
+All operations are pure; instances are immutable after construction.
 
 A new member implements ``value``, ``subdifferential`` (in one of the three
 shapes of ``reprs``), ``subderivative``, ``second_subderivative``,

@@ -1,10 +1,13 @@
-"""Eigenvalue members of the catalog: the leading-group sum, the maximum
-eigenvalue, and the sum of the top i eigenvalues of a symmetric matrix.
+"""Eigenvalue members of the catalog: one class, g = S_i - S_s, the sum of
+the eigenvalues ranked s+1..i (S_k sums the k largest).  max_eig is (0, 1)
+and sum_top_eig (0, i), both convex (Ky Fan); alpha_eig anchors s at the
+start of the i-th eigenvalue's cluster at the base point F(x), and for s > 0
+is not convex.  g is C^2-reducible wherever lambda_s > lambda_(s+1) (Torki
+2001) and (i - s)-Lipschitz (Hoffman & Wielandt 1953).
 
-Eigenvalues within gap_tol = 1e-8 * (1 + |A|) of each other are clustered;
-the group bookkeeping (how many of the eigenvalues tied with the i-th are
-ranked at or before i) drives every formula here, and the clustering rule
-makes that bookkeeping reproducible under roundoff.
+The value is the plain sum.  The closed forms cluster eigenvalues within
+gap_tol = 1e-8 * (1 + |A|) of each other, and split g into a smooth sum
+(ranks s+1 up to the i-th eigenvalue's cluster) and a partial cluster sum.
 
 The parabolic subderivatives are closed forms for every cluster size: the
 second-order expansion of an eigenvalue cluster along a parabolic arc
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import UnsupportedSpectralMultiplicity
 from ..extreal import PLUS_INF, ExtReal
 from ..numkit import cluster_tol, eigen_pinv, smat, smat_batch, svec, svec_dim, sym_eig
 from .base import OuterFunction
@@ -72,75 +76,67 @@ def arc_expansion(lams, Q, cluster, lam: float, W, U, pos: int):
     return mu, E @ R[:, :a], E @ R[:, a:b], C
 
 
-class AlphaEigFunction(OuterFunction):
-    """Sum of the eigenvalues tied with the i-th one and ranked at or before i."""
+class EigSumFunction(OuterFunction):
+    """g = S_i - S_s, the sum of the eigenvalues ranked s+1..i."""
 
-    tag = "alpha_eig"
-
-    def __init__(self, n: int, i: int = 1):
-        if not 1 <= i <= n:
+    def __init__(self, n: int, s: int, i: int, tag: str):
+        if not 0 <= s < i <= n:
             raise ValueError("eigenvalue index out of range")
         self.n = int(n)
+        self.s = int(s)
         self.i = int(i)
+        self.tag = tag
         self.ambient_dim = svec_dim(self.n)
 
     # -- structure at a point ----------------------------------------------------
 
     def _structure(self, A: np.ndarray):
-        """(lams, Q, c_start, c_end, group_count) at the clustered spectrum;
-        group_count is the number of tied eigenvalues ranked at or before i."""
+        """(lams, Q, c_start, cluster, group_count): cluster masks the i-th
+        eigenvalue's cluster, which starts at c_start, and group_count of its
+        eigenvalues rank at or before i; ranks s+1..c_start are the smooth part."""
         lams, Q = sym_eig(A)
-        idx = self.i - 1
-        c_start, c_end = _group(cluster_ranges(lams, cluster_tol(A)), idx)
-        return lams, Q, c_start, c_end, idx - c_start + 1
+        clusters = cluster_ranges(lams, cluster_tol(A))
+        if self.s and all(a != self.s for a, _ in clusters):
+            raise UnsupportedSpectralMultiplicity(f"{self.tag}: lambda_{self.s} ties with lambda_{self.s + 1}")
+        c_start, c_end = _group(clusters, self.i - 1)
+        cluster = np.array([c_start <= j < c_end for j in range(self.n)])
+        return lams, Q, c_start, cluster, self.i - c_start
 
     def _smooth_part(self, lams, Q, c_start) -> np.ndarray:
-        """Gradient of the sum of the eigenvalues strictly above the cluster,
-        zero unless the member counts them."""
-        P = Q[:, : c_start if self._include_smooth else 0]
+        """Gradient of the sum of the eigenvalues ranked s+1 .. c_start."""
+        P = Q[:, self.s : c_start]
         return P @ P.T
 
     def _smooth_quadratic(self, lams, Q, c_start, W: np.ndarray) -> float:
-        """Exact second-order form of that sum, zero unless it is counted."""
+        """Exact second-order form of that sum: its eigenvalues pair with
+        every eigenvalue outside it."""
         Wt = Q.T @ W @ Q
+        others = [l for l in range(self.n) if not self.s <= l < c_start]
         total = 0.0
-        for j in range(c_start if self._include_smooth else 0):
-            for l in range(c_start, self.n):
+        for j in range(self.s, c_start):
+            for l in others:
                 total += Wt[j, l] ** 2 / (lams[j] - lams[l])
         return 2.0 * total
 
-    # Whether the smooth strictly-above part participates (overridden by sums).
-    _include_smooth = False
-
     # -- catalog operations --------------------------------------------------------
-
-    def _value_from_spectrum(self, lams_desc: np.ndarray, gap: float) -> float:
-        c_start, _ = _group(cluster_ranges(lams_desc, gap), self.i - 1)
-        lo = 0 if self._include_smooth else c_start
-        return float(np.sum(lams_desc[lo : self.i]))
 
     def value(self, z) -> ExtReal:
         A = _to_mat(self._require_dim(z))
-        lams = np.linalg.eigvalsh(A)[::-1]
-        return ExtReal(self._value_from_spectrum(lams, cluster_tol(A)))
+        return ExtReal(float(np.sum(np.linalg.eigvalsh(A)[::-1][self.s : self.i])))
 
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
         mats = smat_batch(np.atleast_2d(np.asarray(Z, dtype=float)))
-        spectra = np.linalg.eigvalsh(mats)[:, ::-1]
-        gaps = cluster_tol(mats, axis=(1, 2))
-        return np.array(
-            [self._value_from_spectrum(lams, gap) for lams, gap in zip(spectra, gaps)]
-        )
+        return np.linalg.eigvalsh(mats)[:, ::-1][:, self.s : self.i].sum(axis=1)
 
     def subdifferential(self, z):
         A = _to_mat(z)
-        lams, Q, c_start, c_end, count = self._structure(A)
-        return SpectralRep(self.n, self._smooth_part(lams, Q, c_start), Q[:, c_start:c_end], float(count))
+        lams, Q, c_start, cluster, count = self._structure(A)
+        return SpectralRep(self.n, self._smooth_part(lams, Q, c_start), Q[:, cluster], float(count))
 
     def subderivative(self, z, w) -> ExtReal:
         A, W = _to_mat(z), _to_mat(w)
-        lams, Q, c_start, c_end, count = self._structure(A)
-        E = Q[:, c_start:c_end]
+        lams, Q, c_start, cluster, count = self._structure(A)
+        E = Q[:, cluster]
         comp = E.T @ W @ E
         mu, _ = sym_eig(0.5 * (comp + comp.T))
         smooth = float(np.tensordot(self._smooth_part(lams, Q, c_start), W))
@@ -152,34 +148,32 @@ class AlphaEigFunction(OuterFunction):
         annihilated, so exact multiplicity never has to be detected."""
         self._require_subgradient(z, y)
         A, V, W = _to_mat(z), _to_mat(y), _to_mat(u)
-        lams, Q, c_start, c_end, _ = self._structure(A)
+        lams, Q, c_start, cluster, _ = self._structure(A)
         pair = float(np.tensordot(V, W))
         dval = self.subderivative(z, svec(W))
         if abs(dval.value - pair) > 1e-8 * (1.0 + abs(pair) + float(np.linalg.norm(W))):
             return PLUS_INF
-        kill = [c_start <= j < c_end for j in range(self.n)]
-        pinv_mat = eigen_pinv(lams[self.i - 1] - lams, Q, kill)
+        pinv_mat = eigen_pinv(lams[self.i - 1] - lams, Q, cluster)
         V_alpha = V - self._smooth_part(lams, Q, c_start)
         total = 2.0 * float(np.tensordot(V_alpha, W @ pinv_mat @ W))
         return ExtReal(total + self._smooth_quadratic(lams, Q, c_start, W))
 
     def _arc(self, z, w, u):
-        """(E_above, E1, r, C, P, s): the parabolic subderivative is
+        """(E_above, E1, r, C, P, smooth): the parabolic subderivative is
         tr(E_above^T C E_above) + (sum of the top r eigenvalues of
-        E1^T C E1) + s, where the sums add s = <P, U> + (Hessian form) for
-        the eigenvalues strictly above the cluster, P being their gradient."""
+        E1^T C E1) + smooth, where smooth = <P, U> + (Hessian form) expands
+        the smooth part, P being its gradient."""
         A, W, U = _to_mat(z), _to_mat(w), _to_mat(u)
-        lams, Q, c_start, c_end, count = self._structure(A)
-        cluster = np.array([c_start <= j < c_end for j in range(self.n)])
+        lams, Q, c_start, cluster, count = self._structure(A)
         _, E_above, E1, C = arc_expansion(lams, Q, cluster, lams[self.i - 1], W, U, count)
         P = self._smooth_part(lams, Q, c_start)
-        s = float(np.tensordot(P, U)) + self._smooth_quadratic(lams, Q, c_start, W)
-        return E_above, E1, count - E_above.shape[1], C, P, s
+        smooth = float(np.tensordot(P, U)) + self._smooth_quadratic(lams, Q, c_start, W)
+        return E_above, E1, count - E_above.shape[1], C, P, smooth
 
     def parabolic_subderivative(self, z, w, u) -> ExtReal:
-        E_above, E1, r, C, _, s = self._arc(z, w, u)
+        E_above, E1, r, C, _, smooth = self._arc(z, w, u)
         nu, _ = sym_eig(E1.T @ C @ E1)
-        return ExtReal(float(np.trace(E_above.T @ C @ E_above)) + float(np.sum(nu[:r])) + s)
+        return ExtReal(float(np.trace(E_above.T @ C @ E_above)) + float(np.sum(nu[:r])) + smooth)
 
     def primal_value(self, z, J, u, H, v) -> ExtReal:
         """The conjugate value p(-D) + <y, H + D> at the multiplier y, with
@@ -207,29 +201,23 @@ class AlphaEigFunction(OuterFunction):
         return PredicateConeRepr(pred, description="directions with tight subderivative pairing")
 
     def lipschitz_bound(self, z) -> float:
-        return 2.0 * self.i
+        return float(self.i - self.s)
 
     def domain_project(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         return z if z.ndim == 1 else svec(_to_mat(z))
 
 
-class MaxEigFunction(AlphaEigFunction):
-    tag = "max_eig"
-
-    def __init__(self, n: int):
-        super().__init__(n, i=1)
-
-    def lipschitz_bound(self, z) -> float:
-        return 1.0
+def max_eig(n: int) -> EigSumFunction:
+    return EigSumFunction(n, 0, 1, "max_eig")
 
 
-class SumTopEigFunction(AlphaEigFunction):
-    """Sum of the i largest eigenvalues: the leading-group part plus a smooth
-    eigenvalue-sum whose gradient and Hessian form are exact on the eigenbasis."""
+def sum_top_eig(n: int, i: int) -> EigSumFunction:
+    return EigSumFunction(n, 0, i, "sum_top_eig")
 
-    tag = "sum_top_eig"
-    _include_smooth = True
 
-    def lipschitz_bound(self, z) -> float:
-        return float(self.i)
+def alpha_eig(n: int, i: int, z) -> EigSumFunction:
+    """The eigenvalues tied with the i-th one at z and ranked at or before i,
+    summed with s anchored at the start of that cluster at z."""
+    s = EigSumFunction(n, 0, i, "alpha_eig")._structure(_to_mat(z))[2]
+    return EigSumFunction(n, s, i, "alpha_eig")

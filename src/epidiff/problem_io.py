@@ -14,21 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, GridSchedule, PolyMap, gradient
+from .core import CompositeProblem, GridSchedule, PolyMap, gradient, poly_eval
 from .errors import ParseError, ValidationError
-from .numkit import Polyhedron
+from .numkit import Polyhedron, svec_dim
 from .outer import (
-    AlphaEigFunction,
-    MaxEigFunction,
     NegSemidefIndicator,
     OuterFunction,
     PlqFunction,
     PlqPiece,
     PolyhedralIndicator,
     SmoothQuadratic,
-    SumTopEigFunction,
     absolute_value,
+    alpha_eig,
+    max_eig,
     nonpositive_orthant,
+    sum_top_eig,
     zero_function,
 )
 
@@ -127,7 +127,8 @@ def parse_seed(val, name: str) -> int:
     return _integer(val, name, 0)
 
 
-def build_outer(payload: dict) -> OuterFunction:
+def build_outer(payload: dict, z: np.ndarray) -> OuterFunction:
+    """The outer function of the payload; alpha_eig is anchored at z = F(x)."""
     _require(isinstance(payload, dict) and "tag" in payload, "g: missing tag")
     tag = payload["tag"]
     if tag == "ind_nonpos":
@@ -156,12 +157,14 @@ def build_outer(payload: dict) -> OuterFunction:
     if tag == "ind_negsemidef":
         return NegSemidefIndicator(_count(payload, tag, "n"))
     if tag == "max_eig":
-        return MaxEigFunction(_count(payload, tag, "n"))
+        return max_eig(_count(payload, tag, "n"))
     if tag in ("sum_top_eig", "alpha_eig"):
         n, i = _count(payload, tag, "n"), _count(payload, tag, "i")
         _require(i <= n, f"g: {tag}: i must not exceed n")
-        cls = SumTopEigFunction if tag == "sum_top_eig" else AlphaEigFunction
-        return cls(n, i)
+        if tag == "sum_top_eig":
+            return sum_top_eig(n, i)
+        _require(z.size == svec_dim(n), f"F maps into R^{z.size} but g lives on R^{svec_dim(n)}")
+        return alpha_eig(n, i, z)
     if tag == "twice_semidiff":
         dim = _count(payload, tag, "dim")
         center = _finite_vec(payload["center"], "g.center") if payload.get("center") else None
@@ -192,7 +195,8 @@ def parse_problem_dict(data: dict) -> ProblemSpec:
         raise
     except Exception as exc:
         raise ValidationError(f"bad polynomial data: {exc}") from exc
-    g = build_outer(data["g"])
+    z = _finite_vec(poly_eval(F, x), "F(x)")
+    g = build_outer(data["g"], z)
     try:
         problem = CompositeProblem(phi, F, g)
     except Exception as exc:
@@ -214,9 +218,9 @@ def parse_problem_dict(data: dict) -> ProblemSpec:
         sched_data[key] = _integer(sched_data[key], f"schedule: {key}", 0)
     try:
         schedule = GridSchedule(**sched_data)
-    except TypeError as exc:
+    except (TypeError, ValidationError) as exc:
         raise ValidationError(f"schedule: {exc}") from exc
-    if not problem.check_feasible(x):
+    if not g.value(z).is_finite:
         raise ValidationError("base point x is infeasible: F(x) lies outside dom g")
     return ProblemSpec(
         problem=problem,

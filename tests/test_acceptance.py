@@ -14,7 +14,7 @@ from epidiff.core import GridSchedule
 from epidiff.numkit import svec
 from epidiff.oracle import estimate_second_subderivative
 from epidiff.optimality import check_ssosc, sms_certificate, stationary_data, verify_growth
-from epidiff.outer import MaxEigFunction, NegSemidefIndicator
+from epidiff.outer import NegSemidefIndicator, max_eig
 
 from _instances import (
     a1_problem,
@@ -101,7 +101,7 @@ def test_A3_psd_cone_second_subderivative():
 
 def test_A4_eigenvalue_second_subderivative():
     start = time.time()
-    me2 = MaxEigFunction(2)
+    me2 = max_eig(2)
     A = np.diag([2.0, 1.0])
     V = np.diag([1.0, 0.0])
     rng = np.random.default_rng(404)
@@ -110,7 +110,7 @@ def test_A4_eigenvalue_second_subderivative():
         W = 0.5 * (W + W.T)
         closed = me2.second_subderivative(svec(A), svec(V), svec(W))
         assert closed.value == pytest.approx(2.0 * W[0, 1] ** 2, abs=1e-10)
-    me3 = MaxEigFunction(3)
+    me3 = max_eig(3)
     checked = 0
     for k in range(10):
         A3, V3, W3 = random_simple_top_instance(rng, 3)

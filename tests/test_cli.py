@@ -360,7 +360,8 @@ def test_parse_rejects_non_finite_or_negative_inputs(tmp_path):
              ("seed", None), ("seed", 2.7), ("schedule", "ab"), ("schedule", [1]),
              ("schedule", []), ("schedule", False), ("schedule", 0), ("schedule", ""),
              ("schedule", {"steps": 3.5}), ("schedule", {"samples_per_axis": True}),
-             ("schedule", {"seed": -1}))
+             ("schedule", {"seed": -1}), ("schedule", {"steps": 1100}),
+             ("schedule", {"radius_coeff": float("nan")}), ("schedule", {"t0": float("inf")}))
     for key, value in cases:
         data = dict(base, **{key: value})
         p = tmp_path / f"bad_{key}.json"
@@ -374,6 +375,11 @@ def test_parse_rejects_non_finite_or_negative_inputs(tmp_path):
     for command in ("analyze", "certify", "check-cq"):
         code, text = run([command, str(p)])
         assert code == 3 and text.startswith("error: x:"), (command, text)
+    # F(x) overflows: the spectral value used to raise on a NaN
+    p.write_text(json.dumps({"phi": [], "F": [["1e300 x1^2"], [], []], "g": {"tag": "max_eig", "n": 2},
+                             "x": [1e10]}))
+    code, text = run(["analyze", str(p)])
+    assert code == 3 and text.startswith("error: F(x):"), text
 
 
 def test_infinite_kappa_hat_exits_2(tmp_path):
@@ -559,6 +565,7 @@ def test_argument_errors_exit_3():
     for argv in (["analyze", a1, "--dir", "inf,0"], ["analyze", a1, "--dir", "nan,0"],
                  cq + ["--samples", "-5"], cq + ["--samples", "0"], cq + ["--radius", "nan"],
                  cq + ["--radius", "-1"], ["analyze", a1, "--seed", "-1"], ["analyze"],
-                 ["bogus", a1]):
+                 ["bogus", a1], ["verify", a1, "--steps", "600"], ["verify", a1, "--t0", "inf"],
+                 ["verify", a1, "--steps", "100000000"]):
         code, text = run(argv)
         assert code == 3 and text.startswith("error:"), argv

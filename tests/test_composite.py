@@ -31,14 +31,14 @@ from epidiff.numkit import Polyhedron, lp_max, svec, vertices
 from epidiff.numkit.polyhedra import residuals
 from epidiff.oracle import estimate_second_subderivative
 from epidiff.outer import (
-    MaxEigFunction,
     NegSemidefIndicator,
     PlqFunction,
     PlqPiece,
     PolyhedralIndicator,
-    SumTopEigFunction,
     absolute_value,
+    max_eig,
     nonpositive_orthant,
+    sum_top_eig,
     zero_function,
 )
 from epidiff.problem_io import parse_problem
@@ -135,7 +135,7 @@ def test_spectral_multiplicity_guard():
     # clustered top eigenvalue with a rank-deficient adjoint must be reported
     phi = PolyMap.zero(1)
     F = PolyMap.from_strings([["x1"], [], []], 1)  # maps into svec(S^2)
-    prob = CompositeProblem(phi, F, MaxEigFunction(2))
+    prob = CompositeProblem(phi, F, max_eig(2))
     with pytest.raises(UnsupportedSpectralMultiplicity):
         multipliers(prob, [0.0], [1.0], kappa=1.0)
 
@@ -146,7 +146,7 @@ def test_spectral_multiplicity_guard():
 def test_lipschitz_constants():
     assert lipschitz_constant(nonpositive_orthant(1), [0.0]).ell == 0.0
     assert lipschitz_constant(absolute_value(), [0.7]).ell == pytest.approx(1.0)
-    assert lipschitz_constant(SumTopEigFunction(3, 2), svec(np.diag([3.0, 1.0, 0.0]))).ell == 2.0
+    assert lipschitz_constant(sum_top_eig(3, 2), svec(np.diag([3.0, 1.0, 0.0]))).ell == 2.0
 
 
 def test_tau_examples():
@@ -351,7 +351,7 @@ def test_closed_form_primal_golden_max_eig():
     affine with gradient e1 e1^T, which dF annihilates, so
     primal = 2 (W (I - A)^+ W)11 = 1 = dual."""
     F = PolyMap.from_strings([["1"], ["x1"], ["-1 x1^2"]], 1)
-    prob = CompositeProblem(PolyMap.zero(1), F, MaxEigFunction(2))
+    prob = CompositeProblem(PolyMap.zero(1), F, max_eig(2))
     info = second_subderivative_chain(prob, [0.0], [0.0], [1.0], kappa=1.0)
     assert info.primal_value.value == pytest.approx(1.0, abs=1e-12)
     assert abs(info.primal_value.value - info.dual_value.value) <= 1e-12

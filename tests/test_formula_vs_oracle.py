@@ -12,14 +12,14 @@ from epidiff.core import PolyMap
 from epidiff.numkit import Polyhedron, svec
 from epidiff.oracle import estimate_parabolic_subderivative, estimate_second_subderivative
 from epidiff.outer import (
-    AlphaEigFunction,
-    MaxEigFunction,
     NegSemidefIndicator,
     PolyhedralIndicator,
     SmoothQuadratic,
-    SumTopEigFunction,
     absolute_value,
+    alpha_eig,
+    max_eig,
     nonpositive_orthant,
+    sum_top_eig,
 )
 
 from _instances import half_square_plq, outer_sampled, psd_base_data
@@ -69,14 +69,26 @@ CASES = [
         np.array([1.0, 1.0]),
     ),
     ("ind_negsemidef", NegSemidefIndicator(2), *psd_base_data()),
-    ("max_eig", MaxEigFunction(2), svec(np.diag([2.0, 1.0])), svec(np.diag([1.0, 0.0]))),
+    ("max_eig", max_eig(2), svec(np.diag([2.0, 1.0])), svec(np.diag([1.0, 0.0]))),
     (
         "sum_top_eig",
-        SumTopEigFunction(3, 2),
+        sum_top_eig(3, 2),
         svec(np.diag([3.0, 1.0, 0.0])),
         svec(np.diag([1.0, 1.0, 0.0])),
     ),
-    ("alpha_eig", AlphaEigFunction(2, 2), svec(np.diag([2.0, 1.0])), svec(np.diag([0.0, 1.0]))),
+    (
+        "alpha_eig",
+        alpha_eig(2, 2, svec(np.diag([2.0, 1.0]))),
+        svec(np.diag([2.0, 1.0])),
+        svec(np.diag([0.0, 1.0])),
+    ),
+    # lambda_3's cluster {lambda_2, lambda_3} at diag(2, 1, 1): s = 1, count 2
+    (
+        "alpha_eig_cluster",
+        alpha_eig(3, 3, svec(np.diag([2.0, 1.0, 1.0]))),
+        svec(np.diag([2.0, 1.0, 1.0])),
+        svec(np.diag([0.0, 1.0, 1.0])),
+    ),
     (
         "twice_semidiff",
         SmoothQuadratic(
@@ -116,15 +128,26 @@ PARABOLIC_CASES = [
     ("ind_negsemidef", NegSemidefIndicator(2), *psd_base_data()),
     # A = 0: a 2-dimensional zero cluster
     ("ind_negsemidef_zero_cluster", NegSemidefIndicator(2), svec(np.zeros((2, 2))), np.zeros(3)),
-    ("max_eig", MaxEigFunction(2), svec(np.diag([2.0, 1.0])), svec(np.diag([1.0, 0.0]))),
-    ("max_eig_cluster", MaxEigFunction(2), svec(np.eye(2)), svec(0.5 * np.eye(2))),
+    ("max_eig", max_eig(2), svec(np.diag([2.0, 1.0])), svec(np.diag([1.0, 0.0]))),
+    ("max_eig_cluster", max_eig(2), svec(np.eye(2)), svec(0.5 * np.eye(2))),
     (
         "sum_top_eig",
-        SumTopEigFunction(3, 2),
+        sum_top_eig(3, 2),
         svec(np.diag([3.0, 1.0, 0.0])),
         svec(np.diag([1.0, 1.0, 0.0])),
     ),
-    ("alpha_eig", AlphaEigFunction(2, 2), svec(np.diag([2.0, 1.0])), svec(np.diag([0.0, 1.0]))),
+    (
+        "alpha_eig",
+        alpha_eig(2, 2, svec(np.diag([2.0, 1.0]))),
+        svec(np.diag([2.0, 1.0])),
+        svec(np.diag([0.0, 1.0])),
+    ),
+    (
+        "alpha_eig_cluster",
+        alpha_eig(3, 3, svec(np.diag([2.0, 1.0, 1.0]))),
+        svec(np.diag([2.0, 1.0, 1.0])),
+        svec(np.diag([0.0, 1.0, 1.0])),
+    ),
 ]
 
 

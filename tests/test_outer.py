@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidiff.core import PolyMap
-from epidiff.errors import NotASubgradient, PointNotInDomain
+from epidiff.errors import NotASubgradient, PointNotInDomain, UnsupportedSpectralMultiplicity
 from epidiff.extreal import PLUS_INF
 from epidiff.numkit import svec, smat
 from epidiff.outer import (
-    AlphaEigFunction,
-    MaxEigFunction,
+    EigSumFunction,
     NegSemidefIndicator,
     SmoothQuadratic,
-    SumTopEigFunction,
     absolute_value,
+    alpha_eig,
+    max_eig,
     nonpositive_orthant,
+    sum_top_eig,
 )
 
 from _instances import half_square_plq, max_of_coordinates_plq, outer_sampled, psd_base_data
@@ -26,7 +29,7 @@ def test_eval_examples():
     nsd = NegSemidefIndicator(2)
     assert nsd.value(svec(np.diag([0.0, -1.0]))).value == 0.0
     assert nsd.value(svec(np.diag([1.0, 0.0]))).is_plus_inf
-    me = MaxEigFunction(2)
+    me = max_eig(2)
     assert me.value(svec(np.array([[0.0, 1.0], [1.0, 0.0]]))).value == pytest.approx(1.0)
 
 
@@ -39,7 +42,7 @@ def test_subdiff_examples():
     assert not sd.contains([1.5])
     nd = nonpositive_orthant(1).subdifferential([0.0])
     assert nd.contains([5.0]) and not nd.contains([-0.1])
-    me = MaxEigFunction(2)
+    me = max_eig(2)
     rep = me.subdifferential(svec(np.diag([2.0, 1.0])))
     assert np.allclose(smat(rep.unique_element()), np.diag([1.0, 0.0]))
     # nontrivial eigenspace: trace-one spectrahedron membership
@@ -56,7 +59,7 @@ def test_subderivative_examples():
     assert absolute_value().subderivative([0.0], [-2.0]).value == pytest.approx(2.0)
     ind = nonpositive_orthant(1)
     assert ind.subderivative([0.0], [1.0]).is_plus_inf
-    me = MaxEigFunction(2)
+    me = max_eig(2)
     val = me.subderivative(svec(np.diag([2.0, 1.0])), svec(np.array([[3.0, 0.0], [0.0, 9.0]])))
     assert val.value == pytest.approx(3.0)
 
@@ -72,7 +75,7 @@ def test_second_subderivative_examples():
     nsd = NegSemidefIndicator(2)
     W = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert nsd.second_subderivative(zA, zV, svec(W)).value == pytest.approx(2.0)
-    me = MaxEigFunction(2)
+    me = max_eig(2)
     val = me.second_subderivative(
         svec(np.diag([2.0, 1.0])), svec(np.diag([1.0, 0.0])), svec(W)
     )
@@ -81,7 +84,7 @@ def test_second_subderivative_examples():
 
 def test_second_subderivative_eigenvalue_perturbation_series():
     # lam_max(diag(2,1) + t W) = 2 + t^2 W12^2 + O(t^4) for W with W11 = 0
-    me = MaxEigFunction(2)
+    me = max_eig(2)
     A = np.diag([2.0, 1.0])
     rng = np.random.default_rng(8)
     for _ in range(10):
@@ -93,7 +96,7 @@ def test_second_subderivative_eigenvalue_perturbation_series():
 
 def test_sum_top_eig_smooth_part():
     # sum of the two largest eigenvalues with the top pair split: C2 part exact
-    st2 = SumTopEigFunction(3, 2)
+    st2 = sum_top_eig(3, 2)
     A = np.diag([3.0, 1.0, 0.0])
     rep = st2.subdifferential(svec(A))
     assert np.allclose(smat(rep.unique_element()), np.diag([1.0, 1.0, 0.0]))
@@ -105,17 +108,58 @@ def test_sum_top_eig_smooth_part():
 
 
 def test_alpha_eig_group_bookkeeping():
-    a2 = AlphaEigFunction(3, 2)
+    """alpha_eig is anchored where it is built: s is the start of the i-th
+    eigenvalue's cluster there, and everywhere the value is the plain sum of
+    the eigenvalues ranked s+1..i, with no re-clustering."""
     A = np.diag([2.0, 1.0, 1.0])
+    a2 = alpha_eig(3, 2, svec(A))
+    assert (a2.s, a2.i, a2.lipschitz_bound(svec(A))) == (1, 2, 1.0)
     assert a2.value(svec(A)).value == pytest.approx(1.0)
     A_tied = np.diag([2.0, 2.0, 0.0])
-    assert a2.value(svec(A_tied)).value == pytest.approx(4.0)
+    assert a2.value(svec(A_tied)).value == pytest.approx(2.0)
+    # lambda_s tied with lambda_(s+1): g is not C^2-reducible there
+    with pytest.raises(UnsupportedSpectralMultiplicity):
+        a2.subdifferential(svec(A_tied))
+    # anchored at the tied point, the member counts the whole group
+    assert alpha_eig(3, 2, svec(A_tied)).value(svec(A_tied)).value == pytest.approx(4.0)
+    # splitting the anchor's cluster moves the value by the split only
+    a_id = alpha_eig(2, 2, svec(np.eye(2)))
+    assert a_id.value(svec(np.eye(2))).value == 2.0
+    split = svec(np.diag([1.0 + 1e-6, 1.0 - 1e-6]))
+    assert a_id.value(split).value == pytest.approx(2.0, abs=1e-12)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, n - 1).flatmap(lambda s: st.tuples(st.just(s), st.integers(s + 1, n))),
+            st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=n, max_size=n),
+            st.lists(st.floats(-5e-7, 5e-7), min_size=n, max_size=n),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+)
+def test_eigenvalue_sum_is_lipschitz_across_split_clusters(case):
+    """g = S_i - S_s is (i - s)-Lipschitz (Hoffman-Wielandt), also between a
+    point with tied eigenvalues and a nearby one that splits the ties; the
+    batch evaluates bit for bit like the pointwise value."""
+    n, (s, i), lams, split, seed = case
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    A = Q @ np.diag(lams) @ Q.T
+    B = Q @ np.diag(np.add(lams, split)) @ Q.T
+    A, B = svec(0.5 * (A + A.T)), svec(0.5 * (B + B.T))
+    g = EigSumFunction(n, s, i, "alpha_eig")
+    values = [g.value(A).value, g.value(B).value]
+    assert g.value_batch(np.array([A, B])).tolist() == values
+    assert abs(values[0] - values[1]) <= g.lipschitz_bound(A) * np.linalg.norm(A - B) + 1e-12
 
 
 def test_trace_second_subderivative_vanishes():
     # the full eigenvalue sum is linear: its curvature must cancel exactly
     # between the leading-group term and the smooth correction
-    tr = SumTopEigFunction(3, 3)
+    tr = sum_top_eig(3, 3)
     A = np.diag([2.0, 1.0, 1.0])
     rep = tr.subdifferential(svec(A))
     V = rep.unique_element()
@@ -198,7 +242,7 @@ def test_domain_preconditions():
 def test_dimension_mismatch_on_eval():
     from epidiff.errors import DimensionMismatch
 
-    for g in (absolute_value(), nonpositive_orthant(2), NegSemidefIndicator(2), MaxEigFunction(2)):
+    for g in (absolute_value(), nonpositive_orthant(2), NegSemidefIndicator(2), max_eig(2)):
         with pytest.raises(DimensionMismatch):
             g.value(np.zeros(g.ambient_dim + 1))
 
@@ -212,9 +256,9 @@ def _catalog_instances():
         (half_square_plq(), np.array([0.0]), np.array([0.0])),
         (nonpositive_orthant(2), np.array([0.0, -1.0]), np.array([1.0, 0.0])),
         (NegSemidefIndicator(2), *psd_base_data()),
-        (MaxEigFunction(2), svec(np.diag([2.0, 1.0])), svec(np.diag([1.0, 0.0]))),
+        (max_eig(2), svec(np.diag([2.0, 1.0])), svec(np.diag([1.0, 0.0]))),
         (
-            SumTopEigFunction(3, 2),
+            sum_top_eig(3, 2),
             svec(np.diag([3.0, 1.0, 0.0])),
             svec(np.diag([1.0, 1.0, 0.0])),
         ),
