@@ -191,7 +191,11 @@ def cmd_analyze(spec: ProblemSpec, dirs: list, seed: int) -> Report:
     return Report("analyze", payload, exit_code=0 if worst_gap <= tol else 1)
 
 
-def cmd_verify(spec: ProblemSpec, dirs: list, seed: int, sched: GridSchedule) -> Report:
+def cmd_verify(
+    spec: ProblemSpec, dirs: list, seed: int, sched: GridSchedule, break_offset: float = 0.0
+) -> Report:
+    """break_offset (EPIDIFF_BREAK_FORMULA) is added to every finite closed
+    form: a self-test hook that must turn a passing report into exit 1."""
     prob, x, v = spec.problem, spec.x, spec.v
     kappa, prov, _ = _resolve_kappa(spec, seed)
     ms = composite.multipliers(prob, x, v, kappa=kappa, ell=spec.ell)
@@ -199,7 +203,6 @@ def cmd_verify(spec: ProblemSpec, dirs: list, seed: int, sched: GridSchedule) ->
         return Report("verify", {"error": "v is not a subgradient of g(F(.)) at x"}, exit_code=2)
     if not dirs:
         dirs = _direction_set(spec, ms, seed, off_cone=2)
-    break_offset = float(os.environ.get("EPIDIFF_BREAK_FORMULA", "0") or 0)
 
     def formula(w):
         val, _ = composite.chain_dual_value(prob, x, v, w, ms)
@@ -356,24 +359,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> tuple:
-    """(args, spec, seed, dirs): argv, file and environment, all checked first."""
+    """(args, spec, seed, dirs, break_offset): argv, file and environment,
+    all checked first."""
     args = build_parser().parse_args(argv)
     spec = parse_problem(args.file)
     seed = spec.seed if args.seed is None else parse_seed(args.seed, "--seed")
     env_seed = os.environ.get("EPIDIFF_SEED")
     if env_seed:
         seed = parse_seed(env_seed, "EPIDIFF_SEED")
+    env_break = os.environ.get("EPIDIFF_BREAK_FORMULA")
+    try:
+        break_offset = float(env_break) if env_break else 0.0
+    except ValueError:
+        break_offset = math.nan
+    if not math.isfinite(break_offset):
+        raise ValidationError("EPIDIFF_BREAK_FORMULA: must be a finite number")
     if args.command == "check-cq":
         if args.samples < 1:
             raise ValidationError("--samples: must be at least 1")
         if not (math.isfinite(args.radius) and args.radius > 0):
             raise ValidationError("--radius: must be finite and positive")
-    return args, spec, seed, _parse_dirs(getattr(args, "dir", None), spec.problem.n)
+    return args, spec, seed, _parse_dirs(getattr(args, "dir", None), spec.problem.n), break_offset
 
 
 def run(argv=None) -> tuple[int, str]:
     try:
-        args, spec, seed, dirs = _parse(argv)
+        args, spec, seed, dirs, break_offset = _parse(argv)
     except (ParseError, ValidationError) as exc:
         return 3, f"error: {exc}"
     try:
@@ -386,7 +397,7 @@ def run(argv=None) -> tuple[int, str]:
                 if getattr(args, name) is not None
             }
             sched = replace(spec.schedule, seed=seed, **given)
-            report = cmd_verify(spec, dirs, seed, sched)
+            report = cmd_verify(spec, dirs, seed, sched, break_offset)
         elif args.command == "certify":
             report = cmd_certify(spec, seed)
         else:

@@ -6,10 +6,17 @@ probed direction, batched grid (or seeded random) sampling per level, a
 deterministic pattern-search polish, and a three-level extrapolation of the
 per-level minima.  These estimates are the ground truth the closed forms are
 validated against; they never share formulas with the catalog.
+
+The parabolic-regularity check ranks many trial points z by an unpolished
+parabolic estimate.  Its scorer takes a whole stack of z at once: one level
+at a time, the search balls around a chunk of z go into one batched
+evaluation.  The coarse z-grid and the z pattern search both go through it.
+The grid balls are built once per (dimension, radius, samples per axis).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -28,6 +35,9 @@ RANDOM_BALL_SAMPLES = 2000
 GRID_DIM_LIMIT = 4
 Z_GRID_HALF_WIDTH = 10.0
 Z_GRID_CAP = 100_000
+# The parabolic scorer evaluates a chunk of z at a time, sized so that one
+# batch holds about this many rows (z points times ball points).
+Z_BATCH_ROWS = 4096
 
 
 @dataclass
@@ -99,19 +109,27 @@ def delta2_quotient(f: SampledFunction, x, v, t: float, w) -> ExtReal:
 # -- per-level search ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _grid_ball(dim: int, radius: float, samples_per_axis: int) -> np.ndarray:
+    """The center, then the points of the samples_per_axis^dim grid over
+    [-radius, radius]^dim that lie in the ball; read-only, as it is shared."""
+    axis = np.linspace(-radius, radius, samples_per_axis)
+    mesh = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    mesh = mesh[np.linalg.norm(mesh, axis=1) <= radius * (1 + 1e-12)]
+    out = np.vstack([np.zeros((1, dim)), mesh])
+    out.flags.writeable = False
+    return out
+
+
 def _ball_offsets(dim: int, radius: float, sched: GridSchedule, rng) -> np.ndarray:
     if radius <= 0:
         return np.zeros((1, dim))
     if dim <= GRID_DIM_LIMIT:
-        axis = np.linspace(-radius, radius, sched.samples_per_axis)
-        mesh = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-        mesh = mesh[np.linalg.norm(mesh, axis=1) <= radius * (1 + 1e-12)]
-    else:
-        raw = rng.standard_normal((RANDOM_BALL_SAMPLES, dim))
-        raw /= np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
-        radii = radius * rng.random(RANDOM_BALL_SAMPLES) ** (1.0 / dim)
-        mesh = raw * radii[:, None]
-    return np.vstack([np.zeros((1, dim)), mesh])
+        return _grid_ball(dim, radius, sched.samples_per_axis)
+    raw = rng.standard_normal((RANDOM_BALL_SAMPLES, dim))
+    raw /= np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
+    radii = radius * rng.random(RANDOM_BALL_SAMPLES) ** (1.0 / dim)
+    return np.vstack([np.zeros((1, dim)), raw * radii[:, None]])
 
 
 def _ball_clip(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -268,6 +286,32 @@ def estimate_second_subderivative(f: SampledFunction, x, v, w, sched: GridSchedu
     return _stabilize(_second_order_levels(f, x, v, w, sched), sched)
 
 
+def _parabolic_starts(f: SampledFunction, x, w, dfw: float, f0: float, Z, t, radius, offsets):
+    """Per row z of Z, the best point of the ball z + offsets for the parabolic
+    quotient at step t: (quotients, points), first index on ties.  A z whose
+    whole ball lies outside the domain gets the quotient at its restored point
+    (when f can restore), else (inf, z)."""
+    half_t2 = 0.5 * t * t
+    cands = Z[:, None, :] + offsets[None, :, :]
+    vals = f.eval_batch(x[None, :] + t * w[None, :] + half_t2 * cands.reshape(-1, Z.shape[1]))
+    quot = (vals - f0 - t * dfw) / half_t2
+    quot = np.where(np.isfinite(quot), quot, math.inf).reshape(Z.shape[0], -1)
+    rows, idx = np.arange(Z.shape[0]), np.argmin(quot, axis=1)
+    best, points = quot[rows, idx], cands[rows, idx]
+    empty, best = np.flatnonzero(np.isinf(best)), best.tolist()
+    for i in empty:
+        points[i] = Z[i]
+        if f.restore_feasible is None:
+            continue
+        restored = np.asarray(f.restore_feasible(x + t * w + half_t2 * Z[i]), dtype=float)
+        z0 = _ball_clip((restored - x - t * w) / half_t2, Z[i], radius)
+        fx = f.value(x + t * w + half_t2 * z0)
+        m0 = (fx.value - f0 - t * dfw) / half_t2 if fx.is_finite else math.inf
+        if math.isfinite(m0):
+            best[i], points[i] = m0, z0
+    return best, points
+
+
 def estimate_parabolic_subderivative(
     f: SampledFunction,
     x,
@@ -275,12 +319,8 @@ def estimate_parabolic_subderivative(
     dfw: float,
     z,
     sched: GridSchedule | None = None,
-    polish: bool = True,
 ) -> ExtReal:
-    """min over t and z' near z of the parabolic quotient along x + t w + t^2 z'/2.
-
-    polish=False skips the per-level pattern search; coarse but much cheaper,
-    used when many trial z's only need to be ranked."""
+    """min over t and z' near z of the parabolic quotient along x + t w + t^2 z'/2."""
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -301,31 +341,41 @@ def estimate_parabolic_subderivative(
 
         radius = sched.radius(t)
         offsets = _ball_offsets(z.shape[0], radius, sched, rng)
-        cands = z[None, :] + offsets
-        vals = f.eval_batch(x[None, :] + t * w[None, :] + half_t2 * cands)
-        quot = (vals - f0.value - t * dfw) / half_t2
-        finite_mask = np.isfinite(quot)
-        if not finite_mask.any():
-            if f.restore_feasible is not None:
-                restored = np.asarray(f.restore_feasible(x + t * w + half_t2 * z), dtype=float)
-                z0 = _ball_clip((restored - x - t * w) / half_t2, z, radius)
-                m0, _ = q(z0)
-                if math.isfinite(m0):
-                    if polish:
-                        m, p = _pattern_refine(q, z0, m0, z, radius)
-                    else:
-                        m, p = m0, z0
-                    records.append((t, m, p))
-                    continue
-            records.append((t, math.inf, z))
-            continue
-        idx = int(np.argmin(np.where(finite_mask, quot, math.inf)))
-        if polish:
-            m, p = _pattern_refine(q, cands[idx], float(quot[idx]), z, radius)
-        else:
-            m, p = float(quot[idx]), cands[idx]
+        (m,), (p,) = _parabolic_starts(f, x, w, dfw, f0.value, z[None, :], t, radius, offsets)
+        if math.isfinite(m):
+            m, p = _pattern_refine(q, p, m, z, radius)
         records.append((t, m, p))
     return _stabilize(records, sched)
+
+
+def _parabolic_scores(f: SampledFunction, x, w, dfw: float, v, Z, sched: GridSchedule) -> np.ndarray:
+    """For every row z of Z, the parabolic estimate at z without the per-level
+    pattern search, minus <z, v>.
+
+    f(x) is valued once, and each level's ball offsets are drawn once from
+    one rng seeded with sched.seed: the offsets a fresh estimate at each z
+    would draw.  Each level scores a chunk of z in one batched evaluation."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    f0 = f.value(x)
+    if not f0.is_finite:
+        raise BasePointInfeasible("f(x) must be finite")
+    rng = np.random.default_rng(sched.seed)
+    levels = [(t, sched.radius(t)) for t in sched.t_levels()]
+    balls = [_ball_offsets(Z.shape[1], radius, sched, rng) for _, radius in levels]
+    chunk = max(1, Z_BATCH_ROWS // max(len(b) for b in balls))
+    minima = []
+    for lo in range(0, Z.shape[0], chunk):
+        part = [
+            _parabolic_starts(f, x, w, dfw, f0.value, Z[lo:lo + chunk], t, radius, ball)[0]
+            for (t, radius), ball in zip(levels, balls)
+        ]
+        minima.extend(zip(*part))
+    return np.array([
+        _stabilize([(t, m, None) for (t, _), m in zip(levels, ms)], sched).as_float() - float(z @ v)
+        for z, ms in zip(Z, minima)
+    ])
 
 
 def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None = None) -> ExtReal:
@@ -424,32 +474,30 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
 
     The coarse schedule scores a z-grid of sched.samples_per_axis points per
     axis over the box |z|_inf <= 10 (a seeded uniform sample of 10,000
-    points when the grid exceeds Z_GRID_CAP), pattern search refines the
-    best finite point within 1,500 evaluations, and the full schedule values
-    the result.  PlusInf when no grid point scores finite."""
+    points when the grid exceeds Z_GRID_CAP), one level at a time with the
+    balls of a chunk of grid points in one batch (_parabolic_scores).
+    Pattern search, scoring each trial point through the same scorer, refines
+    the best finite point within 1,500 evaluations, and the full schedule
+    values the result.  PlusInf when no grid point scores finite."""
     cheap = sched.coarse()
     dim = w.shape[0]
-
-    def score(z, schedule=cheap, polish=False):
-        val = estimate_parabolic_subderivative(f, x, w, dfw, z, schedule, polish=polish)
-        return val.as_float() - float(z @ v)
-
     rng = np.random.default_rng(sched.seed)
     if sched.samples_per_axis ** dim <= Z_GRID_CAP:
         axis = np.linspace(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, sched.samples_per_axis)
         grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     else:
         grid = rng.uniform(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, size=(10_000, dim))
-    scores = np.array([score(z) for z in grid])
+    scores = _parabolic_scores(f, x, w, dfw, v, grid, cheap)
     finite_mask = np.isfinite(scores)
     if not finite_mask.any():
         return PLUS_INF
     idx = int(np.argmin(np.where(finite_mask, scores, math.inf)))
     _, z_best = _pattern_refine(
-        lambda z: (score(z), z), grid[idx], float(scores[idx]), grid[idx],
-        Z_GRID_HALF_WIDTH / 2, max_evals=1500,
+        lambda z: (float(_parabolic_scores(f, x, w, dfw, v, z[None, :], cheap)[0]), z),
+        grid[idx], float(scores[idx]), grid[idx], Z_GRID_HALF_WIDTH / 2, max_evals=1500,
     )
-    return ExtReal(score(z_best, sched, True))
+    value = estimate_parabolic_subderivative(f, x, w, dfw, z_best, sched)
+    return ExtReal(value.as_float() - float(z_best @ v))
 
 
 def check_parabolic_regularity(

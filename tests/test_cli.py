@@ -500,7 +500,10 @@ _ARGV_VALUES = {
     "--samples": (["1", "3", "12"], ["-5", "0", "2.5", "abc"]),
     "--radius": (["0.1", "1e-3"], ["nan", "-1", "0", "inf", "abc"]),
 }
-_ENV_SEEDS = (["3", " 5", ""], ["abc", "-1", "2.5"])
+_ENV_VALUES = {
+    "EPIDIFF_SEED": (["3", " 5", ""], ["abc", "-1", "2.5"]),
+    "EPIDIFF_BREAK_FORMULA": (["0", "", "2.5", " -1e3"], ["abc", "nan", "inf"]),
+}
 _FILE_SEEDS = ([3, 3.0, 0], [-1, "abc", None, 2.7, True, float("inf")])
 
 
@@ -512,8 +515,8 @@ def _pick(draw, valid_and_invalid):
 
 @st.composite
 def _invocations(draw):
-    """analyze or check-cq on a1_parabola with a draw of flags, an
-    EPIDIFF_SEED and a file seed, each valid or not."""
+    """analyze or check-cq on a1_parabola with a draw of flags, of the
+    environment variables and of a file seed, each valid or not."""
     command = draw(st.sampled_from(["analyze", "check-cq"]))
     flags = ["--seed"] + (["--dir"] if command == "analyze" else ["--samples", "--radius"])
     argv, invalid = [], False
@@ -522,10 +525,11 @@ def _invocations(draw):
             value, bad = _pick(draw, _ARGV_VALUES[flag])
             argv.append(f"{flag}={value}")
             invalid |= bad
-    env, file_seed = None, ...
-    if draw(st.booleans()):
-        env, bad = _pick(draw, _ENV_SEEDS)
-        invalid |= bad
+    env, file_seed = {}, ...
+    for name, values in _ENV_VALUES.items():
+        if draw(st.booleans()):
+            env[name], bad = _pick(draw, values)
+            invalid |= bad
     if draw(st.booleans()):
         file_seed, bad = _pick(draw, _FILE_SEEDS)
         invalid |= bad
@@ -536,31 +540,31 @@ def _invocations(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(_invocations())
 def test_generated_arguments_keep_exit_code_contract(tmp_path, case):
-    """Argv flags, EPIDIFF_SEED and the file's seed: any invalid one ends in
-    exit 3 and an error line, and nothing is raised."""
+    """Argv flags, EPIDIFF_SEED, EPIDIFF_BREAK_FORMULA and the file's seed:
+    any invalid one ends in exit 3 and an error line, and nothing is raised."""
     command, argv, env, file_seed, invalid = case
     data = json.loads(Path(_fixture("a1_parabola.json")).read_text())
     if file_seed is not ...:
         data["seed"] = file_seed
     p = tmp_path / "args.json"
     p.write_text(json.dumps(data))
-    saved = os.environ.pop("EPIDIFF_SEED", None)
+    saved = {name: os.environ.pop(name, None) for name in _ENV_VALUES}
     try:
-        if env is not None:
-            os.environ["EPIDIFF_SEED"] = env
+        os.environ.update(env)
         code, text = run([command, str(p)] + argv)
     finally:
-        os.environ.pop("EPIDIFF_SEED", None)
-        if saved is not None:
-            os.environ["EPIDIFF_SEED"] = saved
+        for name, value in saved.items():
+            os.environ.pop(name, None)
+            if value is not None:
+                os.environ[name] = value
     if invalid:
         assert code == 3 and text.startswith("error:"), (argv, env, file_seed, text)
     else:
         assert code == 0, (argv, env, file_seed, text)
 
 
-def test_argument_errors_exit_3():
-    """The argument cases that used to end in a traceback or exit 0."""
+def test_argument_errors_exit_3(monkeypatch):
+    """The argument cases that used to end in a traceback, exit 0 or exit 1."""
     a1, cq = _fixture("a1_parabola.json"), ["check-cq", _fixture("a1_parabola.json")]
     for argv in (["analyze", a1, "--dir", "inf,0"], ["analyze", a1, "--dir", "nan,0"],
                  cq + ["--samples", "-5"], cq + ["--samples", "0"], cq + ["--radius", "nan"],
@@ -569,3 +573,7 @@ def test_argument_errors_exit_3():
                  ["verify", a1, "--steps", "100000000"]):
         code, text = run(argv)
         assert code == 3 and text.startswith("error:"), argv
+    for value in ("abc", "nan", "inf"):
+        monkeypatch.setenv("EPIDIFF_BREAK_FORMULA", value)
+        code, text = run(["verify", _fixture("plq_abs.json")])
+        assert code == 3 and text.startswith("error:"), value

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epidiff import oracle
 from epidiff.core import GridSchedule
 from epidiff.errors import BasePointInfeasible, CriticalConePreconditionFailed
 from epidiff.extreal import ExtReal, PLUS_INF
@@ -83,6 +86,143 @@ def test_parabolic_estimates():
     gabs = outer_sampled(absolute_value())
     val = estimate_parabolic_subderivative(gabs, [0.0], [1.0], 1.0, [3.0])
     assert val.value == pytest.approx(3.0, abs=1e-6)
+
+
+# -- batched parabolic scores -----------------------------------------------------------
+
+
+def _fresh_ball(dim, radius, k, rng):
+    """Ball offsets built afresh, the way the level search built them before
+    the grid balls were cached."""
+    if radius <= 0:
+        return np.zeros((1, dim))
+    if dim <= oracle.GRID_DIM_LIMIT:
+        axis = np.linspace(-radius, radius, k)
+        mesh = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+        mesh = mesh[np.linalg.norm(mesh, axis=1) <= radius * (1 + 1e-12)]
+    else:
+        raw = rng.standard_normal((oracle.RANDOM_BALL_SAMPLES, dim))
+        raw /= np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
+        radii = radius * rng.random(oracle.RANDOM_BALL_SAMPLES) ** (1.0 / dim)
+        mesh = raw * radii[:, None]
+    return np.vstack([np.zeros((1, dim)), mesh])
+
+
+def _unpolished_scores(f, x, w, dfw, v, Z, sched):
+    """The per-z loop the batched scorer replaces: for each z, the parabolic
+    estimate without pattern search (a fresh rng, f(x) and ball per call),
+    minus <z, v>."""
+    out = []
+    for z in Z:
+        f0 = f.value(x)
+        rng = np.random.default_rng(sched.seed)
+        records = []
+        for t in sched.t_levels():
+            half_t2 = 0.5 * t * t
+            radius = sched.radius(t)
+            cands = z[None, :] + _fresh_ball(z.shape[0], radius, sched.samples_per_axis, rng)
+            vals = f.eval_batch(x[None, :] + t * w[None, :] + half_t2 * cands)
+            quot = (vals - f0.value - t * dfw) / half_t2
+            finite_mask = np.isfinite(quot)
+            m = math.inf
+            if finite_mask.any():
+                m = float(quot[int(np.argmin(np.where(finite_mask, quot, math.inf)))])
+            elif f.restore_feasible is not None:
+                restored = np.asarray(f.restore_feasible(x + t * w + half_t2 * z), dtype=float)
+                z0 = oracle._ball_clip((restored - x - t * w) / half_t2, z, radius)
+                fx = f.value(x + t * w + half_t2 * z0)
+                m0 = (fx.value - f0.value - t * dfw) / half_t2 if fx.is_finite else math.inf
+                if math.isfinite(m0):
+                    m = m0
+            records.append((t, m, z))
+        out.append(oracle._stabilize(records, sched).as_float() - float(z @ v))
+    return np.array(out)
+
+
+def _on_the_axis(batched: bool) -> SampledFunction:
+    """y1^2 - y1 on the axis {y2 = 0}, +inf off it, restored by y2 := 0: a z
+    with z2 != 0 sees an all-infinite ball at every level, and the rescue
+    succeeds while the ball still reaches the axis."""
+
+    def batch(Y):
+        return np.where(Y[:, 1] == 0.0, Y[:, 0] ** 2 - Y[:, 0], math.inf)
+
+    return SampledFunction(
+        lambda y: float(batch(y[None, :])[0]), 2, "axis",
+        batch_evaluator=batch if batched else None,
+        restore_feasible=lambda y: np.array([y[0], 0.0]),
+    )
+
+
+def _halfspace_quadratic() -> SampledFunction:
+    """|y|^2 + y1 y2 on {y1 <= 0.3} in R^5, which takes the random-ball path."""
+
+    def batch(Y):
+        vals = np.einsum("ij,ij->i", Y, Y) + Y[:, 0] * Y[:, 1]
+        return np.where(Y[:, 0] <= 0.3, vals, math.inf)
+
+    return SampledFunction(lambda y: float(batch(y[None, :])[0]), 5, "halfspace",
+                           batch_evaluator=batch)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(["axis", "axis-unbatched", "dim5"]),
+    k=st.sampled_from([3, 5, 7]),
+    radius_coeff=st.sampled_from([1.0, 4.0]),
+    size=st.sampled_from(["one", "few", "chunks"]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, size, seed):
+    """The batched scorer equals, bit for bit, one unpolished estimate per z,
+    and makes one batched evaluation per level and chunk."""
+    rng = np.random.default_rng(seed)
+    sched = GridSchedule(t0=0.1, steps=4, samples_per_axis=k, radius_coeff=radius_coeff, seed=seed)
+    if case == "dim5":
+        f, x, w = _halfspace_quadratic(), np.full(5, 0.1), np.eye(5)[0]
+    else:
+        f, x, w = _on_the_axis(case == "axis"), np.array([0.3, 0.0]), np.array([1.0, 0.0])
+    dim = f.dim
+    rows = max(len(_fresh_ball(dim, sched.radius(t), k, rng)) for t in sched.t_levels())
+    chunk = max(1, oracle.Z_BATCH_ROWS // rows)
+    n = {"one": 1, "few": 4, "chunks": 2 * chunk + 3}[size]
+    Z = rng.uniform(-3.0, 3.0, size=(n, dim))
+    if case != "dim5":
+        Z[:, 1] = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-0.5, 0.5, n))
+    v, dfw = rng.standard_normal(dim), float(rng.standard_normal())
+    batches = []
+    eval_batch = f.eval_batch
+    f.eval_batch = lambda X: batches.append(len(X)) or eval_batch(X)
+    got = oracle._parabolic_scores(f, x, w, dfw, v, Z, sched)
+    f.eval_batch = eval_batch
+    assert len(batches) == sched.steps * -(-n // chunk)
+    assert max(batches) <= oracle.Z_BATCH_ROWS or chunk == 1
+    ref = _unpolished_scores(f, x, w, dfw, v, Z, sched)
+    assert got.shape == (n,) and got.tobytes() == ref.tobytes()
+
+
+def test_grid_balls_are_cached_read_only_and_exact():
+    """Grid balls equal a fresh linspace/meshgrid build bit for bit (not a
+    scaled unit ball) and are shared read-only; above GRID_DIM_LIMIT every
+    call draws anew from the rng."""
+    rng = np.random.default_rng(0)
+    for dim, radius, k in [(1, 0.4, 9), (2, 1.0 / 3.0, 7), (2, 0.0125, 5), (3, 0.7, 4),
+                           (3, 4.0 * 0.1 * 0.5 ** 9, 9), (4, 0.3, 5)]:
+        sched = GridSchedule(samples_per_axis=k)
+        ball = oracle._ball_offsets(dim, radius, sched, rng)
+        fresh = _fresh_ball(dim, radius, k, rng)
+        assert ball.shape == fresh.shape and ball.tobytes() == fresh.tobytes()
+        assert not ball.flags.writeable
+        assert oracle._ball_offsets(dim, radius, sched, rng) is ball
+        with pytest.raises(ValueError):
+            ball[0, 0] = 1.0
+    sched = GridSchedule()
+    drawn, ref = np.random.default_rng(3), np.random.default_rng(3)
+    first = oracle._ball_offsets(5, 0.3, sched, drawn)
+    second = oracle._ball_offsets(5, 0.3, sched, drawn)
+    assert first.tobytes() == _fresh_ball(5, 0.3, 9, ref).tobytes()
+    assert second.tobytes() == _fresh_ball(5, 0.3, 9, ref).tobytes()
+    assert not np.array_equal(first, second)
 
 
 # -- subderivative helper ------------------------------------------------------------------
