@@ -27,14 +27,10 @@ def _benchmark(name):
         prob = a1_problem()
         return sampled_objective(prob), [0.0, 0.0], [0.0, 1.0], [1.0, 0.0], -2.0, {}
     if name == "irregular":
-        def ev(x):
-            return abs(x[1] - abs(x[0]) ** (4.0 / 3.0)) - x[0] ** 2
-
         from epidiff.oracle import SampledFunction
 
         f = SampledFunction(
-            ev, 2, "irregular",
-            batch_evaluator=lambda X: np.abs(X[:, 1] - np.abs(X[:, 0]) ** (4 / 3)) - X[:, 0] ** 2,
+            lambda X: np.abs(X[:, 1] - np.abs(X[:, 0]) ** (4 / 3)) - X[:, 0] ** 2, 2, "irregular",
         )
         opts = {"radius_coeff": 1.5, "radius_exponent": 1.0 / 3.0, "steps": 21}
         return f, [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], -2.0, opts
@@ -43,9 +39,7 @@ def _benchmark(name):
         from epidiff.oracle import SampledFunction
 
         f = SampledFunction(
-            lambda p: g.value(p), g.ambient_dim, "psd",
-            batch_evaluator=g.value_batch,
-            restore_feasible=lambda p: g.domain_project(p),
+            g.value_batch, g.ambient_dim, "psd", restore_feasible=g.domain_project,
         )
         A = np.diag([0.0, -1.0])
         V = np.diag([1.0, 0.0])

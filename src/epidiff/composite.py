@@ -33,8 +33,8 @@ from .errors import (
     UnsupportedSpectralMultiplicity,
     UnsupportedTag,
 )
-from .extreal import PLUS_INF, ExtReal
-from .numkit import PolyCone, Polyhedron, box, intersect, min_norm_point, operator_norm, vertices
+from .extreal import CAP, PLUS_INF, ExtReal
+from .numkit import PolyCone, Polyhedron, box, intersect, min_norm_point, operator_norm, row_norms, vertices
 from .numkit.polyhedra import is_empty
 from .oracle import SampledFunction
 from .outer import (
@@ -221,38 +221,85 @@ def multipliers(
 # -- constraint qualifications ------------------------------------------------------
 
 
-def _restore_feasible_point(prob: CompositeProblem, x0: np.ndarray, max_iter: int = 60):
-    """Gauss-Newton restoration of F(x) into dom g; returns a feasible point
-    close to x0, or None if the iteration stalls infeasibly or dom g cannot
-    be projected onto (it is empty)."""
-    x = np.array(x0, dtype=float)
+def _restore_feasible_points(prob: CompositeProblem, X, max_iter: int = 60):
+    """Gauss-Newton restoration of F(x) into dom g from every row x0 of a
+    stack, in one batch per step: (Y, ok), with Y[i] a feasible point close
+    to X[i] where ok[i], else X[i] itself.  A row fails when its iteration
+    stalls infeasibly or dom g cannot be projected onto (it is empty).
+
+    Every row runs the steps it would run alone, bit for bit: F, dF and the
+    projection of a stack equal theirs at each point, and so do stacked
+    matmul, solve and row norms; a singular J J^T falls back to least
+    squares for its own row only."""
+    X = np.array(X, dtype=float)
+    Y, ok = X.copy(), np.zeros(len(X), dtype=bool)
+    live, x, last = np.arange(len(X)), X, []
     for _ in range(max_iter):
         u = poly_eval(prob.F, x)
-        try:
-            p = np.asarray(prob.g.domain_project(u), dtype=float)
-        except PointNotInDomain:
-            return None
-        r = u - p
-        if float(np.linalg.norm(r)) <= 1e-12 * (1.0 + float(np.linalg.norm(u))):
-            return x
+        p, projected = _rowwise(prob.g.domain_project, u, u.shape)
+        near = projected & (row_norms(u - p) <= 1e-12 * (1.0 + row_norms(u)))
+        go = projected & ~near
+        if not go.all():
+            Y[live[near]], ok[live[near]] = x[near], True
+            live, x, u, p = live[go], x[go], u[go], p[go]
+            if not live.size:
+                break
         J = jacobian(prob.F, x)
-        JJt = J @ J.T
-        try:
-            lam = np.linalg.solve(JJt, p - u)
-        except np.linalg.LinAlgError:
-            lam = np.linalg.lstsq(JJt, p - u, rcond=None)[0]
-        step = J.T @ lam
-        if float(np.linalg.norm(step)) < 1e-15 or not np.all(np.isfinite(step)):
-            break
+        Jt = J.swapaxes(1, 2)
+        step = (Jt @ _solve_rows(J @ Jt, p - u)[:, :, None])[:, :, 0]
+        moving = (row_norms(step) >= 1e-15) & np.isfinite(step).all(axis=1)
+        if not moving.all():
+            Y[live[~moving]] = x[~moving]
+            last.append(live[~moving])
+            live, x, step = live[moving], x[moving], step[moving]
         x = x + step
-    u = poly_eval(prob.F, x)
+    Y[live] = x
+    last = np.concatenate(last + [live])
+    if last.size:
+        u = poly_eval(prob.F, Y[last])
+        dist, measured = _rowwise(prob.g.domain_distance, u, last.shape)
+        ok[last] = measured & (dist <= 1e-9 * (1.0 + row_norms(u)))
+    Y[~ok] = X[~ok]
+    return Y, ok
+
+
+def _restore_feasible_point(prob: CompositeProblem, x0: np.ndarray, max_iter: int = 60):
+    """The restoration of one point: a feasible point close to x0, or None."""
+    Y, ok = _restore_feasible_points(prob, np.asarray(x0, dtype=float)[None], max_iter)
+    return Y[0] if ok[0] else None
+
+
+def _rowwise(fn, U: np.ndarray, shape):
+    """(fn(U), ok) for a stack U and a member map fn that raises
+    PointNotInDomain: when the stack raises, fn of each row alone, and ok
+    marks the rows that did not raise (True when none did).  shape is that
+    of fn(U); the rows that raised hold NaN."""
     try:
-        dist = prob.g.domain_distance(u)
+        return fn(U), True
     except PointNotInDomain:
-        return None
-    if dist <= 1e-9 * (1.0 + float(np.linalg.norm(u))):
-        return x
-    return None
+        out, ok = np.full(shape, math.nan), np.ones(len(U), dtype=bool)
+        for i in range(len(U)):
+            try:
+                out[i] = fn(U[i:i + 1])[0]
+            except PointNotInDomain:
+                ok[i] = False
+        return out, ok
+
+
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of A[i] x = b[i] for every row of a stack; a stack that
+    holds a singular A[i] is solved row by row, with least squares for each
+    singular row."""
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(b)
+        for i, (Ai, bi) in enumerate(zip(A, b)):
+            try:
+                out[i] = np.linalg.solve(Ai, bi)
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.lstsq(Ai, bi, rcond=None)[0]
+        return out
 
 
 def check_mscq(
@@ -260,28 +307,33 @@ def check_mscq(
 ) -> MSCQResult:
     """Empirical metric-subregularity modulus: the ratio of the distance to the
     feasible set over the image distance to dom g, scanned over shrinking
-    sample balls.  A growth trend across the refinements is failure evidence."""
+    sample balls.  A growth trend across the refinements is failure evidence.
+
+    The samples do not depend on what restoration makes of them: all are
+    drawn first, in the order of the scan, and the infeasible ones are
+    restored in one stack."""
     x = np.asarray(x, dtype=float)
     if not prob.check_feasible(x):
         raise BasePointInfeasible("F(x) lies outside dom g")
     rng = np.random.default_rng(seed)
-    kappa_hat, worst, total = 0.0, None, 0
-    observations: list[tuple[float, float]] = []
+    steps = []
     for level, rad in enumerate((radius, radius / 2.0, radius / 4.0)):
         for _ in range(n_samples // 3 + (level < n_samples % 3)):
             step = rng.standard_normal(prob.n)
             step *= rad * rng.random() / max(float(np.linalg.norm(step)), 1e-300)
-            xp = x + step
-            total += 1
-            dist_g = prob.g.domain_distance(poly_eval(prob.F, xp))
-            if dist_g <= 1e-12:
-                continue
-            restored = _restore_feasible_point(prob, xp)
-            dist_f = math.inf if restored is None else float(np.linalg.norm(restored - xp))
-            ratio = dist_f / dist_g
-            observations.append((float(np.linalg.norm(step)), ratio))
-            if ratio > kappa_hat:
-                kappa_hat, worst = ratio, xp
+            steps.append(step)
+    XP = x + np.reshape(steps, (len(steps), prob.n))
+    dist_g = prob.g.domain_distance(poly_eval(prob.F, XP))
+    off = np.flatnonzero(dist_g > 1e-12)
+    restored, ok = _restore_feasible_points(prob, XP[off])
+    kappa_hat, worst = 0.0, None
+    observations: list[tuple[float, float]] = []
+    for i, xp, xr, found in zip(off, XP[off], restored, ok):
+        dist_f = float(np.linalg.norm(xr - xp)) if found else math.inf
+        ratio = dist_f / float(dist_g[i])
+        observations.append((float(np.linalg.norm(steps[i])), ratio))
+        if ratio > kappa_hat:
+            kappa_hat, worst = ratio, xp
     # bucket by distance to the base point: a modulus that keeps growing on
     # inner shells is divergence evidence (the ratio must stay bounded near x)
     shell_max = []
@@ -297,7 +349,7 @@ def check_mscq(
         holds_evidence=not growing,
         kappa_hat=kappa_hat,
         worst_point=worst,
-        samples=total,
+        samples=len(steps),
         ratios_by_radius=[m if m is not None else 0.0 for m in shell_max],
     )
 
@@ -413,15 +465,23 @@ def primal_value(prob: CompositeProblem, x, v, w) -> ExtReal:
 # -- sampled assembly --------------------------------------------------------------------------
 
 
+def outer_values(prob: CompositeProblem, X) -> np.ndarray:
+    """g(F(x)) at each row of a stack of points, each row bit for bit
+    g.value(F(x)).as_float(): F by its point power tables, and finite values
+    above the ExtReal cap read +inf, as they do in an ExtReal."""
+    vals = prob.g.value_batch(poly_eval(prob.F, X))
+    return np.where(vals > CAP, math.inf, vals)
+
+
 def sampled_objective(prob: CompositeProblem, include_phi: bool = False) -> SampledFunction:
     """g(F(.)) (optionally plus phi) as an oracle-ready sampled function with a
     batched evaluator and a Gauss-Newton feasibility restorer."""
 
-    def ev(xp: np.ndarray) -> ExtReal:
-        val = prob.g.value(poly_eval(prob.F, xp))
-        if include_phi and val.is_finite:
-            val = val + float(poly_eval(prob.phi, xp)[0])
-        return val
+    def ev(X: np.ndarray) -> np.ndarray:
+        vals = outer_values(prob, X)
+        if include_phi:
+            vals = vals + poly_eval(prob.phi, X)[:, 0]
+        return vals
 
     def ev_batch(X: np.ndarray) -> np.ndarray:
         vals = prob.g.value_batch(poly_eval_batch(prob.F, X))
@@ -429,9 +489,8 @@ def sampled_objective(prob: CompositeProblem, include_phi: bool = False) -> Samp
             vals = vals + poly_eval_batch(prob.phi, X)[:, 0]
         return vals
 
-    def restore(xp: np.ndarray):
-        out = _restore_feasible_point(prob, np.asarray(xp, dtype=float), max_iter=20)
-        return xp if out is None else out
+    def restore(X: np.ndarray) -> np.ndarray:
+        return _restore_feasible_points(prob, X, max_iter=20)[0]
 
     name = "phi + g(F(.))" if include_phi else "g(F(.))"
     return SampledFunction(

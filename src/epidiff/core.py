@@ -8,11 +8,13 @@ enters the verification chain on the smooth side.
 A ``PolyMap`` is compiled on first use into arrays (coefficient, exponent
 row and owning output of every monomial, in monomial order), and so are its
 first and second partials, once each.  One evaluator serves values, batches,
-Jacobians and Hessians.  Each entry point builds its own power table: a point
-by the scalar power ``x_i ** k``, a batch by the array power ``X[:, i] ** k``.
-numpy's vectorized array power can differ from the scalar one in the last
-bit, so the two are never mixed.  A batch's table is summed a block of
-points at a time, so no temporary grows with the batch.
+Jacobians and Hessians.  Each entry point builds its own power table: a point,
+and each point of a stack of points, by the scalar power ``x_i ** k``, a
+batch by the array power ``X[:, i] ** k``.  numpy's vectorized array power
+can differ from the scalar one in the last bit, so the two are never mixed:
+a stack row equals the point's value bit for bit, a batch row need not.  A
+batch's table is summed a block of points at a time, so no temporary grows
+with the batch.
 """
 
 from __future__ import annotations
@@ -211,19 +213,31 @@ def _evaluate(c: _Compiled, table: np.ndarray) -> np.ndarray:
 
 
 def _at_point(p: PolyMap, c: _Compiled, x) -> np.ndarray:
-    """c, p's map or one of its partial maps, at the point x."""
+    """c, p's map or one of its partial maps, at the point x: shape (size,);
+    or at every row of a (k, n_in) stack of points: shape (k, size), each
+    row built from that point's own scalar power table, so bit for bit the
+    value at the point alone."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (p.n_in,):
+    if x.shape[-1:] != (p.n_in,) or x.ndim > 2:
         raise DimensionMismatch(f"expected point in R^{p.n_in}")
-    return _evaluate(c, np.array([1.0] + [xi ** k for xi in x for k in range(1, c.degree + 1)]))
+    ks = range(1, c.degree + 1)
+    if x.ndim == 1:
+        return _evaluate(c, np.array([1.0] + [xi ** k for xi in x for k in ks]))
+    tables = np.array([[1.0] + [xi ** k for xi in row for k in ks] for row in x])
+    # C order, so that stacked products take the per-point products' kernels
+    return np.ascontiguousarray(_evaluate(c, tables.reshape(len(x), 1 + c.n_in * c.degree).T).T)
 
 
 def poly_eval(p: PolyMap, x) -> np.ndarray:
+    """p at a point, shape (n_out,), or at each row of a stack of points,
+    shape (k, n_out); see poly_eval_batch for large batches."""
     return _at_point(p, p._compiled, x)
 
 
 def poly_eval_batch(p: PolyMap, X: np.ndarray) -> np.ndarray:
-    """Evaluate on a batch of points, shape (N, n_in) -> (N, n_out)."""
+    """Evaluate on a batch of points, shape (N, n_in) -> (N, n_out), from one
+    array power table: fast on large batches, but a row can differ from
+    poly_eval at that point in the last bit."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     c = p._compiled
     table = np.ones((1 + c.n_in * c.degree, len(X)))
@@ -238,8 +252,10 @@ def poly_eval_batch(p: PolyMap, X: np.ndarray) -> np.ndarray:
 
 
 def jacobian(p: PolyMap, x) -> np.ndarray:
-    """Exact Jacobian, shape (n_out, n_in)."""
-    return _at_point(p, p._compiled.derivative, x).reshape(p.n_out, p.n_in)
+    """Exact Jacobian, shape (n_out, n_in), or (k, n_out, n_in) at each row
+    of a stack of points."""
+    J = _at_point(p, p._compiled.derivative, x)
+    return J.reshape(J.shape[:-1] + (p.n_out, p.n_in))
 
 
 def gradient(p: PolyMap, x) -> np.ndarray:

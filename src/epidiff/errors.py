@@ -23,6 +23,11 @@ class PointNotInSet(EpidiffError):
     pass
 
 
+class JacobiNotConverged(EpidiffError):
+    """The Jacobi eigensolver left a matrix above its off-diagonal tolerance
+    after its sweep limit; its factors would be unconverged."""
+
+
 # -- core / catalog -----------------------------------------------------------
 
 class DimensionMismatch(EpidiffError):

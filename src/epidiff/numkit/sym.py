@@ -10,15 +10,33 @@ via an explicit cutoff instead of relying on a generic least-squares routine.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import DimensionMismatch, JacobiNotConverged
 
 SYM_TOL = 1e-9
 JACOBI_OFFDIAG_TOL = 1e-12
 MAX_SWEEPS = 60
+
+
+def _symmetrized(A: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2 of every matrix in an (..., n, n) stack, after checking
+    that each is finite and symmetric up to SYM_TOL * (1 + max |entry|)."""
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise DimensionMismatch("SymMatrix requires a square array")
+    size = A.shape[:-2] + (A.shape[-1] ** 2,)
+    flat = A.reshape(size)
+    if not np.isfinite(flat).all():
+        raise ValueError("SymMatrix entries must be finite")
+    At = A.swapaxes(-1, -2)
+    gap = np.abs(A - At).reshape(size).max(axis=-1, initial=0.0)
+    if (gap > SYM_TOL * (1.0 + np.abs(flat).max(axis=-1, initial=0.0))).any():
+        raise ValueError("input matrix is not symmetric")
+    # (A + A^T)/2 is exactly symmetric in floating point.
+    return 0.5 * (A + At)
 
 
 class SymMatrix:
@@ -28,15 +46,9 @@ class SymMatrix:
 
     def __init__(self, entries):
         A = np.array(entries, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        if A.ndim != 2:
             raise DimensionMismatch("SymMatrix requires a square array")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("SymMatrix entries must be finite")
-        scale = 1.0 + np.abs(A).max(initial=0.0)
-        if np.abs(A - A.T).max(initial=0.0) > SYM_TOL * scale:
-            raise ValueError("input matrix is not symmetric")
-        # (A + A^T)/2 is exactly symmetric in floating point.
-        A = 0.5 * (A + A.T)
+        A = _symmetrized(A)
         A.flags.writeable = False
         self.n = A.shape[0]
         self.entries = A
@@ -52,61 +64,115 @@ def as_sym_matrix(A) -> SymMatrix:
     return A if isinstance(A, SymMatrix) else SymMatrix(A)
 
 
+def row_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a C-ordered V, each bit for bit
+    np.linalg.norm of that row (both are the square root of one dot
+    product)."""
+    return np.sqrt(np.vecdot(V, V))
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n identity and its off-diagonal mask, read-only."""
+    eye, off = np.eye(n), ~np.eye(n, dtype=bool)
+    eye.flags.writeable = off.flags.writeable = False
+    return eye, off
+
+
 def sym_eig(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues in decreasing order and an orthonormal eigenvector matrix Q
-    with A = Q diag(lam) Q^T.
+    with A = Q diag(lam) Q^T; for a (k, n, n) stack, (k, n) eigenvalues and
+    (k, n, n) eigenvector matrices, each bit for bit the result for that
+    matrix alone.
 
     Cyclic Jacobi rotations, sweeping (p, q) in row-major order until the
     off-diagonal Frobenius norm falls below JACOBI_OFFDIAG_TOL * (1 + |A|_F).
-    Eigenvector signs are normalized (largest-magnitude entry positive) so the
-    output is reproducible.
+    Each rotation angle is worked out in scalar arithmetic per matrix, and
+    the rotation is applied to every matrix of the stack that is not yet
+    converged and whose (p, q) entry is not negligible.  A matrix still above
+    the tolerance after MAX_SWEEPS sweeps raises JacobiNotConverged.
+    Eigenvector signs are normalized (largest-magnitude entry positive) so
+    the output is reproducible.
     """
-    A = as_sym_matrix(A)
-    n = A.n
-    M = np.array(A.entries)
-    Q = np.eye(n)
-    if n == 1:
-        return np.array([M[0, 0]]), Q
-    scale = 1.0 + float(np.linalg.norm(M))
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(MAX_SWEEPS):
+    if isinstance(A, SymMatrix):
+        single, M = True, A.entries[None]
+    else:
+        A = np.asarray(A, dtype=float)
+        single = A.ndim == 2
+        M = _symmetrized(A[None] if single else A)
+    k, n = M.shape[0], M.shape[-1]
+    if n < 2:
+        lams, Q = np.diagonal(M, axis1=1, axis2=2).copy(), np.tile(np.eye(n), (k, 1, 1))
+        return (lams[0], Q[0]) if single else (lams, Q)
+    # the matrices over their eigenvector accumulators: one array, so that a
+    # column rotation turns both at once
+    eye, off_mask = _eye(n)
+    MQ = np.empty((k, 2 * n, n))
+    MQ[:, :n], MQ[:, n:] = M, eye
+    scale = JACOBI_OFFDIAG_TOL * (1.0 + row_norms(M.reshape(k, n * n)))
+    live, finished = np.arange(k), []
+    for sweep in range(MAX_SWEEPS + 1):
         # summing the off-diagonal squares directly avoids the catastrophic
         # cancellation of |M|_F^2 - |diag|_F^2 near convergence
-        off = float(np.linalg.norm(M[off_mask]))
-        if off <= JACOBI_OFFDIAG_TOL * scale:
+        done = row_norms(MQ[:, :n][:, off_mask]) <= scale
+        if done.all():
+            finished.append((live, MQ))
             break
+        if done.any():
+            finished.append((live[done], MQ[done]))
+            MQ, scale, live = MQ[~done], scale[~done], live[~done]
+        if sweep == MAX_SWEEPS:
+            raise JacobiNotConverged(
+                f"Jacobi eigensolver: {live.size} of {k} matrices still above the "
+                f"off-diagonal tolerance after {MAX_SWEEPS} sweeps"
+            )
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = M[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # Classic stable rotation angle computation.
-                theta = (M[q, q] - M[p, p]) / (2.0 * apq)
-                if abs(theta) >= 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * M[:, p] - s * M[:, q]
-                rot_q = s * M[:, p] + c * M[:, q]
-                M[:, p], M[:, q] = rot_p, rot_q
-                rot_p = c * M[p, :] - s * M[q, :]
-                rot_q = s * M[p, :] + c * M[q, :]
-                M[p, :], M[q, :] = rot_p, rot_q
-                M[p, q] = M[q, p] = 0.0
-                rot_p = c * Q[:, p] - s * Q[:, q]
-                rot_q = s * Q[:, p] + c * Q[:, q]
-                Q[:, p], Q[:, q] = rot_p, rot_q
-    lams = np.diag(M).copy()
-    order = np.argsort(-lams, kind="stable")
-    lams = lams[order]
-    Q = Q[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(Q[:, j])))
-        if Q[k, j] < 0:
-            Q[:, j] = -Q[:, j]
-    return lams, Q
+                _rotate(MQ, p, q)
+    if len(finished) == 1:
+        MQ = finished[0][1]
+    else:
+        MQ = np.empty((k, 2 * n, n))
+        for rows, part in finished:
+            MQ[rows] = part
+    lams = MQ[:, :n].diagonal(0, 1, 2)
+    order = (-lams).argsort(axis=1, kind="stable")
+    at = np.arange(k)[:, None]
+    lams, Q = lams[at, order], MQ[:, n:][at, :, order].swapaxes(1, 2)
+    lead = Q[at, np.abs(Q).argmax(axis=1), np.arange(n)]
+    np.negative(Q, out=Q, where=(lead < 0)[:, None, :])
+    return (lams[0], Q[0]) if single else (lams, Q)
+
+
+def _rotate(MQ: np.ndarray, p: int, q: int):
+    """One Jacobi rotation in the (p, q) plane of every matrix M of the stack
+    MQ = [M; Q] whose (p, q) entry is not negligible, accumulated into Q."""
+    rows, cs = [], []
+    entries = zip(MQ[:, p, q].tolist(), MQ[:, p, p].tolist(), MQ[:, q, q].tolist())
+    for i, (apq, app, aqq) in enumerate(entries):
+        if abs(apq) <= 1e-300:
+            continue
+        # Classic stable rotation angle computation.
+        theta = (aqq - app) / (2.0 * apq)
+        if abs(theta) >= 1e150:
+            t = 1.0 / (2.0 * theta)
+        else:
+            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        rows.append(i)
+        cs.append((c, t * c))
+    if not rows:
+        return
+    whole = len(rows) == MQ.shape[0]
+    X = MQ if whole else MQ[rows]
+    c, s = np.array(cs).T[:, :, None]
+    col_p, col_q = X[:, :, p], X[:, :, q]
+    X[:, :, p], X[:, :, q] = c * col_p - s * col_q, s * col_p + c * col_q
+    row_p, row_q = X[:, p, :], X[:, q, :]
+    X[:, p, :], X[:, q, :] = c * row_p - s * row_q, s * row_p + c * row_q
+    X[:, p, q] = X[:, q, p] = 0.0
+    if not whole:
+        MQ[rows] = X
 
 
 def pinv(A, cutoff: float | None = None) -> SymMatrix:
@@ -158,13 +224,14 @@ def svec_dim(n: int) -> int:
 
 
 def svec(A) -> np.ndarray:
-    A = as_sym_matrix(A).entries
-    n = A.shape[0]
-    out = np.empty(svec_dim(n))
+    """svec of a symmetric matrix, or of every matrix in a (k, n, n) stack."""
+    A = A.entries if isinstance(A, SymMatrix) else _symmetrized(np.asarray(A, dtype=float))
+    n = A.shape[-1]
+    out = np.empty(A.shape[:-2] + (svec_dim(n),))
     k = 0
     for i in range(n):
         for j in range(i + 1):
-            out[k] = A[i, j] if i == j else _SQRT2 * A[i, j]
+            out[..., k] = A[..., i, j] if i == j else _SQRT2 * A[..., i, j]
             k += 1
     return out
 

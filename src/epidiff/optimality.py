@@ -16,19 +16,24 @@ import numpy as np
 
 from .composite import (
     MultiplierSet,
-    _restore_feasible_point,
+    _restore_feasible_points,
     chain_dual_value,
     multipliers,
+    outer_values,
 )
 from .core import CompositeProblem, component_hessian, gradient, hessian, poly_eval
 from .errors import EpidiffError, NotStationary
 from .extreal import PLUS_INF, ExtReal
-from .numkit import SymMatrix, dedupe, project
+from .numkit import SymMatrix, dedupe, project, row_norms
 from .numkit.polyhedra import DEDUP_TOL
 from .outer import PolyhedralConeRepr
 
 SONC_TOL = 1e-6
 SSOSC_TOL = 1e-6
+# verify_growth draws, values and restores its samples this many at a time at
+# most: enough to amortize the per-call cost, small enough to keep the
+# temporaries (and the peak memory) small.
+GROWTH_BLOCK = 256
 
 
 @dataclass
@@ -245,7 +250,13 @@ def verify_growth(
 ) -> GrowthReport:
     """Sample feasible points near x and count violations of the quadratic
     growth inequality.  Half the budget restores infeasible ball samples onto
-    the constraint surface, where violations concentrate."""
+    the constraint surface, where violations concentrate.
+
+    The samples do not depend on what restoration makes of them, so they are
+    drawn a block at a time, valued in one stack, and the infeasible ones
+    restored in one stack.  A block holds no more samples than are still
+    wanted (and at most GROWTH_BLOCK), so it is counted whole, as the
+    one-sample-at-a-time loop would count it."""
     if ell <= 0 or epsilon <= 0:
         raise ValueError("ell and epsilon must be positive")
     x = np.asarray(x, dtype=float)
@@ -259,24 +270,24 @@ def verify_growth(
     violations = 0
     attempts = 0
     while kept < n_samples and attempts < 20 * n_samples:
-        attempts += 1
-        step = rng.standard_normal(prob.n)
-        step *= epsilon * rng.random() ** (1.0 / prob.n) / max(np.linalg.norm(step), 1e-300)
-        xp = x + step
-        gval = prob.g.value(poly_eval(prob.F, xp))
-        if not gval.is_finite:
-            restored = _restore_feasible_point(prob, xp, max_iter=30)
-            if restored is None or float(np.linalg.norm(restored - x)) > epsilon:
-                continue
-            xp = restored
-            gval = prob.g.value(poly_eval(prob.F, xp))
-            if not gval.is_finite:
-                continue
-        kept += 1
-        psi = float(poly_eval(prob.phi, xp)[0]) + gval.value
-        lower = psi0 + 0.5 * ell * float((xp - x) @ (xp - x)) - 1e-9
-        if psi < lower:
-            violations += 1
+        block = min(n_samples - kept, 20 * n_samples - attempts, GROWTH_BLOCK)
+        steps = []
+        for _ in range(block):
+            step = rng.standard_normal(prob.n)
+            step *= epsilon * rng.random() ** (1.0 / prob.n) / max(np.linalg.norm(step), 1e-300)
+            steps.append(step)
+        XP = x + np.array(steps)
+        gvals = outer_values(prob, XP)
+        off = np.flatnonzero(~np.isfinite(gvals))
+        restored, ok = _restore_feasible_points(prob, XP[off], max_iter=30)
+        near = ok & (row_norms(restored - x) <= epsilon)
+        XP[off[near]] = restored[near]
+        gvals[off[near]] = outer_values(prob, restored[near])
+        lower = psi0 + 0.5 * ell * np.vecdot(XP - x, XP - x) - 1e-9
+        psi = poly_eval(prob.phi, XP)[:, 0] + gvals
+        attempts += block
+        kept += int(np.count_nonzero(np.isfinite(gvals)))
+        violations += int(np.count_nonzero(np.isfinite(gvals) & (psi < lower)))
     return GrowthReport(
         ell_found=ell if violations == 0 else 0.0,
         epsilon=epsilon,

@@ -12,6 +12,15 @@ parabolic estimate.  Its scorer takes a whole stack of z at once: one level
 at a time, the search balls around a chunk of z go into one batched
 evaluation.  The coarse z-grid and the z pattern search both go through it.
 The grid balls are built once per (dimension, radius, samples per axis).
+
+Every pattern search (the level search, the parabolic polish and the z
+search) scores each step ladder in windows of 2, 4, 8, ... trial points, one
+scorer call per window, and stops at the first trial point that the
+one-point-at-a-time search would have accepted: its path, its evaluation
+count and its restoration budget are that search's.  Trial points are valued
+through ``SampledFunction.values``, whose rows equal ``value`` at each point
+bit for bit; infeasible ones ahead of a window's first improvement, and the
+z whose whole ball is infinite, are restored in one stack.
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ from .errors import (
     CriticalConePreconditionFailed,
     NegativeInfinityDetected,
 )
-from .extreal import NEG_GUARD, PLUS_INF, ExtReal
+from .extreal import CAP, NEG_GUARD, PLUS_INF, ExtReal
+from .numkit import row_norms
 
 RANDOM_BALL_SAMPLES = 2000
 GRID_DIM_LIMIT = 4
@@ -38,27 +48,40 @@ Z_GRID_CAP = 100_000
 # The parabolic scorer evaluates a chunk of z at a time, sized so that one
 # batch holds about this many rows (z points times ball points).
 Z_BATCH_ROWS = 4096
+# The level search rescues at most this many trial points per level.
+RESTORE_BUDGET = 150
 
 
 @dataclass
 class SampledFunction:
-    """A deterministic extended-real-valued evaluator on R^dim.
+    """A deterministic extended-real-valued function on R^dim.
 
-    batch_evaluator, when given, maps an (N, dim) array to N floats with +inf
-    marking points outside the domain.  restore_feasible, when given, maps a
-    point to a nearby domain point and lets the searches steer along active
-    constraint surfaces; it provides zeroth-order domain information only.
+    evaluator maps a (k, dim) stack of points to k floats, +inf marking
+    points outside the domain; each row is f at that point alone, whatever
+    else the stack holds.  value and values go through it.  batch_evaluator,
+    when given, is the fast path for the large batches of the search balls
+    and the z-grid (eval_batch): it maps an (N, dim) array to N floats, and a
+    row may differ from evaluator's in the last bit.  restore_feasible, when
+    given, maps a stack of points to nearby domain points, row by row, and
+    lets the searches steer along active constraint surfaces; it provides
+    zeroth-order domain information only.
     """
 
-    evaluator: Callable[[np.ndarray], ExtReal | float]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     dim: int
     description: str = ""
     batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     restore_feasible: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def values(self, X) -> np.ndarray:
+        """f at each row of a stack as value reads it (a finite value above
+        the ExtReal cap is +inf), but unchecked: a row below NEG_GUARD, or
+        NaN, is returned as it is."""
+        vals = np.asarray(self.evaluator(np.atleast_2d(np.asarray(X, dtype=float))), dtype=float)
+        return np.where(vals > CAP, math.inf, vals)
+
     def value(self, x) -> ExtReal:
-        out = self.evaluator(np.asarray(x, dtype=float))
-        out = out if isinstance(out, ExtReal) else ExtReal(float(out))
+        out = ExtReal(float(self.values(np.asarray(x, dtype=float)[None])[0]))
         if out.is_finite and out.value < NEG_GUARD:
             raise NegativeInfinityDetected(self.description or "sampled function")
         return out
@@ -68,7 +91,7 @@ class SampledFunction:
         if self.batch_evaluator is not None:
             vals = np.asarray(self.batch_evaluator(X), dtype=float)
         else:
-            vals = np.array([self.value(row).as_float() for row in X])
+            vals = self.values(X)
         finite = vals[np.isfinite(vals)]
         if finite.size and float(finite.min()) < NEG_GUARD:
             raise NegativeInfinityDetected(self.description or "sampled function")
@@ -132,19 +155,49 @@ def _ball_offsets(dim: int, radius: float, sched: GridSchedule, rng) -> np.ndarr
     return np.vstack([np.zeros((1, dim)), raw * radii[:, None]])
 
 
-def _ball_clip(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    off = p - center
-    nrm = float(np.linalg.norm(off))
-    if nrm <= radius or radius <= 0:
-        return p
-    return center + off * (radius / nrm)
+def _ball_clip(P: np.ndarray, center, radius: float) -> np.ndarray:
+    """Each row of P pulled radially into the ball of the given radius about
+    center (one center, or one per row); rows inside are returned as they are."""
+    if radius <= 0:
+        return P
+    off = P - center
+    nrm = row_norms(off)
+    far = ~(nrm <= radius)
+    if not far.any():
+        return P
+    out = P.copy()
+    at = center[far] if np.ndim(center) == 2 else center
+    out[far] = at + off[far] * (radius / nrm[far])[:, None]
+    return out
 
 
-def _pattern_refine(q, start, f_start, center, radius, extra_dirs=(), max_evals=700):
+def _quotients(vals: np.ndarray, shift, lin, half_t2: float) -> np.ndarray:
+    """((vals - shift) - lin) / half_t2 per row, NaN where vals is +inf (the
+    point is outside the domain) and -inf where value would raise (NaN, or
+    below NEG_GUARD)."""
+    quot = ((vals - shift) - lin) / half_t2
+    quot[vals == math.inf] = math.nan
+    quot[~(vals >= NEG_GUARD)] = -math.inf
+    return quot
+
+
+def _pattern_refine(score, start, f_start, center, radius, extra_dirs=(), max_evals=700,
+                    rescue=None, rescues=0):
     """Deterministic cyclic direction search inside the ball.
 
-    q maps a point to (value, point-actually-evaluated); the second slot lets
-    a feasibility-restoring q move the candidate before evaluation.
+    From the best point, each direction tries its step ladder +s, -s, +s/2,
+    -s/2, ... until a trial point improves on the best value; the search
+    moves there and tries the ladder again from the same step.  A ladder is
+    scored in windows of 2, 4, 8, ... trial points: one call score(P) per
+    window maps the stack P to (values, points actually evaluated), and the
+    search stops at the first row that the one-point-at-a-time search would
+    have accepted, so its path and its evaluation count are that search's.
+
+    A NaN value marks a point outside the domain.  With rescue, the first
+    ``rescues`` such points that the search reaches are rescued: those ahead
+    of the window's first finite improvement in one call rescue(P), which
+    answers like score.  A value of -inf marks a point whose evaluation
+    failed; the search ends there and returns it for the caller to raise.
     """
     dim = center.shape[0]
     dirs = [np.eye(dim)[i] for i in range(dim)]
@@ -153,25 +206,40 @@ def _pattern_refine(q, start, f_start, center, radius, extra_dirs=(), max_evals=
         if nrm > 1e-12:
             dirs.append(np.asarray(d, dtype=float) / nrm)
     best_p, best_f = start, f_start
-    evals = 0
+    evals, floor = 0, radius * 1e-9
     for _ in range(8):
         round_start = best_f
         improved = False
         for dvec in dirs:
-            step = radius / 2.0
-            while step > radius * 1e-9 and evals < max_evals:
-                moved = False
-                for sgn in (1.0, -1.0):
-                    cand = _ball_clip(best_p + sgn * step * dvec, center, radius)
-                    val, pt = q(cand)
-                    evals += 1
-                    if val < best_f - 1e-15 * (1.0 + abs(best_f)):
-                        best_p, best_f = pt, val
-                        moved = True
-                        improved = True
-                        break
-                if not moved:
-                    step *= 0.5
+            step, width = radius / 2.0, 2
+            while step > floor and evals < max_evals:
+                # the pairs (+s, -s) that the ladder reaches unless it moves
+                sizes, reach = [], evals
+                while len(sizes) < width and step > floor and reach < max_evals:
+                    sizes += [step, -step]
+                    step, reach = step * 0.5, reach + 2
+                P = _ball_clip(best_p + np.array(sizes)[:, None] * dvec, center, radius)
+                thr = best_f - 1e-15 * (1.0 + abs(best_f))
+                vals, pts = score(P)
+                better = vals < thr
+                stop = int(np.argmax(better)) if better.any() else len(P)
+                if rescues and stop:
+                    ask = np.flatnonzero(np.isnan(vals[:stop]))[:rescues]
+                    if ask.size:
+                        vals, pts = np.array(vals), np.array(pts)
+                        vals[ask], pts[ask] = rescue(P[ask])
+                        better = vals < thr
+                        stop = int(np.argmax(better)) if better.any() else len(P)
+                        rescues -= int(np.count_nonzero(ask <= stop))
+                evals += min(stop + 1, len(P))
+                if stop == len(P):
+                    width *= 2
+                    continue
+                best_p, best_f = pts[stop], float(vals[stop])
+                step, width = abs(sizes[stop]), 2
+                improved = True
+                if best_f == -math.inf:
+                    return best_f, best_p
             if evals >= max_evals:
                 break
         stale = round_start - best_f <= 1e-10 * (1.0 + abs(round_start))
@@ -182,7 +250,10 @@ def _pattern_refine(q, start, f_start, center, radius, extra_dirs=(), max_evals=
 
 def _level_minimum(f: SampledFunction, base_point, t, lin_coeff, lin_shift, center, radius, sched, rng):
     """Minimize the quotient (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over
-    the ball around center.  Returns (min value possibly inf, argmin point)."""
+    the ball around center.  Returns (min value possibly inf, argmin point).
+
+    A trial point outside the domain is rescued by pulling it back onto the
+    domain, at most RESTORE_BUDGET times per level."""
     half_t2 = 0.5 * t * t
     offsets = _ball_offsets(center.shape[0], radius, sched, rng)
     cands = center[None, :] + offsets
@@ -190,35 +261,40 @@ def _level_minimum(f: SampledFunction, base_point, t, lin_coeff, lin_shift, cent
     quot = (vals - lin_shift - t * (cands @ lin_coeff)) / half_t2
     finite_mask = np.isfinite(quot)
 
-    restore_budget = [150]
+    def score(P):
+        lin = t * np.vecdot(P, lin_coeff)
+        return _quotients(f.values(base_point + t * P), lin_shift, lin, half_t2), P
 
-    def q(p):
-        fx = f.value(base_point + t * p)
-        if fx.is_finite:
-            return (fx.value - lin_shift - t * float(lin_coeff @ p)) / half_t2, p
-        if f.restore_feasible is None or restore_budget[0] <= 0:
-            return math.inf, p
-        # rescue an infeasible probe by pulling it back onto the domain
-        restore_budget[0] -= 1
-        restored = np.asarray(f.restore_feasible(base_point + t * p), dtype=float)
+    def rescue(P):
+        restored = np.asarray(f.restore_feasible(base_point + t * P), dtype=float)
         cand = _ball_clip((restored - base_point) / t, center, radius)
-        fx = f.value(base_point + t * cand)
-        if not fx.is_finite:
-            return math.inf, p
-        return (fx.value - lin_shift - t * float(lin_coeff @ cand)) / half_t2, cand
+        val, _ = score(cand)
+        lost = np.isnan(val)
+        val[lost] = math.inf
+        return val, np.where(lost[:, None], P, cand)
 
+    rescues = RESTORE_BUDGET if f.restore_feasible is not None else 0
     if not finite_mask.any():
         if f.restore_feasible is None:
             return math.inf, center
-        val0, p0 = q(center)
+        (val0,), (p0,) = score(center[None, :])
+        if math.isnan(val0):
+            (val0,), (p0,) = rescue(center[None, :])
+            rescues -= 1
+        if val0 == -math.inf:
+            f.value(base_point + t * p0)  # raises
         if not math.isfinite(val0):
             return math.inf, center
-        start, f_start = p0, val0
+        start, f_start = p0, float(val0)
     else:
         idx = int(np.argmin(np.where(finite_mask, quot, math.inf)))
         start, f_start = cands[idx], float(quot[idx])
     extra = [lin_coeff] if float(np.linalg.norm(lin_coeff)) > 0 else []
-    return _pattern_refine(q, start, f_start, center, radius, extra_dirs=extra)
+    best_f, best_p = _pattern_refine(score, start, f_start, center, radius, extra_dirs=extra,
+                                     rescue=rescue if rescues else None, rescues=rescues)
+    if best_f == -math.inf:
+        f.value(base_point + t * best_p)  # raises, as valuing that point alone does
+    return best_f, best_p
 
 
 # -- stabilized limits ----------------------------------------------------------
@@ -298,18 +374,17 @@ def _parabolic_starts(f: SampledFunction, x, w, dfw: float, f0: float, Z, t, rad
     quot = np.where(np.isfinite(quot), quot, math.inf).reshape(Z.shape[0], -1)
     rows, idx = np.arange(Z.shape[0]), np.argmin(quot, axis=1)
     best, points = quot[rows, idx], cands[rows, idx]
-    empty, best = np.flatnonzero(np.isinf(best)), best.tolist()
-    for i in empty:
-        points[i] = Z[i]
-        if f.restore_feasible is None:
-            continue
-        restored = np.asarray(f.restore_feasible(x + t * w + half_t2 * Z[i]), dtype=float)
-        z0 = _ball_clip((restored - x - t * w) / half_t2, Z[i], radius)
-        fx = f.value(x + t * w + half_t2 * z0)
-        m0 = (fx.value - f0 - t * dfw) / half_t2 if fx.is_finite else math.inf
-        if math.isfinite(m0):
-            best[i], points[i] = m0, z0
-    return best, points
+    empty = np.flatnonzero(np.isinf(best))
+    points[empty] = Z[empty]
+    if f.restore_feasible is not None and empty.size:
+        restored = np.asarray(f.restore_feasible(x + t * w + half_t2 * Z[empty]), dtype=float)
+        z0 = _ball_clip((restored - x - t * w) / half_t2, Z[empty], radius)
+        m0 = _quotients(f.values(x + t * w + half_t2 * z0), f0, t * dfw, half_t2)
+        if (m0 == -math.inf).any():
+            f.value(x + t * w + half_t2 * z0[np.argmax(m0 == -math.inf)])  # raises
+        found = np.isfinite(m0)
+        best[empty[found]], points[empty[found]] = m0[found], z0[found]
+    return best.tolist(), points
 
 
 def estimate_parabolic_subderivative(
@@ -333,17 +408,16 @@ def estimate_parabolic_subderivative(
     for t in sched.t_levels():
         half_t2 = 0.5 * t * t
 
-        def q(zp):
-            fx = f.value(x + t * w + half_t2 * zp)
-            if not fx.is_finite:
-                return math.inf, zp
-            return (fx.value - f0.value - t * dfw) / half_t2, zp
+        def score(Zp):
+            return _quotients(f.values(x + t * w + half_t2 * Zp), f0.value, t * dfw, half_t2), Zp
 
         radius = sched.radius(t)
         offsets = _ball_offsets(z.shape[0], radius, sched, rng)
         (m,), (p,) = _parabolic_starts(f, x, w, dfw, f0.value, z[None, :], t, radius, offsets)
         if math.isfinite(m):
-            m, p = _pattern_refine(q, p, m, z, radius)
+            m, p = _pattern_refine(score, p, m, z, radius)
+            if m == -math.inf:
+                f.value(x + t * w + half_t2 * p)  # raises, as valuing that point alone does
         records.append((t, m, p))
     return _stabilize(records, sched)
 
@@ -469,6 +543,14 @@ def check_twice_epi_diff(
     return reports
 
 
+def _alone_or_failed(f, x, w, dfw, v, z, sched) -> float:
+    """The parabolic score of z alone, or -inf if scoring it raises."""
+    try:
+        return float(_parabolic_scores(f, x, w, dfw, v, z[None, :], sched)[0])
+    except NegativeInfinityDetected:
+        return -math.inf
+
+
 def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSchedule) -> ExtReal:
     """min over z of the parabolic estimate at z minus <z, v>.
 
@@ -476,9 +558,10 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     axis over the box |z|_inf <= 10 (a seeded uniform sample of 10,000
     points when the grid exceeds Z_GRID_CAP), one level at a time with the
     balls of a chunk of grid points in one batch (_parabolic_scores).
-    Pattern search, scoring each trial point through the same scorer, refines
-    the best finite point within 1,500 evaluations, and the full schedule
-    values the result.  PlusInf when no grid point scores finite."""
+    Pattern search, scoring each window of trial points through the same
+    scorer, refines the best finite point within 1,500 evaluations, and the
+    full schedule values the result.  PlusInf when no grid point scores
+    finite."""
     cheap = sched.coarse()
     dim = w.shape[0]
     rng = np.random.default_rng(sched.seed)
@@ -492,10 +575,20 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     if not finite_mask.any():
         return PLUS_INF
     idx = int(np.argmin(np.where(finite_mask, scores, math.inf)))
-    _, z_best = _pattern_refine(
-        lambda z: (float(_parabolic_scores(f, x, w, dfw, v, z[None, :], cheap)[0]), z),
-        grid[idx], float(scores[idx]), grid[idx], Z_GRID_HALF_WIDTH / 2, max_evals=1500,
+
+    def score(Z):
+        try:
+            return _parabolic_scores(f, x, w, dfw, v, Z, cheap), Z
+        except NegativeInfinityDetected:
+            # score each trial z alone, so that only the one the search
+            # reaches raises
+            return np.array([_alone_or_failed(f, x, w, dfw, v, z, cheap) for z in Z]), Z
+
+    best, z_best = _pattern_refine(
+        score, grid[idx], float(scores[idx]), grid[idx], Z_GRID_HALF_WIDTH / 2, max_evals=1500,
     )
+    if best == -math.inf:
+        _parabolic_scores(f, x, w, dfw, v, z_best[None, :], cheap)  # raises
     value = estimate_parabolic_subderivative(f, x, w, dfw, z_best, sched)
     return ExtReal(value.as_float() - float(z_best @ v))
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..errors import DimensionMismatch, NotASubgradient, PointNotInDomain
 from ..extreal import PLUS_INF, ExtReal
+from ..numkit import row_norms
 from .reprs import CriticalConeRepr, SubdiffRepr
 
 SUBGRADIENT_TOL = 1e-8
@@ -76,11 +77,17 @@ class OuterFunction:
 
     # -- domain geometry ---------------------------------------------------------
 
-    def domain_distance(self, z) -> float:
-        """|z - domain_project(z)|; members with a cheaper closed form override."""
-        return float(np.linalg.norm(np.asarray(z, dtype=float) - self.domain_project(z)))
+    def domain_distance(self, z):
+        """|z - domain_project(z)| at a point, or at each row of a (k, m)
+        stack, each row bit for bit its distance alone; members with a
+        cheaper closed form override."""
+        z = np.asarray(z, dtype=float)
+        dist = row_norms(z - self.domain_project(z))
+        return float(dist) if z.ndim == 1 else dist
 
     def domain_project(self, z) -> np.ndarray:
+        """The nearest point of dom g to z, or to each row of a (k, m) stack;
+        raises PointNotInDomain when there is none."""
         raise NotImplementedError
 
     # -- the member's part of the composite chain rule ----------------------------
@@ -130,3 +137,9 @@ class OuterFunction:
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.ambient_dim})"
+
+
+def each_row(fn, z) -> np.ndarray:
+    """fn at a point, or at each row of a stack of points."""
+    z = np.asarray(z, dtype=float)
+    return fn(z) if z.ndim == 1 else np.array([fn(row) for row in z]).reshape(z.shape)

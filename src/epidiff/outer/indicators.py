@@ -23,6 +23,7 @@ from ..numkit import (
     cone_generators,
     eigen_pinv,
     project,
+    row_norms,
     smat,
     smat_batch,
     svec,
@@ -40,7 +41,7 @@ from ..numkit.polyhedra import (
     residuals,
     residuals_batch,
 )
-from .base import OuterFunction
+from .base import OuterFunction, each_row
 from .reprs import PolyhedralConeRepr, PolyhedronRep, PredicateConeRepr, SpectralRep
 from .spectral import arc_expansion
 
@@ -199,6 +200,9 @@ class PolyhedralIndicator(_Indicator):
         if self._axis_bounds is not None:
             lo, hi = self._axis_bounds
             return np.clip(z, lo, hi)
+        return each_row(self._project, z)
+
+    def _project(self, z) -> np.ndarray:
         p = project(self.C, z)
         if p is None:
             raise PointNotInDomain("the indicator domain is empty")
@@ -377,12 +381,24 @@ class NegSemidefIndicator(_Indicator):
         lams = np.linalg.eigvalsh(smat(np.cross(K[:, 0], K[:, 1])))
         return lams[0] > tol or lams[-1] < -tol  # definite normal: plane misses the cone
 
-    def domain_distance(self, z) -> float:
-        A = self._to_mat(z)
-        lams, _ = sym_eig(A)
-        return float(np.linalg.norm(np.maximum(lams, 0.0)))
+    def _spectra(self, z):
+        """(z as a point or a stack, eigenvalues, eigenvectors) of smat of
+        each row of z."""
+        z = self._require_dim(z)
+        lams, Q = sym_eig(smat_batch(z))
+        return z, lams, Q
+
+    def domain_distance(self, z):
+        z, lams, _ = self._spectra(z)
+        dist = row_norms(np.maximum(lams, 0.0))
+        return float(dist[0]) if z.ndim == 1 else dist
 
     def domain_project(self, z) -> np.ndarray:
-        A = self._to_mat(z)
-        lams, Q = sym_eig(A)
-        return svec(Q @ np.diag(np.minimum(lams, 0.0)) @ Q.T)
+        """Clip the eigenvalues at zero: Q diag(min(lam, 0)) Q^T, for a point
+        or a (k, m) stack in one batched eigensolve."""
+        z, lams, Q = self._spectra(z)
+        D = np.zeros(Q.shape)
+        diag = np.arange(self.n)
+        D[:, diag, diag] = np.minimum(lams, 0.0)
+        P = svec(Q @ D @ Q.swapaxes(1, 2))
+        return P[0] if z.ndim == 1 else P

@@ -31,7 +31,7 @@ from ..numkit.polyhedra import (
     residuals,
     residuals_batch,
 )
-from .base import OuterFunction
+from .base import OuterFunction, each_row
 from .indicators import ACT_TOL, INDICATOR_FEAS_TOL as VALUE_TOL, second_order_tangent_cone
 from .reprs import PolyhedralConeRepr, PolyhedronRep
 
@@ -252,7 +252,9 @@ class PlqFunction(OuterFunction):
         return best
 
     def domain_project(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+        return each_row(self._project, z)
+
+    def _project(self, z) -> np.ndarray:
         best, best_d = None, np.inf
         for p in self.pieces:
             q = project(p.domain, z)

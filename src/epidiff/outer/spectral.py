@@ -204,8 +204,7 @@ class EigSumFunction(OuterFunction):
         return float(self.i - self.s)
 
     def domain_project(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return z if z.ndim == 1 else svec(_to_mat(z))
+        return np.asarray(z, dtype=float)
 
 
 def max_eig(n: int) -> EigSumFunction:

@@ -1,9 +1,14 @@
 """Shared desk-scale problem instances and sampled-function builders."""
 
+import math
+
 import numpy as np
 
-from epidiff.core import CompositeProblem, PolyMap
+from epidiff.core import CompositeProblem, PolyMap, jacobian, poly_eval
+from epidiff.errors import PointNotInDomain
 from epidiff.numkit import Polyhedron, svec
+from epidiff.numkit import sym
+from epidiff.numkit.sym import SymMatrix
 from epidiff.oracle import SampledFunction
 from epidiff.outer import (
     NegSemidefIndicator,
@@ -109,11 +114,10 @@ def max_of_coordinates_plq():
 def outer_sampled(g) -> SampledFunction:
     """A catalog member as an oracle evaluator on its own ambient space."""
     return SampledFunction(
-        evaluator=lambda p: g.value(p),
+        evaluator=g.value_batch,
         dim=g.ambient_dim,
         description=f"{g.tag} evaluator",
-        batch_evaluator=g.value_batch,
-        restore_feasible=lambda p: g.domain_project(p),
+        restore_feasible=g.domain_project,
     )
 
 
@@ -121,13 +125,10 @@ def example35_function() -> SampledFunction:
     """|x2 - |x1|^(4/3)| - x1^2: finite second subderivative along the first
     axis but empty parabolic-subderivative domain there."""
 
-    def ev(x):
-        return abs(x[1] - abs(x[0]) ** (4.0 / 3.0)) - x[0] ** 2
-
-    def ev_batch(X):
+    def ev(X):
         return np.abs(X[:, 1] - np.abs(X[:, 0]) ** (4.0 / 3.0)) - X[:, 0] ** 2
 
-    return SampledFunction(ev, 2, "irregular benchmark", batch_evaluator=ev_batch)
+    return SampledFunction(ev, 2, "irregular benchmark")
 
 
 def random_psd_instance(rng, n):
@@ -162,3 +163,84 @@ def random_simple_top_instance(rng, n):
     W = 0.5 * (W + W.T)
     W /= np.linalg.norm(W)
     return A, 0.5 * (V + V.T), W
+
+
+def jacobi_one_matrix(A):
+    """The per-matrix cyclic Jacobi loop that sym_eig ran before it took
+    stacks, kept as the reference."""
+    M = np.array(SymMatrix(A).entries)
+    n = M.shape[0]
+    Q = np.eye(n)
+    if n == 1:
+        return np.array([M[0, 0]]), Q
+    scale = 1.0 + float(np.linalg.norm(M))
+    off_mask = ~np.eye(n, dtype=bool)
+    for _ in range(sym.MAX_SWEEPS):
+        off = float(np.linalg.norm(M[off_mask]))
+        if off <= sym.JACOBI_OFFDIAG_TOL * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = M[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = (M[q, q] - M[p, p]) / (2.0 * apq)
+                if abs(theta) >= 1e150:
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rot_p = c * M[:, p] - s * M[:, q]
+                rot_q = s * M[:, p] + c * M[:, q]
+                M[:, p], M[:, q] = rot_p, rot_q
+                rot_p = c * M[p, :] - s * M[q, :]
+                rot_q = s * M[p, :] + c * M[q, :]
+                M[p, :], M[q, :] = rot_p, rot_q
+                M[p, q] = M[q, p] = 0.0
+                rot_p = c * Q[:, p] - s * Q[:, q]
+                rot_q = s * Q[:, p] + c * Q[:, q]
+                Q[:, p], Q[:, q] = rot_p, rot_q
+    lams = np.diag(M).copy()
+    order = np.argsort(-lams, kind="stable")
+    lams = lams[order]
+    Q = Q[:, order]
+    for j in range(n):
+        k = int(np.argmax(np.abs(Q[:, j])))
+        if Q[k, j] < 0:
+            Q[:, j] = -Q[:, j]
+    return lams, Q
+
+
+def old_restore(prob, x0, project, distance, max_iter=60):
+    """The per-point Gauss-Newton loop that the stacked restoration replaced,
+    kept as the reference; project and distance are the member's one-point
+    projection and distance."""
+    x = np.array(x0, dtype=float)
+    for _ in range(max_iter):
+        u = poly_eval(prob.F, x)
+        try:
+            p = np.asarray(project(u), dtype=float)
+        except PointNotInDomain:
+            return None
+        r = u - p
+        if float(np.linalg.norm(r)) <= 1e-12 * (1.0 + float(np.linalg.norm(u))):
+            return x
+        J = jacobian(prob.F, x)
+        JJt = J @ J.T
+        try:
+            lam = np.linalg.solve(JJt, p - u)
+        except np.linalg.LinAlgError:
+            lam = np.linalg.lstsq(JJt, p - u, rcond=None)[0]
+        step = J.T @ lam
+        if float(np.linalg.norm(step)) < 1e-15 or not np.all(np.isfinite(step)):
+            break
+        x = x + step
+    u = poly_eval(prob.F, x)
+    try:
+        dist = distance(u)
+    except PointNotInDomain:
+        return None
+    if dist <= 1e-9 * (1.0 + float(np.linalg.norm(u))):
+        return x
+    return None

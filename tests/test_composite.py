@@ -4,9 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidiff.composite import (
     _restore_feasible_point,
+    _restore_feasible_points,
     chain_dual_value,
     check_basic_cq,
     check_mscq,
@@ -27,7 +30,7 @@ from epidiff.errors import (
     PointNotInDomain,
     UnsupportedSpectralMultiplicity,
 )
-from epidiff.numkit import Polyhedron, lp_max, svec, vertices
+from epidiff.numkit import Polyhedron, lp_max, smat, svec, vertices
 from epidiff.numkit.polyhedra import residuals
 from epidiff.oracle import estimate_second_subderivative
 from epidiff.outer import (
@@ -46,6 +49,8 @@ from epidiff.problem_io import parse_problem
 from _instances import (
     a1_problem,
     abs_shift_problem,
+    jacobi_one_matrix,
+    old_restore,
     mscq_fail_problem,
     psd_base_data,
     psd_problem,
@@ -250,9 +255,11 @@ def test_restoration_projects_far_from_a_polyhedral_domain(monkeypatch):
     seen = []
 
     def recording_project(z):
-        seen.append((float(np.abs(z).max()), math.inf))
+        first = len(seen)
+        seen.extend((float(np.abs(row).max()), math.inf) for row in np.atleast_2d(z))
         p = type(g).domain_project(g, z)
-        seen[-1] = (seen[-1][0], residuals(g.C, p))
+        for i, row in enumerate(np.atleast_2d(p)):
+            seen[first + i] = (seen[first + i][0], residuals(g.C, row))
         return p
 
     monkeypatch.setattr(g, "domain_project", recording_project)
@@ -271,6 +278,147 @@ def test_restoration_into_an_empty_domain_returns_none():
     with pytest.raises(PointNotInDomain):
         empty.domain_project(np.array([0.5]))
     assert _restore_feasible_point(prob, np.array([0.5])) is None
+
+
+def _old_psd_project(z):
+    lams, Q = jacobi_one_matrix(smat(z))
+    return svec(Q @ np.diag(np.minimum(lams, 0.0)) @ Q.T)
+
+
+def _old_psd_distance(z):
+    lams, _ = jacobi_one_matrix(smat(z))
+    return float(np.linalg.norm(np.maximum(lams, 0.0)))
+
+
+class _FarFailingHalfPlane(PolyhedralIndicator):
+    """{u1 + u2 <= 0}, whose projection raises PointNotInDomain beyond
+    |u|_inf = 1.5: a domain some rows of a stack cannot be projected onto."""
+
+    def __init__(self):
+        super().__init__(Polyhedron.make(2, G=[[1.0, 1.0]], h=[0.0]))
+
+    def _project(self, z):
+        if np.abs(z).max() > 1.5:
+            raise PointNotInDomain("too far to project")
+        return super()._project(z)
+
+
+def _restore_cases():
+    quad2 = PolyMap(2, [[(1.0, (1, 0)), (0.5, (0, 2)), (-0.3, (1, 1))], [(1.0, (0, 1)), (0.4, (2, 0))]])
+    quad3 = PolyMap(3, [[(1.0, (1, 0, 0)), (0.3, (0, 2, 0))], [(1.0, (0, 1, 0)), (-0.2, (1, 0, 1))],
+                        [(1.0, (0, 0, 1)), (0.25, (1, 1, 0))]])
+    wedge = Polyhedron.make(3, G=[[1.0, 1.0, 0.0], [-1.0, 2.0, 0.5], [0.0, -1.0, 1.0]], h=[0.2, 0.1, 0.3])
+    empty = Polyhedron.make(1, G=[[1.0], [-1.0]], h=[-1.0, 0.0])
+    m6 = parse_problem(str(Path(__file__).parent / "fixtures" / "polyhedron_m6.json")).problem
+    psd = NegSemidefIndicator(2)
+    return {
+        "semidefinite": (CompositeProblem(PolyMap.zero(3), quad3, psd), _old_psd_project, _old_psd_distance),
+        "orthant": (CompositeProblem(PolyMap.zero(2), quad2, nonpositive_orthant(2)), None, None),
+        "polyhedron": (CompositeProblem(PolyMap.zero(3), quad3, PolyhedralIndicator(wedge)), None, None),
+        "polyhedron_m6": (m6, None, None),
+        "far_failing": (CompositeProblem(PolyMap.zero(2), quad2, _FarFailingHalfPlane()), None, None),
+        "empty": (CompositeProblem(PolyMap.zero(1), PolyMap.identity(1), PolyhedralIndicator(empty)), None, None),
+    }
+
+
+def _same_point(a, b) -> bool:
+    return (a is None) == (b is None) and (a is None or np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(["semidefinite", "orthant", "polyhedron", "polyhedron_m6", "far_failing", "empty"]),
+    rows=st.integers(1, 7),
+    spread=st.sampled_from([0.05, 0.5, 2.0]),
+    max_iter=st.sampled_from([3, 20, 60]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_stacked_restoration_matches_the_per_point_loop(case, rows, spread, max_iter, seed):
+    """Each row of a restoration stack ends bit for bit where the per-point
+    Gauss-Newton loop ends it, or fails where that loop fails: on the
+    semidefinite cone (stacked eigensolves), the orthant, polyhedra (row by
+    row projections) and a domain whose projection raises for some rows."""
+    prob, project, distance = _restore_cases()[case]
+    project = project or prob.g.domain_project
+    distance = distance or (lambda u: float(np.linalg.norm(u - prob.g.domain_project(u))))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, prob.n)) * spread
+    Y, ok = _restore_feasible_points(prob, X, max_iter=max_iter)
+    for x, y, found in zip(X, Y, ok):
+        ref = old_restore(prob, x, project, distance, max_iter=max_iter)
+        assert _same_point(y if found else None, ref)
+        assert found or np.array_equal(y, x)
+        assert _same_point(_restore_feasible_point(prob, x, max_iter=max_iter), ref)
+
+
+def test_stacked_restoration_solves_singular_rows_by_least_squares():
+    """dF has a zero row at x1 = 0, so J J^T is exactly singular there and a
+    stacked solve raises for the whole stack; those rows fall back to least
+    squares alone and every row matches the per-point loop."""
+    F = PolyMap(2, [[(1.0, (2, 0))], [(1.0, (0, 1))]])
+    half = PolyhedralIndicator(Polyhedron.make(2, G=[[-1.0, 0.0], [0.0, 1.0]], h=[-1.0, 0.0]))
+    prob = CompositeProblem(PolyMap.zero(2), F, half)
+    X = np.array([[0.0, 0.5], [0.7, 0.2], [0.0, -0.1], [-1.3, 0.4], [0.0, 2.0]])
+    J = jacobian(F, X)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J @ J.swapaxes(1, 2), np.ones((len(X), 2, 1)))
+    Y, ok = _restore_feasible_points(prob, X)
+    distance = lambda u: float(np.linalg.norm(u - half.domain_project(u)))  # noqa: E731
+    for x, y, found in zip(X, Y, ok):
+        assert _same_point(y if found else None, old_restore(prob, x, half.domain_project, distance))
+    assert ok[1] and ok[3] and not ok[0]
+
+
+def _old_check_mscq(prob, x, n_samples, radius, seed, project, distance):
+    """check_mscq's per-sample loop before it drew ahead, with the reference
+    restoration; returns (kappa_hat, worst, observations)."""
+    x = np.asarray(x, dtype=float)
+    rng = np.random.default_rng(seed)
+    kappa_hat, worst, observations = 0.0, None, []
+    for level, rad in enumerate((radius, radius / 2.0, radius / 4.0)):
+        for _ in range(n_samples // 3 + (level < n_samples % 3)):
+            step = rng.standard_normal(prob.n)
+            step *= rad * rng.random() / max(float(np.linalg.norm(step)), 1e-300)
+            xp = x + step
+            dist_g = distance(poly_eval(prob.F, xp))
+            if dist_g <= 1e-12:
+                continue
+            restored = old_restore(prob, xp, project, distance)
+            dist_f = math.inf if restored is None else float(np.linalg.norm(restored - xp))
+            ratio = dist_f / dist_g
+            observations.append((float(np.linalg.norm(step)), ratio))
+            if ratio > kappa_hat:
+                kappa_hat, worst = ratio, xp
+    return kappa_hat, worst, observations
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(["a1", "mscq_fail", "semidefinite", "polyhedron"]),
+    n_samples=st.integers(1, 40),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_batched_check_mscq_matches_its_per_sample_loop(case, n_samples, seed):
+    """Drawing every sample first and restoring the infeasible ones in one
+    stack gives the modulus, worst point and shell maxima of the loop."""
+    if case == "a1":
+        prob, x, project, distance = a1_problem(), A1_X, None, None
+    elif case == "mscq_fail":
+        prob, x, project, distance = mscq_fail_problem(), np.zeros(1), None, None
+    else:
+        prob, project, distance = _restore_cases()[case]
+        x = np.zeros(prob.n)
+    project = project or prob.g.domain_project
+    distance = distance or (lambda u: float(np.linalg.norm(u - prob.g.domain_project(u))))
+    got = check_mscq(prob, x, n_samples=n_samples, radius=0.3, seed=seed)
+    kappa, worst, observations = _old_check_mscq(prob, x, n_samples, 0.3, seed, project, distance)
+    assert got.kappa_hat == kappa and got.samples == n_samples
+    assert _same_point(got.worst_point, worst)
+    shells = []
+    for k in range(5):
+        vals = [r for d, r in observations if 0.3 * 0.5 ** (k + 1) < d <= 0.3 * 0.5 ** k]
+        shells.append(max(vals) if vals else 0.0)
+    assert got.ratios_by_radius == shells
 
 
 # -- chain rules ---------------------------------------------------------------------------

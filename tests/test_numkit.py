@@ -1,12 +1,15 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epidiff.errors import DimensionTooLarge, EmptyPolyhedron, PointNotInSet, Unbounded
+from epidiff.cli import run
+from epidiff.errors import DimensionTooLarge, EmptyPolyhedron, JacobiNotConverged, PointNotInSet, Unbounded
+from epidiff.numkit import sym
 from epidiff.numkit import (
     PolyCone,
     Polyhedron,
@@ -35,6 +38,8 @@ from epidiff.numkit.polyhedra import (
     _rank,
     is_empty,
 )
+
+from _instances import jacobi_one_matrix
 
 
 # -- eigensolver ----------------------------------------------------------------
@@ -72,6 +77,68 @@ def test_sym_eig_deterministic():
     lam1, Q1 = sym_eig(A)
     lam2, Q2 = sym_eig(A.copy())
     assert np.array_equal(lam1, lam2) and np.array_equal(Q1, Q2)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(["generic", "diagonal", "zero_row", "zero", "repeated", "huge_ratio"]),
+                   min_size=1, max_size=6),
+    scale=st.sampled_from([1e-9, 1.0, 1e7]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_stacked_sym_eig_matches_the_per_matrix_jacobi(n, kinds, scale, seed):
+    """Every matrix of a stack gets, bit for bit, the eigenvalues and vectors
+    the per-matrix loop gives it, also where the stack mixes matrices that
+    need different sweep counts or skip rotations (zero off-diagonals)."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for kind in kinds:
+        A = rng.standard_normal((n, n)) * scale
+        A = A + A.T
+        if kind == "diagonal":
+            A = np.diag(np.diag(A))
+        elif kind == "zero_row":
+            A[0, 1:] = A[1:, 0] = 0.0
+        elif kind == "zero":
+            A = np.zeros((n, n))
+        elif kind == "repeated":
+            A = scale * np.eye(n)
+            A[0, -1] = A[-1, 0] = 1e-3 * scale
+        elif kind == "huge_ratio":
+            A = np.diag(np.arange(1.0, n + 1.0)) * scale
+            A[0, -1] = A[-1, 0] = 1e-160 * scale
+        mats.append(A)
+    lams, vecs = sym_eig(np.array(mats))
+    assert lams.shape == (len(mats), n) and vecs.shape == (len(mats), n, n)
+    for A, lam, Q in zip(mats, lams, vecs):
+        ref_lam, ref_Q = jacobi_one_matrix(A)
+        one_lam, one_Q = sym_eig(A)
+        assert _same_bits(lam, ref_lam) and _same_bits(Q, ref_Q)
+        assert _same_bits(one_lam, ref_lam) and _same_bits(one_Q, ref_Q)
+
+
+def test_sym_eig_raises_when_the_sweeps_run_out(monkeypatch):
+    """After MAX_SWEEPS sweeps an unconverged matrix raises a typed error,
+    alone or in a stack, and the CLI maps it to exit 2; with the default
+    limit the same matrix converges."""
+    A = np.array([[2.0, 1.0, 0.5], [1.0, -1.0, 0.3], [0.5, 0.3, 0.7]])
+    lam, _ = sym_eig(A)
+    assert np.allclose(lam, np.linalg.eigvalsh(A)[::-1])
+    monkeypatch.setattr(sym, "MAX_SWEEPS", 1)
+    with pytest.raises(JacobiNotConverged):
+        sym_eig(A)
+    with pytest.raises(JacobiNotConverged):
+        sym_eig(np.array([np.diag([1.0, 2.0, 3.0]), A]))
+    assert np.array_equal(sym_eig(np.diag([1.0, 2.0, 3.0]))[0], [3.0, 2.0, 1.0])
+    fixture = Path(__file__).parent / "fixtures" / "polyhedron_m6.json"
+    code, text = run(["analyze", str(fixture)])
+    assert code == 2 and text.startswith("error:") and "sweeps" in text
 
 
 # -- pseudoinverse ----------------------------------------------------------------

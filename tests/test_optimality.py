@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epidiff import optimality
 
 from epidiff.composite import sampled_objective, second_subderivative_chain
-from epidiff.core import CompositeProblem, PolyMap, hessian
+from epidiff.core import CompositeProblem, PolyMap, hessian, poly_eval
 from epidiff.errors import NotStationary
 from epidiff.oracle import estimate_second_subderivative
 from epidiff.optimality import (
@@ -13,11 +17,13 @@ from epidiff.optimality import (
     stationary_data,
     verify_growth,
 )
-from epidiff.outer import nonpositive_orthant, zero_function
+from epidiff.numkit import Polyhedron
+from epidiff.outer import NegSemidefIndicator, PolyhedralIndicator, nonpositive_orthant, zero_function
 
 from _instances import (
     a1_problem,
     eq_constrained_problem,
+    old_restore,
     parabola_min_problem,
     quartic_problem,
 )
@@ -119,6 +125,78 @@ def test_growth_fails_when_not_a_minimum():
     for ell in (1.0, 0.1, 0.01):
         rep = verify_growth(prob, [0.0, 0.0], ell=ell, epsilon=0.1, n_samples=400, seed=5)
         assert rep.violations > 0, ell
+
+
+def _old_verify_growth(prob, x, ell, epsilon, n_samples, seed):
+    """verify_growth's per-sample loop before it drew ahead in blocks, with
+    the reference restoration: (samples, violations)."""
+    x = np.asarray(x, dtype=float)
+    rng = np.random.default_rng(seed)
+    psi0 = float(poly_eval(prob.phi, x)[0]) + prob.g.value(poly_eval(prob.F, x)).value
+    distance = lambda u: float(np.linalg.norm(u - prob.g.domain_project(u)))  # noqa: E731
+    kept = violations = attempts = 0
+    while kept < n_samples and attempts < 20 * n_samples:
+        attempts += 1
+        step = rng.standard_normal(prob.n)
+        step *= epsilon * rng.random() ** (1.0 / prob.n) / max(np.linalg.norm(step), 1e-300)
+        xp = x + step
+        gval = prob.g.value(poly_eval(prob.F, xp))
+        if not gval.is_finite:
+            restored = old_restore(prob, xp, prob.g.domain_project, distance, max_iter=30)
+            if restored is None or float(np.linalg.norm(restored - x)) > epsilon:
+                continue
+            xp = restored
+            gval = prob.g.value(poly_eval(prob.F, xp))
+            if not gval.is_finite:
+                continue
+        kept += 1
+        psi = float(poly_eval(prob.phi, xp)[0]) + gval.value
+        lower = psi0 + 0.5 * ell * float((xp - x) @ (xp - x)) - 1e-9
+        if psi < lower:
+            violations += 1
+    return kept, violations
+
+
+def _growth_cases():
+    not_min = CompositeProblem(
+        PolyMap.from_strings([["-1 x2"]], 2), PolyMap.from_strings([["x2", "-1 x1^2"]], 2),
+        nonpositive_orthant(1),
+    )
+    wedge = PolyhedralIndicator(Polyhedron.make(2, G=[[1.0, 1.0], [-1.0, 2.0]], h=[0.0, 0.0]))
+    quad = PolyMap.from_strings([["x1", "0.5 x2^2"], ["x2", "-0.25 x1 x2"]], 2)
+    curved = CompositeProblem(PolyMap.from_strings([["x1^2", "x2^2", "0.3 x1"]], 2), quad, wedge)
+    psd = CompositeProblem(
+        PolyMap.from_strings([["x1^2", "x2^2", "x3^2"]], 3),
+        PolyMap.from_strings([["x1", "0.2 x2^2"], ["x2"], ["x3", "-0.1 x1 x3"]], 3),
+        NegSemidefIndicator(2),
+    )
+    return {
+        "parabola_min": (parabola_min_problem(), np.zeros(2)),
+        "quartic": (quartic_problem(), np.zeros(1)),
+        "not_a_minimum": (not_min, np.zeros(2)),
+        "wedge": (curved, np.zeros(2)),
+        "semidefinite": (psd, np.zeros(3)),
+    }
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(["parabola_min", "quartic", "not_a_minimum", "wedge", "semidefinite"]),
+    n_samples=st.integers(1, 120),
+    block=st.sampled_from([1, 7, 256]),
+    ell=st.sampled_from([0.01, 0.5, 2.0]),
+    epsilon=st.sampled_from([0.05, 0.3]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_batched_growth_matches_its_per_sample_loop(case, n_samples, block, ell, epsilon, seed):
+    """Drawing samples a block at a time, valuing and restoring each block in
+    one stack, keeps and violates exactly the samples the per-sample loop
+    does, whatever the block size."""
+    prob, x = _growth_cases()[case]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimality, "GROWTH_BLOCK", block)
+        rep = verify_growth(prob, x, ell=ell, epsilon=epsilon, n_samples=n_samples, seed=seed)
+    assert (rep.samples, rep.violations) == _old_verify_growth(prob, x, ell, epsilon, n_samples, seed)
 
 
 def test_sum_rule_against_oracle():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from epidiff import oracle
 from epidiff.core import GridSchedule
-from epidiff.errors import BasePointInfeasible, CriticalConePreconditionFailed
+from epidiff.errors import BasePointInfeasible, CriticalConePreconditionFailed, NegativeInfinityDetected
 from epidiff.extreal import ExtReal, PLUS_INF
 from epidiff.oracle import (
     SampledFunction,
@@ -26,9 +26,7 @@ from _instances import a1_problem, example35_function, outer_sampled
 
 
 def square() -> SampledFunction:
-    return SampledFunction(
-        lambda x: float(x[0] ** 2), 1, "x^2", batch_evaluator=lambda X: X[:, 0] ** 2
-    )
+    return SampledFunction(lambda X: X[:, 0] ** 2, 1, "x^2")
 
 
 def indicator_line() -> SampledFunction:
@@ -44,7 +42,7 @@ DEEP_IRREGULAR = GridSchedule(t0=0.1, ratio=0.5, steps=21, radius_coeff=1.5, rad
 def test_delta2_quotient_examples():
     assert delta2_quotient(square(), [0.0], [0.0], 0.1, [1.0]).value == pytest.approx(2.0)
     assert delta2_quotient(indicator_line(), [0.0], [0.0], 0.1, [1.0]).is_plus_inf
-    cube = SampledFunction(lambda x: float(x[0] ** 3), 1, "x^3")
+    cube = SampledFunction(lambda X: X[:, 0] ** 3, 1, "x^3")
     assert delta2_quotient(cube, [0.0], [0.0], 0.1, [1.0]).value == pytest.approx(0.2)
     with pytest.raises(BasePointInfeasible):
         delta2_quotient(indicator_line(), [1.0], [0.0], 0.1, [1.0])
@@ -108,6 +106,15 @@ def _fresh_ball(dim, radius, k, rng):
     return np.vstack([np.zeros((1, dim)), mesh])
 
 
+def _old_ball_clip(p, center, radius):
+    """The one-point ball clip the stacked one replaces."""
+    off = p - center
+    nrm = float(np.linalg.norm(off))
+    if nrm <= radius or radius <= 0:
+        return p
+    return center + off * (radius / nrm)
+
+
 def _unpolished_scores(f, x, w, dfw, v, Z, sched):
     """The per-z loop the batched scorer replaces: for each z, the parabolic
     estimate without pattern search (a fresh rng, f(x) and ball per call),
@@ -128,8 +135,8 @@ def _unpolished_scores(f, x, w, dfw, v, Z, sched):
             if finite_mask.any():
                 m = float(quot[int(np.argmin(np.where(finite_mask, quot, math.inf)))])
             elif f.restore_feasible is not None:
-                restored = np.asarray(f.restore_feasible(x + t * w + half_t2 * z), dtype=float)
-                z0 = oracle._ball_clip((restored - x - t * w) / half_t2, z, radius)
+                restored = np.asarray(f.restore_feasible((x + t * w + half_t2 * z)[None])[0])
+                z0 = _old_ball_clip((restored - x - t * w) / half_t2, z, radius)
                 fx = f.value(x + t * w + half_t2 * z0)
                 m0 = (fx.value - f0.value - t * dfw) / half_t2 if fx.is_finite else math.inf
                 if math.isfinite(m0):
@@ -148,9 +155,9 @@ def _on_the_axis(batched: bool) -> SampledFunction:
         return np.where(Y[:, 1] == 0.0, Y[:, 0] ** 2 - Y[:, 0], math.inf)
 
     return SampledFunction(
-        lambda y: float(batch(y[None, :])[0]), 2, "axis",
+        batch, 2, "axis",
         batch_evaluator=batch if batched else None,
-        restore_feasible=lambda y: np.array([y[0], 0.0]),
+        restore_feasible=lambda Y: np.column_stack([Y[:, 0], np.zeros(len(Y))]),
     )
 
 
@@ -161,8 +168,7 @@ def _halfspace_quadratic() -> SampledFunction:
         vals = np.einsum("ij,ij->i", Y, Y) + Y[:, 0] * Y[:, 1]
         return np.where(Y[:, 0] <= 0.3, vals, math.inf)
 
-    return SampledFunction(lambda y: float(batch(y[None, :])[0]), 5, "halfspace",
-                           batch_evaluator=batch)
+    return SampledFunction(batch, 5, "halfspace")
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -348,3 +354,311 @@ def test_lower_bound_law():
             est = estimate_second_subderivative(f, x, v, w)
             if est.is_finite:
                 assert est.value >= -r_hat * float(w @ w) - 0.05 * (1 + float(w @ w))
+
+
+# -- windowed pattern search ---------------------------------------------------------------
+
+
+def _old_pattern_refine(q, start, f_start, center, radius, extra_dirs=(), max_evals=700):
+    """The one-trial-per-call cyclic search the windowed one replaced, kept as
+    the reference; q maps one point to (value, point evaluated)."""
+    dim = center.shape[0]
+    dirs = [np.eye(dim)[i] for i in range(dim)]
+    for d in extra_dirs:
+        nrm = float(np.linalg.norm(d))
+        if nrm > 1e-12:
+            dirs.append(np.asarray(d, dtype=float) / nrm)
+    best_p, best_f = start, f_start
+    evals = 0
+    for _ in range(8):
+        round_start = best_f
+        improved = False
+        for dvec in dirs:
+            step = radius / 2.0
+            while step > radius * 1e-9 and evals < max_evals:
+                moved = False
+                for sgn in (1.0, -1.0):
+                    cand = _old_ball_clip(best_p + sgn * step * dvec, center, radius)
+                    val, pt = q(cand)
+                    evals += 1
+                    if val < best_f - 1e-15 * (1.0 + abs(best_f)):
+                        best_p, best_f = pt, val
+                        moved = True
+                        improved = True
+                        break
+                if not moved:
+                    step *= 0.5
+            if evals >= max_evals:
+                break
+        stale = round_start - best_f <= 1e-10 * (1.0 + abs(round_start))
+        if not improved or stale or evals >= max_evals:
+            break
+    return best_f, best_p
+
+
+def _old_level_minimum(f, base_point, t, lin_coeff, lin_shift, center, radius, sched, rng, budget):
+    """The level search with its one-point scorer q, as before the windows."""
+    half_t2 = 0.5 * t * t
+    offsets = oracle._ball_offsets(center.shape[0], radius, sched, rng)
+    cands = center[None, :] + offsets
+    vals = f.eval_batch(base_point[None, :] + t * cands)
+    quot = (vals - lin_shift - t * (cands @ lin_coeff)) / half_t2
+    finite_mask = np.isfinite(quot)
+    restore_budget = [budget]
+
+    def q(p):
+        fx = f.value(base_point + t * p)
+        if fx.is_finite:
+            return (fx.value - lin_shift - t * float(lin_coeff @ p)) / half_t2, p
+        if f.restore_feasible is None or restore_budget[0] <= 0:
+            return math.inf, p
+        restore_budget[0] -= 1
+        restored = np.asarray(f.restore_feasible((base_point + t * p)[None])[0], dtype=float)
+        cand = _old_ball_clip((restored - base_point) / t, center, radius)
+        fx = f.value(base_point + t * cand)
+        if not fx.is_finite:
+            return math.inf, p
+        return (fx.value - lin_shift - t * float(lin_coeff @ cand)) / half_t2, cand
+
+    if not finite_mask.any():
+        if f.restore_feasible is None:
+            return math.inf, center
+        val0, p0 = q(center)
+        if not math.isfinite(val0):
+            return math.inf, center
+        start, f_start = p0, val0
+    else:
+        idx = int(np.argmin(np.where(finite_mask, quot, math.inf)))
+        start, f_start = cands[idx], float(quot[idx])
+    extra = [lin_coeff] if float(np.linalg.norm(lin_coeff)) > 0 else []
+    return _old_pattern_refine(q, start, f_start, center, radius, extra_dirs=extra)
+
+
+def _trapped_bowl(dim, target, wall, trap, restore):
+    """|y - target|^2 on {y_0 <= wall}, +inf beyond, and -1e16 (below
+    NEG_GUARD) on the slab trap[0] < y_0 < trap[1]; restored by clipping y_0
+    to the wall."""
+
+    def ev(Y):
+        vals = np.sum((Y - target) ** 2, axis=1)
+        vals = np.where(Y[:, 0] <= wall, vals, math.inf)
+        return np.where((Y[:, 0] > trap[0]) & (Y[:, 0] < trap[1]), -1e16, vals)
+
+    def clip(Y):
+        out = np.array(Y, dtype=float)
+        out[:, 0] = np.minimum(out[:, 0], wall)
+        return out
+
+    return SampledFunction(ev, dim, "trapped bowl", restore_feasible=clip if restore else None)
+
+
+def _outcome(fn):
+    try:
+        m, p = fn()
+    except NegativeInfinityDetected:
+        return "raised"
+    return float(m), np.asarray(p, dtype=float).tolist()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(1, 3),
+    budget=st.sampled_from([0, 1, 2, 3, 5, 150]),
+    restore=st.booleans(),
+    trapped=st.booleans(),
+    lin=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_windowed_level_search_matches_the_sequential_one(dim, budget, restore, trapped, lin, seed):
+    """Scoring each step ladder in windows, and rescuing the infeasible
+    trial points ahead of a window's first finite improvement in one stack,
+    gives the sequential search's minimum and argmin bit for bit, with the
+    same restoration budget; a trial point below NEG_GUARD raises exactly
+    when the sequential search valued it."""
+    rng = np.random.default_rng(seed)
+    target = rng.uniform(-1.0, 1.0, dim)
+    wall = float(rng.uniform(-1.0, 0.6))
+    lo = float(rng.uniform(-1.0, 1.0))
+    trap = (lo, lo + 0.05) if trapped else (math.inf, math.inf)
+    f = _trapped_bowl(dim, target, wall, trap, restore)
+    sched = GridSchedule(t0=0.5, steps=3, samples_per_axis=3, radius_coeff=2.0, seed=seed)
+    base = np.zeros(dim)
+    center = rng.uniform(-1.0, 1.0, dim)
+    lin_coeff = rng.standard_normal(dim) if lin else np.zeros(dim)
+    t, radius = 0.5, 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "RESTORE_BUDGET", budget)
+        got = _outcome(lambda: oracle._level_minimum(
+            f, base, t, lin_coeff, 0.1, center, radius, sched, np.random.default_rng(seed)))
+    ref = _outcome(lambda: _old_level_minimum(
+        f, base, t, lin_coeff, 0.1, center, radius, sched, np.random.default_rng(seed), budget))
+    assert got == ref
+
+
+def test_windowed_search_ignores_a_failed_row_past_its_stop():
+    """From 0 the ladder reaches -0.25 (an improvement) before +0.125, which
+    lies below NEG_GUARD; both share the second window, but the sequential
+    search never values +0.125, so neither search raises."""
+    f = _trapped_bowl(1, np.array([-0.2]), 10.0, (0.1, 0.15), False)
+    windows = []
+
+    def score(P):
+        windows.append(P[:, 0].tolist())
+        return oracle._quotients(f.values(P), 0.0, 0.0, 1.0), P
+
+    def q(p):
+        return f.value(p).value, p
+
+    center, start = np.zeros(1), np.zeros(1)
+    f0 = f.value(start).value
+    got = oracle._pattern_refine(score, start, f0, center, 1.0)
+    assert any(0.1 < x < 0.15 for x in windows[1])
+    assert got[0] == _old_pattern_refine(q, start, f0, center, 1.0)[0] > -math.inf
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    max_evals=st.integers(1, 120),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_windowed_search_stops_at_the_sequential_evaluation_count(max_evals, dim, seed):
+    """With every max_evals the windowed search ends where the sequential one
+    does, so both count the same evaluations; and it makes one scorer call
+    per window, never more than the sequential search makes."""
+    rng = np.random.default_rng(seed)
+    target = rng.uniform(-1.0, 1.0, dim)
+    f = _trapped_bowl(dim, target, 10.0, (math.inf, math.inf), False)
+    calls = [0, 0]
+
+    def score(P):
+        calls[0] += 1
+        return oracle._quotients(f.values(P), 0.0, 0.0, 1.0), P
+
+    def q(p):
+        calls[1] += 1
+        return f.value(p).value, p
+
+    center = rng.uniform(-0.5, 0.5, dim)
+    f0 = f.value(center).value
+    got = oracle._pattern_refine(score, center, f0, center, 1.0, max_evals=max_evals)
+    ref = _old_pattern_refine(q, center, f0, center, 1.0, max_evals=max_evals)
+    assert got[0] == ref[0] and np.array_equal(got[1], ref[1])
+    assert calls[0] <= calls[1]
+
+
+# -- stack values against point values ------------------------------------------------------
+
+
+def _catalog_members():
+    from epidiff.outer import NegSemidefIndicator, alpha_eig, max_eig, sum_top_eig, zero_function
+    from epidiff.outer.smooth import SmoothQuadratic
+    from epidiff.core import PolyMap
+    from epidiff.numkit import Polyhedron, svec
+    from epidiff.outer import PolyhedralIndicator
+    from _instances import half_square_plq, max_of_coordinates_plq
+
+    wedge = Polyhedron.make(3, G=[[1.0, 1.0, 0.0], [-1.0, 2.0, 0.5]], h=[0.2, 0.1], E=[[0.0, 1.0, 1.0]], d=[0.0])
+    return {
+        "ind_nonpos": nonpositive_orthant(3),
+        "ind_polyhedron": PolyhedralIndicator(wedge),
+        "abs": absolute_value(),
+        "plq": half_square_plq(),
+        "plq_max": max_of_coordinates_plq(),
+        "ind_negsemidef": NegSemidefIndicator(3),
+        "max_eig": max_eig(3),
+        "sum_top_eig": sum_top_eig(3, 2),
+        "alpha_eig": alpha_eig(3, 2, svec(np.diag([2.0, 1.0, 1.0]))),
+        "twice_semidiff": SmoothQuadratic(
+            PolyMap.from_strings([["x1^2", "0.5 x2 x3", "x3^3"]], 3),
+            PolyMap.from_strings([["x1^2", "x2^2", "0.25 x1 x3"]], 3),
+        ),
+        "zero": zero_function(2),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    tag=st.sampled_from(sorted(_catalog_members())),
+    rows=st.integers(1, 5),
+    scale=st.sampled_from([1e-3, 0.3, 2.0]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_stack_values_equal_point_values_on_every_catalog_member(tag, rows, scale, seed):
+    """g.value at a point equals its g.value_batch row bit for bit, and so
+    SampledFunction.value of g(F(.)) equals eval_batch(x[None])[0] and its
+    values() row, for every catalog member with a linear F.  (A nonlinear F
+    is valued in a batch by the array power, which can differ from the point
+    value in the last bit; values() uses the point power table.)"""
+    from epidiff.core import CompositeProblem, PolyMap
+
+    g = _catalog_members()[tag]
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((rows, g.ambient_dim)) * scale
+    if tag.startswith("ind_"):
+        Z[0] = g.domain_project(Z[0])
+    batch = g.value_batch(Z)
+    for z, b in zip(Z, batch):
+        assert g.value(z).as_float() == b or (math.isinf(b) and g.value(z).is_plus_inf)
+    A = rng.standard_normal((g.ambient_dim, g.ambient_dim))
+    F = PolyMap.linear(A)
+    f = sampled_objective(CompositeProblem(PolyMap.zero(g.ambient_dim), F, g))
+    X = np.linalg.solve(A, Z.T).T
+    stack = f.values(X)
+    for x, s in zip(X, stack):
+        v = f.value(x).as_float()
+        assert _same_float(v, f.eval_batch(x[None])[0]) and _same_float(v, s)
+
+
+def _same_float(a, b) -> bool:
+    return np.array_equal(np.float64(a).view(np.int64), np.float64(b).view(np.int64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(1, 3),
+    budget=st.sampled_from([0, 1, 2, 3, 5, 10, 40]),
+    max_evals=st.sampled_from([30, 200, 700]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_windowed_search_spends_the_rescue_budget_of_the_sequential_one(dim, budget, max_evals, seed):
+    """On a rugged landscape with scattered holes whose rescue often wins,
+    the windowed search spends its rescues where the sequential search does:
+    rescued rows past a window's stop are not charged, so both searches run
+    out of rescues at the same trial point and end at the same minimum."""
+    rng = np.random.default_rng(seed)
+    target, w1, w2 = rng.uniform(-1, 1, dim), rng.standard_normal(dim), rng.standard_normal(dim)
+
+    def value(p):
+        if math.sin(37.0 * float(p @ w1)) > 0.2:
+            return math.nan  # a hole: outside the domain
+        return float((p - target) @ (p - target)) + 0.1 * math.cos(13.0 * float(p @ w2))
+
+    def rescued(p):
+        q = 0.9 * p
+        return float((q - target) @ (q - target)) - 0.05, q
+
+    def score(P):
+        return np.array([value(p) for p in P]), P
+
+    def rescue(P):
+        vals, pts = zip(*(rescued(p) for p in P))
+        return np.array(vals), np.array(pts)
+
+    left = [budget]
+
+    def q(p):
+        v = value(p)
+        if not math.isnan(v):
+            return v, p
+        if left[0] <= 0:
+            return math.inf, p
+        left[0] -= 1
+        return rescued(p)
+
+    center = rng.uniform(-0.5, 0.5, dim)
+    start, f0 = center, float((center - target) @ (center - target)) + 1.0
+    got = oracle._pattern_refine(score, start, f0, center, 1.0, max_evals=max_evals,
+                                 rescue=rescue, rescues=budget)
+    ref = _old_pattern_refine(q, start, f0, center, 1.0, max_evals=max_evals)
+    assert got[0] == ref[0] and np.array_equal(got[1], ref[1])
