@@ -14,13 +14,10 @@ evaluation.  The coarse z-grid and the z pattern search both go through it.
 The grid balls are built once per (dimension, radius, samples per axis).
 
 Every pattern search (the level search, the parabolic polish and the z
-search) scores each step ladder in windows of 2, 4, 8, ... trial points, one
-scorer call per window, and stops at the first trial point that the
-one-point-at-a-time search would have accepted: its path, its evaluation
-count and its restoration budget are that search's.  Trial points are valued
-through ``SampledFunction.values``, whose rows equal ``value`` at each point
-bit for bit; infeasible ones ahead of a window's first improvement, and the
-z whose whole ball is infinite, are restored in one stack.
+search) polls completely: the trial points of a step go into one scorer
+call, through ``SampledFunction.values``, whose rows equal ``value`` at each
+point bit for bit.  The infeasible ones, and the z whose whole ball is
+infinite, are restored in one stack.
 """
 
 from __future__ import annotations
@@ -182,22 +179,26 @@ def _quotients(vals: np.ndarray, shift, lin, half_t2: float) -> np.ndarray:
 
 
 def _pattern_refine(score, start, f_start, center, radius, extra_dirs=(), max_evals=700,
-                    rescue=None, rescues=0):
-    """Deterministic cyclic direction search inside the ball.
+                    rescue=None, rescues=0, accepted=None):
+    """Complete-poll pattern search inside the ball (generalized pattern
+    search: Torczon 1997; Audet-Dennis 2006).
 
-    From the best point, each direction tries its step ladder +s, -s, +s/2,
-    -s/2, ... until a trial point improves on the best value; the search
-    moves there and tries the ladder again from the same step.  A ladder is
-    scored in windows of 2, 4, 8, ... trial points: one call score(P) per
-    window maps the stack P to (values, points actually evaluated), and the
-    search stops at the first row that the one-point-at-a-time search would
-    have accepted, so its path and its evaluation count are that search's.
+    The directions are the unit axes, then extra_dirs normalized.  A poll at
+    step s takes the trial points best + s*d, best - s*d of every direction d
+    in that order, pulls them into the ball, keeps as many as the max_evals
+    evaluations left allow, and scores them in one call score(P), which maps
+    the stack P to (values, points actually evaluated).  The search moves to
+    the row with the least value below the best one (the first such row on
+    ties) and polls again at the same step; a poll with no such row halves
+    the step.  It stops when the step reaches radius * 1e-9 or max_evals
+    trial points have been scored.  Each point it moves to is appended to
+    accepted, when given.
 
     A NaN value marks a point outside the domain.  With rescue, the first
-    ``rescues`` such points that the search reaches are rescued: those ahead
-    of the window's first finite improvement in one call rescue(P), which
-    answers like score.  A value of -inf marks a point whose evaluation
-    failed; the search ends there and returns it for the caller to raise.
+    NaN rows of a poll, at most ``rescues`` over the whole search, go to one
+    call rescue(P), which answers like score.  A value of -inf marks a point
+    whose evaluation failed; the search ends there and returns it for the
+    caller to raise.
     """
     dim = center.shape[0]
     dirs = [np.eye(dim)[i] for i in range(dim)]
@@ -205,45 +206,28 @@ def _pattern_refine(score, start, f_start, center, radius, extra_dirs=(), max_ev
         nrm = float(np.linalg.norm(d))
         if nrm > 1e-12:
             dirs.append(np.asarray(d, dtype=float) / nrm)
+    pattern = np.array([sgn * d for d in dirs for sgn in (1.0, -1.0)])
     best_p, best_f = start, f_start
-    evals, floor = 0, radius * 1e-9
-    for _ in range(8):
-        round_start = best_f
-        improved = False
-        for dvec in dirs:
-            step, width = radius / 2.0, 2
-            while step > floor and evals < max_evals:
-                # the pairs (+s, -s) that the ladder reaches unless it moves
-                sizes, reach = [], evals
-                while len(sizes) < width and step > floor and reach < max_evals:
-                    sizes += [step, -step]
-                    step, reach = step * 0.5, reach + 2
-                P = _ball_clip(best_p + np.array(sizes)[:, None] * dvec, center, radius)
-                thr = best_f - 1e-15 * (1.0 + abs(best_f))
-                vals, pts = score(P)
-                better = vals < thr
-                stop = int(np.argmax(better)) if better.any() else len(P)
-                if rescues and stop:
-                    ask = np.flatnonzero(np.isnan(vals[:stop]))[:rescues]
-                    if ask.size:
-                        vals, pts = np.array(vals), np.array(pts)
-                        vals[ask], pts[ask] = rescue(P[ask])
-                        better = vals < thr
-                        stop = int(np.argmax(better)) if better.any() else len(P)
-                        rescues -= int(np.count_nonzero(ask <= stop))
-                evals += min(stop + 1, len(P))
-                if stop == len(P):
-                    width *= 2
-                    continue
-                best_p, best_f = pts[stop], float(vals[stop])
-                step, width = abs(sizes[stop]), 2
-                improved = True
-                if best_f == -math.inf:
-                    return best_f, best_p
-            if evals >= max_evals:
-                break
-        stale = round_start - best_f <= 1e-10 * (1.0 + abs(round_start))
-        if not improved or stale or evals >= max_evals:
+    step, evals, floor = radius / 2.0, 0, radius * 1e-9
+    while step > floor and evals < max_evals:
+        P = _ball_clip(best_p + step * pattern[:max_evals - evals], center, radius)
+        vals, pts = score(P)
+        evals += len(P)
+        ask = np.flatnonzero(np.isnan(vals))[:rescues]
+        if ask.size:
+            vals, pts = np.array(vals), np.array(pts)
+            vals[ask], pts[ask] = rescue(P[ask])
+            rescues -= ask.size
+        thr = best_f - 1e-15 * (1.0 + abs(best_f))
+        below = np.where(vals < thr, vals, math.inf)
+        i = int(np.argmin(below))
+        if below[i] == math.inf:
+            step *= 0.5
+            continue
+        best_p, best_f = pts[i], float(vals[i])
+        if accepted is not None:
+            accepted.append(best_p)
+        if best_f == -math.inf:
             break
     return best_f, best_p
 
@@ -291,7 +275,7 @@ def _level_minimum(f: SampledFunction, base_point, t, lin_coeff, lin_shift, cent
         start, f_start = cands[idx], float(quot[idx])
     extra = [lin_coeff] if float(np.linalg.norm(lin_coeff)) > 0 else []
     best_f, best_p = _pattern_refine(score, start, f_start, center, radius, extra_dirs=extra,
-                                     rescue=rescue if rescues else None, rescues=rescues)
+                                     rescue=rescue, rescues=rescues)
     if best_f == -math.inf:
         f.value(base_point + t * best_p)  # raises, as valuing that point alone does
     return best_f, best_p
@@ -543,14 +527,6 @@ def check_twice_epi_diff(
     return reports
 
 
-def _alone_or_failed(f, x, w, dfw, v, z, sched) -> float:
-    """The parabolic score of z alone, or -inf if scoring it raises."""
-    try:
-        return float(_parabolic_scores(f, x, w, dfw, v, z[None, :], sched)[0])
-    except NegativeInfinityDetected:
-        return -math.inf
-
-
 def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSchedule) -> ExtReal:
     """min over z of the parabolic estimate at z minus <z, v>.
 
@@ -558,10 +534,11 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     axis over the box |z|_inf <= 10 (a seeded uniform sample of 10,000
     points when the grid exceeds Z_GRID_CAP), one level at a time with the
     balls of a chunk of grid points in one batch (_parabolic_scores).
-    Pattern search, scoring each window of trial points through the same
-    scorer, refines the best finite point within 1,500 evaluations, and the
-    full schedule values the result.  PlusInf when no grid point scores
-    finite."""
+    Pattern search, scoring each poll through the same scorer, refines the
+    best finite point within 1,500 evaluations, and the full schedule values
+    the result.  Where that value is +inf, the full schedule values every
+    point the search moved through, from the grid minimizer on, and the least
+    finite one counts.  PlusInf when no grid point scores finite."""
     cheap = sched.coarse()
     dim = w.shape[0]
     rng = np.random.default_rng(sched.seed)
@@ -577,20 +554,27 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     idx = int(np.argmin(np.where(finite_mask, scores, math.inf)))
 
     def score(Z):
-        try:
-            return _parabolic_scores(f, x, w, dfw, v, Z, cheap), Z
-        except NegativeInfinityDetected:
-            # score each trial z alone, so that only the one the search
-            # reaches raises
-            return np.array([_alone_or_failed(f, x, w, dfw, v, z, cheap) for z in Z]), Z
+        # a poll holding a z whose evaluation fails raises here, as a -inf
+        # row would end the search and be raised
+        return _parabolic_scores(f, x, w, dfw, v, Z, cheap), Z
 
-    best, z_best = _pattern_refine(
+    path = [grid[idx]]
+    _, z_best = _pattern_refine(
         score, grid[idx], float(scores[idx]), grid[idx], Z_GRID_HALF_WIDTH / 2, max_evals=1500,
+        accepted=path,
     )
-    if best == -math.inf:
-        _parabolic_scores(f, x, w, dfw, v, z_best[None, :], cheap)  # raises
     value = estimate_parabolic_subderivative(f, x, w, dfw, z_best, sched)
-    return ExtReal(value.as_float() - float(z_best @ v))
+    if value.is_finite:
+        return ExtReal(value.value - float(z_best @ v))
+    # z_best can sit on the boundary of the second-order feasible set, where
+    # the full schedule finds no feasible ball point: fall back on the best
+    # finite point the search passed through
+    finite = [
+        est for z in path[:-1]
+        if math.isfinite(est := estimate_parabolic_subderivative(f, x, w, dfw, z, sched).as_float()
+                          - float(z @ v))
+    ]
+    return ExtReal(min(finite)) if finite else PLUS_INF
 
 
 def check_parabolic_regularity(

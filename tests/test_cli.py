@@ -296,6 +296,33 @@ def test_verify_exit_codes_and_break_hook():
     assert code_bad == 1
 
 
+# The semidefinite cone under a near-identity linear map; the z search's last
+# point lies where the full schedule finds no feasible ball point.
+BOUNDARY_Z_PROBLEM = {
+    "phi": [],
+    "F": [["0.9066533261586913 x1", "0.16727590727538813 x2", "0.40825838693188293 x3", "0.14912751467789312"],
+          ["0.006519935350427607 x1", "1.2290106801628722 x2", "-0.08397141229725812 x3", "0.13517652636321914"],
+          ["0.09427846100268014 x1", "-0.04070024849850823 x2", "0.764561569730519 x3", "-0.7844204588711771"]],
+    "g": {"tag": "ind_negsemidef", "n": 2},
+    "x": [-0.21200796252755105, -0.06427889238019802, 0.12851273075044256],
+    "v": [1.0720200623110732, 0.28839349596246594, 0.477967674456155],
+    "kappa": 1.0,
+    "seed": 1627720428,
+}
+
+
+def test_verify_values_the_z_search_path_when_its_end_is_infinite(tmp_path):
+    """The parabolic z search ends at a z that the full schedule values at
+    +inf; the check falls back on the finite points the search passed
+    through, so parabolic regularity holds and verify exits 0."""
+    p = tmp_path / "boundary_z.json"
+    p.write_text(json.dumps(BOUNDARY_Z_PROBLEM))
+    code, text = run(["verify", str(p), "--dir=-0.3004186584346168,0.9483840036349273,0.10156973620981463"])
+    (row,) = _json_block(text)["directions"]
+    assert code == 0 and row["converged"]
+    assert row["parabolic_regularity"]["holds"] and row["parabolic_regularity"]["rhs"] != "+inf"
+
+
 def test_certify_exit_codes(tmp_path):
     code, text = run(["certify", _fixture("parabola_min.json")])
     assert code == 0

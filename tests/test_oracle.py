@@ -356,195 +356,161 @@ def test_lower_bound_law():
                 assert est.value >= -r_hat * float(w @ w) - 0.05 * (1 + float(w @ w))
 
 
-# -- windowed pattern search ---------------------------------------------------------------
+# -- complete-poll pattern search ------------------------------------------------------------
 
 
-def _old_pattern_refine(q, start, f_start, center, radius, extra_dirs=(), max_evals=700):
-    """The one-trial-per-call cyclic search the windowed one replaced, kept as
-    the reference; q maps one point to (value, point evaluated)."""
-    dim = center.shape[0]
-    dirs = [np.eye(dim)[i] for i in range(dim)]
-    for d in extra_dirs:
-        nrm = float(np.linalg.norm(d))
-        if nrm > 1e-12:
-            dirs.append(np.asarray(d, dtype=float) / nrm)
-    best_p, best_f = start, f_start
-    evals = 0
-    for _ in range(8):
-        round_start = best_f
-        improved = False
-        for dvec in dirs:
-            step = radius / 2.0
-            while step > radius * 1e-9 and evals < max_evals:
-                moved = False
-                for sgn in (1.0, -1.0):
-                    cand = _old_ball_clip(best_p + sgn * step * dvec, center, radius)
-                    val, pt = q(cand)
-                    evals += 1
-                    if val < best_f - 1e-15 * (1.0 + abs(best_f)):
-                        best_p, best_f = pt, val
-                        moved = True
-                        improved = True
-                        break
-                if not moved:
-                    step *= 0.5
-            if evals >= max_evals:
-                break
-        stale = round_start - best_f <= 1e-10 * (1.0 + abs(round_start))
-        if not improved or stale or evals >= max_evals:
-            break
-    return best_f, best_p
-
-
-def _old_level_minimum(f, base_point, t, lin_coeff, lin_shift, center, radius, sched, rng, budget):
-    """The level search with its one-point scorer q, as before the windows."""
-    half_t2 = 0.5 * t * t
-    offsets = oracle._ball_offsets(center.shape[0], radius, sched, rng)
-    cands = center[None, :] + offsets
-    vals = f.eval_batch(base_point[None, :] + t * cands)
-    quot = (vals - lin_shift - t * (cands @ lin_coeff)) / half_t2
-    finite_mask = np.isfinite(quot)
-    restore_budget = [budget]
-
-    def q(p):
-        fx = f.value(base_point + t * p)
-        if fx.is_finite:
-            return (fx.value - lin_shift - t * float(lin_coeff @ p)) / half_t2, p
-        if f.restore_feasible is None or restore_budget[0] <= 0:
-            return math.inf, p
-        restore_budget[0] -= 1
-        restored = np.asarray(f.restore_feasible((base_point + t * p)[None])[0], dtype=float)
-        cand = _old_ball_clip((restored - base_point) / t, center, radius)
-        fx = f.value(base_point + t * cand)
-        if not fx.is_finite:
-            return math.inf, p
-        return (fx.value - lin_shift - t * float(lin_coeff @ cand)) / half_t2, cand
-
-    if not finite_mask.any():
-        if f.restore_feasible is None:
-            return math.inf, center
-        val0, p0 = q(center)
-        if not math.isfinite(val0):
-            return math.inf, center
-        start, f_start = p0, val0
-    else:
-        idx = int(np.argmin(np.where(finite_mask, quot, math.inf)))
-        start, f_start = cands[idx], float(quot[idx])
-    extra = [lin_coeff] if float(np.linalg.norm(lin_coeff)) > 0 else []
-    return _old_pattern_refine(q, start, f_start, center, radius, extra_dirs=extra)
-
-
-def _trapped_bowl(dim, target, wall, trap, restore):
-    """|y - target|^2 on {y_0 <= wall}, +inf beyond, and -1e16 (below
-    NEG_GUARD) on the slab trap[0] < y_0 < trap[1]; restored by clipping y_0
-    to the wall."""
-
-    def ev(Y):
-        vals = np.sum((Y - target) ** 2, axis=1)
-        vals = np.where(Y[:, 0] <= wall, vals, math.inf)
-        return np.where((Y[:, 0] > trap[0]) & (Y[:, 0] < trap[1]), -1e16, vals)
-
-    def clip(Y):
-        out = np.array(Y, dtype=float)
-        out[:, 0] = np.minimum(out[:, 0], wall)
-        return out
-
-    return SampledFunction(ev, dim, "trapped bowl", restore_feasible=clip if restore else None)
-
-
-def _outcome(fn):
-    try:
-        m, p = fn()
-    except NegativeInfinityDetected:
-        return "raised"
-    return float(m), np.asarray(p, dtype=float).tolist()
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    dim=st.integers(1, 3),
-    budget=st.sampled_from([0, 1, 2, 3, 5, 150]),
-    restore=st.booleans(),
-    trapped=st.booleans(),
-    lin=st.booleans(),
-    seed=st.integers(0, 2 ** 16),
-)
-def test_windowed_level_search_matches_the_sequential_one(dim, budget, restore, trapped, lin, seed):
-    """Scoring each step ladder in windows, and rescuing the infeasible
-    trial points ahead of a window's first finite improvement in one stack,
-    gives the sequential search's minimum and argmin bit for bit, with the
-    same restoration budget; a trial point below NEG_GUARD raises exactly
-    when the sequential search valued it."""
+def _landscape(dim, seed, holes, trap, ties):
+    """A seeded test function valued per row of a stack: a quadratic bowl,
+    rounded down to multiples of 1/8 when ties (so that polls tie), NaN (a
+    point outside the domain) on stripes across the ball when holes, and
+    -inf (a failed evaluation) on a thin slab when trap."""
     rng = np.random.default_rng(seed)
-    target = rng.uniform(-1.0, 1.0, dim)
-    wall = float(rng.uniform(-1.0, 0.6))
+    target, normal = rng.uniform(-1.0, 1.0, dim), rng.standard_normal(dim)
     lo = float(rng.uniform(-1.0, 1.0))
-    trap = (lo, lo + 0.05) if trapped else (math.inf, math.inf)
-    f = _trapped_bowl(dim, target, wall, trap, restore)
-    sched = GridSchedule(t0=0.5, steps=3, samples_per_axis=3, radius_coeff=2.0, seed=seed)
-    base = np.zeros(dim)
-    center = rng.uniform(-1.0, 1.0, dim)
-    lin_coeff = rng.standard_normal(dim) if lin else np.zeros(dim)
-    t, radius = 0.5, 1.0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "RESTORE_BUDGET", budget)
-        got = _outcome(lambda: oracle._level_minimum(
-            f, base, t, lin_coeff, 0.1, center, radius, sched, np.random.default_rng(seed)))
-    ref = _outcome(lambda: _old_level_minimum(
-        f, base, t, lin_coeff, 0.1, center, radius, sched, np.random.default_rng(seed), budget))
-    assert got == ref
+
+    def value(P):
+        vals = np.sum((P - target) ** 2, axis=1)
+        if ties:
+            vals = np.floor(8.0 * vals) / 8.0
+        if holes:
+            vals = np.where(np.sin(37.0 * (P @ normal)) > 0.2, math.nan, vals)
+        if trap:
+            vals = np.where((P[:, 0] > lo) & (P[:, 0] < lo + 0.02), -math.inf, vals)
+        return vals
+
+    return value, target
 
 
-def test_windowed_search_ignores_a_failed_row_past_its_stop():
-    """From 0 the ladder reaches -0.25 (an improvement) before +0.125, which
-    lies below NEG_GUARD; both share the second window, but the sequential
-    search never values +0.125, so neither search raises."""
-    f = _trapped_bowl(1, np.array([-0.2]), 10.0, (0.1, 0.15), False)
-    windows = []
+def _run_poll(value, target, dim, seed, max_evals, budget, lin):
+    """Run _pattern_refine on value from a seeded start in the unit ball and
+    record its calls in order: ("score", P, values) and ("rescue", P,
+    values).  A rescue pulls each point 10% toward the bowl's center."""
+    rng = np.random.default_rng(seed + 1)
+    center = rng.uniform(-0.5, 0.5, dim)
+    extra = [rng.standard_normal(dim)] if lin else []
+    events = []
 
     def score(P):
-        windows.append(P[:, 0].tolist())
-        return oracle._quotients(f.values(P), 0.0, 0.0, 1.0), P
+        vals = value(P)
+        events.append(("score", P.copy(), vals.copy()))
+        return vals, P
 
-    def q(p):
-        return f.value(p).value, p
+    def rescue(P):
+        pts = P + 0.1 * (target - P)
+        vals = np.sum((pts - target) ** 2, axis=1)
+        events.append(("rescue", P.copy(), vals.copy()))
+        return vals, pts
 
-    center, start = np.zeros(1), np.zeros(1)
-    f0 = f.value(start).value
-    got = oracle._pattern_refine(score, start, f0, center, 1.0)
-    assert any(0.1 < x < 0.15 for x in windows[1])
-    assert got[0] == _old_pattern_refine(q, start, f0, center, 1.0)[0] > -math.inf
+    f0 = float(np.sum((center - target) ** 2)) + 1.0
+    got = oracle._pattern_refine(score, center, f0, center, 1.0, extra_dirs=extra, max_evals=max_evals,
+                                 rescue=rescue if budget else None, rescues=budget)
+    return got, events, center, f0, extra
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    max_evals=st.integers(1, 120),
+def _polls(events):
+    """Group the recorded calls into polls: (P, values, rescued rows or None,
+    rescued values, rescued points)."""
+    polls = []
+    for kind, P, vals in events:
+        if kind == "score":
+            polls.append([P, vals, None, None])
+        else:
+            assert polls and polls[-1][2] is None, "one rescue stack per poll, after its scorer call"
+            polls[-1][2], polls[-1][3] = P, vals
+    return polls
+
+
+POLL_CASES = dict(
     dim=st.integers(1, 3),
+    holes=st.booleans(),
+    ties=st.booleans(),
+    lin=st.booleans(),
+    max_evals=st.sampled_from([1, 5, 30, 700]),
+    budget=st.sampled_from([0, 1, 3, 150]),
     seed=st.integers(0, 2 ** 16),
 )
-def test_windowed_search_stops_at_the_sequential_evaluation_count(max_evals, dim, seed):
-    """With every max_evals the windowed search ends where the sequential one
-    does, so both count the same evaluations; and it makes one scorer call
-    per window, never more than the sequential search makes."""
-    rng = np.random.default_rng(seed)
-    target = rng.uniform(-1.0, 1.0, dim)
-    f = _trapped_bowl(dim, target, 10.0, (math.inf, math.inf), False)
-    calls = [0, 0]
 
-    def score(P):
-        calls[0] += 1
-        return oracle._quotients(f.values(P), 0.0, 0.0, 1.0), P
 
-    def q(p):
-        calls[1] += 1
-        return f.value(p).value, p
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(**POLL_CASES)
+def test_poll_scores_each_step_in_one_call_and_moves_to_its_first_best_row(
+        dim, holes, ties, lin, max_evals, budget, seed):
+    """Every scorer call is one poll: the points best +- s*d of the axes and
+    then the extra direction, in that order, pulled into the ball and cut to
+    the evaluations left.  The search moves to the least row below the
+    threshold, the first one on ties, and keeps s; it halves s only after a
+    poll with no such row, and stops at the step floor or at max_evals."""
+    value, target = _landscape(dim, seed, holes, False, ties)
+    (best_f, best_p), events, center, f0, extra = _run_poll(value, target, dim, seed, max_evals, budget, lin)
+    dirs = list(np.eye(dim)) + [d / np.linalg.norm(d) for d in extra]
+    pattern = np.array([sgn * d for d in dirs for sgn in (1.0, -1.0)])
+    best, cur, step, evals = center, f0, 0.5, 0
+    for P, vals, asked, rescued in _polls(events):
+        assert step > 1e-9 and evals < max_evals
+        assert np.array_equal(P, oracle._ball_clip(best + step * pattern[:max_evals - evals], center, 1.0))
+        evals += len(P)
+        pts = P.copy()
+        if asked is not None:
+            rows = np.flatnonzero(np.isnan(vals))[:len(asked)]
+            vals = vals.copy()
+            vals[rows], pts[rows] = rescued, asked + 0.1 * (target - asked)
+        below = [k for k in range(len(P)) if vals[k] < cur - 1e-15 * (1.0 + abs(cur))]
+        if not below:
+            step *= 0.5
+            continue
+        k = min(below, key=lambda k: (vals[k], k))
+        best, cur = pts[k], float(vals[k])
+    assert step <= 1e-9 or evals >= max_evals
+    assert best_f == cur and np.array_equal(best_p, best)
 
-    center = rng.uniform(-0.5, 0.5, dim)
-    f0 = f.value(center).value
-    got = oracle._pattern_refine(score, center, f0, center, 1.0, max_evals=max_evals)
-    ref = _old_pattern_refine(q, center, f0, center, 1.0, max_evals=max_evals)
-    assert got[0] == ref[0] and np.array_equal(got[1], ref[1])
-    assert calls[0] <= calls[1]
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(**POLL_CASES)
+def test_poll_keeps_max_evals_and_the_rescue_budget(dim, holes, ties, lin, max_evals, budget, seed):
+    """The scored rows never exceed max_evals, and the rescued rows never
+    exceed the budget: each poll sends its first NaN rows by index, as many
+    as the budget still allows, to one rescue stack and charges each."""
+    value, target = _landscape(dim, seed, holes, False, ties)
+    _, events, *_ = _run_poll(value, target, dim, seed, max_evals, budget, lin)
+    polls = _polls(events)
+    assert sum(len(P) for P, *_ in polls) <= max_evals
+    left = budget
+    for P, vals, asked, _ in polls:
+        rows = np.flatnonzero(np.isnan(vals))[:left]
+        if rows.size:
+            assert np.array_equal(asked, P[rows])
+            left -= rows.size
+        else:
+            assert asked is None
+    assert budget - left == sum(len(a) for _, _, a, _ in polls if a is not None) <= budget
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 3), lin=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_poll_ends_at_a_failed_row(dim, lin, seed):
+    """A poll with a -inf row (a failed evaluation) ends the search at the
+    first such row, and the level search raises there as valuing that point
+    alone does; a search that never polls one returns a finite minimum."""
+    value, target = _landscape(dim, seed, False, True, False)
+    (best_f, best_p), events, *_ = _run_poll(value, target, dim, seed, 700, 0, lin)
+    hit = [k for k, (_, _, vals) in enumerate(events) if (vals == -math.inf).any()]
+    if not hit:
+        assert math.isfinite(best_f)
+        return
+    assert len(events) == hit[0] + 1 and best_f == -math.inf
+    _, P, vals = events[hit[0]]
+    assert np.array_equal(best_p, P[int(np.argmax(vals == -math.inf))])
+
+
+def test_level_search_raises_on_a_failed_poll_row():
+    """y^2 on R, valued below NEG_GUARD on 0.2 < y < 0.3: the first poll from
+    0 at step 0.5 misses the slab, the second at 0.25 hits it, and the level
+    search raises."""
+    f = SampledFunction(lambda Y: np.where((Y[:, 0] > 0.2) & (Y[:, 0] < 0.3), -1e16, Y[:, 0] ** 2), 1)
+    sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
+    args = (f, np.zeros(1), 1.0, np.zeros(1), 0.0, np.zeros(1), 1.0, sched, np.random.default_rng(1))
+    with pytest.raises(NegativeInfinityDetected):
+        oracle._level_minimum(*args)
 
 
 # -- stack values against point values ------------------------------------------------------
@@ -612,53 +578,3 @@ def test_stack_values_equal_point_values_on_every_catalog_member(tag, rows, scal
 
 def _same_float(a, b) -> bool:
     return np.array_equal(np.float64(a).view(np.int64), np.float64(b).view(np.int64))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    dim=st.integers(1, 3),
-    budget=st.sampled_from([0, 1, 2, 3, 5, 10, 40]),
-    max_evals=st.sampled_from([30, 200, 700]),
-    seed=st.integers(0, 2 ** 16),
-)
-def test_windowed_search_spends_the_rescue_budget_of_the_sequential_one(dim, budget, max_evals, seed):
-    """On a rugged landscape with scattered holes whose rescue often wins,
-    the windowed search spends its rescues where the sequential search does:
-    rescued rows past a window's stop are not charged, so both searches run
-    out of rescues at the same trial point and end at the same minimum."""
-    rng = np.random.default_rng(seed)
-    target, w1, w2 = rng.uniform(-1, 1, dim), rng.standard_normal(dim), rng.standard_normal(dim)
-
-    def value(p):
-        if math.sin(37.0 * float(p @ w1)) > 0.2:
-            return math.nan  # a hole: outside the domain
-        return float((p - target) @ (p - target)) + 0.1 * math.cos(13.0 * float(p @ w2))
-
-    def rescued(p):
-        q = 0.9 * p
-        return float((q - target) @ (q - target)) - 0.05, q
-
-    def score(P):
-        return np.array([value(p) for p in P]), P
-
-    def rescue(P):
-        vals, pts = zip(*(rescued(p) for p in P))
-        return np.array(vals), np.array(pts)
-
-    left = [budget]
-
-    def q(p):
-        v = value(p)
-        if not math.isnan(v):
-            return v, p
-        if left[0] <= 0:
-            return math.inf, p
-        left[0] -= 1
-        return rescued(p)
-
-    center = rng.uniform(-0.5, 0.5, dim)
-    start, f0 = center, float((center - target) @ (center - target)) + 1.0
-    got = oracle._pattern_refine(score, start, f0, center, 1.0, max_evals=max_evals,
-                                 rescue=rescue, rescues=budget)
-    ref = _old_pattern_refine(q, start, f0, center, 1.0, max_evals=max_evals)
-    assert got[0] == ref[0] and np.array_equal(got[1], ref[1])
