@@ -24,7 +24,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .core import CompositeProblem, jacobian, poly_eval, poly_eval_batch, second_form
+from .core import CompositeProblem, jacobian, poly_eval, second_form
 from .errors import (
     BasePointInfeasible,
     CriticalConePreconditionFailed,
@@ -467,26 +467,20 @@ def primal_value(prob: CompositeProblem, x, v, w) -> ExtReal:
 
 def outer_values(prob: CompositeProblem, X) -> np.ndarray:
     """g(F(x)) at each row of a stack of points, each row bit for bit
-    g.value(F(x)).as_float(): F by its point power tables, and finite values
-    above the ExtReal cap read +inf, as they do in an ExtReal."""
+    g.value(F(x)).as_float(): finite values above the ExtReal cap read +inf,
+    as they do in an ExtReal."""
     vals = prob.g.value_batch(poly_eval(prob.F, X))
     return np.where(vals > CAP, math.inf, vals)
 
 
 def sampled_objective(prob: CompositeProblem, include_phi: bool = False) -> SampledFunction:
     """g(F(.)) (optionally plus phi) as an oracle-ready sampled function with a
-    batched evaluator and a Gauss-Newton feasibility restorer."""
+    stack evaluator and a Gauss-Newton feasibility restorer."""
 
     def ev(X: np.ndarray) -> np.ndarray:
         vals = outer_values(prob, X)
         if include_phi:
             vals = vals + poly_eval(prob.phi, X)[:, 0]
-        return vals
-
-    def ev_batch(X: np.ndarray) -> np.ndarray:
-        vals = prob.g.value_batch(poly_eval_batch(prob.F, X))
-        if include_phi:
-            vals = vals + poly_eval_batch(prob.phi, X)[:, 0]
         return vals
 
     def restore(X: np.ndarray) -> np.ndarray:
@@ -497,6 +491,5 @@ def sampled_objective(prob: CompositeProblem, include_phi: bool = False) -> Samp
         evaluator=ev,
         dim=prob.n,
         description=name,
-        batch_evaluator=ev_batch,
         restore_feasible=restore,
     )

@@ -7,14 +7,12 @@ enters the verification chain on the smooth side.
 
 A ``PolyMap`` is compiled on first use into arrays (coefficient, exponent
 row and owning output of every monomial, in monomial order), and so are its
-first and second partials, once each.  One evaluator serves values, batches,
-Jacobians and Hessians.  Each entry point builds its own power table: a point,
-and each point of a stack of points, by the scalar power ``x_i ** k``, a
-batch by the array power ``X[:, i] ** k``.  numpy's vectorized array power
-can differ from the scalar one in the last bit, so the two are never mixed:
-a stack row equals the point's value bit for bit, a batch row need not.  A
-batch's table is summed a block of points at a time, so no temporary grows
-with the batch.
+first and second partials, once each.  One evaluator serves values, stacks
+of points, batches, Jacobians and Hessians: a point is a stack of one row,
+and every stack gets one power table, each x_i ** k taken by numpy's array
+power over all points at once.  Each row of a stack is therefore bit for
+bit the value at that point alone, and the table is summed a block of
+points at a time, so no temporary grows with the stack.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ def _merge(monomials: Sequence[Monomial], n_in: int) -> list[Monomial]:
     return [(c, e) for e, c in sorted(acc.items()) if c != 0.0]
 
 
-# A batch is evaluated a block of points at a time, sized so that each
+# A stack is evaluated a block of points at a time, sized so that each
 # (slots x points) temporary holds at most about this many floats: larger
 # temporaries made batches of thousands of points slower than a
 # per-monomial loop over all of them.
@@ -77,7 +75,6 @@ class _Compiled:
         order = np.argsort(owner, kind="stable")
         rows = owner[order]
         slots = np.arange(owner.size) + rows * self.width - (np.cumsum(counts) - counts)[rows]
-        self.slot_owner = np.repeat(np.arange(size), self.width)
         self.slot_coeffs = np.zeros(size * self.width)
         self.slot_coeffs[slots] = coeffs[order]
         entries = np.where(exps > 0, np.arange(n_in) * self.degree + exps, 0)
@@ -191,20 +188,16 @@ def parse_monomial(text: str, n_in: int) -> Monomial:
 
 
 def _evaluate(c: _Compiled, table: np.ndarray) -> np.ndarray:
-    """Every output of c from a power table: shape (size,) from a point's,
-    (size, N) from a batch's, whose columns are the points.
+    """Every output of c from a power table whose columns are points: shape
+    (size, N).
 
     Each term is coeff * x_1^e_1 * ... * x_n^e_n over the nonzero exponents,
     multiplied left to right, and each output starts from 0.0 and adds its
-    terms in monomial order; adding the zero slots after them changes no sum.
-    A point's few terms are summed by one bincount; a batch's, slot by slot
-    over all points at once, which bincount's (output x point) bins are far
-    slower at."""
-    terms = c.slot_coeffs if table.ndim == 1 else c.slot_coeffs[:, None]
+    terms in monomial order, slot by slot over all points at once; adding the
+    zero slots after them changes no sum."""
+    terms = c.slot_coeffs[:, None]
     for entries in c.factors:
         terms = terms * table[entries]
-    if table.ndim == 1:
-        return np.bincount(c.slot_owner, terms, c.size).astype(float, copy=False)
     terms = terms.reshape(c.size, c.width, table.shape[1])
     out = np.zeros((c.size, table.shape[1]))
     for k in range(c.width):
@@ -214,41 +207,33 @@ def _evaluate(c: _Compiled, table: np.ndarray) -> np.ndarray:
 
 def _at_point(p: PolyMap, c: _Compiled, x) -> np.ndarray:
     """c, p's map or one of its partial maps, at the point x: shape (size,);
-    or at every row of a (k, n_in) stack of points: shape (k, size), each
-    row built from that point's own scalar power table, so bit for bit the
-    value at the point alone."""
+    or at every row of a (k, n_in) stack of points: shape (k, size), C order.
+    A point is a stack of one row, so each row is bit for bit the value at
+    that point alone."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (p.n_in,) or x.ndim > 2:
         raise DimensionMismatch(f"expected point in R^{p.n_in}")
-    ks = range(1, c.degree + 1)
-    if x.ndim == 1:
-        return _evaluate(c, np.array([1.0] + [xi ** k for xi in x for k in ks]))
-    tables = np.array([[1.0] + [xi ** k for xi in row for k in ks] for row in x])
-    # C order, so that stacked products take the per-point products' kernels
-    return np.ascontiguousarray(_evaluate(c, tables.reshape(len(x), 1 + c.n_in * c.degree).T).T)
-
-
-def poly_eval(p: PolyMap, x) -> np.ndarray:
-    """p at a point, shape (n_out,), or at each row of a stack of points,
-    shape (k, n_out); see poly_eval_batch for large batches."""
-    return _at_point(p, p._compiled, x)
-
-
-def poly_eval_batch(p: PolyMap, X: np.ndarray) -> np.ndarray:
-    """Evaluate on a batch of points, shape (N, n_in) -> (N, n_out), from one
-    array power table: fast on large batches, but a row can differ from
-    poly_eval at that point in the last bit."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    c = p._compiled
+    X = np.atleast_2d(x)
     table = np.ones((1 + c.n_in * c.degree, len(X)))
-    for i in range(c.n_in):
-        for k in range(1, c.degree + 1):
-            table[i * c.degree + k] = X[:, i] ** k
+    powers = table[1:].reshape(c.n_in, c.degree, len(X))
+    for k in range(1, c.degree + 1):
+        powers[:, k - 1] = X.T ** k
     step = _BLOCK_FLOATS // max(1, c.size * c.width) + 1
     out = np.empty((len(X), c.size))
     for s in range(0, len(X), step):
         out[s:s + step] = _evaluate(c, table[:, s:s + step]).T
-    return out
+    return out if x.ndim == 2 else out[0]
+
+
+def poly_eval(p: PolyMap, x) -> np.ndarray:
+    """p at a point, shape (n_out,), or at each row of a stack of points,
+    shape (k, n_out)."""
+    return _at_point(p, p._compiled, x)
+
+
+def poly_eval_batch(p: PolyMap, X: np.ndarray) -> np.ndarray:
+    """poly_eval on a batch of points, shape (N, n_in) -> (N, n_out)."""
+    return _at_point(p, p._compiled, np.atleast_2d(X))
 
 
 def jacobian(p: PolyMap, x) -> np.ndarray:

@@ -55,19 +55,16 @@ class SampledFunction:
 
     evaluator maps a (k, dim) stack of points to k floats, +inf marking
     points outside the domain; each row is f at that point alone, whatever
-    else the stack holds.  value and values go through it.  batch_evaluator,
-    when given, is the fast path for the large batches of the search balls
-    and the z-grid (eval_batch): it maps an (N, dim) array to N floats, and a
-    row may differ from evaluator's in the last bit.  restore_feasible, when
-    given, maps a stack of points to nearby domain points, row by row, and
-    lets the searches steer along active constraint surfaces; it provides
-    zeroth-order domain information only.
+    else the stack holds.  value, values and eval_batch all go through it,
+    so a point, a stack and a search ball read the same value at the same
+    point.  restore_feasible, when given, maps a stack of points to nearby
+    domain points, row by row, and lets the searches steer along active
+    constraint surfaces; it provides zeroth-order domain information only.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     dim: int
     description: str = ""
-    batch_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     restore_feasible: Callable[[np.ndarray], np.ndarray] | None = None
 
     def values(self, X) -> np.ndarray:
@@ -84,11 +81,8 @@ class SampledFunction:
         return out
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.batch_evaluator is not None:
-            vals = np.asarray(self.batch_evaluator(X), dtype=float)
-        else:
-            vals = self.values(X)
+        """values, checked: a finite row below NEG_GUARD raises."""
+        vals = self.values(X)
         finite = vals[np.isfinite(vals)]
         if finite.size and float(finite.min()) < NEG_GUARD:
             raise NegativeInfinityDetected(self.description or "sampled function")

@@ -20,7 +20,7 @@ from epidiff.core import (
     poly_eval_batch,
     second_form,
 )
-from epidiff.errors import ValidationError
+from epidiff.errors import DimensionMismatch, ValidationError
 from epidiff.outer import nonpositive_orthant
 
 
@@ -137,14 +137,16 @@ def test_composite_problem_consistency():
 #
 # The reference below interprets the monomial lists directly, term by term,
 # the way the library did before it compiled maps: the compiled kernel must
-# reproduce its results bit for bit.
+# reproduce its results bit for bit.  Powers are numpy's array power, which
+# the kernel uses for points and stacks alike (the scalar power can differ
+# from it in the last bit).
 
 
 def _ref_term(coeff, exps, x):
     term = coeff
     for xi, e in zip(x, exps):
         if e:
-            term *= xi ** e
+            term *= (np.array([xi]) ** e)[0]
     return term
 
 
@@ -154,17 +156,6 @@ def _ref_diff(coeff, exps, i):
     new = list(exps)
     new[i] -= 1
     return coeff * exps[i], tuple(new)
-
-
-def _ref_eval(p, x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(p.n_out)
-    for j, comp in enumerate(p.components):
-        s = 0.0
-        for coeff, exps in comp:
-            s += _ref_term(coeff, exps, x)
-        out[j] = s
-    return out
 
 
 def _ref_eval_batch(p, X):
@@ -178,6 +169,10 @@ def _ref_eval_batch(p, X):
                     term = term * X[:, i] ** e
             out[:, j] += term
     return out
+
+
+def _ref_eval(p, x):
+    return _ref_eval_batch(p, np.asarray(x, dtype=float)[None])[0]
 
 
 def _ref_jacobian(p, x):
@@ -288,3 +283,25 @@ def test_compiled_kernel_zero_map_and_shapes():
     assert jacobian(const, []).shape == (2, 0)
     with pytest.raises(Exception):
         poly_eval(p, [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatch):
+        poly_eval_batch(p, np.ones((3, 3)))
+    with pytest.raises(DimensionMismatch):
+        poly_eval_batch(p, np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("block", [core._BLOCK_FLOATS, 0])
+@pytest.mark.parametrize("rows", [1, 3, 5000])
+def test_stack_rows_equal_points_alone(rows, block):
+    """Each row of a stack, through poly_eval, poly_eval_batch and jacobian,
+    is bit for bit that point evaluated alone, whether the stack is summed in
+    one block or a point at a time."""
+    rng = np.random.default_rng(rows)
+    p = PolyMap.from_strings(
+        [["2 x1^3 x2", "-x2^2", "0.5"], ["x1 x2 x3", "3 x3^6", "-0.1 x1^5 x3"], []], 3
+    )
+    X = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    with mock.patch.object(core, "_BLOCK_FLOATS", block):
+        points = np.array([poly_eval(p, x) for x in X])
+        assert _same_bits(poly_eval(p, X), points)
+        assert _same_bits(poly_eval_batch(p, X), points)
+        assert _same_bits(jacobian(p, X), np.array([jacobian(p, x) for x in X]))

@@ -146,7 +146,7 @@ def _unpolished_scores(f, x, w, dfw, v, Z, sched):
     return np.array(out)
 
 
-def _on_the_axis(batched: bool) -> SampledFunction:
+def _on_the_axis() -> SampledFunction:
     """y1^2 - y1 on the axis {y2 = 0}, +inf off it, restored by y2 := 0: a z
     with z2 != 0 sees an all-infinite ball at every level, and the rescue
     succeeds while the ball still reaches the axis."""
@@ -156,7 +156,6 @@ def _on_the_axis(batched: bool) -> SampledFunction:
 
     return SampledFunction(
         batch, 2, "axis",
-        batch_evaluator=batch if batched else None,
         restore_feasible=lambda Y: np.column_stack([Y[:, 0], np.zeros(len(Y))]),
     )
 
@@ -173,7 +172,7 @@ def _halfspace_quadratic() -> SampledFunction:
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
-    case=st.sampled_from(["axis", "axis-unbatched", "dim5"]),
+    case=st.sampled_from(["axis", "dim5"]),
     k=st.sampled_from([3, 5, 7]),
     radius_coeff=st.sampled_from([1.0, 4.0]),
     size=st.sampled_from(["one", "few", "chunks"]),
@@ -187,7 +186,7 @@ def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, s
     if case == "dim5":
         f, x, w = _halfspace_quadratic(), np.full(5, 0.1), np.eye(5)[0]
     else:
-        f, x, w = _on_the_axis(case == "axis"), np.array([0.3, 0.0]), np.array([1.0, 0.0])
+        f, x, w = _on_the_axis(), np.array([0.3, 0.0]), np.array([1.0, 0.0])
     dim = f.dim
     rows = max(len(_fresh_ball(dim, sched.radius(t), k, rng)) for t in sched.t_levels())
     chunk = max(1, oracle.Z_BATCH_ROWS // rows)
@@ -548,32 +547,51 @@ def _catalog_members():
     tag=st.sampled_from(sorted(_catalog_members())),
     rows=st.integers(1, 5),
     scale=st.sampled_from([1e-3, 0.3, 2.0]),
+    nonlinear=st.booleans(),
     seed=st.integers(0, 2 ** 16),
 )
-def test_stack_values_equal_point_values_on_every_catalog_member(tag, rows, scale, seed):
+def test_stack_values_equal_point_values_on_every_catalog_member(tag, rows, scale, nonlinear, seed):
     """g.value at a point equals its g.value_batch row bit for bit, and so
     SampledFunction.value of g(F(.)) equals eval_batch(x[None])[0] and its
-    values() row, for every catalog member with a linear F.  (A nonlinear F
-    is valued in a batch by the array power, which can differ from the point
-    value in the last bit; values() uses the point power table.)"""
+    values() row, for every catalog member, with a linear F and with the
+    nonlinear F_i(x) = x_i^3 + 0.5 x_{i+1}^2."""
     from epidiff.core import CompositeProblem, PolyMap
 
     g = _catalog_members()[tag]
+    m = g.ambient_dim
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((rows, g.ambient_dim)) * scale
+    Z = rng.standard_normal((rows, m)) * scale
     if tag.startswith("ind_"):
         Z[0] = g.domain_project(Z[0])
     batch = g.value_batch(Z)
     for z, b in zip(Z, batch):
         assert g.value(z).as_float() == b or (math.isinf(b) and g.value(z).is_plus_inf)
-    A = rng.standard_normal((g.ambient_dim, g.ambient_dim))
-    F = PolyMap.linear(A)
-    f = sampled_objective(CompositeProblem(PolyMap.zero(g.ambient_dim), F, g))
-    X = np.linalg.solve(A, Z.T).T
+    if nonlinear:
+        F = PolyMap.from_strings([[f"x{i + 1}^3", f"0.5 x{(i + 1) % m + 1}^2"] for i in range(m)], m)
+        X = Z
+    else:
+        A = rng.standard_normal((m, m))
+        F = PolyMap.linear(A)
+        X = np.linalg.solve(A, Z.T).T
+    f = sampled_objective(CompositeProblem(PolyMap.zero(m), F, g))
     stack = f.values(X)
     for x, s in zip(X, stack):
         v = f.value(x).as_float()
         assert _same_float(v, f.eval_batch(x[None])[0]) and _same_float(v, s)
+
+
+def test_values_above_the_cap_read_plus_inf_on_every_path():
+    """g(y) = y^2 with F the identity: at x = 1e16, g(F(x)) = 1e32 lies above
+    the ExtReal cap, and eval_batch, values and value all read +inf there."""
+    from epidiff.core import CompositeProblem, PolyMap
+    from epidiff.outer.smooth import SmoothQuadratic
+
+    g = SmoothQuadratic(PolyMap.from_strings([["x1^2"]], 1), PolyMap.zero(1))
+    f = sampled_objective(CompositeProblem(PolyMap.zero(1), PolyMap.identity(1), g))
+    X = np.array([[2.0], [1e16]])
+    for vals in (f.eval_batch(X), f.values(X)):
+        assert vals.tolist() == [4.0, math.inf]
+    assert f.value(X[0]).as_float() == 4.0 and f.value(X[1]).is_plus_inf
 
 
 def _same_float(a, b) -> bool:
