@@ -22,7 +22,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 PLAN = [
     ("a1_parabola.json", ["analyze", "verify", "check-cq"]),
     ("plq_abs.json", ["analyze", "verify"]),
-    ("psd_cone.json", ["analyze"]),
+    ("psd_cone.json", ["analyze", "verify"]),
     ("parabola_min.json", ["certify", "check-cq"]),
     ("min_quartic.json", ["certify"]),
     ("mscq_fail.json", ["check-cq"]),

@@ -7,17 +7,21 @@ deterministic pattern-search polish, and a three-level extrapolation of the
 per-level minima.  These estimates are the ground truth the closed forms are
 validated against; they never share formulas with the catalog.
 
-The parabolic-regularity check ranks many trial points z by an unpolished
-parabolic estimate.  Its scorer takes a whole stack of z at once: one level
-at a time, the search balls around a chunk of z go into one batched
-evaluation.  The coarse z-grid and the z pattern search both go through it.
-The grid balls are built once per (dimension, radius, samples per axis).
+The levels of a schedule are independent searches, so they run side by
+side: the balls of all levels go into one batched evaluation, and their
+pattern searches run in lockstep (``_pattern_search``).  Each round stacks
+the complete polls of every live search into one scorer call, through
+``SampledFunction.values``, whose rows equal ``value`` at each point bit for
+bit, and the infeasible trial points of that round into one restoration
+stack.  So each search takes the path it would take alone.  The parabolic
+estimate searches every (z, level) pair of a stack of z the same way.
 
-Every pattern search (the level search, the parabolic polish and the z
-search) polls completely: the trial points of a step go into one scorer
-call, through ``SampledFunction.values``, whose rows equal ``value`` at each
-point bit for bit.  The infeasible ones, and the z whose whole ball is
-infinite, are restored in one stack.
+The parabolic-regularity check ranks many trial points z by an unpolished
+parabolic estimate.  Its scorer takes a whole stack of z at once: the balls
+around a chunk of z go into one batched evaluation over every level, and
+the z whose whole ball is infinite at some level are restored in one stack.
+The coarse z-grid and the z pattern search both go through it.  The grid
+balls are built once per (dimension, radius, samples per axis).
 """
 
 from __future__ import annotations
@@ -146,23 +150,22 @@ def _ball_offsets(dim: int, radius: float, sched: GridSchedule, rng) -> np.ndarr
     return np.vstack([np.zeros((1, dim)), raw * radii[:, None]])
 
 
-def _ball_clip(P: np.ndarray, center, radius: float) -> np.ndarray:
+def _ball_clip(P: np.ndarray, center, radius) -> np.ndarray:
     """Each row of P pulled radially into the ball of the given radius about
-    center (one center, or one per row); rows inside are returned as they are."""
-    if radius <= 0:
-        return P
+    center (one center and radius, or one per row); rows inside, and rows
+    whose radius is 0, are returned as they are."""
     off = P - center
     nrm = row_norms(off)
-    far = ~(nrm <= radius)
+    far = ~(nrm <= radius) & (radius > 0)
     if not far.any():
         return P
     out = P.copy()
     at = center[far] if np.ndim(center) == 2 else center
-    out[far] = at + off[far] * (radius / nrm[far])[:, None]
+    out[far] = at + off[far] * ((radius[far] if np.ndim(radius) else radius) / nrm[far])[:, None]
     return out
 
 
-def _quotients(vals: np.ndarray, shift, lin, half_t2: float) -> np.ndarray:
+def _quotients(vals: np.ndarray, shift, lin, half_t2) -> np.ndarray:
     """((vals - shift) - lin) / half_t2 per row, NaN where vals is +inf (the
     point is outside the domain) and -inf where value would raise (NaN, or
     below NEG_GUARD)."""
@@ -172,107 +175,155 @@ def _quotients(vals: np.ndarray, shift, lin, half_t2: float) -> np.ndarray:
     return quot
 
 
-def _pattern_refine(score, start, f_start, center, radius, extra_dirs=(), max_evals=700,
-                    rescue=None, rescues=0, accepted=None):
-    """Complete-poll pattern search inside the ball (generalized pattern
-    search: Torczon 1997; Audet-Dennis 2006).
+def _split_batch(f: SampledFunction, stacks) -> list:
+    """f.eval_batch of the stacks in one call, split back per stack."""
+    vals = f.eval_batch(np.concatenate(stacks))
+    return np.split(vals, np.cumsum([len(s) for s in stacks])[:-1])
 
-    The directions are the unit axes, then extra_dirs normalized.  A poll at
-    step s takes the trial points best + s*d, best - s*d of every direction d
-    in that order, pulls them into the ball, keeps as many as the max_evals
-    evaluations left allow, and scores them in one call score(P), which maps
-    the stack P to (values, points actually evaluated).  The search moves to
-    the row with the least value below the best one (the first such row on
+
+def _schedule_balls(sched: GridSchedule, dim: int) -> list:
+    """(t, radius, ball offsets) per level of sched, the offsets drawn level
+    by level from one rng seeded with sched.seed."""
+    rng = np.random.default_rng(sched.seed)
+    return [(t, sched.radius(t), _ball_offsets(dim, sched.radius(t), sched, rng)) for t in sched.t_levels()]
+
+
+def _pattern_search(score, starts, f_starts, centers, radii, extra_dirs=(), max_evals=700,
+                    rescue=None, rescues=0, accepted=None):
+    """Complete-poll pattern searches run in lockstep, each inside its own
+    ball (generalized pattern search: Torczon 1997; Audet-Dennis 2006).
+
+    Search j starts at starts[j], valued f_starts[j], in the ball of radius
+    radii[j] about centers[j]; max_evals and rescues are one number for all
+    searches or one per search.  The directions are the unit axes, then
+    extra_dirs normalized.  A poll at step s takes the trial points
+    best + s*d, best - s*d of every direction d in that order, pulls them
+    into the ball and keeps as many as the search's evaluations left allow.
+    Each round stacks the polls of the live searches and scores them in one
+    call score(P, owner), which maps the stack P and the search owning each
+    row to (values, points actually evaluated).  A search moves to the row of
+    its poll with the least value below its best one (the first such row on
     ties) and polls again at the same step; a poll with no such row halves
-    the step.  It stops when the step reaches radius * 1e-9 or max_evals
-    trial points have been scored.  Each point it moves to is appended to
-    accepted, when given.
+    the step.  A search stops when its step reaches radius * 1e-9 (a radius
+    of 0 never polls) or max_evals of its trial points have been scored.
+    Each point search j moves to is appended to accepted[j], when given.
 
     A NaN value marks a point outside the domain.  With rescue, the first
-    NaN rows of a poll, at most ``rescues`` over the whole search, go to one
-    call rescue(P), which answers like score.  A value of -inf marks a point
-    whose evaluation failed; the search ends there and returns it for the
-    caller to raise.
+    NaN rows of each poll, at most rescues over its search, go to one call
+    rescue(P, owner) per round, which answers like score.  A value of -inf
+    marks a point whose evaluation failed; that search ends there and
+    returns it for the caller to raise.  Each row is valued as it would be
+    alone, so each search takes the path it takes alone.  Returns the best
+    values (a list) and the best points, one per search.
     """
-    dim = center.shape[0]
+    dim = centers.shape[1]
     dirs = [np.eye(dim)[i] for i in range(dim)]
     for d in extra_dirs:
         nrm = float(np.linalg.norm(d))
         if nrm > 1e-12:
             dirs.append(np.asarray(d, dtype=float) / nrm)
     pattern = np.array([sgn * d for d in dirs for sgn in (1.0, -1.0)])
-    best_p, best_f = start, f_start
-    step, evals, floor = radius / 2.0, 0, radius * 1e-9
-    while step > floor and evals < max_evals:
-        P = _ball_clip(best_p + step * pattern[:max_evals - evals], center, radius)
-        vals, pts = score(P)
-        evals += len(P)
-        ask = np.flatnonzero(np.isnan(vals))[:rescues]
+    best_p, best_f = np.array(starts, dtype=float), np.array(f_starts, dtype=float)
+    k = len(best_f)
+    radii = np.array(np.broadcast_to(radii, k), dtype=float)
+    step, floor, evals = radii / 2.0, radii * 1e-9, np.zeros(k, dtype=int)
+    max_evals, left = np.broadcast_to(max_evals, k), np.array(np.broadcast_to(rescues, k))
+    while (live := np.flatnonzero((step > floor) & (evals < max_evals) & (best_f != -math.inf))).size:
+        polls = [best_p[j] + step[j] * pattern[:max_evals[j] - evals[j]] for j in live]
+        sizes = [len(p) for p in polls]
+        owner, ends = np.repeat(live, sizes), np.cumsum(sizes)
+        P = _ball_clip(np.concatenate(polls), centers[owner], radii[owner])
+        vals, pts = score(P, owner)
+        evals[live] += sizes
+        nan = np.isnan(vals)
+        ask = np.concatenate([np.flatnonzero(nan[e - n:e])[:left[j]] + (e - n)
+                              for j, n, e in zip(live, sizes, ends)])
         if ask.size:
             vals, pts = np.array(vals), np.array(pts)
-            vals[ask], pts[ask] = rescue(P[ask])
-            rescues -= ask.size
-        thr = best_f - 1e-15 * (1.0 + abs(best_f))
-        below = np.where(vals < thr, vals, math.inf)
-        i = int(np.argmin(below))
-        if below[i] == math.inf:
-            step *= 0.5
-            continue
-        best_p, best_f = pts[i], float(vals[i])
-        if accepted is not None:
-            accepted.append(best_p)
-        if best_f == -math.inf:
-            break
+            vals[ask], pts[ask] = rescue(P[ask], owner[ask])
+            left -= np.bincount(owner[ask], minlength=k)
+        for j, n, e in zip(live, sizes, ends):
+            thr = best_f[j] - 1e-15 * (1.0 + abs(best_f[j]))
+            below = np.where(vals[e - n:e] < thr, vals[e - n:e], math.inf)
+            i = int(np.argmin(below))
+            if below[i] == math.inf:
+                step[j] *= 0.5
+                continue
+            best_p[j], best_f[j] = pts[e - n + i], vals[e - n + i]
+            if accepted is not None:
+                accepted[j].append(pts[e - n + i])
+    return best_f.tolist(), best_p
+
+
+def _pattern_refine(score, start, f_start, center, radius, extra_dirs=(), max_evals=700,
+                    rescue=None, rescues=0, accepted=None):
+    """One complete-poll pattern search: _pattern_search of a single search,
+    whose score(P) and rescue(P) take the stack alone.  Returns (best value,
+    best point)."""
+    (best_f,), (best_p,) = _pattern_search(
+        lambda P, _: score(P), np.asarray(start)[None], [f_start], np.asarray(center)[None], radius,
+        extra_dirs, max_evals, rescue and (lambda P, _: rescue(P)), rescues,
+        None if accepted is None else [accepted],
+    )
     return best_f, best_p
 
 
-def _level_minimum(f: SampledFunction, base_point, t, lin_coeff, lin_shift, center, radius, sched, rng):
-    """Minimize the quotient (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over
-    the ball around center.  Returns (min value possibly inf, argmin point).
+def _level_minimum(f: SampledFunction, base_point, lin_coeff, lin_shift, center, sched):
+    """At every level t of sched, minimize the quotient
+    (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over the ball around center
+    of radius sched.radius(t).  Returns [(t, min value possibly inf, argmin
+    point)] in level order.
 
-    A trial point outside the domain is rescued by pulling it back onto the
-    domain, at most RESTORE_BUDGET times per level."""
-    half_t2 = 0.5 * t * t
-    offsets = _ball_offsets(center.shape[0], radius, sched, rng)
-    cands = center[None, :] + offsets
-    vals = f.eval_batch(base_point[None, :] + t * cands)
-    quot = (vals - lin_shift - t * (cands @ lin_coeff)) / half_t2
-    finite_mask = np.isfinite(quot)
+    The balls of all levels are valued in one batch, and the levels are
+    searched in lockstep.  A trial point outside the domain is rescued by
+    pulling it back onto the domain, at most RESTORE_BUDGET times per level."""
+    balls = _schedule_balls(sched, center.shape[0])
+    ts, radii = np.array([b[0] for b in balls]), np.array([b[1] for b in balls])
+    cands = [center[None, :] + offsets for _, _, offsets in balls]
+    parts = _split_batch(f, [base_point[None, :] + t * c for (t, _, _), c in zip(balls, cands)])
+    starts, f_starts = np.repeat(center[None, :], len(balls), axis=0), np.full(len(balls), math.inf)
+    for j, (t, c, vals) in enumerate(zip(ts.tolist(), cands, parts)):
+        quot = (vals - lin_shift - t * (c @ lin_coeff)) / (0.5 * t * t)
+        if np.isfinite(quot).any():
+            idx = int(np.argmin(np.where(np.isfinite(quot), quot, math.inf)))
+            starts[j], f_starts[j] = c[idx], quot[idx]
 
-    def score(P):
+    def score(P, lev):
+        t = ts[lev]
         lin = t * np.vecdot(P, lin_coeff)
-        return _quotients(f.values(base_point + t * P), lin_shift, lin, half_t2), P
+        return _quotients(f.values(base_point + t[:, None] * P), lin_shift, lin, 0.5 * t * t), P
 
-    def rescue(P):
+    def rescue(P, lev):
+        t = ts[lev][:, None]
         restored = np.asarray(f.restore_feasible(base_point + t * P), dtype=float)
-        cand = _ball_clip((restored - base_point) / t, center, radius)
-        val, _ = score(cand)
+        cand = _ball_clip((restored - base_point) / t, center, radii[lev])
+        val, _ = score(cand, lev)
         lost = np.isnan(val)
         val[lost] = math.inf
         return val, np.where(lost[:, None], P, cand)
 
-    rescues = RESTORE_BUDGET if f.restore_feasible is not None else 0
-    if not finite_mask.any():
-        if f.restore_feasible is None:
-            return math.inf, center
-        (val0,), (p0,) = score(center[None, :])
-        if math.isnan(val0):
-            (val0,), (p0,) = rescue(center[None, :])
-            rescues -= 1
-        if val0 == -math.inf:
-            f.value(base_point + t * p0)  # raises
-        if not math.isfinite(val0):
-            return math.inf, center
-        start, f_start = p0, float(val0)
-    else:
-        idx = int(np.argmin(np.where(finite_mask, quot, math.inf)))
-        start, f_start = cands[idx], float(quot[idx])
-    extra = [lin_coeff] if float(np.linalg.norm(lin_coeff)) > 0 else []
-    best_f, best_p = _pattern_refine(score, start, f_start, center, radius, extra_dirs=extra,
+    rescues = np.full(len(balls), RESTORE_BUDGET if f.restore_feasible is not None else 0)
+    # a level whose whole ball is infinite starts at center, or at its rescue
+    empty = np.flatnonzero(np.isinf(f_starts)) if f.restore_feasible is not None else []
+    if len(empty):
+        val0, p0 = score(starts[empty], empty)
+        lost = np.flatnonzero(np.isnan(val0))
+        if lost.size:
+            val0[lost], p0[lost] = rescue(p0[lost], empty[lost])
+            rescues[empty[lost]] -= 1
+        if (val0 == -math.inf).any():
+            j = int(np.argmax(val0 == -math.inf))
+            f.value(base_point + ts[empty[j]] * p0[j])  # raises
+        found = np.isfinite(val0)
+        starts[empty[found]], f_starts[empty[found]] = p0[found], val0[found]
+    best_f, best_p = _pattern_search(score, starts, f_starts, np.broadcast_to(center, starts.shape),
+                                     np.where(np.isinf(f_starts), 0.0, radii),
+                                     [lin_coeff] if float(np.linalg.norm(lin_coeff)) > 0 else [],
                                      rescue=rescue, rescues=rescues)
-    if best_f == -math.inf:
-        f.value(base_point + t * best_p)  # raises, as valuing that point alone does
-    return best_f, best_p
+    for t, m, p in zip(ts, best_f, best_p):
+        if m == -math.inf:
+            f.value(base_point + t * p)  # raises, as valuing that point alone does
+    return list(zip(ts.tolist(), best_f, best_p))
 
 
 # -- stabilized limits ----------------------------------------------------------
@@ -327,12 +378,7 @@ def _second_order_levels(f, x, v, w, sched):
     f0 = f.value(x)
     if not f0.is_finite:
         raise BasePointInfeasible("f(x) must be finite")
-    rng = np.random.default_rng(sched.seed)
-    records = []
-    for t in sched.t_levels():
-        m, p = _level_minimum(f, x, t, v, f0.value, w, sched.radius(t), sched, rng)
-        records.append((t, m, p))
-    return records
+    return _level_minimum(f, x, v, f0.value, w, sched)
 
 
 def estimate_second_subderivative(f: SampledFunction, x, v, w, sched: GridSchedule | None = None) -> ExtReal:
@@ -340,29 +386,41 @@ def estimate_second_subderivative(f: SampledFunction, x, v, w, sched: GridSchedu
     return _stabilize(_second_order_levels(f, x, v, w, sched), sched)
 
 
-def _parabolic_starts(f: SampledFunction, x, w, dfw: float, f0: float, Z, t, radius, offsets):
-    """Per row z of Z, the best point of the ball z + offsets for the parabolic
-    quotient at step t: (quotients, points), first index on ties.  A z whose
-    whole ball lies outside the domain gets the quotient at its restored point
-    (when f can restore), else (inf, z)."""
-    half_t2 = 0.5 * t * t
-    cands = Z[:, None, :] + offsets[None, :, :]
-    vals = f.eval_batch(x[None, :] + t * w[None, :] + half_t2 * cands.reshape(-1, Z.shape[1]))
-    quot = (vals - f0 - t * dfw) / half_t2
-    quot = np.where(np.isfinite(quot), quot, math.inf).reshape(Z.shape[0], -1)
-    rows, idx = np.arange(Z.shape[0]), np.argmin(quot, axis=1)
-    best, points = quot[rows, idx], cands[rows, idx]
-    empty = np.flatnonzero(np.isinf(best))
-    points[empty] = Z[empty]
-    if f.restore_feasible is not None and empty.size:
-        restored = np.asarray(f.restore_feasible(x + t * w + half_t2 * Z[empty]), dtype=float)
-        z0 = _ball_clip((restored - x - t * w) / half_t2, Z[empty], radius)
-        m0 = _quotients(f.values(x + t * w + half_t2 * z0), f0, t * dfw, half_t2)
+def _parabolic_starts(f: SampledFunction, x, w, dfw: float, f0: float, Z, balls):
+    """Per row z of Z and level (t, radius, offsets) of balls, the best point
+    of the ball z + offsets for the parabolic quotient at step t: quotients
+    (z, levels) and points (z, levels, dim), first index on ties.  A chunk of
+    z is valued at every level in one batch of at most Z_BATCH_ROWS rows (or
+    of one z).  A pair whose whole ball lies outside the domain gets the
+    quotient at its restored point, all such pairs in one stack (when f can
+    restore), else (inf, z)."""
+    n, dim = Z.shape
+    best, points = np.full((n, len(balls)), math.inf), np.repeat(Z[:, None, :], len(balls), axis=1)
+    chunk = max(1, Z_BATCH_ROWS // sum(len(offsets) for _, _, offsets in balls))
+    for lo in range(0, n, chunk):
+        cands = [Z[lo:lo + chunk, None, :] + offsets[None, :, :] for _, _, offsets in balls]
+        parts = _split_batch(f, [x + t * w + 0.5 * t * t * c.reshape(-1, dim)
+                                 for (t, _, _), c in zip(balls, cands)])
+        for j, ((t, _, _), c, vals) in enumerate(zip(balls, cands, parts)):
+            half_t2 = 0.5 * t * t
+            quot = (vals - f0 - t * dfw) / half_t2
+            quot = np.where(np.isfinite(quot), quot, math.inf).reshape(len(c), -1)
+            rows, idx = np.arange(len(c)), np.argmin(quot, axis=1)
+            best[lo:lo + chunk, j], points[lo:lo + chunk, j] = quot[rows, idx], c[rows, idx]
+    iz, lev = np.nonzero(np.isinf(best))  # z by z, each z level by level
+    points[iz, lev] = Z[iz]
+    if f.restore_feasible is not None and iz.size:
+        t, radius = np.array([balls[j][0] for j in lev]), np.array([balls[j][1] for j in lev])
+        half_t2, base = 0.5 * t * t, x + t[:, None] * w
+        restored = np.asarray(f.restore_feasible(base + half_t2[:, None] * Z[iz]), dtype=float)
+        z0 = _ball_clip((restored - x - t[:, None] * w) / half_t2[:, None], Z[iz], radius)
+        m0 = _quotients(f.values(base + half_t2[:, None] * z0), f0, t * dfw, half_t2)
         if (m0 == -math.inf).any():
-            f.value(x + t * w + half_t2 * z0[np.argmax(m0 == -math.inf)])  # raises
+            i = int(np.argmax(m0 == -math.inf))
+            f.value(base[i] + half_t2[i] * z0[i])  # raises
         found = np.isfinite(m0)
-        best[empty[found]], points[empty[found]] = m0[found], z0[found]
-    return best.tolist(), points
+        best[iz[found], lev[found]], points[iz[found], lev[found]] = m0[found], z0[found]
+    return best, points
 
 
 def estimate_parabolic_subderivative(
@@ -372,32 +430,40 @@ def estimate_parabolic_subderivative(
     dfw: float,
     z,
     sched: GridSchedule | None = None,
-) -> ExtReal:
-    """min over t and z' near z of the parabolic quotient along x + t w + t^2 z'/2."""
+):
+    """min over t and z' near z of the parabolic quotient along
+    x + t w + t^2 z'/2: an ExtReal for a point z, a list of them for a stack
+    of z, each equal to the estimate at that z alone.  The balls of every
+    (z, level) pair are valued in chunked batches, and the pairs with a
+    finite start are polished by pattern searches run in lockstep."""
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
+    Z = z.reshape(-1, w.shape[0])
     f0 = f.value(x)
     if not f0.is_finite:
         raise BasePointInfeasible("f(x) must be finite")
-    rng = np.random.default_rng(sched.seed)
-    records = []
-    for t in sched.t_levels():
-        half_t2 = 0.5 * t * t
+    balls = _schedule_balls(sched, w.shape[0])
+    m, p = _parabolic_starts(f, x, w, dfw, f0.value, Z, balls)
+    # one search per (z, level) pair, z by z, as the estimates one z at a time run
+    lev = np.tile(np.arange(len(balls)), len(Z))
+    ts, radii = np.array([b[0] for b in balls])[lev], np.array([b[1] for b in balls])[lev]
+    half, m = 0.5 * ts * ts, m.ravel()
 
-        def score(Zp):
-            return _quotients(f.values(x + t * w + half_t2 * Zp), f0.value, t * dfw, half_t2), Zp
+    def score(Zp, own):
+        t, h = ts[own], half[own]
+        return _quotients(f.values(x + t[:, None] * w + h[:, None] * Zp), f0.value, t * dfw, h), Zp
 
-        radius = sched.radius(t)
-        offsets = _ball_offsets(z.shape[0], radius, sched, rng)
-        (m,), (p,) = _parabolic_starts(f, x, w, dfw, f0.value, z[None, :], t, radius, offsets)
-        if math.isfinite(m):
-            m, p = _pattern_refine(score, p, m, z, radius)
-            if m == -math.inf:
-                f.value(x + t * w + half_t2 * p)  # raises, as valuing that point alone does
-        records.append((t, m, p))
-    return _stabilize(records, sched)
+    best_f, best_p = _pattern_search(score, p.reshape(-1, w.shape[0]), m, np.repeat(Z, len(balls), axis=0),
+                                     np.where(np.isfinite(m), radii, 0.0))
+    for t, h, mj, pj in zip(ts, half, best_f, best_p):
+        if mj == -math.inf:
+            f.value(x + t * w + h * pj)  # raises, as valuing that point alone does
+    k = len(balls)
+    out = [_stabilize(list(zip(sched.t_levels(), best_f[i:i + k], best_p[i:i + k])), sched)
+           for i in range(0, len(best_f), k)]
+    return out[0] if z.ndim == 1 else out
 
 
 def _parabolic_scores(f: SampledFunction, x, w, dfw: float, v, Z, sched: GridSchedule) -> np.ndarray:
@@ -406,27 +472,19 @@ def _parabolic_scores(f: SampledFunction, x, w, dfw: float, v, Z, sched: GridSch
 
     f(x) is valued once, and each level's ball offsets are drawn once from
     one rng seeded with sched.seed: the offsets a fresh estimate at each z
-    would draw.  Each level scores a chunk of z in one batched evaluation."""
+    would draw.  A chunk of z is scored at every level in one batched
+    evaluation (_parabolic_starts)."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     Z = np.asarray(Z, dtype=float)
     f0 = f.value(x)
     if not f0.is_finite:
         raise BasePointInfeasible("f(x) must be finite")
-    rng = np.random.default_rng(sched.seed)
-    levels = [(t, sched.radius(t)) for t in sched.t_levels()]
-    balls = [_ball_offsets(Z.shape[1], radius, sched, rng) for _, radius in levels]
-    chunk = max(1, Z_BATCH_ROWS // max(len(b) for b in balls))
-    minima = []
-    for lo in range(0, Z.shape[0], chunk):
-        part = [
-            _parabolic_starts(f, x, w, dfw, f0.value, Z[lo:lo + chunk], t, radius, ball)[0]
-            for (t, radius), ball in zip(levels, balls)
-        ]
-        minima.extend(zip(*part))
+    balls = _schedule_balls(sched, Z.shape[1])
+    minima, _ = _parabolic_starts(f, x, w, dfw, f0.value, Z, balls)
     return np.array([
-        _stabilize([(t, m, None) for (t, _), m in zip(levels, ms)], sched).as_float() - float(z @ v)
-        for z, ms in zip(Z, minima)
+        _stabilize([(t, m, None) for (t, _, _), m in zip(balls, ms)], sched).as_float() - float(z @ v)
+        for z, ms in zip(Z, minima.tolist())
     ])
 
 
@@ -440,19 +498,19 @@ def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None 
     f0 = f.value(x)
     if not f0.is_finite:
         raise BasePointInfeasible("f(x) must be finite")
-    rng = np.random.default_rng(sched.seed)
-    fixed = []
-    for t in sched.t_levels():
-        fx = f.value(x + t * w)
-        fixed.append((t, (fx.value - f0.value) / t if fx.is_finite else math.inf))
+    ts = np.array(sched.t_levels())
+    X = x + ts[:, None] * w
+    vals = f.values(X)
+    if not (vals >= NEG_GUARD).all():
+        f.value(X[np.argmax(~(vals >= NEG_GUARD))])  # raises, as valuing the levels one by one does
+    fixed = list(zip(ts.tolist(), ((vals - f0.value) / ts).tolist()))
     tail = [(t, m) for t, m in fixed[-3:] if math.isfinite(m)]
     if len(tail) < 3:
+        balls = _schedule_balls(sched, w.shape[0])
+        cands = [w[None, :] + offsets for _, _, offsets in balls]
         searched = []
-        for t in sched.t_levels():
-            radius = sched.radius(t)
-            offsets = _ball_offsets(w.shape[0], radius, sched, rng)
-            cands = w[None, :] + offsets
-            vals = f.eval_batch(x[None, :] + t * cands)
+        parts = _split_batch(f, [x[None, :] + t * c for (t, _, _), c in zip(balls, cands)])
+        for (t, _, _), vals in zip(balls, parts):
             quot = (vals - f0.value) / t
             finite_mask = np.isfinite(quot)
             searched.append(
@@ -526,13 +584,14 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
 
     The coarse schedule scores a z-grid of sched.samples_per_axis points per
     axis over the box |z|_inf <= 10 (a seeded uniform sample of 10,000
-    points when the grid exceeds Z_GRID_CAP), one level at a time with the
-    balls of a chunk of grid points in one batch (_parabolic_scores).
-    Pattern search, scoring each poll through the same scorer, refines the
-    best finite point within 1,500 evaluations, and the full schedule values
-    the result.  Where that value is +inf, the full schedule values every
-    point the search moved through, from the grid minimizer on, and the least
-    finite one counts.  PlusInf when no grid point scores finite."""
+    points when the grid exceeds Z_GRID_CAP), the balls of a chunk of grid
+    points at every level in one batch (_parabolic_scores).  Pattern search,
+    scoring each poll through the same scorer, refines the best finite point
+    within 1,500 evaluations, and the full schedule values the result.  Where
+    that value is +inf, the full schedule values every other point the
+    search moved through, from the grid minimizer on, in one call of the
+    stacked estimate, and the least finite one counts.  PlusInf when no grid
+    point scores finite."""
     cheap = sched.coarse()
     dim = w.shape[0]
     rng = np.random.default_rng(sched.seed)
@@ -563,10 +622,10 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     # z_best can sit on the boundary of the second-order feasible set, where
     # the full schedule finds no feasible ball point: fall back on the best
     # finite point the search passed through
+    zs = np.reshape(path[:-1], (-1, dim))
     finite = [
-        est for z in path[:-1]
-        if math.isfinite(est := estimate_parabolic_subderivative(f, x, w, dfw, z, sched).as_float()
-                          - float(z @ v))
+        est for z, value in zip(zs, estimate_parabolic_subderivative(f, x, w, dfw, zs, sched))
+        if math.isfinite(est := value.as_float() - float(z @ v))
     ]
     return ExtReal(min(finite)) if finite else PLUS_INF
 

@@ -244,3 +244,164 @@ def old_restore(prob, x0, project, distance, max_iter=60):
     if dist <= 1e-9 * (1.0 + float(np.linalg.norm(u))):
         return x
     return None
+
+
+# -- the oracle's one-search-at-a-time loops, kept as references ---------------------
+
+
+def old_pattern_refine(score, start, f_start, center, radius, extra_dirs=(), max_evals=700,
+                       rescue=None, rescues=0):
+    """The one-search complete poll that the lockstep searches replaced."""
+    from epidiff.oracle import _ball_clip
+
+    dim = center.shape[0]
+    dirs = [np.eye(dim)[i] for i in range(dim)]
+    for d in extra_dirs:
+        nrm = float(np.linalg.norm(d))
+        if nrm > 1e-12:
+            dirs.append(np.asarray(d, dtype=float) / nrm)
+    pattern = np.array([sgn * d for d in dirs for sgn in (1.0, -1.0)])
+    best_p, best_f = start, f_start
+    step, evals, floor = radius / 2.0, 0, radius * 1e-9
+    while step > floor and evals < max_evals:
+        P = _ball_clip(best_p + step * pattern[:max_evals - evals], center, radius)
+        vals, pts = score(P)
+        evals += len(P)
+        ask = np.flatnonzero(np.isnan(vals))[:rescues]
+        if ask.size:
+            vals, pts = np.array(vals), np.array(pts)
+            vals[ask], pts[ask] = rescue(P[ask])
+            rescues -= ask.size
+        thr = best_f - 1e-15 * (1.0 + abs(best_f))
+        below = np.where(vals < thr, vals, math.inf)
+        i = int(np.argmin(below))
+        if below[i] == math.inf:
+            step *= 0.5
+            continue
+        best_p, best_f = pts[i], float(vals[i])
+        if best_f == -math.inf:
+            break
+    return best_f, best_p
+
+
+def old_level_minimum(f, base_point, t, lin_coeff, lin_shift, center, radius, sched, rng):
+    """The search of one level, run level after level before the levels ran
+    in lockstep."""
+    from epidiff.oracle import RESTORE_BUDGET, _ball_clip, _ball_offsets, _quotients
+
+    half_t2 = 0.5 * t * t
+    cands = center[None, :] + _ball_offsets(center.shape[0], radius, sched, rng)
+    vals = f.eval_batch(base_point[None, :] + t * cands)
+    quot = (vals - lin_shift - t * (cands @ lin_coeff)) / half_t2
+    finite_mask = np.isfinite(quot)
+
+    def score(P):
+        lin = t * np.vecdot(P, lin_coeff)
+        return _quotients(f.values(base_point + t * P), lin_shift, lin, half_t2), P
+
+    def rescue(P):
+        restored = np.asarray(f.restore_feasible(base_point + t * P), dtype=float)
+        cand = _ball_clip((restored - base_point) / t, center, radius)
+        val, _ = score(cand)
+        lost = np.isnan(val)
+        val[lost] = math.inf
+        return val, np.where(lost[:, None], P, cand)
+
+    rescues = RESTORE_BUDGET if f.restore_feasible is not None else 0
+    if not finite_mask.any():
+        if f.restore_feasible is None:
+            return math.inf, center
+        (val0,), (p0,) = score(center[None, :])
+        if math.isnan(val0):
+            (val0,), (p0,) = rescue(center[None, :])
+            rescues -= 1
+        if val0 == -math.inf:
+            f.value(base_point + t * p0)  # raises
+        if not math.isfinite(val0):
+            return math.inf, center
+        start, f_start = p0, float(val0)
+    else:
+        idx = int(np.argmin(np.where(finite_mask, quot, math.inf)))
+        start, f_start = cands[idx], float(quot[idx])
+    extra = [lin_coeff] if float(np.linalg.norm(lin_coeff)) > 0 else []
+    best_f, best_p = old_pattern_refine(score, start, f_start, center, radius, extra_dirs=extra,
+                                        rescue=rescue, rescues=rescues)
+    if best_f == -math.inf:
+        f.value(base_point + t * best_p)  # raises
+    return best_f, best_p
+
+
+def old_second_order_levels(f, x, v, w, sched):
+    """The (t, m, p) records of the level search, one level after another."""
+    x, v, w = (np.asarray(a, dtype=float) for a in (x, v, w))
+    f0 = f.value(x)
+    rng = np.random.default_rng(sched.seed)
+    return [(t, *old_level_minimum(f, x, t, v, f0.value, w, sched.radius(t), sched, rng))
+            for t in sched.t_levels()]
+
+
+def old_parabolic_estimate(f, x, w, dfw, z, sched):
+    """The parabolic estimate at one z, one level after another."""
+    from epidiff.oracle import _ball_clip, _ball_offsets, _quotients, _stabilize
+
+    x, w, z = (np.asarray(a, dtype=float) for a in (x, w, z))
+    f0 = f.value(x).value
+    rng = np.random.default_rng(sched.seed)
+    records = []
+    for t in sched.t_levels():
+        half_t2, radius = 0.5 * t * t, sched.radius(t)
+        cands = z[None, :] + _ball_offsets(z.shape[0], radius, sched, rng)
+        quot = (f.eval_batch(x[None, :] + t * w[None, :] + half_t2 * cands) - f0 - t * dfw) / half_t2
+        quot = np.where(np.isfinite(quot), quot, math.inf)
+        idx = int(np.argmin(quot))
+        m, p = float(quot[idx]), cands[idx]
+        if math.isinf(m):
+            p = z
+            if f.restore_feasible is not None:
+                restored = np.asarray(f.restore_feasible((x + t * w + half_t2 * z)[None]), dtype=float)
+                z0 = _ball_clip((restored - x - t * w) / half_t2, z[None], radius)
+                m0 = _quotients(f.values(x + t * w + half_t2 * z0), f0, t * dfw, half_t2)
+                if m0[0] == -math.inf:
+                    f.value(x + t * w + half_t2 * z0[0])  # raises
+                if math.isfinite(m0[0]):
+                    m, p = float(m0[0]), z0[0]
+
+        def score(Zp):
+            return _quotients(f.values(x + t * w + half_t2 * Zp), f0, t * dfw, half_t2), Zp
+
+        if math.isfinite(m):
+            m, p = old_pattern_refine(score, p, m, z, radius)
+            if m == -math.inf:
+                f.value(x + t * w + half_t2 * p)  # raises
+        records.append((t, m, p))
+    return _stabilize(records, sched)
+
+
+def old_estimate_subderivative(f, x, w, sched):
+    """The first-order estimate with its levels valued one at a time."""
+    from epidiff.extreal import PLUS_INF, ExtReal
+    from epidiff.oracle import _ball_offsets, _lagrange_at_zero
+
+    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
+    f0 = f.value(x)
+    rng = np.random.default_rng(sched.seed)
+    fixed = []
+    for t in sched.t_levels():
+        fx = f.value(x + t * w)
+        fixed.append((t, (fx.value - f0.value) / t if fx.is_finite else math.inf))
+    tail = [(t, m) for t, m in fixed[-3:] if math.isfinite(m)]
+    if len(tail) < 3:
+        searched = []
+        for t in sched.t_levels():
+            cands = w[None, :] + _ball_offsets(w.shape[0], sched.radius(t), sched, rng)
+            quot = (f.eval_batch(x[None, :] + t * cands) - f0.value) / t
+            searched.append((t, float(np.min(quot[np.isfinite(quot)])) if np.isfinite(quot).any() else math.inf))
+        tail = [(t, m) for t, m in searched[-3:] if math.isfinite(m)]
+        if not tail:
+            return PLUS_INF
+    ts, ms = [t for t, _ in tail], [m for _, m in tail]
+    if len(tail) == 3:
+        guess = _lagrange_at_zero(ts, ms)
+        if abs(guess - min(ms)) <= 4.0 * (max(ms) - min(ms)) + 1e-12 * (1.0 + abs(min(ms))):
+            return ExtReal(guess)
+    return ExtReal(min(ms))

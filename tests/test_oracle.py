@@ -22,7 +22,15 @@ from epidiff.oracle import (
 from epidiff.composite import sampled_objective
 from epidiff.outer import absolute_value, nonpositive_orthant
 
-from _instances import a1_problem, example35_function, outer_sampled
+from _instances import (
+    a1_problem,
+    example35_function,
+    old_estimate_subderivative,
+    old_level_minimum,
+    old_parabolic_estimate,
+    old_second_order_levels,
+    outer_sampled,
+)
 
 
 def square() -> SampledFunction:
@@ -180,7 +188,7 @@ def _halfspace_quadratic() -> SampledFunction:
 )
 def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, size, seed):
     """The batched scorer equals, bit for bit, one unpolished estimate per z,
-    and makes one batched evaluation per level and chunk."""
+    and makes one batched evaluation per chunk of z, over every level."""
     rng = np.random.default_rng(seed)
     sched = GridSchedule(t0=0.1, steps=4, samples_per_axis=k, radius_coeff=radius_coeff, seed=seed)
     if case == "dim5":
@@ -188,7 +196,7 @@ def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, s
     else:
         f, x, w = _on_the_axis(), np.array([0.3, 0.0]), np.array([1.0, 0.0])
     dim = f.dim
-    rows = max(len(_fresh_ball(dim, sched.radius(t), k, rng)) for t in sched.t_levels())
+    rows = sum(len(_fresh_ball(dim, sched.radius(t), k, rng)) for t in sched.t_levels())
     chunk = max(1, oracle.Z_BATCH_ROWS // rows)
     n = {"one": 1, "few": 4, "chunks": 2 * chunk + 3}[size]
     Z = rng.uniform(-3.0, 3.0, size=(n, dim))
@@ -200,7 +208,7 @@ def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, s
     f.eval_batch = lambda X: batches.append(len(X)) or eval_batch(X)
     got = oracle._parabolic_scores(f, x, w, dfw, v, Z, sched)
     f.eval_batch = eval_batch
-    assert len(batches) == sched.steps * -(-n // chunk)
+    assert len(batches) == -(-n // chunk)
     assert max(batches) <= oracle.Z_BATCH_ROWS or chunk == 1
     ref = _unpolished_scores(f, x, w, dfw, v, Z, sched)
     assert got.shape == (n,) and got.tobytes() == ref.tobytes()
@@ -238,6 +246,29 @@ def test_estimate_subderivative():
     assert estimate_subderivative(gabs, [0.0], [1.0]).value == pytest.approx(1.0, abs=1e-9)
     assert estimate_subderivative(square(), [0.0], [1.0]).value == pytest.approx(0.0, abs=1e-9)
     assert estimate_subderivative(indicator_line(), [0.0], [1.0]).is_plus_inf
+
+
+def test_fixed_ray_levels_in_one_stack_equal_the_levels_one_by_one():
+    """The fixed ray's levels are valued in one stack, and the ball fallback's
+    in one batch: the estimates equal valuing them level by level, bit for
+    bit, and where valuing the levels one by one raises, the stack raises
+    what the first such level raises (NaN: ValueError; below NEG_GUARD:
+    NegativeInfinityDetected)."""
+    sched = GridSchedule(t0=0.1, steps=5, samples_per_axis=5, seed=4)
+    cases = [(outer_sampled(absolute_value()), [0.0], [1.0]), (indicator_line(), [0.0], [1.0]),
+             (indicator_line(), [0.0], [-1.0]), (example35_function(), [0.0, 0.0], [1.0, 0.5]),
+             (sampled_objective(a1_problem()), [0.0, 0.0], [0.6, 0.8]),
+             (_halfspace_quadratic(), np.full(5, 0.1), np.eye(5)[0])]
+    for f, x, w in cases:
+        got, ref = estimate_subderivative(f, x, w, sched), old_estimate_subderivative(f, x, w, sched)
+        assert _same_float(got.as_float(), ref.as_float())
+    for first, later, exc in [(math.nan, -1e16, ValueError), (-1e16, math.nan, NegativeInfinityDetected)]:
+        # the levels value y = 0.1, 0.05, 0.025, ...: only the first lies above 0.075
+        f = SampledFunction(lambda Y, a=first, b=later: np.where(
+            Y[:, 0] > 0.075, a, np.where((Y[:, 0] > 0.0) & (Y[:, 0] < 0.03), b, Y[:, 0])), 1)
+        for estimate in (estimate_subderivative, old_estimate_subderivative):
+            with pytest.raises(exc):
+                estimate(f, [0.0], [1.0], sched)
 
 
 # -- recovery sequences ----------------------------------------------------------------------
@@ -502,14 +533,34 @@ def test_poll_ends_at_a_failed_row(dim, lin, seed):
 
 
 def test_level_search_raises_on_a_failed_poll_row():
-    """y^2 on R, valued below NEG_GUARD on 0.2 < y < 0.3: the first poll from
-    0 at step 0.5 misses the slab, the second at 0.25 hits it, and the level
-    search raises."""
+    """y^2 on R, valued below NEG_GUARD on 0.2 < y < 0.3: at the level t = 1
+    the first poll from 0 at step 0.5 misses the slab, the second at 0.25
+    hits it (and the ball of the level t = 0.5 holds y = 0.25 too), and the
+    level search raises."""
     f = SampledFunction(lambda Y: np.where((Y[:, 0] > 0.2) & (Y[:, 0] < 0.3), -1e16, Y[:, 0] ** 2), 1)
     sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
-    args = (f, np.zeros(1), 1.0, np.zeros(1), 0.0, np.zeros(1), 1.0, sched, np.random.default_rng(1))
+    args = (f, np.zeros(1), np.zeros(1), 0.0, np.zeros(1), sched)
     with pytest.raises(NegativeInfinityDetected):
         oracle._level_minimum(*args)
+
+
+def test_level_search_raises_as_the_levels_one_by_one_do_when_two_polls_fail():
+    """With the slab at 0.1 < y < 0.2, no ball point of the levels t = 1,
+    0.5, 0.25 (y = 0, +-t^2) lies in it, but the polls of the first two
+    levels reach y = 0.125: both would raise.  The lockstep search raises
+    what the levels raise one by one, class and message."""
+    f = SampledFunction(lambda Y: np.where((Y[:, 0] > 0.1) & (Y[:, 0] < 0.2), -1e16, Y[:, 0] ** 2), 1)
+    sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
+    x, v, w = np.zeros(1), np.zeros(1), np.zeros(1)
+    for t in sched.t_levels()[:2]:
+        with pytest.raises(NegativeInfinityDetected):
+            old_level_minimum(f, x, t, v, 0.0, w, sched.radius(t), sched, np.random.default_rng(1))
+    assert math.isfinite(old_level_minimum(f, x, 0.25, v, 0.0, w, 0.25, sched, np.random.default_rng(1))[0])
+    with pytest.raises(NegativeInfinityDetected) as lockstep:
+        oracle._level_minimum(f, x, v, 0.0, w, sched)
+    with pytest.raises(NegativeInfinityDetected) as one_by_one:
+        old_second_order_levels(f, x, v, w, sched)
+    assert str(lockstep.value) == str(one_by_one.value)
 
 
 # -- stack values against point values ------------------------------------------------------
@@ -596,3 +647,111 @@ def test_values_above_the_cap_read_plus_inf_on_every_path():
 
 def _same_float(a, b) -> bool:
     return np.array_equal(np.float64(a).view(np.int64), np.float64(b).view(np.int64))
+
+
+# -- lockstep searches -----------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    searches=st.lists(st.tuples(st.sampled_from([1, 5, 30, 700]), st.sampled_from([0, 1, 3, 150]),
+                                st.integers(0, 2 ** 16)), min_size=1, max_size=5),
+    dim=st.integers(1, 3),
+    holes=st.booleans(),
+    ties=st.booleans(),
+    trap=st.booleans(),
+    lin=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_lockstep_searches_each_take_the_path_they_take_alone(searches, dim, holes, ties, trap, lin, seed):
+    """Searches with their own start, center, radius, max_evals and rescue
+    budget, run in lockstep on one landscape: each search's result, and its
+    own rows of every shared scorer and rescue call, in order, equal what
+    _pattern_refine does with that search alone."""
+    value, target = _landscape(dim, seed, holes, trap, ties)
+    extra = [np.random.default_rng(seed).standard_normal(dim)] if lin else []
+    setups = []
+    for max_evals, budget, s in searches:
+        rng = np.random.default_rng(s)
+        center, radius = rng.uniform(-0.5, 0.5, dim), float(rng.uniform(0.2, 1.0))
+        start = oracle._ball_clip(center + rng.uniform(-radius, radius, dim), center, radius)
+        setups.append((start, float(np.sum((start - target) ** 2)) + 1.0, center, radius, max_evals, budget))
+
+    def recorder(events, kind, answer):
+        def call(P, owner=None):
+            vals, pts = answer(P)
+            events.append((kind, P.copy(), owner, vals.copy(), pts.copy()))
+            return vals, pts
+        return call
+
+    def rescued(P):
+        pts = P + 0.1 * (target - P)
+        return np.sum((pts - target) ** 2, axis=1), pts
+
+    shared = []
+    best_f, best_p = oracle._pattern_search(
+        recorder(shared, "score", lambda P: (value(P), P)), np.array([u[0] for u in setups]),
+        [u[1] for u in setups], np.array([u[2] for u in setups]), [u[3] for u in setups], extra,
+        max_evals=[u[4] for u in setups], rescue=recorder(shared, "rescue", rescued),
+        rescues=[u[5] for u in setups])
+    for j, (start, f_start, center, radius, max_evals, budget) in enumerate(setups):
+        alone = []
+        got = oracle._pattern_refine(
+            recorder(alone, "score", lambda P: (value(P), P)), start, f_start, center, radius, extra,
+            max_evals, recorder(alone, "rescue", rescued), budget)
+        mine = [(kind, P[owner == j], vals[owner == j], pts[owner == j])
+                for kind, P, owner, vals, pts in shared if (owner == j).any()]
+        assert [e[0] for e in mine] == [e[0] for e in alone]
+        for (_, P, vals, pts), (_, P1, _, vals1, pts1) in zip(mine, alone):
+            assert P.tobytes() == P1.tobytes() and vals.tobytes() == vals1.tobytes()
+            assert pts.tobytes() == pts1.tobytes()
+        assert _same_float(best_f[j], got[0]) and best_p[j].tobytes() == got[1].tobytes()
+
+
+def _reference_cases():
+    """(name, f, x, v, w, dfw, Z, sched): every catalog member through an
+    invertible linear F, each indicator at a boundary point along a feasible
+    direction, so that the searches restore; then a level search that takes
+    the center-rescue branch on some levels, and a dimension-5 function on
+    the random-ball path."""
+    from epidiff.core import CompositeProblem, PolyMap
+
+    sched = GridSchedule(t0=0.1, steps=4, samples_per_axis=5, seed=7)
+    for name, g in sorted(_catalog_members().items()):
+        m = g.ambient_dim
+        rng = np.random.default_rng(len(name))
+        A = np.eye(m) + 0.2 * rng.standard_normal((m, m))
+        f = sampled_objective(CompositeProblem(PolyMap.zero(m), PolyMap.linear(A), g))
+        z, wz, vz = 0.3 * rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal(m)
+        if name.startswith("ind_"):
+            z, vz = g.domain_project(z), z - g.domain_project(z)
+            wz = 2.0 * (g.domain_project(z + 0.5 * wz) - z)
+        x, w = np.linalg.solve(A, z), np.linalg.solve(A, wz)
+        dfw = estimate_subderivative(f, x, w, sched)
+        yield (name, f, x, A.T @ vz, w, dfw.as_float() if dfw.is_finite else float(vz @ wz),
+               rng.uniform(-2.0, 2.0, (3, m)), sched)
+    # F(x) = x2 - x1^2 into R_-, along the outward w = (0, 1): the grid ball
+    # holds a feasible point at the coarsest level only; at the next level
+    # the restored center lies in the ball, at the finer ones it does not
+    yield ("a1_center_rescue", sampled_objective(a1_problem()), np.zeros(2), np.array([0.0, 1.0]),
+           np.array([0.0, 1.0]), 0.0, np.array([[0.0, 5.0], [1.0, -1.0]]),
+           GridSchedule(t0=0.1, steps=5, radius_coeff=33.0, samples_per_axis=4, seed=3))
+    yield ("dim5", _halfspace_quadratic(), np.full(5, 0.1), np.full(5, 0.2), np.eye(5)[0], 0.02,
+           np.random.default_rng(5).uniform(-1.0, 1.0, (2, 5)), GridSchedule(t0=0.1, steps=4, seed=11))
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
+def test_lockstep_levels_and_parabolic_estimates_equal_the_loops_they_replace(case):
+    """The lockstep level search gives the (t, m, p) records of the per-level
+    loop bit for bit, and the parabolic estimate of a stack of z gives, row
+    by row, the per-z estimate bit for bit."""
+    _, f, x, v, w, dfw, Z, sched = case
+    got, ref = oracle._second_order_levels(f, x, v, w, sched), old_second_order_levels(f, x, v, w, sched)
+    assert [(t, m) for t, m, _ in got] == [(t, m) for t, m, _ in ref]
+    assert all(_same_float(m, m1) and p.tobytes() == p1.tobytes() for (_, m, p), (_, m1, p1) in zip(got, ref))
+    stacked = estimate_parabolic_subderivative(f, x, w, dfw, Z, sched)
+    assert len(stacked) == len(Z)
+    for z, est in zip(Z, stacked):
+        ref = old_parabolic_estimate(f, x, w, dfw, z, sched)
+        assert _same_float(est.as_float(), ref.as_float())
+        assert _same_float(estimate_parabolic_subderivative(f, x, w, dfw, z, sched).as_float(), ref.as_float())
