@@ -64,6 +64,10 @@ class NegativeInfinityDetected(EpidiffError):
     """An oracle intermediate dropped below the proximal lower-bound guard."""
 
 
+class UndefinedValue(EpidiffError):
+    """A sampled function is NaN at a point the oracle values."""
+
+
 class CriticalConePreconditionFailed(EpidiffError):
     pass
 

@@ -7,21 +7,17 @@ deterministic pattern-search polish, and a three-level extrapolation of the
 per-level minima.  These estimates are the ground truth the closed forms are
 validated against; they never share formulas with the catalog.
 
-The levels of a schedule are independent searches, so they run side by
-side: the balls of all levels go into one batched evaluation, and their
-pattern searches run in lockstep (``_pattern_search``).  Each round stacks
-the complete polls of every live search into one scorer call, through
-``SampledFunction.values``, whose rows equal ``value`` at each point bit for
-bit, and the infeasible trial points of that round into one restoration
-stack.  So each search takes the path it would take alone.  The parabolic
-estimate searches every (z, level) pair of a stack of z the same way.
-
-The parabolic-regularity check ranks many trial points z by an unpolished
-parabolic estimate.  Its scorer takes a whole stack of z at once: the balls
-around a chunk of z go into one batched evaluation over every level, and
-the z whose whole ball is infinite at some level are restored in one stack.
-The coarse z-grid and the z pattern search both go through it.  The grid
-balls are built once per (dimension, radius, samples per axis).
+One kernel, ``_ball_search``, does every second-order search: search j
+minimizes ((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^2/2) over a ball
+about its own center at one level t, with s = t and no drift for the second
+subderivative, and the drift w and s = t^2/2 for the parabolic one.  It values
+the balls of a chunk of centers at every level in one batch, restores the
+centers of all-infinite balls in one stack and polishes the searches in
+lockstep (``_pattern_search``): each round scores the complete polls of every
+live search in one ``SampledFunction.values`` call, whose rows equal ``value``
+at each point bit for bit, so each search takes the path it would take alone.
+The level search is one center over every level, the parabolic estimate a
+stack of centers z, and the scorer of the z search the same, unpolished.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from .errors import (
     BasePointInfeasible,
     CriticalConePreconditionFailed,
     NegativeInfinityDetected,
+    UndefinedValue,
 )
 from .extreal import CAP, NEG_GUARD, PLUS_INF, ExtReal
 from .numkit import row_norms
@@ -79,7 +76,10 @@ class SampledFunction:
         return np.where(vals > CAP, math.inf, vals)
 
     def value(self, x) -> ExtReal:
-        out = ExtReal(float(self.values(np.asarray(x, dtype=float)[None])[0]))
+        val = float(self.values(np.asarray(x, dtype=float)[None])[0])
+        if math.isnan(val):
+            raise UndefinedValue(f"{self.description or 'sampled function'} is NaN at a point")
+        out = ExtReal(val)
         if out.is_finite and out.value < NEG_GUARD:
             raise NegativeInfinityDetected(self.description or "sampled function")
         return out
@@ -268,62 +268,86 @@ def _pattern_refine(score, start, f_start, center, radius, extra_dirs=(), max_ev
     return best_f, best_p
 
 
-def _level_minimum(f: SampledFunction, base_point, lin_coeff, lin_shift, center, sched):
-    """At every level t of sched, minimize the quotient
-    (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over the ball around center
-    of radius sched.radius(t).  Returns [(t, min value possibly inf, argmin
-    point)] in level order.
+def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule, drift=None,
+                 polish=False, rescues=0):
+    """Minimize ((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^2/2) over p
+    in the ball of radius sched.radius(t) about each row of centers, at every
+    level t of sched: s = t without a drift, s = t^2/2 with one, and
+    lin(p, t) = t*<lin, p> for a vector lin, t*lin for a number.  Returns the
+    minima (centers, levels), possibly inf, and their points (centers,
+    levels, dim).
 
-    The balls of all levels are valued in one batch, and the levels are
-    searched in lockstep.  A trial point outside the domain is rescued by
-    pulling it back onto the domain, at most RESTORE_BUDGET times per level."""
-    balls = _schedule_balls(sched, center.shape[0])
+    A chunk of centers is valued at every level in one eval_batch of at most
+    Z_BATCH_ROWS rows (or of one center).  Each search starts at its best
+    ball point, the first on ties, or, where the whole ball is infinite, at
+    its center, restored when f can restore: all such centers in one stack,
+    each charged one rescue.  With polish, _pattern_search polishes every
+    search with a finite start in lockstep along the axes and a vector lin,
+    rescuing at most `rescues` trial points per search.  A search that ends
+    on a failed evaluation (-inf) raises here, as valuing its point alone
+    does."""
+    n, dim = centers.shape
+    balls = _schedule_balls(sched, dim)
+    k = len(balls)
     ts, radii = np.array([b[0] for b in balls]), np.array([b[1] for b in balls])
-    cands = [center[None, :] + offsets for _, _, offsets in balls]
-    parts = _split_batch(f, [base_point[None, :] + t * c for (t, _, _), c in zip(balls, cands)])
-    starts, f_starts = np.repeat(center[None, :], len(balls), axis=0), np.full(len(balls), math.inf)
-    for j, (t, c, vals) in enumerate(zip(ts.tolist(), cands, parts)):
-        quot = (vals - lin_shift - t * (c @ lin_coeff)) / (0.5 * t * t)
-        if np.isfinite(quot).any():
-            idx = int(np.argmin(np.where(np.isfinite(quot), quot, math.inf)))
-            starts[j], f_starts[j] = c[idx], quot[idx]
+    half = 0.5 * ts * ts
+    scale = ts if drift is None else half
+    bases = np.broadcast_to(x, (k, dim)) if drift is None else x + ts[:, None] * drift
+    along = np.ndim(lin) == 1
 
-    def score(P, lev):
-        t = ts[lev]
-        lin = t * np.vecdot(P, lin_coeff)
-        return _quotients(f.values(base_point + t[:, None] * P), lin_shift, lin, 0.5 * t * t), P
+    def score(P, own):  # own: the search of each row, center by center, level by level
+        j = own % k
+        lin_p = ts[j] * np.vecdot(P, lin) if along else ts[j] * lin
+        return _quotients(f.values(bases[j] + scale[j][:, None] * P), shift, lin_p, half[j]), P
 
-    def rescue(P, lev):
-        t = ts[lev][:, None]
-        restored = np.asarray(f.restore_feasible(base_point + t * P), dtype=float)
-        cand = _ball_clip((restored - base_point) / t, center, radii[lev])
-        val, _ = score(cand, lev)
+    def rescue(P, own):
+        j = own % k
+        restored = np.asarray(f.restore_feasible(bases[j] + scale[j][:, None] * P), dtype=float)
+        back = restored - x if drift is None else (restored - x) - ts[j][:, None] * drift
+        cand = _ball_clip(back / scale[j][:, None], centers[own // k], radii[j])
+        val, _ = score(cand, own)
         lost = np.isnan(val)
         val[lost] = math.inf
         return val, np.where(lost[:, None], P, cand)
 
-    rescues = np.full(len(balls), RESTORE_BUDGET if f.restore_feasible is not None else 0)
-    # a level whose whole ball is infinite starts at center, or at its rescue
-    empty = np.flatnonzero(np.isinf(f_starts)) if f.restore_feasible is not None else []
-    if len(empty):
-        val0, p0 = score(starts[empty], empty)
-        lost = np.flatnonzero(np.isnan(val0))
-        if lost.size:
-            val0[lost], p0[lost] = rescue(p0[lost], empty[lost])
-            rescues[empty[lost]] -= 1
-        if (val0 == -math.inf).any():
-            j = int(np.argmax(val0 == -math.inf))
-            f.value(base_point + ts[empty[j]] * p0[j])  # raises
-        found = np.isfinite(val0)
-        starts[empty[found]], f_starts[empty[found]] = p0[found], val0[found]
-    best_f, best_p = _pattern_search(score, starts, f_starts, np.broadcast_to(center, starts.shape),
-                                     np.where(np.isinf(f_starts), 0.0, radii),
-                                     [lin_coeff] if float(np.linalg.norm(lin_coeff)) > 0 else [],
-                                     rescue=rescue, rescues=rescues)
-    for t, m, p in zip(ts, best_f, best_p):
-        if m == -math.inf:
-            f.value(base_point + t * p)  # raises, as valuing that point alone does
-    return list(zip(ts.tolist(), best_f, best_p))
+    best, points = np.full((n, k), math.inf), np.repeat(centers[:, None, :], k, axis=1)
+    chunk = max(1, Z_BATCH_ROWS // sum(len(offsets) for _, _, offsets in balls))
+    for lo in range(0, n, chunk):
+        cands = [centers[lo:lo + chunk, None, :] + offsets for _, _, offsets in balls]
+        flat = [c.reshape(-1, dim) for c in cands]
+        parts = _split_batch(f, [b + s * c for b, s, c in zip(bases, scale, flat)])
+        for j, (c, C, vals) in enumerate(zip(cands, flat, parts)):
+            quot = (vals - shift - ts[j] * (C @ lin if along else lin)) / half[j]
+            quot = np.where(np.isfinite(quot), quot, math.inf).reshape(len(c), -1)
+            rows, idx = np.arange(len(c)), np.argmin(quot, axis=1)
+            best[lo:lo + chunk, j], points[lo:lo + chunk, j] = quot[rows, idx], c[rows, idx]
+    iz, jz = np.nonzero(np.isinf(best))  # center by center, level by level
+    points[iz, jz] = centers[iz]
+    if f.restore_feasible is not None and iz.size:
+        best[iz, jz], points[iz, jz] = rescue(centers[iz], iz * k + jz)
+    if polish:
+        left = np.full((n, k), rescues if f.restore_feasible is not None else 0)
+        left[iz, jz] -= left[iz, jz] > 0
+        vals, pts = _pattern_search(score, points.reshape(-1, dim), best.ravel(), centers.repeat(k, axis=0),
+                                    np.where(np.isfinite(best), radii, 0.0).ravel(), [lin] if along else [],
+                                    rescue=rescue, rescues=left.ravel())
+        best, points = np.reshape(vals, (n, k)), pts.reshape(n, k, dim)
+    iz, jz = np.nonzero(best == -math.inf)
+    if iz.size:
+        f.value(bases[jz[0]] + scale[jz[0]] * points[iz[0], jz[0]])  # raises, as valuing that point alone does
+        raise NegativeInfinityDetected(f.description or "sampled function")
+    return best, points
+
+
+def _level_minimum(f: SampledFunction, base_point, lin_coeff, lin_shift, center, sched):
+    """At every level t of sched, minimize the quotient
+    (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over the ball around center
+    of radius sched.radius(t).  Returns [(t, min value possibly inf, argmin
+    point)] in level order: _ball_search of one center, polished along lin,
+    rescuing at most RESTORE_BUDGET trial points per level."""
+    best, points = _ball_search(f, base_point, lin_shift, lin_coeff, center[None, :], sched,
+                                polish=True, rescues=RESTORE_BUDGET)
+    return list(zip(sched.t_levels(), best[0].tolist(), points[0]))
 
 
 # -- stabilized limits ----------------------------------------------------------
@@ -386,43 +410,6 @@ def estimate_second_subderivative(f: SampledFunction, x, v, w, sched: GridSchedu
     return _stabilize(_second_order_levels(f, x, v, w, sched), sched)
 
 
-def _parabolic_starts(f: SampledFunction, x, w, dfw: float, f0: float, Z, balls):
-    """Per row z of Z and level (t, radius, offsets) of balls, the best point
-    of the ball z + offsets for the parabolic quotient at step t: quotients
-    (z, levels) and points (z, levels, dim), first index on ties.  A chunk of
-    z is valued at every level in one batch of at most Z_BATCH_ROWS rows (or
-    of one z).  A pair whose whole ball lies outside the domain gets the
-    quotient at its restored point, all such pairs in one stack (when f can
-    restore), else (inf, z)."""
-    n, dim = Z.shape
-    best, points = np.full((n, len(balls)), math.inf), np.repeat(Z[:, None, :], len(balls), axis=1)
-    chunk = max(1, Z_BATCH_ROWS // sum(len(offsets) for _, _, offsets in balls))
-    for lo in range(0, n, chunk):
-        cands = [Z[lo:lo + chunk, None, :] + offsets[None, :, :] for _, _, offsets in balls]
-        parts = _split_batch(f, [x + t * w + 0.5 * t * t * c.reshape(-1, dim)
-                                 for (t, _, _), c in zip(balls, cands)])
-        for j, ((t, _, _), c, vals) in enumerate(zip(balls, cands, parts)):
-            half_t2 = 0.5 * t * t
-            quot = (vals - f0 - t * dfw) / half_t2
-            quot = np.where(np.isfinite(quot), quot, math.inf).reshape(len(c), -1)
-            rows, idx = np.arange(len(c)), np.argmin(quot, axis=1)
-            best[lo:lo + chunk, j], points[lo:lo + chunk, j] = quot[rows, idx], c[rows, idx]
-    iz, lev = np.nonzero(np.isinf(best))  # z by z, each z level by level
-    points[iz, lev] = Z[iz]
-    if f.restore_feasible is not None and iz.size:
-        t, radius = np.array([balls[j][0] for j in lev]), np.array([balls[j][1] for j in lev])
-        half_t2, base = 0.5 * t * t, x + t[:, None] * w
-        restored = np.asarray(f.restore_feasible(base + half_t2[:, None] * Z[iz]), dtype=float)
-        z0 = _ball_clip((restored - x - t[:, None] * w) / half_t2[:, None], Z[iz], radius)
-        m0 = _quotients(f.values(base + half_t2[:, None] * z0), f0, t * dfw, half_t2)
-        if (m0 == -math.inf).any():
-            i = int(np.argmax(m0 == -math.inf))
-            f.value(base[i] + half_t2[i] * z0[i])  # raises
-        found = np.isfinite(m0)
-        best[iz[found], lev[found]], points[iz[found], lev[found]] = m0[found], z0[found]
-    return best, points
-
-
 def estimate_parabolic_subderivative(
     f: SampledFunction,
     x,
@@ -434,8 +421,7 @@ def estimate_parabolic_subderivative(
     """min over t and z' near z of the parabolic quotient along
     x + t w + t^2 z'/2: an ExtReal for a point z, a list of them for a stack
     of z, each equal to the estimate at that z alone.  The balls of every
-    (z, level) pair are valued in chunked batches, and the pairs with a
-    finite start are polished by pattern searches run in lockstep."""
+    (z, level) pair are searched by one _ball_search, polished in lockstep."""
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -444,25 +430,9 @@ def estimate_parabolic_subderivative(
     f0 = f.value(x)
     if not f0.is_finite:
         raise BasePointInfeasible("f(x) must be finite")
-    balls = _schedule_balls(sched, w.shape[0])
-    m, p = _parabolic_starts(f, x, w, dfw, f0.value, Z, balls)
-    # one search per (z, level) pair, z by z, as the estimates one z at a time run
-    lev = np.tile(np.arange(len(balls)), len(Z))
-    ts, radii = np.array([b[0] for b in balls])[lev], np.array([b[1] for b in balls])[lev]
-    half, m = 0.5 * ts * ts, m.ravel()
-
-    def score(Zp, own):
-        t, h = ts[own], half[own]
-        return _quotients(f.values(x + t[:, None] * w + h[:, None] * Zp), f0.value, t * dfw, h), Zp
-
-    best_f, best_p = _pattern_search(score, p.reshape(-1, w.shape[0]), m, np.repeat(Z, len(balls), axis=0),
-                                     np.where(np.isfinite(m), radii, 0.0))
-    for t, h, mj, pj in zip(ts, half, best_f, best_p):
-        if mj == -math.inf:
-            f.value(x + t * w + h * pj)  # raises, as valuing that point alone does
-    k = len(balls)
-    out = [_stabilize(list(zip(sched.t_levels(), best_f[i:i + k], best_p[i:i + k])), sched)
-           for i in range(0, len(best_f), k)]
+    best, points = _ball_search(f, x, f0.value, dfw, Z, sched, drift=w, polish=True)
+    ts = sched.t_levels()
+    out = [_stabilize(list(zip(ts, ms, ps)), sched) for ms, ps in zip(best.tolist(), points)]
     return out[0] if z.ndim == 1 else out
 
 
@@ -472,18 +442,18 @@ def _parabolic_scores(f: SampledFunction, x, w, dfw: float, v, Z, sched: GridSch
 
     f(x) is valued once, and each level's ball offsets are drawn once from
     one rng seeded with sched.seed: the offsets a fresh estimate at each z
-    would draw.  A chunk of z is scored at every level in one batched
-    evaluation (_parabolic_starts)."""
+    would draw.  The balls of every (z, level) pair are valued by one
+    unpolished _ball_search."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     Z = np.asarray(Z, dtype=float)
     f0 = f.value(x)
     if not f0.is_finite:
         raise BasePointInfeasible("f(x) must be finite")
-    balls = _schedule_balls(sched, Z.shape[1])
-    minima, _ = _parabolic_starts(f, x, w, dfw, f0.value, Z, balls)
+    minima, _ = _ball_search(f, x, f0.value, dfw, Z, sched, drift=w)
+    ts = sched.t_levels()
     return np.array([
-        _stabilize([(t, m, None) for (t, _, _), m in zip(balls, ms)], sched).as_float() - float(z @ v)
+        _stabilize([(t, m, None) for t, m in zip(ts, ms)], sched).as_float() - float(z @ v)
         for z, ms in zip(Z, minima.tolist())
     ])
 

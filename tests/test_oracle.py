@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from epidiff import oracle
 from epidiff.core import GridSchedule
-from epidiff.errors import BasePointInfeasible, CriticalConePreconditionFailed, NegativeInfinityDetected
+from epidiff.errors import (
+    BasePointInfeasible,
+    CriticalConePreconditionFailed,
+    EpidiffError,
+    NegativeInfinityDetected,
+    UndefinedValue,
+)
 from epidiff.extreal import ExtReal, PLUS_INF
 from epidiff.oracle import (
     SampledFunction,
@@ -252,7 +258,7 @@ def test_fixed_ray_levels_in_one_stack_equal_the_levels_one_by_one():
     """The fixed ray's levels are valued in one stack, and the ball fallback's
     in one batch: the estimates equal valuing them level by level, bit for
     bit, and where valuing the levels one by one raises, the stack raises
-    what the first such level raises (NaN: ValueError; below NEG_GUARD:
+    what the first such level raises (NaN: UndefinedValue; below NEG_GUARD:
     NegativeInfinityDetected)."""
     sched = GridSchedule(t0=0.1, steps=5, samples_per_axis=5, seed=4)
     cases = [(outer_sampled(absolute_value()), [0.0], [1.0]), (indicator_line(), [0.0], [1.0]),
@@ -262,7 +268,7 @@ def test_fixed_ray_levels_in_one_stack_equal_the_levels_one_by_one():
     for f, x, w in cases:
         got, ref = estimate_subderivative(f, x, w, sched), old_estimate_subderivative(f, x, w, sched)
         assert _same_float(got.as_float(), ref.as_float())
-    for first, later, exc in [(math.nan, -1e16, ValueError), (-1e16, math.nan, NegativeInfinityDetected)]:
+    for first, later, exc in [(math.nan, -1e16, UndefinedValue), (-1e16, math.nan, NegativeInfinityDetected)]:
         # the levels value y = 0.1, 0.05, 0.025, ...: only the first lies above 0.075
         f = SampledFunction(lambda Y, a=first, b=later: np.where(
             Y[:, 0] > 0.075, a, np.where((Y[:, 0] > 0.0) & (Y[:, 0] < 0.03), b, Y[:, 0])), 1)
@@ -561,6 +567,58 @@ def test_level_search_raises_as_the_levels_one_by_one_do_when_two_polls_fail():
     with pytest.raises(NegativeInfinityDetected) as one_by_one:
         old_second_order_levels(f, x, v, w, sched)
     assert str(lockstep.value) == str(one_by_one.value)
+
+
+def test_a_nan_stripe_raises_an_epidiff_error_on_every_search():
+    """y^2 on R, NaN on 0.2 < y < 0.3: the level search (a poll of its level
+    t = 1 reaches y = 0.25), the stacked parabolic estimate (a poll about
+    z = 0.5 at t = 1 does) and the fixed ray of the first-order estimate
+    (y = 0.25 at t = 0.25) each meet the stripe.  Each raises UndefinedValue,
+    an EpidiffError, so that the CLI exits 2 rather than ending in a
+    traceback."""
+    f = SampledFunction(lambda Y: np.where((Y[:, 0] > 0.2) & (Y[:, 0] < 0.3), math.nan, Y[:, 0] ** 2), 1)
+    sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
+    zero = np.zeros(1)
+    searches = [lambda: oracle._level_minimum(f, zero, zero, 0.0, zero, sched),
+                lambda: estimate_parabolic_subderivative(f, zero, zero, 0.0, np.array([[0.0], [0.5]]), sched),
+                lambda: estimate_subderivative(f, zero, np.ones(1), sched)]
+    for search in searches:
+        with pytest.raises(EpidiffError) as err:
+            search()
+        assert isinstance(err.value, UndefinedValue)
+
+
+def test_searches_value_each_ball_point_once_and_restore_empty_balls_in_one_stack():
+    """F(x) = x2 - x1^2 into R_-, along the outward w = (0, 1): the balls of
+    most levels hold no feasible point.  Before its first restoration, the
+    level search values each ball point once (the ball batch has valued
+    every center already), and its first restoration stack holds the
+    center of every empty level; the stacked parabolic estimate does the
+    same over its (z, level) pairs."""
+    base = sampled_objective(a1_problem())
+    events = []
+    f = SampledFunction(lambda X: events.append(("value", X.copy())) or base.evaluator(X), 2,
+                        restore_feasible=lambda X: events.append(("restore", X.copy())) or base.restore_feasible(X))
+    sched = GridSchedule(t0=0.1, steps=5, radius_coeff=33.0, samples_per_axis=4, seed=3)
+    x, w, Z = np.zeros(2), np.array([0.0, 1.0]), np.array([[0.0, 5.0], [1.0, -1.0]])
+    balls = oracle._schedule_balls(sched, 2)
+    runs = [(lambda: oracle._level_minimum(f, x, w, 0.0, w, sched), w[None, :], lambda t: (x, t)),
+            (lambda: estimate_parabolic_subderivative(f, x, w, 0.0, Z, sched), Z, lambda t: (x + t * w, 0.5 * t * t))]
+    for search, centers, point_map in runs:
+        events.clear()
+        search()
+        first = next(i for i, (kind, _) in enumerate(events) if kind == "restore")
+        valued = np.concatenate([X for _, X in events[:first]])
+        valued = valued[np.any(valued != x, axis=1)]  # the parabolic estimate values f(x) first
+        assert len(valued) == len(centers) * sum(len(offsets) for _, _, offsets in balls)
+        assert len(np.unique(valued, axis=0)) == len(valued)
+        empty = []
+        for c in centers:
+            for t, _, offsets in balls:
+                shift, s = point_map(t)
+                if np.isinf(base.values(shift + s * (c + offsets))).all():
+                    empty.append(shift + s * c)
+        assert empty and np.allclose(events[first][1], empty, rtol=0.0, atol=1e-15)
 
 
 # -- stack values against point values ------------------------------------------------------
