@@ -26,7 +26,7 @@ PLAN = [
     ("parabola_min.json", ["certify", "check-cq"]),
     ("min_quartic.json", ["certify"]),
     ("mscq_fail.json", ["check-cq"]),
-    ("polyhedron_m6.json", ["analyze", "check-cq"]),
+    ("polyhedron_m6.json", ["analyze", "certify", "check-cq"]),
     ("max_eig.json", ["analyze", "verify"]),
     ("sum_top_eig.json", ["analyze", "verify"]),
     ("alpha_eig.json", ["analyze", "verify"]),

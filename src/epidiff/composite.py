@@ -467,8 +467,8 @@ def primal_value(prob: CompositeProblem, x, v, w) -> ExtReal:
 
 def outer_values(prob: CompositeProblem, X) -> np.ndarray:
     """g(F(x)) at each row of a stack of points, each row bit for bit
-    g.value(F(x)).as_float(): finite values above the ExtReal cap read +inf,
-    as they do in an ExtReal."""
+    g.value(F(x)).as_float(), which is F(x)'s stack of one row: finite
+    values above the ExtReal cap read +inf, as they do in an ExtReal."""
     vals = prob.g.value_batch(poly_eval(prob.F, X))
     return np.where(vals > CAP, math.inf, vals)
 

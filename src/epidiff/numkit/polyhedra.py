@@ -135,25 +135,17 @@ def _row_scales(M: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.norm(M, axis=1), 1e-300)
 
 
-def residuals(P: Polyhedron, x) -> float:
-    """Largest row-normalized constraint violation at x (distance proxy)."""
-    x = np.asarray(x, dtype=float)
-    worst = 0.0
+def residuals(P: Polyhedron, x):
+    """Largest row-normalized constraint violation (a distance proxy) at a
+    point, or at each row of an (N, dim) stack.  Every row product is one
+    dot product, so each row is bit for bit its point's value."""
+    rows = np.asarray(x, dtype=float)[..., None, :]
+    worst = np.zeros(rows.shape[:-2])
     if P.n_ineq:
-        worst = max(worst, float(np.max((P.G @ x - P.h) / P.g_scales)))
+        worst = np.maximum(worst, np.max((np.vecdot(rows, P.G) - P.h) / P.g_scales, axis=-1))
     if P.n_eq:
-        worst = max(worst, float(np.max(np.abs(P.E @ x - P.d) / P.e_scales)))
-    return worst
-
-
-def residuals_batch(P: Polyhedron, Z: np.ndarray) -> np.ndarray:
-    """`residuals` at each row of an (N, dim) batch."""
-    worst = np.zeros(Z.shape[0])
-    if P.n_ineq:
-        worst = np.maximum(worst, np.max((Z @ P.G.T - P.h) / P.g_scales, axis=1))
-    if P.n_eq:
-        worst = np.maximum(worst, np.max(np.abs(Z @ P.E.T - P.d) / P.e_scales, axis=1))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(np.vecdot(rows, P.E) - P.d) / P.e_scales, axis=-1))
+    return float(worst) if rows.ndim == 2 else worst
 
 
 def contains(P: Polyhedron, x, tol: float = FEAS_TOL) -> bool:

@@ -237,37 +237,19 @@ def svec(A) -> np.ndarray:
 
 
 def smat(v) -> np.ndarray:
+    """The symmetric matrix of an svec, or of every row of a (..., d) stack."""
     v = np.asarray(v, dtype=float)
-    d = v.shape[0]
+    d = v.shape[-1]
     n = int(round((math.sqrt(8 * d + 1) - 1) / 2))
     if svec_dim(n) != d:
         raise DimensionMismatch(f"length {d} is not a triangular number")
-    A = np.zeros((n, n))
+    A = np.zeros(v.shape[:-1] + (n, n))
     k = 0
     for i in range(n):
         for j in range(i + 1):
             if i == j:
-                A[i, i] = v[k]
+                A[..., i, i] = v[..., k]
             else:
-                A[i, j] = A[j, i] = v[k] / _SQRT2
+                A[..., i, j] = A[..., j, i] = v[..., k] / _SQRT2
             k += 1
     return A
-
-
-def smat_batch(V: np.ndarray) -> np.ndarray:
-    """Vectorized smat: (N, n(n+1)/2) -> (N, n, n)."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    d = V.shape[1]
-    n = int(round((math.sqrt(8 * d + 1) - 1) / 2))
-    if svec_dim(n) != d:
-        raise DimensionMismatch(f"length {d} is not a triangular number")
-    out = np.zeros((V.shape[0], n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i + 1):
-            if i == j:
-                out[:, i, i] = V[:, k]
-            else:
-                out[:, i, j] = out[:, j, i] = V[:, k] / _SQRT2
-            k += 1
-    return out

@@ -108,6 +108,14 @@ class EpiReport:
 # -- elementary quotients -----------------------------------------------------
 
 
+def _base_value(f: SampledFunction, x) -> float:
+    """f(x), which must be finite."""
+    f0 = f.value(x)
+    if not f0.is_finite:
+        raise BasePointInfeasible("f(x) must be finite")
+    return f0.value
+
+
 def delta2_quotient(f: SampledFunction, x, v, t: float, w) -> ExtReal:
     """Second-order difference quotient at step t along w for the pairing v."""
     if t <= 0:
@@ -115,13 +123,11 @@ def delta2_quotient(f: SampledFunction, x, v, t: float, w) -> ExtReal:
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
-    f0 = f.value(x)
-    if not f0.is_finite:
-        raise BasePointInfeasible("f(x) must be finite")
+    f0 = _base_value(f, x)
     fx = f.value(x + t * w)
     if not fx.is_finite:
         return PLUS_INF
-    return ExtReal((fx.value - f0.value - t * float(v @ w)) / (0.5 * t * t))
+    return ExtReal((fx.value - f0 - t * float(v @ w)) / (0.5 * t * t))
 
 
 # -- per-level search ---------------------------------------------------------
@@ -278,14 +284,16 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
     levels, dim).
 
     A chunk of centers is valued at every level in one eval_batch of at most
-    Z_BATCH_ROWS rows (or of one center).  Each search starts at its best
-    ball point, the first on ties, or, where the whole ball is infinite, at
-    its center, restored when f can restore: all such centers in one stack,
-    each charged one rescue.  With polish, _pattern_search polishes every
-    search with a finite start in lockstep along the axes and a vector lin,
-    rescuing at most `rescues` trial points per search.  A search that ends
-    on a failed evaluation (-inf) raises here, as valuing its point alone
-    does."""
+    Z_BATCH_ROWS rows (or of one center), and scored by the quotient formula
+    of the polls.  A ball point whose evaluation fails (NaN, or below
+    NEG_GUARD) raises here, before any rescue, as valuing it alone does.
+    Each search starts at its best ball point, the first on ties, or, where
+    the whole ball lies outside the domain, at its center, restored when f
+    can restore: all such centers in one stack, each charged one rescue.
+    With polish, _pattern_search polishes every search with a finite start
+    in lockstep along the axes and a vector lin, rescuing at most `rescues`
+    trial points per search.  A search that ends on a failed evaluation
+    (-inf) raises here too."""
     n, dim = centers.shape
     balls = _schedule_balls(sched, dim)
     k = len(balls)
@@ -295,10 +303,13 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
     bases = np.broadcast_to(x, (k, dim)) if drift is None else x + ts[:, None] * drift
     along = np.ndim(lin) == 1
 
+    def quotients(vals, P, j):  # j: the level of each row of P, or one level
+        lin_p = ts[j] * np.vecdot(P, lin) if along else ts[j] * lin
+        return _quotients(vals, shift, lin_p, half[j])
+
     def score(P, own):  # own: the search of each row, center by center, level by level
         j = own % k
-        lin_p = ts[j] * np.vecdot(P, lin) if along else ts[j] * lin
-        return _quotients(f.values(bases[j] + scale[j][:, None] * P), shift, lin_p, half[j]), P
+        return quotients(f.values(bases[j] + scale[j][:, None] * P), P, j), P
 
     def rescue(P, own):
         j = own % k
@@ -310,6 +321,12 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
         val[lost] = math.inf
         return val, np.where(lost[:, None], P, cand)
 
+    def raise_failed(best, points):
+        iz, jz = np.nonzero(best == -math.inf)
+        if iz.size:
+            f.value(bases[jz[0]] + scale[jz[0]] * points[iz[0], jz[0]])  # raises, as valuing it alone does
+            raise NegativeInfinityDetected(f.description or "sampled function")
+
     best, points = np.full((n, k), math.inf), np.repeat(centers[:, None, :], k, axis=1)
     chunk = max(1, Z_BATCH_ROWS // sum(len(offsets) for _, _, offsets in balls))
     for lo in range(0, n, chunk):
@@ -317,11 +334,12 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
         flat = [c.reshape(-1, dim) for c in cands]
         parts = _split_batch(f, [b + s * c for b, s, c in zip(bases, scale, flat)])
         for j, (c, C, vals) in enumerate(zip(cands, flat, parts)):
-            quot = (vals - shift - ts[j] * (C @ lin if along else lin)) / half[j]
-            quot = np.where(np.isfinite(quot), quot, math.inf).reshape(len(c), -1)
+            quot = quotients(vals, C, j).reshape(len(c), -1)
+            quot[np.isnan(quot)] = math.inf  # outside the domain
             rows, idx = np.arange(len(c)), np.argmin(quot, axis=1)
             best[lo:lo + chunk, j], points[lo:lo + chunk, j] = quot[rows, idx], c[rows, idx]
-    iz, jz = np.nonzero(np.isinf(best))  # center by center, level by level
+    raise_failed(best, points)
+    iz, jz = np.nonzero(best == math.inf)  # center by center, level by level
     points[iz, jz] = centers[iz]
     if f.restore_feasible is not None and iz.size:
         best[iz, jz], points[iz, jz] = rescue(centers[iz], iz * k + jz)
@@ -332,10 +350,7 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
                                     np.where(np.isfinite(best), radii, 0.0).ravel(), [lin] if along else [],
                                     rescue=rescue, rescues=left.ravel())
         best, points = np.reshape(vals, (n, k)), pts.reshape(n, k, dim)
-    iz, jz = np.nonzero(best == -math.inf)
-    if iz.size:
-        f.value(bases[jz[0]] + scale[jz[0]] * points[iz[0], jz[0]])  # raises, as valuing that point alone does
-        raise NegativeInfinityDetected(f.description or "sampled function")
+    raise_failed(best, points)
     return best, points
 
 
@@ -399,10 +414,8 @@ def _second_order_levels(f, x, v, w, sched):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    f0 = f.value(x)
-    if not f0.is_finite:
-        raise BasePointInfeasible("f(x) must be finite")
-    return _level_minimum(f, x, v, f0.value, w, sched)
+    f0 = _base_value(f, x)
+    return _level_minimum(f, x, v, f0, w, sched)
 
 
 def estimate_second_subderivative(f: SampledFunction, x, v, w, sched: GridSchedule | None = None) -> ExtReal:
@@ -427,30 +440,22 @@ def estimate_parabolic_subderivative(
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
     Z = z.reshape(-1, w.shape[0])
-    f0 = f.value(x)
-    if not f0.is_finite:
-        raise BasePointInfeasible("f(x) must be finite")
-    best, points = _ball_search(f, x, f0.value, dfw, Z, sched, drift=w, polish=True)
+    f0 = _base_value(f, x)
+    best, points = _ball_search(f, x, f0, dfw, Z, sched, drift=w, polish=True)
     ts = sched.t_levels()
     out = [_stabilize(list(zip(ts, ms, ps)), sched) for ms, ps in zip(best.tolist(), points)]
     return out[0] if z.ndim == 1 else out
 
 
-def _parabolic_scores(f: SampledFunction, x, w, dfw: float, v, Z, sched: GridSchedule) -> np.ndarray:
+def _parabolic_scores(f: SampledFunction, x, fx: float, w, dfw: float, v, Z,
+                      sched: GridSchedule) -> np.ndarray:
     """For every row z of Z, the parabolic estimate at z without the per-level
-    pattern search, minus <z, v>.
+    pattern search, minus <z, v>; fx is f(x), valued by the caller.
 
-    f(x) is valued once, and each level's ball offsets are drawn once from
-    one rng seeded with sched.seed: the offsets a fresh estimate at each z
-    would draw.  The balls of every (z, level) pair are valued by one
-    unpolished _ball_search."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    f0 = f.value(x)
-    if not f0.is_finite:
-        raise BasePointInfeasible("f(x) must be finite")
-    minima, _ = _ball_search(f, x, f0.value, dfw, Z, sched, drift=w)
+    Each level's ball offsets are drawn once from one rng seeded with
+    sched.seed: the offsets a fresh estimate at each z would draw.  The balls
+    of every (z, level) pair are valued by one unpolished _ball_search."""
+    minima, _ = _ball_search(f, x, fx, dfw, Z, sched, drift=w)
     ts = sched.t_levels()
     return np.array([
         _stabilize([(t, m, None) for t, m in zip(ts, ms)], sched).as_float() - float(z @ v)
@@ -465,15 +470,13 @@ def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None 
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    f0 = f.value(x)
-    if not f0.is_finite:
-        raise BasePointInfeasible("f(x) must be finite")
+    f0 = _base_value(f, x)
     ts = np.array(sched.t_levels())
     X = x + ts[:, None] * w
     vals = f.values(X)
     if not (vals >= NEG_GUARD).all():
         f.value(X[np.argmax(~(vals >= NEG_GUARD))])  # raises, as valuing the levels one by one does
-    fixed = list(zip(ts.tolist(), ((vals - f0.value) / ts).tolist()))
+    fixed = list(zip(ts.tolist(), ((vals - f0) / ts).tolist()))
     tail = [(t, m) for t, m in fixed[-3:] if math.isfinite(m)]
     if len(tail) < 3:
         balls = _schedule_balls(sched, w.shape[0])
@@ -481,7 +484,7 @@ def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None 
         searched = []
         parts = _split_batch(f, [x[None, :] + t * c for (t, _, _), c in zip(balls, cands)])
         for (t, _, _), vals in zip(balls, parts):
-            quot = (vals - f0.value) / t
+            quot = (vals - f0) / t
             finite_mask = np.isfinite(quot)
             searched.append(
                 (t, float(np.min(quot[finite_mask])) if finite_mask.any() else math.inf)
@@ -555,13 +558,13 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     The coarse schedule scores a z-grid of sched.samples_per_axis points per
     axis over the box |z|_inf <= 10 (a seeded uniform sample of 10,000
     points when the grid exceeds Z_GRID_CAP), the balls of a chunk of grid
-    points at every level in one batch (_parabolic_scores).  Pattern search,
-    scoring each poll through the same scorer, refines the best finite point
-    within 1,500 evaluations, and the full schedule values the result.  Where
-    that value is +inf, the full schedule values every other point the
-    search moved through, from the grid minimizer on, in one call of the
-    stacked estimate, and the least finite one counts.  PlusInf when no grid
-    point scores finite."""
+    points at every level in one batch (_parabolic_scores; f(x) is valued
+    once).  Pattern search, scoring each poll through the same scorer,
+    refines the best finite point within 1,500 evaluations, and the full
+    schedule values the result.  Where that value is +inf, the full schedule
+    values every other point the search moved through, from the grid
+    minimizer on, in one call of the stacked estimate, and the least finite
+    one counts.  PlusInf when no grid point scores finite."""
     cheap = sched.coarse()
     dim = w.shape[0]
     rng = np.random.default_rng(sched.seed)
@@ -570,7 +573,8 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
         grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     else:
         grid = rng.uniform(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, size=(10_000, dim))
-    scores = _parabolic_scores(f, x, w, dfw, v, grid, cheap)
+    f0 = _base_value(f, x)
+    scores = _parabolic_scores(f, x, f0, w, dfw, v, grid, cheap)
     finite_mask = np.isfinite(scores)
     if not finite_mask.any():
         return PLUS_INF
@@ -579,7 +583,7 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     def score(Z):
         # a poll holding a z whose evaluation fails raises here, as a -inf
         # row would end the search and be raised
-        return _parabolic_scores(f, x, w, dfw, v, Z, cheap), Z
+        return _parabolic_scores(f, x, f0, w, dfw, v, Z, cheap), Z
 
     path = [grid[idx]]
     _, z_best = _pattern_refine(
@@ -636,9 +640,7 @@ def proximal_modulus_scan(
     f(x') >= f(x) + <v, x' - x> - r/2 |x' - x|^2 over sampled x'."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    f0 = f.value(x)
-    if not f0.is_finite:
-        raise BasePointInfeasible("f(x) must be finite")
+    f0 = _base_value(f, x)
     rng = np.random.default_rng(seed)
     r_hat = 0.0
     for _ in range(n_samples):
@@ -647,7 +649,7 @@ def proximal_modulus_scan(
         fx = f.value(x + step)
         if not fx.is_finite:
             continue
-        gap = f0.value + float(v @ step) - fx.value
+        gap = f0 + float(v @ step) - fx.value
         nrm2 = float(step @ step)
         if nrm2 > 1e-16:
             r_hat = max(r_hat, 2.0 * gap / nrm2)

@@ -5,11 +5,13 @@ s > 0 (see spectral), with closed-form first- and second-order objects; none
 of them calls the difference-quotient oracle, which exists to check them.
 All operations are pure; instances are immutable after construction.
 
-A new member implements ``value``, ``subdifferential`` (in one of the three
-shapes of ``reprs``), ``subderivative``, ``second_subderivative``,
-``parabolic_subderivative``, ``critical_cone``, ``lipschitz_bound``,
-``domain_project`` and, for its part of the composite chain rule,
-``primal_value``: the closed-form minimum of the parabolic subderivative
+A new member implements ``value_batch`` (g at each row of an (N, dim)
+stack, +inf off dom g, each row bit for bit the same whatever else the stack
+holds; ``value`` at a point is its stack of one row, and no member overrides
+it), ``subdifferential`` (in one of the three shapes of ``reprs``),
+``subderivative``, ``second_subderivative``, ``parabolic_subderivative``,
+``critical_cone``, ``lipschitz_bound``, ``domain_project`` and, for its part
+of the composite chain rule, ``primal_value``: the closed-form minimum of the parabolic subderivative
 over the pulled-back second-order directions (no default).
 The other defaults fit a finite multiplier list and a full domain:
 
@@ -20,8 +22,6 @@ The other defaults fit a finite multiplier list and a full domain:
 - ``second_order_tangent_contains`` and ``basic_cq`` return True, since a
   full domain has every second-order tangent and the normal cone {0}; a
   member with a proper domain overrides both.
-
-``value_batch`` loops over ``value`` by default; hot members override it.
 """
 
 from __future__ import annotations
@@ -43,13 +43,14 @@ class OuterFunction:
 
     # -- required operations ---------------------------------------------------
 
-    def value(self, z) -> ExtReal:
+    def value_batch(self, Z: np.ndarray) -> np.ndarray:
+        """g at each row of an (N, dim) stack, +inf outside dom g."""
         raise NotImplementedError
 
-    def value_batch(self, Z: np.ndarray) -> np.ndarray:
-        """Vectorized value on an (N, dim) array; +inf marks points outside
-        dom g.  The default loops; hot tags override."""
-        return np.array([self.value(row).as_float() for row in np.atleast_2d(Z)])
+    def value(self, z) -> ExtReal:
+        """g at a point: the one row of value_batch of the point alone."""
+        z = self._require_dim(z)
+        return ExtReal(self.value_batch(z[None])[0])
 
     def subdifferential(self, z) -> SubdiffRepr:
         raise NotImplementedError

@@ -25,7 +25,6 @@ from ..numkit import (
     project,
     row_norms,
     smat,
-    smat_batch,
     svec,
     svec_dim,
     sym_eig,
@@ -39,7 +38,6 @@ from ..numkit.polyhedra import (
     normal_cone_hrep,
     pullback_lp_min,
     residuals,
-    residuals_batch,
 )
 from .base import OuterFunction, each_row
 from .reprs import PolyhedralConeRepr, PolyhedronRep, PredicateConeRepr, SpectralRep
@@ -138,15 +136,10 @@ class PolyhedralIndicator(_Indicator):
             return None
         return lo, hi
 
-    def value(self, z) -> ExtReal:
-        z = self._require_dim(z)
-        tol = INDICATOR_FEAS_TOL * (1.0 + float(np.linalg.norm(z)))
-        return ExtReal(0.0) if residuals(self.C, z) <= tol else PLUS_INF
-
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        tol = INDICATOR_FEAS_TOL * (1.0 + np.linalg.norm(Z, axis=1))
-        return np.where(residuals_batch(self.C, Z) <= tol, 0.0, np.inf)
+        tol = INDICATOR_FEAS_TOL * (1.0 + row_norms(Z))
+        return np.where(residuals(self.C, Z) <= tol, 0.0, np.inf)
 
     def subdifferential(self, z):
         self._require_in_domain_geom(z)
@@ -245,16 +238,10 @@ class NegSemidefIndicator(_Indicator):
 
     # -- catalog operations -------------------------------------------------------
 
-    def value(self, z) -> ExtReal:
-        A = self._to_mat(z)
-        lam_max = float(np.linalg.eigvalsh(A)[-1])
-        tol = INDICATOR_FEAS_TOL * (1.0 + float(np.linalg.norm(A)))
-        return ExtReal(0.0) if lam_max <= tol else PLUS_INF
-
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
-        mats = smat_batch(np.atleast_2d(np.asarray(Z, dtype=float)))
+        mats = smat(np.atleast_2d(np.asarray(Z, dtype=float)))
         lam_max = np.linalg.eigvalsh(mats)[:, -1]
-        tol = INDICATOR_FEAS_TOL * (1.0 + np.linalg.norm(mats, axis=(1, 2)))
+        tol = INDICATOR_FEAS_TOL * (1.0 + row_norms(mats.reshape(-1, self.n * self.n)))
         return np.where(lam_max <= tol, 0.0, np.inf)
 
     def subdifferential(self, z):
@@ -385,7 +372,7 @@ class NegSemidefIndicator(_Indicator):
         """(z as a point or a stack, eigenvalues, eigenvectors) of smat of
         each row of z."""
         z = self._require_dim(z)
-        lams, Q = sym_eig(smat_batch(z))
+        lams, Q = sym_eig(smat(np.atleast_2d(z)))
         return z, lams, Q
 
     def domain_distance(self, z):

@@ -21,6 +21,7 @@ from ..numkit import (
     intersect,
     lp_max,
     project,
+    row_norms,
     tangent_cone,
     vrep_to_hrep,
 )
@@ -29,7 +30,6 @@ from ..numkit.polyhedra import (
     normal_cone_hrep,
     pullback_lp_min,
     residuals,
-    residuals_batch,
 )
 from .base import OuterFunction, each_row
 from .indicators import ACT_TOL, INDICATOR_FEAS_TOL as VALUE_TOL, second_order_tangent_cone
@@ -88,26 +88,21 @@ class PlqFunction(OuterFunction):
 
     # -- catalog operations ----------------------------------------------------------
 
-    def value(self, z) -> ExtReal:
-        z = self._require_dim(z)
-        # the value tolerance is much tighter than the activity tolerance:
-        # extrapolating a piece by eps shifts second-order quotients by eps/t^2
-        tol = VALUE_TOL * (1.0 + float(np.linalg.norm(z)))
-        vals = [p.value(z) for p in self.pieces if residuals(p.domain, z) <= tol]
-        if not vals:
-            return PLUS_INF
-        # pieces agree on overlaps; min is the deterministic reporting rule
-        return ExtReal(min(vals))
-
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
+        """The least value of the pieces holding each row, +inf where none
+        does; every product is one dot product, so no row depends on another."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         out = np.full(Z.shape[0], np.inf)
-        tol = VALUE_TOL * (1.0 + np.linalg.norm(Z, axis=1))
+        # the value tolerance is much tighter than the activity tolerance:
+        # extrapolating a piece by eps shifts second-order quotients by eps/t^2
+        tol = VALUE_TOL * (1.0 + row_norms(Z))
         for p in self.pieces:
-            mask = residuals_batch(p.domain, Z) <= tol
+            mask = residuals(p.domain, Z) <= tol
             if mask.any():
-                vals = 0.5 * np.einsum("ni,ij,nj->n", Z, p.A, Z) + Z @ p.a + p.alpha
-                out[mask] = np.minimum(out[mask], vals[mask])
+                X = Z[mask]
+                vals = 0.5 * np.vecdot(X, np.vecdot(X[:, None, :], p.A)) + np.vecdot(X, p.a) + p.alpha
+                # pieces agree on overlaps; min is the deterministic reporting rule
+                out[mask] = np.minimum(out[mask], vals)
         return out
 
     def subdifferential(self, z):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import PolyMap, gradient, hessian, poly_eval, poly_eval_batch
+from ..core import PolyMap, gradient, hessian, poly_eval_batch
 from ..errors import CriticalConePreconditionFailed, ValidationError
 from ..extreal import ExtReal
 from ..numkit import PolyCone
@@ -65,13 +65,6 @@ class SmoothQuadratic(OuterFunction):
         return hessian(self.base, z) + 0.5 * self._h_hessian
 
     # -- catalog operations -----------------------------------------------------------
-
-    def value(self, z) -> ExtReal:
-        z = np.asarray(z, dtype=float)
-        shifted = z - self.center
-        return ExtReal(
-            float(poly_eval(self.base, z)[0]) + 0.5 * float(poly_eval(self.h, shifted)[0])
-        )
 
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import UnsupportedSpectralMultiplicity
 from ..extreal import PLUS_INF, ExtReal
-from ..numkit import cluster_tol, eigen_pinv, smat, smat_batch, svec, svec_dim, sym_eig
+from ..numkit import cluster_tol, eigen_pinv, smat, svec, svec_dim, sym_eig
 from .base import OuterFunction
 from .reprs import PredicateConeRepr, SpectralRep
 
@@ -120,12 +120,8 @@ class EigSumFunction(OuterFunction):
 
     # -- catalog operations --------------------------------------------------------
 
-    def value(self, z) -> ExtReal:
-        A = _to_mat(self._require_dim(z))
-        return ExtReal(float(np.sum(np.linalg.eigvalsh(A)[::-1][self.s : self.i])))
-
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
-        mats = smat_batch(np.atleast_2d(np.asarray(Z, dtype=float)))
+        mats = smat(np.atleast_2d(np.asarray(Z, dtype=float)))
         return np.linalg.eigvalsh(mats)[:, ::-1][:, self.s : self.i].sum(axis=1)
 
     def subdifferential(self, z):

@@ -37,6 +37,7 @@ from epidiff.numkit.polyhedra import (
     _nullspace,
     _rank,
     is_empty,
+    residuals,
 )
 
 from _instances import jacobi_one_matrix
@@ -494,6 +495,23 @@ def test_svec_isometry(n, seed):
     B = 0.5 * (B + B.T)
     assert np.isclose(float(svec(A) @ svec(B)), float(np.tensordot(A, B)))
     assert np.allclose(smat(svec(A)), A)
+    stack = svec(np.array([A, B]))
+    assert smat(stack).tobytes() == np.array([smat(stack[0]), smat(stack[1])]).tobytes()
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_residuals_of_a_stack_are_the_residuals_of_its_points(m, dim, eq, seed):
+    """Each row of residuals(P, X) is bit for bit residuals(P, x) of that
+    point alone, for dense rows, whatever the stack's length."""
+    rng = np.random.default_rng(seed)
+    E, d = (rng.standard_normal((1, dim)), rng.standard_normal(1)) if eq else (None, None)
+    P = Polyhedron.make(dim, G=rng.standard_normal((m, dim)), h=rng.standard_normal(m), E=E, d=d)
+    X = rng.standard_normal((300, dim))
+    stack = residuals(P, X)
+    assert stack.shape == (300,)
+    assert stack.tobytes() == np.array([residuals(P, x) for x in X]).tobytes()
+    assert stack[:7].tobytes() == residuals(P, X[:7]).tobytes()
 
 
 # -- least-distance projection against the active-set enumeration it replaced -------------

@@ -212,7 +212,7 @@ def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, s
     batches = []
     eval_batch = f.eval_batch
     f.eval_batch = lambda X: batches.append(len(X)) or eval_batch(X)
-    got = oracle._parabolic_scores(f, x, w, dfw, v, Z, sched)
+    got = oracle._parabolic_scores(f, x, f.value(x).value, w, dfw, v, Z, sched)
     f.eval_batch = eval_batch
     assert len(batches) == -(-n // chunk)
     assert max(batches) <= oracle.Z_BATCH_ROWS or chunk == 1
@@ -588,6 +588,32 @@ def test_a_nan_stripe_raises_an_epidiff_error_on_every_search():
         assert isinstance(err.value, UndefinedValue)
 
 
+def test_a_nan_on_a_ball_point_raises_before_any_rescue():
+    """y^2 on R, NaN on 0.9 < y < 1.1: the level search's ball at t = 1 holds
+    y = 1, while its polls from the minimizer y = 0 stay in |y| <= 0.5.  The
+    ball point raises UndefinedValue, as a poll point would.  With y > 1.5
+    outside the domain and the balls (radius 0.1 t) about 5, the balls of
+    t = 1 and 0.5 are empty and the one of t = 0.25 holds y = 1.25625, NaN
+    on 1.255 < y < 1.26: that raises too, before either empty ball is
+    restored."""
+    zero = np.zeros(1)
+    f = SampledFunction(lambda Y: np.where((Y[:, 0] > 0.9) & (Y[:, 0] < 1.1), math.nan, Y[:, 0] ** 2), 1)
+    sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
+    with pytest.raises(UndefinedValue):
+        oracle._level_minimum(f, zero, zero, 0.0, zero, sched)
+    restored = []
+
+    def value(Y):
+        y = Y[:, 0]
+        return np.where((y > 1.255) & (y < 1.26), math.nan, np.where(y <= 1.5, y ** 2, math.inf))
+
+    f = SampledFunction(value, 1, restore_feasible=lambda Y: restored.append(Y) or np.minimum(Y, 1.5))
+    sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=0.1, seed=1)
+    with pytest.raises(UndefinedValue):
+        oracle._level_minimum(f, zero, zero, 0.0, np.array([5.0]), sched)
+    assert restored == []
+
+
 def test_searches_value_each_ball_point_once_and_restore_empty_balls_in_one_stack():
     """F(x) = x2 - x1^2 into R_-, along the outward w = (0, 1): the balls of
     most levels hold no feasible point.  Before its first restoration, the
@@ -629,16 +655,20 @@ def _catalog_members():
     from epidiff.outer.smooth import SmoothQuadratic
     from epidiff.core import PolyMap
     from epidiff.numkit import Polyhedron, svec
-    from epidiff.outer import PolyhedralIndicator
+    from epidiff.outer import PlqFunction, PlqPiece, PolyhedralIndicator
     from _instances import half_square_plq, max_of_coordinates_plq
 
     wedge = Polyhedron.make(3, G=[[1.0, 1.0, 0.0], [-1.0, 2.0, 0.5]], h=[0.2, 0.1], E=[[0.0, 1.0, 1.0]], d=[0.0])
+    # dense piece data, where dot products of different kernels round apart
+    A, a = np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([0.1, -0.2])
+    halves = [Polyhedron.make(2, G=[[sgn, 0.0]], h=[0.0]) for sgn in (1.0, -1.0)]
     return {
         "ind_nonpos": nonpositive_orthant(3),
         "ind_polyhedron": PolyhedralIndicator(wedge),
         "abs": absolute_value(),
         "plq": half_square_plq(),
         "plq_max": max_of_coordinates_plq(),
+        "plq_dense": PlqFunction([PlqPiece(half, A, a, 0.5) for half in halves]),
         "ind_negsemidef": NegSemidefIndicator(3),
         "max_eig": max_eig(3),
         "sum_top_eig": sum_top_eig(3, 2),
@@ -687,6 +717,22 @@ def test_stack_values_equal_point_values_on_every_catalog_member(tag, rows, scal
     for x, s in zip(X, stack):
         v = f.value(x).as_float()
         assert _same_float(v, f.eval_batch(x[None])[0]) and _same_float(v, s)
+
+
+def test_every_catalog_member_values_an_empty_stack():
+    for tag, g in _catalog_members().items():
+        assert g.value_batch(np.zeros((0, g.ambient_dim))).shape == (0,), tag
+
+
+def test_dense_plq_values_a_point_as_its_stack_row():
+    """At this point of the dense PLQ, a quadratic summed by a matrix kernel
+    rounds one bit away from the dot products: value, the point's one-row
+    stack and its row of a longer stack read the same bits."""
+    g = _catalog_members()["plq_dense"]
+    z = np.array([-2.3250307746388343, -0.21879166393254573])
+    v = g.value(z).as_float()
+    assert _same_float(v, g.value_batch(z[None])[0])
+    assert _same_float(v, g.value_batch(np.array([z, [0.4, -1.3], [-0.7, 2.2]]))[0])
 
 
 def test_values_above_the_cap_read_plus_inf_on_every_path():
