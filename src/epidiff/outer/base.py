@@ -11,8 +11,9 @@ holds; ``value`` at a point is its stack of one row, and no member overrides
 it), ``subdifferential`` (in one of the three shapes of ``reprs``),
 ``subderivative``, ``second_subderivative``, ``parabolic_subderivative``,
 ``critical_cone``, ``lipschitz_bound``, ``domain_project`` and, for its part
-of the composite chain rule, ``primal_value``: the closed-form minimum of the parabolic subderivative
-over the pulled-back second-order directions (no default).
+of the composite chain rule, ``primal_value``: the closed-form minimum of the
+parabolic subderivative over the pulled-back second-order directions (no
+default).
 The other defaults fit a finite multiplier list and a full domain:
 
 - ``dual_value`` maximizes over the materialized multipliers one by one; a
