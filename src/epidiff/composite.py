@@ -7,46 +7,31 @@ multiplier set truncated to the tau-ball box; the primal side minimizes the
 parabolic chain value minus <z, v>.  This module does the problem-level work.
 ``multipliers`` evaluates one base point (x, v) once: its ``MultiplierSet``
 is the per-point record that carries z = F(x), J = dF(x), the multipliers
-built from the shape of the subdifferential, and the critical cone pulled
-back under J.  Every chain-rule function reads the base point from that
-record and adds only the per-direction work.  Each catalog member answers for
-its own pieces of the chain rule (``dual_value``, ``primal_value``,
-``basic_cq`` of ``OuterFunction``): exact LPs for polyhedral data, a
-conjugate value at the multiplier for the spectral members, and closed forms
-for smooth data.  Every primal value is a closed form.
+that the subdifferential's representation builds, and the critical cone
+that the outer cone pulls back under J.  Every chain-rule function reads the
+base point from that record and adds only the per-direction work; no
+function here asks which representation it holds.  Each catalog member
+answers for its own pieces of the chain rule (``dual_value``,
+``primal_value``, ``basic_cq`` of ``OuterFunction``): exact LPs for
+polyhedral data, a conjugate value at the multiplier for the spectral
+members, and closed forms for smooth data.  Every primal value is a closed
+form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .core import CompositeProblem, jacobian, poly_eval, second_form
-from .errors import (
-    BasePointInfeasible,
-    CriticalConePreconditionFailed,
-    EmptyMultiplierSet,
-    PointNotInDomain,
-    UnsupportedSpectralMultiplicity,
-    UnsupportedTag,
-)
+from .errors import BasePointInfeasible, CriticalConePreconditionFailed, EmptyMultiplierSet, PointNotInDomain
 from .extreal import CAP, PLUS_INF, ExtReal
-from .numkit import PolyCone, Polyhedron, box, intersect, min_norm_point, operator_norm, row_norms, vertices
-from .numkit.polyhedra import is_empty
+from .numkit import Polyhedron, intersect, min_norm_point, operator_norm, row_norms
 from .oracle import SampledFunction
-from .outer import (
-    OuterFunction,
-    PointRep,
-    PolyhedralConeRepr,
-    PolyhedronRep,
-    PredicateConeRepr,
-    SpectralRep,
-)
-
-AFFINE_TOL = 1e-8
+from .outer import OuterFunction
 
 
 @dataclass
@@ -83,22 +68,7 @@ class MultiplierSet:
         same for every multiplier, so the first one is used."""
         if self.is_empty:
             raise EmptyMultiplierSet("v is not a subgradient of g(F(.)) at x")
-        outer_cone = self.g.critical_cone(self.z, self.first())
-        J = self.J
-        if isinstance(outer_cone, PolyhedralConeRepr):
-            K = outer_cone.cone
-            return PolyhedralConeRepr(
-                PolyCone.make_cone(
-                    J.shape[1],
-                    K.G @ J if K.n_ineq else None,
-                    K.E @ J if K.n_eq else None,
-                ),
-                description="pullback of the outer critical cone",
-            )
-        return PredicateConeRepr(
-            lambda w: outer_cone.contains(J @ np.asarray(w, dtype=float)),
-            description="pullback membership of the outer critical cone",
-        )
+        return self.g.critical_cone(self.z, self.first()).pullback(self.J)
 
     def ball_argmax(self, H, argmax):
         """The dual maximum of <y, H> is attained inside the Euclidean
@@ -161,9 +131,9 @@ def multipliers(
     prob: CompositeProblem, x, v, kappa: float = 1.0, ell: float | None = None
 ) -> MultiplierSet:
     """The record of the base point (x, v): F(x), dF(x) and the multiplier
-    set, materialized as tau-box-truncated vertices for polyhedral
-    subdifferentials and as the unique candidate for spectral or singleton
-    subdifferentials."""
+    set, which the representation of the subdifferential materializes
+    (``multiplier_set``): tau-box-truncated vertices of a polyhedron, the
+    unique candidate of a spectral set or a singleton."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     z = poly_eval(prob.F, x)
@@ -173,49 +143,7 @@ def multipliers(
     if ell is None:
         ell = prob.g.lipschitz_bound(z)
     tau = tau_bound(J, v, kappa, ell)
-    make = partial(MultiplierSet, prob.g, z, J, tau)
-    rep = prob.g.subdifferential(z)
-
-    def _affine_ok(y) -> bool:
-        return float(np.linalg.norm(J.T @ y - v)) <= AFFINE_TOL * (1.0 + np.linalg.norm(v))
-
-    if isinstance(rep, PolyhedronRep):
-        core = intersect(
-            rep.polyhedron, Polyhedron.make(prob.m, E=J.T, d=v)
-        )
-        tau_eff, enlargements = max(tau, 1e-6), 0
-        for _ in range(6):
-            verts = vertices(intersect(core, box(prob.m, tau_eff)))  # [] when empty
-            if verts:
-                break
-            if is_empty(core):
-                return make([], None, True)
-            tau_eff *= 2.0
-            enlargements += 1
-        kept = [y for y in verts if _affine_ok(y) and rep.contains(y, 1e-7)]
-        return make(kept, intersect(core, box(prob.m, tau_eff)), True, enlargements, verts)
-
-    if isinstance(rep, PointRep):
-        y0 = rep.point
-        return make([y0] if _affine_ok(y0) else [])
-
-    if isinstance(rep, SpectralRep):
-        unique = rep.unique_element()
-        if unique is not None:
-            return make([unique] if _affine_ok(unique) else [])
-        # clustered spectrum: only an injective adjoint pins y
-        JT = J.T
-        s = np.linalg.svd(JT, compute_uv=False)
-        rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 1.0)))
-        if rank < prob.m:
-            raise UnsupportedSpectralMultiplicity(
-                "clustered leading eigenvalue with a non-unique multiplier candidate"
-            )
-        y, *_ = np.linalg.lstsq(JT, v, rcond=None)
-        ok = _affine_ok(y) and rep.contains(y, 1e-7)
-        return make([y] if ok else [])
-
-    raise UnsupportedTag(f"unknown subdifferential representation {type(rep).__name__}")
+    return MultiplierSet(prob.g, z, J, tau, **prob.g.subdifferential(z).multiplier_set(J, v, tau))
 
 
 # -- constraint qualifications ------------------------------------------------------

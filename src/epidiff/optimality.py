@@ -24,9 +24,8 @@ from .composite import (
 from .core import CompositeProblem, component_hessian, gradient, hessian, poly_eval
 from .errors import EpidiffError, NotStationary
 from .extreal import PLUS_INF, ExtReal
-from .numkit import SymMatrix, dedupe, project, row_norms
+from .numkit import SymMatrix, dedupe, row_norms
 from .numkit.polyhedra import DEDUP_TOL
-from .outer import PolyhedralConeRepr
 
 SONC_TOL = 1e-6
 SSOSC_TOL = 1e-6
@@ -115,52 +114,19 @@ def _unit_sphere_seeds(dim: int, count: int, rng) -> list[np.ndarray]:
     return list(raw)
 
 
-def _project_to_cone(cone, w: np.ndarray) -> np.ndarray | None:
-    """Nearest cone point, renormalized; None when the projection vanishes."""
-    if isinstance(cone, PolyhedralConeRepr):
-        p = project(cone.cone, w)
-    else:
-        p = w if cone.contains(w) else None
-    if p is None:
-        return None
-    nrm = float(np.linalg.norm(p))
-    if nrm <= 1e-9:
-        return None
-    return p / nrm
-
-
 def sample_critical_directions(prob, ms: MultiplierSet, n_dirs: int, seed: int, dense: bool = False):
-    """Extreme rays of the polyhedral critical cone of the multiplier set
-    plus projected random (or sphere-lattice) unit directions.
-
-    Predicate cones (spectral instances) are handled by pulling a random image
-    direction onto the outer critical cone and solving it back through the
-    Jacobian when the catalog member exposes a projection."""
+    """The unit directions the critical cone of the multiplier set gives
+    for random unit seeds, or with dense a sphere lattice, without repeats:
+    a polyhedral cone's extreme rays and projected seeds, or the seeds a
+    predicate cone contains or lifts (``CriticalConeRepr.directions``)."""
     rng = np.random.default_rng(seed)
-    cone, J = ms.cone, ms.J
-    dirs: list[np.ndarray] = []
-    if isinstance(cone, PolyhedralConeRepr):
-        dirs.extend(cone.directions())
-    project_critical = getattr(prob.g, "project_critical", None)
     if dense:
         # deterministic sphere lattice for minimization coverage
         seeds = _unit_sphere_seeds(prob.n, 64 * n_dirs, rng)
     else:
         raw = rng.standard_normal((n_dirs, prob.n))
         seeds = list(raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300))
-    for s in seeds:
-        p = _project_to_cone(cone, s)
-        if p is None and project_critical is not None:
-            u = project_critical(ms.z, ms.first(), J @ s)
-            sol, *_ = np.linalg.lstsq(J, u, rcond=None)
-            nrm = float(np.linalg.norm(sol))
-            if nrm > 1e-9:
-                cand = sol / nrm
-                if cone.contains(cand):
-                    p = cand
-        if p is not None and cone.contains(p):
-            dirs.append(p)
-    return dedupe(dirs, DEDUP_TOL)
+    return dedupe(ms.cone.directions(seeds), DEDUP_TOL)
 
 
 def check_sonc(prob: CompositeProblem, base, n_dirs: int = 16, seed: int = 0) -> SOCReport:
@@ -168,7 +134,7 @@ def check_sonc(prob: CompositeProblem, base, n_dirs: int = 16, seed: int = 0) ->
     the condition value is nonnegative on every tested critical direction."""
     x, v, ms, phi_hess = base
     dirs = sample_critical_directions(prob, ms, n_dirs, seed)
-    method = "extreme_rays" if isinstance(ms.cone, PolyhedralConeRepr) else "sphere_grid"
+    method = ms.cone.method
     if not dirs:
         return SOCReport("necessary", True, None, ExtReal(0.0), 0, method)
     worst_val, worst_dir = None, None
@@ -192,7 +158,7 @@ def _sphere_refine(val_fn, cone, w0: np.ndarray, f0: float):
             for sgn in (1.0, -1.0):
                 cand = w.copy()
                 cand[i] += sgn * step
-                p = _project_to_cone(cone, cand)
+                p = cone.project(cand)
                 if p is None:
                     continue
                 val = val_fn(p)
@@ -214,13 +180,11 @@ def check_ssosc(prob: CompositeProblem, base, n_dirs: int = 16, seed: int = 0) -
     (an interior direction can be the minimizer in wider cones)."""
     x, v, ms, phi_hess = base
     cone = ms.cone
-    exact_rays = isinstance(cone, PolyhedralConeRepr) and cone.dimension() <= 1
-    if exact_rays:
-        dirs = cone.directions()
-        method = "extreme_rays"
-    else:
+    dirs = cone.exact_directions()
+    exact_rays = dirs is not None
+    if not exact_rays:
         dirs = sample_critical_directions(prob, ms, n_dirs, seed, dense=True)
-        method = "sphere_grid"
+    method = "extreme_rays" if exact_rays else "sphere_grid"
     if not dirs:
         # the critical cone is {0}: the condition over nonzero directions is vacuous
         return SOCReport("sufficient", True, None, PLUS_INF, 0, method)

@@ -85,11 +85,11 @@ class SampledFunction:
         return out
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """values, checked: a finite row below NEG_GUARD raises."""
+        """values, checked as value checks a point: the first row that is
+        NaN or below NEG_GUARD is valued alone, which raises."""
         vals = self.values(X)
-        finite = vals[np.isfinite(vals)]
-        if finite.size and float(finite.min()) < NEG_GUARD:
-            raise NegativeInfinityDetected(self.description or "sampled function")
+        if not (vals >= NEG_GUARD).all():
+            self.value(np.atleast_2d(np.asarray(X, dtype=float))[np.argmax(~(vals >= NEG_GUARD))])
         return vals
 
 
@@ -124,10 +124,8 @@ def delta2_quotient(f: SampledFunction, x, v, t: float, w) -> ExtReal:
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     f0 = _base_value(f, x)
-    fx = f.value(x + t * w)
-    if not fx.is_finite:
-        return PLUS_INF
-    return ExtReal((fx.value - f0 - t * float(v @ w)) / (0.5 * t * t))
+    quot = _quotients(np.array([f.value(x + t * w).as_float()]), f0, t * float(v @ w), 0.5 * t * t)[0]
+    return PLUS_INF if math.isnan(quot) else ExtReal(quot)
 
 
 # -- per-level search ---------------------------------------------------------
@@ -286,7 +284,8 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
     A chunk of centers is valued at every level in one eval_batch of at most
     Z_BATCH_ROWS rows (or of one center), and scored by the quotient formula
     of the polls.  A ball point whose evaluation fails (NaN, or below
-    NEG_GUARD) raises here, before any rescue, as valuing it alone does.
+    NEG_GUARD) raises in eval_batch, before any rescue, as valuing it alone
+    does.
     Each search starts at its best ball point, the first on ties, or, where
     the whole ball lies outside the domain, at its center, restored when f
     can restore: all such centers in one stack, each charged one rescue.
@@ -321,12 +320,6 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
         val[lost] = math.inf
         return val, np.where(lost[:, None], P, cand)
 
-    def raise_failed(best, points):
-        iz, jz = np.nonzero(best == -math.inf)
-        if iz.size:
-            f.value(bases[jz[0]] + scale[jz[0]] * points[iz[0], jz[0]])  # raises, as valuing it alone does
-            raise NegativeInfinityDetected(f.description or "sampled function")
-
     best, points = np.full((n, k), math.inf), np.repeat(centers[:, None, :], k, axis=1)
     chunk = max(1, Z_BATCH_ROWS // sum(len(offsets) for _, _, offsets in balls))
     for lo in range(0, n, chunk):
@@ -338,7 +331,6 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
             quot[np.isnan(quot)] = math.inf  # outside the domain
             rows, idx = np.arange(len(c)), np.argmin(quot, axis=1)
             best[lo:lo + chunk, j], points[lo:lo + chunk, j] = quot[rows, idx], c[rows, idx]
-    raise_failed(best, points)
     iz, jz = np.nonzero(best == math.inf)  # center by center, level by level
     points[iz, jz] = centers[iz]
     if f.restore_feasible is not None and iz.size:
@@ -350,7 +342,10 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
                                     np.where(np.isfinite(best), radii, 0.0).ravel(), [lin] if along else [],
                                     rescue=rescue, rescues=left.ravel())
         best, points = np.reshape(vals, (n, k)), pts.reshape(n, k, dim)
-    raise_failed(best, points)
+    iz, jz = np.nonzero(best == -math.inf)
+    if iz.size:
+        f.value(bases[jz[0]] + scale[jz[0]] * points[iz[0], jz[0]])  # raises, as valuing it alone does
+        raise NegativeInfinityDetected(f.description or "sampled function")
     return best, points
 
 

@@ -8,12 +8,14 @@ All operations are pure; instances are immutable after construction.
 A new member implements ``value_batch`` (g at each row of an (N, dim)
 stack, +inf off dom g, each row bit for bit the same whatever else the stack
 holds; ``value`` at a point is its stack of one row, and no member overrides
-it), ``subdifferential`` (in one of the three shapes of ``reprs``),
-``subderivative``, ``second_subderivative``, ``parabolic_subderivative``,
-``critical_cone``, ``lipschitz_bound``, ``domain_project`` and, for its part
-of the composite chain rule, ``primal_value``: the closed-form minimum of the
-parabolic subderivative over the pulled-back second-order directions (no
-default).
+it), ``subdifferential`` (one of the three shapes of ``reprs``, which builds
+its own ``multiplier_set``), ``subderivative``, ``second_subderivative``,
+``parabolic_subderivative``, ``critical_cone`` (a ``reprs`` cone, which
+answers for its ``pullback``, ``project`` and ``directions``, given a ``lift``
+toward the cone where sampling needs one), ``lipschitz_bound``,
+``domain_project`` and, for its part of the composite chain rule,
+``primal_value``: the closed-form minimum of the parabolic subderivative over
+the pulled-back second-order directions (no default).
 The other defaults fit a finite multiplier list and a full domain:
 
 - ``dual_value`` maximizes over the materialized multipliers one by one; a

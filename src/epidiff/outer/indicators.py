@@ -320,7 +320,8 @@ class NegSemidefIndicator(_Indicator):
             pairing = float(np.tensordot(V, W))
             return abs(pairing) <= 1e-8 * (1.0 + np.linalg.norm(V) * np.linalg.norm(W))
 
-        return PredicateConeRepr(pred, description="tangent directions orthogonal to the multiplier")
+        return PredicateConeRepr(pred, "tangent directions orthogonal to the multiplier",
+                                 lambda w: self.project_critical(z, y, w))
 
     def project_critical(self, z, y, w, iters: int = 25) -> np.ndarray:
         """Alternating projection of a direction onto the critical cone at

@@ -5,25 +5,46 @@ V-representation data, since downstream consumers need both), spectral sets
 of the form smooth-part + E Theta E^T over a bounded trace-constrained Theta,
 and singletons.  Critical cones are either explicit polyhedral cones or
 membership predicates.
+
+Each answers for its own shape, so the calculus never asks which one it
+holds: a subdifferential builds its ``multiplier_set`` under J = dF(x), and a
+critical cone gives its ``pullback`` under J, ``project`` and ``directions``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from ..numkit import PolyCone, Polyhedron, cone_generators, sym_eig, svec, smat
-from ..numkit.polyhedra import residuals
+from ..errors import UnsupportedSpectralMultiplicity, UnsupportedTag
+from ..numkit import PolyCone, Polyhedron, box, cone_generators, intersect, project, sym_eig, svec, smat, vertices
+from ..numkit.polyhedra import is_empty, residuals
+
+AFFINE_TOL = 1e-8
+
+
+def _affine_ok(J, v, y) -> bool:
+    """Whether adj(J) y = v, to AFFINE_TOL relative to |v|."""
+    return float(np.linalg.norm(J.T @ y - v)) <= AFFINE_TOL * (1.0 + np.linalg.norm(v))
+
+
+def _unit(p) -> np.ndarray | None:
+    """p normalized; None when p is None or vanishes."""
+    nrm = 0.0 if p is None else float(np.linalg.norm(p))
+    return None if nrm <= 1e-9 else p / nrm
 
 
 class SubdiffRepr:
     def contains(self, y, tol: float = 1e-8) -> bool:
         raise NotImplementedError
 
-    def unique_element(self) -> np.ndarray | None:
-        raise NotImplementedError
+    def multiplier_set(self, J, v, tau: float) -> dict:
+        """The multipliers {y in this set : adj(J) y = v} for J = dF(x), as
+        keyword fields of the composite's MultiplierSet."""
+        raise UnsupportedTag(f"unknown subdifferential representation {type(self).__name__}")
 
 
 @dataclass
@@ -38,15 +59,23 @@ class PolyhedronRep(SubdiffRepr):
     def contains(self, y, tol: float = 1e-8) -> bool:
         return residuals(self.polyhedron, np.asarray(y, dtype=float)) <= tol
 
-    def unique_element(self) -> np.ndarray | None:
-        if self.rays or self.lines:
-            return None
-        pts = [np.asarray(p, dtype=float) for p in self.points]
-        if not pts:
-            return None
-        if all(np.max(np.abs(p - pts[0])) <= 1e-10 for p in pts):
-            return pts[0]
-        return None
+    def multiplier_set(self, J, v, tau: float) -> dict:
+        """The vertices of the multiplier polyhedron cut to the tau box,
+        the box doubled (at most six times) while it cuts out nothing."""
+        m = J.shape[0]
+        core = intersect(self.polyhedron, Polyhedron.make(m, E=J.T, d=v))
+        tau_eff, enlargements = max(tau, 1e-6), 0
+        for _ in range(6):
+            verts = vertices(intersect(core, box(m, tau_eff)))  # [] when empty
+            if verts:
+                break
+            if is_empty(core):
+                return dict(multipliers=[], truncated=True)
+            tau_eff *= 2.0
+            enlargements += 1
+        kept = [y for y in verts if _affine_ok(J, v, y) and self.contains(y, 1e-7)]
+        return dict(multipliers=kept, polyhedron=intersect(core, box(m, tau_eff)), truncated=True,
+                    tau_enlargements=enlargements, vertices=verts)
 
 
 @dataclass
@@ -92,6 +121,22 @@ class SpectralRep(SubdiffRepr):
             return svec(self.base + self.basis @ self.basis.T)
         return None
 
+    def multiplier_set(self, J, v, tau: float) -> dict:
+        """The unique element, or with a clustered spectrum the one y that
+        an injective adjoint pins."""
+        y = self.unique_element()
+        if y is not None:
+            return dict(multipliers=[y] if _affine_ok(J, v, y) else [])
+        s = np.linalg.svd(J.T, compute_uv=False)
+        rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 1.0)))
+        if rank < J.shape[0]:
+            raise UnsupportedSpectralMultiplicity(
+                "clustered leading eigenvalue with a non-unique multiplier candidate"
+            )
+        y, *_ = np.linalg.lstsq(J.T, v, rcond=None)
+        ok = _affine_ok(J, v, y) and self.contains(y, 1e-7)
+        return dict(multipliers=[y] if ok else [])
+
 
 @dataclass
 class PointRep(SubdiffRepr):
@@ -103,49 +148,110 @@ class PointRep(SubdiffRepr):
             1.0 + float(np.max(np.abs(self.point), initial=0.0))
         )
 
-    def unique_element(self) -> np.ndarray:
-        return self.point
+    def multiplier_set(self, J, v, tau: float) -> dict:
+        return dict(multipliers=[self.point] if _affine_ok(J, v, self.point) else [])
 
 
 class CriticalConeRepr:
+    """A critical cone; the defaults know it by membership alone."""
+
     description: str = ""
+    method: str = "sphere_grid"  # how ``directions`` covers the cone
 
     def contains(self, w, tol: float = 1e-8) -> bool:
         raise NotImplementedError
+
+    def pullback(self, J) -> CriticalConeRepr:
+        """The cone {w : J w in this cone}."""
+        raise NotImplementedError
+
+    def project(self, w) -> np.ndarray | None:
+        """The nearest cone point to w, normalized; None when it vanishes
+        (by membership alone: w itself or no point)."""
+        return _unit(w if self.contains(w) else None)
+
+    def direction(self, w) -> np.ndarray | None:
+        """The unit cone direction a sampled seed w leads to, or None."""
+        return self.project(w)
+
+    def directions(self, seeds=()) -> list[np.ndarray]:
+        """The cone's own unit generators (none by default), then the
+        direction of each seed that the cone contains."""
+        return [p for p in map(self.direction, seeds) if p is not None and self.contains(p)]
+
+    def exact_directions(self) -> list[np.ndarray] | None:
+        """Unit directions that cover the cone's unit sphere exactly, or None."""
+        return None
 
 
 @dataclass
 class PolyhedralConeRepr(CriticalConeRepr):
     cone: PolyCone
     description: str = "polyhedral critical cone"
+    method = "extreme_rays"
 
     def contains(self, w, tol: float = 1e-8) -> bool:
         w = np.asarray(w, dtype=float)
         return residuals(self.cone, w) <= tol * (1.0 + float(np.linalg.norm(w)))
 
-    def directions(self) -> list[np.ndarray]:
-        """Normalized extreme rays, with lineality contributing both signs."""
-        rays, lines = cone_generators(self.cone)
-        out = list(rays)
-        for l in lines:
-            out.append(l / np.linalg.norm(l))
-            out.append(-l / np.linalg.norm(l))
-        return out
+    def pullback(self, J) -> PolyhedralConeRepr:
+        K = self.cone
+        return PolyhedralConeRepr(
+            PolyCone.make_cone(J.shape[1], K.G @ J if K.n_ineq else None, K.E @ J if K.n_eq else None),
+            description="pullback of the outer critical cone",
+        )
+
+    def project(self, w) -> np.ndarray | None:
+        return _unit(project(self.cone, w))
+
+    @cached_property
+    def _generators(self):  # (rays, lines), enumerated once per cone
+        return cone_generators(self.cone)
+
+    def directions(self, seeds=()) -> list[np.ndarray]:
+        """Normalized extreme rays, with lineality contributing both signs,
+        then the seeds' projections."""
+        rays, lines = self._generators
+        signed = [sgn * l / np.linalg.norm(l) for l in lines for sgn in (1.0, -1.0)]
+        return list(rays) + signed + super().directions(seeds)
+
+    def exact_directions(self) -> list[np.ndarray] | None:
+        """The generators, when the cone has dimension <= 1."""
+        return self.directions() if self.dimension() <= 1 else None
 
     def dimension(self) -> int:
-        rays, lines = cone_generators(self.cone)
-        vecs = rays + lines
-        if not vecs:
+        rays, lines = self._generators
+        if not rays + lines:
             return 0
-        M = np.vstack(vecs)
-        s = np.linalg.svd(M, compute_uv=False)
+        s = np.linalg.svd(np.vstack(rays + lines), compute_uv=False)
         return int(np.sum(s > 1e-9 * max(1.0, s[0])))
 
 
 @dataclass
 class PredicateConeRepr(CriticalConeRepr):
+    """A cone known by a membership predicate; lift, when given, maps a seed
+    the cone does not contain to a point near the cone."""
+
     predicate: Callable[[np.ndarray], bool]
     description: str = "critical cone membership predicate"
+    lift: Callable[[np.ndarray], np.ndarray] | None = None
 
     def contains(self, w, tol: float = 1e-8) -> bool:
         return bool(self.predicate(np.asarray(w, dtype=float)))
+
+    def pullback(self, J) -> PredicateConeRepr:
+        """Membership of J w; the lift takes the outer lift of J s back
+        through J by least squares."""
+        lift = self.lift and (lambda s: np.linalg.lstsq(J, self.lift(J @ s), rcond=None)[0])
+        return PredicateConeRepr(
+            lambda w: self.contains(J @ np.asarray(w, dtype=float)),
+            "pullback membership of the outer critical cone",
+            lift,
+        )
+
+    def direction(self, w) -> np.ndarray | None:
+        p = self.project(w)
+        if p is not None or self.lift is None:
+            return p
+        p = _unit(self.lift(w))
+        return p if p is not None and self.contains(p) else None

@@ -33,10 +33,7 @@ def _tol(value: float) -> float:
 
 
 def _critical_directions(g, z, y, rng, count):
-    from epidiff.optimality import _project_to_cone
-
     cone = g.critical_cone(z, y)
-    spectral_project = getattr(g, "project_critical", None)
     dirs = []
     attempts = 0
     while len(dirs) < count and attempts < 60 * count:
@@ -44,14 +41,9 @@ def _critical_directions(g, z, y, rng, count):
         cand = rng.standard_normal(g.ambient_dim)
         cand /= np.linalg.norm(cand)
         if not cone.contains(cand):
-            projected = _project_to_cone(cone, cand)
-            if projected is None and spectral_project is not None:
-                raw = spectral_project(z, y, cand)
-                nrm = np.linalg.norm(raw)
-                projected = raw / nrm if nrm > 1e-9 else None
-            if projected is None or not cone.contains(projected):
+            cand = cone.direction(cand)
+            if cand is None or not cone.contains(cand):
                 continue
-            cand = projected
         dirs.append(cand)
     return dirs
 

@@ -614,6 +614,22 @@ def test_a_nan_on_a_ball_point_raises_before_any_rescue():
     assert restored == []
 
 
+def test_a_nan_on_a_first_order_ball_point_raises():
+    """f(y) = -y on y <= 0, +inf above, NaN on -1.1 < y < -0.9, along w = 1:
+    the fixed ray is +inf at every level, so the first-order estimate falls
+    back on its balls, and the ball of t = 1 (radius 4) holds y = -1.  That
+    point raises UndefinedValue, as it does on the fixed ray, instead of
+    being skipped (the estimate read 1.0)."""
+
+    def value(Y):
+        y = Y[:, 0]
+        return np.where((y > -1.1) & (y < -0.9), math.nan, np.where(y <= 0.0, -y, math.inf))
+
+    sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=5, radius_coeff=4.0)
+    with pytest.raises(UndefinedValue):
+        estimate_subderivative(SampledFunction(value, 1), np.zeros(1), np.ones(1), sched)
+
+
 def test_searches_value_each_ball_point_once_and_restore_empty_balls_in_one_stack():
     """F(x) = x2 - x1^2 into R_-, along the outward w = (0, 1): the balls of
     most levels hold no feasible point.  Before its first restoration, the

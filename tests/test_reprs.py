@@ -1,0 +1,95 @@
+"""Representations answer for their own shape: the multiplier set, the
+pulled-back critical cone and its directions come from methods of the
+representation, and the composite calculus never asks which class it holds."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from epidiff.cli import run
+from epidiff.composite import multipliers
+from epidiff.errors import UnsupportedTag
+from epidiff.numkit import PolyCone
+from epidiff.outer import NegSemidefIndicator, PolyhedralConeRepr, PredicateConeRepr, SubdiffRepr, reprs
+
+from _instances import a1_problem, psd_base_data
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "epidiff"
+FIXTURE = str(Path(__file__).resolve().parent / "fixtures" / "a1_parabola.json")
+
+
+class _UnknownRep(SubdiffRepr):
+    pass
+
+
+def test_an_unknown_representation_raises_unsupported_tag(monkeypatch):
+    prob = a1_problem()
+    monkeypatch.setattr(type(prob.g), "subdifferential", lambda self, z: _UnknownRep())
+    with pytest.raises(UnsupportedTag, match="_UnknownRep"):
+        multipliers(prob, np.zeros(2), np.array([0.0, 1.0]))
+    code, text = run(["analyze", FIXTURE])
+    assert code == 2 and "_UnknownRep" in text
+
+
+def test_a_pulled_back_cone_holds_w_exactly_when_the_cone_holds_j_w():
+    rng = np.random.default_rng(7)
+    G = rng.standard_normal((3, 3))
+    outer = [PolyhedralConeRepr(PolyCone.make_cone(3, G)),
+             PredicateConeRepr(lambda u: bool(np.all(G @ u <= 0.0)))]
+    for cone in outer:
+        J = rng.standard_normal((3, 2))
+        back = cone.pullback(J)
+        seen = set()
+        for w in rng.standard_normal((300, 2)):
+            held = back.contains(w)
+            assert held == cone.contains(J @ w)
+            seen.add(held)
+        assert seen == {True, False}
+
+
+def test_every_direction_of_a_pulled_back_semidefinite_cone_is_a_member():
+    """The semidefinite critical cone is thin, so nearly every seed reaches
+    it through the lift that the pulled-back cone solves back through J."""
+    z, y = psd_base_data()
+    rng = np.random.default_rng(3)
+    J = rng.standard_normal((3, 3))
+    cone = NegSemidefIndicator(2).critical_cone(z, y).pullback(J)
+    seeds = rng.standard_normal((40, 3))
+    seeds /= np.linalg.norm(seeds, axis=1, keepdims=True)
+    assert not any(cone.contains(s) for s in seeds)
+    dirs = cone.directions(seeds)
+    assert len(dirs) >= 20
+    for w in dirs:
+        assert cone.contains(w)
+        assert np.linalg.norm(w) == pytest.approx(1.0)
+
+
+def _representation_classes() -> set[str]:
+    return {name for name, obj in vars(reprs).items()
+            if inspect.isclass(obj) and issubclass(obj, (reprs.SubdiffRepr, reprs.CriticalConeRepr))}
+
+
+@pytest.mark.parametrize("module", ["composite.py", "optimality.py"])
+def test_the_calculus_does_not_dispatch_on_representations(module):
+    """No isinstance test on a representation class, and no getattr or
+    hasattr probe of a catalog member (prob.g, or any .g), in the modules
+    that apply the chain rule and the optimality conditions."""
+    classes = _representation_classes()
+    found = []
+    for node in ast.walk(ast.parse((SRC / module).read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args):
+            continue
+        if node.func.id == "isinstance" and len(node.args) == 2:
+            named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            named |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+            if named & classes:
+                found.append((node.lineno, ast.unparse(node)))
+        if node.func.id in ("getattr", "hasattr"):
+            target = node.args[0]
+            if (isinstance(target, ast.Attribute) and target.attr == "g") or (
+                    isinstance(target, ast.Name) and target.id == "g"):
+                found.append((node.lineno, ast.unparse(node)))
+    assert not found, found
