@@ -28,6 +28,7 @@ from ..numkit import (
     svec,
     svec_dim,
     sym_eig,
+    sym_eigvals,
     tangent_cone,
 )
 from ..numkit.polyhedra import (
@@ -239,8 +240,13 @@ class NegSemidefIndicator(_Indicator):
     # -- catalog operations -------------------------------------------------------
 
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
+        """0 where the largest eigenvalue from numkit.sym_eigvals is at most
+        INDICATOR_FEAS_TOL * (1 + |M|_F), +inf elsewhere and on a matrix with
+        a non-finite entry.  The closed forms take their eigenvalues from the
+        Jacobi solver sym_eig instead, so the values the oracle samples come
+        from another eigensolver than the formulas it checks."""
         mats = smat(np.atleast_2d(np.asarray(Z, dtype=float)))
-        lam_max = np.linalg.eigvalsh(mats)[:, -1]
+        lam_max = sym_eigvals(mats)[:, -1]
         tol = INDICATOR_FEAS_TOL * (1.0 + row_norms(mats.reshape(-1, self.n * self.n)))
         return np.where(lam_max <= tol, 0.0, np.inf)
 
@@ -364,9 +370,9 @@ class NegSemidefIndicator(_Indicator):
             return r == 0
         tol = 1e-9
         if r == 1:
-            lams = np.linalg.eigvalsh(smat(K[:, 0]))
+            lams = sym_eigvals(smat(K[:, 0][None]))[0]
             return lams[0] < -tol and lams[-1] > tol  # indefinite: no cone point
-        lams = np.linalg.eigvalsh(smat(np.cross(K[:, 0], K[:, 1])))
+        lams = sym_eigvals(smat(np.cross(K[:, 0], K[:, 1])[None]))[0]
         return lams[0] > tol or lams[-1] < -tol  # definite normal: plane misses the cone
 
     def _spectra(self, z):

@@ -5,7 +5,11 @@ start of the i-th eigenvalue's cluster at the base point F(x), and for s > 0
 is not convex.  g is C^2-reducible wherever lambda_s > lambda_(s+1) (Torki
 2001) and (i - s)-Lipschitz (Hoffman & Wielandt 1953).
 
-The value is the plain sum.  The closed forms cluster eigenvalues within
+The value is the plain sum of the eigenvalues that numkit.sym_eigvals
+gives (a closed form for n <= 2, LAPACK above).  The closed forms take
+their eigenvalues and eigenvectors from the Jacobi solver sym_eig instead,
+so the values the oracle samples come from another eigensolver than the
+formulas it checks.  The closed forms cluster eigenvalues within
 gap_tol = 1e-8 * (1 + |A|) of each other, and split g into a smooth sum
 (ranks s+1 up to the i-th eigenvalue's cluster) and a partial cluster sum.
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from ..errors import UnsupportedSpectralMultiplicity
 from ..extreal import PLUS_INF, ExtReal
-from ..numkit import cluster_tol, eigen_pinv, smat, svec, svec_dim, sym_eig
+from ..numkit import cluster_tol, eigen_pinv, smat, svec, svec_dim, sym_eig, sym_eigvals
 from .base import OuterFunction
 from .reprs import PredicateConeRepr, SpectralRep
 
@@ -122,7 +126,7 @@ class EigSumFunction(OuterFunction):
 
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
         mats = smat(np.atleast_2d(np.asarray(Z, dtype=float)))
-        return np.linalg.eigvalsh(mats)[:, ::-1][:, self.s : self.i].sum(axis=1)
+        return sym_eigvals(mats)[:, ::-1][:, self.s : self.i].sum(axis=1)
 
     def subdifferential(self, z):
         A = _to_mat(z)

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 from pathlib import Path
@@ -122,6 +123,67 @@ def test_stacked_sym_eig_matches_the_per_matrix_jacobi(n, kinds, scale, seed):
         one_lam, one_Q = sym_eig(A)
         assert _same_bits(lam, ref_lam) and _same_bits(Q, ref_Q)
         assert _same_bits(one_lam, ref_lam) and _same_bits(one_Q, ref_Q)
+
+
+_TINY = np.finfo(float).tiny
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-150, 150)),
+    st.floats(-_TINY, _TINY, allow_subnormal=True),
+)
+_ROW = st.one_of(st.tuples(_ENTRY, _ENTRY, _ENTRY), _ENTRY.map(lambda a: (a, 0.0, a)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ROW, min_size=1, max_size=8))
+@example([(1e308, 0.0, 1e308), (1e308, 5e307, 1e308), (-1e308, 0.0, 1e308)])
+def test_two_by_two_eigenvalues_match_lapack_row_by_row(rows):
+    """The closed form is within 4 eps |M|_F of LAPACK on every row, at any
+    scale, at ties and on zero or subnormal entries (plus two units of the
+    smallest subnormal, which halving a subnormal entry may round away).
+    The example is finite where (a + c)/2 overflows.  Each row of a stack
+    is bit for bit the matrix valued alone."""
+    M = np.array([[[a, b], [b, c]] for a, b, c in rows])
+    lams = sym.sym_eigvals(M)
+    assert lams.shape == (len(rows), 2) and (lams[:, 0] <= lams[:, 1]).all()
+    floor = 2.0 * np.finfo(float).smallest_subnormal
+    for A, lam, (a, b, c) in zip(M, lams, rows):
+        bound = 4.0 * np.finfo(float).eps * math.hypot(a, b, b, c) + floor
+        assert np.abs(lam - np.linalg.eigvalsh(A)).max() <= bound
+        assert _same_bits(lam, sym.sym_eigvals(A[None])[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_matrix_with_a_non_finite_entry_has_no_eigenvalues(n):
+    """Every eigenvalue of a matrix with a NaN or infinite entry is NaN
+    (LAPACK reads [[nan, 0], [0, 0]] as [0, -0]); the finite matrices of the
+    stack keep the values they have alone."""
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((7, n, n))
+    M = M + M.swapaxes(1, 2)
+    for row, bad in zip((1, 3, 4, 6), (math.nan, math.inf, -math.inf, math.nan)):
+        M[row, -1, 0] = M[row, 0, -1] = bad
+    lams = sym.sym_eigvals(M)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    assert list(finite) == [True, False, True, False, False, True, False]
+    assert np.isnan(lams[~finite]).all()
+    assert _same_bits(lams[finite], sym.sym_eigvals(M[finite]))
+    assert np.allclose(lams[finite], np.linalg.eigvalsh(M[finite]), rtol=0.0, atol=1e-14)
+
+
+def test_lapack_eigenvalues_are_called_only_in_the_kernel():
+    """Every eigenvalue-only computation in the library goes through
+    numkit.sym.sym_eigvals, so no other module calls eigvalsh."""
+    src = Path(__file__).resolve().parent.parent / "src" / "epidiff"
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "eigvalsh":
+                    calls.append((path.relative_to(src).as_posix(), node.lineno))
+    assert calls and {file for file, _ in calls} == {"numkit/sym.py"}, calls
 
 
 def test_sym_eig_raises_when_the_sweeps_run_out(monkeypatch):

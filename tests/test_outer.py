@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epidiff.core import PolyMap
-from epidiff.errors import NotASubgradient, PointNotInDomain, UnsupportedSpectralMultiplicity
+from epidiff.errors import NotASubgradient, PointNotInDomain, UndefinedValue, UnsupportedSpectralMultiplicity
 from epidiff.extreal import PLUS_INF
 from epidiff.numkit import svec, smat
 from epidiff.outer import (
@@ -17,6 +17,7 @@ from epidiff.outer import (
     nonpositive_orthant,
     sum_top_eig,
 )
+from epidiff.outer.indicators import INDICATOR_FEAS_TOL
 
 from _instances import half_square_plq, max_of_coordinates_plq, outer_sampled, psd_base_data
 
@@ -31,6 +32,36 @@ def test_eval_examples():
     assert nsd.value(svec(np.diag([1.0, 0.0]))).is_plus_inf
     me = max_eig(2)
     assert me.value(svec(np.array([[0.0, 1.0], [1.0, 0.0]]))).value == pytest.approx(1.0)
+
+
+def test_a_nan_matrix_has_no_eigenvalue_sum():
+    """An eigenvalue sum of a matrix with a NaN entry is NaN, not the 0.0 that
+    LAPACK's [0, -0] for [[nan, 0], [0, 0]] would give, so the oracle raises
+    UndefinedValue; the semidefinite indicator keeps +inf there."""
+    Z = np.array([[0.0, 0.0, -1.0], [np.nan, 0.0, 0.0], [-1.0, 0.0, np.nan]])
+    for g in (max_eig(2), sum_top_eig(2, 2)):
+        vals = g.value_batch(Z)
+        assert vals[0] == g.value_batch(Z[:1])[0] and np.isnan(vals[1:]).all()
+        with pytest.raises(UndefinedValue):
+            outer_sampled(g).eval_batch(Z)
+    assert list(NegSemidefIndicator(2).value_batch(Z)) == [0.0, np.inf, np.inf]
+
+
+def test_semidefinite_indicator_at_its_tolerance_edge():
+    """Rows whose largest eigenvalue sits a millionth below the tolerance
+    INDICATOR_FEAS_TOL * (1 + |M|_F) read 0, and a millionth above read
+    +inf, in a stack as alone.  The rows are small (|M|_F near the
+    tolerance) and the closed form meets their largest eigenvalue to the
+    last bit or so, far inside the millionth."""
+    shapes = [lambda l: [[l, 0.0], [0.0, -l]], lambda l: [[0.0, l], [l, 0.0]],
+              lambda l: [[l, 0.0], [0.0, l]], lambda l: [[l, 0.0], [0.0, 0.0]],
+              lambda l: [[0.0, 0.0], [0.0, l]]]
+    tol = INDICATOR_FEAS_TOL * (1.0 + np.array([np.linalg.norm(s(INDICATOR_FEAS_TOL)) for s in shapes]))
+    Z = svec(np.array([s(t * f) for f in (1.0 - 1e-6, 1.0 + 1e-6) for s, t in zip(shapes, tol)]))
+    nsd = NegSemidefIndicator(2)
+    vals = nsd.value_batch(Z)
+    assert list(vals) == [0.0] * len(shapes) + [np.inf] * len(shapes)
+    assert list(vals) == [nsd.value_batch(z[None])[0] for z in Z]
 
 
 # -- subdifferentials ----------------------------------------------------------------
