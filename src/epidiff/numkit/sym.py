@@ -154,9 +154,10 @@ def sym_eigvals(M: np.ndarray) -> np.ndarray:
 
     n = 1 is the entry and n = 2 the closed form mid -+ hypot(a/2 - c/2, b)
     with mid = a/2 + c/2, halved before adding so that no finite matrix
-    overflows; n >= 3 goes to LAPACK one matrix at a time.  Values only:
-    the closed forms take their eigenvectors and clusters from sym_eig, so
-    the values an oracle samples never come from the solver they check.
+    overflows; n >= 3 goes to LAPACK one matrix at a time.  The catalog
+    values matrices with it, while its closed forms keep sym_eig, so an
+    oracle sampling those values never shares a solver with the formulas
+    it checks.
     """
     M = np.asarray(M, dtype=float)
     k, n = M.shape[0], M.shape[-1]
