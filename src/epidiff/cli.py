@@ -31,11 +31,9 @@ from .errors import (
 from .extreal import ExtReal
 from .numkit import dedupe
 from .numkit.polyhedra import DEDUP_TOL
-from .oracle import check_parabolic_regularity, check_twice_epi_diff
+from .oracle import GAP_TOL, check_parabolic_regularity, check_twice_epi_diff, gap_tol
 from .optimality import sample_critical_directions
 from .problem_io import ProblemSpec, parse_problem, parse_seed
-
-GAP_TOL_ABS = 0.05
 
 
 def _jsonify(obj):
@@ -137,12 +135,6 @@ def _parse_dirs(raw_dirs, n) -> list[np.ndarray]:
     return out
 
 
-def _gap_tol(value: ExtReal) -> float:
-    if value.is_plus_inf:
-        return GAP_TOL_ABS
-    return max(GAP_TOL_ABS, 0.05 * abs(value.value))
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -168,16 +160,16 @@ def cmd_analyze(spec: ProblemSpec, dirs: list, seed: int) -> Report:
             "direction": w,
             "dual": info.dual_value,
             "primal": info.primal_value,
-            "gap": info.gap if math.isfinite(info.gap) else "+inf",
-            "argmax_y": info.argmax_y if info.argmax_y is not None else None,
+            "gap": info.gap,
+            "argmax_y": info.argmax_y,
             "provenance": "closed-form",
         }
         if info.dual_value.is_plus_inf:
             entry["reason"] = "outside critical cone"
         else:
-            worst_gap = max(worst_gap, info.gap if math.isfinite(info.gap) else math.inf)
+            worst_gap = max(worst_gap, info.gap)
         results.append(entry)
-    tol = max(_gap_tol(r["dual"]) for r in results) if results else GAP_TOL_ABS
+    tol = max((gap_tol(r["dual"]) for r in results), default=GAP_TOL)
     payload = {
         "multipliers": [m for m in ms.multipliers],
         "tau": ms.tau,
@@ -215,15 +207,14 @@ def cmd_verify(
     rows = []
     all_ok = True
     for rep in reports:
-        tol = _gap_tol(rep.formula_value)
-        ok = rep.converged and (not math.isfinite(rep.gap) or rep.gap <= tol)
+        ok = rep.converged
         row = {
             "direction": rep.direction,
             "formula": rep.formula_value,
             "oracle": rep.oracle_value,
-            "gap": rep.gap if math.isfinite(rep.gap) else "+inf",
+            "gap": rep.gap,
             "converged": rep.converged,
-            "tolerance": tol,
+            "tolerance": gap_tol(rep.formula_value),
         }
         if rep.formula_value.is_finite:
             try:
@@ -297,7 +288,8 @@ def cmd_certify(spec: ProblemSpec, seed: int) -> Report:
         "mscq": prov,
         "kappa": kappa,
         "seed": seed,
-        "tolerances": {"sonc": 1e-6, "ssosc": 1e-6, "growth_slack": 1e-9},
+        "tolerances": {"sonc": optimality.SONC_TOL, "ssosc": optimality.SSOSC_TOL,
+                       "growth_slack": optimality.GROWTH_SLACK},
     }
     return Report("certify", payload, exit_code=0 if consistent else 1)
 

@@ -29,6 +29,8 @@ from .numkit.polyhedra import DEDUP_TOL
 
 SONC_TOL = 1e-6
 SSOSC_TOL = 1e-6
+# verify_growth forgives a sample this much below the growth bound.
+GROWTH_SLACK = 1e-9
 # verify_growth draws, values and restores its samples this many at a time at
 # most: enough to amortize the per-call cost, small enough to keep the
 # temporaries (and the peak memory) small.
@@ -247,7 +249,7 @@ def verify_growth(
         near = ok & (row_norms(restored - x) <= epsilon)
         XP[off[near]] = restored[near]
         gvals[off[near]] = outer_values(prob, restored[near])
-        lower = psi0 + 0.5 * ell * np.vecdot(XP - x, XP - x) - 1e-9
+        lower = psi0 + 0.5 * ell * np.vecdot(XP - x, XP - x) - GROWTH_SLACK
         psi = poly_eval(prob.phi, XP)[:, 0] + gvals
         attempts += block
         kept += int(np.count_nonzero(np.isfinite(gvals)))

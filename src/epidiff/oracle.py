@@ -1,30 +1,35 @@
 """Brute-force difference-quotient machinery.
 
-Everything here estimates limits of second-order quotients by direct function
-evaluation: a geometric step schedule, a shrinking search ball around the
-probed direction, batched grid (or seeded random) sampling per level, a
-deterministic pattern-search polish, and a three-level extrapolation of the
-per-level minima.  These estimates are the ground truth the closed forms are
-validated against; they never share formulas with the catalog.
+Everything here estimates limits of first- and second-order quotients by
+direct function evaluation: a geometric step schedule, a shrinking search
+ball around the probed direction, batched grid (or seeded random) sampling
+per level, a deterministic pattern-search polish, and a three-level
+extrapolation of the per-level minima.  These estimates are the ground
+truth the closed forms are validated against; they never share formulas
+with the catalog.
 
-One kernel, ``_ball_search``, does every second-order search: search j
-minimizes ((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^2/2) over a ball
-about its own center at one level t, with s = t and no drift for the second
-subderivative, and the drift w and s = t^2/2 for the parabolic one.  It values
+One kernel, ``_ball_search``, does every search: search j minimizes
+((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^order / order) over a ball
+about its own center at one level t, with order 2, s = t and no drift for the
+second subderivative, order 2, the drift w and s = t^2/2 for the parabolic
+one, and order 1, s = t and no drift for the subderivative.  It values
 the balls of a chunk of centers at every level in one batch, restores the
 centers of all-infinite balls in one stack and polishes the searches in
 lockstep (``_pattern_search``): each round scores the complete polls of every
 live search in one ``SampledFunction.values`` call, whose rows equal ``value``
 at each point bit for bit, so each search takes the path it would take alone.
 The level search is one center over every level, the parabolic estimate a
-stack of centers z, and the scorer of the z search the same, unpolished.
+stack of centers z, the scorer of the z search the same, unpolished, and the
+first-order fallback one center, unpolished and unrestored.  One stabilizer,
+``_stabilize``, folds the levels of every estimate, and one rule,
+``gap_tol``, says when an estimate agrees with a closed form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -48,6 +53,8 @@ Z_GRID_CAP = 100_000
 Z_BATCH_ROWS = 4096
 # The level search rescues at most this many trial points per level.
 RESTORE_BUDGET = 150
+# The absolute and relative agreement tolerance of gap_tol.
+GAP_TOL = 0.05
 
 
 @dataclass
@@ -272,13 +279,14 @@ def _pattern_refine(score, start, f_start, center, radius, extra_dirs=(), max_ev
     return best_f, best_p
 
 
-def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule, drift=None,
-                 polish=False, rescues=0):
-    """Minimize ((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^2/2) over p
-    in the ball of radius sched.radius(t) about each row of centers, at every
-    level t of sched: s = t without a drift, s = t^2/2 with one, and
-    lin(p, t) = t*<lin, p> for a vector lin, t*lin for a number.  Returns the
-    minima (centers, levels), possibly inf, and their points (centers,
+def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule, order: int,
+                 drift=None, polish=False, rescues=0):
+    """Minimize ((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^order / order)
+    over p in the ball of radius sched.radius(t) about each row of centers,
+    at every level t of sched: order 2 (t^2/2) for a second-order quotient,
+    1 (t) for a first-order one, s = t without a drift, s = t^2/2 with one,
+    and lin(p, t) = t*<lin, p> for a vector lin, t*lin for a number.  Returns
+    the minima (centers, levels), possibly inf, and their points (centers,
     levels, dim).
 
     A chunk of centers is valued at every level in one eval_batch of at most
@@ -298,13 +306,14 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
     k = len(balls)
     ts, radii = np.array([b[0] for b in balls]), np.array([b[1] for b in balls])
     half = 0.5 * ts * ts
+    denom = half if order == 2 else ts
     scale = ts if drift is None else half
     bases = np.broadcast_to(x, (k, dim)) if drift is None else x + ts[:, None] * drift
     along = np.ndim(lin) == 1
 
     def quotients(vals, P, j):  # j: the level of each row of P, or one level
         lin_p = ts[j] * np.vecdot(P, lin) if along else ts[j] * lin
-        return _quotients(vals, shift, lin_p, half[j])
+        return _quotients(vals, shift, lin_p, denom[j])
 
     def score(P, own):  # own: the search of each row, center by center, level by level
         j = own % k
@@ -355,7 +364,7 @@ def _level_minimum(f: SampledFunction, base_point, lin_coeff, lin_shift, center,
     of radius sched.radius(t).  Returns [(t, min value possibly inf, argmin
     point)] in level order: _ball_search of one center, polished along lin,
     rescuing at most RESTORE_BUDGET trial points per level."""
-    best, points = _ball_search(f, base_point, lin_shift, lin_coeff, center[None, :], sched,
+    best, points = _ball_search(f, base_point, lin_shift, lin_coeff, center[None, :], sched, order=2,
                                 polish=True, rescues=RESTORE_BUDGET)
     return list(zip(sched.t_levels(), best[0].tolist(), points[0]))
 
@@ -402,6 +411,12 @@ def _stabilize(levels, sched: GridSchedule) -> ExtReal:
     return ExtReal(raw)
 
 
+def gap_tol(value: ExtReal) -> float:
+    """How far an estimate may lie from value and still agree with it:
+    GAP_TOL, or GAP_TOL * |value| for a finite value if larger."""
+    return max(GAP_TOL, GAP_TOL * abs(value.value)) if value.is_finite else GAP_TOL
+
+
 # -- the oracle operations -------------------------------------------------------
 
 
@@ -436,7 +451,7 @@ def estimate_parabolic_subderivative(
     z = np.asarray(z, dtype=float)
     Z = z.reshape(-1, w.shape[0])
     f0 = _base_value(f, x)
-    best, points = _ball_search(f, x, f0, dfw, Z, sched, drift=w, polish=True)
+    best, points = _ball_search(f, x, f0, dfw, Z, sched, order=2, drift=w, polish=True)
     ts = sched.t_levels()
     out = [_stabilize(list(zip(ts, ms, ps)), sched) for ms, ps in zip(best.tolist(), points)]
     return out[0] if z.ndim == 1 else out
@@ -450,7 +465,7 @@ def _parabolic_scores(f: SampledFunction, x, fx: float, w, dfw: float, v, Z,
     Each level's ball offsets are drawn once from one rng seeded with
     sched.seed: the offsets a fresh estimate at each z would draw.  The balls
     of every (z, level) pair are valued by one unpolished _ball_search."""
-    minima, _ = _ball_search(f, x, fx, dfw, Z, sched, drift=w)
+    minima, _ = _ball_search(f, x, fx, dfw, Z, sched, order=2, drift=w)
     ts = sched.t_levels()
     return np.array([
         _stabilize([(t, m, None) for t, m in zip(ts, ms)], sched).as_float() - float(z @ v)
@@ -459,41 +474,25 @@ def _parabolic_scores(f: SampledFunction, x, fx: float, w, dfw: float, v, Z,
 
 
 def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None = None) -> ExtReal:
-    """First-order quotient limit along a fixed direction, with a ball-search
-    fallback when the fixed ray leaves the domain, extrapolated across the
-    three finest levels."""
+    """The limit of the first-order quotients (f(x + t w') - f(x)) / t as
+    t -> 0 and w' -> w, the subderivative (Rockafellar-Wets 1998, Def. 8.1).
+
+    The levels of the fixed ray w are valued in one eval_batch.  Where one of
+    its three finest levels leaves the domain, the levels are instead the
+    least quotients over the balls about w, from one unpolished _ball_search
+    of order 1 that restores no center.  _stabilize folds the levels."""
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     f0 = _base_value(f, x)
     ts = np.array(sched.t_levels())
-    X = x + ts[:, None] * w
-    vals = f.values(X)
-    if not (vals >= NEG_GUARD).all():
-        f.value(X[np.argmax(~(vals >= NEG_GUARD))])  # raises, as valuing the levels one by one does
-    fixed = list(zip(ts.tolist(), ((vals - f0) / ts).tolist()))
-    tail = [(t, m) for t, m in fixed[-3:] if math.isfinite(m)]
-    if len(tail) < 3:
-        balls = _schedule_balls(sched, w.shape[0])
-        cands = [w[None, :] + offsets for _, _, offsets in balls]
-        searched = []
-        parts = _split_batch(f, [x[None, :] + t * c for (t, _, _), c in zip(balls, cands)])
-        for (t, _, _), vals in zip(balls, parts):
-            quot = (vals - f0) / t
-            finite_mask = np.isfinite(quot)
-            searched.append(
-                (t, float(np.min(quot[finite_mask])) if finite_mask.any() else math.inf)
-            )
-        tail = [(t, m) for t, m in searched[-3:] if math.isfinite(m)]
-        if not tail:
-            return PLUS_INF
-    ts, ms = [t for t, _ in tail], [m for _, m in tail]
-    if len(tail) == 3:
-        guess = _lagrange_at_zero(ts, ms)
-        spread = max(ms) - min(ms)
-        if abs(guess - min(ms)) <= 4.0 * spread + 1e-12 * (1.0 + abs(min(ms))):
-            return ExtReal(guess)
-    return ExtReal(min(ms))
+    quot = _quotients(f.eval_batch(x + ts[:, None] * w), f0, 0.0, ts)
+    if not np.isfinite(quot[-3:]).all():
+        # an all-infinite ball stays +inf, so the critical-cone test of
+        # check_parabolic_regularity sees no restored point
+        unrestored = replace(f, restore_feasible=None)
+        quot = _ball_search(unrestored, x, f0, 0.0, w[None], sched, order=1)[0][0]
+    return _stabilize([(t, m, None) for t, m in zip(ts.tolist(), quot.tolist())], sched)
 
 
 def check_twice_epi_diff(
@@ -517,9 +516,6 @@ def check_twice_epi_diff(
         levels = _second_order_levels(f, x, v, w, sched)
         oracle_value = _stabilize(levels, sched)
         formula_value = formula(w) if formula is not None else oracle_value
-        tol = 0.05
-        if formula_value.is_finite:
-            tol = max(0.05, 0.05 * abs(formula_value.value))
         tail = [m for _, m, _ in levels[-3:] if math.isfinite(m)]
         if formula_value.is_plus_inf:
             converged = oracle_value.is_plus_inf
@@ -533,7 +529,7 @@ def check_twice_epi_diff(
             if oracle_value.is_finite:
                 candidates.append(oracle_value.value)
             gap = min(abs(c - formula_value.value) for c in candidates)
-            converged = gap <= tol
+            converged = gap <= gap_tol(formula_value)
         reports.append(
             EpiReport(
                 direction=w,
@@ -624,7 +620,7 @@ def check_parabolic_regularity(
     if lhs.is_plus_inf or rhs.is_plus_inf:
         holds = lhs.is_plus_inf and rhs.is_plus_inf
     else:
-        holds = abs(lhs.value - rhs.value) <= max(0.05, 0.05 * abs(lhs.value))
+        holds = abs(lhs.value - rhs.value) <= gap_tol(lhs)
     return holds, lhs, rhs
 
 

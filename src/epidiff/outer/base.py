@@ -135,9 +135,12 @@ class OuterFunction:
         if not self.value(z).is_finite:
             raise PointNotInDomain(f"{self.tag}: point outside dom g")
 
-    def _require_subgradient(self, z, y, tol: float = SUBGRADIENT_TOL):
-        if not self.subdifferential(z).contains(y, tol):
+    def _require_subgradient(self, z, y, tol: float = SUBGRADIENT_TOL) -> SubdiffRepr:
+        """The subdifferential at z, which must contain y."""
+        rep = self.subdifferential(z)
+        if not rep.contains(y, tol):
             raise NotASubgradient(f"{self.tag}: y is not a subgradient at z")
+        return rep
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.ambient_dim})"

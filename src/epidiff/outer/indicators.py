@@ -20,7 +20,6 @@ from ..numkit import (
     PolyCone,
     Polyhedron,
     cluster_tol,
-    cone_generators,
     eigen_pinv,
     project,
     row_norms,
@@ -42,7 +41,7 @@ from ..numkit.polyhedra import (
 )
 from .base import OuterFunction, each_row
 from .reprs import PolyhedralConeRepr, PolyhedronRep, PredicateConeRepr, SpectralRep
-from .spectral import arc_expansion
+from .spectral import SymMatrixFunction, arc_expansion
 
 # Indicator feasibility must be decided much tighter than geometric activity:
 # a boundary fuzz of size eps shifts second-order quotients by ~eps / t^2.
@@ -70,22 +69,6 @@ def second_order_tangent_cone(C: Polyhedron, z, w, act_tol: float = ACT_TOL) -> 
             if abs(lin[i]) <= wtol:
                 rows.append(T.G[i])
     return PolyCone.make_cone(C.dim, np.vstack(rows) if rows else None, C.E)
-
-
-def normal_cone_rep(C: Polyhedron, z, act_tol: float = ACT_TOL) -> PolyhedronRep:
-    """Normal cone to a polyhedron at z with both H- and V-representations.
-
-    The polar of the tangent cone: its generators are recovered by one ray
-    enumeration, and its H-representation is cut out by the tangent generators.
-    """
-    hrep = normal_cone_hrep([C], z, act_tol)
-    n_rays, n_lines = cone_generators(hrep)
-    return PolyhedronRep(
-        polyhedron=hrep,
-        points=[np.zeros(C.dim)],
-        rays=n_rays,
-        lines=n_lines,
-    )
 
 
 class _Indicator(OuterFunction):
@@ -143,8 +126,10 @@ class PolyhedralIndicator(_Indicator):
         return np.where(residuals(self.C, Z) <= tol, 0.0, np.inf)
 
     def subdifferential(self, z):
+        """The normal cone at z, in H-representation only: the polar of the
+        tangent cone, cut out by the tangent generators."""
         self._require_in_domain_geom(z)
-        return normal_cone_rep(self.C, z)
+        return PolyhedronRep(normal_cone_hrep([self.C], z))
 
     def subderivative(self, z, w) -> ExtReal:
         self._require_in_domain_geom(z)
@@ -154,7 +139,6 @@ class PolyhedralIndicator(_Indicator):
         return ExtReal(0.0) if inside else PLUS_INF
 
     def second_subderivative(self, z, y, u) -> ExtReal:
-        self._require_subgradient(z, y)
         return ExtReal(0.0) if self.critical_cone(z, y).contains(u) else PLUS_INF
 
     def second_order_tangent_contains(self, z, w, u) -> bool:
@@ -216,7 +200,7 @@ def zero_set(dim: int) -> PolyhedralIndicator:
     return PolyhedralIndicator(Polyhedron.make(dim, E=np.eye(dim), d=np.zeros(dim)))
 
 
-class NegSemidefIndicator(_Indicator):
+class NegSemidefIndicator(_Indicator, SymMatrixFunction):
     """Indicator of the negative semidefinite cone on vectorized S^n."""
 
     tag = "ind_negsemidef"
@@ -226,10 +210,6 @@ class NegSemidefIndicator(_Indicator):
         self.ambient_dim = svec_dim(self.n)
 
     # -- helpers ----------------------------------------------------------------
-
-    def _to_mat(self, z) -> np.ndarray:
-        z = self._require_dim(z)
-        return smat(z) if z.ndim == 1 else 0.5 * (z + z.T)
 
     def _zero_cluster_basis(self, A: np.ndarray) -> np.ndarray:
         """Orthonormal basis of the near-zero top eigenvalue cluster (empty if

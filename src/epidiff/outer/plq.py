@@ -176,9 +176,8 @@ class PlqFunction(OuterFunction):
     def critical_cone(self, z, y):
         """Polar of the shifted subdifferential: w is critical iff
         <v - y, w> <= 0 for every generator v of the subdifferential."""
-        self._require_subgradient(z, y)
+        rep = self._require_subgradient(z, y)
         y = np.asarray(y, dtype=float)
-        rep = self.subdifferential(z)
         rows_G = [np.asarray(p, dtype=float) - y for p in rep.points]
         rows_G += [np.asarray(r, dtype=float) for r in rep.rays]
         rows_E = [np.asarray(l, dtype=float) for l in rep.lines]

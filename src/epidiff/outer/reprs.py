@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import UnsupportedSpectralMultiplicity, UnsupportedTag
 from ..numkit import PolyCone, Polyhedron, box, cone_generators, intersect, project, sym_eig, svec, smat, vertices
-from ..numkit.polyhedra import is_empty, residuals
+from ..numkit.polyhedra import _rank, is_empty, residuals
 
 AFFINE_TOL = 1e-8
 
@@ -127,9 +127,7 @@ class SpectralRep(SubdiffRepr):
         y = self.unique_element()
         if y is not None:
             return dict(multipliers=[y] if _affine_ok(J, v, y) else [])
-        s = np.linalg.svd(J.T, compute_uv=False)
-        rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 1.0)))
-        if rank < J.shape[0]:
+        if _rank(J.T) < J.shape[0]:
             raise UnsupportedSpectralMultiplicity(
                 "clustered leading eigenvalue with a non-unique multiplier candidate"
             )
@@ -221,10 +219,7 @@ class PolyhedralConeRepr(CriticalConeRepr):
 
     def dimension(self) -> int:
         rays, lines = self._generators
-        if not rays + lines:
-            return 0
-        s = np.linalg.svd(np.vstack(rays + lines), compute_uv=False)
-        return int(np.sum(s > 1e-9 * max(1.0, s[0])))
+        return _rank(np.vstack(rays + lines)) if rays + lines else 0
 
 
 @dataclass

@@ -31,16 +31,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import UnsupportedSpectralMultiplicity
+from ..errors import DimensionMismatch, UnsupportedSpectralMultiplicity
 from ..extreal import PLUS_INF, ExtReal
 from ..numkit import cluster_tol, eigen_pinv, smat, svec, svec_dim, sym_eig, sym_eigvals
 from .base import OuterFunction
 from .reprs import PredicateConeRepr, SpectralRep
 
 
-def _to_mat(z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    return smat(z) if z.ndim == 1 else 0.5 * (z + z.T)
+class SymMatrixFunction(OuterFunction):
+    """A member on the vectorized symmetric n x n matrices."""
+
+    n: int
+
+    def _to_mat(self, z) -> np.ndarray:
+        """z as a symmetric matrix: smat of a vector of length ambient_dim, or
+        the symmetric part of an n x n matrix; DimensionMismatch otherwise."""
+        z = self._require_dim(z)
+        if z.ndim == 1:
+            return smat(z)
+        if z.shape != (self.n, self.n):
+            raise DimensionMismatch(f"{self.tag}: expected a vector of length {self.ambient_dim} "
+                                    f"or a {self.n} x {self.n} matrix")
+        return 0.5 * (z + z.T)
 
 
 def cluster_ranges(lams_desc: np.ndarray, gap: float) -> list[tuple[int, int]]:
@@ -80,7 +92,7 @@ def arc_expansion(lams, Q, cluster, lam: float, W, U, pos: int):
     return mu, E @ R[:, :a], E @ R[:, a:b], C
 
 
-class EigSumFunction(OuterFunction):
+class EigSumFunction(SymMatrixFunction):
     """g = S_i - S_s, the sum of the eigenvalues ranked s+1..i."""
 
     def __init__(self, n: int, s: int, i: int, tag: str):
@@ -129,12 +141,12 @@ class EigSumFunction(OuterFunction):
         return sym_eigvals(mats)[:, ::-1][:, self.s : self.i].sum(axis=1)
 
     def subdifferential(self, z):
-        A = _to_mat(z)
+        A = self._to_mat(z)
         lams, Q, c_start, cluster, count = self._structure(A)
         return SpectralRep(self.n, self._smooth_part(lams, Q, c_start), Q[:, cluster], float(count))
 
     def subderivative(self, z, w) -> ExtReal:
-        A, W = _to_mat(z), _to_mat(w)
+        A, W = self._to_mat(z), self._to_mat(w)
         lams, Q, c_start, cluster, count = self._structure(A)
         E = Q[:, cluster]
         comp = E.T @ W @ E
@@ -147,7 +159,7 @@ class EigSumFunction(OuterFunction):
         The pseudoinverse is assembled in the eigenbasis with the i-th cluster
         annihilated, so exact multiplicity never has to be detected."""
         self._require_subgradient(z, y)
-        A, V, W = _to_mat(z), _to_mat(y), _to_mat(u)
+        A, V, W = self._to_mat(z), self._to_mat(y), self._to_mat(u)
         lams, Q, c_start, cluster, _ = self._structure(A)
         pair = float(np.tensordot(V, W))
         dval = self.subderivative(z, svec(W))
@@ -163,7 +175,7 @@ class EigSumFunction(OuterFunction):
         tr(E_above^T C E_above) + (sum of the top r eigenvalues of
         E1^T C E1) + smooth, where smooth = <P, U> + (Hessian form) expands
         the smooth part, P being its gradient."""
-        A, W, U = _to_mat(z), _to_mat(w), _to_mat(u)
+        A, W, U = self._to_mat(z), self._to_mat(w), self._to_mat(u)
         lams, Q, c_start, cluster, count = self._structure(A)
         _, E_above, E1, C = arc_expansion(lams, Q, cluster, lams[self.i - 1], W, U, count)
         P = self._smooth_part(lams, Q, c_start)
@@ -190,10 +202,10 @@ class EigSumFunction(OuterFunction):
 
     def critical_cone(self, z, y):
         self._require_subgradient(z, y)
-        V = _to_mat(y)
+        V = self._to_mat(y)
 
         def pred(w):
-            W = _to_mat(w)
+            W = self._to_mat(w)
             pair = float(np.tensordot(V, W))
             d = self.subderivative(z, svec(W)).value
             return abs(d - pair) <= 1e-8 * (1.0 + abs(pair) + float(np.linalg.norm(W)))
@@ -218,5 +230,6 @@ def sum_top_eig(n: int, i: int) -> EigSumFunction:
 def alpha_eig(n: int, i: int, z) -> EigSumFunction:
     """The eigenvalues tied with the i-th one at z and ranked at or before i,
     summed with s anchored at the start of that cluster at z."""
-    s = EigSumFunction(n, 0, i, "alpha_eig")._structure(_to_mat(z))[2]
+    probe = EigSumFunction(n, 0, i, "alpha_eig")
+    s = probe._structure(probe._to_mat(z))[2]
     return EigSumFunction(n, s, i, "alpha_eig")

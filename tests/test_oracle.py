@@ -1,4 +1,7 @@
+import ast
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +49,8 @@ def square() -> SampledFunction:
 def indicator_line() -> SampledFunction:
     return outer_sampled(nonpositive_orthant(1))
 
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "epidiff"
 
 DEEP_IRREGULAR = GridSchedule(t0=0.1, ratio=0.5, steps=21, radius_coeff=1.5, radius_exponent=1.0 / 3.0)
 
@@ -275,6 +280,52 @@ def test_fixed_ray_levels_in_one_stack_equal_the_levels_one_by_one():
         for estimate in (estimate_subderivative, old_estimate_subderivative):
             with pytest.raises(exc):
                 estimate(f, [0.0], [1.0], sched)
+
+
+def test_the_first_order_fallback_restores_nothing():
+    """A ray that leaves the domain falls back on the balls about it, and
+    an all-infinite ball stays +inf: restore_feasible is never called, and
+    the estimate equals the per-level one bit for bit.  The schedules mix
+    finite and all-infinite levels in the three finest."""
+    calls = []
+    a1 = sampled_objective(a1_problem())
+    curved = replace(a1, restore_feasible=lambda Y: calls.append(Y) or a1.restore_feasible(Y))
+    halfline = SampledFunction(lambda Y: np.where(Y[:, 0] <= 0.0, Y[:, 0], math.inf), 1,
+                               restore_feasible=lambda Y: calls.append(Y) or np.minimum(Y, 0.0))
+    cases = [(curved, [0.0, 1.0], GridSchedule(t0=0.5, steps=3, samples_per_axis=5), 0.0),
+             (curved, [0.6, 0.8], GridSchedule(t0=0.5, steps=4, samples_per_axis=5), 0.0),
+             (curved, [0.0, 1.0], GridSchedule(t0=0.1, steps=5, samples_per_axis=5), math.inf),
+             (halfline, [1.0], GridSchedule(t0=0.5, steps=3, samples_per_axis=5), -1.0)]
+    for f, w, sched, expected in cases:
+        x, w = np.zeros(f.dim), np.array(w)
+        got, ref = estimate_subderivative(f, x, w, sched), old_estimate_subderivative(f, x, w, sched)
+        assert _same_float(got.as_float(), ref.as_float()) and got.as_float() == expected
+    assert calls == []
+
+
+def _top_level_callers(names) -> dict:
+    """For each name, the top-level functions (or classes) of the library
+    whose bodies call it."""
+    found = {name: set() for name in names}
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in found:
+                        found[called].add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_one_search_kernel_and_one_stabilizer():
+    """Only _ball_search lays out and values the balls of a schedule, and
+    only _stabilize extrapolates the levels to t = 0."""
+    assert _top_level_callers(["_schedule_balls", "_split_batch", "_lagrange_at_zero"]) == {
+        "_schedule_balls": {"_ball_search"},
+        "_split_batch": {"_ball_search"},
+        "_lagrange_at_zero": {"_stabilize"},
+    }
 
 
 # -- recovery sequences ----------------------------------------------------------------------

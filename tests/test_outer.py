@@ -278,6 +278,21 @@ def test_dimension_mismatch_on_eval():
             g.value(np.zeros(g.ambient_dim + 1))
 
 
+def test_spectral_members_check_the_dimension_of_every_argument():
+    """The spectral members convert every argument through one
+    dimension-checked conversion: a vector of the wrong length, or a matrix
+    of the wrong size, raises DimensionMismatch wherever it is passed."""
+    from epidiff.errors import DimensionMismatch
+
+    for g in (max_eig(2), NegSemidefIndicator(2)):
+        z, long = np.zeros(g.ambient_dim), np.zeros(2 * g.ambient_dim)
+        calls = [lambda: g.value(long), lambda: g.subdifferential(long), lambda: g.subderivative(long, z),
+                 lambda: g.subderivative(z, long), lambda: g.subderivative(z, np.zeros((3, 3)))]
+        for call in calls:
+            with pytest.raises(DimensionMismatch):
+                call()
+
+
 # -- invariants & properties ---------------------------------------------------------------------
 
 
