@@ -153,9 +153,7 @@ def cmd_analyze(spec: ProblemSpec, dirs: list, seed: int) -> Report:
     results = []
     worst_gap = 0.0
     for w in dirs:
-        info = composite.second_subderivative_chain(
-            prob, x, v, w, kappa=kappa, ell=spec.ell, multys=ms, mscq_provenance=prov,
-        )
+        info = composite.second_subderivative_chain(prob, x, v, w, kappa=kappa, ell=spec.ell, multys=ms)
         entry = {
             "direction": w,
             "dual": info.dual_value,

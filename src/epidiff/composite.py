@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import CompositeProblem, jacobian, poly_eval, second_form
-from .errors import BasePointInfeasible, CriticalConePreconditionFailed, EmptyMultiplierSet, PointNotInDomain
+from .errors import BasePointInfeasible, EmptyMultiplierSet, PointNotInDomain
 from .extreal import CAP, PLUS_INF, ExtReal
 from .numkit import Polyhedron, intersect, min_norm_point, operator_norm, row_norms
 from .oracle import SampledFunction
@@ -98,25 +98,23 @@ class MSCQResult:
 
 
 @dataclass
-class LipschitzInfo:
-    ell: float
-
-
-@dataclass
 class DualityInfo:
     primal_value: ExtReal
     dual_value: ExtReal
     argmax_y: np.ndarray | None
     tau: float
     gap: float
-    mscq_provenance: str = "user-asserted"
 
 
 # -- basic data ------------------------------------------------------------------
 
 
-def lipschitz_constant(g: OuterFunction, z) -> LipschitzInfo:
-    return LipschitzInfo(ell=float(g.lipschitz_bound(np.asarray(z, dtype=float))))
+def _base_point(prob: CompositeProblem, x: np.ndarray) -> np.ndarray:
+    """z = F(x), which must lie in dom g."""
+    z = poly_eval(prob.F, x)
+    if not prob.g.value(z).is_finite:
+        raise BasePointInfeasible("F(x) lies outside dom g")
+    return z
 
 
 def tau_bound(J, v, kappa: float, ell: float) -> float:
@@ -136,9 +134,7 @@ def multipliers(
     unique candidate of a spectral set or a singleton."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    z = poly_eval(prob.F, x)
-    if not prob.g.value(z).is_finite:
-        raise BasePointInfeasible("F(x) lies outside dom g")
+    z = _base_point(prob, x)
     J = jacobian(prob.F, x)
     if ell is None:
         ell = prob.g.lipschitz_bound(z)
@@ -241,8 +237,7 @@ def check_mscq(
     drawn first, in the order of the scan, and the infeasible ones are
     restored in one stack."""
     x = np.asarray(x, dtype=float)
-    if not prob.check_feasible(x):
-        raise BasePointInfeasible("F(x) lies outside dom g")
+    _base_point(prob, x)
     rng = np.random.default_rng(seed)
     steps = []
     for level, rad in enumerate((radius, radius / 2.0, radius / 4.0)):
@@ -285,10 +280,7 @@ def check_mscq(
 def check_basic_cq(prob: CompositeProblem, x) -> bool:
     """Whether N_dom g(F(x)) meets ker adj(dF(x)) only at the origin."""
     x = np.asarray(x, dtype=float)
-    z = poly_eval(prob.F, x)
-    if not prob.g.value(z).is_finite:
-        raise BasePointInfeasible("F(x) lies outside dom g")
-    return prob.g.basic_cq(z, jacobian(prob.F, x))
+    return prob.g.basic_cq(_base_point(prob, x), jacobian(prob.F, x))
 
 
 # -- chain rules ----------------------------------------------------------------------
@@ -297,9 +289,7 @@ def check_basic_cq(prob: CompositeProblem, x) -> bool:
 def subderivative_chain(prob: CompositeProblem, x, w) -> ExtReal:
     """d g(F(x)) at dF(x) w."""
     x = np.asarray(x, dtype=float)
-    z = poly_eval(prob.F, x)
-    if not prob.g.value(z).is_finite:
-        raise BasePointInfeasible("F(x) lies outside dom g")
+    z = _base_point(prob, x)
     return prob.g.subderivative(z, jacobian(prob.F, x) @ np.asarray(w, dtype=float))
 
 
@@ -345,7 +335,6 @@ def second_subderivative_chain(
     kappa: float = 1.0,
     ell: float | None = None,
     multys: MultiplierSet | None = None,
-    mscq_provenance: str = "user-asserted",
 ) -> DualityInfo:
     """The second subderivative of g(F(.)) at x for v along w, as the maximum
     over multipliers, together with the primal minimization value; both
@@ -356,7 +345,7 @@ def second_subderivative_chain(
     if multys is None:
         multys = multipliers(prob, x, v, kappa=kappa, ell=ell)
     if not multys.cone.contains(w):
-        return DualityInfo(PLUS_INF, PLUS_INF, None, multys.tau, 0.0, mscq_provenance)
+        return DualityInfo(PLUS_INF, PLUS_INF, None, multys.tau, 0.0)
     u, H = multys.J @ w, second_form(prob.F, x, w)
     dual_val, argmax = prob.g.dual_value(multys.z, u, H, multys)
     primal_val, _ = _primal_value(prob, v, u, H, multys)
@@ -366,7 +355,7 @@ def second_subderivative_chain(
         gap = 0.0
     else:
         gap = math.inf
-    return DualityInfo(primal_val, dual_val, argmax, multys.tau, gap, mscq_provenance)
+    return DualityInfo(primal_val, dual_val, argmax, multys.tau, gap)
 
 
 # -- the primal side ------------------------------------------------------------------------
@@ -377,17 +366,6 @@ def _primal_value(prob: CompositeProblem, v, u, H, multys: MultiplierSet) -> tup
     critical cone, paired with True (every member's primal value is exact),
     the shape that tracing tools read."""
     return prob.g.primal_value(multys.z, multys.J, u, H, v), True
-
-
-def primal_value(prob: CompositeProblem, x, v, w) -> ExtReal:
-    """min over z of parabolic_chain(x, w, z) - <z, v>, in closed form."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    ms = multipliers(prob, x, v)
-    if not ms.cone.contains(w):
-        raise CriticalConePreconditionFailed("w is outside the critical cone")
-    val, _ = _primal_value(prob, np.asarray(v, dtype=float), ms.J @ w, second_form(prob.F, x, w), ms)
-    return val
 
 
 # -- sampled assembly --------------------------------------------------------------------------

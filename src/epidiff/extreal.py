@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from functools import total_ordering
-from typing import Iterable
 
 from .errors import NegativeInfinityDetected
 
@@ -128,26 +127,3 @@ PLUS_INF = ExtReal(None)
 
 def _coerce(x) -> ExtReal:
     return x if isinstance(x, ExtReal) else ExtReal(float(x))
-
-
-def ext_min(values: Iterable[ExtReal]) -> ExtReal:
-    """Minimum of a nonempty iterable; all-PlusInf minimizes to PlusInf."""
-    best = None
-    for v in values:
-        v = _coerce(v)
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise ValueError("ext_min of an empty iterable")
-    return best
-
-
-def ext_max(values: Iterable[ExtReal]) -> ExtReal:
-    best = None
-    for v in values:
-        v = _coerce(v)
-        if best is None or best < v:
-            best = v
-    if best is None:
-        raise ValueError("ext_max of an empty iterable")
-    return best

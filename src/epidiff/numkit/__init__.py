@@ -1,12 +1,10 @@
-"""Deterministic numerical kernels: symmetric eigendecomposition, pseudoinverse,
-polyhedra with tangent/normal cones, vertex enumeration, and a small LP solver."""
+"""Deterministic numerical kernels: symmetric eigendecomposition, the
+eigenbasis pseudoinverse with a kill mask, polyhedra with tangent/normal
+cones, vertex enumeration, and a small LP solver."""
 
 from .sym import (
-    SymMatrix,
-    as_sym_matrix,
     sym_eig,
     sym_eigvals,
-    pinv,
     eigen_pinv,
     cluster_tol,
     operator_norm,
@@ -26,18 +24,14 @@ from .polyhedra import (
     lp_max,
     min_norm_point,
     project,
-    recession_cone,
     tangent_cone,
     vertices,
     vrep_to_hrep,
 )
 
 __all__ = [
-    "SymMatrix",
-    "as_sym_matrix",
     "sym_eig",
     "sym_eigvals",
-    "pinv",
     "eigen_pinv",
     "cluster_tol",
     "operator_norm",
@@ -55,7 +49,6 @@ __all__ = [
     "lp_max",
     "min_norm_point",
     "project",
-    "recession_cone",
     "tangent_cone",
     "vertices",
     "vrep_to_hrep",

@@ -318,10 +318,6 @@ def vertices(P: Polyhedron) -> list[np.ndarray]:
     return _dedupe_sorted([points[S] for S in bases])
 
 
-def recession_cone(P: Polyhedron) -> PolyCone:
-    return PolyCone.make_cone(P.dim, P.G, P.E)
-
-
 def cone_generators(K: Polyhedron) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Extreme rays and a lineality basis of the cone {G x <= 0, E x = 0}.
 

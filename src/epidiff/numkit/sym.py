@@ -5,8 +5,9 @@ the spectral catalog.
 The eigensolver is a hand-rolled cyclic Jacobi sweep with a fixed (p, q)
 visiting order so that repeated runs produce bitwise-identical factors.  The
 variational formulas downstream evaluate pseudoinverses at exactly singular
-matrices, which is why the pseudoinverse treats near-zero eigenvalues as zero
-via an explicit cutoff instead of relying on a generic least-squares routine.
+matrices, which is why the pseudoinverse inverts the eigenvalues of an
+explicit mask (a cluster_tol cluster) to zero instead of relying on a
+generic least-squares routine.
 """
 
 from __future__ import annotations
@@ -40,31 +41,6 @@ def _symmetrized(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + At)
 
 
-class SymMatrix:
-    """An exactly symmetric n x n real matrix."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, entries):
-        A = np.array(entries, dtype=float)
-        if A.ndim != 2:
-            raise DimensionMismatch("SymMatrix requires a square array")
-        A = _symmetrized(A)
-        A.flags.writeable = False
-        self.n = A.shape[0]
-        self.entries = A
-
-    def __repr__(self):
-        return f"SymMatrix(n={self.n})"
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype)
-
-
-def as_sym_matrix(A) -> SymMatrix:
-    return A if isinstance(A, SymMatrix) else SymMatrix(A)
-
-
 def row_norms(V: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a C-ordered V, each bit for bit
     np.linalg.norm of that row (both are the square root of one dot
@@ -95,12 +71,9 @@ def sym_eig(A) -> tuple[np.ndarray, np.ndarray]:
     Eigenvector signs are normalized (largest-magnitude entry positive) so
     the output is reproducible.
     """
-    if isinstance(A, SymMatrix):
-        single, M = True, A.entries[None]
-    else:
-        A = np.asarray(A, dtype=float)
-        single = A.ndim == 2
-        M = _symmetrized(A[None] if single else A)
+    A = np.asarray(A, dtype=float)
+    single = A.ndim == 2
+    M = _symmetrized(A[None] if single else A)
     k, n = M.shape[0], M.shape[-1]
     if n < 2:
         lams, Q = np.diagonal(M, axis1=1, axis2=2).copy(), np.tile(np.eye(n), (k, 1, 1))
@@ -206,22 +179,6 @@ def _rotate(MQ: np.ndarray, p: int, q: int):
         MQ[rows] = X
 
 
-def pinv(A, cutoff: float | None = None) -> SymMatrix:
-    """Moore-Penrose pseudoinverse of a symmetric matrix in its eigenbasis.
-
-    Eigenvalues with |lam| <= cutoff invert to zero.  The default cutoff
-    1e-10 * max(1, |A|_F) treats the exactly singular matrices that appear in
-    the closed-form second subderivatives as singular despite roundoff.
-    """
-    A = as_sym_matrix(A)
-    if cutoff is None:
-        cutoff = 1e-10 * max(1.0, float(np.linalg.norm(A.entries)))
-    if cutoff <= 0:
-        raise ValueError("pinv cutoff must be positive")
-    lams, Q = sym_eig(A)
-    return SymMatrix(eigen_pinv(lams, Q, np.abs(lams) <= cutoff))
-
-
 def eigen_pinv(lams, Q: np.ndarray, kill) -> np.ndarray:
     """Q diag(1/lams) Q^T with the eigenvalues marked in the boolean mask kill
     inverted to zero instead."""
@@ -238,7 +195,7 @@ def cluster_tol(A, axis=None):
 def operator_norm(M) -> float:
     """Spectral norm of a (possibly rectangular) matrix via sym_eig of M M^T."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    lams, _ = sym_eig(SymMatrix(M @ M.T))
+    lams, _ = sym_eig(M @ M.T)
     return math.sqrt(max(0.0, float(lams[0])))
 
 
@@ -256,7 +213,7 @@ def svec_dim(n: int) -> int:
 
 def svec(A) -> np.ndarray:
     """svec of a symmetric matrix, or of every matrix in a (k, n, n) stack."""
-    A = A.entries if isinstance(A, SymMatrix) else _symmetrized(np.asarray(A, dtype=float))
+    A = _symmetrized(np.asarray(A, dtype=float))
     n = A.shape[-1]
     out = np.empty(A.shape[:-2] + (svec_dim(n),))
     k = 0

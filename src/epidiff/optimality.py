@@ -1,6 +1,6 @@
-"""Second-order optimality machinery: Lagrangian Hessians, necessary and
-sufficient conditions over the critical cone, quadratic-growth verification,
-and the strong-subregularity certificate.
+"""Second-order optimality machinery: necessary and sufficient conditions
+over the critical cone, quadratic-growth verification, and the
+strong-subregularity certificate.
 
 The scalar being tested on every direction is the multiplier maximum of
 <Hxx L(x, y) w, w> + d2g(F(x), y)(dF(x) w), which decomposes exactly as the
@@ -21,10 +21,10 @@ from .composite import (
     multipliers,
     outer_values,
 )
-from .core import CompositeProblem, component_hessian, gradient, hessian, poly_eval
+from .core import CompositeProblem, gradient, hessian, poly_eval
 from .errors import EpidiffError, NotStationary
 from .extreal import PLUS_INF, ExtReal
-from .numkit import SymMatrix, dedupe, row_norms
+from .numkit import dedupe, row_norms
 from .numkit.polyhedra import DEDUP_TOL
 
 SONC_TOL = 1e-6
@@ -61,17 +61,6 @@ class SmsCertificate:
     affirmative: bool
     equivalence_note: str
     assumptions: dict
-
-
-def lagrangian_hessian(prob: CompositeProblem, x, y) -> SymMatrix:
-    """Hessian in x of phi(x) + <F(x), y> (the conjugate term has no x part)."""
-    x = np.asarray(x, dtype=float)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    H = hessian(prob.phi, x)
-    for j in range(prob.m):
-        if y[j] != 0.0:
-            H = H + y[j] * component_hessian(prob.F, x, j)
-    return SymMatrix(H)
 
 
 def stationary_data(prob: CompositeProblem, x, kappa: float):

@@ -124,8 +124,9 @@ class OuterFunction:
     # -- shared precondition helpers ----------------------------------------------
 
     def _require_dim(self, z) -> np.ndarray:
+        """z as one float vector of length ambient_dim."""
         z = np.asarray(z, dtype=float)
-        if z.ndim == 1 and z.shape[0] != self.ambient_dim:
+        if z.shape != (self.ambient_dim,):
             raise DimensionMismatch(
                 f"{self.tag}: expected a vector of length {self.ambient_dim}"
             )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import (
+    DimensionMismatch,
     PointNotInDomain,
     SubderivativeNotFinite,
     TangentPreconditionFailed,
@@ -187,7 +188,7 @@ class PolyhedralIndicator(_Indicator):
         return p
 
     def _require_in_domain_geom(self, z):
-        z = np.asarray(z, dtype=float)
+        z = self._require_dim(z)
         if residuals(self.C, z) > ACT_TOL * (1.0 + float(np.linalg.norm(z))):
             raise PointNotInDomain("point outside the indicator domain")
 
@@ -249,7 +250,6 @@ class NegSemidefIndicator(_Indicator, SymMatrixFunction):
         """-2 <V, W pinv(A) W> on the critical cone, +inf elsewhere; the
         pseudoinverse is formed in the eigenbasis with the zero cluster
         annihilated."""
-        self._require_subgradient(z, y)
         A, V, W = self._to_mat(z), self._to_mat(y), self._to_mat(u)
         if not self.critical_cone(z, y).contains(svec(W)):
             return PLUS_INF
@@ -358,7 +358,9 @@ class NegSemidefIndicator(_Indicator, SymMatrixFunction):
     def _spectra(self, z):
         """(z as a point or a stack, eigenvalues, eigenvectors) of smat of
         each row of z."""
-        z = self._require_dim(z)
+        z = np.asarray(z, dtype=float)
+        if z.ndim not in (1, 2) or z.shape[-1] != self.ambient_dim:
+            raise DimensionMismatch(f"{self.tag}: expected rows of length {self.ambient_dim}")
         lams, Q = sym_eig(smat(np.atleast_2d(z)))
         return z, lams, Q
 

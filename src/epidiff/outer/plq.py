@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyPolyhedron, PointNotInDomain, SubderivativeNotFinite, ValidationError
-from ..extreal import PLUS_INF, ExtReal, ext_min
+from ..extreal import PLUS_INF, ExtReal
 from ..numkit import (
     PolyCone,
     Polyhedron,
@@ -67,7 +67,8 @@ class PlqFunction(OuterFunction):
 
     # -- piece bookkeeping --------------------------------------------------------
 
-    def _active(self, z: np.ndarray) -> list[int]:
+    def _active(self, z) -> list[int]:
+        z = self._require_dim(z)
         tol = ACT_TOL * (1.0 + float(np.linalg.norm(z)))
         return [i for i, p in enumerate(self.pieces) if residuals(p.domain, z) <= tol]
 
@@ -160,7 +161,7 @@ class PlqFunction(OuterFunction):
             cone = second_order_tangent_cone(piece.domain, z, w)
             if residuals(cone, u) <= utol:
                 vals.append(ExtReal(float(w @ piece.A @ w) + float(piece.grad(z) @ u)))
-        return ext_min(vals) if vals else PLUS_INF
+        return min(vals) if vals else PLUS_INF
 
     def second_order_tangent_contains(self, z, w, u) -> bool:
         z = np.asarray(z, dtype=float)

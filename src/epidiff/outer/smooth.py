@@ -57,11 +57,11 @@ class SmoothQuadratic(OuterFunction):
     # -- exact calculus ------------------------------------------------------------
 
     def grad(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+        z = self._require_dim(z)
         return gradient(self.base, z) + 0.5 * gradient(self.h, z - self.center)
 
     def hess(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+        z = self._require_dim(z)
         return hessian(self.base, z) + 0.5 * self._h_hessian
 
     # -- catalog operations -----------------------------------------------------------

@@ -23,15 +23,15 @@ the sum counts the whole binding sub-cluster, the function is affine in U
 and y is its gradient; otherwise multipliers() has already required J to be
 surjective, U ranges over all of S^n, and y is unique.
 
-Arguments live on the isometrically vectorized space of symmetric matrices;
-plain matrices are accepted and converted.
+Arguments live on the isometrically vectorized space of symmetric matrices:
+every point is an svec vector of length n(n+1)/2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionMismatch, UnsupportedSpectralMultiplicity
+from ..errors import UnsupportedSpectralMultiplicity
 from ..extreal import PLUS_INF, ExtReal
 from ..numkit import cluster_tol, eigen_pinv, smat, svec, svec_dim, sym_eig, sym_eigvals
 from .base import OuterFunction
@@ -44,15 +44,8 @@ class SymMatrixFunction(OuterFunction):
     n: int
 
     def _to_mat(self, z) -> np.ndarray:
-        """z as a symmetric matrix: smat of a vector of length ambient_dim, or
-        the symmetric part of an n x n matrix; DimensionMismatch otherwise."""
-        z = self._require_dim(z)
-        if z.ndim == 1:
-            return smat(z)
-        if z.shape != (self.n, self.n):
-            raise DimensionMismatch(f"{self.tag}: expected a vector of length {self.ambient_dim} "
-                                    f"or a {self.n} x {self.n} matrix")
-        return 0.5 * (z + z.T)
+        """smat of z, which must be a vector of length ambient_dim."""
+        return smat(self._require_dim(z))
 
 
 def cluster_ranges(lams_desc: np.ndarray, gap: float) -> list[tuple[int, int]]:
@@ -158,13 +151,10 @@ class EigSumFunction(SymMatrixFunction):
         """2 <V, W pinv(lam_i I - A) W> on the critical cone, +inf elsewhere.
         The pseudoinverse is assembled in the eigenbasis with the i-th cluster
         annihilated, so exact multiplicity never has to be detected."""
-        self._require_subgradient(z, y)
+        if not self.critical_cone(z, y).contains(u):
+            return PLUS_INF
         A, V, W = self._to_mat(z), self._to_mat(y), self._to_mat(u)
         lams, Q, c_start, cluster, _ = self._structure(A)
-        pair = float(np.tensordot(V, W))
-        dval = self.subderivative(z, svec(W))
-        if abs(dval.value - pair) > 1e-8 * (1.0 + abs(pair) + float(np.linalg.norm(W))):
-            return PLUS_INF
         pinv_mat = eigen_pinv(lams[self.i - 1] - lams, Q, cluster)
         V_alpha = V - self._smooth_part(lams, Q, c_start)
         total = 2.0 * float(np.tensordot(V_alpha, W @ pinv_mat @ W))

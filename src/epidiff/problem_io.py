@@ -1,4 +1,4 @@
-"""Problem-file ingestion and serialization.
+"""Problem-file ingestion.
 
 Files are JSON with monomials written as strings ("3 x1^2 x2"): optional
 coefficient first, then variable^power factors.  The outer function g is a
@@ -42,12 +42,10 @@ class ProblemSpec:
     problem: CompositeProblem
     x: np.ndarray
     v: np.ndarray
-    v_given: bool
     kappa: float | None
     ell: float | None
     schedule: GridSchedule
     seed: int
-    g_payload: dict
 
 
 def _require(cond: bool, msg: str):
@@ -201,8 +199,7 @@ def parse_problem_dict(data: dict) -> ProblemSpec:
         problem = CompositeProblem(phi, F, g)
     except Exception as exc:
         raise ValidationError(str(exc)) from exc
-    v_given = "v" in data and data["v"] is not None
-    if v_given:
+    if data.get("v") is not None:
         v = _finite_vec(data["v"], "v")
         _require(v.shape == (n,), "v: wrong length")
     else:
@@ -226,12 +223,10 @@ def parse_problem_dict(data: dict) -> ProblemSpec:
         problem=problem,
         x=x,
         v=v,
-        v_given=v_given,
         kappa=kappa,
         ell=ell,
         schedule=schedule,
         seed=seed,
-        g_payload=dict(data["g"]),
     )
 
 
@@ -244,48 +239,3 @@ def parse_problem(path: str) -> ProblemSpec:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return parse_problem_dict(data)
-
-
-def _monomials_to_strings(p: PolyMap) -> list[list[str]]:
-    out = []
-    for comp in p.components:
-        strs = []
-        for coeff, exps in comp:
-            factors = [f"{coeff:.12g}"]
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            strs.append(" ".join(factors))
-        out.append(strs)
-    return out
-
-
-def problem_to_dict(spec: ProblemSpec) -> dict:
-    data = {
-        "phi": _monomials_to_strings(spec.problem.phi)[0],
-        "F": _monomials_to_strings(spec.problem.F),
-        "g": spec.g_payload,
-        "x": [float(c) for c in spec.x],
-        "seed": spec.seed,
-    }
-    if spec.v_given:
-        data["v"] = [float(c) for c in spec.v]
-    if spec.kappa is not None:
-        data["kappa"] = spec.kappa
-    if spec.ell is not None:
-        data["ell"] = spec.ell
-    sched = spec.schedule
-    default = GridSchedule(seed=spec.seed)
-    if sched != default:
-        data["schedule"] = {
-            "t0": sched.t0,
-            "ratio": sched.ratio,
-            "steps": sched.steps,
-            "radius_coeff": sched.radius_coeff,
-            "samples_per_axis": sched.samples_per_axis,
-            "radius_exponent": sched.radius_exponent,
-            "seed": sched.seed,
-        }
-    return data

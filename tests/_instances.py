@@ -8,7 +8,6 @@ from epidiff.core import CompositeProblem, PolyMap, jacobian, poly_eval
 from epidiff.errors import PointNotInDomain
 from epidiff.numkit import Polyhedron, svec
 from epidiff.numkit import sym
-from epidiff.numkit.sym import SymMatrix
 from epidiff.oracle import SampledFunction
 from epidiff.outer import (
     NegSemidefIndicator,
@@ -168,7 +167,7 @@ def random_simple_top_instance(rng, n):
 def jacobi_one_matrix(A):
     """The per-matrix cyclic Jacobi loop that sym_eig ran before it took
     stacks, kept as the reference."""
-    M = np.array(SymMatrix(A).entries)
+    M = sym._symmetrized(np.array(A, dtype=float))
     n = M.shape[0]
     Q = np.eye(n)
     if n == 1:

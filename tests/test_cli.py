@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from epidiff.cli import run
-from epidiff.problem_io import parse_problem, parse_problem_dict, problem_to_dict
+from epidiff.problem_io import parse_problem, parse_problem_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -131,22 +131,6 @@ def test_parse_rejects_inhomogeneous_h():
     with pytest.raises(Exception) as err:
         parse_problem_dict(data)
     assert "homogeneous" in str(err.value)
-
-
-def test_roundtrip_identity():
-    for name in (
-        "a1_parabola.json",
-        "plq_abs.json",
-        "psd_cone.json",
-        "parabola_min.json",
-        "min_quartic.json",
-        "mscq_fail.json",
-    ):
-        spec1 = parse_problem(_fixture(name))
-        d1 = problem_to_dict(spec1)
-        spec2 = parse_problem_dict(d1)
-        d2 = problem_to_dict(spec2)
-        assert d1 == d2, name
 
 
 # -- reports ------------------------------------------------------------------------

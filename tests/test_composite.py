@@ -14,10 +14,8 @@ from epidiff.composite import (
     check_basic_cq,
     check_mscq,
     critical_cone,
-    lipschitz_constant,
     multipliers,
     parabolic_chain,
-    primal_value,
     sampled_objective,
     second_subderivative_chain,
     subderivative_chain,
@@ -25,7 +23,6 @@ from epidiff.composite import (
 )
 from epidiff.core import CompositeProblem, PolyMap, jacobian, poly_eval
 from epidiff.errors import (
-    CriticalConePreconditionFailed,
     EmptyMultiplierSet,
     PointNotInDomain,
     UnsupportedSpectralMultiplicity,
@@ -149,9 +146,9 @@ def test_spectral_multiplicity_guard():
 
 
 def test_lipschitz_constants():
-    assert lipschitz_constant(nonpositive_orthant(1), [0.0]).ell == 0.0
-    assert lipschitz_constant(absolute_value(), [0.7]).ell == pytest.approx(1.0)
-    assert lipschitz_constant(sum_top_eig(3, 2), svec(np.diag([3.0, 1.0, 0.0]))).ell == 2.0
+    assert nonpositive_orthant(1).lipschitz_bound(np.array([0.0])) == 0.0
+    assert absolute_value().lipschitz_bound(np.array([0.7])) == pytest.approx(1.0)
+    assert sum_top_eig(3, 2).lipschitz_bound(svec(np.diag([3.0, 1.0, 0.0]))) == 2.0
 
 
 def test_tau_examples():
@@ -469,11 +466,11 @@ def test_second_subderivative_chain_examples():
 
 def test_primal_value_examples():
     prob = a1_problem()
-    assert primal_value(prob, A1_X, A1_V, [1.0, 0.0]).value == pytest.approx(-2.0)
+    assert second_subderivative_chain(prob, A1_X, A1_V, [1.0, 0.0]).primal_value.value == pytest.approx(-2.0)
     probA = abs_shift_problem()
-    assert primal_value(probA, [1.0], [1.0], [1.0]).value == pytest.approx(0.0)
-    with pytest.raises(CriticalConePreconditionFailed):
-        primal_value(prob, A1_X, A1_V, [0.0, 1.0])
+    assert second_subderivative_chain(probA, [1.0], [1.0], [1.0]).primal_value.value == pytest.approx(0.0)
+    # off the critical cone the primal value is +inf
+    assert second_subderivative_chain(prob, A1_X, A1_V, [0.0, 1.0]).primal_value.is_plus_inf
 
 
 # Golden values, derived by hand: the spectral primal values are closed forms

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from epidiff.errors import NegativeInfinityDetected
-from epidiff.extreal import PLUS_INF, ExtReal, ext_max, ext_min
+from epidiff.extreal import PLUS_INF, ExtReal
 
 finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 
@@ -26,12 +26,12 @@ def test_total_order_matches_floats(a, b):
 @given(st.lists(finite, min_size=1))
 def test_min_max_agree_with_builtin(xs):
     vals = [ExtReal(x) for x in xs]
-    assert ext_min(vals).value == min(xs)
-    assert ext_max(vals).value == max(xs)
+    assert min(vals).value == min(xs)
+    assert max(vals).value == max(xs)
 
 
 def test_min_over_only_plus_inf_is_plus_inf():
-    assert ext_min([PLUS_INF, PLUS_INF]).is_plus_inf
+    assert min([PLUS_INF, PLUS_INF]).is_plus_inf
 
 
 def test_nan_and_minus_inf_rejected():

@@ -12,7 +12,6 @@ from epidiff.oracle import estimate_second_subderivative
 from epidiff.optimality import (
     check_sonc,
     check_ssosc,
-    lagrangian_hessian,
     sms_certificate,
     stationary_data,
     verify_growth,
@@ -21,7 +20,6 @@ from epidiff.numkit import Polyhedron
 from epidiff.outer import NegSemidefIndicator, PolyhedralIndicator, nonpositive_orthant, zero_function
 
 from _instances import (
-    a1_problem,
     eq_constrained_problem,
     old_restore,
     parabola_min_problem,
@@ -35,19 +33,6 @@ def _sonc(prob, x, seed):
 
 def _ssosc(prob, x, seed):
     return check_ssosc(prob, stationary_data(prob, x, 1.0), seed=seed)
-
-
-def test_lagrangian_hessian_examples():
-    prob = a1_problem()
-    H = lagrangian_hessian(prob, [0.0, 0.0], [1.0])
-    assert np.allclose(H.entries, np.diag([-2.0, 0.0]))
-    assert np.allclose(lagrangian_hessian(prob, [0.0, 0.0], [0.0]).entries, 0.0)
-    quad = CompositeProblem(
-        PolyMap.from_strings([["x1^2", "x2^2"]], 2),
-        PolyMap.linear(np.array([[1.0, 1.0]])),
-        nonpositive_orthant(1),
-    )
-    assert np.allclose(lagrangian_hessian(quad, [0.0, -1.0], [3.0]).entries, 2 * np.eye(2))
 
 
 def test_sonc_accepts_minimum():

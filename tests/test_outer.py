@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from epidiff.outer import (
     max_eig,
     nonpositive_orthant,
     sum_top_eig,
+    zero_function,
+    zero_set,
 )
 from epidiff.outer.indicators import INDICATOR_FEAS_TOL
 
@@ -291,6 +295,39 @@ def test_spectral_members_check_the_dimension_of_every_argument():
         for call in calls:
             with pytest.raises(DimensionMismatch):
                 call()
+
+
+def test_every_member_takes_one_vector_of_its_length():
+    """A point that is not one vector of length ambient_dim (a plain matrix,
+    a one-row stack or a scalar) raises DimensionMismatch in the value, the
+    subdifferential and the subderivative of every member."""
+    from epidiff.errors import DimensionMismatch
+
+    members = [absolute_value(), half_square_plq(), nonpositive_orthant(3), zero_set(3),
+               NegSemidefIndicator(3), max_eig(3), sum_top_eig(3, 2),
+               alpha_eig(3, 1, svec(np.diag([1.0, 0.0, 0.0]))), zero_function(3)]
+    for g in members:
+        m = g.ambient_dim
+        for bad in (np.zeros((1, m)), -np.eye(3), np.float64(0.0)):
+            for call in (lambda: g.value(bad), lambda: g.subdifferential(bad),
+                         lambda: g.subderivative(bad, np.zeros(m))):
+                with pytest.raises(DimensionMismatch):
+                    call()
+
+
+def test_one_subgradient_check_per_second_subderivative():
+    """The semidefinite and eigenvalue second subderivatives check that y is
+    a subgradient once, in critical_cone: one subdifferential per call."""
+    z, y = psd_base_data()
+    cases = [
+        (NegSemidefIndicator(2), z, y, svec(np.diag([0.0, 1.0]))),
+        (max_eig(2), svec(np.diag([2.0, 1.0])), svec(np.diag([1.0, 0.0])), svec(np.diag([0.0, 1.0]))),
+    ]
+    for g, z, y, u in cases:
+        cls = type(g)
+        with mock.patch.object(cls, "subdifferential", autospec=True, side_effect=cls.subdifferential) as sub:
+            assert g.second_subderivative(z, y, u).is_finite
+        assert sub.call_count == 1, g.tag
 
 
 # -- invariants & properties ---------------------------------------------------------------------
