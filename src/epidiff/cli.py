@@ -105,11 +105,12 @@ def _resolve_kappa(spec: ProblemSpec, seed: int):
     return kappa, prov, mscq
 
 
-def _direction_set(spec: ProblemSpec, ms, seed: int, n_random: int = 8, off_cone: int = 0):
-    """The default probing set: extreme rays plus seeded random unit critical
-    directions, with optional off-cone probes for the PlusInf branch."""
+def _direction_set(spec: ProblemSpec, ms, seed: int, off_cone: int = 0):
+    """The default probing set: extreme rays plus the critical directions of
+    eight seeded random unit seeds, with optional off-cone probes for the
+    PlusInf branch."""
     prob = spec.problem
-    dirs = sample_critical_directions(prob, ms, n_random, seed)
+    dirs = sample_critical_directions(prob, ms, 8, seed)
     rng = np.random.default_rng(seed + 1)
     off: list[np.ndarray] = []
     attempts = 0

@@ -49,7 +49,6 @@ class MultiplierSet:
     tau: float
     multipliers: list
     polyhedron: Polyhedron | None = None
-    truncated: bool = False
     tau_enlargements: int = 0
     vertices: list = field(default_factory=list)
 
@@ -109,12 +108,13 @@ class DualityInfo:
 # -- basic data ------------------------------------------------------------------
 
 
-def _base_point(prob: CompositeProblem, x: np.ndarray) -> np.ndarray:
-    """z = F(x), which must lie in dom g."""
+def _base_point(prob: CompositeProblem, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(z, g(z)) for z = F(x), which must lie in dom g."""
     z = poly_eval(prob.F, x)
-    if not prob.g.value(z).is_finite:
+    gz = prob.g.value(z)
+    if not gz.is_finite:
         raise BasePointInfeasible("F(x) lies outside dom g")
-    return z
+    return z, gz.value
 
 
 def tau_bound(J, v, kappa: float, ell: float) -> float:
@@ -134,7 +134,7 @@ def multipliers(
     unique candidate of a spectral set or a singleton."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    z = _base_point(prob, x)
+    z, _ = _base_point(prob, x)
     J = jacobian(prob.F, x)
     if ell is None:
         ell = prob.g.lipschitz_bound(z)
@@ -226,9 +226,7 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def check_mscq(
-    prob: CompositeProblem, x, n_samples: int = 240, radius: float = 0.25, seed: int = 0
-) -> MSCQResult:
+def check_mscq(prob: CompositeProblem, x, n_samples: int, radius: float, seed: int) -> MSCQResult:
     """Empirical metric-subregularity modulus: the ratio of the distance to the
     feasible set over the image distance to dom g, scanned over shrinking
     sample balls.  A growth trend across the refinements is failure evidence.
@@ -280,7 +278,7 @@ def check_mscq(
 def check_basic_cq(prob: CompositeProblem, x) -> bool:
     """Whether N_dom g(F(x)) meets ker adj(dF(x)) only at the origin."""
     x = np.asarray(x, dtype=float)
-    return prob.g.basic_cq(_base_point(prob, x), jacobian(prob.F, x))
+    return prob.g.basic_cq(_base_point(prob, x)[0], jacobian(prob.F, x))
 
 
 # -- chain rules ----------------------------------------------------------------------
@@ -289,7 +287,7 @@ def check_basic_cq(prob: CompositeProblem, x) -> bool:
 def subderivative_chain(prob: CompositeProblem, x, w) -> ExtReal:
     """d g(F(x)) at dF(x) w."""
     x = np.asarray(x, dtype=float)
-    z = _base_point(prob, x)
+    z, _ = _base_point(prob, x)
     return prob.g.subderivative(z, jacobian(prob.F, x) @ np.asarray(w, dtype=float))
 
 

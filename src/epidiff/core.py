@@ -341,9 +341,5 @@ class CompositeProblem:
         self.n = F.n_in
         self.m = F.n_out
 
-    def check_feasible(self, x) -> bool:
-        """Base-point feasibility F(x) in dom g."""
-        return self.g.value(poly_eval(self.F, x)).is_finite
-
     def __repr__(self):
         return f"CompositeProblem(n={self.n}, m={self.m}, g={self.g!r})"

@@ -77,16 +77,6 @@ class ExtReal:
             return PLUS_INF
         return ExtReal(self._value - float(other))
 
-    def __mul__(self, scalar: float) -> "ExtReal":
-        scalar = float(scalar)
-        if self.is_plus_inf:
-            if scalar <= 0:
-                raise ValueError("PlusInf may only be scaled by positive reals")
-            return PLUS_INF
-        return ExtReal(self._value * scalar)
-
-    __rmul__ = __mul__
-
     def __neg__(self) -> "ExtReal":
         if self.is_plus_inf:
             raise NegativeInfinityDetected("cannot negate PlusInf")
@@ -114,12 +104,6 @@ class ExtReal:
 
     def __str__(self):
         return "+inf" if self.is_plus_inf else repr(self._value)
-
-    def isclose(self, other, abs_tol: float = 1e-9, rel_tol: float = 0.0) -> bool:
-        other = _coerce(other)
-        if self.is_plus_inf or other.is_plus_inf:
-            return self.is_plus_inf and other.is_plus_inf
-        return math.isclose(self._value, other._value, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 PLUS_INF = ExtReal(None)

@@ -366,7 +366,7 @@ def cone_generators(K: Polyhedron) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return _dedupe_sorted(rays, tol=1e-8), lines
 
 
-def vrep_to_hrep(points, rays=(), lines=(), dim: int | None = None) -> Polyhedron:
+def vrep_to_hrep(points, rays=(), lines=()) -> Polyhedron:
     """H-representation of conv(points) + cone(rays) + span(lines).
 
     Works through the homogenization cone: the facets of P are the extreme rays
@@ -376,8 +376,7 @@ def vrep_to_hrep(points, rays=(), lines=(), dim: int | None = None) -> Polyhedro
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
         raise EmptyPolyhedron("vrep_to_hrep needs at least one point")
-    if dim is None:
-        dim = points[0].shape[0]
+    dim = points[0].shape[0]
     rows_ineq = [np.append(p, 1.0) for p in points]
     rows_ineq += [np.append(np.asarray(r, dtype=float), 0.0) for r in rays]
     rows_eq = [np.append(np.asarray(l, dtype=float), 0.0) for l in lines]
@@ -435,11 +434,11 @@ def pullback_lp_min(c, T: Polyhedron, J, H, v) -> float | None:
     return val
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray, tol: float = DEDUP_TOL) -> bool:
+def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
     for x, y in zip(a, b):
-        if x < y - tol:
+        if x < y - DEDUP_TOL:
             return True
-        if x > y + tol:
+        if x > y + DEDUP_TOL:
             return False
     return False
 
@@ -467,31 +466,31 @@ def lp_max(c, P: Polyhedron) -> tuple[float, np.ndarray]:
     return max_vertex(c, vertices(P))  # raises Unbounded on nontrivial recession cone
 
 
-def tangent_cone(P: Polyhedron, x, act_tol: float = ACT_TOL) -> PolyCone:
+def tangent_cone(P: Polyhedron, x) -> PolyCone:
     """The cone {w : G_act w <= 0, E w = 0} of constraints active at x.
 
     Redundant active rows are kept: the H-representation may be non-minimal,
     and comparisons downstream are by membership, not by representation.
     """
     x = np.asarray(x, dtype=float)
-    if residuals(P, x) > act_tol:
-        raise PointNotInSet("point is farther than act_tol from the polyhedron")
+    if residuals(P, x) > ACT_TOL:
+        raise PointNotInSet("point is farther than ACT_TOL from the polyhedron")
     if P.n_ineq:
         slack = (P.G @ x - P.h) / _row_scales(P.G)
-        active = P.G[slack >= -act_tol]
+        active = P.G[slack >= -ACT_TOL]
     else:
         active = np.zeros((0, P.dim))
     return PolyCone.make_cone(P.dim, active, P.E)
 
 
-def normal_cone_hrep(polys, z, act_tol: float = ACT_TOL) -> PolyCone:
+def normal_cone_hrep(polys, z) -> PolyCone:
     """H-representation of the normal cone at z to the union of the
     polyhedra polys, all containing z: the polar of each tangent cone, cut
     out by its generators, and intersected over the polyhedra (the normal
     cone of a convex union is the intersection of the pieces' ones)."""
     rows_G, rows_E = [], []
     for C in polys:
-        t_rays, t_lines = cone_generators(tangent_cone(C, z, act_tol))
+        t_rays, t_lines = cone_generators(tangent_cone(C, z))
         rows_G.extend(t_rays)
         rows_E.extend(t_lines)
     return PolyCone.make_cone(

@@ -186,10 +186,9 @@ def eigen_pinv(lams, Q: np.ndarray, kill) -> np.ndarray:
     return Q @ np.diag(inv) @ Q.T
 
 
-def cluster_tol(A, axis=None):
-    """Eigenvalues of A closer than this are one cluster: 1e-8 * (1 + |A|_F),
-    per matrix over the given axes of a stack."""
-    return 1e-8 * (1.0 + np.linalg.norm(A, axis=axis))
+def cluster_tol(A):
+    """Eigenvalues of A closer than this are one cluster: 1e-8 * (1 + |A|_F)."""
+    return 1e-8 * (1.0 + np.linalg.norm(A))
 
 
 def operator_norm(M) -> float:

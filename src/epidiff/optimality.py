@@ -16,6 +16,7 @@ import numpy as np
 
 from .composite import (
     MultiplierSet,
+    _base_point,
     _restore_feasible_points,
     chain_dual_value,
     multipliers,
@@ -29,6 +30,9 @@ from .numkit.polyhedra import DEDUP_TOL
 
 SONC_TOL = 1e-6
 SSOSC_TOL = 1e-6
+# random seeds per condition check: projected onto the critical cone for
+# SONC, 64 times as many sphere-lattice points for SSOSC
+N_DIRS = 16
 # verify_growth forgives a sample this much below the growth bound.
 GROWTH_SLACK = 1e-9
 # verify_growth draws, values and restores its samples this many at a time at
@@ -39,7 +43,6 @@ GROWTH_BLOCK = 256
 
 @dataclass
 class SOCReport:
-    kind: str  # "necessary" | "sufficient"
     holds: bool
     worst_direction: np.ndarray | None
     worst_value: ExtReal
@@ -49,15 +52,12 @@ class SOCReport:
 
 @dataclass
 class GrowthReport:
-    ell_found: float
-    epsilon: float
     samples: int
     violations: int
 
 
 @dataclass
 class SmsCertificate:
-    ssosc: SOCReport
     affirmative: bool
     equivalence_note: str
     assumptions: dict
@@ -78,12 +78,21 @@ def stationary_data(prob: CompositeProblem, x, kappa: float):
     return x, v, ms, hessian(prob.phi, x)
 
 
-def _condition_value(prob: CompositeProblem, x, v, w, ms: MultiplierSet, phi_hess) -> ExtReal:
+def _condition_value(prob: CompositeProblem, base, w) -> ExtReal:
+    x, v, ms, phi_hess = base
     w = np.asarray(w, dtype=float)
     dual, _ = chain_dual_value(prob, x, v, w, ms)
     if dual.is_plus_inf:
         return PLUS_INF
     return ExtReal(float(w @ phi_hess @ w) + dual.value)
+
+
+def _least_condition(prob: CompositeProblem, base, dirs) -> tuple[ExtReal, np.ndarray]:
+    """The least condition value over the nonempty list dirs, and the first
+    direction that reaches it (the first direction when every value is +inf)."""
+    vals = [_condition_value(prob, base, w) for w in dirs]
+    i = vals.index(min(vals))
+    return vals[i], dirs[i]
 
 
 def _unit_sphere_seeds(dim: int, count: int, rng) -> list[np.ndarray]:
@@ -120,21 +129,17 @@ def sample_critical_directions(prob, ms: MultiplierSet, n_dirs: int, seed: int, 
     return dedupe(ms.cone.directions(seeds), DEDUP_TOL)
 
 
-def check_sonc(prob: CompositeProblem, base, n_dirs: int = 16, seed: int = 0) -> SOCReport:
+def check_sonc(prob: CompositeProblem, base, seed: int = 0) -> SOCReport:
     """Necessary condition at the base point ``base = stationary_data(...)``:
     the condition value is nonnegative on every tested critical direction."""
-    x, v, ms, phi_hess = base
-    dirs = sample_critical_directions(prob, ms, n_dirs, seed)
+    ms = base[2]
+    dirs = sample_critical_directions(prob, ms, N_DIRS, seed)
     method = ms.cone.method
     if not dirs:
-        return SOCReport("necessary", True, None, ExtReal(0.0), 0, method)
-    worst_val, worst_dir = None, None
-    for w in dirs:
-        val = _condition_value(prob, x, v, w, ms, phi_hess)
-        if worst_val is None or val < worst_val:
-            worst_val, worst_dir = val, w
+        return SOCReport(True, None, ExtReal(0.0), 0, method)
+    worst_val, worst_dir = _least_condition(prob, base, dirs)
     holds = worst_val.is_plus_inf or worst_val.value >= -SONC_TOL
-    return SOCReport("necessary", holds, worst_dir, worst_val, len(dirs), method)
+    return SOCReport(holds, worst_dir, worst_val, len(dirs), method)
 
 
 def _sphere_refine(val_fn, cone, w0: np.ndarray, f0: float):
@@ -161,7 +166,7 @@ def _sphere_refine(val_fn, cone, w0: np.ndarray, f0: float):
     return fw, w
 
 
-def check_ssosc(prob: CompositeProblem, base, n_dirs: int = 16, seed: int = 0) -> SOCReport:
+def check_ssosc(prob: CompositeProblem, base, seed: int = 0) -> SOCReport:
     """Sufficient condition at the base point ``base = stationary_data(...)``:
     the condition value is strictly positive on the unit sphere of the
     critical cone.
@@ -169,30 +174,25 @@ def check_ssosc(prob: CompositeProblem, base, n_dirs: int = 16, seed: int = 0) -
     A cone of dimension <= 1 is covered exactly by its normalized generators;
     otherwise a sphere lattice plus local refinement searches for the minimum
     (an interior direction can be the minimizer in wider cones)."""
-    x, v, ms, phi_hess = base
+    ms = base[2]
     cone = ms.cone
     dirs = cone.exact_directions()
     exact_rays = dirs is not None
     if not exact_rays:
-        dirs = sample_critical_directions(prob, ms, n_dirs, seed, dense=True)
+        dirs = sample_critical_directions(prob, ms, N_DIRS, seed, dense=True)
     method = "extreme_rays" if exact_rays else "sphere_grid"
     if not dirs:
         # the critical cone is {0}: the condition over nonzero directions is vacuous
-        return SOCReport("sufficient", True, None, PLUS_INF, 0, method)
-
-    def val_fn(w):
-        return _condition_value(prob, x, v, w, ms, phi_hess).as_float()
-
-    worst_val, worst_dir = math.inf, None
-    for w in dirs:
-        val = val_fn(w)
-        if val < worst_val:
-            worst_val, worst_dir = val, w
-    if not exact_rays and worst_dir is not None and math.isfinite(worst_val):
-        worst_val, worst_dir = _sphere_refine(val_fn, cone, worst_dir, worst_val)
-    worst = ExtReal(worst_val) if math.isfinite(worst_val) else PLUS_INF
-    holds = worst_val > SSOSC_TOL
-    return SOCReport("sufficient", holds, worst_dir, worst, len(dirs), method)
+        return SOCReport(True, None, PLUS_INF, 0, method)
+    worst, worst_dir = _least_condition(prob, base, dirs)
+    if worst.is_plus_inf:
+        return SOCReport(True, None, PLUS_INF, len(dirs), method)
+    if not exact_rays:
+        val, worst_dir = _sphere_refine(
+            lambda w: _condition_value(prob, base, w).as_float(), cone, worst_dir, worst.value
+        )
+        worst = ExtReal(val)
+    return SOCReport(worst.value > SSOSC_TOL, worst_dir, worst, len(dirs), method)
 
 
 def verify_growth(
@@ -200,8 +200,8 @@ def verify_growth(
     x,
     ell: float,
     epsilon: float,
-    n_samples: int = 2000,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> GrowthReport:
     """Sample feasible points near x and count violations of the quadratic
     growth inequality.  Half the budget restores infeasible ball samples onto
@@ -216,11 +216,7 @@ def verify_growth(
         raise ValueError("ell and epsilon must be positive")
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
-    psi0 = float(poly_eval(prob.phi, x)[0])
-    g0 = prob.g.value(poly_eval(prob.F, x))
-    if not g0.is_finite:
-        raise NotStationary("base point is infeasible")
-    psi0 += g0.value
+    psi0 = float(poly_eval(prob.phi, x)[0]) + _base_point(prob, x)[1]
     kept = 0
     violations = 0
     attempts = 0
@@ -243,12 +239,7 @@ def verify_growth(
         attempts += block
         kept += int(np.count_nonzero(np.isfinite(gvals)))
         violations += int(np.count_nonzero(np.isfinite(gvals) & (psi < lower)))
-    return GrowthReport(
-        ell_found=ell if violations == 0 else 0.0,
-        epsilon=epsilon,
-        samples=kept,
-        violations=violations,
-    )
+    return GrowthReport(samples=kept, violations=violations)
 
 
 def sms_certificate(ssosc: SOCReport, mscq_provenance: str = "user-asserted") -> SmsCertificate:
@@ -272,7 +263,6 @@ def sms_certificate(ssosc: SOCReport, mscq_provenance: str = "user-asserted") ->
             "(the equivalence then rules it out at any local minimizer)"
         )
     return SmsCertificate(
-        ssosc=ssosc,
         affirmative=ssosc.holds,
         equivalence_note=note,
         assumptions=assumptions,

@@ -266,15 +266,13 @@ def _pattern_search(score, starts, f_starts, centers, radii, extra_dirs=(), max_
     return best_f.tolist(), best_p
 
 
-def _pattern_refine(score, start, f_start, center, radius, extra_dirs=(), max_evals=700,
-                    rescue=None, rescues=0, accepted=None):
-    """One complete-poll pattern search: _pattern_search of a single search,
-    whose score(P) and rescue(P) take the stack alone.  Returns (best value,
-    best point)."""
+def _pattern_refine(score, start, f_start, center, radius, max_evals=700, accepted=None):
+    """One complete-poll pattern search along the axes, without rescues:
+    _pattern_search of a single search, whose score(P) takes the stack
+    alone.  Returns (best value, best point)."""
     (best_f,), (best_p,) = _pattern_search(
         lambda P, _: score(P), np.asarray(start)[None], [f_start], np.asarray(center)[None], radius,
-        extra_dirs, max_evals, rescue and (lambda P, _: rescue(P)), rescues,
-        None if accepted is None else [accepted],
+        max_evals=max_evals, accepted=None if accepted is None else [accepted],
     )
     return best_f, best_p
 

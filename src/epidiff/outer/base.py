@@ -136,10 +136,10 @@ class OuterFunction:
         if not self.value(z).is_finite:
             raise PointNotInDomain(f"{self.tag}: point outside dom g")
 
-    def _require_subgradient(self, z, y, tol: float = SUBGRADIENT_TOL) -> SubdiffRepr:
+    def _require_subgradient(self, z, y) -> SubdiffRepr:
         """The subdifferential at z, which must contain y."""
         rep = self.subdifferential(z)
-        if not rep.contains(y, tol):
+        if not rep.contains(y, SUBGRADIENT_TOL):
             raise NotASubgradient(f"{self.tag}: y is not a subgradient at z")
         return rep
 

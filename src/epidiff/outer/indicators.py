@@ -32,6 +32,7 @@ from ..numkit import (
     tangent_cone,
 )
 from ..numkit.polyhedra import (
+    ACT_TOL,
     _nullspace,
     _row_scales,
     kernel_meets_cone,
@@ -47,10 +48,9 @@ from .spectral import SymMatrixFunction, arc_expansion
 # Indicator feasibility must be decided much tighter than geometric activity:
 # a boundary fuzz of size eps shifts second-order quotients by ~eps / t^2.
 INDICATOR_FEAS_TOL = 1e-11
-ACT_TOL = 1e-9
 
 
-def second_order_tangent_cone(C: Polyhedron, z, w, act_tol: float = ACT_TOL) -> PolyCone:
+def second_order_tangent_cone(C: Polyhedron, z, w) -> PolyCone:
     """H-representation of the second-order tangent set to a polyhedron.
 
     Active rows with G_i w = 0 constrain u by G_i u <= 0; active rows with
@@ -58,14 +58,14 @@ def second_order_tangent_cone(C: Polyhedron, z, w, act_tol: float = ACT_TOL) -> 
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    T = tangent_cone(C, z, act_tol)
-    if residuals(T, w) > act_tol * (1.0 + float(np.linalg.norm(w))):
+    T = tangent_cone(C, z)
+    if residuals(T, w) > ACT_TOL * (1.0 + float(np.linalg.norm(w))):
         raise TangentPreconditionFailed("direction is not tangent to the domain")
     rows = []
     if T.n_ineq:
         scales = _row_scales(T.G)
         lin = (T.G @ w) / scales
-        wtol = act_tol * (1.0 + float(np.linalg.norm(w)))
+        wtol = ACT_TOL * (1.0 + float(np.linalg.norm(w)))
         for i in range(T.n_ineq):
             if abs(lin[i]) <= wtol:
                 rows.append(T.G[i])
@@ -134,7 +134,7 @@ class PolyhedralIndicator(_Indicator):
 
     def subderivative(self, z, w) -> ExtReal:
         self._require_in_domain_geom(z)
-        T = tangent_cone(self.C, np.asarray(z, dtype=float), ACT_TOL)
+        T = tangent_cone(self.C, np.asarray(z, dtype=float))
         w = np.asarray(w, dtype=float)
         inside = residuals(T, w) <= ACT_TOL * (1.0 + float(np.linalg.norm(w)))
         return ExtReal(0.0) if inside else PLUS_INF
@@ -151,7 +151,7 @@ class PolyhedralIndicator(_Indicator):
         """Tangent cone intersected with the hyperplane y-perp (active-set form)."""
         self._require_subgradient(z, y)
         y = np.asarray(y, dtype=float)
-        T = tangent_cone(self.C, np.asarray(z, dtype=float), ACT_TOL)
+        T = tangent_cone(self.C, np.asarray(z, dtype=float))
         E = np.vstack([T.E, y.reshape(1, -1)]) if np.linalg.norm(y) > 0 else T.E
         return PolyhedralConeRepr(
             PolyCone.make_cone(self.ambient_dim, T.G if T.n_ineq else None, E),
@@ -309,14 +309,14 @@ class NegSemidefIndicator(_Indicator, SymMatrixFunction):
         return PredicateConeRepr(pred, "tangent directions orthogonal to the multiplier",
                                  lambda w: self.project_critical(z, y, w))
 
-    def project_critical(self, z, y, w, iters: int = 25) -> np.ndarray:
+    def project_critical(self, z, y, w) -> np.ndarray:
         """Alternating projection of a direction onto the critical cone at
-        (z, y): kill the multiplier pairing, then clip the compression on the
-        zero-eigenvalue cluster."""
+        (z, y), 25 rounds of: kill the multiplier pairing, then clip the
+        compression on the zero-eigenvalue cluster."""
         A, V, W = self._to_mat(z), self._to_mat(y), self._to_mat(w)
         E0 = self._zero_cluster_basis(A)
         vnorm2 = float(np.tensordot(V, V))
-        for _ in range(iters):
+        for _ in range(25):
             if vnorm2 > 1e-300:
                 W = W - V * (float(np.tensordot(V, W)) / vnorm2)
             if E0.shape[1]:

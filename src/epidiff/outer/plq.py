@@ -26,13 +26,14 @@ from ..numkit import (
     vrep_to_hrep,
 )
 from ..numkit.polyhedra import (
+    ACT_TOL,
     kernel_meets_cone,
     normal_cone_hrep,
     pullback_lp_min,
     residuals,
 )
 from .base import OuterFunction, each_row
-from .indicators import ACT_TOL, INDICATOR_FEAS_TOL as VALUE_TOL, second_order_tangent_cone
+from .indicators import INDICATOR_FEAS_TOL, second_order_tangent_cone
 from .reprs import PolyhedralConeRepr, PolyhedronRep
 
 
@@ -75,14 +76,14 @@ class PlqFunction(OuterFunction):
     def _domain_normal_cone(self, z: np.ndarray, active: list[int]) -> PolyCone:
         """H-representation of the normal cone to dom g at z: the
         intersection of the active pieces' normal cones."""
-        return normal_cone_hrep([self.pieces[i].domain for i in active], z, ACT_TOL)
+        return normal_cone_hrep([self.pieces[i].domain for i in active], z)
 
     def _admissible(self, z: np.ndarray, w: np.ndarray) -> list[int]:
         """Active pieces whose tangent cone at z contains w."""
         wtol = ACT_TOL * (1.0 + float(np.linalg.norm(w)))
         out = []
         for i in self._active(z):
-            T = tangent_cone(self.pieces[i].domain, z, ACT_TOL)
+            T = tangent_cone(self.pieces[i].domain, z)
             if residuals(T, w) <= wtol:
                 out.append(i)
         return out
@@ -96,7 +97,7 @@ class PlqFunction(OuterFunction):
         out = np.full(Z.shape[0], np.inf)
         # the value tolerance is much tighter than the activity tolerance:
         # extrapolating a piece by eps shifts second-order quotients by eps/t^2
-        tol = VALUE_TOL * (1.0 + row_norms(Z))
+        tol = INDICATOR_FEAS_TOL * (1.0 + row_norms(Z))
         for p in self.pieces:
             mask = residuals(p.domain, Z) <= tol
             if mask.any():
@@ -118,7 +119,7 @@ class PlqFunction(OuterFunction):
             raise PointNotInDomain("point outside dom g")
         points = [self.pieces[i].grad(z) for i in active]
         n_rays, n_lines = cone_generators(self._domain_normal_cone(z, active))
-        hrep = vrep_to_hrep(points, n_rays, n_lines, dim=self.ambient_dim)
+        hrep = vrep_to_hrep(points, n_rays, n_lines)
         return PolyhedronRep(polyhedron=hrep, points=points, rays=n_rays, lines=n_lines)
 
     def subderivative(self, z, w) -> ExtReal:

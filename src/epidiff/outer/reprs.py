@@ -70,11 +70,11 @@ class PolyhedronRep(SubdiffRepr):
             if verts:
                 break
             if is_empty(core):
-                return dict(multipliers=[], truncated=True)
+                return dict(multipliers=[])
             tau_eff *= 2.0
             enlargements += 1
         kept = [y for y in verts if _affine_ok(J, v, y) and self.contains(y, 1e-7)]
-        return dict(multipliers=kept, polyhedron=intersect(core, box(m, tau_eff)), truncated=True,
+        return dict(multipliers=kept, polyhedron=intersect(core, box(m, tau_eff)),
                     tau_enlargements=enlargements, vertices=verts)
 
 
@@ -156,7 +156,7 @@ class CriticalConeRepr:
     description: str = ""
     method: str = "sphere_grid"  # how ``directions`` covers the cone
 
-    def contains(self, w, tol: float = 1e-8) -> bool:
+    def contains(self, w) -> bool:
         raise NotImplementedError
 
     def pullback(self, J) -> CriticalConeRepr:
@@ -188,9 +188,9 @@ class PolyhedralConeRepr(CriticalConeRepr):
     description: str = "polyhedral critical cone"
     method = "extreme_rays"
 
-    def contains(self, w, tol: float = 1e-8) -> bool:
+    def contains(self, w) -> bool:
         w = np.asarray(w, dtype=float)
-        return residuals(self.cone, w) <= tol * (1.0 + float(np.linalg.norm(w)))
+        return residuals(self.cone, w) <= 1e-8 * (1.0 + float(np.linalg.norm(w)))
 
     def pullback(self, J) -> PolyhedralConeRepr:
         K = self.cone
@@ -231,7 +231,7 @@ class PredicateConeRepr(CriticalConeRepr):
     description: str = "critical cone membership predicate"
     lift: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def contains(self, w, tol: float = 1e-8) -> bool:
+    def contains(self, w) -> bool:
         return bool(self.predicate(np.asarray(w, dtype=float)))
 
     def pullback(self, J) -> PredicateConeRepr:

@@ -32,7 +32,7 @@ from .outer import (
     zero_function,
 )
 
-DEFAULT_SEED = 20240
+DEFAULT_SEED = GridSchedule.seed
 
 
 @dataclass

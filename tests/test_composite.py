@@ -65,7 +65,7 @@ def test_multipliers_examples():
     prob = a1_problem()
     ms = multipliers(prob, A1_X, A1_V, kappa=1.0)
     assert len(ms.multipliers) == 1 and ms.multipliers[0][0] == pytest.approx(1.0)
-    assert ms.truncated and ms.tau == pytest.approx(1.0)
+    assert ms.tau == pytest.approx(1.0)
     ms0 = multipliers(prob, A1_X, np.zeros(2), kappa=1.0)
     assert len(ms0.multipliers) == 1 and ms0.multipliers[0][0] == pytest.approx(0.0)
     # identity F pins the multiplier to v itself

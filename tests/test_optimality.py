@@ -7,7 +7,7 @@ from epidiff import optimality
 
 from epidiff.composite import sampled_objective, second_subderivative_chain
 from epidiff.core import CompositeProblem, PolyMap, hessian, poly_eval
-from epidiff.errors import NotStationary
+from epidiff.errors import BasePointInfeasible, NotStationary
 from epidiff.oracle import estimate_second_subderivative
 from epidiff.optimality import (
     check_sonc,
@@ -73,7 +73,7 @@ def test_growth_examples():
     rep = verify_growth(parabola_min_problem(), [0.0, 0.0], ell=0.5, epsilon=0.1, n_samples=800, seed=2)
     assert rep.violations == 0 and rep.samples == 800
     flat = verify_growth(quartic_problem(), [0.0], ell=0.1, epsilon=0.5, n_samples=500, seed=2)
-    assert flat.violations > 0 and flat.ell_found == 0.0
+    assert flat.violations > 0
     # |x|^2 with ell = 2: the inequality is tight but never violated
     prob = CompositeProblem(
         PolyMap.from_strings([["x1^2", "x2^2"]], 2), PolyMap.zero(2, 1), zero_function(1)
@@ -110,6 +110,13 @@ def test_growth_fails_when_not_a_minimum():
     for ell in (1.0, 0.1, 0.01):
         rep = verify_growth(prob, [0.0, 0.0], ell=ell, epsilon=0.1, n_samples=400, seed=5)
         assert rep.violations > 0, ell
+
+
+def test_growth_rejects_an_infeasible_base_point():
+    """verify_growth checks its base point as multipliers and check_mscq do:
+    F(x) outside dom g raises BasePointInfeasible."""
+    with pytest.raises(BasePointInfeasible):
+        verify_growth(parabola_min_problem(), [1.0, 0.0], ell=0.5, epsilon=0.1, n_samples=10, seed=0)
 
 
 def _old_verify_growth(prob, x, ell, epsilon, n_samples, seed):

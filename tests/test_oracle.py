@@ -469,8 +469,8 @@ def _landscape(dim, seed, holes, trap, ties):
 
 
 def _run_poll(value, target, dim, seed, max_evals, budget, lin):
-    """Run _pattern_refine on value from a seeded start in the unit ball and
-    record its calls in order: ("score", P, values) and ("rescue", P,
+    """Run one _pattern_search on value from a seeded start in the unit ball
+    and record its calls in order: ("score", P, values) and ("rescue", P,
     values).  A rescue pulls each point 10% toward the bowl's center."""
     rng = np.random.default_rng(seed + 1)
     center = rng.uniform(-0.5, 0.5, dim)
@@ -489,8 +489,9 @@ def _run_poll(value, target, dim, seed, max_evals, budget, lin):
         return vals, pts
 
     f0 = float(np.sum((center - target) ** 2)) + 1.0
-    got = oracle._pattern_refine(score, center, f0, center, 1.0, extra_dirs=extra, max_evals=max_evals,
-                                 rescue=rescue if budget else None, rescues=budget)
+    got = [out[0] for out in oracle._pattern_search(
+        lambda P, _: score(P), center[None], [f0], center[None], 1.0, extra, max_evals,
+        (lambda P, _: rescue(P)) if budget else None, budget)]
     return got, events, center, f0, extra
 
 
@@ -838,7 +839,7 @@ def test_lockstep_searches_each_take_the_path_they_take_alone(searches, dim, hol
     """Searches with their own start, center, radius, max_evals and rescue
     budget, run in lockstep on one landscape: each search's result, and its
     own rows of every shared scorer and rescue call, in order, equal what
-    _pattern_refine does with that search alone."""
+    _pattern_search does with that search alone."""
     value, target = _landscape(dim, seed, holes, trap, ties)
     extra = [np.random.default_rng(seed).standard_normal(dim)] if lin else []
     setups = []
@@ -867,9 +868,9 @@ def test_lockstep_searches_each_take_the_path_they_take_alone(searches, dim, hol
         rescues=[u[5] for u in setups])
     for j, (start, f_start, center, radius, max_evals, budget) in enumerate(setups):
         alone = []
-        got = oracle._pattern_refine(
-            recorder(alone, "score", lambda P: (value(P), P)), start, f_start, center, radius, extra,
-            max_evals, recorder(alone, "rescue", rescued), budget)
+        got = [out[0] for out in oracle._pattern_search(
+            recorder(alone, "score", lambda P: (value(P), P)), start[None], [f_start], center[None],
+            radius, extra, max_evals, recorder(alone, "rescue", rescued), budget)]
         mine = [(kind, P[owner == j], vals[owner == j], pts[owner == j])
                 for kind, P, owner, vals, pts in shared if (owner == j).any()]
         assert [e[0] for e in mine] == [e[0] for e in alone]
