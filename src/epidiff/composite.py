@@ -31,22 +31,24 @@ from .errors import BasePointInfeasible, EmptyMultiplierSet, PointNotInDomain
 from .extreal import CAP, PLUS_INF, ExtReal
 from .numkit import Polyhedron, intersect, min_norm_point, operator_norm, row_norms
 from .oracle import SampledFunction
-from .outer import OuterFunction
+from .outer import OuterFunction, SubdiffRepr
 
 
 @dataclass
 class MultiplierSet:
     """The first-order record of one base point (x, v): z = F(x), J = dF(x)
     and the Lagrange multipliers {y : adj(J) y = v, y in subdiff g(z)},
-    truncated to the tau-ball box before vertex enumeration.  ``vertices``
-    are all the vertices of ``polyhedron``, before ``multipliers`` keeps
-    those that pass the affine and membership checks.  ``cone`` is the
-    pulled-back critical cone, worked out on first use and kept."""
+    truncated to the tau-ball box before vertex enumeration.  ``subdiff``
+    is the subdifferential of g at z that built them.  ``vertices`` are all
+    the vertices of ``polyhedron``, before ``multipliers`` keeps those that
+    pass the affine and membership checks.  ``cone`` is the pulled-back
+    critical cone, worked out on first use from ``subdiff`` and kept."""
 
     g: OuterFunction
     z: np.ndarray
     J: np.ndarray
     tau: float
+    subdiff: SubdiffRepr
     multipliers: list
     polyhedron: Polyhedron | None = None
     tau_enlargements: int = 0
@@ -67,7 +69,7 @@ class MultiplierSet:
         same for every multiplier, so the first one is used."""
         if self.is_empty:
             raise EmptyMultiplierSet("v is not a subgradient of g(F(.)) at x")
-        return self.g.critical_cone(self.z, self.first()).pullback(self.J)
+        return self.g.critical_cone(self.z, self.first(), self.subdiff).pullback(self.J)
 
     def ball_argmax(self, H, argmax):
         """The dual maximum of <y, H> is attained inside the Euclidean
@@ -139,7 +141,8 @@ def multipliers(
     if ell is None:
         ell = prob.g.lipschitz_bound(z)
     tau = tau_bound(J, v, kappa, ell)
-    return MultiplierSet(prob.g, z, J, tau, **prob.g.subdifferential(z).multiplier_set(J, v, tau))
+    rep = prob.g.subdifferential(z)
+    return MultiplierSet(prob.g, z, J, tau, rep, **rep.multiplier_set(J, v, tau))
 
 
 # -- constraint qualifications ------------------------------------------------------

@@ -366,6 +366,41 @@ def cone_generators(K: Polyhedron) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return _dedupe_sorted(rays, tol=1e-8), lines
 
 
+def cone_face_spans(K: Polyhedron, rays) -> list[np.ndarray]:
+    """Orthonormal bases (columns) of the spans of the nonzero faces of the
+    cone K = {G x <= 0, E x = 0}, one per face, from its extreme rays as
+    ``cone_generators`` gives them.
+
+    A face is known by its active rows A, the G rows that vanish on every
+    ray it holds; its span is {x : E x = 0, G_A x = 0}.  The walk starts at
+    K itself and goes down one row at a time, each new row set closed over
+    the rays left (a row that vanishes on all of them is active too), so
+    every face is visited once and in a fixed order.  The lineality space is
+    the face of all rows; K = {0} has no nonzero face."""
+    if K.dim > MAX_DIM:
+        raise DimensionTooLarge(f"face enumeration supports dim <= {MAX_DIM}")
+    R = np.reshape(rays, (len(rays), K.dim))
+    tight = np.abs(K.G @ R.T) <= ACT_TOL * K.g_scales[:, None]  # rows x rays
+
+    def active(held):
+        return tight[:, held].all(axis=1)
+
+    top = active(np.ones(len(R), dtype=bool))
+    seen, queue, spans = {top.tobytes()}, deque([top]), []
+    while queue:
+        A = queue.popleft()
+        N = _nullspace(np.vstack([K.E, K.G[A]]), K.dim)
+        if N.shape[1]:
+            spans.append(N)
+        held = tight[A].all(axis=0)
+        for j in np.flatnonzero(~A):
+            B = active(held & tight[j])
+            if B.tobytes() not in seen:
+                seen.add(B.tobytes())
+                queue.append(B)
+    return spans
+
+
 def vrep_to_hrep(points, rays=(), lines=()) -> Polyhedron:
     """H-representation of conv(points) + cone(rays) + span(lines).
 

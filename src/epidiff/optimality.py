@@ -5,6 +5,14 @@ strong-subregularity certificate.
 The scalar being tested on every direction is the multiplier maximum of
 <Hxx L(x, y) w, w> + d2g(F(x), y)(dF(x) w), which decomposes exactly as the
 objective-Hessian quadratic form plus the composite dual value.
+
+In the exact case (one multiplier y, a catalog member whose second-order term
+is the quadratic form of a matrix M on the critical cone, and a critical cone
+that answers ``min_quadratic``) that scalar is w^T Q w with
+Q = Hess phi + sum_i y_i Hess F_i + J^T M J, and both conditions take its
+exact minimum over the cone's unit sphere from the face-eigenvalue kernel.
+Every other case samples directions: the cone's rays and projected seeds, and
+for the sufficient condition a sphere lattice refined by coordinate steps.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .composite import (
     multipliers,
     outer_values,
 )
-from .core import CompositeProblem, gradient, hessian, poly_eval
+from .core import CompositeProblem, _hessians, gradient, hessian, poly_eval
 from .errors import EpidiffError, NotStationary
 from .extreal import PLUS_INF, ExtReal
 from .numkit import dedupe, row_norms
@@ -46,8 +54,8 @@ class SOCReport:
     holds: bool
     worst_direction: np.ndarray | None
     worst_value: ExtReal
-    directions_tested: int
-    method: str  # "extreme_rays" | "sphere_grid"
+    directions_tested: int  # the faces scanned when method is "faces"
+    method: str  # "faces" | "extreme_rays" | "sphere_grid"
 
 
 @dataclass
@@ -129,17 +137,43 @@ def sample_critical_directions(prob, ms: MultiplierSet, n_dirs: int, seed: int, 
     return dedupe(ms.cone.directions(seeds), DEDUP_TOL)
 
 
-def check_sonc(prob: CompositeProblem, base, seed: int = 0) -> SOCReport:
+def _exact_minimum(prob: CompositeProblem, base) -> tuple[list[np.ndarray], int] | None:
+    """([w], faces) in the exact case: w the kernel's unit minimizer of the
+    condition quadratic over the critical cone's unit sphere (none when the
+    cone is {0}) and the number of faces it scanned; None in every other
+    case."""
+    x, _, ms, phi_hess = base
+    if len(ms.multipliers) != 1:
+        return None
+    y = ms.first()
+    M = prob.g.second_order_matrix(ms.z, y)
+    if M is None:
+        return None
+    Q = phi_hess + np.tensordot(y, _hessians(prob.F, x), 1) + ms.J.T @ M @ ms.J
+    exact = ms.cone.min_quadratic(Q)
+    if exact is None:
+        return None
+    _, w, faces = exact
+    return ([] if w is None else [w]), faces
+
+
+def check_sonc(prob: CompositeProblem, base, seed: int) -> SOCReport:
     """Necessary condition at the base point ``base = stationary_data(...)``:
-    the condition value is nonnegative on every tested critical direction."""
+    the condition value is nonnegative at the exact minimizer over the
+    critical cone's unit sphere in the exact case, else on every tested
+    critical direction."""
     ms = base[2]
-    dirs = sample_critical_directions(prob, ms, N_DIRS, seed)
-    method = ms.cone.method
+    exact = _exact_minimum(prob, base)
+    if exact is not None:
+        (dirs, tested), method = exact, "faces"
+    else:
+        dirs = sample_critical_directions(prob, ms, N_DIRS, seed)
+        tested, method = len(dirs), ms.cone.method
     if not dirs:
         return SOCReport(True, None, ExtReal(0.0), 0, method)
     worst_val, worst_dir = _least_condition(prob, base, dirs)
     holds = worst_val.is_plus_inf or worst_val.value >= -SONC_TOL
-    return SOCReport(holds, worst_dir, worst_val, len(dirs), method)
+    return SOCReport(holds, worst_dir, worst_val, tested, method)
 
 
 def _sphere_refine(val_fn, cone, w0: np.ndarray, f0: float):
@@ -166,33 +200,37 @@ def _sphere_refine(val_fn, cone, w0: np.ndarray, f0: float):
     return fw, w
 
 
-def check_ssosc(prob: CompositeProblem, base, seed: int = 0) -> SOCReport:
+def check_ssosc(prob: CompositeProblem, base, seed: int) -> SOCReport:
     """Sufficient condition at the base point ``base = stationary_data(...)``:
     the condition value is strictly positive on the unit sphere of the
     critical cone.
 
-    A cone of dimension <= 1 is covered exactly by its normalized generators;
-    otherwise a sphere lattice plus local refinement searches for the minimum
-    (an interior direction can be the minimizer in wider cones)."""
+    The exact case values the kernel's minimizer.  Otherwise a cone of
+    dimension <= 1 is covered exactly by its normalized generators, and a
+    wider one by a sphere lattice plus local refinement (an interior
+    direction can be the minimizer in wider cones)."""
     ms = base[2]
     cone = ms.cone
-    dirs = cone.exact_directions()
-    exact_rays = dirs is not None
-    if not exact_rays:
-        dirs = sample_critical_directions(prob, ms, N_DIRS, seed, dense=True)
-    method = "extreme_rays" if exact_rays else "sphere_grid"
+    exact = _exact_minimum(prob, base)
+    if exact is not None:
+        (dirs, tested), method = exact, "faces"
+    else:
+        dirs, method = cone.exact_directions(), "extreme_rays"
+        if dirs is None:
+            dirs, method = sample_critical_directions(prob, ms, N_DIRS, seed, dense=True), "sphere_grid"
+        tested = len(dirs)
     if not dirs:
         # the critical cone is {0}: the condition over nonzero directions is vacuous
         return SOCReport(True, None, PLUS_INF, 0, method)
     worst, worst_dir = _least_condition(prob, base, dirs)
     if worst.is_plus_inf:
-        return SOCReport(True, None, PLUS_INF, len(dirs), method)
-    if not exact_rays:
+        return SOCReport(True, None, PLUS_INF, tested, method)
+    if method == "sphere_grid":
         val, worst_dir = _sphere_refine(
             lambda w: _condition_value(prob, base, w).as_float(), cone, worst_dir, worst.value
         )
         worst = ExtReal(val)
-    return SOCReport(worst.value > SSOSC_TOL, worst_dir, worst, len(dirs), method)
+    return SOCReport(worst.value > SSOSC_TOL, worst_dir, worst, tested, method)
 
 
 def verify_growth(

@@ -266,13 +266,14 @@ def _pattern_search(score, starts, f_starts, centers, radii, extra_dirs=(), max_
     return best_f.tolist(), best_p
 
 
-def _pattern_refine(score, start, f_start, center, radius, max_evals=700, accepted=None):
+def _pattern_refine(score, start, f_start, center, radius, max_evals, accepted):
     """One complete-poll pattern search along the axes, without rescues:
     _pattern_search of a single search, whose score(P) takes the stack
-    alone.  Returns (best value, best point)."""
+    alone; every point it moves to is appended to accepted.  Returns (best
+    value, best point)."""
     (best_f,), (best_p,) = _pattern_search(
         lambda P, _: score(P), np.asarray(start)[None], [f_start], np.asarray(center)[None], radius,
-        max_evals=max_evals, accepted=None if accepted is None else [accepted],
+        max_evals=max_evals, accepted=[accepted],
     )
     return best_f, best_p
 

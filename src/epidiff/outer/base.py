@@ -25,6 +25,9 @@ The other defaults fit a finite multiplier list and a full domain:
 - ``second_order_tangent_contains`` and ``basic_cq`` return True, since a
   full domain has every second-order tangent and the normal cone {0}; a
   member with a proper domain overrides both.
+- ``second_order_matrix`` is None; a member whose second-order term is one
+  quadratic form on the critical cone returns its matrix, which lets the
+  optimality conditions take their exact minimum.
 """
 
 from __future__ import annotations
@@ -72,7 +75,9 @@ class OuterFunction:
         along w; always so for a full domain."""
         return True
 
-    def critical_cone(self, z, y) -> CriticalConeRepr:
+    def critical_cone(self, z, y, subdiff: SubdiffRepr | None = None) -> CriticalConeRepr:
+        """The critical cone at (z, y); subdiff, when given, is the
+        subdifferential at z that the caller already built."""
         raise NotImplementedError
 
     def lipschitz_bound(self, z) -> float:
@@ -116,6 +121,12 @@ class OuterFunction:
         """min over z' of d2 g(z)(u | J z' + H) - <z', v>."""
         raise NotImplementedError
 
+    def second_order_matrix(self, z, y) -> np.ndarray | None:
+        """The matrix M with d2 g(z, y)(u) = u^T M u for every u on the
+        critical cone at (z, y), or None when the term is not one quadratic
+        form there."""
+        return None
+
     def basic_cq(self, z, J) -> bool:
         """Whether the normal cone to dom g at z meets ker adj(J) only at the
         origin; always so for a full domain."""
@@ -136,9 +147,9 @@ class OuterFunction:
         if not self.value(z).is_finite:
             raise PointNotInDomain(f"{self.tag}: point outside dom g")
 
-    def _require_subgradient(self, z, y) -> SubdiffRepr:
-        """The subdifferential at z, which must contain y."""
-        rep = self.subdifferential(z)
+    def _require_subgradient(self, z, y, subdiff: SubdiffRepr | None = None) -> SubdiffRepr:
+        """The subdifferential at z (subdiff when given), which must contain y."""
+        rep = self.subdifferential(z) if subdiff is None else subdiff
         if not rep.contains(y, SUBGRADIENT_TOL):
             raise NotASubgradient(f"{self.tag}: y is not a subgradient at z")
         return rep

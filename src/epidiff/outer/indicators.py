@@ -147,9 +147,9 @@ class PolyhedralIndicator(_Indicator):
         u = np.asarray(u, dtype=float)
         return residuals(cone, u) <= ACT_TOL * (1.0 + float(np.linalg.norm(u)))
 
-    def critical_cone(self, z, y):
+    def critical_cone(self, z, y, subdiff=None):
         """Tangent cone intersected with the hyperplane y-perp (active-set form)."""
-        self._require_subgradient(z, y)
+        self._require_subgradient(z, y, subdiff)
         y = np.asarray(y, dtype=float)
         T = tangent_cone(self.C, np.asarray(z, dtype=float))
         E = np.vstack([T.E, y.reshape(1, -1)]) if np.linalg.norm(y) > 0 else T.E
@@ -165,6 +165,10 @@ class PolyhedralIndicator(_Indicator):
         its membership checks dropped)."""
         val, arg = max_vertex(H, multys.vertices)
         return ExtReal(val), multys.ball_argmax(H, arg)
+
+    def second_order_matrix(self, z, y) -> np.ndarray:
+        """Zero: the second-order term vanishes on the critical cone."""
+        return np.zeros((self.ambient_dim, self.ambient_dim))
 
     def primal_value(self, z, J, u, H, v) -> ExtReal:
         """An exact LP over the pullback of the second-order tangent cone."""
@@ -295,8 +299,8 @@ class NegSemidefIndicator(_Indicator, SymMatrixFunction):
         y = np.linalg.lstsq(J.T, v, rcond=None)[0]
         return ExtReal(float(y @ (H + svec(arc[1]))))
 
-    def critical_cone(self, z, y):
-        self._require_subgradient(z, y)
+    def critical_cone(self, z, y, subdiff=None):
+        self._require_subgradient(z, y, subdiff)
         V = self._to_mat(y)
 
         def pred(w):

@@ -175,10 +175,10 @@ class PlqFunction(OuterFunction):
                 return True
         return False
 
-    def critical_cone(self, z, y):
+    def critical_cone(self, z, y, subdiff=None):
         """Polar of the shifted subdifferential: w is critical iff
         <v - y, w> <= 0 for every generator v of the subdifferential."""
-        rep = self._require_subgradient(z, y)
+        rep = self._require_subgradient(z, y, subdiff)
         y = np.asarray(y, dtype=float)
         rows_G = [np.asarray(p, dtype=float) - y for p in rep.points]
         rows_G += [np.asarray(r, dtype=float) for r in rep.rays]

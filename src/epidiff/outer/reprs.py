@@ -8,11 +8,14 @@ membership predicates.
 
 Each answers for its own shape, so the calculus never asks which one it
 holds: a subdifferential builds its ``multiplier_set`` under J = dF(x), and a
-critical cone gives its ``pullback`` under J, ``project`` and ``directions``.
+critical cone gives its ``pullback`` under J, ``project``, ``directions`` and,
+when it can, the exact ``min_quadratic`` of a quadratic form on its unit
+sphere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -21,7 +24,7 @@ import numpy as np
 
 from ..errors import UnsupportedSpectralMultiplicity, UnsupportedTag
 from ..numkit import PolyCone, Polyhedron, box, cone_generators, intersect, project, sym_eig, svec, smat, vertices
-from ..numkit.polyhedra import _rank, is_empty, residuals
+from ..numkit.polyhedra import _rank, cone_face_spans, is_empty, residuals
 
 AFFINE_TOL = 1e-8
 
@@ -181,6 +184,11 @@ class CriticalConeRepr:
         """Unit directions that cover the cone's unit sphere exactly, or None."""
         return None
 
+    def min_quadratic(self, Q) -> tuple[float, np.ndarray | None, int] | None:
+        """(least w^T Q w over the cone's unit sphere, a unit w that attains
+        it, faces scanned), or None when the cone cannot say exactly."""
+        return None
+
 
 @dataclass
 class PolyhedralConeRepr(CriticalConeRepr):
@@ -220,6 +228,34 @@ class PolyhedralConeRepr(CriticalConeRepr):
     def dimension(self) -> int:
         rays, lines = self._generators
         return _rank(np.vstack(rays + lines)) if rays + lines else 0
+
+    def min_quadratic(self, Q) -> tuple[float, np.ndarray | None, int]:
+        """The exact minimum of w^T Q w over the cone's unit sphere, with a
+        unit minimizer and the number of faces scanned; (inf, None, 0) when
+        the cone is {0}.
+
+        A minimizer lies in the relative interior of some face, where it is
+        a unit eigenvector of Q compressed to the face's span; so the minimum
+        is the least eigenvalue, over all faces, of a compression whose
+        eigenvector (of either sign) the cone contains (Cottle, Habetler and
+        Lemke 1970; Hadeler 1983).  An eigenvalue repeated on a face is found
+        on a smaller one.  The faces come from ``cone_face_spans``, so the
+        cone's dimension is capped at ``numkit.polyhedra.MAX_DIM``."""
+        Q = np.asarray(Q, dtype=float)
+        Q = 0.5 * (Q + Q.T)
+        spans = cone_face_spans(self.cone, self._generators[0])
+        best, arg = math.inf, None
+        for N in spans:
+            lams, V = sym_eig(N.T @ Q @ N)
+            for lam, c in zip(lams[::-1], V.T[::-1]):  # ascending
+                if lam >= best:
+                    break
+                u = N @ c
+                w = u if self.contains(u) else -u if self.contains(-u) else None
+                if w is not None:
+                    best, arg = float(lam), w / np.linalg.norm(w)
+                    break
+        return best, arg, len(spans)
 
 
 @dataclass

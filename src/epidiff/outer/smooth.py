@@ -99,8 +99,12 @@ class SmoothQuadratic(OuterFunction):
             )
         return ExtReal(float(u @ self.hess(z) @ u) + float(grad @ H))
 
-    def critical_cone(self, z, y):
-        self._require_subgradient(z, y)
+    def second_order_matrix(self, z, y) -> np.ndarray:
+        """The Hessian at z, for the one subgradient y = grad(z)."""
+        return self.hess(z)
+
+    def critical_cone(self, z, y, subdiff=None):
+        self._require_subgradient(z, y, subdiff)
         return PolyhedralConeRepr(
             PolyCone.make_cone(self.ambient_dim),
             description="full space (smooth function, gradient multiplier)",

@@ -190,8 +190,8 @@ class EigSumFunction(SymMatrixFunction):
             y = np.linalg.lstsq(J.T, v, rcond=None)[0]
         return self.parabolic_subderivative(z, u, -svec(D)) + float(y @ (H + svec(D)))
 
-    def critical_cone(self, z, y):
-        self._require_subgradient(z, y)
+    def critical_cone(self, z, y, subdiff=None):
+        self._require_subgradient(z, y, subdiff)
         V = self._to_mat(y)
 
         def pred(w):

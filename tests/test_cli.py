@@ -323,12 +323,13 @@ def test_certify_exit_codes(tmp_path):
 def test_certify_runs_each_condition_and_cone_once(monkeypatch):
     """One certify runs check_ssosc once (the certificate reuses its report),
     builds the base point's multiplier set once for both conditions, and
-    pulls the catalog's critical cone back once, not once per probed
-    direction."""
+    pulls the catalog's critical cone back once, not once per valued
+    direction or per condition.  The cone of parabola_min is a line, one
+    face, so each condition values one direction on it."""
     from epidiff import optimality
     from epidiff.outer import PolyhedralIndicator
 
-    calls = {"ssosc": 0, "sets": 0, "cone": 0}
+    calls = {"ssosc": 0, "sets": 0, "cone": 0, "values": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -341,11 +342,26 @@ def test_certify_runs_each_condition_and_cone_once(monkeypatch):
     monkeypatch.setattr(
         PolyhedralIndicator, "critical_cone", counted("cone", PolyhedralIndicator.critical_cone)
     )
+    monkeypatch.setattr(optimality, "_condition_value", counted("values", optimality._condition_value))
     code, text = run(["certify", _fixture("parabola_min.json")])
-    assert code == 0 and _json_block(text)["ssosc"]["directions_tested"] > 1
+    assert code == 0 and _json_block(text)["ssosc"]["method"] == "faces"
+    assert calls["values"] > 1
     assert calls["ssosc"] == 1
     # the base point's set is built once and shared by both conditions
     assert calls["sets"] == 1 and calls["cone"] == calls["sets"]
+
+
+def test_certify_builds_the_base_subdifferential_once(monkeypatch):
+    """The multiplier set and the critical cone share the one subdifferential
+    of g at F(x) that multipliers builds: certify parabola_min computes one
+    normal cone."""
+    from epidiff.outer import indicators
+
+    calls = []
+    original = indicators.normal_cone_hrep
+    monkeypatch.setattr(indicators, "normal_cone_hrep", lambda polys, z: calls.append(z) or original(polys, z))
+    code, _ = run(["certify", _fixture("parabola_min.json")])
+    assert code == 0 and len(calls) == 1
 
 
 def test_check_cq_report():

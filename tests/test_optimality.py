@@ -17,7 +17,13 @@ from epidiff.optimality import (
     verify_growth,
 )
 from epidiff.numkit import Polyhedron
-from epidiff.outer import NegSemidefIndicator, PolyhedralIndicator, nonpositive_orthant, zero_function
+from epidiff.outer import (
+    NegSemidefIndicator,
+    PolyhedralIndicator,
+    SmoothQuadratic,
+    nonpositive_orthant,
+    zero_function,
+)
 
 from _instances import (
     eq_constrained_problem,
@@ -61,7 +67,7 @@ def test_sonc_unconstrained_quadratic():
 
 def test_ssosc_examples():
     rep = _ssosc(parabola_min_problem(), [0.0, 0.0], seed=1)
-    assert rep.holds and rep.method == "extreme_rays"
+    assert rep.holds and rep.method == "faces"
     assert rep.worst_value.value == pytest.approx(2.0, abs=1e-9)
     flat = _ssosc(quartic_problem(), [0.0], seed=1)
     assert not flat.holds and flat.worst_value.value == pytest.approx(0.0, abs=1e-9)
@@ -217,3 +223,91 @@ def test_ssosc_implies_sonc():
         nec = _sonc(prob, x, seed=6)
         if suff.holds:
             assert nec.holds
+
+
+# -- the exact face-eigenvalue case -------------------------------------------------
+
+
+def _quadratic_map(n, lin, quads) -> PolyMap:
+    """The PolyMap whose component i is lin[i] . x + x^T quads[i] x, for
+    symmetric quads[i]."""
+    comps = []
+    for a, B in zip(lin, quads):
+        comp = [(float(a[j]), tuple(int(k == j) for k in range(n))) for j in range(n) if a[j] != 0.0]
+        for i in range(n):
+            for j in range(i, n):
+                c = B[i, i] if i == j else 2.0 * B[i, j]
+                if c != 0.0:
+                    exps = [0] * n
+                    exps[i] += 1
+                    exps[j] += 1
+                    comp.append((float(c), tuple(exps)))
+        comps.append(comp)
+    return PolyMap(n, comps)
+
+
+def test_sonc_finds_a_negative_sliver_between_the_lattice_points():
+    """On the nonnegative orthant of R^3, Q = I - c d d^T with d = (1, 1, 1) / sqrt 3
+    is negative only within 0.03 rad of d, a sliver narrower than the spacing of
+    the 1,024-point sphere lattice (about 0.11 rad) and far from the three
+    rays, on which Q is 1 - c / 3 > 0.  The face kernel finds it: its minimum
+    1 - c sits on the cone's interior face, at d."""
+    d = np.ones(3) / np.sqrt(3.0)
+    c = 1.0 / np.cos(0.03) ** 2
+    Q = np.eye(3) - c * np.outer(d, d)
+    prob = CompositeProblem(_quadratic_map(3, [np.zeros(3)], [0.5 * Q]), PolyMap.linear(-np.eye(3)),
+                            nonpositive_orthant(3))
+    for seed in (0, 1, 5):
+        rep = _sonc(prob, np.zeros(3), seed=seed)
+        assert rep.method == "faces" and not rep.holds
+        assert rep.worst_value.value == pytest.approx(1.0 - c, abs=1e-9)
+        assert np.allclose(rep.worst_direction, d, atol=1e-9)
+        ssosc = _ssosc(prob, np.zeros(3), seed=seed)
+        assert not ssosc.holds and ssosc.worst_value.value == pytest.approx(1.0 - c, abs=1e-9)
+
+
+def _exact_case(kind: str, n: int, seed: int):
+    """(problem, Q) at x = 0 with one multiplier y, whose condition quadratic
+    is w^T Q w: Q = P + sum_i y_i Hess F_i + J^T M J from the data it was
+    built of.  A polyhedral cone {A z <= 0} with y = A^T lam (M = 0) or a
+    smooth quadratic g = b . z + z^T S z / 2 with y = b (M = S), under
+    F = J x + quadratic terms."""
+    rng = np.random.default_rng(seed)
+    J = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    B = [0.5 * (R + R.T) for R in rng.standard_normal((n, n, n))]
+    P = rng.standard_normal((n, n))
+    P = P + P.T
+    if kind == "polyhedral":
+        A = rng.standard_normal((int(rng.integers(1, n + 2)), n))
+        g = PolyhedralIndicator(Polyhedron.make(n, G=A, h=np.zeros(len(A))))
+        y, M = A.T @ (rng.random(len(A)) * (rng.random(len(A)) < 0.3)), np.zeros((n, n))
+    else:
+        S = rng.standard_normal((n, n))
+        M, y = S + S.T, rng.standard_normal(n)
+        g = SmoothQuadratic(_quadratic_map(n, [y], [np.zeros((n, n))]), _quadratic_map(n, [np.zeros(n)], [M]))
+    v = J.T @ y
+    prob = CompositeProblem(_quadratic_map(n, [-v], [0.5 * P]), _quadratic_map(n, J, B), g)
+    return prob, P + sum(yi * 2.0 * Bi for yi, Bi in zip(y, B)) + J.T @ M @ J
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["polyhedral", "smooth"]), n=st.integers(2, 3), seed=st.integers(0, 2 ** 16))
+def test_the_sphere_lattice_never_goes_below_the_face_kernel(kind, n, seed):
+    """In the exact case the kernel's minimum is the condition's minimum over
+    the critical cone's unit sphere: the condition value at its direction is
+    its eigenvalue, both conditions report that value, and no point of the
+    dense lattice values lower."""
+    prob, Q = _exact_case(kind, n, seed)
+    base = stationary_data(prob, np.zeros(n), 1.0)
+    ms = base[2]
+    assert len(ms.multipliers) == 1
+    value, w, _ = ms.cone.min_quadratic(Q)
+    if w is None:
+        return
+    assert optimality._condition_value(prob, base, w).value == pytest.approx(value, abs=1e-9)
+    for rep in (check_sonc(prob, base, seed=0), check_ssosc(prob, base, seed=0)):
+        assert rep.method == "faces"
+        assert rep.worst_value.value == pytest.approx(value, abs=1e-9)
+    dirs = optimality.sample_critical_directions(prob, ms, optimality.N_DIRS, 0, dense=True)
+    lattice, _ = optimality._least_condition(prob, base, dirs)
+    assert lattice.value >= value - optimality.SSOSC_TOL

@@ -93,3 +93,40 @@ def test_the_calculus_does_not_dispatch_on_representations(module):
                     isinstance(target, ast.Name) and target.id == "g"):
                 found.append((node.lineno, ast.unparse(node)))
     assert not found, found
+
+
+def test_min_quadratic_finds_a_repeated_eigenvalue_on_a_smaller_face():
+    """Q = I on the cone between the rays (1, 2) and (2, 1), which holds no
+    coordinate axis.  On the whole cone the compression has the double
+    eigenvalue 1, and the eigenvectors the solver returns for it (the axes)
+    leave the cone; each ray face gives 1 with a direction in the cone."""
+    cone = PolyhedralConeRepr(PolyCone.make_cone(2, [[-2.0, 1.0], [1.0, -2.0]]))
+    assert not any(cone.contains(s * e) for e in np.eye(2) for s in (1.0, -1.0))
+    value, w, faces = cone.min_quadratic(np.eye(2))
+    assert value == pytest.approx(1.0, abs=1e-12) and faces == 3
+    assert cone.contains(w) and np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_min_quadratic_is_the_least_value_on_the_cone():
+    """The kernel's value is attained at its direction and no projected
+    sample of the cone goes below it, on pointed cones, cones with a
+    lineality space and the cone {0}."""
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        G = rng.standard_normal((int(rng.integers(1, 6)), n))
+        E = rng.standard_normal((1, n)) if rng.random() < 0.2 else None
+        cone = PolyhedralConeRepr(PolyCone.make_cone(n, G, E))
+        A = rng.standard_normal((n, n))
+        Q = A + A.T
+        value, w, faces = cone.min_quadratic(Q)
+        samples = [p for p in map(cone.project, rng.standard_normal((200, n))) if p is not None]
+        if w is None:
+            assert faces == 0 and value == np.inf and not samples
+            continue
+        assert cone.contains(w) and float(w @ Q @ w) == pytest.approx(value, abs=1e-9)
+        assert min(float(p @ Q @ p) for p in samples) >= value - 1e-9
+
+
+def test_a_predicate_cone_has_no_exact_minimum():
+    assert PredicateConeRepr(lambda u: True).min_quadratic(np.eye(2)) is None
