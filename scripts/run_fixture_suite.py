@@ -21,14 +21,14 @@ FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 PLAN = [
     ("a1_parabola.json", ["analyze", "verify", "check-cq"]),
-    ("plq_abs.json", ["analyze", "verify"]),
+    ("plq_abs.json", ["analyze", "verify", "certify"]),
     ("psd_cone.json", ["analyze", "verify"]),
     ("parabola_min.json", ["certify", "check-cq"]),
     ("min_quartic.json", ["certify"]),
     ("mscq_fail.json", ["check-cq"]),
     ("polyhedron_m6.json", ["analyze", "certify", "check-cq"]),
     ("max_eig.json", ["analyze", "verify"]),
-    ("sum_top_eig.json", ["analyze", "verify"]),
+    ("sum_top_eig.json", ["analyze", "verify", "certify"]),
     ("alpha_eig.json", ["analyze", "verify"]),
     ("plq_2d.json", ["analyze", "verify"]),
 ]

@@ -255,8 +255,8 @@ def cmd_certify(spec: ProblemSpec, seed: int) -> Report:
     kappa, prov, _ = _resolve_kappa(spec, seed)
     try:
         base = optimality.stationary_data(prob, x, kappa)
-        sonc = optimality.check_sonc(prob, base, seed=seed)
         ssosc = optimality.check_ssosc(prob, base, seed=seed)
+        sonc = optimality.check_sonc(ssosc)
     except NotStationary as exc:
         return Report("certify", {"error": f"not stationary: {exc}"}, exit_code=2)
     growth_rows = []

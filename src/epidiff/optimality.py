@@ -6,19 +6,22 @@ The scalar being tested on every direction is the multiplier maximum of
 <Hxx L(x, y) w, w> + d2g(F(x), y)(dF(x) w), which decomposes exactly as the
 objective-Hessian quadratic form plus the composite dual value.
 
-In the exact case (one multiplier y, a catalog member whose second-order term
+Both conditions test its least value over the critical cone's unit sphere,
+SONC against >= 0 and SSOSC against > 0, so one scan (``check_ssosc``)
+finds that least value and ``check_sonc`` is a verdict on its report.  In
+the exact case (one multiplier y, a catalog member whose second-order term
 is the quadratic form of a matrix M on the critical cone, and a critical cone
 that answers ``min_quadratic``) that scalar is w^T Q w with
-Q = Hess phi + sum_i y_i Hess F_i + J^T M J, and both conditions take its
-exact minimum over the cone's unit sphere from the face-eigenvalue kernel.
-Every other case samples directions: the cone's rays and projected seeds, and
-for the sufficient condition a sphere lattice refined by coordinate steps.
+Q = Hess phi + sum_i y_i Hess F_i + J^T M J, and the scan takes its exact
+minimum from the face-eigenvalue kernel.  Every other case values the cone's
+rays and a projected sphere lattice, and refines the least point with the
+oracle's complete-poll pattern search on the cone's unit sphere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,12 +38,12 @@ from .errors import EpidiffError, NotStationary
 from .extreal import PLUS_INF, ExtReal
 from .numkit import dedupe, row_norms
 from .numkit.polyhedra import DEDUP_TOL
+from .oracle import _pattern_search
 
 SONC_TOL = 1e-6
 SSOSC_TOL = 1e-6
-# random seeds per condition check: projected onto the critical cone for
-# SONC, 64 times as many sphere-lattice points for SSOSC
-N_DIRS = 16
+# sphere-lattice points the sampled scan projects onto the critical cone
+N_DIRS = 1024
 # verify_growth forgives a sample this much below the growth bound.
 GROWTH_SLACK = 1e-9
 # verify_growth draws, values and restores its samples this many at a time at
@@ -55,7 +58,7 @@ class SOCReport:
     worst_direction: np.ndarray | None
     worst_value: ExtReal
     directions_tested: int  # the faces scanned when method is "faces"
-    method: str  # "faces" | "extreme_rays" | "sphere_grid"
+    method: str  # "faces" (the exact kernel) | "sphere_grid" (rays, lattice, refine)
 
 
 @dataclass
@@ -124,13 +127,14 @@ def _unit_sphere_seeds(dim: int, count: int, rng) -> list[np.ndarray]:
 
 def sample_critical_directions(prob, ms: MultiplierSet, n_dirs: int, seed: int, dense: bool = False):
     """The unit directions the critical cone of the multiplier set gives
-    for random unit seeds, or with dense a sphere lattice, without repeats:
+    for n_dirs random unit seeds, or with dense an n_dirs-point sphere
+    lattice, without repeats:
     a polyhedral cone's extreme rays and projected seeds, or the seeds a
     predicate cone contains or lifts (``CriticalConeRepr.directions``)."""
     rng = np.random.default_rng(seed)
     if dense:
         # deterministic sphere lattice for minimization coverage
-        seeds = _unit_sphere_seeds(prob.n, 64 * n_dirs, rng)
+        seeds = _unit_sphere_seeds(prob.n, n_dirs, rng)
     else:
         raw = rng.standard_normal((n_dirs, prob.n))
         seeds = list(raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300))
@@ -157,68 +161,24 @@ def _exact_minimum(prob: CompositeProblem, base) -> tuple[list[np.ndarray], int]
     return ([] if w is None else [w]), faces
 
 
-def check_sonc(prob: CompositeProblem, base, seed: int) -> SOCReport:
-    """Necessary condition at the base point ``base = stationary_data(...)``:
-    the condition value is nonnegative at the exact minimizer over the
-    critical cone's unit sphere in the exact case, else on every tested
-    critical direction."""
-    ms = base[2]
-    exact = _exact_minimum(prob, base)
-    if exact is not None:
-        (dirs, tested), method = exact, "faces"
-    else:
-        dirs = sample_critical_directions(prob, ms, N_DIRS, seed)
-        tested, method = len(dirs), ms.cone.method
-    if not dirs:
-        return SOCReport(True, None, ExtReal(0.0), 0, method)
-    worst_val, worst_dir = _least_condition(prob, base, dirs)
-    holds = worst_val.is_plus_inf or worst_val.value >= -SONC_TOL
-    return SOCReport(holds, worst_dir, worst_val, tested, method)
-
-
-def _sphere_refine(val_fn, cone, w0: np.ndarray, f0: float):
-    """Coordinate-step descent on the unit sphere intersected with the cone,
-    with step halving down to 1e-6."""
-    dim = w0.shape[0]
-    w, fw = w0, f0
-    step = 0.5
-    while step > 1e-6:
-        improved = False
-        for i in range(dim):
-            for sgn in (1.0, -1.0):
-                cand = w.copy()
-                cand[i] += sgn * step
-                p = cone.project(cand)
-                if p is None:
-                    continue
-                val = val_fn(p)
-                if val < fw - 1e-14 * (1.0 + abs(fw)):
-                    w, fw = p, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return fw, w
-
-
 def check_ssosc(prob: CompositeProblem, base, seed: int) -> SOCReport:
     """Sufficient condition at the base point ``base = stationary_data(...)``:
     the condition value is strictly positive on the unit sphere of the
-    critical cone.
+    critical cone.  The report's worst value is the least one the scan found,
+    which ``check_sonc`` judges as well.
 
-    The exact case values the kernel's minimizer.  Otherwise a cone of
-    dimension <= 1 is covered exactly by its normalized generators, and a
-    wider one by a sphere lattice plus local refinement (an interior
-    direction can be the minimizer in wider cones)."""
+    The exact case values the kernel's minimizer.  Otherwise the scan values
+    the cone's rays and the projected sphere lattice, then refines the least
+    point by a pattern search in the unit ball whose trial points are valued
+    at their projections onto the cone (an interior direction can be the
+    minimizer in cones of dimension >= 2)."""
     ms = base[2]
-    cone = ms.cone
     exact = _exact_minimum(prob, base)
     if exact is not None:
         (dirs, tested), method = exact, "faces"
     else:
-        dirs, method = cone.exact_directions(), "extreme_rays"
-        if dirs is None:
-            dirs, method = sample_critical_directions(prob, ms, N_DIRS, seed, dense=True), "sphere_grid"
-        tested = len(dirs)
+        dirs = sample_critical_directions(prob, ms, N_DIRS, seed, dense=True)
+        tested, method = len(dirs), "sphere_grid"
     if not dirs:
         # the critical cone is {0}: the condition over nonzero directions is vacuous
         return SOCReport(True, None, PLUS_INF, 0, method)
@@ -226,11 +186,26 @@ def check_ssosc(prob: CompositeProblem, base, seed: int) -> SOCReport:
     if worst.is_plus_inf:
         return SOCReport(True, None, PLUS_INF, tested, method)
     if method == "sphere_grid":
-        val, worst_dir = _sphere_refine(
-            lambda w: _condition_value(prob, base, w).as_float(), cone, worst_dir, worst.value
-        )
+
+        def score(P, _):
+            vals, pts = np.full(len(P), np.nan), P.copy()
+            for i, p in enumerate(map(ms.cone.project, P)):
+                if p is not None:
+                    vals[i], pts[i] = _condition_value(prob, base, p).as_float(), p
+            return vals, pts
+
+        (val,), (worst_dir,) = _pattern_search(score, worst_dir[None], [worst.value],
+                                               np.zeros((1, prob.n)), 1.0)
         worst = ExtReal(val)
     return SOCReport(worst.value > SSOSC_TOL, worst_dir, worst, tested, method)
+
+
+def check_sonc(ssosc: SOCReport) -> SOCReport:
+    """Necessary condition, judged on the report of ``check_ssosc``: the
+    least condition value it found over the critical cone's unit sphere is
+    nonnegative (to SONC_TOL)."""
+    worst = ssosc.worst_value
+    return replace(ssosc, holds=worst.is_plus_inf or worst.value >= -SONC_TOL)
 
 
 def verify_growth(

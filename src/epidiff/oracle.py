@@ -23,6 +23,10 @@ stack of centers z, the scorer of the z search the same, unpolished, and the
 first-order fallback one center, unpolished and unrestored.  One stabilizer,
 ``_stabilize``, folds the levels of every estimate, and one rule,
 ``gap_tol``, says when an estimate agrees with a closed form.
+
+The sampled scan of the optimality conditions (``optimality.check_ssosc``)
+also refines its least lattice point with ``_pattern_search``: it shares the
+generic poll only, and scores by its own chain-rule formula.
 """
 
 from __future__ import annotations

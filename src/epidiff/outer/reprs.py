@@ -157,7 +157,6 @@ class CriticalConeRepr:
     """A critical cone; the defaults know it by membership alone."""
 
     description: str = ""
-    method: str = "sphere_grid"  # how ``directions`` covers the cone
 
     def contains(self, w) -> bool:
         raise NotImplementedError
@@ -180,10 +179,6 @@ class CriticalConeRepr:
         direction of each seed that the cone contains."""
         return [p for p in map(self.direction, seeds) if p is not None and self.contains(p)]
 
-    def exact_directions(self) -> list[np.ndarray] | None:
-        """Unit directions that cover the cone's unit sphere exactly, or None."""
-        return None
-
     def min_quadratic(self, Q) -> tuple[float, np.ndarray | None, int] | None:
         """(least w^T Q w over the cone's unit sphere, a unit w that attains
         it, faces scanned), or None when the cone cannot say exactly."""
@@ -194,7 +189,6 @@ class CriticalConeRepr:
 class PolyhedralConeRepr(CriticalConeRepr):
     cone: PolyCone
     description: str = "polyhedral critical cone"
-    method = "extreme_rays"
 
     def contains(self, w) -> bool:
         w = np.asarray(w, dtype=float)
@@ -220,14 +214,6 @@ class PolyhedralConeRepr(CriticalConeRepr):
         rays, lines = self._generators
         signed = [sgn * l / np.linalg.norm(l) for l in lines for sgn in (1.0, -1.0)]
         return list(rays) + signed + super().directions(seeds)
-
-    def exact_directions(self) -> list[np.ndarray] | None:
-        """The generators, when the cone has dimension <= 1."""
-        return self.directions() if self.dimension() <= 1 else None
-
-    def dimension(self) -> int:
-        rays, lines = self._generators
-        return _rank(np.vstack(rays + lines)) if rays + lines else 0
 
     def min_quadratic(self, Q) -> tuple[float, np.ndarray | None, int]:
         """The exact minimum of w^T Q w over the cone's unit sphere, with a

@@ -321,15 +321,16 @@ def test_certify_exit_codes(tmp_path):
 
 
 def test_certify_runs_each_condition_and_cone_once(monkeypatch):
-    """One certify runs check_ssosc once (the certificate reuses its report),
-    builds the base point's multiplier set once for both conditions, and
-    pulls the catalog's critical cone back once, not once per valued
-    direction or per condition.  The cone of parabola_min is a line, one
-    face, so each condition values one direction on it."""
+    """One certify runs check_ssosc once (the certificate and SONC reuse its
+    report), builds the base point's multiplier set once, and pulls the
+    catalog's critical cone back once, not once per valued direction or per
+    condition.  The cone of parabola_min is a line, one face, so the one
+    kernel run values one direction on it."""
     from epidiff import optimality
     from epidiff.outer import PolyhedralIndicator
+    from epidiff.outer.reprs import PolyhedralConeRepr
 
-    calls = {"ssosc": 0, "sets": 0, "cone": 0, "values": 0}
+    calls = {"ssosc": 0, "sets": 0, "cone": 0, "values": 0, "kernel": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -343,12 +344,37 @@ def test_certify_runs_each_condition_and_cone_once(monkeypatch):
         PolyhedralIndicator, "critical_cone", counted("cone", PolyhedralIndicator.critical_cone)
     )
     monkeypatch.setattr(optimality, "_condition_value", counted("values", optimality._condition_value))
+    monkeypatch.setattr(
+        PolyhedralConeRepr, "min_quadratic", counted("kernel", PolyhedralConeRepr.min_quadratic)
+    )
     code, text = run(["certify", _fixture("parabola_min.json")])
     assert code == 0 and _json_block(text)["ssosc"]["method"] == "faces"
-    assert calls["values"] > 1
+    assert calls["values"] == 1 and calls["kernel"] == 1
     assert calls["ssosc"] == 1
     # the base point's set is built once and shared by both conditions
     assert calls["sets"] == 1 and calls["cone"] == calls["sets"]
+
+
+def test_certify_sampled_conditions_report_one_least_value():
+    """Off the exact case both conditions judge the one scan of check_ssosc:
+    on the spectral fixtures SONC and SSOSC report the same worst value and
+    direction from the refined sphere lattice, and on the 1-D cone of
+    plq_abs the lattice dedupes to the cone's one ray."""
+    for fixture, value in (("sum_top_eig.json", 1.0 / 3.0), ("alpha_eig.json", -0.5)):
+        code, text = run(["certify", _fixture(fixture)])
+        block = _json_block(text)
+        sonc, ssosc = block["sonc"], block["ssosc"]
+        assert code == 0 and sonc["method"] == ssosc["method"] == "sphere_grid"
+        for rep in (sonc, ssosc):
+            assert rep["worst_value"] == pytest.approx(value, abs=1e-9), fixture
+        assert np.allclose(sonc["worst_direction"], ssosc["worst_direction"], atol=1e-9)
+        assert sonc["holds"] == ssosc["holds"] == (value > 0)
+    code, text = run(["certify", _fixture("plq_abs.json")])
+    block = _json_block(text)
+    assert code == 0
+    for rep in (block["sonc"], block["ssosc"]):
+        assert rep["method"] == "sphere_grid" and rep["directions_tested"] == 1
+        assert rep["worst_value"] == 0.0
 
 
 def test_certify_builds_the_base_subdifferential_once(monkeypatch):

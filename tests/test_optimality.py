@@ -34,7 +34,7 @@ from _instances import (
 
 
 def _sonc(prob, x, seed):
-    return check_sonc(prob, stationary_data(prob, x, 1.0), seed=seed)
+    return check_sonc(check_ssosc(prob, stationary_data(prob, x, 1.0), seed=seed))
 
 
 def _ssosc(prob, x, seed):
@@ -305,7 +305,8 @@ def test_the_sphere_lattice_never_goes_below_the_face_kernel(kind, n, seed):
     if w is None:
         return
     assert optimality._condition_value(prob, base, w).value == pytest.approx(value, abs=1e-9)
-    for rep in (check_sonc(prob, base, seed=0), check_ssosc(prob, base, seed=0)):
+    ssosc = check_ssosc(prob, base, seed=0)
+    for rep in (check_sonc(ssosc), ssosc):
         assert rep.method == "faces"
         assert rep.worst_value.value == pytest.approx(value, abs=1e-9)
     dirs = optimality.sample_critical_directions(prob, ms, optimality.N_DIRS, 0, dense=True)
