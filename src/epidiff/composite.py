@@ -29,7 +29,7 @@ import numpy as np
 from .core import CompositeProblem, jacobian, poly_eval, second_form
 from .errors import BasePointInfeasible, EmptyMultiplierSet, PointNotInDomain
 from .extreal import CAP, PLUS_INF, ExtReal
-from .numkit import Polyhedron, intersect, min_norm_point, operator_norm, row_norms
+from .numkit import Polyhedron, ball_steps, intersect, min_norm_point, operator_norm, row_norms
 from .oracle import SampledFunction
 from .outer import OuterFunction, SubdiffRepr
 
@@ -235,36 +235,31 @@ def check_mscq(prob: CompositeProblem, x, n_samples: int, radius: float, seed: i
     sample balls.  A growth trend across the refinements is failure evidence.
 
     The samples do not depend on what restoration makes of them: all are
-    drawn first, in the order of the scan, and the infeasible ones are
-    restored in one stack."""
+    drawn first, one ball radius at a time, the infeasible ones are restored
+    in one stack, and the modulus and shell maxima are read off the stack."""
     x = np.asarray(x, dtype=float)
     _base_point(prob, x)
     rng = np.random.default_rng(seed)
-    steps = []
-    for level, rad in enumerate((radius, radius / 2.0, radius / 4.0)):
-        for _ in range(n_samples // 3 + (level < n_samples % 3)):
-            step = rng.standard_normal(prob.n)
-            step *= rad * rng.random() / max(float(np.linalg.norm(step)), 1e-300)
-            steps.append(step)
-    XP = x + np.reshape(steps, (len(steps), prob.n))
+    counts = [n_samples // 3 + (level < n_samples % 3) for level in range(3)]
+    steps = np.vstack([ball_steps(rng, c, prob.n, radius / 2.0 ** level, 1.0) for level, c in enumerate(counts)])
+    XP = x + steps
     dist_g = prob.g.domain_distance(poly_eval(prob.F, XP))
     off = np.flatnonzero(dist_g > 1e-12)
     restored, ok = _restore_feasible_points(prob, XP[off])
+    dist_f = np.full(len(off), math.inf)
+    dist_f[ok] = row_norms(restored[ok] - XP[off[ok]])
+    ratios = dist_f / dist_g[off]
+    # the first largest ratio, NaN skipped, as a running ratio > kappa_hat picks it
     kappa_hat, worst = 0.0, None
-    observations: list[tuple[float, float]] = []
-    for i, xp, xr, found in zip(off, XP[off], restored, ok):
-        dist_f = float(np.linalg.norm(xr - xp)) if found else math.inf
-        ratio = dist_f / float(dist_g[i])
-        observations.append((float(np.linalg.norm(steps[i])), ratio))
-        if ratio > kappa_hat:
-            kappa_hat, worst = ratio, xp
+    ranked = np.fmax(ratios, 0.0)
+    if ranked.max(initial=0.0) > 0:
+        best = int(np.argmax(ranked))
+        kappa_hat, worst = float(ranked[best]), XP[off[best]]
     # bucket by distance to the base point: a modulus that keeps growing on
     # inner shells is divergence evidence (the ratio must stay bounded near x)
-    shell_max = []
-    for k in range(5):
-        hi, lo = radius * 0.5 ** k, radius * 0.5 ** (k + 1)
-        vals = [r for d, r in observations if lo < d <= hi]
-        shell_max.append(max(vals) if vals else None)
+    dist = row_norms(steps[off])
+    shells = [ratios[(radius * 0.5 ** (k + 1) < dist) & (dist <= radius * 0.5 ** k)] for k in range(5)]
+    shell_max = [float(vals.max()) if len(vals) else None for vals in shells]
     trend = [m for m in shell_max if m is not None]
     growing = any(not math.isfinite(m) for m in trend) or (
         len(trend) >= 3 and all(trend[i + 1] >= 1.4 * trend[i] for i in range(len(trend) - 1))

@@ -1,6 +1,6 @@
 """Deterministic numerical kernels: symmetric eigendecomposition, the
 eigenbasis pseudoinverse with a kill mask, polyhedra with tangent/normal
-cones, vertex enumeration, and a small LP solver."""
+cones, vertex enumeration, a small LP solver, and seeded ball and sphere draws."""
 
 from .sym import (
     sym_eig,
@@ -28,6 +28,7 @@ from .polyhedra import (
     vertices,
     vrep_to_hrep,
 )
+from .sampling import ball_steps, unit_rows
 
 __all__ = [
     "sym_eig",
@@ -52,4 +53,6 @@ __all__ = [
     "tangent_cone",
     "vertices",
     "vrep_to_hrep",
+    "ball_steps",
+    "unit_rows",
 ]

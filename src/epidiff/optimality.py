@@ -36,7 +36,7 @@ from .composite import (
 from .core import CompositeProblem, _hessians, gradient, hessian, poly_eval
 from .errors import EpidiffError, NotStationary
 from .extreal import PLUS_INF, ExtReal
-from .numkit import dedupe, row_norms
+from .numkit import ball_steps, dedupe, row_norms, unit_rows
 from .numkit.polyhedra import DEDUP_TOL
 from .oracle import _pattern_search
 
@@ -120,9 +120,7 @@ def _unit_sphere_seeds(dim: int, count: int, rng) -> list[np.ndarray]:
             r = math.sqrt(max(0.0, 1.0 - zc * zc))
             pts.append(np.array([r * math.cos(golden * k), r * math.sin(golden * k), zc]))
         return pts
-    raw = rng.standard_normal((count, dim))
-    raw /= np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
-    return list(raw)
+    return list(unit_rows(rng, count, dim))
 
 
 def sample_critical_directions(prob, ms: MultiplierSet, n_dirs: int, seed: int, dense: bool = False):
@@ -132,12 +130,7 @@ def sample_critical_directions(prob, ms: MultiplierSet, n_dirs: int, seed: int, 
     a polyhedral cone's extreme rays and projected seeds, or the seeds a
     predicate cone contains or lifts (``CriticalConeRepr.directions``)."""
     rng = np.random.default_rng(seed)
-    if dense:
-        # deterministic sphere lattice for minimization coverage
-        seeds = _unit_sphere_seeds(prob.n, n_dirs, rng)
-    else:
-        raw = rng.standard_normal((n_dirs, prob.n))
-        seeds = list(raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300))
+    seeds = _unit_sphere_seeds(prob.n, n_dirs, rng) if dense else list(unit_rows(rng, n_dirs, prob.n))
     return dedupe(ms.cone.directions(seeds), DEDUP_TOL)
 
 
@@ -221,10 +214,10 @@ def verify_growth(
     the constraint surface, where violations concentrate.
 
     The samples do not depend on what restoration makes of them, so they are
-    drawn a block at a time, valued in one stack, and the infeasible ones
-    restored in one stack.  A block holds no more samples than are still
-    wanted (and at most GROWTH_BLOCK), so it is counted whole, as the
-    one-sample-at-a-time loop would count it."""
+    drawn uniformly in the ball a block at a time, valued in one stack, and
+    the infeasible ones restored in one stack.  A block holds no more samples
+    than are still wanted (and at most GROWTH_BLOCK), so it is counted whole,
+    as the one-sample-at-a-time loop would count it."""
     if ell <= 0 or epsilon <= 0:
         raise ValueError("ell and epsilon must be positive")
     x = np.asarray(x, dtype=float)
@@ -235,12 +228,7 @@ def verify_growth(
     attempts = 0
     while kept < n_samples and attempts < 20 * n_samples:
         block = min(n_samples - kept, 20 * n_samples - attempts, GROWTH_BLOCK)
-        steps = []
-        for _ in range(block):
-            step = rng.standard_normal(prob.n)
-            step *= epsilon * rng.random() ** (1.0 / prob.n) / max(np.linalg.norm(step), 1e-300)
-            steps.append(step)
-        XP = x + np.array(steps)
+        XP = x + ball_steps(rng, block, prob.n, epsilon, 1.0 / prob.n)
         gvals = outer_values(prob, XP)
         off = np.flatnonzero(~np.isfinite(gvals))
         restored, ok = _restore_feasible_points(prob, XP[off], max_iter=30)

@@ -46,7 +46,7 @@ from .errors import (
     UndefinedValue,
 )
 from .extreal import CAP, NEG_GUARD, PLUS_INF, ExtReal
-from .numkit import row_norms
+from .numkit import ball_steps, row_norms, unit_rows
 
 RANDOM_BALL_SAMPLES = 2000
 GRID_DIM_LIMIT = 4
@@ -159,10 +159,9 @@ def _ball_offsets(dim: int, radius: float, sched: GridSchedule, rng) -> np.ndarr
         return np.zeros((1, dim))
     if dim <= GRID_DIM_LIMIT:
         return _grid_ball(dim, radius, sched.samples_per_axis)
-    raw = rng.standard_normal((RANDOM_BALL_SAMPLES, dim))
-    raw /= np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
+    dirs = unit_rows(rng, RANDOM_BALL_SAMPLES, dim)
     radii = radius * rng.random(RANDOM_BALL_SAMPLES) ** (1.0 / dim)
-    return np.vstack([np.zeros((1, dim)), raw * radii[:, None]])
+    return np.vstack([np.zeros((1, dim)), dirs * radii[:, None]])
 
 
 def _ball_clip(P: np.ndarray, center, radius) -> np.ndarray:
@@ -631,20 +630,14 @@ def proximal_modulus_scan(
     f: SampledFunction, x, v, radius: float = 0.5, n_samples: int = 200, seed: int = 5
 ) -> float:
     """Empirical proximal modulus: the smallest r >= 0 with
-    f(x') >= f(x) + <v, x' - x> - r/2 |x' - x|^2 over sampled x'."""
+    f(x') >= f(x) + <v, x' - x> - r/2 |x' - x|^2 over sampled x'.  The
+    samples are drawn by ``numkit.ball_steps`` and valued in one stack."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     f0 = _base_value(f, x)
-    rng = np.random.default_rng(seed)
-    r_hat = 0.0
-    for _ in range(n_samples):
-        step = rng.standard_normal(x.shape[0])
-        step *= rng.random() * radius / max(np.linalg.norm(step), 1e-300)
-        fx = f.value(x + step)
-        if not fx.is_finite:
-            continue
-        gap = f0 + float(v @ step) - fx.value
-        nrm2 = float(step @ step)
-        if nrm2 > 1e-16:
-            r_hat = max(r_hat, 2.0 * gap / nrm2)
-    return max(0.0, r_hat)
+    steps = ball_steps(np.random.default_rng(seed), n_samples, x.shape[0], radius, 1.0)
+    fx = f.eval_batch(x + steps)
+    nrm2 = np.vecdot(steps, steps)
+    kept = np.isfinite(fx) & (nrm2 > 1e-16)
+    gap = f0 + np.vecdot(steps[kept], v) - fx[kept]
+    return float(np.max(2.0 * gap / nrm2[kept], initial=0.0))
