@@ -6,13 +6,14 @@ Usage: python scripts/oracle_sweep.py [--benchmark a1|irregular|psd] [--steps K]
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
 from epidiff.composite import sampled_objective
 from epidiff.core import GridSchedule
 from epidiff.numkit import svec
-from epidiff.oracle import _second_order_levels, _stabilize
+from epidiff.oracle import STABLE_LEVELS, _second_order_levels, _stabilize
 from epidiff.outer import NegSemidefIndicator
 
 
@@ -57,7 +58,14 @@ def main():
     if args.steps is not None:
         opts["steps"] = args.steps
     sched = GridSchedule(**opts)
-    levels = _second_order_levels(f, x, v, w, sched)
+    # a search runs only the STABLE_LEVELS finest levels of its schedule, so
+    # the levels are searched as consecutive sub-schedules of that many, the
+    # last one ending at the finest level
+    ts, levels = sched.t_levels(), []
+    for k in range(0, sched.steps, STABLE_LEVELS):
+        k = min(k, sched.steps - STABLE_LEVELS)
+        part = _second_order_levels(f, x, v, w, replace(sched, t0=ts[k], steps=STABLE_LEVELS))
+        levels += part[len(levels) - k:]
     print(f"benchmark {args.benchmark}: target {target}")
     print(f"{'t':>12s} {'level min':>14s}")
     for t, m, _ in levels:

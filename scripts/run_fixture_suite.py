@@ -23,8 +23,8 @@ PLAN = [
     ("a1_parabola.json", ["analyze", "verify", "check-cq"]),
     ("plq_abs.json", ["analyze", "verify", "certify"]),
     ("psd_cone.json", ["analyze", "verify"]),
-    ("parabola_min.json", ["certify", "check-cq"]),
-    ("min_quartic.json", ["certify"]),
+    ("parabola_min.json", ["verify", "certify", "check-cq"]),
+    ("min_quartic.json", ["verify", "certify"]),
     ("mscq_fail.json", ["check-cq"]),
     ("polyhedron_m6.json", ["analyze", "certify", "check-cq"]),
     ("max_eig.json", ["analyze", "verify"]),

@@ -10,6 +10,7 @@ numerical disagreement, 2 precondition failure, 3 parse/validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -320,7 +321,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every run."""
     parser = _Parser(prog="epidiff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     pa = sub.add_parser("analyze", help="multipliers, tau, and the chain-rule values")

@@ -313,8 +313,8 @@ class GridSchedule:
         return self.radius_coeff * t ** self.radius_exponent
 
     def coarse(self) -> "GridSchedule":
-        """The four finest levels at no more than 7 samples per axis: cheap
-        enough to rank many trial points."""
+        """The four finest levels, of which a search runs the three finest, at
+        no more than 7 samples per axis: cheap enough to rank many points."""
         return replace(
             self,
             t0=self.t0 * self.ratio ** max(0, self.steps - 4),

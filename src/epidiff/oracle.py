@@ -4,21 +4,21 @@ Everything here estimates limits of first- and second-order quotients by
 direct function evaluation: a geometric step schedule, a shrinking search
 ball around the probed direction, batched grid (or seeded random) sampling
 per level, a deterministic pattern-search polish, and a three-level
-extrapolation of the per-level minima.  These estimates are the ground
-truth the closed forms are validated against; they never share formulas
-with the catalog.
+extrapolation of the minima of the STABLE_LEVELS = 3 finest levels, the only
+levels searched.  These estimates are the ground truth the closed forms are
+validated against; they never share formulas with the catalog.
 
 One kernel, ``_ball_search``, does every search: search j minimizes
 ((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^order / order) over a ball
 about its own center at one level t, with order 2, s = t and no drift for the
 second subderivative, order 2, the drift w and s = t^2/2 for the parabolic
 one, and order 1, s = t and no drift for the subderivative.  It values
-the balls of a chunk of centers at every level in one batch, restores the
+the balls of a chunk of centers at its levels in one batch, restores the
 centers of all-infinite balls in one stack and polishes the searches in
 lockstep (``_pattern_search``): each round scores the complete polls of every
 live search in one ``SampledFunction.values`` call, whose rows equal ``value``
 at each point bit for bit, so each search takes the path it would take alone.
-The level search is one center over every level, the parabolic estimate a
+The level search is one center over its levels, the parabolic estimate a
 stack of centers z, the scorer of the z search the same, unpolished, and the
 first-order fallback one center, unpolished and unrestored.  One stabilizer,
 ``_stabilize``, folds the levels of every estimate, and one rule,
@@ -59,6 +59,8 @@ Z_BATCH_ROWS = 4096
 RESTORE_BUDGET = 150
 # The absolute and relative agreement tolerance of gap_tol.
 GAP_TOL = 0.05
+# The finest levels of a schedule: all that _stabilize folds or a search runs.
+STABLE_LEVELS = 3
 
 
 @dataclass
@@ -196,10 +198,12 @@ def _split_batch(f: SampledFunction, stacks) -> list:
 
 
 def _schedule_balls(sched: GridSchedule, dim: int) -> list:
-    """(t, radius, ball offsets) per level of sched, the offsets drawn level
-    by level from one rng seeded with sched.seed."""
+    """(t, radius, ball offsets) per STABLE_LEVELS finest level of sched;
+    every level's offsets are drawn, in order, from one rng seeded with
+    sched.seed."""
     rng = np.random.default_rng(sched.seed)
-    return [(t, sched.radius(t), _ball_offsets(dim, sched.radius(t), sched, rng)) for t in sched.t_levels()]
+    balls = [(t, sched.radius(t), _ball_offsets(dim, sched.radius(t), sched, rng)) for t in sched.t_levels()]
+    return balls[-STABLE_LEVELS:]
 
 
 def _pattern_search(score, starts, f_starts, centers, radii, extra_dirs=(), max_evals=700,
@@ -285,13 +289,13 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
                  drift=None, polish=False, rescues=0):
     """Minimize ((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^order / order)
     over p in the ball of radius sched.radius(t) about each row of centers,
-    at every level t of sched: order 2 (t^2/2) for a second-order quotient,
-    1 (t) for a first-order one, s = t without a drift, s = t^2/2 with one,
-    and lin(p, t) = t*<lin, p> for a vector lin, t*lin for a number.  Returns
-    the minima (centers, levels), possibly inf, and their points (centers,
-    levels, dim).
+    at each STABLE_LEVELS finest level t of sched: order 2 (t^2/2) for a
+    second-order quotient, 1 (t) for a first-order one, s = t without a
+    drift, s = t^2/2 with one, and lin(p, t) = t*<lin, p> for a vector lin,
+    t*lin for a number.  Returns the minima (centers, levels), possibly
+    inf, and their points (centers, levels, dim).
 
-    A chunk of centers is valued at every level in one eval_batch of at most
+    A chunk of centers is valued at those levels in one eval_batch of at most
     Z_BATCH_ROWS rows (or of one center), and scored by the quotient formula
     of the polls.  A ball point whose evaluation fails (NaN, or below
     NEG_GUARD) raises in eval_batch, before any rescue, as valuing it alone
@@ -361,14 +365,14 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
 
 
 def _level_minimum(f: SampledFunction, base_point, lin_coeff, lin_shift, center, sched):
-    """At every level t of sched, minimize the quotient
-    (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over the ball around center
-    of radius sched.radius(t).  Returns [(t, min value possibly inf, argmin
-    point)] in level order: _ball_search of one center, polished along lin,
-    rescuing at most RESTORE_BUDGET trial points per level."""
+    """At each of the STABLE_LEVELS finest levels t of sched, minimize the
+    quotient (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over the ball
+    around center of radius sched.radius(t).  Returns [(t, min value possibly
+    inf, argmin point)] in level order: _ball_search of one center, polished
+    along lin, rescuing at most RESTORE_BUDGET trial points per level."""
     best, points = _ball_search(f, base_point, lin_shift, lin_coeff, center[None, :], sched, order=2,
                                 polish=True, rescues=RESTORE_BUDGET)
-    return list(zip(sched.t_levels(), best[0].tolist(), points[0]))
+    return list(zip(sched.t_levels()[-STABLE_LEVELS:], best[0].tolist(), points[0]))
 
 
 # -- stabilized limits ----------------------------------------------------------
@@ -393,7 +397,7 @@ def _stabilize(levels, sched: GridSchedule) -> ExtReal:
     the levels are consistent.  Divergence (quotients growing like 1/t) is
     reported as PlusInf.
     """
-    tail = levels[-3:]
+    tail = levels[-STABLE_LEVELS:]
     finite = [(t, m) for t, m, _ in tail if math.isfinite(m)]
     if not finite:
         return PLUS_INF
@@ -454,7 +458,7 @@ def estimate_parabolic_subderivative(
     Z = z.reshape(-1, w.shape[0])
     f0 = _base_value(f, x)
     best, points = _ball_search(f, x, f0, dfw, Z, sched, order=2, drift=w, polish=True)
-    ts = sched.t_levels()
+    ts = sched.t_levels()[-STABLE_LEVELS:]
     out = [_stabilize(list(zip(ts, ms, ps)), sched) for ms, ps in zip(best.tolist(), points)]
     return out[0] if z.ndim == 1 else out
 
@@ -468,7 +472,7 @@ def _parabolic_scores(f: SampledFunction, x, fx: float, w, dfw: float, v, Z,
     sched.seed: the offsets a fresh estimate at each z would draw.  The balls
     of every (z, level) pair are valued by one unpolished _ball_search."""
     minima, _ = _ball_search(f, x, fx, dfw, Z, sched, order=2, drift=w)
-    ts = sched.t_levels()
+    ts = sched.t_levels()[-STABLE_LEVELS:]
     return np.array([
         _stabilize([(t, m, None) for t, m in zip(ts, ms)], sched).as_float() - float(z @ v)
         for z, ms in zip(Z, minima.tolist())
@@ -480,7 +484,7 @@ def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None 
     t -> 0 and w' -> w, the subderivative (Rockafellar-Wets 1998, Def. 8.1).
 
     The levels of the fixed ray w are valued in one eval_batch.  Where one of
-    its three finest levels leaves the domain, the levels are instead the
+    its three finest levels leaves the domain, those levels are instead the
     least quotients over the balls about w, from one unpolished _ball_search
     of order 1 that restores no center.  _stabilize folds the levels."""
     sched = sched or GridSchedule()
@@ -489,10 +493,11 @@ def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None 
     f0 = _base_value(f, x)
     ts = np.array(sched.t_levels())
     quot = _quotients(f.eval_batch(x + ts[:, None] * w), f0, 0.0, ts)
-    if not np.isfinite(quot[-3:]).all():
+    if not np.isfinite(quot[-STABLE_LEVELS:]).all():
         # an all-infinite ball stays +inf, so the critical-cone test of
         # check_parabolic_regularity sees no restored point
         unrestored = replace(f, restore_feasible=None)
+        ts = ts[-STABLE_LEVELS:]
         quot = _ball_search(unrestored, x, f0, 0.0, w[None], sched, order=1)[0][0]
     return _stabilize([(t, m, None) for t, m in zip(ts.tolist(), quot.tolist())], sched)
 
@@ -518,7 +523,7 @@ def check_twice_epi_diff(
         levels = _second_order_levels(f, x, v, w, sched)
         oracle_value = _stabilize(levels, sched)
         formula_value = formula(w) if formula is not None else oracle_value
-        tail = [m for _, m, _ in levels[-3:] if math.isfinite(m)]
+        tail = [m for _, m, _ in levels[-STABLE_LEVELS:] if math.isfinite(m)]
         if formula_value.is_plus_inf:
             converged = oracle_value.is_plus_inf
             gap = 0.0 if converged else math.inf
@@ -551,13 +556,13 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     The coarse schedule scores a z-grid of sched.samples_per_axis points per
     axis over the box |z|_inf <= 10 (a seeded uniform sample of 10,000
     points when the grid exceeds Z_GRID_CAP), the balls of a chunk of grid
-    points at every level in one batch (_parabolic_scores; f(x) is valued
-    once).  Pattern search, scoring each poll through the same scorer,
-    refines the best finite point within 1,500 evaluations, and the full
-    schedule values the result.  Where that value is +inf, the full schedule
-    values every other point the search moved through, from the grid
-    minimizer on, in one call of the stacked estimate, and the least finite
-    one counts.  PlusInf when no grid point scores finite."""
+    points at its three finest levels in one batch (_parabolic_scores; f(x)
+    is valued once).  Pattern search, scoring each poll through the same
+    scorer, refines the best finite point within 1,500 evaluations, and the
+    full schedule values the result.  Where that value is +inf, the full
+    schedule values every other point the search moved through, from the
+    grid minimizer on, in one call of the stacked estimate, and the least
+    finite one counts.  PlusInf when no grid point scores finite."""
     cheap = sched.coarse()
     dim = w.shape[0]
     rng = np.random.default_rng(sched.seed)

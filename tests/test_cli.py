@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from epidiff.cli import run
+from epidiff.cli import build_parser, run
 from epidiff.problem_io import parse_problem, parse_problem_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -253,6 +255,20 @@ def test_determinism_byte_identical():
     v1 = run(["verify", _fixture("plq_abs.json")])
     v2 = run(["verify", _fixture("plq_abs.json")])
     assert v1 == v2
+
+
+def test_runs_in_one_process_report_as_separate_processes():
+    """run shares one argument parser: two runs in one process, each with
+    its own --dir list, print what each prints in a process of its own."""
+    assert build_parser() is build_parser()
+    a1 = _fixture("a1_parabola.json")
+    argvs = [["analyze", a1, "--dir", "1,0", "--dir", "0,1"], ["analyze", a1, "--dir", "0.6,0.8"]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    for argv in argvs:
+        code, text = run(argv)
+        alone = subprocess.run([sys.executable, "-m", "epidiff", *argv], capture_output=True, text=True, env=env)
+        assert (code, text + "\n") == (alone.returncode, alone.stdout)
 
 
 def test_seed_override_changes_directions():

@@ -161,8 +161,28 @@ def _unpolished_scores(f, x, w, dfw, v, Z, sched):
                 if math.isfinite(m0):
                     m = m0
             records.append((t, m, z))
-        out.append(oracle._stabilize(records, sched).as_float() - float(z @ v))
+        out.append(oracle._stabilize(records[-oracle.STABLE_LEVELS:], sched).as_float() - float(z @ v))
     return np.array(out)
+
+
+def _recording(f):
+    """f whose evaluator records every stack it values, and that list."""
+    valued = []
+    return replace(f, evaluator=lambda X: valued.append(X.copy()) or f.evaluator(X)), valued
+
+
+def _outside_the_finest_levels(valued, x, centers, sched, drift=None) -> int:
+    """How many valued rows, other than x, lie in no search ball of the
+    three finest levels of sched: x + t*p (x + t*drift + t^2/2*p with a
+    drift) with p within sched.radius(t) of a center."""
+    Y = np.concatenate(valued)
+    Y = Y[np.any(Y != x, axis=1)]
+    inside = np.zeros(len(Y), dtype=bool)
+    for t in sched.t_levels()[-oracle.STABLE_LEVELS:]:
+        P = (Y - x) / t if drift is None else (Y - x - t * drift) / (0.5 * t * t)
+        dist = np.linalg.norm(P[:, None, :] - centers[None, :, :], axis=2).min(axis=1)
+        inside |= dist <= sched.radius(t) * (1 + 1e-9) + 1e-9
+    return int((~inside).sum())
 
 
 def _on_the_axis() -> SampledFunction:
@@ -198,17 +218,19 @@ def _halfspace_quadratic() -> SampledFunction:
     seed=st.integers(0, 2 ** 16),
 )
 def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, size, seed):
-    """The batched scorer equals, bit for bit, one unpolished estimate per z,
-    and makes one batched evaluation per chunk of z, over every level."""
+    """The batched scorer equals, bit for bit, one unpolished estimate per z
+    over the three finest levels, values no point of a coarser level, and
+    makes one batched evaluation per chunk of z, over those levels."""
     rng = np.random.default_rng(seed)
     sched = GridSchedule(t0=0.1, steps=4, samples_per_axis=k, radius_coeff=radius_coeff, seed=seed)
     if case == "dim5":
         f, x, w = _halfspace_quadratic(), np.full(5, 0.1), np.eye(5)[0]
     else:
         f, x, w = _on_the_axis(), np.array([0.3, 0.0]), np.array([1.0, 0.0])
+    f, valued = _recording(f)
     dim = f.dim
-    rows = sum(len(_fresh_ball(dim, sched.radius(t), k, rng)) for t in sched.t_levels())
-    chunk = max(1, oracle.Z_BATCH_ROWS // rows)
+    sizes = [len(_fresh_ball(dim, sched.radius(t), k, rng)) for t in sched.t_levels()]
+    chunk = max(1, oracle.Z_BATCH_ROWS // sum(sizes[-oracle.STABLE_LEVELS:]))
     n = {"one": 1, "few": 4, "chunks": 2 * chunk + 3}[size]
     Z = rng.uniform(-3.0, 3.0, size=(n, dim))
     if case != "dim5":
@@ -219,6 +241,7 @@ def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, s
     f.eval_batch = lambda X: batches.append(len(X)) or eval_batch(X)
     got = oracle._parabolic_scores(f, x, f.value(x).value, w, dfw, v, Z, sched)
     f.eval_batch = eval_batch
+    assert _outside_the_finest_levels(valued, x, Z, sched, w) == 0
     assert len(batches) == -(-n // chunk)
     assert max(batches) <= oracle.Z_BATCH_ROWS or chunk == 1
     ref = _unpolished_scores(f, x, w, dfw, v, Z, sched)
@@ -301,6 +324,21 @@ def test_the_first_order_fallback_restores_nothing():
         got, ref = estimate_subderivative(f, x, w, sched), old_estimate_subderivative(f, x, w, sched)
         assert _same_float(got.as_float(), ref.as_float()) and got.as_float() == expected
     assert calls == []
+
+
+def test_the_first_order_fallback_pairs_its_minima_with_the_finest_levels():
+    """1000|y1| on {y2 <= -y1^2}, along w = (1, 0): the fixed ray leaves
+    the domain at every level, and the ball fallback's minima 1000 (1 - 2t)
+    differ by level.  _stabilize reads t through the level ratios and
+    through the 1/t test of the finest level; the minima, near 1000, pass
+    that test at the finest level of six (10/t = 3200) and fail it at the
+    third-coarsest (400), so they must be paired with the finest levels.
+    The estimate equals the per-level one bit for bit."""
+    f = SampledFunction(lambda Y: np.where(Y[:, 1] <= -Y[:, 0] ** 2, 1000.0 * np.abs(Y[:, 0]), math.inf), 2)
+    sched = GridSchedule(t0=0.1, steps=6, samples_per_axis=5, seed=4)
+    x, w = np.zeros(2), np.array([1.0, 0.0])
+    got, ref = estimate_subderivative(f, x, w, sched), old_estimate_subderivative(f, x, w, sched)
+    assert _same_float(got.as_float(), ref.as_float()) and got.as_float() == 1000.0
 
 
 def _top_level_callers(names) -> dict:
@@ -914,14 +952,20 @@ def _reference_cases():
 
 @pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
 def test_lockstep_levels_and_parabolic_estimates_equal_the_loops_they_replace(case):
-    """The lockstep level search gives the (t, m, p) records of the per-level
-    loop bit for bit, and the parabolic estimate of a stack of z gives, row
-    by row, the per-z estimate bit for bit."""
+    """The lockstep level search gives the (t, m, p) records of the three
+    finest levels of the per-level loop bit for bit, and the parabolic
+    estimate of a stack of z gives, row by row, the per-z estimate bit for
+    bit; neither values a point of a coarser level."""
     _, f, x, v, w, dfw, Z, sched = case
-    got, ref = oracle._second_order_levels(f, x, v, w, sched), old_second_order_levels(f, x, v, w, sched)
+    recorded, valued = _recording(f)
+    got = oracle._second_order_levels(recorded, x, v, w, sched)
+    ref = old_second_order_levels(f, x, v, w, sched)[-oracle.STABLE_LEVELS:]
+    assert _outside_the_finest_levels(valued, x, w[None], sched) == 0
     assert [(t, m) for t, m, _ in got] == [(t, m) for t, m, _ in ref]
     assert all(_same_float(m, m1) and p.tobytes() == p1.tobytes() for (_, m, p), (_, m1, p1) in zip(got, ref))
-    stacked = estimate_parabolic_subderivative(f, x, w, dfw, Z, sched)
+    valued.clear()
+    stacked = estimate_parabolic_subderivative(recorded, x, w, dfw, Z, sched)
+    assert _outside_the_finest_levels(valued, x, Z, sched, w) == 0
     assert len(stacked) == len(Z)
     for z, est in zip(Z, stacked):
         ref = old_parabolic_estimate(f, x, w, dfw, z, sched)
