@@ -70,7 +70,7 @@ def main():
     print(f"{'t':>12s} {'level min':>14s}")
     for t, m, _ in levels:
         print(f"{t:12.3e} {m:14.6f}")
-    est = _stabilize(levels, sched)
+    est = _stabilize(levels)
     print(f"stabilized estimate: {est}  (target {target})")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .extreal import ExtReal
-from .numkit import dedupe
+from .numkit import dedupe, unit_rows
 from .numkit.polyhedra import DEDUP_TOL
 from .oracle import GAP_TOL, check_parabolic_regularity, check_twice_epi_diff, gap_tol
 from .optimality import sample_critical_directions
@@ -109,18 +110,12 @@ def _resolve_kappa(spec: ProblemSpec, seed: int):
 def _direction_set(spec: ProblemSpec, ms, seed: int, off_cone: int = 0):
     """The default probing set: extreme rays plus the critical directions of
     eight seeded random unit seeds, with optional off-cone probes for the
-    PlusInf branch."""
+    PlusInf branch: the first off_cone rows of one seeded block of
+    60 * off_cone unit rows that the cone does not contain."""
     prob = spec.problem
     dirs = sample_critical_directions(prob, ms, 8, seed)
-    rng = np.random.default_rng(seed + 1)
-    off: list[np.ndarray] = []
-    attempts = 0
-    while len(off) < off_cone and attempts < 60 * max(1, off_cone):
-        attempts += 1
-        s = rng.standard_normal(prob.n)
-        s /= max(float(np.linalg.norm(s)), 1e-300)
-        if not ms.cone.contains(s):
-            off.append(s)
+    probes = unit_rows(np.random.default_rng(seed + 1), 60 * off_cone, prob.n)
+    off = list(itertools.islice((s for s in probes if not ms.cone.contains(s)), off_cone))
     return dedupe(dirs + off, DEDUP_TOL)
 
 

@@ -48,7 +48,9 @@ N_DIRS = 1024
 GROWTH_SLACK = 1e-9
 # verify_growth draws, values and restores its samples this many at a time at
 # most: enough to amortize the per-call cost, small enough to keep the
-# temporaries (and the peak memory) small.
+# temporaries (and the peak memory) small.  Each block is one ball_steps draw
+# (its unit rows, then its uniforms), so the samples of a seed depend on this
+# size; it stays a constant so that a seed keeps its samples.
 GROWTH_BLOCK = 256
 
 

@@ -46,7 +46,7 @@ from .errors import (
     UndefinedValue,
 )
 from .extreal import CAP, NEG_GUARD, PLUS_INF, ExtReal
-from .numkit import ball_steps, row_norms, unit_rows
+from .numkit import ball_steps, row_norms
 
 RANDOM_BALL_SAMPLES = 2000
 GRID_DIM_LIMIT = 4
@@ -161,9 +161,7 @@ def _ball_offsets(dim: int, radius: float, sched: GridSchedule, rng) -> np.ndarr
         return np.zeros((1, dim))
     if dim <= GRID_DIM_LIMIT:
         return _grid_ball(dim, radius, sched.samples_per_axis)
-    dirs = unit_rows(rng, RANDOM_BALL_SAMPLES, dim)
-    radii = radius * rng.random(RANDOM_BALL_SAMPLES) ** (1.0 / dim)
-    return np.vstack([np.zeros((1, dim)), dirs * radii[:, None]])
+    return np.vstack([np.zeros((1, dim)), ball_steps(rng, RANDOM_BALL_SAMPLES, dim, radius, 1.0 / dim)])
 
 
 def _ball_clip(P: np.ndarray, center, radius) -> np.ndarray:
@@ -389,7 +387,7 @@ def _lagrange_at_zero(ts, ms) -> float:
     return total
 
 
-def _stabilize(levels, sched: GridSchedule) -> ExtReal:
+def _stabilize(levels) -> ExtReal:
     """Fold per-level minima into one estimate.
 
     The minimum of the three finest levels is the raw liminf proxy; a
@@ -436,7 +434,7 @@ def _second_order_levels(f, x, v, w, sched):
 
 def estimate_second_subderivative(f: SampledFunction, x, v, w, sched: GridSchedule | None = None) -> ExtReal:
     sched = sched or GridSchedule()
-    return _stabilize(_second_order_levels(f, x, v, w, sched), sched)
+    return _stabilize(_second_order_levels(f, x, v, w, sched))
 
 
 def estimate_parabolic_subderivative(
@@ -459,7 +457,7 @@ def estimate_parabolic_subderivative(
     f0 = _base_value(f, x)
     best, points = _ball_search(f, x, f0, dfw, Z, sched, order=2, drift=w, polish=True)
     ts = sched.t_levels()[-STABLE_LEVELS:]
-    out = [_stabilize(list(zip(ts, ms, ps)), sched) for ms, ps in zip(best.tolist(), points)]
+    out = [_stabilize(list(zip(ts, ms, ps))) for ms, ps in zip(best.tolist(), points)]
     return out[0] if z.ndim == 1 else out
 
 
@@ -474,7 +472,7 @@ def _parabolic_scores(f: SampledFunction, x, fx: float, w, dfw: float, v, Z,
     minima, _ = _ball_search(f, x, fx, dfw, Z, sched, order=2, drift=w)
     ts = sched.t_levels()[-STABLE_LEVELS:]
     return np.array([
-        _stabilize([(t, m, None) for t, m in zip(ts, ms)], sched).as_float() - float(z @ v)
+        _stabilize([(t, m, None) for t, m in zip(ts, ms)]).as_float() - float(z @ v)
         for z, ms in zip(Z, minima.tolist())
     ])
 
@@ -499,7 +497,7 @@ def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None 
         unrestored = replace(f, restore_feasible=None)
         ts = ts[-STABLE_LEVELS:]
         quot = _ball_search(unrestored, x, f0, 0.0, w[None], sched, order=1)[0][0]
-    return _stabilize([(t, m, None) for t, m in zip(ts.tolist(), quot.tolist())], sched)
+    return _stabilize([(t, m, None) for t, m in zip(ts.tolist(), quot.tolist())])
 
 
 def check_twice_epi_diff(
@@ -521,7 +519,7 @@ def check_twice_epi_diff(
     for w in dirs:
         w = np.asarray(w, dtype=float)
         levels = _second_order_levels(f, x, v, w, sched)
-        oracle_value = _stabilize(levels, sched)
+        oracle_value = _stabilize(levels)
         formula_value = formula(w) if formula is not None else oracle_value
         tail = [m for _, m, _ in levels[-STABLE_LEVELS:] if math.isfinite(m)]
         if formula_value.is_plus_inf:

@@ -373,7 +373,7 @@ def old_parabolic_estimate(f, x, w, dfw, z, sched):
             if m == -math.inf:
                 f.value(x + t * w + half_t2 * p)  # raises
         records.append((t, m, p))
-    return _stabilize(records, sched)
+    return _stabilize(records)
 
 
 def old_estimate_subderivative(f, x, w, sched):

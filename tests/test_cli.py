@@ -283,6 +283,44 @@ def test_seed_override_changes_directions():
     assert _json_block(t3)["directions"] == _json_block(t1)["directions"]
 
 
+@pytest.mark.parametrize("fixture", ["a1_parabola.json", "polyhedron_m6.json", "min_quartic.json"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_off_cone_probes_are_the_first_non_members_of_one_block(fixture, seed):
+    """The off-cone probes of _direction_set are the first off_cone rows of
+    one unit_rows block of 60 * off_cone seeded with seed + 1 that the cone
+    does not contain, tested in order and no further than needed.  A cone
+    that holds every probe (the full space of the zero function's cone)
+    adds none after the whole block."""
+    from epidiff import cli, composite
+    from epidiff.numkit import dedupe, unit_rows
+    from epidiff.numkit.polyhedra import DEDUP_TOL
+
+    spec = parse_problem(_fixture(fixture))
+    kappa = cli._resolve_kappa(spec, seed)[0]
+    ms = composite.multipliers(spec.problem, spec.x, spec.v, kappa=kappa, ell=spec.ell)
+    tested, contains = [], ms.cone.contains
+
+    def recording(w):
+        tested.append(np.array(w))
+        return contains(w)
+
+    ms.cone.contains = recording
+    base = cli._direction_set(spec, ms, seed)
+    before = len(tested)
+    tested.clear()
+    off_cone = 2
+    got = cli._direction_set(spec, ms, seed, off_cone=off_cone)
+    probes = tested[before:]
+    block = unit_rows(np.random.default_rng(seed + 1), 60 * off_cone, spec.problem.n)
+    assert all(p.tobytes() == row.tobytes() for p, row in zip(probes, block))
+    off = [p for p in probes if not contains(p)]
+    if fixture == "min_quartic.json":
+        assert len(probes) == len(block) and off == []
+    else:
+        assert len(off) == off_cone and not contains(probes[-1])
+    assert [w.tobytes() for w in got] == [w.tobytes() for w in dedupe(base + off, DEDUP_TOL)]
+
+
 def test_verify_exit_codes_and_break_hook():
     code, text = run(["verify", _fixture("plq_abs.json")])
     assert code == 0

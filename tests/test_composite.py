@@ -27,7 +27,7 @@ from epidiff.errors import (
     PointNotInDomain,
     UnsupportedSpectralMultiplicity,
 )
-from epidiff.numkit import Polyhedron, lp_max, smat, svec, vertices
+from epidiff.numkit import Polyhedron, ball_steps, lp_max, smat, svec, vertices
 from epidiff.numkit.polyhedra import residuals
 from epidiff.oracle import estimate_second_subderivative
 from epidiff.outer import (
@@ -367,15 +367,14 @@ def test_stacked_restoration_solves_singular_rows_by_least_squares():
 
 
 def _old_check_mscq(prob, x, n_samples, radius, seed, project, distance):
-    """check_mscq's per-sample loop before it drew ahead, with the reference
-    restoration; returns (kappa_hat, worst, observations)."""
+    """check_mscq's per-sample loop before it restored in one stack, with
+    the reference restoration; each level's samples are one ball_steps block.
+    Returns (kappa_hat, worst, observations)."""
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
     kappa_hat, worst, observations = 0.0, None, []
     for level, rad in enumerate((radius, radius / 2.0, radius / 4.0)):
-        for _ in range(n_samples // 3 + (level < n_samples % 3)):
-            step = rng.standard_normal(prob.n)
-            step *= rad * rng.random() / max(float(np.linalg.norm(step)), 1e-300)
+        for step in ball_steps(rng, n_samples // 3 + (level < n_samples % 3), prob.n, rad, 1.0):
             xp = x + step
             dist_g = distance(poly_eval(prob.F, xp))
             if dist_g <= 1e-12:

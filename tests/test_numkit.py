@@ -655,53 +655,25 @@ def test_projection_far_out_onto_the_apex():
         assert p is not None and np.abs(p).max() <= 1e-9 * np.abs(u).max()
 
 
-# -- seeded draws against the per-step loops they replaced ----------------------------------
-
-
-def _mscq_loop(rng, count, dim, rad):
-    steps = []
-    for _ in range(count):
-        step = rng.standard_normal(dim)
-        step *= rad * rng.random() / max(float(np.linalg.norm(step)), 1e-300)
-        steps.append(step)
-    return np.reshape(steps, (count, dim))
-
-
-def _growth_loop(rng, count, dim, epsilon):
-    steps = []
-    for _ in range(count):
-        step = rng.standard_normal(dim)
-        step *= epsilon * rng.random() ** (1.0 / dim) / max(np.linalg.norm(step), 1e-300)
-        steps.append(step)
-    return np.reshape(steps, (count, dim))
-
-
-def _proximal_loop(rng, count, dim, radius):
-    steps = []
-    for _ in range(count):
-        step = rng.standard_normal(dim)
-        step *= rng.random() * radius / max(np.linalg.norm(step), 1e-300)
-        steps.append(step)
-    return np.reshape(steps, (count, dim))
+# -- seeded draws ---------------------------------------------------------------------------
 
 
 def _block_unit_rows(rng, count, dim):
     raw = rng.standard_normal((count, dim))
-    raw /= np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
-    return raw
+    return raw / np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
-def test_seeded_draws_match_the_loops_they_replaced(dim):
-    """ball_steps and unit_rows give, bit for bit, the steps and directions
-    of the per-step and block draws they replaced, and leave the generator
-    in the state those left it in."""
-    cases = [(1.0, _mscq_loop), (1.0, _proximal_loop), (1.0 / dim, _growth_loop)]
-    for seed, count, radius in itertools.product((0, 3, 2 ** 16 + 7), (0, 1, 300), (0.0, 0.25)):
-        for power, loop in cases:
+def test_seeded_draws_follow_the_block_rule(dim):
+    """unit_rows draws one (k, dim) block of standard normals and divides
+    each row by its axis norm; ball_steps takes such a block of unit rows,
+    then one block of uniforms u, and scales row i to radius * u[i]**power.
+    Bit for bit, and leaving the generator where those two draws leave it."""
+    for seed, count, radius in itertools.product((0, 3, 2 ** 16 + 7), (0, 1, 2, 300), (0.0, 0.25)):
+        for power in (1.0, 1.0 / dim, 0.5):
             rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            want, got = loop(rng_ref, count, dim, radius), ball_steps(rng, count, dim, radius, power)
-            assert _same_bits(got, want)
+            want = _block_unit_rows(rng_ref, count, dim) * (radius * rng_ref.random(count) ** power)[:, None]
+            assert _same_bits(ball_steps(rng, count, dim, radius, power), want)
             assert rng.bit_generator.state == rng_ref.bit_generator.state
         rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert _same_bits(unit_rows(rng, count, dim), _block_unit_rows(rng_ref, count, dim))
@@ -710,9 +682,7 @@ def test_seeded_draws_match_the_loops_they_replaced(dim):
 
 def test_seeded_draws_are_the_only_hand_normalized_draws():
     """No library module but numkit.sampling draws standard normals and
-    normalizes them by hand, apart from the off-cone probes of
-    cli._direction_set, whose number of draws depends on the cone test."""
+    normalizes them by hand."""
     lib = Path(__file__).resolve().parent.parent / "src" / "epidiff"
     drawers = {p.relative_to(lib).as_posix() for p in lib.rglob("*.py") if "standard_normal" in p.read_text()}
-    assert drawers == {"numkit/sampling.py", "cli.py"}
-    assert (lib / "cli.py").read_text().count("standard_normal") == 1
+    assert drawers == {"numkit/sampling.py"}

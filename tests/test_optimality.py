@@ -16,7 +16,7 @@ from epidiff.optimality import (
     stationary_data,
     verify_growth,
 )
-from epidiff.numkit import Polyhedron
+from epidiff.numkit import Polyhedron, ball_steps
 from epidiff.outer import (
     NegSemidefIndicator,
     PolyhedralIndicator,
@@ -125,33 +125,35 @@ def test_growth_rejects_an_infeasible_base_point():
         verify_growth(parabola_min_problem(), [1.0, 0.0], ell=0.5, epsilon=0.1, n_samples=10, seed=0)
 
 
-def _old_verify_growth(prob, x, ell, epsilon, n_samples, seed):
-    """verify_growth's per-sample loop before it drew ahead in blocks, with
-    the reference restoration: (samples, violations)."""
+def _old_verify_growth(prob, x, ell, epsilon, n_samples, seed, block):
+    """verify_growth's per-sample loop before it valued and restored in
+    stacks, with the reference restoration: (samples, violations).  The
+    samples are drawn as verify_growth draws them, one ball_steps block of
+    min(still wanted, attempts left, block) at a time."""
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
     psi0 = float(poly_eval(prob.phi, x)[0]) + prob.g.value(poly_eval(prob.F, x)).value
     distance = lambda u: float(np.linalg.norm(u - prob.g.domain_project(u)))  # noqa: E731
     kept = violations = attempts = 0
     while kept < n_samples and attempts < 20 * n_samples:
-        attempts += 1
-        step = rng.standard_normal(prob.n)
-        step *= epsilon * rng.random() ** (1.0 / prob.n) / max(np.linalg.norm(step), 1e-300)
-        xp = x + step
-        gval = prob.g.value(poly_eval(prob.F, xp))
-        if not gval.is_finite:
-            restored = old_restore(prob, xp, prob.g.domain_project, distance, max_iter=30)
-            if restored is None or float(np.linalg.norm(restored - x)) > epsilon:
-                continue
-            xp = restored
+        count = min(n_samples - kept, 20 * n_samples - attempts, block)
+        attempts += count
+        for step in ball_steps(rng, count, prob.n, epsilon, 1.0 / prob.n):
+            xp = x + step
             gval = prob.g.value(poly_eval(prob.F, xp))
             if not gval.is_finite:
-                continue
-        kept += 1
-        psi = float(poly_eval(prob.phi, xp)[0]) + gval.value
-        lower = psi0 + 0.5 * ell * float((xp - x) @ (xp - x)) - 1e-9
-        if psi < lower:
-            violations += 1
+                restored = old_restore(prob, xp, prob.g.domain_project, distance, max_iter=30)
+                if restored is None or float(np.linalg.norm(restored - x)) > epsilon:
+                    continue
+                xp = restored
+                gval = prob.g.value(poly_eval(prob.F, xp))
+                if not gval.is_finite:
+                    continue
+            kept += 1
+            psi = float(poly_eval(prob.phi, xp)[0]) + gval.value
+            lower = psi0 + 0.5 * ell * float((xp - x) @ (xp - x)) - 1e-9
+            if psi < lower:
+                violations += 1
     return kept, violations
 
 
@@ -187,14 +189,14 @@ def _growth_cases():
     seed=st.integers(0, 2 ** 16),
 )
 def test_batched_growth_matches_its_per_sample_loop(case, n_samples, block, ell, epsilon, seed):
-    """Drawing samples a block at a time, valuing and restoring each block in
-    one stack, keeps and violates exactly the samples the per-sample loop
-    does, whatever the block size."""
+    """Valuing and restoring each block of samples in one stack keeps and
+    violates exactly the samples the per-sample loop does, at each block
+    size (which sets the draws, as GROWTH_BLOCK does)."""
     prob, x = _growth_cases()[case]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimality, "GROWTH_BLOCK", block)
         rep = verify_growth(prob, x, ell=ell, epsilon=epsilon, n_samples=n_samples, seed=seed)
-    assert (rep.samples, rep.violations) == _old_verify_growth(prob, x, ell, epsilon, n_samples, seed)
+    assert (rep.samples, rep.violations) == _old_verify_growth(prob, x, ell, epsilon, n_samples, seed, block)
 
 
 def test_sum_rule_against_oracle():

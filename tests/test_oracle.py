@@ -161,7 +161,7 @@ def _unpolished_scores(f, x, w, dfw, v, Z, sched):
                 if math.isfinite(m0):
                     m = m0
             records.append((t, m, z))
-        out.append(oracle._stabilize(records[-oracle.STABLE_LEVELS:], sched).as_float() - float(z @ v))
+        out.append(oracle._stabilize(records[-oracle.STABLE_LEVELS:]).as_float() - float(z @ v))
     return np.array(out)
 
 
