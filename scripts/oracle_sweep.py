@@ -11,9 +11,9 @@ from dataclasses import replace
 import numpy as np
 
 from epidiff.composite import sampled_objective
-from epidiff.core import GridSchedule
+from epidiff.core import STABLE_LEVELS, GridSchedule
 from epidiff.numkit import svec
-from epidiff.oracle import STABLE_LEVELS, _second_order_levels, _stabilize
+from epidiff.oracle import _second_order_levels, _stabilize
 from epidiff.outer import NegSemidefIndicator
 
 
@@ -58,10 +58,10 @@ def main():
     if args.steps is not None:
         opts["steps"] = args.steps
     sched = GridSchedule(**opts)
-    # a search runs only the STABLE_LEVELS finest levels of its schedule, so
-    # the levels are searched as consecutive sub-schedules of that many, the
-    # last one ending at the finest level
-    ts, levels = sched.t_levels(), []
+    # a schedule holds only its STABLE_LEVELS finest levels, so the ladder
+    # t0 * ratio**k is searched as consecutive schedules of that many levels,
+    # the last one ending at the finest level, which the estimate folds
+    ts, levels = [sched.t0 * sched.ratio ** k for k in range(sched.steps)], []
     for k in range(0, sched.steps, STABLE_LEVELS):
         k = min(k, sched.steps - STABLE_LEVELS)
         part = _second_order_levels(f, x, v, w, replace(sched, t0=ts[k], steps=STABLE_LEVELS))
@@ -70,7 +70,7 @@ def main():
     print(f"{'t':>12s} {'level min':>14s}")
     for t, m, _ in levels:
         print(f"{t:12.3e} {m:14.6f}")
-    est = _stabilize(levels)
+    (est,) = _stabilize([t for t, _, _ in part], [m for _, m, _ in part])
     print(f"stabilized estimate: {est}  (target {target})")
 
 

@@ -27,6 +27,9 @@ import numpy as np
 from .errors import DimensionMismatch, ValidationError
 
 MAX_DEGREE = 6
+# The levels of a GridSchedule: its finest ones, all that the oracle searches
+# and folds.
+STABLE_LEVELS = 3
 
 # A monomial is (coefficient, exponents) with exponents a tuple of length n_in.
 Monomial = tuple[float, tuple[int, ...]]
@@ -275,7 +278,9 @@ def second_form(p: PolyMap, x, w) -> np.ndarray:
 class GridSchedule:
     """Geometric step schedule and matching search-ball rule for the oracle.
 
-    The search ball around a direction has radius radius_coeff * t**radius_exponent.
+    The levels are the STABLE_LEVELS finest steps t0 * ratio**k of a ladder
+    of `steps`, k = steps - STABLE_LEVELS, ..., steps - 1.  The search ball
+    around a direction has radius radius_coeff * t**radius_exponent.
     The default exponent 1 matches the bounded-ratio recovery regime; a smaller
     exponent widens the search for deliberately irregular functions whose
     recovery sequences need |w_k - w| / t_k unbounded.
@@ -294,8 +299,8 @@ class GridSchedule:
             raise ValidationError("t0 must be finite and positive")
         if not 0 < self.ratio < 1:
             raise ValidationError("ratio must lie in (0, 1)")
-        if self.steps < 3:
-            raise ValidationError("steps must be at least 3")
+        if self.steps < STABLE_LEVELS:
+            raise ValidationError(f"steps must be at least {STABLE_LEVELS}")
         if not (np.isfinite(self.radius_coeff) and self.radius_coeff >= 0):
             raise ValidationError("radius_coeff must be finite and nonnegative")
         if self.samples_per_axis < 2:
@@ -307,20 +312,16 @@ class GridSchedule:
             raise ValidationError("steps: t0 * ratio^(steps - 1) underflows in t^2 / 2")
 
     def t_levels(self) -> list[float]:
-        return [self.t0 * self.ratio ** k for k in range(self.steps)]
+        """The STABLE_LEVELS finest levels, coarsest first."""
+        return [self.t0 * self.ratio ** k for k in range(self.steps - STABLE_LEVELS, self.steps)]
 
     def radius(self, t: float) -> float:
         return self.radius_coeff * t ** self.radius_exponent
 
     def coarse(self) -> "GridSchedule":
-        """The four finest levels, of which a search runs the three finest, at
-        no more than 7 samples per axis: cheap enough to rank many points."""
-        return replace(
-            self,
-            t0=self.t0 * self.ratio ** max(0, self.steps - 4),
-            steps=4,
-            samples_per_axis=min(self.samples_per_axis, 7),
-        )
+        """The same levels at no more than 7 samples per axis: cheap enough
+        to rank many points."""
+        return replace(self, samples_per_axis=min(self.samples_per_axis, 7))
 
 
 class CompositeProblem:

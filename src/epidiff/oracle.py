@@ -4,9 +4,11 @@ Everything here estimates limits of first- and second-order quotients by
 direct function evaluation: a geometric step schedule, a shrinking search
 ball around the probed direction, batched grid (or seeded random) sampling
 per level, a deterministic pattern-search polish, and a three-level
-extrapolation of the minima of the STABLE_LEVELS = 3 finest levels, the only
-levels searched.  These estimates are the ground truth the closed forms are
-validated against; they never share formulas with the catalog.
+extrapolation of the level minima.  A schedule holds only its
+STABLE_LEVELS = 3 finest levels (``GridSchedule.t_levels``), so every search
+runs and every fold reads exactly those.  These estimates are the ground
+truth the closed forms are validated against; they never share formulas
+with the catalog.
 
 One kernel, ``_ball_search``, does every search: search j minimizes
 ((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^order / order) over a ball
@@ -21,8 +23,9 @@ at each point bit for bit, so each search takes the path it would take alone.
 The level search is one center over its levels, the parabolic estimate a
 stack of centers z, the scorer of the z search the same, unpolished, and the
 first-order fallback one center, unpolished and unrestored.  One stabilizer,
-``_stabilize``, folds the levels of every estimate, and one rule,
-``gap_tol``, says when an estimate agrees with a closed form.
+``_stabilize``, folds the level minima of every estimate, a stack of them
+(one row per center) in one pass, and one rule, ``gap_tol``, says when an
+estimate agrees with a closed form.
 
 The sampled scan of the optimality conditions (``optimality.check_ssosc``)
 also refines its least lattice point with ``_pattern_search``: it shares the
@@ -38,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GridSchedule
+from .core import STABLE_LEVELS, GridSchedule
 from .errors import (
     BasePointInfeasible,
     CriticalConePreconditionFailed,
@@ -59,8 +62,6 @@ Z_BATCH_ROWS = 4096
 RESTORE_BUDGET = 150
 # The absolute and relative agreement tolerance of gap_tol.
 GAP_TOL = 0.05
-# The finest levels of a schedule: all that _stabilize folds or a search runs.
-STABLE_LEVELS = 3
 
 
 @dataclass
@@ -129,18 +130,6 @@ def _base_value(f: SampledFunction, x) -> float:
     return f0.value
 
 
-def delta2_quotient(f: SampledFunction, x, v, t: float, w) -> ExtReal:
-    """Second-order difference quotient at step t along w for the pairing v."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
-    f0 = _base_value(f, x)
-    quot = _quotients(np.array([f.value(x + t * w).as_float()]), f0, t * float(v @ w), 0.5 * t * t)[0]
-    return PLUS_INF if math.isnan(quot) else ExtReal(quot)
-
-
 # -- per-level search ---------------------------------------------------------
 
 
@@ -196,12 +185,10 @@ def _split_batch(f: SampledFunction, stacks) -> list:
 
 
 def _schedule_balls(sched: GridSchedule, dim: int) -> list:
-    """(t, radius, ball offsets) per STABLE_LEVELS finest level of sched;
-    every level's offsets are drawn, in order, from one rng seeded with
-    sched.seed."""
+    """(t, radius, ball offsets) per level of sched; the levels' offsets are
+    drawn, in order, from one rng seeded with sched.seed."""
     rng = np.random.default_rng(sched.seed)
-    balls = [(t, sched.radius(t), _ball_offsets(dim, sched.radius(t), sched, rng)) for t in sched.t_levels()]
-    return balls[-STABLE_LEVELS:]
+    return [(t, sched.radius(t), _ball_offsets(dim, sched.radius(t), sched, rng)) for t in sched.t_levels()]
 
 
 def _pattern_search(score, starts, f_starts, centers, radii, extra_dirs=(), max_evals=700,
@@ -287,10 +274,9 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
                  drift=None, polish=False, rescues=0):
     """Minimize ((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^order / order)
     over p in the ball of radius sched.radius(t) about each row of centers,
-    at each STABLE_LEVELS finest level t of sched: order 2 (t^2/2) for a
-    second-order quotient, 1 (t) for a first-order one, s = t without a
-    drift, s = t^2/2 with one, and lin(p, t) = t*<lin, p> for a vector lin,
-    t*lin for a number.  Returns the minima (centers, levels), possibly
+    at each level t of sched: order 2 (t^2/2) for a second-order quotient,
+    1 (t) for a first-order one, s = t without a drift, s = t^2/2 with one,
+    and lin(p, t) = t*<lin, p> for a vector lin, t*lin for a number.  Returns the minima (centers, levels), possibly
     inf, and their points (centers, levels, dim).
 
     A chunk of centers is valued at those levels in one eval_batch of at most
@@ -363,56 +349,49 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
 
 
 def _level_minimum(f: SampledFunction, base_point, lin_coeff, lin_shift, center, sched):
-    """At each of the STABLE_LEVELS finest levels t of sched, minimize the
-    quotient (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over the ball
-    around center of radius sched.radius(t).  Returns [(t, min value possibly
-    inf, argmin point)] in level order: _ball_search of one center, polished
-    along lin, rescuing at most RESTORE_BUDGET trial points per level."""
+    """At each level t of sched, minimize the quotient
+    (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over the ball around center
+    of radius sched.radius(t).  Returns [(t, min value possibly inf, argmin
+    point)] in level order: _ball_search of one center, polished along lin,
+    rescuing at most RESTORE_BUDGET trial points per level."""
     best, points = _ball_search(f, base_point, lin_shift, lin_coeff, center[None, :], sched, order=2,
                                 polish=True, rescues=RESTORE_BUDGET)
-    return list(zip(sched.t_levels()[-STABLE_LEVELS:], best[0].tolist(), points[0]))
+    return list(zip(sched.t_levels(), best[0].tolist(), points[0]))
 
 
 # -- stabilized limits ----------------------------------------------------------
 
 
-def _lagrange_at_zero(ts, ms) -> float:
-    total = 0.0
-    for i, (ti, mi) in enumerate(zip(ts, ms)):
-        prod = mi
-        for j, tj in enumerate(ts):
-            if j != i:
-                prod *= (0.0 - tj) / (ti - tj)
-        total += prod
-    return total
+def _stabilize(ts, M) -> list:
+    """Fold each row of a (k, STABLE_LEVELS) stack M of level minima at the
+    levels ts of a schedule into one estimate: a list of k ExtReals.
 
-
-def _stabilize(levels) -> ExtReal:
-    """Fold per-level minima into one estimate.
-
-    The minimum of the three finest levels is the raw liminf proxy; a
-    level-sequence extrapolation removes the O(radius) search-ball bias when
-    the levels are consistent.  Divergence (quotients growing like 1/t) is
-    reported as PlusInf.
+    The least finite minimum of a row is the raw liminf proxy, and +inf when
+    it exceeds 10/t at the finest level: quotients growing like 1/t diverge.
+    A finite row that grows by the ratio 1.8 per level beyond 100 diverges
+    too; otherwise its Lagrange extrapolation to t = 0 replaces the raw
+    value where the two lie within twice the row's spread, removing the
+    O(radius) search-ball bias of consistent levels.  Every row is folded by
+    the operations, in the order, that fold it alone.
     """
-    tail = levels[-STABLE_LEVELS:]
-    finite = [(t, m) for t, m, _ in tail if math.isfinite(m)]
-    if not finite:
-        return PLUS_INF
-    raw = min(m for _, m in finite)
-    t_finest = levels[-1][0]
-    if raw > 10.0 / t_finest:
-        return PLUS_INF
-    ms = [m for _, m, _ in tail]
-    if all(math.isfinite(m) for m in ms):
-        if ms[2] > 100.0 and ms[0] > 0 and ms[2] >= 1.8 * ms[1] >= 1.8 * 1.8 * ms[0]:
-            return PLUS_INF
-        ts = [t for t, _, _ in tail]
-        guess = _lagrange_at_zero(ts, ms)
-        spread = max(ms) - min(ms)
-        if abs(guess - raw) <= 2.0 * spread + 1e-12 * (1.0 + abs(raw)):
-            return ExtReal(guess)
-    return ExtReal(raw)
+    M = np.reshape(np.asarray(M, dtype=float), (-1, STABLE_LEVELS))
+    finite = np.isfinite(M)
+    raw, full = np.where(finite, M, math.inf).min(axis=1), finite.all(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # rows holding +inf, or huge minima
+        guess = np.zeros(len(M))
+        for i, ti in enumerate(ts):  # Lagrange at zero: m_i * prod (0 - t_j)/(t_i - t_j)
+            prod = M[:, i]
+            for j, tj in enumerate(ts):
+                if j != i:
+                    prod = prod * ((0.0 - tj) / (ti - tj))
+            guess = guess + prod
+        grows = ((M[:, 2] > 100.0) & (M[:, 0] > 0) & (M[:, 2] >= 1.8 * M[:, 1])
+                 & (1.8 * M[:, 1] >= 1.8 * 1.8 * M[:, 0]))
+        spread = M.max(axis=1) - M.min(axis=1)
+        near = np.abs(guess - raw) <= 2.0 * spread + 1e-12 * (1.0 + np.abs(raw))
+    out = np.where(full & near, guess, raw)
+    out[(raw > 10.0 / ts[-1]) | (full & grows)] = math.inf
+    return [ExtReal(m) if math.isfinite(m) else PLUS_INF for m in out.tolist()]
 
 
 def gap_tol(value: ExtReal) -> float:
@@ -434,7 +413,7 @@ def _second_order_levels(f, x, v, w, sched):
 
 def estimate_second_subderivative(f: SampledFunction, x, v, w, sched: GridSchedule | None = None) -> ExtReal:
     sched = sched or GridSchedule()
-    return _stabilize(_second_order_levels(f, x, v, w, sched))
+    return _stabilize(sched.t_levels(), [m for _, m, _ in _second_order_levels(f, x, v, w, sched)])[0]
 
 
 def estimate_parabolic_subderivative(
@@ -448,16 +427,16 @@ def estimate_parabolic_subderivative(
     """min over t and z' near z of the parabolic quotient along
     x + t w + t^2 z'/2: an ExtReal for a point z, a list of them for a stack
     of z, each equal to the estimate at that z alone.  The balls of every
-    (z, level) pair are searched by one _ball_search, polished in lockstep."""
+    (z, level) pair are searched by one _ball_search, polished in lockstep,
+    and one _stabilize folds every z."""
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=float)
     Z = z.reshape(-1, w.shape[0])
     f0 = _base_value(f, x)
-    best, points = _ball_search(f, x, f0, dfw, Z, sched, order=2, drift=w, polish=True)
-    ts = sched.t_levels()[-STABLE_LEVELS:]
-    out = [_stabilize(list(zip(ts, ms, ps))) for ms, ps in zip(best.tolist(), points)]
+    best, _ = _ball_search(f, x, f0, dfw, Z, sched, order=2, drift=w, polish=True)
+    out = _stabilize(sched.t_levels(), best)
     return out[0] if z.ndim == 1 else out
 
 
@@ -468,36 +447,33 @@ def _parabolic_scores(f: SampledFunction, x, fx: float, w, dfw: float, v, Z,
 
     Each level's ball offsets are drawn once from one rng seeded with
     sched.seed: the offsets a fresh estimate at each z would draw.  The balls
-    of every (z, level) pair are valued by one unpolished _ball_search."""
+    of every (z, level) pair are valued by one unpolished _ball_search and
+    folded by one _stabilize."""
     minima, _ = _ball_search(f, x, fx, dfw, Z, sched, order=2, drift=w)
-    ts = sched.t_levels()[-STABLE_LEVELS:]
-    return np.array([
-        _stabilize([(t, m, None) for t, m in zip(ts, ms)]).as_float() - float(z @ v)
-        for z, ms in zip(Z, minima.tolist())
-    ])
+    estimates = _stabilize(sched.t_levels(), minima)
+    return np.array([est.as_float() - float(z @ v) for z, est in zip(Z, estimates)])
 
 
 def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None = None) -> ExtReal:
     """The limit of the first-order quotients (f(x + t w') - f(x)) / t as
     t -> 0 and w' -> w, the subderivative (Rockafellar-Wets 1998, Def. 8.1).
 
-    The levels of the fixed ray w are valued in one eval_batch.  Where one of
-    its three finest levels leaves the domain, those levels are instead the
-    least quotients over the balls about w, from one unpolished _ball_search
-    of order 1 that restores no center.  _stabilize folds the levels."""
+    The levels of the fixed ray w are valued in one eval_batch.  Where the
+    ray leaves the domain at one of them, the levels are instead the least
+    quotients over the balls about w, from one unpolished _ball_search of
+    order 1 that restores no center.  _stabilize folds the levels."""
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     f0 = _base_value(f, x)
     ts = np.array(sched.t_levels())
     quot = _quotients(f.eval_batch(x + ts[:, None] * w), f0, 0.0, ts)
-    if not np.isfinite(quot[-STABLE_LEVELS:]).all():
+    if not np.isfinite(quot).all():
         # an all-infinite ball stays +inf, so the critical-cone test of
         # check_parabolic_regularity sees no restored point
         unrestored = replace(f, restore_feasible=None)
-        ts = ts[-STABLE_LEVELS:]
-        quot = _ball_search(unrestored, x, f0, 0.0, w[None], sched, order=1)[0][0]
-    return _stabilize([(t, m, None) for t, m in zip(ts.tolist(), quot.tolist())])
+        quot = _ball_search(unrestored, x, f0, 0.0, w[None], sched, order=1)[0]
+    return _stabilize(ts, quot)[0]
 
 
 def check_twice_epi_diff(
@@ -519,9 +495,9 @@ def check_twice_epi_diff(
     for w in dirs:
         w = np.asarray(w, dtype=float)
         levels = _second_order_levels(f, x, v, w, sched)
-        oracle_value = _stabilize(levels)
+        oracle_value = _stabilize(sched.t_levels(), [m for _, m, _ in levels])[0]
         formula_value = formula(w) if formula is not None else oracle_value
-        tail = [m for _, m, _ in levels[-STABLE_LEVELS:] if math.isfinite(m)]
+        tail = [m for _, m, _ in levels if math.isfinite(m)]
         if formula_value.is_plus_inf:
             converged = oracle_value.is_plus_inf
             gap = 0.0 if converged else math.inf
@@ -551,16 +527,16 @@ def check_twice_epi_diff(
 def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSchedule) -> ExtReal:
     """min over z of the parabolic estimate at z minus <z, v>.
 
-    The coarse schedule scores a z-grid of sched.samples_per_axis points per
-    axis over the box |z|_inf <= 10 (a seeded uniform sample of 10,000
-    points when the grid exceeds Z_GRID_CAP), the balls of a chunk of grid
-    points at its three finest levels in one batch (_parabolic_scores; f(x)
-    is valued once).  Pattern search, scoring each poll through the same
-    scorer, refines the best finite point within 1,500 evaluations, and the
-    full schedule values the result.  Where that value is +inf, the full
-    schedule values every other point the search moved through, from the
-    grid minimizer on, in one call of the stacked estimate, and the least
-    finite one counts.  PlusInf when no grid point scores finite."""
+    The coarse schedule (sched's levels at no more than 7 samples per axis)
+    scores a z-grid of sched.samples_per_axis points per axis over the box
+    |z|_inf <= 10 (a seeded uniform sample of 10,000 points when the grid
+    exceeds Z_GRID_CAP), the balls of a chunk of grid points at its levels
+    in one batch (_parabolic_scores; f(x) is valued once).  Pattern search,
+    scoring each poll through the same scorer, refines the best finite point
+    within 1,500 evaluations, and sched itself values the result.  Where that
+    value is +inf, sched values every other point the search moved through,
+    from the grid minimizer on, in one call of the stacked estimate, and the
+    least finite one counts.  PlusInf when no grid point scores finite."""
     cheap = sched.coarse()
     dim = w.shape[0]
     rng = np.random.default_rng(sched.seed)
@@ -590,7 +566,7 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     if value.is_finite:
         return ExtReal(value.value - float(z_best @ v))
     # z_best can sit on the boundary of the second-order feasible set, where
-    # the full schedule finds no feasible ball point: fall back on the best
+    # sched's balls find no feasible point: fall back on the best
     # finite point the search passed through
     zs = np.reshape(path[:-1], (-1, dim))
     finite = [

@@ -6,6 +6,7 @@ import numpy as np
 
 from epidiff.core import CompositeProblem, PolyMap, jacobian, poly_eval
 from epidiff.errors import PointNotInDomain
+from epidiff.extreal import PLUS_INF, ExtReal
 from epidiff.numkit import Polyhedron, svec
 from epidiff.numkit import sym
 from epidiff.oracle import SampledFunction
@@ -341,7 +342,7 @@ def old_second_order_levels(f, x, v, w, sched):
 
 def old_parabolic_estimate(f, x, w, dfw, z, sched):
     """The parabolic estimate at one z, one level after another."""
-    from epidiff.oracle import _ball_clip, _ball_offsets, _quotients, _stabilize
+    from epidiff.oracle import _ball_clip, _ball_offsets, _quotients
 
     x, w, z = (np.asarray(a, dtype=float) for a in (x, w, z))
     f0 = f.value(x).value
@@ -373,34 +374,57 @@ def old_parabolic_estimate(f, x, w, dfw, z, sched):
             if m == -math.inf:
                 f.value(x + t * w + half_t2 * p)  # raises
         records.append((t, m, p))
-    return _stabilize(records)
+    return old_stabilize(records)
+
+
+def old_stabilize(levels):
+    """The scalar fold of one estimate's (t, m, p) level records, finest
+    last, into an ExtReal: the rule oracle._stabilize applies to each row of
+    a stack."""
+    tail = levels[-3:]
+    finite = [(t, m) for t, m, _ in tail if math.isfinite(m)]
+    if not finite:
+        return PLUS_INF
+    raw = min(m for _, m in finite)
+    t_finest = levels[-1][0]
+    if raw > 10.0 / t_finest:
+        return PLUS_INF
+    ms = [m for _, m, _ in tail]
+    if all(math.isfinite(m) for m in ms):
+        if ms[2] > 100.0 and ms[0] > 0 and ms[2] >= 1.8 * ms[1] >= 1.8 * 1.8 * ms[0]:
+            return PLUS_INF
+        ts = [t for t, _, _ in tail]
+        guess = 0.0  # the Lagrange interpolant at t = 0
+        for i, (ti, mi) in enumerate(zip(ts, ms)):
+            prod = mi
+            for j, tj in enumerate(ts):
+                if j != i:
+                    prod *= (0.0 - tj) / (ti - tj)
+            guess += prod
+        spread = max(ms) - min(ms)
+        if abs(guess - raw) <= 2.0 * spread + 1e-12 * (1.0 + abs(raw)):
+            return ExtReal(guess)
+    return ExtReal(raw)
 
 
 def old_estimate_subderivative(f, x, w, sched):
-    """The first-order estimate with its levels valued one at a time."""
-    from epidiff.extreal import PLUS_INF, ExtReal
-    from epidiff.oracle import _ball_offsets, _lagrange_at_zero
+    """The first-order estimate with its levels valued one at a time and
+    folded by old_stabilize: the fixed ray's levels, or, where the ray
+    leaves the domain at one of them, the least quotients over the balls."""
+    from epidiff.oracle import _ball_offsets
 
     x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
     f0 = f.value(x)
     rng = np.random.default_rng(sched.seed)
-    fixed = []
+    levels = []
     for t in sched.t_levels():
         fx = f.value(x + t * w)
-        fixed.append((t, (fx.value - f0.value) / t if fx.is_finite else math.inf))
-    tail = [(t, m) for t, m in fixed[-3:] if math.isfinite(m)]
-    if len(tail) < 3:
-        searched = []
+        levels.append((t, (fx.value - f0.value) / t if fx.is_finite else math.inf, None))
+    if not all(math.isfinite(m) for _, m, _ in levels):
+        levels = []
         for t in sched.t_levels():
             cands = w[None, :] + _ball_offsets(w.shape[0], sched.radius(t), sched, rng)
             quot = (f.eval_batch(x[None, :] + t * cands) - f0.value) / t
-            searched.append((t, float(np.min(quot[np.isfinite(quot)])) if np.isfinite(quot).any() else math.inf))
-        tail = [(t, m) for t, m in searched[-3:] if math.isfinite(m)]
-        if not tail:
-            return PLUS_INF
-    ts, ms = [t for t, _ in tail], [m for _, m in tail]
-    if len(tail) == 3:
-        guess = _lagrange_at_zero(ts, ms)
-        if abs(guess - min(ms)) <= 4.0 * (max(ms) - min(ms)) + 1e-12 * (1.0 + abs(min(ms))):
-            return ExtReal(guess)
-    return ExtReal(min(ms))
+            m = float(np.min(quot[np.isfinite(quot)])) if np.isfinite(quot).any() else math.inf
+            levels.append((t, m, None))
+    return old_stabilize(levels)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from epidiff import core
 from epidiff.core import (
     MAX_DEGREE,
+    STABLE_LEVELS,
     CompositeProblem,
     GridSchedule,
     PolyMap,
@@ -113,7 +115,8 @@ def test_polymap_validation():
 
 def test_grid_schedule_validation():
     sched = GridSchedule()
-    assert len(sched.t_levels()) == sched.steps
+    assert sched.t_levels() == [sched.t0 * sched.ratio ** k for k in range(sched.steps - 3, sched.steps)]
+    assert len(sched.t_levels()) == STABLE_LEVELS
     assert sched.radius(0.1) == sched.radius_coeff * 0.1
     with pytest.raises(ValidationError):
         GridSchedule(t0=-1.0)
@@ -121,6 +124,17 @@ def test_grid_schedule_validation():
         GridSchedule(ratio=1.0)
     with pytest.raises(ValidationError):
         GridSchedule(steps=2)
+
+
+@pytest.mark.parametrize("opts", [{"ratio": 0.3}, {"steps": 3}, {}], ids=["ratio0.3", "steps3", "default"])
+def test_the_coarse_schedule_keeps_the_levels(opts):
+    """The coarse schedule differs from its schedule only in samples per
+    axis: its levels are the schedule's, bit for bit, at any ratio and at
+    the fewest steps."""
+    sched = GridSchedule(**opts)
+    cheap = sched.coarse()
+    assert np.array(cheap.t_levels()).tobytes() == np.array(sched.t_levels()).tobytes()
+    assert cheap == replace(sched, samples_per_axis=7)
 
 
 def test_composite_problem_consistency():

@@ -13,8 +13,8 @@ LAYERS = ROOT / "perfbench" / "layers.py"
 
 # Kept on purpose although nothing outside the tests calls them.
 UNCALLED = {
-    # the reference curves of the oracle's lower-bound law (ROADMAP item 8)
-    "delta2_quotient",
+    # the empirical proximal modulus, which ROADMAP item 8 turns into the
+    # prox-regularity check or deletes
     "proximal_modulus_scan",
     # the paper's first-order and parabolic chain rules
     "subderivative_chain",

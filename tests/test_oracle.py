@@ -18,11 +18,11 @@ from epidiff.errors import (
     UndefinedValue,
 )
 from epidiff.extreal import ExtReal, PLUS_INF
+from epidiff.numkit import ball_steps
 from epidiff.oracle import (
     SampledFunction,
     check_parabolic_regularity,
     check_twice_epi_diff,
-    delta2_quotient,
     estimate_parabolic_subderivative,
     estimate_second_subderivative,
     estimate_subderivative,
@@ -38,6 +38,7 @@ from _instances import (
     old_level_minimum,
     old_parabolic_estimate,
     old_second_order_levels,
+    old_stabilize,
     outer_sampled,
 )
 
@@ -53,18 +54,6 @@ def indicator_line() -> SampledFunction:
 SRC = Path(__file__).resolve().parent.parent / "src" / "epidiff"
 
 DEEP_IRREGULAR = GridSchedule(t0=0.1, ratio=0.5, steps=21, radius_coeff=1.5, radius_exponent=1.0 / 3.0)
-
-
-# -- quotients ---------------------------------------------------------------------
-
-
-def test_delta2_quotient_examples():
-    assert delta2_quotient(square(), [0.0], [0.0], 0.1, [1.0]).value == pytest.approx(2.0)
-    assert delta2_quotient(indicator_line(), [0.0], [0.0], 0.1, [1.0]).is_plus_inf
-    cube = SampledFunction(lambda X: X[:, 0] ** 3, 1, "x^3")
-    assert delta2_quotient(cube, [0.0], [0.0], 0.1, [1.0]).value == pytest.approx(0.2)
-    with pytest.raises(BasePointInfeasible):
-        delta2_quotient(indicator_line(), [1.0], [0.0], 0.1, [1.0])
 
 
 # -- second subderivative estimates ---------------------------------------------------
@@ -88,6 +77,11 @@ def test_estimate_composite_domain():
     est = estimate_second_subderivative(f, [0.0, 0.0], [0.0, 1.0], [1.0, 0.0])
     assert est.value == pytest.approx(-2.0, abs=0.05)
     assert estimate_second_subderivative(f, [0.0, 0.0], [0.0, 1.0], [0.0, 1.0]).is_plus_inf
+
+
+def test_estimate_at_an_infeasible_base_point_raises():
+    with pytest.raises(BasePointInfeasible):
+        estimate_second_subderivative(indicator_line(), [1.0], [0.0], [1.0])
 
 
 # -- parabolic estimates ---------------------------------------------------------------
@@ -161,7 +155,7 @@ def _unpolished_scores(f, x, w, dfw, v, Z, sched):
                 if math.isfinite(m0):
                     m = m0
             records.append((t, m, z))
-        out.append(oracle._stabilize(records[-oracle.STABLE_LEVELS:]).as_float() - float(z @ v))
+        out.append(old_stabilize(records).as_float() - float(z @ v))
     return np.array(out)
 
 
@@ -173,12 +167,12 @@ def _recording(f):
 
 def _outside_the_finest_levels(valued, x, centers, sched, drift=None) -> int:
     """How many valued rows, other than x, lie in no search ball of the
-    three finest levels of sched: x + t*p (x + t*drift + t^2/2*p with a
-    drift) with p within sched.radius(t) of a center."""
+    levels of sched: x + t*p (x + t*drift + t^2/2*p with a drift) with p
+    within sched.radius(t) of a center."""
     Y = np.concatenate(valued)
     Y = Y[np.any(Y != x, axis=1)]
     inside = np.zeros(len(Y), dtype=bool)
-    for t in sched.t_levels()[-oracle.STABLE_LEVELS:]:
+    for t in sched.t_levels():
         P = (Y - x) / t if drift is None else (Y - x - t * drift) / (0.5 * t * t)
         dist = np.linalg.norm(P[:, None, :] - centers[None, :, :], axis=2).min(axis=1)
         inside |= dist <= sched.radius(t) * (1 + 1e-9) + 1e-9
@@ -219,7 +213,7 @@ def _halfspace_quadratic() -> SampledFunction:
 )
 def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, size, seed):
     """The batched scorer equals, bit for bit, one unpolished estimate per z
-    over the three finest levels, values no point of a coarser level, and
+    over the schedule's levels, values no point outside their balls, and
     makes one batched evaluation per chunk of z, over those levels."""
     rng = np.random.default_rng(seed)
     sched = GridSchedule(t0=0.1, steps=4, samples_per_axis=k, radius_coeff=radius_coeff, seed=seed)
@@ -230,7 +224,7 @@ def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, s
     f, valued = _recording(f)
     dim = f.dim
     sizes = [len(_fresh_ball(dim, sched.radius(t), k, rng)) for t in sched.t_levels()]
-    chunk = max(1, oracle.Z_BATCH_ROWS // sum(sizes[-oracle.STABLE_LEVELS:]))
+    chunk = max(1, oracle.Z_BATCH_ROWS // sum(sizes))
     n = {"one": 1, "few": 4, "chunks": 2 * chunk + 3}[size]
     Z = rng.uniform(-3.0, 3.0, size=(n, dim))
     if case != "dim5":
@@ -297,12 +291,16 @@ def test_fixed_ray_levels_in_one_stack_equal_the_levels_one_by_one():
         got, ref = estimate_subderivative(f, x, w, sched), old_estimate_subderivative(f, x, w, sched)
         assert _same_float(got.as_float(), ref.as_float())
     for first, later, exc in [(math.nan, -1e16, UndefinedValue), (-1e16, math.nan, NegativeInfinityDetected)]:
-        # the levels value y = 0.1, 0.05, 0.025, ...: only the first lies above 0.075
+        # the levels value y = 0.025, 0.0125, 0.00625: only the first lies above 0.02
         f = SampledFunction(lambda Y, a=first, b=later: np.where(
-            Y[:, 0] > 0.075, a, np.where((Y[:, 0] > 0.0) & (Y[:, 0] < 0.03), b, Y[:, 0])), 1)
+            Y[:, 0] > 0.02, a, np.where((Y[:, 0] > 0.0) & (Y[:, 0] < 0.01), b, Y[:, 0])), 1)
         for estimate in (estimate_subderivative, old_estimate_subderivative):
             with pytest.raises(exc):
                 estimate(f, [0.0], [1.0], sched)
+        # y = 0.1 and 0.05 are the steps t0 and t0 * ratio of the ladder,
+        # which the schedule does not hold: a stripe there is never valued
+        f = SampledFunction(lambda Y, a=first: np.where(Y[:, 0] > 0.04, a, Y[:, 0]), 1)
+        assert estimate_subderivative(f, [0.0], [1.0], sched).value == pytest.approx(1.0)
 
 
 def test_the_first_order_fallback_restores_nothing():
@@ -356,14 +354,103 @@ def _top_level_callers(names) -> dict:
     return found
 
 
+def _calls_in_loops(name) -> set:
+    """The top-level functions of the library that call name inside a loop
+    or a comprehension."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for loop in (node for node in ast.walk(top) if isinstance(node, loops)):
+                for node in ast.walk(loop):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+                        found.add(top.name)
+    return found
+
+
 def test_one_search_kernel_and_one_stabilizer():
-    """Only _ball_search lays out and values the balls of a schedule, and
-    only _stabilize extrapolates the levels to t = 0."""
-    assert _top_level_callers(["_schedule_balls", "_split_batch", "_lagrange_at_zero"]) == {
+    """Only _ball_search lays out and values the balls of a schedule; every
+    estimate folds its levels by one call of _stabilize, which folds a
+    stack of centers at once, so no caller folds inside a loop."""
+    assert _top_level_callers(["_schedule_balls", "_split_batch", "_stabilize"]) == {
         "_schedule_balls": {"_ball_search"},
         "_split_batch": {"_ball_search"},
-        "_lagrange_at_zero": {"_stabilize"},
+        "_stabilize": {"estimate_second_subderivative", "estimate_parabolic_subderivative",
+                       "_parabolic_scores", "estimate_subderivative", "check_twice_epi_diff"},
     }
+    assert _calls_in_loops("_stabilize") == {"check_twice_epi_diff"}  # one fold per direction
+
+
+STABILIZER_BRANCHES = ["no_finite_level", "inv_t_test", "growth_ratio", "extrapolated", "raw"]
+
+
+def _stabilizer_row(branch, ts, a, b, u):
+    """Three level minima at the levels ts, coarsest first, that take the
+    given branch of the stabilizer, for levels of ratio 0.5 to 0.8 whose
+    finest is at most 1: a in [-5, 5], b in [0.1, 5] and u in [0, 1] shape
+    the row."""
+    bound = 10.0 / ts[-1]  # the 1/t test's bound, at least 10
+    if branch == "no_finite_level":
+        return [math.inf] * 3
+    if branch == "inv_t_test":  # the least finite minimum exceeds the bound
+        return [bound * (1.0 + b), math.inf if u < 0.5 else bound * (2.0 + b), bound * (1.0 + u) + b]
+    if branch == "growth_ratio":  # beyond 100, each level at least 1.8 times the coarser one
+        m1 = 1.8 * (1.0 + u) * (1.0 + b)
+        return [1.0 + u, m1, 1.8 * m1 * (1.0 + u) + 100.0]
+    if branch == "extrapolated":  # linear in t: extrapolated to a, within the spread of the row
+        return [a + b * t for t in ts]
+    return [a, a, a + b]  # one jump at the finest level: extrapolated beyond twice the spread
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    t0=st.floats(1e-3, 1.0),
+    ratio=st.floats(0.5, 0.8),
+    steps=st.integers(3, 12),
+)
+@pytest.mark.parametrize("branch", STABILIZER_BRANCHES + ["mixed"])
+def test_the_stacked_stabilizer_equals_the_scalar_fold(branch, data, t0, ratio, steps):
+    """Every row of a stack folds, bit for bit, as the scalar fold folds it
+    alone, on each branch of the rule and on stacks that mix them."""
+    ts = GridSchedule(t0=t0, ratio=ratio, steps=steps).t_levels()
+    if branch == "mixed":
+        kinds = data.draw(st.lists(st.sampled_from(STABILIZER_BRANCHES), min_size=2, max_size=8))
+    else:
+        kinds = [branch]
+    shape = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 5.0), st.floats(0.0, 1.0))
+    rows = [_stabilizer_row(kind, ts, *data.draw(shape)) for kind in kinds]
+    got = oracle._stabilize(ts, rows)
+    assert len(got) == len(rows)
+    for kind, row, est in zip(kinds, rows, got):
+        ref = old_stabilize([(t, m, None) for t, m in zip(ts, row)])
+        assert _same_float(est.as_float(), ref.as_float()), (kind, row)
+        finite = [m for m in row if math.isfinite(m)]
+        if kind in ("no_finite_level", "inv_t_test", "growth_ratio"):
+            assert est.is_plus_inf
+        elif kind == "extrapolated":
+            assert est.is_finite and est.value != min(row)
+        else:
+            assert est.value == min(finite)
+
+
+def test_the_random_ball_path_draws_only_the_searched_levels(monkeypatch):
+    """In dimension 5 the balls of a ten-step schedule are three ball_steps
+    draws from one rng seeded with the schedule's seed, and that rng ends
+    where those three draws leave it: no level outside the schedule is drawn."""
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(real(seed)) or made[-1])
+    sched = GridSchedule(seed=11)
+    balls = oracle._schedule_balls(sched, 5)
+    monkeypatch.undo()
+    ref = np.random.default_rng(sched.seed)
+    assert len(balls) == 3 and len(made) == 1
+    for t, (t1, radius, offsets) in zip(sched.t_levels(), balls):
+        steps = ball_steps(ref, oracle.RANDOM_BALL_SAMPLES, 5, sched.radius(t), 1.0 / 5)
+        assert t1 == t and radius == sched.radius(t)
+        assert offsets.tobytes() == np.vstack([np.zeros((1, 5)), steps]).tobytes()
+    assert made[0].bit_generator.state == ref.bit_generator.state
 
 
 # -- recovery sequences ----------------------------------------------------------------------
@@ -952,14 +1039,14 @@ def _reference_cases():
 
 @pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
 def test_lockstep_levels_and_parabolic_estimates_equal_the_loops_they_replace(case):
-    """The lockstep level search gives the (t, m, p) records of the three
-    finest levels of the per-level loop bit for bit, and the parabolic
-    estimate of a stack of z gives, row by row, the per-z estimate bit for
-    bit; neither values a point of a coarser level."""
+    """The lockstep level search gives the (t, m, p) records of the
+    per-level loop bit for bit, and the parabolic estimate of a stack of z
+    gives, row by row, the per-z estimate bit for bit; neither values a
+    point outside the balls of the schedule's levels."""
     _, f, x, v, w, dfw, Z, sched = case
     recorded, valued = _recording(f)
     got = oracle._second_order_levels(recorded, x, v, w, sched)
-    ref = old_second_order_levels(f, x, v, w, sched)[-oracle.STABLE_LEVELS:]
+    ref = old_second_order_levels(f, x, v, w, sched)
     assert _outside_the_finest_levels(valued, x, w[None], sched) == 0
     assert [(t, m) for t, m, _ in got] == [(t, m) for t, m, _ in ref]
     assert all(_same_float(m, m1) and p.tobytes() == p1.tobytes() for (_, m, p), (_, m1, p1) in zip(got, ref))
