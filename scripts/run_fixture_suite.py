@@ -21,7 +21,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 PLAN = [
     ("a1_parabola.json", ["analyze", "verify", "check-cq"]),
-    ("plq_abs.json", ["analyze", "verify", "certify"]),
+    ("plq_abs.json", ["analyze", "verify", "certify", "check-cq"]),
     ("psd_cone.json", ["analyze", "verify", "check-cq"]),
     ("parabola_min.json", ["verify", "certify", "check-cq"]),
     ("min_quartic.json", ["verify", "certify"]),
@@ -30,7 +30,7 @@ PLAN = [
     ("max_eig.json", ["analyze", "verify"]),
     ("sum_top_eig.json", ["analyze", "verify", "certify"]),
     ("alpha_eig.json", ["analyze", "verify"]),
-    ("plq_2d.json", ["analyze", "verify", "check-cq"]),
+    ("plq_2d.json", ["analyze", "verify", "certify", "check-cq"]),
 ]
 
 

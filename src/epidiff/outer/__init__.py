@@ -3,14 +3,16 @@ objects: values, subdifferentials, subderivatives, second subderivatives,
 parabolic subderivatives, second-order tangent membership, and critical cones."""
 
 from .base import OuterFunction
-from .indicators import (
-    NegSemidefIndicator,
+from .indicators import NegSemidefIndicator
+from .plq import (
+    PlqFunction,
+    PlqPiece,
     PolyhedralIndicator,
+    absolute_value,
     nonpositive_orthant,
     second_order_tangent_cone,
     zero_set,
 )
-from .plq import PlqFunction, PlqPiece, absolute_value
 from .reprs import (
     CriticalConeRepr,
     PointRep,

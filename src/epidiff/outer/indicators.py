@@ -1,211 +1,23 @@
-"""Indicator members of the catalog: polyhedral sets and the negative
-semidefinite cone.
+"""The indicator of the negative semidefinite cone.
 
-Both second-order tangent sets are closed forms: active-row algebra for a
-polyhedron, and for the semidefinite cone the set of Bonnans & Shapiro
-(*Perturbation Analysis of Optimization Problems*, 2000, sec. 5.3)."""
+Its second-order tangent set is the closed form of Bonnans & Shapiro
+(*Perturbation Analysis of Optimization Problems*, 2000, sec. 5.3).  The
+indicator of a polyhedron is a one-piece PLQ member (see ``plq``)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import (
-    DimensionMismatch,
-    PointNotInDomain,
-    SubderivativeNotFinite,
-    TangentPreconditionFailed,
-    UnsupportedSpectralMultiplicity,
-)
+from ..errors import DimensionMismatch, SubderivativeNotFinite, UnsupportedSpectralMultiplicity
 from ..extreal import PLUS_INF, ExtReal
-from ..numkit import (
-    PolyCone,
-    Polyhedron,
-    cluster_tol,
-    eigen_pinv,
-    project,
-    row_norms,
-    smat,
-    svec,
-    svec_dim,
-    sym_eig,
-    sym_eigvals,
-    tangent_cone,
-)
-from ..numkit.polyhedra import (
-    ACT_TOL,
-    _nullspace,
-    _row_scales,
-    kernel_meets_cone,
-    max_vertex,
-    normal_cone_hrep,
-    pullback_lp_min,
-    residuals,
-)
-from .base import OuterFunction, each_row
-from .reprs import PolyhedralConeRepr, PolyhedronRep, PredicateConeRepr, SpectralRep
+from ..numkit import cluster_tol, eigen_pinv, row_norms, smat, svec, svec_dim, sym_eig, sym_eigvals
+from ..numkit.polyhedra import ACT_TOL, _nullspace
+from .plq import INDICATOR_FEAS_TOL
+from .reprs import PredicateConeRepr, SpectralRep
 from .spectral import SymMatrixFunction, arc_expansion
 
-# Indicator feasibility must be decided much tighter than geometric activity:
-# a boundary fuzz of size eps shifts second-order quotients by ~eps / t^2.
-INDICATOR_FEAS_TOL = 1e-11
 
-
-def second_order_tangent_cone(C: Polyhedron, z, w) -> PolyCone:
-    """H-representation of the second-order tangent set to a polyhedron.
-
-    Active rows with G_i w = 0 constrain u by G_i u <= 0; active rows with
-    strict first-order descent G_i w < 0 leave u free; equality rows carry over.
-    """
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    T = tangent_cone(C, z)
-    if residuals(T, w) > ACT_TOL * (1.0 + float(np.linalg.norm(w))):
-        raise TangentPreconditionFailed("direction is not tangent to the domain")
-    rows = []
-    if T.n_ineq:
-        scales = _row_scales(T.G)
-        lin = (T.G @ w) / scales
-        wtol = ACT_TOL * (1.0 + float(np.linalg.norm(w)))
-        for i in range(T.n_ineq):
-            if abs(lin[i]) <= wtol:
-                rows.append(T.G[i])
-    return PolyCone.make_cone(C.dim, np.vstack(rows) if rows else None, C.E)
-
-
-class _Indicator(OuterFunction):
-    """Shared by the indicators: the parabolic subderivative is 0 on the
-    second-order tangent set, +inf off it; the value is constant on the domain."""
-
-    def parabolic_subderivative(self, z, w, u) -> ExtReal:
-        if not self.subderivative(z, w).is_finite:
-            raise SubderivativeNotFinite("parabolic subderivative needs d g(z)(w) finite")
-        return ExtReal(0.0) if self.second_order_tangent_contains(z, w, u) else PLUS_INF
-
-    def lipschitz_bound(self, z) -> float:
-        return 0.0
-
-
-class PolyhedralIndicator(_Indicator):
-    """Indicator of a polyhedron in H-representation."""
-
-    tag = "ind_polyhedron"
-
-    def __init__(self, C: Polyhedron):
-        self.C = C
-        self.ambient_dim = C.dim
-        self._axis_bounds = self._detect_axis_bounds(C)
-
-    @staticmethod
-    def _detect_axis_bounds(C: Polyhedron):
-        """Componentwise (lo, hi) bounds when every constraint row touches a
-        single coordinate; projection is then a clip, kept for speed: a few
-        microseconds against 0.03-0.2 ms for ``project`` in R^1-R^3, and one
-        orthant certify makes thousands of projections in its restorations."""
-        lo = np.full(C.dim, -np.inf)
-        hi = np.full(C.dim, np.inf)
-        for rows, rhs, is_eq in ((C.G, C.h, False), (C.E, C.d, True)):
-            for row, b in zip(rows, rhs):
-                nz = np.nonzero(row)[0]
-                if nz.size != 1:
-                    return None
-                j, coef = int(nz[0]), row[nz[0]]
-                bound = b / coef
-                if is_eq:
-                    lo[j] = max(lo[j], bound)
-                    hi[j] = min(hi[j], bound)
-                elif coef > 0:
-                    hi[j] = min(hi[j], bound)
-                else:
-                    lo[j] = max(lo[j], bound)
-        if np.any(lo > hi):
-            return None
-        return lo, hi
-
-    def value_batch(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        tol = INDICATOR_FEAS_TOL * (1.0 + row_norms(Z))
-        return np.where(residuals(self.C, Z) <= tol, 0.0, np.inf)
-
-    def subdifferential(self, z):
-        """The normal cone at z, in H-representation only: the polar of the
-        tangent cone, cut out by the tangent generators."""
-        self._require_in_domain_geom(z)
-        return PolyhedronRep(normal_cone_hrep([self.C], z))
-
-    def subderivative(self, z, w) -> ExtReal:
-        self._require_in_domain_geom(z)
-        T = tangent_cone(self.C, np.asarray(z, dtype=float))
-        w = np.asarray(w, dtype=float)
-        inside = residuals(T, w) <= ACT_TOL * (1.0 + float(np.linalg.norm(w)))
-        return ExtReal(0.0) if inside else PLUS_INF
-
-    def second_subderivative(self, z, y, u) -> ExtReal:
-        return ExtReal(0.0) if self.critical_cone(z, y).contains(u) else PLUS_INF
-
-    def second_order_tangent_contains(self, z, w, u) -> bool:
-        cone = second_order_tangent_cone(self.C, z, w)
-        u = np.asarray(u, dtype=float)
-        return residuals(cone, u) <= ACT_TOL * (1.0 + float(np.linalg.norm(u)))
-
-    def critical_cone(self, z, y, subdiff=None):
-        """Tangent cone intersected with the hyperplane y-perp (active-set form)."""
-        self._require_subgradient(z, y, subdiff)
-        y = np.asarray(y, dtype=float)
-        T = tangent_cone(self.C, np.asarray(z, dtype=float))
-        E = np.vstack([T.E, y.reshape(1, -1)]) if np.linalg.norm(y) > 0 else T.E
-        return PolyhedralConeRepr(
-            PolyCone.make_cone(self.ambient_dim, T.G if T.n_ineq else None, E),
-            description="tangent cone cut by the multiplier hyperplane",
-        )
-
-    def dual_value(self, z, u, H, multys):
-        """The second-order term vanishes on critical data, so the dual is
-        an LP over the multiplier polytope: its best vertex, from the
-        vertices the multiplier set enumerated once (all of them, also those
-        its membership checks dropped)."""
-        val, arg = max_vertex(H, multys.vertices)
-        return ExtReal(val), multys.ball_argmax(H, arg)
-
-    def second_order_matrix(self, z, y) -> np.ndarray:
-        """Zero: the second-order term vanishes on the critical cone."""
-        return np.zeros((self.ambient_dim, self.ambient_dim))
-
-    def primal_value(self, z, J, u, H, v) -> ExtReal:
-        """An exact LP over the pullback of the second-order tangent cone."""
-        val = pullback_lp_min(-v, second_order_tangent_cone(self.C, z, u), J, H, v)
-        return PLUS_INF if val is None else ExtReal(val)
-
-    def basic_cq(self, z, J) -> bool:
-        return not kernel_meets_cone(normal_cone_hrep([self.C], z), J.T)
-
-    def domain_project(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if self._axis_bounds is not None:
-            lo, hi = self._axis_bounds
-            return np.clip(z, lo, hi)
-        return each_row(self._project, z)
-
-    def _project(self, z) -> np.ndarray:
-        p = project(self.C, z)
-        if p is None:
-            raise PointNotInDomain("the indicator domain is empty")
-        return p
-
-    def _require_in_domain_geom(self, z):
-        z = self._require_dim(z)
-        if residuals(self.C, z) > ACT_TOL * (1.0 + float(np.linalg.norm(z))):
-            raise PointNotInDomain("point outside the indicator domain")
-
-
-def nonpositive_orthant(dim: int) -> PolyhedralIndicator:
-    return PolyhedralIndicator(Polyhedron.make(dim, G=np.eye(dim), h=np.zeros(dim)))
-
-
-def zero_set(dim: int) -> PolyhedralIndicator:
-    return PolyhedralIndicator(Polyhedron.make(dim, E=np.eye(dim), d=np.zeros(dim)))
-
-
-class NegSemidefIndicator(_Indicator, SymMatrixFunction):
+class NegSemidefIndicator(SymMatrixFunction):
     """Indicator of the negative semidefinite cone on vectorized S^n."""
 
     tag = "ind_negsemidef"
@@ -260,6 +72,12 @@ class NegSemidefIndicator(_Indicator, SymMatrixFunction):
         lams, Q = sym_eig(A)
         Adag = eigen_pinv(lams, Q, np.abs(lams) <= cluster_tol(A))
         return ExtReal(-2.0 * float(np.tensordot(V, W @ Adag @ W)))
+
+    def parabolic_subderivative(self, z, w, u) -> ExtReal:
+        """0 on the second-order tangent set, +inf off it."""
+        if not self.subderivative(z, w).is_finite:
+            raise SubderivativeNotFinite("parabolic subderivative needs d g(z)(w) finite")
+        return ExtReal(0.0) if self.second_order_tangent_contains(z, w, u) else PLUS_INF
 
     def _arc(self, z, w, u):
         """arc_expansion's (E1, C) at the zero cluster of A, or None when A is
@@ -329,6 +147,9 @@ class NegSemidefIndicator(_Indicator, SymMatrixFunction):
                 pos = Q @ np.diag(np.maximum(lams, 0.0)) @ Q.T
                 W = W - E0 @ pos @ E0.T
         return svec(W)
+
+    def lipschitz_bound(self, z) -> float:
+        return 0.0
 
     def basic_cq(self, z, J) -> bool:
         """Exact test on the normal cone {E0 Theta E0^T : Theta >= 0} over

@@ -431,15 +431,44 @@ def test_certify_sampled_conditions_report_one_least_value():
         assert rep["worst_value"] == 0.0
 
 
+ONE_PIECE_PLQ_PROBLEM = {
+    "phi": [],
+    "F": [["x1"], ["x2", "0.5 x1^2"]],
+    "g": {"tag": "plq", "dim": 2, "pieces": [{"G": [[0, 1]], "h": [0], "A": [[1, 0], [0, 2]]}]},
+    "x": [0.0, 0.0],
+    "v": [0.0, 1.0],
+    "seed": 5,
+}
+
+
+def test_certify_takes_the_exact_path_on_a_one_piece_plq(tmp_path, monkeypatch):
+    """A one-piece PLQ member's second-order term is its piece's quadratic on
+    the whole critical cone, so certify scans the faces, and finds the worst
+    value that the sampled scan finds when the member hides its matrix."""
+    from epidiff.outer import PlqFunction
+
+    p = tmp_path / "one_piece_plq.json"
+    p.write_text(json.dumps(ONE_PIECE_PLQ_PROBLEM))
+    code, text = run(["certify", str(p)])
+    exact = _json_block(text)["ssosc"]
+    assert code == 0 and exact["method"] == "faces" and exact["directions_tested"] == 2
+    monkeypatch.setattr(PlqFunction, "second_order_matrix", lambda self, z, y: None)
+    code, text = run(["certify", str(p)])
+    sampled = _json_block(text)["ssosc"]
+    assert code == 0 and sampled["method"] == "sphere_grid"
+    assert exact["worst_value"] == pytest.approx(sampled["worst_value"], abs=1e-9) == 1.0
+    assert exact["holds"] and sampled["holds"]
+
+
 def test_certify_builds_the_base_subdifferential_once(monkeypatch):
     """The multiplier set and the critical cone share the one subdifferential
     of g at F(x) that multipliers builds: certify parabola_min computes one
     normal cone."""
-    from epidiff.outer import indicators
+    from epidiff.outer import plq
 
     calls = []
-    original = indicators.normal_cone_hrep
-    monkeypatch.setattr(indicators, "normal_cone_hrep", lambda polys, z: calls.append(z) or original(polys, z))
+    original = plq.normal_cone_hrep
+    monkeypatch.setattr(plq, "normal_cone_hrep", lambda polys, z: calls.append(z) or original(polys, z))
     code, _ = run(["certify", _fixture("parabola_min.json")])
     assert code == 0 and len(calls) == 1
 

@@ -1,3 +1,4 @@
+import inspect
 from unittest import mock
 
 import numpy as np
@@ -5,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epidiff.composite import MultiplierSet
 from epidiff.core import PolyMap
 from epidiff.errors import NotASubgradient, PointNotInDomain, UndefinedValue, UnsupportedSpectralMultiplicity
 from epidiff.extreal import PLUS_INF
-from epidiff.numkit import svec, smat
+from epidiff.numkit import Polyhedron, svec, smat
 from epidiff.outer import (
     EigSumFunction,
     NegSemidefIndicator,
+    PlqFunction,
+    PlqPiece,
+    PolyhedralIndicator,
     SmoothQuadratic,
     absolute_value,
     alpha_eig,
@@ -489,3 +494,92 @@ def test_planar_plq_subdifferential_and_curvature():
 
     est = estimate_second_subderivative(outer_sampled(g), z, y, diag)
     assert est.value == pytest.approx(0.0, abs=0.05)
+
+
+# -- the polyhedral indicator as the one-piece PLQ member ------------------------------------
+
+
+def test_plq_projection_survives_overflowing_distances():
+    """Two pieces cover {z <= 0}.  Far out, both distances round to the same
+    number, and beyond 1e154 they overflow to inf: the first piece's
+    projection is kept in both cases, and a later piece wins only when it
+    is strictly nearer."""
+    g = PlqFunction([
+        PlqPiece(Polyhedron.make(1, G=[[1.0], [-1.0]], h=[0.0, 1.0]), np.zeros((1, 1)), np.zeros(1), 0.0),
+        PlqPiece(Polyhedron.make(1, G=[[1.0]], h=[-1.0]), np.zeros((1, 1)), np.zeros(1), 0.0),
+    ])
+    assert list(g.domain_project([-5.0])) == [-5.0]
+    with np.errstate(over="ignore"):  # the distances at 1e160 overflow
+        for far in (1e150, 1e160):
+            assert list(g.domain_project([far])) == [0.0]
+        assert g.domain_project(np.array([[1e160], [-5.0]])).tolist() == [[0.0], [-5.0]]
+
+
+def test_the_polyhedral_indicator_is_the_one_piece_plq_member():
+    """Its own methods only save work or keep its representations; every
+    other object comes from the PLQ piece calculus."""
+    assert issubclass(PolyhedralIndicator, PlqFunction)
+    own = {name for name, val in vars(PolyhedralIndicator).items()
+           if inspect.isfunction(val) or isinstance(val, (staticmethod, classmethod, property))}
+    overrides = {"value_batch", "subdifferential", "critical_cone", "dual_value", "domain_project"}
+    assert own <= {"__init__", "_detect_axis_bounds"} | overrides
+    g = nonpositive_orthant(2)
+    assert len(g.pieces) == 1 and not g.pieces[0].A.any() and not g.pieces[0].a.any()
+
+
+def _unit_lattice(dim):
+    """The points of {-1, 0, 1}^dim."""
+    return [np.array(p, dtype=float) - 1.0 for p in np.ndindex(*(3,) * dim)]
+
+
+@st.composite
+def _active_polyhedra(draw):
+    """(C, z, J, y0): integer rows, an integer base point z with at least one
+    active row, an integer Jacobian J and a normal vector y0 at z."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(1, m))
+    ints = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(ints, min_size=m, max_size=m).filter(any), min_size=1, max_size=4))
+    G = np.array(rows, dtype=float)
+    z = np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=float)
+    active = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)).filter(any))
+    slack = np.array([0.0 if a else draw(st.integers(1, 2)) for a in active])
+    C = Polyhedron.make(m, G=G, h=G @ z + slack)
+    J = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)), dtype=float)
+    weights = np.array([draw(st.integers(0, 2)) if a else 0 for a in active], dtype=float)
+    return C, z, J, weights @ G
+
+
+@settings(max_examples=40, deadline=None)
+@given(_active_polyhedra(), st.integers(0, 2**32 - 1))
+def test_the_polyhedral_indicator_agrees_with_the_plain_one_piece_plq(case, seed):
+    """PolyhedralIndicator(C) against the reference PlqFunction with the one
+    zero piece on C, at an active base point: the same values, subgradients,
+    critical directions, dual values and projections."""
+    C, z, J, y0 = case
+    m, n = J.shape
+    ind = PolyhedralIndicator(C)
+    ref = PlqFunction([PlqPiece(C, np.zeros((m, m)), np.zeros(m), 0.0)])
+    rng = np.random.default_rng(seed)
+    Z = np.vstack([z, z + 0.5 * rng.integers(-2, 3, size=(6, m)), 3.0 * rng.standard_normal((4, m))])
+    assert ind.value_batch(Z).tolist() == ref.value_batch(Z).tolist()
+    rep_ind, rep_ref = ind.subdifferential(z), ref.subdifferential(z)
+    row = C.G[rng.integers(len(C.G))]
+    for y in (y0, y0 + 0.5 * rng.integers(-2, 3, size=m), y0 - 0.5 * row):
+        assert rep_ind.contains(y) == rep_ref.contains(y)
+    cone_ind, cone_ref = ind.critical_cone(z, y0), ref.critical_cone(z, y0)
+    for u in _unit_lattice(m):
+        assert cone_ind.contains(u) == cone_ref.contains(u)
+    v, tau = J.T @ y0, 1.0 + 2.0 * float(np.abs(y0).max())
+    sets = [MultiplierSet(g, z, J, tau, rep, **rep.multiplier_set(J, v, tau))
+            for g, rep in ((ind, rep_ind), (ref, rep_ref))]
+    H = rng.integers(-3, 4, size=m).astype(float)
+    # the pulled-back cones are not compared: the reference's rows come from
+    # rounded generators, and a pullback can turn that noise into a constraint
+    for w in _unit_lattice(n):
+        if sets[0].cone.contains(w):
+            (val_ind, _), (val_ref, _) = (g.dual_value(z, J @ w, H, ms) for g, ms in zip((ind, ref), sets))
+            assert val_ind.value == pytest.approx(val_ref.value, abs=1e-9)
+    P = 3.0 * rng.standard_normal((5, m))
+    assert np.allclose(ind.domain_project(P), ref.domain_project(P), rtol=0.0, atol=1e-9)
+    assert np.allclose(ind.domain_project(P[0]), ref.domain_project(P[0]), rtol=0.0, atol=1e-9)
