@@ -46,11 +46,10 @@ SSOSC_TOL = 1e-6
 N_DIRS = 1024
 # verify_growth forgives a sample this much below the growth bound.
 GROWTH_SLACK = 1e-9
-# verify_growth draws, values and restores its samples this many at a time at
-# most: enough to amortize the per-call cost, small enough to keep the
-# temporaries (and the peak memory) small.  Each block is one ball_steps draw
-# (its unit rows, then its uniforms), so the samples of a seed depend on this
-# size; it stays a constant so that a seed keeps its samples.
+# verify_growth draws its samples this many at a time at most, each block one
+# ball_steps draw (its unit rows, then its uniforms), so the samples of a seed
+# depend on this size; it stays a constant so that a seed keeps its samples.
+# It does not bound a stack: one pass values every block whose size is settled.
 GROWTH_BLOCK = 256
 
 
@@ -215,11 +214,14 @@ def verify_growth(
     growth inequality.  Half the budget restores infeasible ball samples onto
     the constraint surface, where violations concentrate.
 
-    The samples do not depend on what restoration makes of them, so they are
-    drawn uniformly in the ball a block at a time, valued in one stack, and
-    the infeasible ones restored in one stack.  A block holds no more samples
-    than are still wanted (and at most GROWTH_BLOCK), so it is counted whole,
-    as the one-sample-at-a-time loop would count it."""
+    The samples are drawn uniformly in the ball a block at a time: a block
+    holds no more samples than are still wanted or left in the attempt
+    budget (and at most GROWTH_BLOCK), so it is counted whole, as the
+    one-sample-at-a-time loop would count it.  No outcome can change the size
+    of a full block that fits that room, so each pass draws all of them (or
+    the one short block), values them in one stack and restores the
+    infeasible ones in one stack, each row bit for bit as it would be alone.
+    A run of 2000 that keeps its samples takes two passes."""
     if ell <= 0 or epsilon <= 0:
         raise ValueError("ell and epsilon must be positive")
     x = np.asarray(x, dtype=float)
@@ -229,8 +231,9 @@ def verify_growth(
     violations = 0
     attempts = 0
     while kept < n_samples and attempts < 20 * n_samples:
-        block = min(n_samples - kept, 20 * n_samples - attempts, GROWTH_BLOCK)
-        XP = x + ball_steps(rng, block, prob.n, epsilon, 1.0 / prob.n)
+        room = min(n_samples - kept, 20 * n_samples - attempts)
+        blocks = [GROWTH_BLOCK] * (room // GROWTH_BLOCK) or [room]
+        XP = x + np.concatenate([ball_steps(rng, b, prob.n, epsilon, 1.0 / prob.n) for b in blocks])
         gvals = outer_values(prob, XP)
         off = np.flatnonzero(~np.isfinite(gvals))
         restored, ok = _restore_feasible_points(prob, XP[off], max_iter=30)
@@ -239,7 +242,7 @@ def verify_growth(
         gvals[off[near]] = outer_values(prob, restored[near])
         lower = psi0 + 0.5 * ell * np.vecdot(XP - x, XP - x) - GROWTH_SLACK
         psi = poly_eval(prob.phi, XP)[:, 0] + gvals
-        attempts += block
+        attempts += len(XP)
         kept += int(np.count_nonzero(np.isfinite(gvals)))
         violations += int(np.count_nonzero(np.isfinite(gvals) & (psi < lower)))
     return GrowthReport(samples=kept, violations=violations)

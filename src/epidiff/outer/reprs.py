@@ -23,8 +23,10 @@ from typing import Callable
 import numpy as np
 
 from ..errors import UnsupportedSpectralMultiplicity, UnsupportedTag
-from ..numkit import PolyCone, Polyhedron, box, cone_generators, intersect, project, sym_eig, svec, smat, vertices
-from ..numkit.polyhedra import _rank, cone_face_spans, is_empty, residuals
+from ..numkit import (
+    PolyCone, Polyhedron, box, cone_generators, intersect, project, row_norms, sym_eig, svec, smat, vertices,
+)
+from ..numkit.polyhedra import RANK_TOL, _rank, cone_face_spans, is_empty, residuals
 
 AFFINE_TOL = 1e-8
 
@@ -195,9 +197,13 @@ class PolyhedralConeRepr(CriticalConeRepr):
         return residuals(self.cone, w) <= 1e-8 * (1.0 + float(np.linalg.norm(w)))
 
     def pullback(self, J) -> PolyhedralConeRepr:
-        K = self.cone
+        """The rows times J, less each that J maps to rounding noise (at most
+        RANK_TOL * max(1, |J|) times the row's norm): it says 0 <= 0, and row
+        normalization would make a unit constraint of it."""
+        K, tol = self.cone, RANK_TOL * max(1.0, float(np.linalg.norm(J)))
+        G, E = K.G @ J, K.E @ J
         return PolyhedralConeRepr(
-            PolyCone.make_cone(J.shape[1], K.G @ J if K.n_ineq else None, K.E @ J if K.n_eq else None),
+            PolyCone.make_cone(J.shape[1], G[row_norms(G) > tol * K.g_scales], E[row_norms(E) > tol * K.e_scales]),
             description="pullback of the outer critical cone",
         )
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epidiff import optimality
@@ -180,6 +180,19 @@ def _growth_cases():
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+# pass edges at block 7: one block then the rest (13), two blocks (14), two
+# then the rest (15) and three (21); at seeds 29 and 34 one sample of the
+# three-block pass is restored outside the ball, so the pass keeps 20 and one
+# more is drawn
+@example(case="quartic", n_samples=13, block=7, ell=0.5, epsilon=0.3, seed=0)
+@example(case="quartic", n_samples=14, block=7, ell=0.5, epsilon=0.3, seed=0)
+@example(case="quartic", n_samples=15, block=7, ell=0.5, epsilon=0.3, seed=0)
+@example(case="quartic", n_samples=21, block=7, ell=0.5, epsilon=0.3, seed=0)
+@example(case="not_a_minimum", n_samples=13, block=7, ell=0.5, epsilon=0.3, seed=9)
+@example(case="not_a_minimum", n_samples=14, block=7, ell=0.5, epsilon=0.05, seed=1)
+@example(case="not_a_minimum", n_samples=15, block=7, ell=0.5, epsilon=0.05, seed=0)
+@example(case="not_a_minimum", n_samples=21, block=7, ell=0.5, epsilon=0.3, seed=29)
+@example(case="not_a_minimum", n_samples=21, block=7, ell=0.5, epsilon=0.3, seed=34)
 @given(
     case=st.sampled_from(["parabola_min", "quartic", "not_a_minimum", "wedge", "semidefinite"]),
     n_samples=st.integers(1, 120),
@@ -197,6 +210,23 @@ def test_batched_growth_matches_its_per_sample_loop(case, n_samples, block, ell,
         mp.setattr(optimality, "GROWTH_BLOCK", block)
         rep = verify_growth(prob, x, ell=ell, epsilon=epsilon, n_samples=n_samples, seed=seed)
     assert (rep.samples, rep.violations) == _old_verify_growth(prob, x, ell, epsilon, n_samples, seed, block)
+
+
+def test_a_growth_run_restores_its_settled_blocks_in_one_stack():
+    """A 2000-sample run draws its seven full blocks (1792 samples) in one pass,
+    whose size no outcome can change, and the rest in a second: two
+    restoration stacks where block by block there were eight."""
+    restore, rows = optimality._restore_feasible_points, []
+
+    def counted(prob, X, max_iter):
+        rows.append(len(X))
+        return restore(prob, X, max_iter=max_iter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimality, "_restore_feasible_points", counted)
+        rep = verify_growth(parabola_min_problem(), np.zeros(2), ell=1.0, epsilon=0.1, n_samples=2000, seed=2)
+    assert (rep.samples, rep.violations) == (2000, 0)
+    assert len(rows) <= 2, rows
 
 
 def test_sum_rule_against_oracle():

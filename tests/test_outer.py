@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epidiff.composite import MultiplierSet
-from epidiff.core import PolyMap
+from epidiff.composite import MultiplierSet, multipliers
+from epidiff.core import CompositeProblem, PolyMap
 from epidiff.errors import NotASubgradient, PointNotInDomain, UndefinedValue, UnsupportedSpectralMultiplicity
 from epidiff.extreal import PLUS_INF
 from epidiff.numkit import Polyhedron, svec, smat
@@ -574,12 +574,23 @@ def test_the_polyhedral_indicator_agrees_with_the_plain_one_piece_plq(case, seed
     sets = [MultiplierSet(g, z, J, tau, rep, **rep.multiplier_set(J, v, tau))
             for g, rep in ((ind, rep_ind), (ref, rep_ref))]
     H = rng.integers(-3, 4, size=m).astype(float)
-    # the pulled-back cones are not compared: the reference's rows come from
-    # rounded generators, and a pullback can turn that noise into a constraint
     for w in _unit_lattice(n):
+        assert sets[0].cone.contains(w) == sets[1].cone.contains(w)
         if sets[0].cone.contains(w):
             (val_ind, _), (val_ref, _) = (g.dual_value(z, J @ w, H, ms) for g, ms in zip((ind, ref), sets))
             assert val_ind.value == pytest.approx(val_ref.value, abs=1e-9)
     P = 3.0 * rng.standard_normal((5, m))
     assert np.allclose(ind.domain_project(P), ref.domain_project(P), rtol=0.0, atol=1e-9)
     assert np.allclose(ind.domain_project(P[0]), ref.domain_project(P[0]), rtol=0.0, atol=1e-9)
+
+
+def test_a_pullback_drops_the_rows_it_maps_to_rounding_noise():
+    """The one-piece PLQ on C = {z2 + z3 <= 0} takes its critical cone's row
+    from a rounded generator, (1.7e-16, 0.707, 0.707); under F(x) = (x, 0, 0)
+    that row pulls back to 1.7e-16 w <= 0, which is noise, not a constraint.
+    The pulled-back cone is all of R, as the indicator's is."""
+    C = Polyhedron.make(3, G=[[0.0, 1.0, 1.0]], h=[0.0])
+    F = PolyMap.from_strings([["x1"], [], []], 1)
+    for g in (PolyhedralIndicator(C), PlqFunction([PlqPiece(C, np.zeros((3, 3)), np.zeros(3), 0.0)])):
+        ms = multipliers(CompositeProblem(PolyMap.from_strings([[]], 1), F, g), np.zeros(1), np.zeros(1))
+        assert ms.cone.contains([1.0]) and ms.cone.contains([-1.0])
