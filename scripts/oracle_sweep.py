@@ -3,17 +3,22 @@
 second-subderivative estimate converges level by level.
 
 Usage: python scripts/oracle_sweep.py [--benchmark a1|irregular|psd] [--steps K]
+
+Exits 1 when the stabilized estimate is +inf or lies farther than
+``oracle.gap_tol(target)`` from the benchmark's target.
 """
 
 import argparse
+import sys
 from dataclasses import replace
 
 import numpy as np
 
 from epidiff.composite import sampled_objective
 from epidiff.core import STABLE_LEVELS, GridSchedule
+from epidiff.extreal import ExtReal
 from epidiff.numkit import svec
-from epidiff.oracle import _second_order_levels, _stabilize
+from epidiff.oracle import _second_order_levels, _stabilize, gap_tol
 from epidiff.outer import NegSemidefIndicator
 
 
@@ -72,7 +77,8 @@ def main():
         print(f"{t:12.3e} {m:14.6f}")
     (est,) = _stabilize([t for t, _, _ in part], [m for _, m, _ in part])
     print(f"stabilized estimate: {est}  (target {target})")
+    return 0 if est.is_finite and abs(est.value - target) <= gap_tol(ExtReal(target)) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

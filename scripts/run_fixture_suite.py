@@ -31,6 +31,7 @@ PLAN = [
     ("sum_top_eig.json", ["analyze", "verify", "certify"]),
     ("alpha_eig.json", ["analyze", "verify"]),
     ("plq_2d.json", ["analyze", "verify", "certify", "check-cq"]),
+    ("plq_kernel.json", ["analyze", "verify", "certify"]),
 ]
 
 

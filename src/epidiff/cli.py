@@ -159,7 +159,8 @@ def cmd_analyze(spec: ProblemSpec, dirs: list, seed: int) -> Report:
             "argmax_y": info.argmax_y,
             "provenance": "closed-form",
         }
-        if info.dual_value.is_plus_inf:
+        # a +inf dual against a finite primal is a disagreement, not a label
+        if info.dual_value.is_plus_inf and info.primal_value.is_plus_inf:
             entry["reason"] = "outside critical cone"
         else:
             worst_gap = max(worst_gap, info.gap)

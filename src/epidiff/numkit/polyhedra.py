@@ -441,31 +441,24 @@ def vrep_to_hrep(points, rays=(), lines=()) -> Polyhedron:
     )
 
 
-def lp_min_adaptive(c, P: Polyhedron, start_width: float) -> tuple[float, np.ndarray]:
-    """min <c, z> over P via the vertex LP on P cut by a box, growing the box
-    until the value stabilizes; raises EmptyPolyhedron if P is infeasible."""
-    width = start_width
-    prev = None
-    for _ in range(4):
-        val, arg = lp_max(-c, intersect(P, box(P.dim, width)))
-        val = -val
-        if prev is not None and abs(val - prev[0]) <= 1e-9 * (1.0 + abs(val)):
-            return val, arg
-        prev = (val, arg)
-        width *= 4.0
-    return prev
-
-
 def pullback_lp_min(c, T: Polyhedron, J, H, v) -> float | None:
     """min <c, z> over the z with J z + H in T, or None when there is no such
-    z.  The LP box starts at 16 (1 + |H| + |v|) and grows until the value
+    z: the vertex LP on that polyhedron cut by a box, which starts at
+    16 (1 + |H| + |v|) and grows (at most four times) until the value
     settles."""
     P = Polyhedron.make(J.shape[1], T.G @ J, T.h - T.G @ H, T.E @ J, T.d - T.E @ H)
-    width0 = 16.0 * (1.0 + float(np.linalg.norm(H)) + float(np.linalg.norm(v)))
-    try:
-        val, _ = lp_min_adaptive(c, P, width0)
-    except EmptyPolyhedron:
-        return None
+    width = 16.0 * (1.0 + float(np.linalg.norm(H)) + float(np.linalg.norm(v)))
+    prev = None
+    for _ in range(4):
+        try:
+            val, _ = lp_max(-c, intersect(P, box(P.dim, width)))
+        except EmptyPolyhedron:
+            return None
+        val = -val
+        if prev is not None and abs(val - prev) <= 1e-9 * (1.0 + abs(val)):
+            break
+        prev = val
+        width *= 4.0
     return val
 
 

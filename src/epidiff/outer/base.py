@@ -19,8 +19,9 @@ the pulled-back second-order directions (no default).
 The other defaults fit a finite multiplier list and a full domain:
 
 - ``dual_value`` maximizes over the materialized multipliers one by one; a
-  member whose second-order term is piecewise on a polyhedral multiplier
-  set overrides it with LPs.
+  member whose second-order term is the same for every multiplier on the
+  critical cone (PLQ) overrides it with the best vertex of the multiplier
+  polytope plus that term.
 - ``domain_distance`` is the distance to ``domain_project(z)``.
 - ``second_order_tangent_contains`` and ``basic_cq`` return True, since a
   full domain has every second-order tangent and the normal cone {0}; a

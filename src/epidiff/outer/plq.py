@@ -3,7 +3,10 @@
 A piece is a polyhedron C_i carrying the quadratic 0.5 <A_i x, x> + <a_i, x>
 + alpha_i.  All second-order objects reduce to active-set algebra over the
 pieces; the admissible piece is never unique, so a deterministic piece-index
-tie-break fixes which equivalent representation is reported.
+tie-break fixes which equivalent representation is reported.  On the
+critical cone the piece term <A_i u, u> of the chain rule's dual is the same
+for every multiplier, so the dual is the best vertex of the multiplier
+polytope plus that term, and solves no LP of its own.
 
 The indicator of a polyhedron C is the member with the one zero piece on C
 (Rockafellar & Wets 1998, ch. 10 and 13), so the same piece calculus gives
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import (
-    EmptyPolyhedron,
     PointNotInDomain,
     SubderivativeNotFinite,
     TangentPreconditionFailed,
@@ -29,7 +31,6 @@ from ..numkit import (
     Polyhedron,
     cone_generators,
     intersect,
-    lp_max,
     project,
     row_norms,
     tangent_cone,
@@ -226,31 +227,25 @@ class PlqFunction(OuterFunction):
         )
 
     def dual_value(self, z, u, H, multys):
-        """Exact dual over the multiplier polyhedron: PLQ pieces contribute
-        piecewise-constant terms on affine slices of it, so one LP per
-        admissible piece, ties broken by piece index then lexicographic
-        argmax."""
-        P = multys.polyhedron
+        """Exact dual over the multiplier polytope: the best vertex of <y, H>,
+        from the vertices the multiplier set enumerated once (all of them,
+        also those its membership checks dropped), plus the piece term
+        <A_i u, u> of the admissible pieces; +inf when none is.
+
+        Every multiplier y pairs with u = J w as <v, w> = dg(z)(u), and
+        consistent pieces agree along a ray they share, so the piece term is
+        the same for every y (Rockafellar & Wets 1998, ch. 13): the largest
+        over the admissible pieces, ties keeping the lower piece index."""
         best = None
         utol = 1e-8 * (1.0 + float(np.linalg.norm(u)))
         for i in self._admissible(z, u):
-            piece = self.pieces[i]
-            grad = piece.grad(z)
-            # admissibility of piece i for multiplier y: <y - grad_i, u> = 0
-            slice_poly = intersect(
-                P,
-                Polyhedron.make(P.dim, E=u.reshape(1, -1), d=np.array([float(grad @ u)])),
-            )
-            try:
-                val, arg = lp_max(H, slice_poly)
-            except EmptyPolyhedron:
-                continue
-            total = val + float(u @ piece.A @ u)
-            if best is None or total > best[0] + utol:
-                best = (total, arg)
+            term = float(u @ self.pieces[i].A @ u)
+            if best is None or term > best + utol:
+                best = term
         if best is None:
             return PLUS_INF, None
-        return ExtReal(best[0]), multys.ball_argmax(H, best[1])
+        val, arg = max_vertex(H, multys.vertices)
+        return ExtReal(val + best), multys.ball_argmax(H, arg)
 
     def primal_value(self, z, J, u, H, v) -> ExtReal:
         """Exact: per admissible piece, an LP over the pullback of the
@@ -382,14 +377,6 @@ class PolyhedralIndicator(PlqFunction):
             PolyCone.make_cone(self.ambient_dim, T.G if T.n_ineq else None, E),
             description="tangent cone cut by the multiplier hyperplane",
         )
-
-    def dual_value(self, z, u, H, multys):
-        """The second-order term vanishes on critical data, so the dual is
-        an LP over the multiplier polytope: its best vertex, from the
-        vertices the multiplier set enumerated once (all of them, also those
-        its membership checks dropped)."""
-        val, arg = max_vertex(H, multys.vertices)
-        return ExtReal(val), multys.ball_argmax(H, arg)
 
     def domain_project(self, z) -> np.ndarray:
         if self._axis_bounds is None:

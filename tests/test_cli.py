@@ -473,6 +473,23 @@ def test_certify_builds_the_base_subdifferential_once(monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_a_flat_kernel_direction_gets_the_zero_dual_and_no_sms_claim():
+    """psi(x) = |x1 + 2 x2| at x = 0 with v = (0.5, 1): the multiplier is
+    y = 0.5, and the critical directions +-(2, -1)/sqrt(5) span ker dF, where
+    u = dF w is rounding noise.  psi is flat along them, so the formula is 0
+    there, SSOSC fails with worst value 0 and no SMS claim is made."""
+    code, text = run(["verify", _fixture("plq_kernel.json")])
+    rows = [r for r in _json_block(text)["directions"]
+            if abs(r["direction"][0] + 2.0 * r["direction"][1]) < 1e-9]
+    assert code == 0 and len(rows) == 2
+    assert all(r["formula"] == 0.0 and r["converged"] for r in rows)
+    code, text = run(["certify", _fixture("plq_kernel.json")])
+    block = _json_block(text)
+    assert code == 0
+    assert block["ssosc"]["holds"] is False and block["ssosc"]["worst_value"] == 0.0
+    assert block["sms_certificate"]["affirmative"] is False
+
+
 def test_check_cq_report():
     code, text = run(["check-cq", _fixture("mscq_fail.json")])
     assert code == 0
@@ -538,6 +555,21 @@ def test_analyze_infinite_gap_renders_plus_inf():
     assert code == 1
     entries = _json_block(text)["directions"]
     assert entries and all(e["primal"] == "+inf" and e["gap"] == "+inf" for e in entries)
+
+
+def test_analyze_counts_an_infinite_dual_against_a_finite_primal(monkeypatch):
+    """Only a row whose dual and primal are both +inf lies outside the
+    critical cone; a +inf dual against plq_abs's finite primal is an
+    infinite gap, so analyze exits 1 and labels nothing."""
+    from epidiff.extreal import PLUS_INF
+    from epidiff.outer import PlqFunction
+
+    monkeypatch.setattr(PlqFunction, "dual_value", lambda self, z, u, H, multys: (PLUS_INF, None))
+    code, text = run(["analyze", _fixture("plq_abs.json")])
+    entries = _json_block(text)["directions"]
+    assert code == 1 and entries
+    assert all(e["dual"] == "+inf" and e["primal"] != "+inf" and e["gap"] == "+inf" for e in entries)
+    assert not any("reason" in e for e in entries)
 
 
 # -- exit-code contract under generated input ---------------------------------------

@@ -3,14 +3,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epidiff.composite import MultiplierSet, multipliers
 from epidiff.core import CompositeProblem, PolyMap
-from epidiff.errors import NotASubgradient, PointNotInDomain, UndefinedValue, UnsupportedSpectralMultiplicity
-from epidiff.extreal import PLUS_INF
-from epidiff.numkit import Polyhedron, svec, smat
+from epidiff.errors import (
+    EmptyPolyhedron,
+    NotASubgradient,
+    PointNotInDomain,
+    UndefinedValue,
+    UnsupportedSpectralMultiplicity,
+)
+from epidiff.extreal import PLUS_INF, ExtReal
+from epidiff.numkit import Polyhedron, intersect, lp_max, polyhedra, svec, smat
 from epidiff.outer import (
     EigSumFunction,
     NegSemidefIndicator,
@@ -521,7 +527,7 @@ def test_the_polyhedral_indicator_is_the_one_piece_plq_member():
     assert issubclass(PolyhedralIndicator, PlqFunction)
     own = {name for name, val in vars(PolyhedralIndicator).items()
            if inspect.isfunction(val) or isinstance(val, (staticmethod, classmethod, property))}
-    overrides = {"value_batch", "subdifferential", "critical_cone", "dual_value", "domain_project"}
+    overrides = {"value_batch", "subdifferential", "critical_cone", "domain_project"}
     assert own <= {"__init__", "_detect_axis_bounds"} | overrides
     g = nonpositive_orthant(2)
     assert len(g.pieces) == 1 and not g.pieces[0].A.any() and not g.pieces[0].a.any()
@@ -594,3 +600,94 @@ def test_a_pullback_drops_the_rows_it_maps_to_rounding_noise():
     for g in (PolyhedralIndicator(C), PlqFunction([PlqPiece(C, np.zeros((3, 3)), np.zeros(3), 0.0)])):
         ms = multipliers(CompositeProblem(PolyMap.from_strings([[]], 1), F, g), np.zeros(1), np.zeros(1))
         assert ms.cone.contains([1.0]) and ms.cone.contains([-1.0])
+
+
+def _slice_lp_dual(g, z, u, H, multys):
+    """The reference dual of a PLQ member: per admissible piece i, an LP of
+    <y, H> over the multipliers y with <y - grad_i(z), u> = 0, plus
+    <A_i u, u>; the largest total, ties keeping the lower piece index."""
+    P, best = multys.polyhedron, None
+    utol = 1e-8 * (1.0 + float(np.linalg.norm(u)))
+    for i in g._admissible(z, u):
+        piece = g.pieces[i]
+        row = Polyhedron.make(P.dim, E=u.reshape(1, -1), d=np.array([float(piece.grad(z) @ u)]))
+        try:
+            val, _ = lp_max(H, intersect(P, row))
+        except EmptyPolyhedron:
+            continue
+        total = val + float(u @ piece.A @ u)
+        if best is None or total > best + utol:
+            best = total
+    return PLUS_INF if best is None else ExtReal(best)
+
+
+def _max_affine_plq(b, c, L) -> PlqFunction:
+    """max_k <b_k, z> + c_k plus the shared PSD quadratic 0.5 <L^T L z, z>,
+    piece k where map k is largest."""
+    b, c, L = (np.array(a, dtype=float) for a in (b, c, L))
+    return PlqFunction([PlqPiece(Polyhedron.make(b.shape[1], G=np.delete(b - b[k], k, axis=0),
+                                                 h=np.delete(c[k] - c, k)), L.T @ L, b[k], c[k])
+                        for k in range(len(b))])
+
+
+@st.composite
+def _max_affine_plqs(draw):
+    """(g, z, J, y0): a max of 2-3 distinct integer affine maps on R^m plus
+    one shared PSD quadratic, m <= 3, an integer base point z, an integer
+    Jacobian J and a subgradient y0 weighting the active gradients at z."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    ints = st.integers(-2, 2)
+    b = draw(st.lists(st.tuples(*[ints] * m), min_size=2, max_size=3, unique=True))
+    c = draw(st.lists(st.integers(-1, 0), min_size=len(b), max_size=len(b)))
+    L = draw(st.lists(st.lists(st.integers(-1, 1), min_size=m, max_size=m), min_size=1, max_size=m))
+    g = _max_affine_plq(b, c, L)
+    z = np.array(draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m)), dtype=float)
+    J = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)), dtype=float)
+    active = g._active(z)
+    weights = draw(st.lists(st.integers(0, 2), min_size=len(active), max_size=len(active)).filter(any))
+    return g, z, J, sum(w * g.pieces[i].grad(z) for w, i in zip(weights, active)) / sum(weights)
+
+
+# |x1 + 2 x2| at x = 0 with v = (0.5, 1): its critical directions
+# +-(2, -1)/sqrt(5) map to rounding noise, which a slice LP's unit row made
+# of it cuts every multiplier away from
+@example((_max_affine_plq([[-1], [1]], [0, 0], [[0]]), np.zeros(1), np.array([[1.0, 2.0]]), np.array([0.5])), 0)
+@settings(max_examples=60, deadline=None)
+@given(_max_affine_plqs(), st.integers(0, 2**32 - 1))
+def test_the_plq_dual_is_the_best_vertex_plus_one_piece_term(case, seed):
+    """On every critical direction of a max-of-affine plus PSD quadratic PLQ
+    (the cone's generators and its lattice points), the dual read off the
+    multiplier polytope is finite, and it equals the per-piece slice LP
+    wherever u = J w is not rounding noise."""
+    g, z, J, y0 = case
+    m, n = J.shape
+    v = J.T @ y0
+    tau = 1.0 + 2.0 * max(float(np.abs(g.pieces[i].grad(z)).max()) for i in g._active(z))
+    rep = g.subdifferential(z)
+    ms = MultiplierSet(g, z, J, tau, rep, **rep.multiplier_set(J, v, tau))
+    H = np.random.default_rng(seed).integers(-3, 4, size=m).astype(float)
+    lattice = [w / np.linalg.norm(w) for w in _unit_lattice(n) if w.any() and ms.cone.contains(w)]
+    for w in ms.cone.directions() + lattice:
+        u = J @ w
+        val, _ = g.dual_value(z, u, H, ms)
+        assert val.is_finite
+        if np.linalg.norm(u) > 1e-12:
+            assert val.value == pytest.approx(_slice_lp_dual(g, z, u, H, ms).value, abs=1e-9)
+
+
+def test_the_plq_dual_enumerates_no_vertex(monkeypatch):
+    """|x1 + 2 x2| at x = 0 with v = (0.5, 1): the multiplier set enumerates
+    its vertices once, and the dual along the critical direction (2, -1)
+    reads them; it solves no LP of its own."""
+    g = absolute_value()
+    z, J = np.zeros(1), np.array([[1.0, 2.0]])
+    rep = g.subdifferential(z)
+    ms = MultiplierSet(g, z, J, 2.0, rep, **rep.multiplier_set(J, np.array([0.5, 1.0]), 2.0))
+    calls = []
+    original = polyhedra.vertices
+    monkeypatch.setattr(polyhedra, "vertices", lambda P: calls.append(P) or original(P))
+    w = np.array([2.0, -1.0]) / np.sqrt(5.0)
+    val, arg = g.dual_value(z, J @ w, np.array([1.0]), ms)
+    assert calls == []
+    assert val.value == pytest.approx(0.5) and arg == pytest.approx([0.5])
