@@ -3,8 +3,10 @@
 
 Usage: python scripts/run_fixture_suite.py [--seed N]
 
-Each line ends with the first 12 hex digits of the sha256 of the rendered
-report; equal digests in two runs mean byte-identical reports.  The script
+Each line holds the first 12 hex digits of the sha256 of the rendered
+report, then a summary; equal digests in two runs mean byte-identical
+reports.  A verify summary counts the directions that converged and the
+parabolic-regularity checks a witness z ended.  The script
 exits 1 if any command exits nonzero.
 """
 
@@ -57,7 +59,9 @@ def main() -> int:
                     summary = f"tau={block.get('tau')} duals={duals}"
                 elif command == "verify":
                     rows = block.get("directions", [])
-                    summary = f"{sum(r['converged'] for r in rows)}/{len(rows)} converged"
+                    witnesses = sum((r.get("parabolic_regularity") or {}).get("search") == "witness" for r in rows)
+                    summary = (f"{sum(r['converged'] for r in rows)}/{len(rows)} converged "
+                               f"{witnesses}/{len(rows)} witness")
                 elif command == "certify":
                     summary = (
                         f"ssosc={block['ssosc']['holds']} "

@@ -214,10 +214,10 @@ def cmd_verify(
         }
         if rep.formula_value.is_finite:
             try:
-                holds, lhs, rhs = check_parabolic_regularity(
+                holds, lhs, rhs, search = check_parabolic_regularity(
                     f, x, v, rep.direction, sched, lhs=rep.oracle_value
                 )
-                row["parabolic_regularity"] = {"holds": holds, "lhs": lhs, "rhs": rhs}
+                row["parabolic_regularity"] = {"holds": holds, "lhs": lhs, "rhs": rhs, "search": search}
                 ok = ok and holds
             except EpidiffError as exc:
                 row["parabolic_regularity"] = {"holds": False, "error": str(exc)}

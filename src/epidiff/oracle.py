@@ -524,19 +524,31 @@ def check_twice_epi_diff(
     return reports
 
 
-def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSchedule) -> ExtReal:
-    """min over z of the parabolic estimate at z minus <z, v>.
+def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSchedule,
+                        lhs: ExtReal) -> tuple[ExtReal, str]:
+    """min over z of the parabolic estimate at z minus <z, v>, or a z that
+    proves it equal to lhs, and the rule that ended the search: "witness"
+    or "refined".
 
     The coarse schedule (sched's levels at no more than 7 samples per axis)
     scores a z-grid of sched.samples_per_axis points per axis over the box
     |z|_inf <= 10 (a seeded uniform sample of 10,000 points when the grid
     exceeds Z_GRID_CAP), the balls of a chunk of grid points at its levels
-    in one batch (_parabolic_scores; f(x) is valued once).  Pattern search,
-    scoring each poll through the same scorer, refines the best finite point
-    within 1,500 evaluations, and sched itself values the result.  Where that
+    in one batch (_parabolic_scores; f(x) is valued once).
+
+    Every z bounds the second subderivative from above (Rockafellar-Wets
+    1998, Prop. 13.64), so a z whose value lies within gap_tol(lhs) of a
+    finite lhs proves the equality.  When no grid score lies below
+    lhs - gap_tol(lhs), sched values the grid minimizer once; if that value
+    agrees with lhs it is returned as the witness and nothing is refined.
+    Otherwise (an infinite lhs, a grid score below lhs - gap_tol(lhs), or a
+    minimizer that misses) the search is refined: pattern search, scoring
+    each poll through the same scorer, refines the best finite point within
+    1,500 evaluations, and sched itself values the result.  Where that
     value is +inf, sched values every other point the search moved through,
     from the grid minimizer on, in one call of the stacked estimate, and the
-    least finite one counts.  PlusInf when no grid point scores finite."""
+    least finite one counts.  PlusInf, "refined", when no grid point scores
+    finite."""
     cheap = sched.coarse()
     dim = w.shape[0]
     rng = np.random.default_rng(sched.seed)
@@ -549,8 +561,13 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     scores = _parabolic_scores(f, x, f0, w, dfw, v, grid, cheap)
     finite_mask = np.isfinite(scores)
     if not finite_mask.any():
-        return PLUS_INF
+        return PLUS_INF, "refined"
     idx = int(np.argmin(np.where(finite_mask, scores, math.inf)))
+    if lhs.is_finite and scores[idx] >= lhs.value - gap_tol(lhs):
+        value = estimate_parabolic_subderivative(f, x, w, dfw, grid[idx], sched)
+        witness = value.as_float() - float(grid[idx] @ v)
+        if abs(witness - lhs.value) <= gap_tol(lhs):
+            return ExtReal(witness), "witness"
 
     def score(Z):
         # a poll holding a z whose evaluation fails raises here, as a -inf
@@ -564,7 +581,7 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
     )
     value = estimate_parabolic_subderivative(f, x, w, dfw, z_best, sched)
     if value.is_finite:
-        return ExtReal(value.value - float(z_best @ v))
+        return ExtReal(value.value - float(z_best @ v)), "refined"
     # z_best can sit on the boundary of the second-order feasible set, where
     # sched's balls find no feasible point: fall back on the best
     # finite point the search passed through
@@ -573,15 +590,18 @@ def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSche
         est for z, value in zip(zs, estimate_parabolic_subderivative(f, x, w, dfw, zs, sched))
         if math.isfinite(est := value.as_float() - float(z @ v))
     ]
-    return ExtReal(min(finite)) if finite else PLUS_INF
+    return (ExtReal(min(finite)) if finite else PLUS_INF), "refined"
 
 
 def check_parabolic_regularity(
     f: SampledFunction, x, v, w, sched: GridSchedule | None = None, lhs: ExtReal | None = None
-) -> tuple[bool, ExtReal, ExtReal]:
-    """Compare the second subderivative estimate against the parabolic dual
-    value min_z {parabolic(w | z) - <z, v>} over a coarse z-grid with local
-    refinement; agreement certifies parabolic regularity along w.
+) -> tuple[bool, ExtReal, ExtReal, str]:
+    """Compare the second subderivative estimate lhs against the parabolic
+    dual value rhs = min_z {parabolic(w | z) - <z, v>}; agreement within
+    gap_tol(lhs) certifies parabolic regularity along w.  Returns (holds,
+    lhs, rhs, search): search is "witness" when rhs is a grid z's value that
+    already agrees with lhs, "refined" when rhs is the refined minimum
+    (parabolic_z_minimum).
 
     A precomputed second-subderivative estimate may be passed as lhs to avoid
     repeating the level scan."""
@@ -597,12 +617,12 @@ def check_parabolic_regularity(
     dfw = float(v @ w)
     if lhs is None:
         lhs = estimate_second_subderivative(f, x, v, w, sched)
-    rhs = parabolic_z_minimum(f, x, w, dfw, v, sched)
+    rhs, search = parabolic_z_minimum(f, x, w, dfw, v, sched, lhs)
     if lhs.is_plus_inf or rhs.is_plus_inf:
         holds = lhs.is_plus_inf and rhs.is_plus_inf
     else:
         holds = abs(lhs.value - rhs.value) <= gap_tol(lhs)
-    return holds, lhs, rhs
+    return holds, lhs, rhs, search
 
 
 def proximal_modulus_scan(

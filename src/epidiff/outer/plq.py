@@ -130,14 +130,22 @@ class PlqFunction(OuterFunction):
 
     def value_batch(self, Z: np.ndarray) -> np.ndarray:
         """The least value of the pieces holding each row, +inf where none
-        does; every product is one dot product, so no row depends on another."""
+        does; every product is one dot product, so no row depends on another.
+
+        A row that some piece holds exactly takes the least value over the
+        pieces that hold it exactly; only the other rows (restored points a
+        rounding error off the domain) take it over the pieces holding them
+        within the tolerance.  So no piece is extrapolated past its boundary
+        onto a point its neighbour holds."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         out = np.full(Z.shape[0], np.inf)
         # the value tolerance is much tighter than the activity tolerance:
         # extrapolating a piece by eps shifts second-order quotients by eps/t^2
         tol = INDICATOR_FEAS_TOL * (1.0 + row_norms(Z))
-        for p in self.pieces:
-            mask = residuals(p.domain, Z) <= tol
+        res = np.array([residuals(p.domain, Z) for p in self.pieces])
+        held = res <= 0.0
+        held = np.where(held.any(axis=0), held, res <= tol)
+        for p, mask in zip(self.pieces, held):
             if mask.any():
                 X = Z[mask]
                 vals = 0.5 * np.vecdot(X, np.vecdot(X[:, None, :], p.A)) + np.vecdot(X, p.a) + p.alpha

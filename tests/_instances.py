@@ -428,3 +428,41 @@ def old_estimate_subderivative(f, x, w, sched):
             m = float(np.min(quot[np.isfinite(quot)])) if np.isfinite(quot).any() else math.inf
             levels.append((t, m, None))
     return old_stabilize(levels)
+
+
+def old_parabolic_z_minimum(f, x, w, dfw, v, sched):
+    """The z search that always refined the grid minimizer, before a
+    witness z could end it: grid scores, the axis poll from the grid
+    minimizer, the full schedule at its end, and the points it passed
+    through where that end values +inf."""
+    from epidiff.oracle import (
+        Z_GRID_CAP,
+        Z_GRID_HALF_WIDTH,
+        _parabolic_scores,
+        _pattern_refine,
+        estimate_parabolic_subderivative,
+    )
+
+    cheap, dim = sched.coarse(), w.shape[0]
+    rng = np.random.default_rng(sched.seed)
+    if sched.samples_per_axis ** dim <= Z_GRID_CAP:
+        axis = np.linspace(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, sched.samples_per_axis)
+        grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    else:
+        grid = rng.uniform(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, size=(10_000, dim))
+    f0 = f.value(x).value
+    scores = _parabolic_scores(f, x, f0, w, dfw, v, grid, cheap)
+    if not np.isfinite(scores).any():
+        return PLUS_INF
+    idx = int(np.argmin(np.where(np.isfinite(scores), scores, math.inf)))
+    path = [grid[idx]]
+    _, z_best = _pattern_refine(lambda Z: (_parabolic_scores(f, x, f0, w, dfw, v, Z, cheap), Z),
+                                grid[idx], float(scores[idx]), grid[idx], Z_GRID_HALF_WIDTH / 2,
+                                max_evals=1500, accepted=path)
+    value = estimate_parabolic_subderivative(f, x, w, dfw, z_best, sched)
+    if value.is_finite:
+        return ExtReal(value.value - float(z_best @ v))
+    zs = np.reshape(path[:-1], (-1, dim))
+    finite = [est for z, value in zip(zs, estimate_parabolic_subderivative(f, x, w, dfw, zs, sched))
+              if math.isfinite(est := value.as_float() - float(z @ v))]
+    return ExtReal(min(finite)) if finite else PLUS_INF

@@ -28,6 +28,7 @@ from epidiff.oracle import (
     estimate_subderivative,
     proximal_modulus_scan,
 )
+from epidiff.cli import run
 from epidiff.composite import sampled_objective
 from epidiff.outer import absolute_value, nonpositive_orthant
 
@@ -37,6 +38,7 @@ from _instances import (
     old_estimate_subderivative,
     old_level_minimum,
     old_parabolic_estimate,
+    old_parabolic_z_minimum,
     old_second_order_levels,
     old_stabilize,
     outer_sampled,
@@ -52,6 +54,7 @@ def indicator_line() -> SampledFunction:
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "epidiff"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 DEEP_IRREGULAR = GridSchedule(t0=0.1, ratio=0.5, steps=21, radius_coeff=1.5, radius_exponent=1.0 / 3.0)
 
@@ -498,7 +501,7 @@ def test_twice_epi_diff_detects_wrong_formula():
 
 
 def test_parabolic_regularity_quadratic():
-    holds, lhs, rhs = check_parabolic_regularity(square(), [0.0], [0.0], [1.0])
+    holds, lhs, rhs, _ = check_parabolic_regularity(square(), [0.0], [0.0], [1.0])
     assert holds
     assert lhs.value == pytest.approx(2.0, abs=1e-6)
     assert rhs.value == pytest.approx(2.0, abs=0.05)
@@ -506,7 +509,7 @@ def test_parabolic_regularity_quadratic():
 
 def test_parabolic_regularity_composite():
     f = sampled_objective(a1_problem())
-    holds, lhs, rhs = check_parabolic_regularity(f, [0.0, 0.0], [0.0, 1.0], [1.0, 0.0])
+    holds, lhs, rhs, _ = check_parabolic_regularity(f, [0.0, 0.0], [0.0, 1.0], [1.0, 0.0])
     assert holds
     assert lhs.value == pytest.approx(-2.0, abs=0.05)
     assert rhs.value == pytest.approx(-2.0, abs=0.05)
@@ -514,7 +517,7 @@ def test_parabolic_regularity_composite():
 
 def test_parabolic_regularity_abs():
     gabs = outer_sampled(absolute_value())
-    holds, lhs, rhs = check_parabolic_regularity(gabs, [0.0], [1.0], [1.0])
+    holds, lhs, rhs, _ = check_parabolic_regularity(gabs, [0.0], [1.0], [1.0])
     assert holds and lhs.value == pytest.approx(0.0, abs=1e-6)
     assert rhs.value == pytest.approx(0.0, abs=0.05)
 
@@ -522,6 +525,79 @@ def test_parabolic_regularity_abs():
 def test_parabolic_regularity_precondition():
     with pytest.raises(CriticalConePreconditionFailed):
         check_parabolic_regularity(outer_sampled(absolute_value()), [0.0], [1.0], [-1.0])
+
+
+def _z_searches(monkeypatch, fixture):
+    """Run verify on a fixture, recording the arguments (f, x, w, dfw, v,
+    sched, lhs) and the result (rhs, search) of every parabolic z search."""
+    searches = []
+    original = oracle.parabolic_z_minimum
+
+    def record(*args):
+        searches.append((args, original(*args)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(oracle, "parabolic_z_minimum", record)
+    code, _ = run(["verify", str(FIXTURES / fixture)])
+    return code, searches
+
+
+def _count_refinements(monkeypatch) -> list:
+    refined = []
+    original = oracle._pattern_refine
+    monkeypatch.setattr(oracle, "_pattern_refine", lambda *a, **k: refined.append(a[1]) or original(*a, **k))
+    return refined
+
+
+@pytest.mark.parametrize("fixture", ["max_eig.json", "sum_top_eig.json"])
+def test_a_witness_z_ends_the_search_without_refinement(monkeypatch, fixture):
+    """On the spectral fixtures the z-grid's minimizer, valued on the full
+    schedule, already agrees with lhs on every direction: it proves
+    parabolic regularity, and no pattern search runs."""
+    refined = _count_refinements(monkeypatch)
+    code, searches = _z_searches(monkeypatch, fixture)
+    assert code == 0 and len(searches) == 8
+    assert [search for _, (_, search) in searches] == ["witness"] * 8
+    assert refined == []
+
+
+def test_a_missed_witness_refines_to_the_rhs_of_the_search_that_always_refined(monkeypatch):
+    """On psd_cone no grid minimizer agrees with lhs: every search refines,
+    and its rhs equals the search that refined without a witness step, bit
+    for bit."""
+    code, searches = _z_searches(monkeypatch, "psd_cone.json")
+    assert code == 0 and len(searches) == 8
+    for (f, x, w, dfw, v, sched, _), (rhs, search) in searches:
+        assert search == "refined"
+        assert _same_float(rhs.as_float(), old_parabolic_z_minimum(f, x, w, dfw, v, sched).as_float())
+
+
+def test_an_lhs_planted_too_high_still_fails_the_check(monkeypatch):
+    """Every z bounds the second subderivative from above, so an lhs
+    2 gap_tol above the true value has no witness: the check refines and
+    fails."""
+    _, searches = _z_searches(monkeypatch, "max_eig.json")
+    (f, x, w, _, v, sched, lhs), _ = searches[0]
+    planted = ExtReal(lhs.value + 2.0 * oracle.gap_tol(lhs))
+    holds, _, rhs, search = check_parabolic_regularity(f, x, v, w, sched, lhs=planted)
+    assert not holds and search == "refined"
+    assert abs(rhs.value - lhs.value) <= oracle.gap_tol(lhs)
+
+
+def test_a_grid_score_below_lhs_refines_although_the_grid_minimizer_agrees(monkeypatch):
+    """A coarse score more than gap_tol below lhs refutes lhs, so the search
+    refines even where the full schedule at the grid minimizer agrees with
+    lhs: the coarse scorer here reads 2 gap_tol low, the full schedule as
+    it is."""
+    _, searches = _z_searches(monkeypatch, "max_eig.json")
+    (f, x, w, dfw, v, sched, lhs), (_, search) = searches[0]
+    assert search == "witness"
+    scores = oracle._parabolic_scores
+    monkeypatch.setattr(oracle, "_parabolic_scores",
+                        lambda *a: scores(*a) - 2.0 * oracle.gap_tol(lhs))
+    refined = _count_refinements(monkeypatch)
+    _, search = oracle.parabolic_z_minimum(f, x, w, dfw, v, sched, lhs)
+    assert search == "refined" and len(refined) == 1
 
 
 # -- invariants & properties ------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import inspect
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epidiff.composite import MultiplierSet, multipliers
+from epidiff.composite import MultiplierSet, multipliers, sampled_objective
 from epidiff.core import CompositeProblem, PolyMap
 from epidiff.errors import (
     EmptyPolyhedron,
@@ -32,7 +34,9 @@ from epidiff.outer import (
     zero_function,
     zero_set,
 )
+from epidiff.oracle import estimate_second_subderivative
 from epidiff.outer.indicators import INDICATOR_FEAS_TOL
+from epidiff.problem_io import parse_problem
 
 from _instances import half_square_plq, max_of_coordinates_plq, outer_sampled, psd_base_data
 
@@ -691,3 +695,46 @@ def test_the_plq_dual_enumerates_no_vertex(monkeypatch):
     val, arg = g.dual_value(z, J @ w, np.array([1.0]), ms)
     assert calls == []
     assert val.value == pytest.approx(0.5) and arg == pytest.approx([0.5])
+
+
+@st.composite
+def _points_near_a_piece_boundary(draw):
+    """(b, c, z): a max of 2-4 distinct integer affine maps <b_k, z> + c_k on
+    R^m, m <= 3, and a point z at most 1e-9 off the hyperplane where two of
+    the maps tie, on either side."""
+    m = draw(st.integers(1, 3))
+    b = np.array(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m), min_size=2, max_size=4, unique=True)),
+                 dtype=float)
+    c = np.array(draw(st.lists(st.integers(-1, 1), min_size=len(b), max_size=len(b))), dtype=float)
+    k, l = draw(st.permutations(range(len(b))))[:2]
+    z = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+    normal = b[k] - b[l]
+    z = z - (normal @ z + c[k] - c[l]) / (normal @ normal) * normal
+    off = draw(st.sampled_from([0.0, 1e-13, 1e-12, 5e-12, 1e-11, 1e-10, 1e-9]))
+    return b, c, z + off * normal / np.linalg.norm(normal)
+
+
+# |z| at z = 1e-12, which the piece z <= 0 read as -1e-12 when it was
+# extrapolated across its boundary
+@example((np.array([[-1.0], [1.0]]), np.zeros(2), np.array([1e-12])))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_points_near_a_piece_boundary())
+def test_plq_values_near_a_piece_boundary_extrapolate_no_piece(case):
+    """A point that a piece holds exactly reads that piece's value, not a
+    neighbour's extrapolated one: a convex piecewise-linear PLQ equals the
+    max of its affine maps to rounding, within 1e-9 of a piece boundary."""
+    b, c, z = case
+    g = _max_affine_plq(b, c, np.zeros((1, b.shape[1])))
+    want = float(np.max(b @ z + c))
+    assert g.value_batch(z[None])[0] == pytest.approx(want, abs=1e-14 * (1.0 + abs(want)))
+
+
+def test_the_oracle_reads_zero_along_the_flat_kernel_of_plq_kernel():
+    """|x1 + 2 x2| at x = 0 with v = (0.5, 1) is flat along (2, -1)/sqrt(5):
+    its second subderivative there is 0, and the oracle, whose trial points
+    lie on both sides of the kink, reads 0 to within 1e-9."""
+    spec = parse_problem(str(Path(__file__).resolve().parent / "fixtures" / "plq_kernel.json"))
+    f = sampled_objective(spec.problem)
+    w = np.array([2.0, -1.0]) / np.sqrt(5.0)
+    est = estimate_second_subderivative(f, spec.x, spec.v, w, replace(spec.schedule, seed=spec.seed))
+    assert abs(est.value) <= 1e-9
