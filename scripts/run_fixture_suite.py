@@ -6,8 +6,10 @@ Usage: python scripts/run_fixture_suite.py [--seed N]
 Each line holds the first 12 hex digits of the sha256 of the rendered
 report, then a summary; equal digests in two runs mean byte-identical
 reports.  A verify summary counts the directions that converged and the
-parabolic-regularity checks a witness z ended.  The script
-exits 1 if any command exits nonzero.
+parabolic-regularity checks a witness z ended.  A certify summary ends
+with the oracle's verdict on a failing SSOSC (agree or DISAGREE; n/a when
+SSOSC holds and the growth runs judge it instead).  The script exits 1 if
+any command exits nonzero.
 """
 
 import argparse
@@ -63,9 +65,11 @@ def main() -> int:
                     summary = (f"{sum(r['converged'] for r in rows)}/{len(rows)} converged "
                                f"{witnesses}/{len(rows)} witness")
                 elif command == "certify":
+                    judged = block.get("oracle")
+                    verdict = "n/a" if judged is None else "agree" if judged["converged"] else "DISAGREE"
                     summary = (
                         f"ssosc={block['ssosc']['holds']} "
-                        f"sms={block['sms_certificate']['affirmative']}"
+                        f"sms={block['sms_certificate']['affirmative']} oracle={verdict}"
                     )
                 else:
                     kappa_hat = block["mscq"]["kappa_hat"]

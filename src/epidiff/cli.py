@@ -33,7 +33,7 @@ from .errors import (
 from .extreal import ExtReal
 from .numkit import dedupe, unit_rows
 from .numkit.polyhedra import DEDUP_TOL
-from .oracle import GAP_TOL, check_parabolic_regularity, check_twice_epi_diff, gap_tol
+from .oracle import GAP_TOL, EpiReport, check_parabolic_regularity, check_twice_epi_diff, gap_tol
 from .optimality import sample_critical_directions
 from .problem_io import ProblemSpec, parse_problem, parse_seed
 
@@ -199,19 +199,12 @@ def cmd_verify(
         return val
 
     f = composite.sampled_objective(prob)
-    reports = check_twice_epi_diff(f, x, v, dirs, sched, formula)
+    reports = check_twice_epi_diff(f, x, v, dirs, sched, formula=formula)
     rows = []
     all_ok = True
     for rep in reports:
         ok = rep.converged
-        row = {
-            "direction": rep.direction,
-            "formula": rep.formula_value,
-            "oracle": rep.oracle_value,
-            "gap": rep.gap,
-            "converged": rep.converged,
-            "tolerance": gap_tol(rep.formula_value),
-        }
+        row = _oracle_row(rep)
         if rep.formula_value.is_finite:
             try:
                 holds, lhs, rhs, search = check_parabolic_regularity(
@@ -237,6 +230,17 @@ def cmd_verify(
     return Report("verify", payload, exit_code=0 if all_ok else 1)
 
 
+def _oracle_row(rep: EpiReport) -> dict:
+    return {
+        "direction": rep.direction,
+        "formula": rep.formula_value,
+        "oracle": rep.oracle_value,
+        "gap": rep.gap,
+        "converged": rep.converged,
+        "tolerance": gap_tol(rep.formula_value),
+    }
+
+
 def _condition_row(rep: optimality.SOCReport) -> dict:
     return {
         "holds": rep.holds,
@@ -247,7 +251,10 @@ def _condition_row(rep: optimality.SOCReport) -> dict:
     }
 
 
-def cmd_certify(spec: ProblemSpec, seed: int) -> Report:
+def cmd_certify(spec: ProblemSpec, seed: int, sched: GridSchedule, break_offset: float = 0.0) -> Report:
+    """Growth runs in shrinking balls judge a holding SSOSC with a finite worst
+    value; the oracle judges a failing one at its worst direction (break_offset
+    shifts the value it judges, as in cmd_verify).  A hold on {0} is vacuous."""
     prob, x = spec.problem, spec.x
     kappa, prov, _ = _resolve_kappa(spec, seed)
     try:
@@ -256,17 +263,13 @@ def cmd_certify(spec: ProblemSpec, seed: int) -> Report:
         sonc = optimality.check_sonc(ssosc)
     except NotStationary as exc:
         return Report("certify", {"error": f"not stationary: {exc}"}, exit_code=2)
-    # shrinking balls at half the least condition value, or one unjudged run
-    affirmative = ssosc.holds and ssosc.worst_value.is_finite
-    if affirmative:
-        runs = [(0.5 * ssosc.worst_value.value, eps, 2000) for eps in (0.1, 0.05, 0.01)]
-    else:
-        runs = [(0.1, 0.1, 1000)]
     growth_rows = []
-    for ell, eps, n_samples in runs:
-        rep = optimality.verify_growth(prob, x, ell=ell, epsilon=eps, n_samples=n_samples, seed=seed)
-        growth_rows.append({"ell": ell, "epsilon": eps, "samples": rep.samples, "violations": rep.violations})
-    consistent = not affirmative or growth_rows[-1]["violations"] == 0
+    if ssosc.holds and ssosc.worst_value.is_finite:
+        ell = 0.5 * ssosc.worst_value.value
+        for eps in (0.1, 0.05, 0.01):
+            rep = optimality.verify_growth(prob, x, ell=ell, epsilon=eps, n_samples=2000, seed=seed)
+            growth_rows.append({"ell": ell, "epsilon": eps, "samples": rep.samples, "violations": rep.violations})
+    consistent = not growth_rows or growth_rows[-1]["violations"] == 0
     cert = optimality.sms_certificate(ssosc, mscq_provenance=prov)
     payload = {
         "sonc": _condition_row(sonc),
@@ -283,6 +286,13 @@ def cmd_certify(spec: ProblemSpec, seed: int) -> Report:
         "tolerances": {"sonc": optimality.SONC_TOL, "ssosc": optimality.SSOSC_TOL,
                        "growth_slack": optimality.GROWTH_SLACK},
     }
+    if not ssosc.holds:
+        judged = ExtReal(ssosc.worst_value.value + break_offset)
+        f = composite.sampled_objective(prob, include_phi=True)
+        (rep,) = check_twice_epi_diff(f, x, np.zeros(prob.n), [ssosc.worst_direction], sched,
+                                      formula=lambda w: judged)
+        payload["oracle"] = _oracle_row(rep)
+        consistent = rep.converged
     return Report("certify", payload, exit_code=0 if consistent else 1)
 
 
@@ -374,18 +384,15 @@ def run(argv=None) -> tuple[int, str]:
     except (ParseError, ValidationError) as exc:
         return 3, f"error: {exc}"
     try:
+        given = {name: getattr(args, name) for name in ("t0", "ratio", "steps")
+                 if getattr(args, name, None) is not None}
+        sched = replace(spec.schedule, seed=seed, **given)
         if args.command == "analyze":
             report = cmd_analyze(spec, dirs, seed)
         elif args.command == "verify":
-            given = {
-                name: getattr(args, name)
-                for name in ("t0", "ratio", "steps")
-                if getattr(args, name) is not None
-            }
-            sched = replace(spec.schedule, seed=seed, **given)
             report = cmd_verify(spec, dirs, seed, sched, break_offset)
         elif args.command == "certify":
-            report = cmd_certify(spec, seed)
+            report = cmd_certify(spec, seed, sched, break_offset)
         else:
             report = cmd_check_cq(spec, args.samples, args.radius, seed)
     except (ValidationError, ParseError) as exc:

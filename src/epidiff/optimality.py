@@ -211,8 +211,9 @@ def verify_growth(
     seed: int,
 ) -> GrowthReport:
     """Sample feasible points near x and count violations of the quadratic
-    growth inequality.  Half the budget restores infeasible ball samples onto
-    the constraint surface, where violations concentrate.
+    growth inequality.  Every infeasible ball sample is restored onto the
+    constraint surface, where violations concentrate, and kept when its
+    restored point lies within epsilon of x.
 
     The samples are drawn uniformly in the ball a block at a time: a block
     holds no more samples than are still wanted or left in the attempt

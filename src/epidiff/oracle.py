@@ -482,21 +482,18 @@ def check_twice_epi_diff(
     v,
     dirs,
     sched: GridSchedule | None = None,
-    formula: Callable[[np.ndarray], ExtReal] | None = None,
+    *,
+    formula: Callable[[np.ndarray], ExtReal],
 ) -> list[EpiReport]:
-    """Per direction, search for a recovery sequence achieving the limit value.
-
-    formula, when given, supplies the closed-form value the sequence must
-    attain; otherwise the oracle's own stabilized estimate is used and
-    convergence just means the fine levels agree with each other.
-    """
+    """Per direction, search for a recovery sequence achieving the limit
+    value that formula supplies."""
     sched = sched or GridSchedule()
     reports = []
     for w in dirs:
         w = np.asarray(w, dtype=float)
         levels = _second_order_levels(f, x, v, w, sched)
         oracle_value = _stabilize(sched.t_levels(), [m for _, m, _ in levels])[0]
-        formula_value = formula(w) if formula is not None else oracle_value
+        formula_value = formula(w)
         tail = [m for _, m, _ in levels if math.isfinite(m)]
         if formula_value.is_plus_inf:
             converged = oracle_value.is_plus_inf

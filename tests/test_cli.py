@@ -372,6 +372,26 @@ def test_certify_exit_codes(tmp_path):
     p.write_text(json.dumps(data))
     code2, _ = run(["certify", str(p)])
     assert code2 == 2
+    # the oracle judges a failing SSOSC on the worst value the hook shifts
+    os.environ["EPIDIFF_BREAK_FORMULA"] = "1.0"
+    try:
+        code_bad, _ = run(["certify", _fixture("polyhedron_m6.json")])
+    finally:
+        del os.environ["EPIDIFF_BREAK_FORMULA"]
+    assert code_bad == 1
+
+
+def test_certify_on_the_critical_cone_zero_judges_nothing(tmp_path):
+    """min x1 subject to x1 >= 0: the multiplier 1 is strictly positive, so
+    the critical cone is {0}.  SSOSC holds vacuously, with no finite worst
+    value to grow at and no failing direction for the oracle."""
+    p = tmp_path / "orthant_1d.json"
+    p.write_text(json.dumps({"phi": ["x1"], "F": [["-1 x1"]], "g": {"tag": "ind_nonpos", "dim": 1},
+                             "x": [0.0], "kappa": 1.0}))
+    code, text = run(["certify", str(p)])
+    block = _json_block(text)
+    assert code == 0 and block["ssosc"]["holds"] is True and block["ssosc"]["worst_value"] == "+inf"
+    assert block["growth"] == [] and "oracle" not in block
 
 
 def test_certify_runs_each_condition_and_cone_once(monkeypatch):
@@ -473,11 +493,22 @@ def test_certify_builds_the_base_subdifferential_once(monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
-def test_a_flat_kernel_direction_gets_the_zero_dual_and_no_sms_claim():
+def test_a_flat_kernel_direction_gets_the_zero_dual_and_no_sms_claim(monkeypatch):
     """psi(x) = |x1 + 2 x2| at x = 0 with v = (0.5, 1): the multiplier is
     y = 0.5, and the critical directions +-(2, -1)/sqrt(5) span ker dF, where
     u = dF w is rounding noise.  psi is flat along them, so the formula is 0
-    there, SSOSC fails with worst value 0 and no SMS claim is made."""
+    there, SSOSC fails with worst value 0 and no SMS claim is made.  The
+    oracle, not a growth run, judges that failing verdict."""
+    from epidiff import optimality
+
+    growth_calls = []
+    verify_growth = optimality.verify_growth
+
+    def counted(*args, **kwargs):
+        growth_calls.append(1)
+        return verify_growth(*args, **kwargs)
+
+    monkeypatch.setattr(optimality, "verify_growth", counted)
     code, text = run(["verify", _fixture("plq_kernel.json")])
     rows = [r for r in _json_block(text)["directions"]
             if abs(r["direction"][0] + 2.0 * r["direction"][1]) < 1e-9]
@@ -488,6 +519,8 @@ def test_a_flat_kernel_direction_gets_the_zero_dual_and_no_sms_claim():
     assert code == 0
     assert block["ssosc"]["holds"] is False and block["ssosc"]["worst_value"] == 0.0
     assert block["sms_certificate"]["affirmative"] is False
+    assert growth_calls == [] and block["growth"] == []
+    assert block["oracle"]["converged"] is True and block["oracle"]["formula"] == 0.0
 
 
 def test_check_cq_report():
