@@ -61,13 +61,14 @@ class _Compiled:
     """A polynomial map as arrays: the coefficient, exponent row and owning
     output (0..size-1) of every monomial, in monomial order.
 
-    For evaluation the monomials sit in ``width`` slots per output, output
-    o's from slot o * width on, in monomial order; the slots left over hold
-    a zero coefficient.  A power table holds 1.0, then x_i ** k for
-    i = 1..n_in, k = 1..degree.  ``factors[f][s]`` is the f-th table entry
-    that slot s multiplies by: the entries of its nonzero exponents, which
-    grow with i and so keep variable order, after as many 0s (the 1.0) as
-    it has fewer of them than the slot with the most."""
+    For evaluation the monomials sit in ``width`` slots per output, slot
+    major: the k-th monomial of output o is slot k * size + o, and the slots
+    left over hold a zero coefficient (``slot_coeffs``, a column).  A power
+    table holds 1.0, then x_i ** k for i = 1..n_in, k = 1..degree.
+    ``factors[f][s]`` is the f-th table entry that slot s multiplies by: the
+    entries of its nonzero exponents, which grow with i and so keep variable
+    order, after as many 0s (the 1.0) as it has fewer of them than the slot
+    with the most."""
 
     def __init__(self, n_in: int, size: int, coeffs, exps, owner):
         self.n_in, self.size = n_in, size
@@ -77,13 +78,13 @@ class _Compiled:
         self.width = int(counts.max(initial=0))
         order = np.argsort(owner, kind="stable")
         rows = owner[order]
-        slots = np.arange(owner.size) + rows * self.width - (np.cumsum(counts) - counts)[rows]
-        self.slot_coeffs = np.zeros(size * self.width)
-        self.slot_coeffs[slots] = coeffs[order]
+        slots = (np.arange(owner.size) - (np.cumsum(counts) - counts)[rows]) * size + rows
+        self.slot_coeffs = np.zeros((self.width * size, 1))
+        self.slot_coeffs[slots, 0] = coeffs[order]
         entries = np.where(exps > 0, np.arange(n_in) * self.degree + exps, 0)
         entries = np.sort(np.pad(entries, ((0, 0), (1, 0))), axis=1)  # a 0 even when n_in = 0
         used = max(1, int(np.count_nonzero(exps, axis=1).max(initial=0)))
-        factors = np.zeros((size * self.width, used), dtype=np.intp)
+        factors = np.zeros((self.width * size, used), dtype=np.intp)
         factors[slots] = entries[order, n_in + 1 - used:]
         self.factors = list(factors.T)
 
@@ -195,16 +196,19 @@ def _evaluate(c: _Compiled, table: np.ndarray) -> np.ndarray:
     (size, N).
 
     Each term is coeff * x_1^e_1 * ... * x_n^e_n over the nonzero exponents,
-    multiplied left to right, and each output starts from 0.0 and adds its
-    terms in monomial order, slot by slot over all points at once; adding the
-    zero slots after them changes no sum."""
-    terms = c.slot_coeffs[:, None]
-    for entries in c.factors:
-        terms = terms * table[entries]
-    terms = terms.reshape(c.size, c.width, table.shape[1])
+    multiplied left to right (the first factors gathered, then the
+    coefficients and each further factor multiplied in place), and each
+    output starts from 0.0 and adds its terms in monomial order, a contiguous
+    (size, N) block of k-th terms at a time; adding the zero slots after them
+    changes no sum."""
+    terms = table[c.factors[0]]
+    terms *= c.slot_coeffs
+    for entries in c.factors[1:]:
+        terms *= table[entries]
+    terms = terms.reshape(c.width, c.size, table.shape[1])
     out = np.zeros((c.size, table.shape[1]))
     for k in range(c.width):
-        out += terms[:, k]
+        out += terms[k]
     return out
 
 

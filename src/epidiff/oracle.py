@@ -178,12 +178,6 @@ def _quotients(vals: np.ndarray, shift, lin, half_t2) -> np.ndarray:
     return quot
 
 
-def _split_batch(f: SampledFunction, stacks) -> list:
-    """f.eval_batch of the stacks in one call, split back per stack."""
-    vals = f.eval_batch(np.concatenate(stacks))
-    return np.split(vals, np.cumsum([len(s) for s in stacks])[:-1])
-
-
 def _schedule_balls(sched: GridSchedule, dim: int) -> list:
     """(t, radius, ball offsets) per level of sched; the levels' offsets are
     drawn, in order, from one rng seeded with sched.seed."""
@@ -281,9 +275,12 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
 
     A chunk of centers is valued at those levels in one eval_batch of at most
     Z_BATCH_ROWS rows (or of one center), and scored by the quotient formula
-    of the polls.  A ball point whose evaluation fails (NaN, or below
-    NEG_GUARD) raises in eval_batch, before any rescue, as valuing it alone
-    does.
+    of the polls.  The batch is one buffer: each level's view takes center +
+    offset, gives lin(p, t), then is scaled by s and shifted in place; the
+    minima are read off views of the values, and each argmin point is its
+    center plus its offset.  A ball point whose evaluation fails (NaN, or
+    below NEG_GUARD) raises in eval_batch, before any rescue, as valuing it
+    alone does.
     Each search starts at its best ball point, the first on ties, or, where
     the whole ball lies outside the domain, at its center, restored when f
     can restore: all such centers in one stack, each charged one rescue.
@@ -301,13 +298,12 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
     bases = np.broadcast_to(x, (k, dim)) if drift is None else x + ts[:, None] * drift
     along = np.ndim(lin) == 1
 
-    def quotients(vals, P, j):  # j: the level of each row of P, or one level
-        lin_p = ts[j] * np.vecdot(P, lin) if along else ts[j] * lin
-        return _quotients(vals, shift, lin_p, denom[j])
+    def lin_at(P, j):  # j: the level of each row of P, or one level
+        return ts[j] * np.vecdot(P, lin) if along else ts[j] * lin
 
     def score(P, own):  # own: the search of each row, center by center, level by level
         j = own % k
-        return quotients(f.values(bases[j] + scale[j][:, None] * P), P, j), P
+        return _quotients(f.values(bases[j] + scale[j][:, None] * P), shift, lin_at(P, j), denom[j]), P
 
     def rescue(P, own):
         j = own % k
@@ -320,16 +316,22 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
         return val, np.where(lost[:, None], P, cand)
 
     best, points = np.full((n, k), math.inf), np.repeat(centers[:, None, :], k, axis=1)
-    chunk = max(1, Z_BATCH_ROWS // sum(len(offsets) for _, _, offsets in balls))
+    sizes = [len(offsets) for _, _, offsets in balls]
+    chunk = max(1, Z_BATCH_ROWS // sum(sizes))
     for lo in range(0, n, chunk):
-        cands = [centers[lo:lo + chunk, None, :] + offsets for _, _, offsets in balls]
-        flat = [c.reshape(-1, dim) for c in cands]
-        parts = _split_batch(f, [b + s * c for b, s, c in zip(bases, scale, flat)])
-        for j, (c, C, vals) in enumerate(zip(cands, flat, parts)):
-            quot = quotients(vals, C, j).reshape(len(c), -1)
+        C = centers[lo:lo + chunk]
+        cuts = len(C) * np.cumsum(sizes)[:-1]
+        batch, lins = np.empty((len(C) * sum(sizes), dim)), []
+        for j, (P, (_, _, offsets)) in enumerate(zip(np.split(batch, cuts), balls)):  # views, level by level
+            np.add(C[:, None, :], offsets, out=P.reshape(len(C), -1, dim))
+            lins.append(lin_at(P, j))
+            P *= scale[j]
+            P += bases[j]
+        for j, (vals, (_, _, offsets)) in enumerate(zip(np.split(f.eval_batch(batch), cuts), balls)):
+            quot = _quotients(vals, shift, lins[j], denom[j]).reshape(len(C), -1)
             quot[np.isnan(quot)] = math.inf  # outside the domain
-            rows, idx = np.arange(len(c)), np.argmin(quot, axis=1)
-            best[lo:lo + chunk, j], points[lo:lo + chunk, j] = quot[rows, idx], c[rows, idx]
+            idx = np.argmin(quot, axis=1)
+            best[lo:lo + chunk, j], points[lo:lo + chunk, j] = quot[np.arange(len(C)), idx], C + offsets[idx]
     iz, jz = np.nonzero(best == math.inf)  # center by center, level by level
     points[iz, jz] = centers[iz]
     if f.restore_feasible is not None and iz.size:

@@ -216,8 +216,12 @@ class PolyhedralConeRepr(CriticalConeRepr):
 
     def directions(self, seeds=()) -> list[np.ndarray]:
         """Normalized extreme rays, with lineality contributing both signs,
-        then the seeds' projections."""
+        then the seeds' projections.  A polyhedral cone with no extreme ray
+        and no lineality is {0} (Minkowski-Weyl: Rockafellar 1970, Thm 19.1),
+        so then no seed is projected and there are no directions."""
         rays, lines = self._generators
+        if not rays and not lines:
+            return []
         signed = [sgn * l / np.linalg.norm(l) for l in lines for sgn in (1.0, -1.0)]
         return list(rays) + signed + super().directions(seeds)
 

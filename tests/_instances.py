@@ -466,3 +466,70 @@ def old_parabolic_z_minimum(f, x, w, dfw, v, sched):
     finite = [est for z, value in zip(zs, estimate_parabolic_subderivative(f, x, w, dfw, zs, sched))
               if math.isfinite(est := value.as_float() - float(z @ v))]
     return ExtReal(min(finite)) if finite else PLUS_INF
+
+
+def old_ball_search(f, x, shift, lin, centers, sched, order, drift=None, polish=False, rescues=0):
+    """The ball search before each chunk's batch became one buffer: each
+    level's candidates built apart, then scaled and shifted, the levels
+    concatenated into one eval_batch and the values split back per level,
+    and each argmin point read off the level's candidates."""
+    from epidiff.errors import NegativeInfinityDetected
+    from epidiff.oracle import Z_BATCH_ROWS, _ball_clip, _pattern_search, _quotients, _schedule_balls
+
+    n, dim = centers.shape
+    balls = _schedule_balls(sched, dim)
+    k = len(balls)
+    ts, radii = np.array([b[0] for b in balls]), np.array([b[1] for b in balls])
+    half = 0.5 * ts * ts
+    denom = half if order == 2 else ts
+    scale = ts if drift is None else half
+    bases = np.broadcast_to(x, (k, dim)) if drift is None else x + ts[:, None] * drift
+    along = np.ndim(lin) == 1
+
+    def quotients(vals, P, j):
+        lin_p = ts[j] * np.vecdot(P, lin) if along else ts[j] * lin
+        return _quotients(vals, shift, lin_p, denom[j])
+
+    def score(P, own):
+        j = own % k
+        return quotients(f.values(bases[j] + scale[j][:, None] * P), P, j), P
+
+    def rescue(P, own):
+        j = own % k
+        restored = np.asarray(f.restore_feasible(bases[j] + scale[j][:, None] * P), dtype=float)
+        back = restored - x if drift is None else (restored - x) - ts[j][:, None] * drift
+        cand = _ball_clip(back / scale[j][:, None], centers[own // k], radii[j])
+        val, _ = score(cand, own)
+        lost = np.isnan(val)
+        val[lost] = math.inf
+        return val, np.where(lost[:, None], P, cand)
+
+    best, points = np.full((n, k), math.inf), np.repeat(centers[:, None, :], k, axis=1)
+    chunk = max(1, Z_BATCH_ROWS // sum(len(offsets) for _, _, offsets in balls))
+    for lo in range(0, n, chunk):
+        cands = [centers[lo:lo + chunk, None, :] + offsets for _, _, offsets in balls]
+        flat = [c.reshape(-1, dim) for c in cands]
+        stacks = [b + s * c for b, s, c in zip(bases, scale, flat)]
+        vals = f.eval_batch(np.concatenate(stacks))
+        parts = np.split(vals, np.cumsum([len(s) for s in stacks])[:-1])
+        for j, (c, C, vals) in enumerate(zip(cands, flat, parts)):
+            quot = quotients(vals, C, j).reshape(len(c), -1)
+            quot[np.isnan(quot)] = math.inf
+            rows, idx = np.arange(len(c)), np.argmin(quot, axis=1)
+            best[lo:lo + chunk, j], points[lo:lo + chunk, j] = quot[rows, idx], c[rows, idx]
+    iz, jz = np.nonzero(best == math.inf)
+    points[iz, jz] = centers[iz]
+    if f.restore_feasible is not None and iz.size:
+        best[iz, jz], points[iz, jz] = rescue(centers[iz], iz * k + jz)
+    if polish:
+        left = np.full((n, k), rescues if f.restore_feasible is not None else 0)
+        left[iz, jz] -= left[iz, jz] > 0
+        vals, pts = _pattern_search(score, points.reshape(-1, dim), best.ravel(), centers.repeat(k, axis=0),
+                                    np.where(np.isfinite(best), radii, 0.0).ravel(), [lin] if along else [],
+                                    rescue=rescue, rescues=left.ravel())
+        best, points = np.reshape(vals, (n, k)), pts.reshape(n, k, dim)
+    iz, jz = np.nonzero(best == -math.inf)
+    if iz.size:
+        f.value(bases[jz[0]] + scale[jz[0]] * points[iz[0], jz[0]])
+        raise NegativeInfinityDetected(f.description or "sampled function")
+    return best, points

@@ -170,17 +170,32 @@ def _ref_diff(coeff, exps, i):
     return coeff * exps[i], tuple(new)
 
 
+def _ref_terms(coeff, exps, X):
+    term = np.full(X.shape[0], coeff)
+    for i, e in enumerate(exps):
+        if e:
+            term = term * X[:, i] ** e
+    return term
+
+
 def _ref_eval_batch(p, X):
     X = np.asarray(X, dtype=float)
     out = np.zeros((X.shape[0], p.n_out))
     for j, comp in enumerate(p.components):
         for coeff, exps in comp:
-            term = np.full(X.shape[0], coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * X[:, i] ** e
-            out[:, j] += term
+            out[:, j] += _ref_terms(coeff, exps, X)
     return out
+
+
+def _ref_jacobian_batch(p, X):
+    J = np.zeros((X.shape[0], p.n_out, p.n_in))
+    for j, comp in enumerate(p.components):
+        for coeff, exps in comp:
+            for i in range(p.n_in):
+                d = _ref_diff(coeff, exps, i)
+                if d is not None:
+                    J[:, j, i] += _ref_terms(*d, X)
+    return J
 
 
 def _ref_eval(p, x):
@@ -188,15 +203,7 @@ def _ref_eval(p, x):
 
 
 def _ref_jacobian(p, x):
-    x = np.asarray(x, dtype=float)
-    J = np.zeros((p.n_out, p.n_in))
-    for j, comp in enumerate(p.components):
-        for coeff, exps in comp:
-            for i in range(p.n_in):
-                d = _ref_diff(coeff, exps, i)
-                if d is not None:
-                    J[j, i] += _ref_term(*d, x)
-    return J
+    return _ref_jacobian_batch(p, np.asarray(x, dtype=float)[None])[0]
 
 
 def _ref_hessian(p, x, j):
@@ -299,6 +306,41 @@ def test_compiled_kernel_zero_map_and_shapes():
         poly_eval_batch(p, np.ones((3, 3)))
     with pytest.raises(DimensionMismatch):
         poly_eval_batch(p, np.ones((3, 1)))
+
+
+@st.composite
+def _stacks_over_blocks(draw):
+    """A map on R^n, n <= 4, of degree <= 3 with some outputs empty, and a
+    stack of 1 to 3 of the kernel's blocks (of the map or of its partials,
+    whichever is longer) and 1 to 3 rows more, some rows holding +-inf, NaN
+    or entries whose powers overflow."""
+    n = draw(st.integers(1, 4))
+    mono = st.tuples(_COEFFS, st.lists(st.integers(0, 3), min_size=n, max_size=n)).filter(
+        lambda ce: sum(ce[1]) <= 3
+    )
+    p = PolyMap(n, draw(st.lists(st.lists(mono, max_size=4), min_size=1, max_size=3)))
+    step = max(core._BLOCK_FLOATS // max(1, c.size * c.width) + 1 for c in (p._compiled, p._compiled.derivative))
+    rows = draw(st.integers(1, 3)) * step + draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    X = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    for _ in range(draw(st.integers(0, 6))):
+        X[draw(st.integers(0, rows - 1))] = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    return p, X
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_stacks_over_blocks())
+def test_stacks_over_several_blocks_match_the_interpreters_bitwise(case):
+    """poly_eval and jacobian of a stack that spans several of the kernel's
+    blocks, and of single points, equal the per-monomial interpreters bit for
+    bit, rows of inf, NaN and overflow included."""
+    p, X = case
+    with np.errstate(all="ignore"):
+        values, J = _ref_eval_batch(p, X), _ref_jacobian_batch(p, X)
+        assert _same_bits(poly_eval(p, X), values)
+        assert _same_bits(jacobian(p, X), J)
+        for r in (0, len(X) // 2, len(X) - 1):
+            assert _same_bits(poly_eval(p, X[r]), values[r]) and _same_bits(jacobian(p, X[r]), J[r])
 
 
 @pytest.mark.parametrize("block", [core._BLOCK_FLOATS, 0])

@@ -2,6 +2,7 @@ import ast
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from epidiff.outer import absolute_value, nonpositive_orthant
 from _instances import (
     a1_problem,
     example35_function,
+    old_ball_search,
     old_estimate_subderivative,
     old_level_minimum,
     old_parabolic_estimate,
@@ -245,6 +247,59 @@ def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, s
     assert got.shape == (n,) and got.tobytes() == ref.tobytes()
 
 
+def _halfspace_cube() -> SampledFunction:
+    """|y|^2 + y1 y2 + |y3| on {y1 <= 0.3} in R^3, restored by clipping y1."""
+
+    def batch(Y):
+        vals = np.einsum("ij,ij->i", Y, Y) + Y[:, 0] * Y[:, 1] + np.abs(Y[:, 2])
+        return np.where(Y[:, 0] <= 0.3, vals, math.inf)
+
+    return SampledFunction(
+        batch, 3, "halfspace cube",
+        restore_feasible=lambda Y: np.column_stack([np.minimum(Y[:, 0], 0.3), Y[:, 1:]]),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(["axis", "cube", "dim5"]),
+    order=st.sampled_from([1, 2]),
+    drift=st.booleans(),
+    along=st.booleans(),
+    polish=st.sampled_from(["none", "unrestored", "no rescues", "rescues"]),
+    n=st.integers(1, 7),
+    batch_rows=st.sampled_from([oracle.Z_BATCH_ROWS, 150]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_the_one_buffer_ball_batch_equals_the_split_batch(case, order, drift, along, polish, n,
+                                                         batch_rows, seed):
+    """_ball_search, which builds each chunk's ball batch in one buffer and
+    reads each level off views of it, returns the minima and points of the
+    search that built every level apart and split one batch's values back
+    per level (old_ball_search), bit for bit: orders 1 and 2, with and
+    without a drift, a vector or a scalar lin, polished with and without
+    rescues, on grid and random balls, and on chunks that do not divide
+    the centers."""
+    rng = np.random.default_rng(seed)
+    f, x = {"axis": (_on_the_axis(), np.array([0.3, 0.0])),
+            "cube": (_halfspace_cube(), np.array([0.25, -0.1, 0.0])),
+            "dim5": (_halfspace_quadratic(), np.full(5, 0.1))}[case]
+    if polish == "unrestored":
+        f = replace(f, restore_feasible=None)
+    centers = rng.uniform(-2.0, 2.0, (n, f.dim))
+    if case == "axis":
+        centers[:, 1] = np.where(rng.random(n) < 0.5, 0.0, centers[:, 1])
+    sched = GridSchedule(t0=0.1, steps=4, samples_per_axis=int(rng.choice([3, 5])),
+                         radius_coeff=float(rng.choice([1.0, 4.0])), seed=seed)
+    args = (f, x, f.value(x).value, rng.standard_normal(f.dim) if along else float(rng.standard_normal()),
+            centers, sched, order)
+    kwargs = dict(drift=rng.standard_normal(f.dim) if drift else None, polish=polish != "none",
+                  rescues=3 if polish == "rescues" else 0)
+    with mock.patch.object(oracle, "Z_BATCH_ROWS", batch_rows):
+        got, ref = oracle._ball_search(*args, **kwargs), old_ball_search(*args, **kwargs)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
+
 def test_grid_balls_are_cached_read_only_and_exact():
     """Grid balls equal a fresh linspace/meshgrid build bit for bit (not a
     scaled unit ball) and are shared read-only; above GRID_DIM_LIMIT every
@@ -375,9 +430,8 @@ def test_one_search_kernel_and_one_stabilizer():
     """Only _ball_search lays out and values the balls of a schedule; every
     estimate folds its levels by one call of _stabilize, which folds a
     stack of centers at once, so no caller folds inside a loop."""
-    assert _top_level_callers(["_schedule_balls", "_split_batch", "_stabilize"]) == {
+    assert _top_level_callers(["_schedule_balls", "_stabilize"]) == {
         "_schedule_balls": {"_ball_search"},
-        "_split_batch": {"_ball_search"},
         "_stabilize": {"estimate_second_subderivative", "estimate_parabolic_subderivative",
                        "_parabolic_scores", "estimate_subderivative", "check_twice_epi_diff"},
     }

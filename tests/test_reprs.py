@@ -8,12 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidiff.cli import run
 from epidiff.composite import multipliers
+from epidiff.core import CompositeProblem, PolyMap
 from epidiff.errors import UnsupportedTag
-from epidiff.numkit import PolyCone
-from epidiff.outer import NegSemidefIndicator, PolyhedralConeRepr, PredicateConeRepr, SubdiffRepr, reprs
+from epidiff.numkit import PolyCone, polyhedra, unit_rows
+from epidiff.optimality import sample_critical_directions
+from epidiff.outer import (
+    NegSemidefIndicator, PolyhedralConeRepr, PredicateConeRepr, SubdiffRepr, nonpositive_orthant, reprs,
+)
 
 from _instances import a1_problem, psd_base_data
 
@@ -130,3 +136,63 @@ def test_min_quadratic_is_the_least_value_on_the_cone():
 
 def test_a_predicate_cone_has_no_exact_minimum():
     assert PredicateConeRepr(lambda u: True).min_quadratic(np.eye(2)) is None
+
+
+def test_a_zero_critical_cone_projects_no_seeds(monkeypatch):
+    """All m constraints of an orthant problem on R^2 active, F linear plus
+    quadratic terms and every multiplier strictly positive, for m = 3..8:
+    the critical cone is {0}, it has no extreme ray and no lineality, so
+    sampling its directions gives none and projects no seed."""
+    calls = []
+
+    def counted(P, u):
+        calls.append(u)
+        return project(P, u)
+
+    project = polyhedra.project
+    monkeypatch.setattr(polyhedra, "project", counted)
+    monkeypatch.setattr(reprs, "project", counted)
+    rng = np.random.default_rng(5)
+    for m in range(3, 9):
+        K = rng.standard_normal((m, 2))
+        K[:, 0] = -rng.uniform(0.5, 1.0, m)
+        F = PolyMap(2, [[(K[i, 0], (1, 0)), (K[i, 1], (0, 1)), (float(rng.standard_normal()), (1, 1))]
+                        for i in range(m)])
+        prob = CompositeProblem(PolyMap.zero(2), F, nonpositive_orthant(m))
+        ms = multipliers(prob, np.zeros(2), K.T @ rng.uniform(0.125, 1.0, m))
+        calls.clear()
+        assert ms.cone.directions([]) == []
+        assert sample_critical_directions(prob, ms, 8, seed=m) == []
+        assert calls == []
+
+
+@st.composite
+def _cones_and_seeds(draw):
+    """A cone {G w <= 0, E w = 0} in R^n, n <= 4, and unit seeds; mostly
+    {0}, by rows with a vanishing positive combination or by equalities."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n = draw(st.integers(1, 4))
+    G = rng.standard_normal((draw(st.integers(0, 5)), n))
+    if draw(st.integers(0, 3)):  # a positive combination of the rows vanishes
+        G = np.vstack([G, -rng.uniform(0.1, 1.0, len(G)) @ G])
+    E = rng.standard_normal((draw(st.integers(0, n)), n))
+    return PolyCone.make_cone(n, G, E), list(unit_rows(rng, 8, n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cones_and_seeds())
+def test_a_cone_without_generators_has_no_seed_directions(case):
+    """directions equals, bit for bit, the path that always projects the
+    seeds (rays, signed lines, then every seed's projection the cone
+    contains); when cone_generators finds neither rays nor lines, both are
+    empty."""
+    K, seeds = case
+    cone = PolyhedralConeRepr(K)
+    rays, lines = cone._generators
+    signed = [sgn * line / np.linalg.norm(line) for line in lines for sgn in (1.0, -1.0)]
+    projected = list(rays) + signed + reprs.CriticalConeRepr.directions(cone, seeds)
+    got = cone.directions(seeds)
+    assert len(got) == len(projected)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, projected))
+    if not rays and not lines:
+        assert got == [] and projected == []
