@@ -120,11 +120,14 @@ def _base_point(prob: CompositeProblem, x: np.ndarray) -> tuple[np.ndarray, floa
 
 
 def tau_bound(J, v, kappa: float, ell: float) -> float:
-    """kappa * ell * |dF(x)| + kappa * |v| + ell for J = dF(x), operator
-    norm via sym_eig."""
+    """kappa * ell * |dF(x)| + kappa * |v| + ell for J = dF(x).  The operator
+    norm (via sym_eig) is computed only when kappa * ell > 0; when it is zero,
+    as for every indicator (ell = 0), the first term is that zero itself."""
     if kappa < 0 or ell < 0:
         raise ValueError("kappa and ell must be nonnegative")
-    return kappa * ell * operator_norm(J) + kappa * float(np.linalg.norm(v)) + ell
+    scale = kappa * ell
+    first = scale * operator_norm(J) if scale else scale
+    return first + kappa * float(np.linalg.norm(v)) + ell
 
 
 def multipliers(

@@ -200,20 +200,25 @@ def _basic_solution(P: Polyhedron, S: tuple) -> np.ndarray | None:
 
 
 def _feasible_basis(P: Polyhedron, x: np.ndarray, need: int) -> tuple:
-    """Rows of a feasible basis of the pointed polyhedron P, reached from its
-    point x by moving inside the tight rows until `need` independent
-    inequality rows are tight."""
+    """Rows of a feasible basis of the pointed polyhedron P, sorted, reached
+    from its point x by moving inside the tight rows until `need` independent
+    inequality rows are tight.  Each move lies in the nullspace of the rows
+    kept so far, so a tested row keeps its status and only rows that became
+    tight are tested."""
+    rows, tested, M, rank = [], set(), P.E, _rank(P.E)
     while True:
         slack = (P.h - P.G @ x) / P.g_scales
         tol = FEAS_TOL * (1.0 + float(np.abs(x).max(initial=0.0)))
-        rows, M, rank = [], P.E, _rank(P.E)
-        for j in np.nonzero(slack <= tol)[0]:
+        for j in np.nonzero(slack <= tol)[0].tolist():
+            if j in tested:
+                continue
+            tested.add(j)
             grown = np.vstack([M, P.G[j]])
             if _rank(grown) > rank:
-                rows.append(int(j))
+                rows.append(j)
                 M, rank = grown, rank + 1
             if len(rows) == need:
-                return tuple(rows)
+                return tuple(sorted(rows))
         d = _nullspace(M, P.dim)[:, 0]
         a = (P.G @ d) / P.g_scales
         if not np.any(a > _PIVOT_TOL):
@@ -228,26 +233,29 @@ def _neighbours(P: Polyhedron, S: tuple, x: np.ndarray, bounded: bool) -> list[t
     the ratio test and, at a degenerate vertex, every other tight row.  The
     ties follow every edge of P, and swaps among tight rows connect all bases
     of one vertex (basis exchange), so a walk over these reaches every
-    feasible basis."""
+    feasible basis.
+
+    Every (edge k, nonbasic row j) pair is tested in one pass, elementwise as
+    a per-edge loop would, and the swaps come out edge by edge, rows
+    ascending."""
     M = np.vstack([P.E, P.G[list(S)]])
     D = -np.linalg.pinv(M)[:, P.n_eq :]  # column k leaves row S[k]
     W = P.G @ D
+    edges = np.ascontiguousarray(D.T)  # row k is edge k, each norm one dot product
+    if bounded and not np.all(np.any(W > FEAS_TOL * np.sqrt(np.vecdot(edges, edges)), axis=0)):
+        raise Unbounded("polyhedron has a nontrivial recession cone")
     resid = P.G @ x - P.h
     row_tol = _PRED_TOL * np.maximum(1.0, P.g_scales)
     nonbasic = np.delete(np.arange(P.n_ineq), S)
-    out = []
-    for k in range(len(S)):
-        a = W[:, k]
-        if bounded and not np.any(a > FEAS_TOL * np.linalg.norm(D[:, k])):
-            raise Unbounded("polyhedron has a nontrivial recession cone")
-        js = nonbasic[np.abs(a[nonbasic]) > _PIVOT_TOL * P.g_scales[nonbasic]]
-        t = -resid[js] / a[js]
-        viol = resid[None, :] + t[:, None] * a[None, :]
-        size = 1.0 + np.abs(x[None, :] + t[:, None] * D[:, k]).max(axis=1)
-        ok = np.all(viol <= row_tol[None, :] * size[:, None], axis=1)
-        rest = S[:k] + S[k + 1 :]
-        out += [tuple(sorted(rest + (int(j),))) for j in js[ok]]
-    return out
+    pivots = np.abs(W[nonbasic].T) > _PIVOT_TOL * P.g_scales[nonbasic]
+    ks, at = np.nonzero(pivots)  # k-major, rows ascending
+    js = nonbasic[at]
+    a = W[:, ks].T  # row p is the column of W along pair p's edge
+    t = -resid[js] / W[js, ks]
+    viol = resid + t[:, None] * a
+    size = 1.0 + np.abs(x + t[:, None] * edges[ks]).max(axis=1)
+    ok = np.all(viol <= row_tol * size[:, None], axis=1)
+    return [tuple(sorted(S[:k] + S[k + 1 :] + (j,))) for k, j in zip(ks[ok].tolist(), js[ok].tolist())]
 
 
 def _walk(P: Polyhedron, start: tuple, solve, bounded: bool) -> list[tuple]:

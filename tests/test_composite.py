@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epidiff import composite
 from epidiff.composite import (
     _restore_feasible_point,
     _restore_feasible_points,
@@ -156,6 +157,33 @@ def test_tau_examples():
     assert tau_bound(J1, A1_V, 1.0, 0.0) == pytest.approx(1.0)
     assert tau_bound(J1, A1_V, 0.0, 0.0) == 0.0
     assert tau_bound(np.array([[3.0]]), [1.0], 2.0, 1.0) == pytest.approx(9.0)
+
+
+@given(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=6),
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_tau_computes_the_operator_norm_only_when_kappa_ell_is_positive(v, kappa, ell):
+    """With ell = 0, as for every indicator, tau is kappa * |v| bit for bit
+    and no operator norm runs; with kappa * ell > 0 the norm is called once."""
+    J = np.arange(1.0, 1.0 + 2 * len(v)).reshape(len(v), 2)
+    expected = kappa * float(np.linalg.norm(v))
+    calls = []
+
+    def no_norm(_):
+        raise AssertionError("operator_norm called with kappa * ell = 0")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(composite, "operator_norm", no_norm)
+        assert np.float64(tau_bound(J, v, kappa, 0.0)).tobytes() == np.float64(expected).tobytes()
+        mp.setattr(composite, "operator_norm", lambda M: calls.append(M) or 2.0)
+        if kappa * ell > 0:
+            assert tau_bound(J, v, kappa, ell) == kappa * ell * 2.0 + expected + ell
+            assert len(calls) == 1 and calls[0] is J
+        else:
+            assert tau_bound(J, v, kappa, ell) == expected + ell and not calls
 
 
 # -- constraint qualifications -----------------------------------------------------------

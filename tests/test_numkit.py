@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -33,9 +34,14 @@ from epidiff.numkit import (
     vrep_to_hrep,
 )
 from epidiff.numkit.polyhedra import (
+    _PIVOT_TOL,
+    _PRED_TOL,
     FEAS_TOL,
+    _basic_solution,
     _dedupe_sorted,
+    _feasible_basis,
     _lex_less,
+    _neighbours,
     _nullspace,
     _rank,
     is_empty,
@@ -187,7 +193,7 @@ def test_lapack_eigenvalues_are_called_only_in_the_kernel():
     assert calls and {file for file, _ in calls} == {"numkit/sym.py"}, calls
 
 
-def test_sym_eig_raises_when_the_sweeps_run_out(monkeypatch):
+def test_sym_eig_raises_when_the_sweeps_run_out(monkeypatch, tmp_path):
     """After MAX_SWEEPS sweeps an unconverged matrix raises a typed error,
     alone or in a stack, and the CLI maps it to exit 2; with the default
     limit the same matrix converges."""
@@ -200,8 +206,12 @@ def test_sym_eig_raises_when_the_sweeps_run_out(monkeypatch):
     with pytest.raises(JacobiNotConverged):
         sym_eig(np.array([np.diag([1.0, 2.0, 3.0]), A]))
     assert np.array_equal(sym_eig(np.diag([1.0, 2.0, 3.0]))[0], [3.0, 2.0, 1.0])
-    fixture = Path(__file__).parent / "fixtures" / "polyhedron_m6.json"
-    code, text = run(["analyze", str(fixture)])
+    # polyhedron_m6 with ell = 1, so that tau needs the operator norm of dF
+    # (an indicator's own ell = 0 multiplies it away and skips the eigensolver)
+    data = json.loads((Path(__file__).parent / "fixtures" / "polyhedron_m6.json").read_text())
+    path = tmp_path / "polyhedron_m6_ell1.json"
+    path.write_text(json.dumps({**data, "ell": 1.0}))
+    code, text = run(["analyze", str(path)])
     assert code == 2 and text.startswith("error:") and "sweeps" in text
 
 
@@ -502,10 +512,9 @@ def test_kernel_matches_enumeration_with_duplicated_and_redundant_rows():
     _assert_kernel_matches_enumeration(cube_with_diagonal, [np.ones(3)])
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
-def test_kernel_matches_enumeration_on_multiplier_polytopes(m):
+def _multiplier_polytope(m):
     """{y >= 0, J^T y = v} cut by the tau box, as the multiplier set of an
-    all-active orthant is built; the optimum of the LP ties on purpose."""
+    all-active orthant is built, and the generator that drew it."""
     rng = np.random.default_rng(m)
     n = max(2, m - 4)  # at most 4 free dimensions keeps the reference enumeration quick
     J = rng.integers(-4, 5, size=(m, n)) / 4.0
@@ -513,9 +522,107 @@ def test_kernel_matches_enumeration_on_multiplier_polytopes(m):
     core = intersect(
         PolyCone.make_cone(m, G=-np.eye(m)), Polyhedron.make(m, E=J.T, d=J.T @ y0)
     )
-    P = intersect(core, box(m, 2.0))
+    return intersect(core, box(m, 2.0)), rng
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_kernel_matches_enumeration_on_multiplier_polytopes(m):
+    """The multiplier polytopes; the optimum of the LP ties on purpose."""
+    P, rng = _multiplier_polytope(m)
     assert vertices(P)
     _assert_kernel_matches_enumeration(P, [np.zeros(m), np.eye(m)[0], rng.standard_normal(m)])
+
+
+# -- the vertex walk's steps ---------------------------------------------------------------
+
+
+def _neighbours_per_edge(P, S, x, bounded):
+    """The per-edge loop that the one-pass _neighbours replaced, kept as its
+    reference."""
+    M = np.vstack([P.E, P.G[list(S)]])
+    D = -np.linalg.pinv(M)[:, P.n_eq :]
+    W = P.G @ D
+    resid = P.G @ x - P.h
+    row_tol = _PRED_TOL * np.maximum(1.0, P.g_scales)
+    nonbasic = np.delete(np.arange(P.n_ineq), S)
+    out = []
+    for k in range(len(S)):
+        a = W[:, k]
+        if bounded and not np.any(a > FEAS_TOL * np.linalg.norm(D[:, k])):
+            raise Unbounded("reference")
+        js = nonbasic[np.abs(a[nonbasic]) > _PIVOT_TOL * P.g_scales[nonbasic]]
+        t = -resid[js] / a[js]
+        viol = resid[None, :] + t[:, None] * a[None, :]
+        size = 1.0 + np.abs(x[None, :] + t[:, None] * D[:, k]).max(axis=1)
+        ok = np.all(viol <= row_tol[None, :] * size[:, None], axis=1)
+        rest = S[:k] + S[k + 1 :]
+        out += [tuple(sorted(rest + (int(j),))) for j in js[ok]]
+    return out
+
+
+def _bases(P, limit=None):
+    """(S, x) for the row sets S that pin one point x, feasible or not, in
+    lexicographic order: the first `limit` of them."""
+    need = P.dim - _rank(P.E)
+    pinned = ((S, _basic_solution(P, S)) for S in itertools.combinations(range(P.n_ineq), need))
+    return list(itertools.islice(((S, x) for S, x in pinned if x is not None), limit))
+
+
+def _assert_neighbours_match_per_edge(P, bases):
+    for S, x in bases:
+        for bounded in (True, False):
+            assert _outcome(_neighbours, P, S, x, bounded) == _outcome(_neighbours_per_edge, P, S, x, bounded)
+
+
+@given(_integer_polyhedra())
+@settings(max_examples=120, deadline=None)
+def test_neighbours_match_the_per_edge_loop_on_random_polyhedra(case):
+    """The same swaps in the same order, and Unbounded on the same inputs,
+    bounded or not (half the draws are cut by a box)."""
+    P, _ = case
+    if P.n_ineq and P.dim - _rank(P.E) > 0:
+        _assert_neighbours_match_per_edge(P, _bases(P, limit=40))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+def test_neighbours_match_the_per_edge_loop_on_multiplier_polytopes(m):
+    P, _ = _multiplier_polytope(m)
+    feasible = [(S, x) for S, x in _bases(P) if contains(P, x, FEAS_TOL * (1.0 + float(np.abs(x).max())))]
+    assert feasible
+    _assert_neighbours_match_per_edge(P, feasible)
+
+
+@pytest.mark.parametrize("facets", [4, 5, 6])
+def test_neighbours_match_the_per_edge_loop_at_a_degenerate_apex(facets):
+    """Every basis of the pyramid, the many of its apex included; without the
+    base row the apex opens into a cone, and both raise Unbounded there."""
+    P = _pyramid(facets)
+    bases = _bases(P)
+    assert sum(np.allclose(x, [0.0, 0.0, 1.0]) for _, x in bases) >= math.comb(facets, 3)
+    _assert_neighbours_match_per_edge(P, bases)
+    cone = Polyhedron.make(3, P.G[:-1], P.h[:-1])
+    cone_bases = _bases(cone)
+    S, x = cone_bases[0]
+    assert _outcome(_neighbours, cone, S, x, True) == "Unbounded"
+    _assert_neighbours_match_per_edge(cone, cone_bases)
+
+
+@given(_integer_polyhedra())
+@settings(max_examples=120, deadline=None)
+def test_the_walk_starts_at_a_sorted_feasible_basis(case):
+    """From the minimum-norm point of a pointed polyhedron, _feasible_basis
+    returns sorted, linearly independent rows that hold with equality at a
+    point of P."""
+    P, _ = case
+    need = P.dim - _rank(P.E)
+    x0 = min_norm_point(P)
+    if need == 0 or x0 is None or _rank(np.vstack([P.G, P.E])) < P.dim:
+        return
+    S = _feasible_basis(P, x0, need)
+    assert list(S) == sorted(set(S)) and len(S) == need
+    assert _rank(np.vstack([P.E, P.G[list(S)]])) == P.dim
+    x = _basic_solution(P, S)
+    assert x is not None and contains(P, x, FEAS_TOL * (1.0 + float(np.abs(x).max(initial=0.0))))
 
 
 # -- symmetric vectorization ------------------------------------------------------------------
