@@ -6,7 +6,7 @@ Usage: python scripts/run_fixture_suite.py [--seed N]
 Each line holds the first 12 hex digits of the sha256 of the rendered
 report, then a summary; equal digests in two runs mean byte-identical
 reports.  A verify summary counts the directions that converged and the
-parabolic-regularity checks a witness z ended.  A certify summary ends
+parabolic-regularity checks that hold.  A certify summary ends
 with the oracle's verdict on a failing SSOSC (agree or DISAGREE; n/a when
 SSOSC holds and the growth runs judge it instead).  The script exits 1 if
 any command exits nonzero.
@@ -30,7 +30,7 @@ PLAN = [
     ("parabola_min.json", ["verify", "certify", "check-cq"]),
     ("min_quartic.json", ["verify", "certify"]),
     ("mscq_fail.json", ["check-cq"]),
-    ("polyhedron_m6.json", ["analyze", "certify", "check-cq"]),
+    ("polyhedron_m6.json", ["analyze", "verify", "certify", "check-cq"]),
     ("max_eig.json", ["analyze", "verify"]),
     ("sum_top_eig.json", ["analyze", "verify", "certify"]),
     ("alpha_eig.json", ["analyze", "verify"]),
@@ -61,9 +61,9 @@ def main() -> int:
                     summary = f"tau={block.get('tau')} duals={duals}"
                 elif command == "verify":
                     rows = block.get("directions", [])
-                    witnesses = sum((r.get("parabolic_regularity") or {}).get("search") == "witness" for r in rows)
+                    regular = sum((r.get("parabolic_regularity") or {}).get("holds", False) for r in rows)
                     summary = (f"{sum(r['converged'] for r in rows)}/{len(rows)} converged "
-                               f"{witnesses}/{len(rows)} witness")
+                               f"{regular}/{len(rows)} parabolic")
                 elif command == "certify":
                     judged = block.get("oracle")
                     verdict = "n/a" if judged is None else "agree" if judged["converged"] else "DISAGREE"

@@ -207,10 +207,8 @@ def cmd_verify(
         row = _oracle_row(rep)
         if rep.formula_value.is_finite:
             try:
-                holds, lhs, rhs, search = check_parabolic_regularity(
-                    f, x, v, rep.direction, sched, lhs=rep.oracle_value
-                )
-                row["parabolic_regularity"] = {"holds": holds, "lhs": lhs, "rhs": rhs, "search": search}
+                holds, lhs, rhs = check_parabolic_regularity(f, x, v, rep.direction, sched, report=rep)
+                row["parabolic_regularity"] = {"holds": holds, "lhs": lhs, "rhs": rhs}
                 ok = ok and holds
             except EpidiffError as exc:
                 row["parabolic_regularity"] = {"holds": False, "error": str(exc)}

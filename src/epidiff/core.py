@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -321,11 +321,6 @@ class GridSchedule:
 
     def radius(self, t: float) -> float:
         return self.radius_coeff * t ** self.radius_exponent
-
-    def coarse(self) -> "GridSchedule":
-        """The same levels at no more than 7 samples per axis: cheap enough
-        to rank many points."""
-        return replace(self, samples_per_axis=min(self.samples_per_axis, 7))
 
 
 class CompositeProblem:

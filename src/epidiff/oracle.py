@@ -20,9 +20,10 @@ centers of all-infinite balls in one stack and polishes the searches in
 lockstep (``_pattern_search``): each round scores the complete polls of every
 live search in one ``SampledFunction.values`` call, whose rows equal ``value``
 at each point bit for bit, so each search takes the path it would take alone.
-The level search is one center over its levels, the parabolic estimate a
-stack of centers z, the scorer of the z search the same, unpolished, and the
-first-order fallback one center, unpolished and unrestored.  One stabilizer,
+The level search is one center over its levels, the parabolic estimate (and
+the parabolic-regularity check, whose centers are the recovery sequence's
+own z_t) a stack of centers z, and the first-order fallback one center,
+unpolished and unrestored.  One stabilizer,
 ``_stabilize``, folds the level minima of every estimate, a stack of them
 (one row per center) in one pass, and one rule, ``gap_tol``, says when an
 estimate agrees with a closed form.
@@ -53,10 +54,8 @@ from .numkit import ball_steps, row_norms
 
 RANDOM_BALL_SAMPLES = 2000
 GRID_DIM_LIMIT = 4
-Z_GRID_HALF_WIDTH = 10.0
-Z_GRID_CAP = 100_000
-# The parabolic scorer evaluates a chunk of z at a time, sized so that one
-# batch holds about this many rows (z points times ball points).
+# _ball_search values a chunk of centers at a time, sized so that one batch
+# holds about this many rows (centers times ball points).
 Z_BATCH_ROWS = 4096
 # The level search rescues at most this many trial points per level.
 RESTORE_BUDGET = 150
@@ -256,7 +255,8 @@ def _pattern_refine(score, start, f_start, center, radius, max_evals, accepted):
     """One complete-poll pattern search along the axes, without rescues:
     _pattern_search of a single search, whose score(P) takes the stack
     alone; every point it moves to is appended to accepted.  Returns (best
-    value, best point)."""
+    value, best point).  No library code calls it: the benchmark's layer
+    tracer names it, and ROADMAP item 4 retires it."""
     (best_f,), (best_p,) = _pattern_search(
         lambda P, _: score(P), np.asarray(start)[None], [f_start], np.asarray(center)[None], radius,
         max_evals=max_evals, accepted=[accepted],
@@ -442,20 +442,6 @@ def estimate_parabolic_subderivative(
     return out[0] if z.ndim == 1 else out
 
 
-def _parabolic_scores(f: SampledFunction, x, fx: float, w, dfw: float, v, Z,
-                      sched: GridSchedule) -> np.ndarray:
-    """For every row z of Z, the parabolic estimate at z without the per-level
-    pattern search, minus <z, v>; fx is f(x), valued by the caller.
-
-    Each level's ball offsets are drawn once from one rng seeded with
-    sched.seed: the offsets a fresh estimate at each z would draw.  The balls
-    of every (z, level) pair are valued by one unpolished _ball_search and
-    folded by one _stabilize."""
-    minima, _ = _ball_search(f, x, fx, dfw, Z, sched, order=2, drift=w)
-    estimates = _stabilize(sched.t_levels(), minima)
-    return np.array([est.as_float() - float(z @ v) for z, est in zip(Z, estimates)])
-
-
 def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None = None) -> ExtReal:
     """The limit of the first-order quotients (f(x + t w') - f(x)) / t as
     t -> 0 and w' -> w, the subderivative (Rockafellar-Wets 1998, Def. 8.1).
@@ -523,105 +509,58 @@ def check_twice_epi_diff(
     return reports
 
 
-def parabolic_z_minimum(f: SampledFunction, x, w, dfw: float, v, sched: GridSchedule,
-                        lhs: ExtReal) -> tuple[ExtReal, str]:
-    """min over z of the parabolic estimate at z minus <z, v>, or a z that
-    proves it equal to lhs, and the rule that ended the search: "witness"
-    or "refined".
-
-    The coarse schedule (sched's levels at no more than 7 samples per axis)
-    scores a z-grid of sched.samples_per_axis points per axis over the box
-    |z|_inf <= 10 (a seeded uniform sample of 10,000 points when the grid
-    exceeds Z_GRID_CAP), the balls of a chunk of grid points at its levels
-    in one batch (_parabolic_scores; f(x) is valued once).
-
-    Every z bounds the second subderivative from above (Rockafellar-Wets
-    1998, Prop. 13.64), so a z whose value lies within gap_tol(lhs) of a
-    finite lhs proves the equality.  When no grid score lies below
-    lhs - gap_tol(lhs), sched values the grid minimizer once; if that value
-    agrees with lhs it is returned as the witness and nothing is refined.
-    Otherwise (an infinite lhs, a grid score below lhs - gap_tol(lhs), or a
-    minimizer that misses) the search is refined: pattern search, scoring
-    each poll through the same scorer, refines the best finite point within
-    1,500 evaluations, and sched itself values the result.  Where that
-    value is +inf, sched values every other point the search moved through,
-    from the grid minimizer on, in one call of the stacked estimate, and the
-    least finite one counts.  PlusInf, "refined", when no grid point scores
-    finite."""
-    cheap = sched.coarse()
-    dim = w.shape[0]
-    rng = np.random.default_rng(sched.seed)
-    if sched.samples_per_axis ** dim <= Z_GRID_CAP:
-        axis = np.linspace(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, sched.samples_per_axis)
-        grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    else:
-        grid = rng.uniform(-Z_GRID_HALF_WIDTH, Z_GRID_HALF_WIDTH, size=(10_000, dim))
-    f0 = _base_value(f, x)
-    scores = _parabolic_scores(f, x, f0, w, dfw, v, grid, cheap)
-    finite_mask = np.isfinite(scores)
-    if not finite_mask.any():
-        return PLUS_INF, "refined"
-    idx = int(np.argmin(np.where(finite_mask, scores, math.inf)))
-    if lhs.is_finite and scores[idx] >= lhs.value - gap_tol(lhs):
-        value = estimate_parabolic_subderivative(f, x, w, dfw, grid[idx], sched)
-        witness = value.as_float() - float(grid[idx] @ v)
-        if abs(witness - lhs.value) <= gap_tol(lhs):
-            return ExtReal(witness), "witness"
-
-    def score(Z):
-        # a poll holding a z whose evaluation fails raises here, as a -inf
-        # row would end the search and be raised
-        return _parabolic_scores(f, x, f0, w, dfw, v, Z, cheap), Z
-
-    path = [grid[idx]]
-    _, z_best = _pattern_refine(
-        score, grid[idx], float(scores[idx]), grid[idx], Z_GRID_HALF_WIDTH / 2, max_evals=1500,
-        accepted=path,
-    )
-    value = estimate_parabolic_subderivative(f, x, w, dfw, z_best, sched)
-    if value.is_finite:
-        return ExtReal(value.value - float(z_best @ v)), "refined"
-    # z_best can sit on the boundary of the second-order feasible set, where
-    # sched's balls find no feasible point: fall back on the best
-    # finite point the search passed through
-    zs = np.reshape(path[:-1], (-1, dim))
-    finite = [
-        est for z, value in zip(zs, estimate_parabolic_subderivative(f, x, w, dfw, zs, sched))
-        if math.isfinite(est := value.as_float() - float(z @ v))
-    ]
-    return (ExtReal(min(finite)) if finite else PLUS_INF), "refined"
-
-
 def check_parabolic_regularity(
-    f: SampledFunction, x, v, w, sched: GridSchedule | None = None, lhs: ExtReal | None = None
-) -> tuple[bool, ExtReal, ExtReal, str]:
+    f: SampledFunction, x, v, w, sched: GridSchedule | None = None, report: EpiReport | None = None
+) -> tuple[bool, ExtReal, ExtReal]:
     """Compare the second subderivative estimate lhs against the parabolic
-    dual value rhs = min_z {parabolic(w | z) - <z, v>}; agreement within
-    gap_tol(lhs) certifies parabolic regularity along w.  Returns (holds,
-    lhs, rhs, search): search is "witness" when rhs is a grid z's value that
-    already agrees with lhs, "refined" when rhs is the refined minimum
-    (parabolic_z_minimum).
+    dual value rhs = inf_z {parabolic(w | z) - <z, v>} along the oracle's
+    own recovery sequence.  Returns (holds, lhs, rhs).
 
-    A precomputed second-subderivative estimate may be passed as lhs to avoid
-    repeating the level scan."""
+    f is parabolically regular along w exactly when some recovery sequence
+    of the second subderivative has (w_t - w)/t bounded (Rockafellar-Wets
+    1998, Prop. 13.64 and Def. 13.65).  Each finite level (t, p_t) of the
+    level search gives the candidate z_t = 2(p_t - w)/t: on the arc
+    x + t w + t^2 z_t/2, the parabolic quotient minus <z_t, v> is that
+    level's minimum.  One polished _ball_search values every candidate at
+    every level, and one _stabilize folds them.  A candidate counts only if
+    its minimum is finite at all three levels, so its own level alone
+    cannot confirm it.  A counted value below lhs - gap_tol(lhs) refutes
+    lhs and is rhs; otherwise rhs is the counted value closest to lhs, and
+    the check holds when it lies within gap_tol(lhs).  rhs is +inf when no
+    candidate counts.
+
+    report, an EpiReport of w from check_twice_epi_diff, gives lhs (its
+    oracle_value) and the levels (its achieving_sequence); without it both
+    are computed here."""
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    dfw_est = estimate_subderivative(f, x, w, sched)
-    if dfw_est.is_plus_inf or abs(dfw_est.value - float(v @ w)) > 1e-6:
+    dfw, dfw_est = float(v @ w), estimate_subderivative(f, x, w, sched)
+    if dfw_est.is_plus_inf or abs(dfw_est.value - dfw) > 1e-6:
         raise CriticalConePreconditionFailed(
             "direction fails the numeric critical-cone test"
         )
-    dfw = float(v @ w)
-    if lhs is None:
-        lhs = estimate_second_subderivative(f, x, v, w, sched)
-    rhs, search = parabolic_z_minimum(f, x, w, dfw, v, sched, lhs)
-    if lhs.is_plus_inf or rhs.is_plus_inf:
-        holds = lhs.is_plus_inf and rhs.is_plus_inf
+    ts = sched.t_levels()
+    if report is None:
+        levels = [(t, p, m) for t, m, p in _second_order_levels(f, x, v, w, sched)]
+        lhs = _stabilize(ts, [m for _, _, m in levels])[0]
     else:
-        holds = abs(lhs.value - rhs.value) <= gap_tol(lhs)
-    return holds, lhs, rhs, search
+        levels, lhs = report.achieving_sequence, report.oracle_value
+    Z = np.reshape([2.0 * (p - w) / t for t, p, m in levels if math.isfinite(m)], (-1, w.shape[0]))
+    minima, _ = _ball_search(f, x, _base_value(f, x), dfw, Z, sched, order=2, drift=w, polish=True)
+    full = np.isfinite(minima).all(axis=1)
+    folded = _stabilize(ts, minima[full])
+    values = np.array([est.as_float() for est in folded]) - Z[full] @ v
+    target, tol = lhs.as_float(), gap_tol(lhs)
+    if values.size and values.min() < target - tol:  # a counted value refutes lhs
+        rhs = float(values.min())
+    elif values.size and lhs.is_finite:
+        rhs = float(values[np.argmin(np.abs(values - target))])
+    else:  # no candidate counts, or lhs and every counted value are +inf
+        rhs = math.inf
+    holds = rhs == target or abs(rhs - target) <= tol
+    return holds, lhs, ExtReal(rhs) if math.isfinite(rhs) else PLUS_INF
 
 
 def proximal_modulus_scan(

@@ -193,7 +193,9 @@ def parse_problem_dict(data: dict) -> ProblemSpec:
         raise
     except Exception as exc:
         raise ValidationError(f"bad polynomial data: {exc}") from exc
-    z = _finite_vec(poly_eval(F, x), "F(x)")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        Fx = poly_eval(F, x)
+    z = _finite_vec(Fx, "F(x)")
     g = build_outer(data["g"], z)
     try:
         problem = CompositeProblem(phi, F, g)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -561,11 +562,15 @@ def test_parse_rejects_non_finite_or_negative_inputs(tmp_path):
     for command in ("analyze", "certify", "check-cq"):
         code, text = run([command, str(p)])
         assert code == 3 and text.startswith("error: x:"), (command, text)
-    # F(x) overflows: the spectral value used to raise on a NaN
+    # F(x) overflows: the spectral value used to raise on a NaN, and numpy's
+    # overflow warning reached stderr before the parse error
     p.write_text(json.dumps({"phi": [], "F": [["1e300 x1^2"], [], []], "g": {"tag": "max_eig", "n": 2},
                              "x": [1e10]}))
-    code, text = run(["analyze", str(p)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run(["analyze", str(p)])
     assert code == 3 and text.startswith("error: F(x):"), text
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_infinite_kappa_hat_exits_2(tmp_path):

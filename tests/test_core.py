@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -124,17 +123,6 @@ def test_grid_schedule_validation():
         GridSchedule(ratio=1.0)
     with pytest.raises(ValidationError):
         GridSchedule(steps=2)
-
-
-@pytest.mark.parametrize("opts", [{"ratio": 0.3}, {"steps": 3}, {}], ids=["ratio0.3", "steps3", "default"])
-def test_the_coarse_schedule_keeps_the_levels(opts):
-    """The coarse schedule differs from its schedule only in samples per
-    axis: its levels are the schedule's, bit for bit, at any ratio and at
-    the fewest steps."""
-    sched = GridSchedule(**opts)
-    cheap = sched.coarse()
-    assert np.array(cheap.t_levels()).tobytes() == np.array(sched.t_levels()).tobytes()
-    assert cheap == replace(sched, samples_per_axis=7)
 
 
 def test_composite_problem_consistency():

@@ -21,13 +21,14 @@ UNCALLED = {
     "parabolic_chain",
     # the indicator of {0}, a catalog member that only the tests build so far
     "zero_set",
+    # the oracle's stand-alone second-subderivative estimate; its library
+    # callers read the level table it folds instead
+    "estimate_second_subderivative",
 }
 
 # Class members kept on purpose although nothing in the sources reads them.
 UNREAD = {
-    # the level table and the tau-box enlargements that verify's report will
-    # print (ROADMAP item 4)
-    "EpiReport.achieving_sequence",
+    # the tau-box enlargements that verify's report will print (ROADMAP item 4)
     "MultiplierSet.tau_enlargements",
     # the identity map, which the tests build problems from
     "PolyMap.identity",

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -40,7 +41,6 @@ from _instances import (
     old_estimate_subderivative,
     old_level_minimum,
     old_parabolic_estimate,
-    old_parabolic_z_minimum,
     old_second_order_levels,
     old_stabilize,
     outer_sampled,
@@ -104,7 +104,7 @@ def test_parabolic_estimates():
     assert val.value == pytest.approx(3.0, abs=1e-6)
 
 
-# -- batched parabolic scores -----------------------------------------------------------
+# -- stacked ball searches --------------------------------------------------------------
 
 
 def _fresh_ball(dim, radius, k, rng):
@@ -122,46 +122,6 @@ def _fresh_ball(dim, radius, k, rng):
         radii = radius * rng.random(oracle.RANDOM_BALL_SAMPLES) ** (1.0 / dim)
         mesh = raw * radii[:, None]
     return np.vstack([np.zeros((1, dim)), mesh])
-
-
-def _old_ball_clip(p, center, radius):
-    """The one-point ball clip the stacked one replaces."""
-    off = p - center
-    nrm = float(np.linalg.norm(off))
-    if nrm <= radius or radius <= 0:
-        return p
-    return center + off * (radius / nrm)
-
-
-def _unpolished_scores(f, x, w, dfw, v, Z, sched):
-    """The per-z loop the batched scorer replaces: for each z, the parabolic
-    estimate without pattern search (a fresh rng, f(x) and ball per call),
-    minus <z, v>."""
-    out = []
-    for z in Z:
-        f0 = f.value(x)
-        rng = np.random.default_rng(sched.seed)
-        records = []
-        for t in sched.t_levels():
-            half_t2 = 0.5 * t * t
-            radius = sched.radius(t)
-            cands = z[None, :] + _fresh_ball(z.shape[0], radius, sched.samples_per_axis, rng)
-            vals = f.eval_batch(x[None, :] + t * w[None, :] + half_t2 * cands)
-            quot = (vals - f0.value - t * dfw) / half_t2
-            finite_mask = np.isfinite(quot)
-            m = math.inf
-            if finite_mask.any():
-                m = float(quot[int(np.argmin(np.where(finite_mask, quot, math.inf)))])
-            elif f.restore_feasible is not None:
-                restored = np.asarray(f.restore_feasible((x + t * w + half_t2 * z)[None])[0])
-                z0 = _old_ball_clip((restored - x - t * w) / half_t2, z, radius)
-                fx = f.value(x + t * w + half_t2 * z0)
-                m0 = (fx.value - f0.value - t * dfw) / half_t2 if fx.is_finite else math.inf
-                if math.isfinite(m0):
-                    m = m0
-            records.append((t, m, z))
-        out.append(old_stabilize(records).as_float() - float(z @ v))
-    return np.array(out)
 
 
 def _recording(f):
@@ -206,45 +166,6 @@ def _halfspace_quadratic() -> SampledFunction:
         return np.where(Y[:, 0] <= 0.3, vals, math.inf)
 
     return SampledFunction(batch, 5, "halfspace")
-
-
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(
-    case=st.sampled_from(["axis", "dim5"]),
-    k=st.sampled_from([3, 5, 7]),
-    radius_coeff=st.sampled_from([1.0, 4.0]),
-    size=st.sampled_from(["one", "few", "chunks"]),
-    seed=st.integers(0, 2 ** 16),
-)
-def test_batched_parabolic_scores_match_per_z_estimates(case, k, radius_coeff, size, seed):
-    """The batched scorer equals, bit for bit, one unpolished estimate per z
-    over the schedule's levels, values no point outside their balls, and
-    makes one batched evaluation per chunk of z, over those levels."""
-    rng = np.random.default_rng(seed)
-    sched = GridSchedule(t0=0.1, steps=4, samples_per_axis=k, radius_coeff=radius_coeff, seed=seed)
-    if case == "dim5":
-        f, x, w = _halfspace_quadratic(), np.full(5, 0.1), np.eye(5)[0]
-    else:
-        f, x, w = _on_the_axis(), np.array([0.3, 0.0]), np.array([1.0, 0.0])
-    f, valued = _recording(f)
-    dim = f.dim
-    sizes = [len(_fresh_ball(dim, sched.radius(t), k, rng)) for t in sched.t_levels()]
-    chunk = max(1, oracle.Z_BATCH_ROWS // sum(sizes))
-    n = {"one": 1, "few": 4, "chunks": 2 * chunk + 3}[size]
-    Z = rng.uniform(-3.0, 3.0, size=(n, dim))
-    if case != "dim5":
-        Z[:, 1] = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-0.5, 0.5, n))
-    v, dfw = rng.standard_normal(dim), float(rng.standard_normal())
-    batches = []
-    eval_batch = f.eval_batch
-    f.eval_batch = lambda X: batches.append(len(X)) or eval_batch(X)
-    got = oracle._parabolic_scores(f, x, f.value(x).value, w, dfw, v, Z, sched)
-    f.eval_batch = eval_batch
-    assert _outside_the_finest_levels(valued, x, Z, sched, w) == 0
-    assert len(batches) == -(-n // chunk)
-    assert max(batches) <= oracle.Z_BATCH_ROWS or chunk == 1
-    ref = _unpolished_scores(f, x, w, dfw, v, Z, sched)
-    assert got.shape == (n,) and got.tobytes() == ref.tobytes()
 
 
 def _halfspace_cube() -> SampledFunction:
@@ -433,7 +354,7 @@ def test_one_search_kernel_and_one_stabilizer():
     assert _top_level_callers(["_schedule_balls", "_stabilize"]) == {
         "_schedule_balls": {"_ball_search"},
         "_stabilize": {"estimate_second_subderivative", "estimate_parabolic_subderivative",
-                       "_parabolic_scores", "estimate_subderivative", "check_twice_epi_diff"},
+                       "check_parabolic_regularity", "estimate_subderivative", "check_twice_epi_diff"},
     }
     assert _calls_in_loops("_stabilize") == {"check_twice_epi_diff"}  # one fold per direction
 
@@ -555,7 +476,7 @@ def test_twice_epi_diff_detects_wrong_formula():
 
 
 def test_parabolic_regularity_quadratic():
-    holds, lhs, rhs, _ = check_parabolic_regularity(square(), [0.0], [0.0], [1.0])
+    holds, lhs, rhs = check_parabolic_regularity(square(), [0.0], [0.0], [1.0])
     assert holds
     assert lhs.value == pytest.approx(2.0, abs=1e-6)
     assert rhs.value == pytest.approx(2.0, abs=0.05)
@@ -563,7 +484,7 @@ def test_parabolic_regularity_quadratic():
 
 def test_parabolic_regularity_composite():
     f = sampled_objective(a1_problem())
-    holds, lhs, rhs, _ = check_parabolic_regularity(f, [0.0, 0.0], [0.0, 1.0], [1.0, 0.0])
+    holds, lhs, rhs = check_parabolic_regularity(f, [0.0, 0.0], [0.0, 1.0], [1.0, 0.0])
     assert holds
     assert lhs.value == pytest.approx(-2.0, abs=0.05)
     assert rhs.value == pytest.approx(-2.0, abs=0.05)
@@ -571,7 +492,7 @@ def test_parabolic_regularity_composite():
 
 def test_parabolic_regularity_abs():
     gabs = outer_sampled(absolute_value())
-    holds, lhs, rhs, _ = check_parabolic_regularity(gabs, [0.0], [1.0], [1.0])
+    holds, lhs, rhs = check_parabolic_regularity(gabs, [0.0], [1.0], [1.0])
     assert holds and lhs.value == pytest.approx(0.0, abs=1e-6)
     assert rhs.value == pytest.approx(0.0, abs=0.05)
 
@@ -581,77 +502,89 @@ def test_parabolic_regularity_precondition():
         check_parabolic_regularity(outer_sampled(absolute_value()), [0.0], [1.0], [-1.0])
 
 
-def _z_searches(monkeypatch, fixture):
-    """Run verify on a fixture, recording the arguments (f, x, w, dfw, v,
-    sched, lhs) and the result (rhs, search) of every parabolic z search."""
-    searches = []
-    original = oracle.parabolic_z_minimum
-
-    def record(*args):
-        searches.append((args, original(*args)))
-        return searches[-1][1]
-
-    monkeypatch.setattr(oracle, "parabolic_z_minimum", record)
-    code, _ = run(["verify", str(FIXTURES / fixture)])
-    return code, searches
+def _parabolic_rows(argv) -> tuple:
+    """The exit code of a verify run and the parabolic-regularity rows of
+    its directions whose formula is finite."""
+    code, text = run(argv)
+    rows = json.loads(text.split("--- machine readable ---")[1])["directions"]
+    return code, [row["parabolic_regularity"] for row in rows if "parabolic_regularity" in row]
 
 
-def _count_refinements(monkeypatch) -> list:
-    refined = []
-    original = oracle._pattern_refine
-    monkeypatch.setattr(oracle, "_pattern_refine", lambda *a, **k: refined.append(a[1]) or original(*a, **k))
-    return refined
+@pytest.mark.parametrize("seed", [None, 3])
+def test_polyhedron_m6_is_parabolically_regular_along_its_recovery_sequence(seed):
+    """The z-grid missed here (rhs 0.50018 against lhs 0.41957, the exact
+    value 5/12): the recovery sequence's own z_t reaches lhs."""
+    argv = ["verify", str(FIXTURES / "polyhedron_m6.json")] + ([] if seed is None else ["--seed", str(seed)])
+    code, rows = _parabolic_rows(argv)
+    assert code == 0 and len(rows) == 1
+    assert rows[0]["holds"] and rows[0]["lhs"] == pytest.approx(5.0 / 12.0, abs=0.01)
+    assert abs(rows[0]["rhs"] - rows[0]["lhs"]) <= oracle.GAP_TOL
 
 
-@pytest.mark.parametrize("fixture", ["max_eig.json", "sum_top_eig.json"])
-def test_a_witness_z_ends_the_search_without_refinement(monkeypatch, fixture):
-    """On the spectral fixtures the z-grid's minimizer, valued on the full
-    schedule, already agrees with lhs on every direction: it proves
-    parabolic regularity, and no pattern search runs."""
-    refined = _count_refinements(monkeypatch)
-    code, searches = _z_searches(monkeypatch, fixture)
-    assert code == 0 and len(searches) == 8
-    assert [search for _, (_, search) in searches] == ["witness"] * 8
-    assert refined == []
+# ind_negsemidef on S^2, round 36 of the spectral benchmark stream at seed 2,
+# where the z-grid's rhs read +inf against lhs 0.7807
+S2_R36 = {
+    "phi": [],
+    "F": [["0.5669746820499681 x1", "0.20323600492099386 x2", "-0.18303762268220622 x3", "-0.47087308368511865"],
+          ["-0.2356766540938876 x1", "1.0182889939839315 x2", "0.2166675450814174 x3", "-0.3438161299325714"],
+          ["-0.0838387561774362 x1", "0.15249142172418795 x2", "0.9129435280673743 x3", "-0.9861005551400587"]],
+    "g": {"tag": "ind_negsemidef", "n": 2},
+    "x": [0.5863695006937959, 0.6546244670356505, 0.11504179707200501],
+    "v": [0.3950107779707933, 0.36383808716398197, -0.07770820280147274],
+    "kappa": 1.0,
+    "seed": 911497807,
+}
 
 
-def test_a_missed_witness_refines_to_the_rhs_of_the_search_that_always_refined(monkeypatch):
-    """On psd_cone no grid minimizer agrees with lhs: every search refines,
-    and its rhs equals the search that refined without a witness step, bit
-    for bit."""
-    code, searches = _z_searches(monkeypatch, "psd_cone.json")
-    assert code == 0 and len(searches) == 8
-    for (f, x, w, dfw, v, sched, _), (rhs, search) in searches:
-        assert search == "refined"
-        assert _same_float(rhs.as_float(), old_parabolic_z_minimum(f, x, w, dfw, v, sched).as_float())
+def test_the_spectral_false_negative_of_the_z_grid_holds(tmp_path):
+    path = tmp_path / "s2_r36.json"
+    path.write_text(json.dumps(S2_R36))
+    code, rows = _parabolic_rows(
+        ["verify", str(path), "--dir=0.23312318879213345,-0.4384789956072759,-0.8679802700860325"])
+    assert code == 0 and len(rows) == 1 and rows[0]["holds"]
+    assert abs(rows[0]["rhs"] - 0.7807) <= 0.01
 
 
-def test_an_lhs_planted_too_high_still_fails_the_check(monkeypatch):
-    """Every z bounds the second subderivative from above, so an lhs
-    2 gap_tol above the true value has no witness: the check refines and
-    fails."""
-    _, searches = _z_searches(monkeypatch, "max_eig.json")
-    (f, x, w, _, v, sched, lhs), _ = searches[0]
-    planted = ExtReal(lhs.value + 2.0 * oracle.gap_tol(lhs))
-    holds, _, rhs, search = check_parabolic_regularity(f, x, v, w, sched, lhs=planted)
-    assert not holds and search == "refined"
-    assert abs(rhs.value - lhs.value) <= oracle.gap_tol(lhs)
+def test_a_candidate_finite_only_at_its_own_level_does_not_count():
+    """|y|^2 on {y2 <= y1^3}, along w = (1, 0): the level table below is
+    finite at t = 1 only, and its z_t = (0, 1.9) keeps the arc
+    x + t w + t^2 z/2 in the domain at t = 1 but not at 1/2 or 1/4.  Its
+    value at its own level is finite, and is planted as lhs; the candidate
+    must not confirm it."""
+
+    def batch(Y):
+        return np.where(Y[:, 1] <= Y[:, 0] ** 3, np.einsum("ij,ij->i", Y, Y), math.inf)
+
+    f = SampledFunction(batch, 2, "cubic cusp")
+    sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=5, radius_coeff=0.1, seed=1)
+    x, v, w, z = np.zeros(2), np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.9])
+    minima, _ = oracle._ball_search(f, x, 0.0, 0.0, z[None], sched, order=2, drift=w, polish=True)
+    assert np.isfinite(minima[0]).tolist() == [True, False, False]
+    own = estimate_parabolic_subderivative(f, x, w, 0.0, z, sched)
+    assert own.is_finite
+    table = [(1.0, w + 0.5 * z, own.value), (0.5, w, math.inf), (0.25, w, math.inf)]
+    report = oracle.EpiReport(direction=w, formula_value=own, oracle_value=own, achieving_sequence=table)
+    holds, lhs, rhs = check_parabolic_regularity(f, x, v, w, sched, report=report)
+    assert not holds and lhs == own and rhs.is_plus_inf
+    # an lhs of +inf is refuted only by a finite counted value: none here
+    assert check_parabolic_regularity(f, x, v, w, sched, report=replace(report, oracle_value=PLUS_INF))[0]
 
 
-def test_a_grid_score_below_lhs_refines_although_the_grid_minimizer_agrees(monkeypatch):
-    """A coarse score more than gap_tol below lhs refutes lhs, so the search
-    refines even where the full schedule at the grid minimizer agrees with
-    lhs: the coarse scorer here reads 2 gap_tol low, the full schedule as
-    it is."""
-    _, searches = _z_searches(monkeypatch, "max_eig.json")
-    (f, x, w, dfw, v, sched, lhs), (_, search) = searches[0]
-    assert search == "witness"
-    scores = oracle._parabolic_scores
-    monkeypatch.setattr(oracle, "_parabolic_scores",
-                        lambda *a: scores(*a) - 2.0 * oracle.gap_tol(lhs))
-    refined = _count_refinements(monkeypatch)
-    _, search = oracle.parabolic_z_minimum(f, x, w, dfw, v, sched, lhs)
-    assert search == "refined" and len(refined) == 1
+def test_an_lhs_planted_off_the_recovery_sequence_fails_the_check():
+    """Every z bounds the second subderivative from above (Rockafellar-Wets
+    1998, Prop. 13.64), so an lhs 2 gap_tol above the true value is refuted
+    by a candidate below it; one 2 gap_tol below has no witness.  Either
+    way the check fails, and rhs stays near the true value."""
+    f = sampled_objective(a1_problem())
+    x, v, w = np.zeros(2), np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    (rep,) = check_twice_epi_diff(f, x, v, [w], formula=lambda w: ExtReal(-2.0 * w[0] ** 2))
+    true = rep.oracle_value
+    assert check_parabolic_regularity(f, x, v, w, report=rep)[0]
+    for sign in (1.0, -1.0):
+        planted = replace(rep, oracle_value=ExtReal(true.value + sign * 2.0 * oracle.gap_tol(true)))
+        holds, lhs, rhs = check_parabolic_regularity(f, x, v, w, report=planted)
+        assert not holds and lhs == planted.oracle_value
+        assert abs(rhs.value - true.value) <= oracle.gap_tol(true)
 
 
 # -- invariants & properties ------------------------------------------------------------------------
