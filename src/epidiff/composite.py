@@ -153,9 +153,10 @@ def multipliers(
 
 def _restore_feasible_points(prob: CompositeProblem, X, max_iter: int = 60):
     """Gauss-Newton restoration of F(x) into dom g from every row x0 of a
-    stack, in one batch per step: (Y, ok), with Y[i] a feasible point close
-    to X[i] where ok[i], else X[i] itself.  A row fails when its iteration
-    stalls infeasibly or dom g cannot be projected onto (it is empty).
+    stack, in one batch per step: (Y, ok, U), with Y[i] a feasible point
+    close to X[i] and U[i] = F(Y[i]), the value its last step measured, where
+    ok[i], else X[i] itself and NaN.  A row fails when its iteration stalls
+    infeasibly or dom g cannot be projected onto (it is empty).
 
     Every row runs the steps it would run alone, bit for bit: F, dF and the
     projection of a stack equal theirs at each point, and so do stacked
@@ -163,6 +164,7 @@ def _restore_feasible_points(prob: CompositeProblem, X, max_iter: int = 60):
     squares for its own row only."""
     X = np.array(X, dtype=float)
     Y, ok = X.copy(), np.zeros(len(X), dtype=bool)
+    U = np.full((len(X), prob.F.n_out), math.nan)
     live, x, last = np.arange(len(X)), X, []
     for _ in range(max_iter):
         u = poly_eval(prob.F, x)
@@ -170,7 +172,7 @@ def _restore_feasible_points(prob: CompositeProblem, X, max_iter: int = 60):
         near = projected & (row_norms(u - p) <= 1e-12 * (1.0 + row_norms(u)))
         go = projected & ~near
         if not go.all():
-            Y[live[near]], ok[live[near]] = x[near], True
+            Y[live[near]], U[live[near]], ok[live[near]] = x[near], u[near], True
             live, x, u, p = live[go], x[go], u[go], p[go]
             if not live.size:
                 break
@@ -186,16 +188,16 @@ def _restore_feasible_points(prob: CompositeProblem, X, max_iter: int = 60):
     Y[live] = x
     last = np.concatenate(last + [live])
     if last.size:
-        u = poly_eval(prob.F, Y[last])
+        u = U[last] = poly_eval(prob.F, Y[last])
         dist, measured = _rowwise(prob.g.domain_distance, u, last.shape)
         ok[last] = measured & (dist <= 1e-9 * (1.0 + row_norms(u)))
-    Y[~ok] = X[~ok]
-    return Y, ok
+    Y[~ok], U[~ok] = X[~ok], math.nan
+    return Y, ok, U
 
 
 def _restore_feasible_point(prob: CompositeProblem, x0: np.ndarray, max_iter: int = 60):
     """The restoration of one point: a feasible point close to x0, or None."""
-    Y, ok = _restore_feasible_points(prob, np.asarray(x0, dtype=float)[None], max_iter)
+    Y, ok, _ = _restore_feasible_points(prob, np.asarray(x0, dtype=float)[None], max_iter)
     return Y[0] if ok[0] else None
 
 
@@ -248,7 +250,7 @@ def check_mscq(prob: CompositeProblem, x, n_samples: int, radius: float, seed: i
     XP = x + steps
     dist_g = prob.g.domain_distance(poly_eval(prob.F, XP))
     off = np.flatnonzero(dist_g > 1e-12)
-    restored, ok = _restore_feasible_points(prob, XP[off])
+    restored, ok, _ = _restore_feasible_points(prob, XP[off])
     dist_f = np.full(len(off), math.inf)
     dist_f[ok] = row_norms(restored[ok] - XP[off[ok]])
     ratios = dist_f / dist_g[off]
@@ -374,7 +376,12 @@ def outer_values(prob: CompositeProblem, X) -> np.ndarray:
     """g(F(x)) at each row of a stack of points, each row bit for bit
     g.value(F(x)).as_float(), which is F(x)'s stack of one row: finite
     values above the ExtReal cap read +inf, as they do in an ExtReal."""
-    vals = prob.g.value_batch(poly_eval(prob.F, X))
+    return _outer_at(prob, poly_eval(prob.F, X))
+
+
+def _outer_at(prob: CompositeProblem, U) -> np.ndarray:
+    """outer_values at the points where F takes the values of the stack U."""
+    vals = prob.g.value_batch(U)
     return np.where(vals > CAP, math.inf, vals)
 
 

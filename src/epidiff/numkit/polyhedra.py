@@ -8,9 +8,10 @@ point of P nearest to u: it gives ``project``, ``min_norm_point`` and
 ``is_empty``, and the start of the vertex walk.  From there a breadth-first
 walk over single-row swaps visits every feasible basis (adjacency enumeration
 in the sense of Avis & Fukuda 1992), so the work grows with the number of
-feasible bases, not of row subsets.  Each basis is solved and accepted exactly
-as an enumeration of all row subsets would, and results are sorted, so ties
-break identically on every run.
+feasible bases, not of row subsets.  A cone whose rows are independent needs
+no walk: its extreme rays lie on its bases of all rows but one.  Each basis is
+solved and accepted exactly as an enumeration of all row subsets would, and
+results are sorted, so ties break identically on every run.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -152,21 +154,31 @@ def contains(P: Polyhedron, x, tol: float = FEAS_TOL) -> bool:
     return residuals(P, x) <= tol
 
 
+def _rank_of(s: np.ndarray) -> int:
+    """The numerical rank of a matrix with singular values s, descending."""
+    return int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
+
+
 def _rank(M: np.ndarray) -> int:
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > RANK_TOL * max(1.0, s[0])))
+    return _rank_of(np.linalg.svd(M, compute_uv=False))
 
 
 def _nullspace(M: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis (columns) of {x : M x = 0}."""
+    """Orthonormal basis (columns) of {x : M x = 0}; the rank of M is dim
+    minus the number of columns."""
     if M.size == 0:
         return np.eye(dim)
     _, s, Vt = np.linalg.svd(M)
-    tol = RANK_TOL * max(1.0, s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    return Vt[rank:].T
+    return Vt[_rank_of(s):].T
+
+
+def _nullspace_line(M: np.ndarray, dim: int) -> np.ndarray | None:
+    """The unit vector spanning {x : M x = 0} when that space is a line (M
+    has rank dim - 1), else None; one SVD decides both."""
+    N = _nullspace(M, dim)
+    return N[:, 0] if N.shape[1] == 1 else None
 
 
 def dedupe(points, tol: float) -> list[np.ndarray]:
@@ -191,10 +203,8 @@ def _basic_solution(P: Polyhedron, S: tuple) -> np.ndarray | None:
     equality, or None when those rows are rank deficient or inconsistent."""
     M = np.vstack([P.E, P.G[list(S)]])
     b = np.concatenate([P.d, P.h[list(S)]])
-    if _rank(M) < P.dim:
-        return None
-    x, *_ = np.linalg.lstsq(M, b, rcond=None)
-    if np.max(np.abs(M @ x - b)) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
+    x, _, _, s = np.linalg.lstsq(M, b, rcond=None)
+    if _rank_of(s) < P.dim or np.max(np.abs(M @ x - b)) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
         return None
     return x
 
@@ -239,7 +249,8 @@ def _neighbours(P: Polyhedron, S: tuple, x: np.ndarray, bounded: bool) -> list[t
     a per-edge loop would, and the swaps come out edge by edge, rows
     ascending."""
     M = np.vstack([P.E, P.G[list(S)]])
-    D = -np.linalg.pinv(M)[:, P.n_eq :]  # column k leaves row S[k]
+    square = M.shape[0] == M.shape[1]  # taller only with redundant equality rows
+    D = -(np.linalg.inv(M) if square else np.linalg.pinv(M))[:, P.n_eq :]  # column k leaves row S[k]
     W = P.G @ D
     edges = np.ascontiguousarray(D.T)  # row k is edge k, each norm one dot product
     if bounded and not np.all(np.any(W > FEAS_TOL * np.sqrt(np.vecdot(edges, edges)), axis=0)):
@@ -332,9 +343,11 @@ def cone_generators(K: Polyhedron) -> tuple[list[np.ndarray], list[np.ndarray]]:
     Rays are unit vectors, deduplicated and lexicographically sorted; together
     with the lineality columns they positively span the cone.  An extreme ray
     of the pointed part is the 1-dimensional nullspace of dim-1 independent
-    active rows (equalities, the lineality complement, and a subset of G rows);
-    those subsets are the feasible bases of a polytope slice of the pointed
-    part, found by a walk.
+    active rows (equalities, the lineality complement, and a subset of G rows).
+    When the rows of G and E are independent, the pointed part is simplicial
+    and those subsets are the G rows but one (Rockafellar 1970, sec. 19), all
+    solved in lexicographic order; otherwise they are the feasible bases of a
+    polytope slice of the pointed part, found by a walk.
     """
     if K.dim > MAX_DIM:
         raise DimensionTooLarge(f"ray enumeration supports dim <= {MAX_DIM}")
@@ -342,29 +355,26 @@ def cone_generators(K: Polyhedron) -> tuple[list[np.ndarray], list[np.ndarray]]:
     L = _nullspace(stacked, K.dim)  # lineality space
     lines = [L[:, j] for j in range(L.shape[1])]
     eqs = np.vstack([K.E, L.T])  # restrict to the pointed part K ∩ L^perp
-    need = K.dim - 1 - _rank(eqs)
+    simplicial = K.dim - L.shape[1] == stacked.shape[0]  # [G; E] has full row rank
+    need = K.n_ineq - 1 if simplicial else K.dim - 1 - _rank(eqs)
     if need < 0:
         return [], lines
-    Q = _ray_slice(K.G, eqs) if need else None
+    Q = None if simplicial or need == 0 else _ray_slice(K.G, eqs)
     found: dict[tuple, list[np.ndarray]] = {}
 
     def solve(S):
-        M = np.vstack([eqs, K.G[list(S)]])
+        u = _nullspace_line(np.vstack([eqs, K.G[list(S)]]), K.dim)
         found[S] = []
-        if _rank(M) != K.dim - 1:
+        if u is None:
             return None, False
-        u = _nullspace(M, K.dim)
-        if u.shape[1] != 1:
-            return None, False
-        u = u[:, 0]
         for cand in (u, -u):
             if K.n_ineq == 0 or np.max(K.G @ cand) <= FEAS_TOL:
                 found[S].append(cand / np.linalg.norm(cand))
         scale = 0.0 if Q is None else float(Q.E[-1] @ u)
         return (u / scale if scale != 0.0 else None), bool(found[S])
 
-    if need == 0:
-        bases = [()] if solve(())[1] else []
+    if Q is None:
+        bases = [S for S in combinations(range(K.n_ineq), need) if solve(S)[1]]
     else:
         x0 = min_norm_point(Q)
         if x0 is None:

@@ -28,6 +28,7 @@ import numpy as np
 from .composite import (
     MultiplierSet,
     _base_point,
+    _outer_at,
     _restore_feasible_points,
     chain_dual_value,
     multipliers,
@@ -237,10 +238,10 @@ def verify_growth(
         XP = x + np.concatenate([ball_steps(rng, b, prob.n, epsilon, 1.0 / prob.n) for b in blocks])
         gvals = outer_values(prob, XP)
         off = np.flatnonzero(~np.isfinite(gvals))
-        restored, ok = _restore_feasible_points(prob, XP[off], max_iter=30)
+        restored, ok, F_restored = _restore_feasible_points(prob, XP[off], max_iter=30)
         near = ok & (row_norms(restored - x) <= epsilon)
         XP[off[near]] = restored[near]
-        gvals[off[near]] = outer_values(prob, restored[near])
+        gvals[off[near]] = _outer_at(prob, F_restored[near])
         lower = psi0 + 0.5 * ell * np.vecdot(XP - x, XP - x) - GROWTH_SLACK
         psi = poly_eval(prob.phi, XP)[:, 0] + gvals
         attempts += len(XP)

@@ -362,17 +362,20 @@ def test_stacked_restoration_matches_the_per_point_loop(case, rows, spread, max_
     """Each row of a restoration stack ends bit for bit where the per-point
     Gauss-Newton loop ends it, or fails where that loop fails: on the
     semidefinite cone (stacked eigensolves), the orthant, polyhedra (row by
-    row projections) and a domain whose projection raises for some rows."""
+    row projections) and a domain whose projection raises for some rows.
+    F at each restored row is returned bit for bit as F of that point alone,
+    and NaN at a failed row."""
     prob, project, distance = _restore_cases()[case]
     project = project or prob.g.domain_project
     distance = distance or (lambda u: float(np.linalg.norm(u - prob.g.domain_project(u))))
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((rows, prob.n)) * spread
-    Y, ok = _restore_feasible_points(prob, X, max_iter=max_iter)
-    for x, y, found in zip(X, Y, ok):
+    Y, ok, U = _restore_feasible_points(prob, X, max_iter=max_iter)
+    for x, y, found, u in zip(X, Y, ok, U):
         ref = old_restore(prob, x, project, distance, max_iter=max_iter)
         assert _same_point(y if found else None, ref)
         assert found or np.array_equal(y, x)
+        assert _same_point(u, poly_eval(prob.F, y)) if found else np.isnan(u).all()
         assert _same_point(_restore_feasible_point(prob, x, max_iter=max_iter), ref)
 
 
@@ -387,7 +390,7 @@ def test_stacked_restoration_solves_singular_rows_by_least_squares():
     J = jacobian(F, X)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(J @ J.swapaxes(1, 2), np.ones((len(X), 2, 1)))
-    Y, ok = _restore_feasible_points(prob, X)
+    Y, ok, _ = _restore_feasible_points(prob, X)
     distance = lambda u: float(np.linalg.norm(u - half.domain_project(u)))  # noqa: E731
     for x, y, found in zip(X, Y, ok):
         assert _same_point(y if found else None, old_restore(prob, x, half.domain_project, distance))

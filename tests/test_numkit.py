@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epidiff.cli import run
@@ -37,13 +37,17 @@ from epidiff.numkit.polyhedra import (
     _PIVOT_TOL,
     _PRED_TOL,
     FEAS_TOL,
+    MAX_DIM,
     _basic_solution,
     _dedupe_sorted,
     _feasible_basis,
     _lex_less,
     _neighbours,
     _nullspace,
+    _nullspace_line,
     _rank,
+    _ray_slice,
+    _walk,
     is_empty,
     residuals,
 )
@@ -373,27 +377,39 @@ def test_projection_and_min_norm():
 # results, including which exception is raised.
 
 
+def _two_svd_line(M, dim):
+    """The line {x : M x = 0} as a ray basis was solved before one SVD
+    decided it: a rank test first, then the nullspace."""
+    if _rank(M) != dim - 1:
+        return None
+    u = _nullspace(M, dim)
+    return u[:, 0] if u.shape[1] == 1 else None
+
+
+def _rays_of_basis(K, eqs, S):
+    """The unit rays of K on the line of the basis S, and that line."""
+    u = _two_svd_line(np.vstack([eqs, K.G[list(S)]]), K.dim)
+    if u is None:
+        return [], None
+    rays = [c / np.linalg.norm(c) for c in (u, -u) if K.n_ineq == 0 or np.max(K.G @ c) <= FEAS_TOL]
+    return rays, u
+
+
+def _pointed_part(K):
+    L = _nullspace(np.vstack([K.G, K.E]), K.dim)
+    eqs = np.vstack([K.E, L.T])
+    return [L[:, j] for j in range(L.shape[1])], eqs, K.dim - 1 - _rank(eqs)
+
+
 def _enum_cone_generators(K):
     if K.dim > 8:
         raise DimensionTooLarge("reference")
-    L = _nullspace(np.vstack([K.G, K.E]), K.dim)
-    lines = [L[:, j] for j in range(L.shape[1])]
-    eqs = np.vstack([K.E, L.T])
-    need = K.dim - 1 - _rank(eqs)
+    lines, eqs, need = _pointed_part(K)
     if need < 0:
         return [], lines
     rays = []
     for S in itertools.combinations(range(K.n_ineq), need):
-        M = np.vstack([eqs, K.G[list(S)]])
-        if _rank(M) != K.dim - 1:
-            continue
-        u = _nullspace(M, K.dim)
-        if u.shape[1] != 1:
-            continue
-        u = u[:, 0]
-        for cand in (u, -u):
-            if K.n_ineq == 0 or np.max(K.G @ cand) <= FEAS_TOL:
-                rays.append(cand / np.linalg.norm(cand))
+        rays += _rays_of_basis(K, eqs, S)[0]
     return _dedupe_sorted(rays, tol=1e-8), lines
 
 
@@ -538,9 +554,9 @@ def test_kernel_matches_enumeration_on_multiplier_polytopes(m):
 
 def _neighbours_per_edge(P, S, x, bounded):
     """The per-edge loop that the one-pass _neighbours replaced, kept as its
-    reference."""
+    reference; its edges come from the basis inverse _neighbours takes."""
     M = np.vstack([P.E, P.G[list(S)]])
-    D = -np.linalg.pinv(M)[:, P.n_eq :]
+    D = -(np.linalg.inv(M) if M.shape[0] == M.shape[1] else np.linalg.pinv(M))[:, P.n_eq :]
     W = P.G @ D
     resid = P.G @ x - P.h
     row_tol = _PRED_TOL * np.maximum(1.0, P.g_scales)
@@ -623,6 +639,112 @@ def test_the_walk_starts_at_a_sorted_feasible_basis(case):
     assert _rank(np.vstack([P.E, P.G[list(S)]])) == P.dim
     x = _basic_solution(P, S)
     assert x is not None and contains(P, x, FEAS_TOL * (1.0 + float(np.abs(x).max(initial=0.0))))
+
+
+# -- simplicial cones and one-SVD rank decisions -------------------------------------------
+
+
+def _walk_cone_generators(K):
+    """cone_generators as it was before a cone with independent rows skipped
+    the walk: every pointed part of dimension two or more walks its ray
+    slice from the minimum-norm point, each basis solved by a rank test and
+    then a nullspace."""
+    lines, eqs, need = _pointed_part(K)
+    if need < 0:
+        return [], lines
+    Q = _ray_slice(K.G, eqs) if need else None
+    found = {}
+
+    def solve(S):
+        found[S], u = _rays_of_basis(K, eqs, S)
+        scale = 0.0 if Q is None or u is None else float(Q.E[-1] @ u)
+        return (u / scale if scale != 0.0 else None), bool(found[S])
+
+    if need == 0:
+        bases = [()] if solve(())[1] else []
+    else:
+        x0 = min_norm_point(Q)
+        if x0 is None:
+            return [], lines
+        bases = _walk(Q, _feasible_basis(Q, x0, need), solve, bounded=False)
+    return _dedupe_sorted([r for S in bases for r in found[S]], tol=1e-8), lines
+
+
+@st.composite
+def _independent_cones(draw):
+    """Cones {G x <= 0, E x = 0} of every dimension up to MAX_DIM whose rows
+    are linearly independent, with equality rows and a lineality space (fewer
+    rows than dimensions) in many of them."""
+    dim = draw(st.integers(1, MAX_DIM))
+    rows = draw(st.integers(0, dim))
+    n_eq = draw(st.integers(0, rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        A = rng.integers(-3, 4, size=(rows, dim)).astype(float)
+    else:
+        A = rng.standard_normal((rows, dim))
+    assume(_rank(A) == rows)
+    return PolyCone.make_cone(dim, A[n_eq:], A[:n_eq])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_independent_cones())
+@example(PolyCone.make_cone(1))  # no rows: a line and no ray
+@example(PolyCone.make_cone(1, G=[[-2.0]]))  # its one ray solves an empty basis matrix
+@example(PolyCone.make_cone(1, E=[[1.0]]))  # {0}
+@example(PolyCone.make_cone(3, G=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], E=[[0.0, 0.0, 1.0]]))
+@example(PolyCone.make_cone(4, G=[[1.0, 1.0, 0.0, 0.0], [0.0, -1.0, 2.0, 0.0]]))  # a plane of lineality
+def test_a_cone_with_independent_rows_gets_the_rays_and_lines_of_the_walk(K):
+    """The rays read off the bases of all G rows but one are, bit for bit
+    and in order, those of the ray-slice walk, and so are the lines."""
+    assert _bits(cone_generators(K)) == _bits(_walk_cone_generators(K))
+
+
+@st.composite
+def _rows_with_repeats_and_zeros(draw):
+    """An integer matrix with a repeated row, a zero row, both or neither."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    A = rng.integers(-3, 4, size=(draw(st.integers(0, dim + 1)), dim)).astype(float)
+    if A.shape[0] and draw(st.booleans()):
+        A = np.vstack([A, A[draw(st.integers(0, A.shape[0] - 1))]])
+    if draw(st.booleans()):
+        A = np.vstack([A, np.zeros(dim)])
+    return A[rng.permutation(A.shape[0])]
+
+
+def _two_svd_basic_solution(P, S):
+    """_basic_solution before its rank was read off the singular values of
+    its least-squares solve."""
+    M = np.vstack([P.E, P.G[list(S)]])
+    b = np.concatenate([P.d, P.h[list(S)]])
+    if _rank(M) < P.dim:
+        return None
+    x, *_ = np.linalg.lstsq(M, b, rcond=None)
+    if np.max(np.abs(M @ x - b)) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
+        return None
+    return x
+
+
+def _same_or_none(a, b):
+    return (a is None) == (b is None) and (a is None or _same_bits(a, b))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_rows_with_repeats_and_zeros(), st.integers(0, 2), st.integers(0, 2 ** 16))
+def test_one_svd_rank_decisions_match_the_rank_then_solve_path(A, n_eq, seed):
+    """Every row subset of a matrix with repeated and zero rows, the empty
+    one included: _basic_solution and the cone bases' line accept and reject
+    as a rank test followed by the solve did, and return the same bits."""
+    dim = A.shape[1]
+    n_eq = min(n_eq, A.shape[0])
+    h = np.random.default_rng(seed).integers(-2, 3, size=A.shape[0]).astype(float)
+    P = Polyhedron.make(dim, A[n_eq:], h[n_eq:], A[:n_eq], h[:n_eq])
+    for k in range(P.n_ineq + 1):
+        for S in itertools.combinations(range(P.n_ineq), k):
+            assert _same_or_none(_basic_solution(P, S), _two_svd_basic_solution(P, S))
+            M = np.vstack([P.E, P.G[list(S)]])
+            assert _same_or_none(_nullspace_line(M, dim), _two_svd_line(M, dim))
 
 
 # -- symmetric vectorization ------------------------------------------------------------------
