@@ -18,7 +18,7 @@ from epidiff.composite import sampled_objective
 from epidiff.core import STABLE_LEVELS, GridSchedule
 from epidiff.extreal import ExtReal
 from epidiff.numkit import svec
-from epidiff.oracle import _second_order_levels, _stabilize, gap_tol
+from epidiff.oracle import check_twice_epi_diff, gap_tol
 from epidiff.outer import NegSemidefIndicator
 
 
@@ -69,13 +69,14 @@ def main():
     ts, levels = [sched.t0 * sched.ratio ** k for k in range(sched.steps)], []
     for k in range(0, sched.steps, STABLE_LEVELS):
         k = min(k, sched.steps - STABLE_LEVELS)
-        part = _second_order_levels(f, x, v, w, replace(sched, t0=ts[k], steps=STABLE_LEVELS))
-        levels += part[len(levels) - k:]
+        (rep,) = check_twice_epi_diff(f, x, v, [w], replace(sched, t0=ts[k], steps=STABLE_LEVELS),
+                                      formula=lambda _: ExtReal(target))
+        levels += rep.achieving_sequence[len(levels) - k:]
     print(f"benchmark {args.benchmark}: target {target}")
     print(f"{'t':>12s} {'level min':>14s}")
-    for t, m, _ in levels:
+    for t, _, m in levels:
         print(f"{t:12.3e} {m:14.6f}")
-    (est,) = _stabilize([t for t, _, _ in part], [m for _, m, _ in part])
+    est = rep.oracle_value
     print(f"stabilized estimate: {est}  (target {target})")
     return 0 if est.is_finite and abs(est.value - target) <= gap_tol(ExtReal(target)) else 1
 

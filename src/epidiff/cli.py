@@ -207,7 +207,7 @@ def cmd_verify(
         row = _oracle_row(rep)
         if rep.formula_value.is_finite:
             try:
-                holds, lhs, rhs = check_parabolic_regularity(f, x, v, rep.direction, sched, report=rep)
+                holds, lhs, rhs = check_parabolic_regularity(f, x, v, rep, sched)
                 row["parabolic_regularity"] = {"holds": holds, "lhs": lhs, "rhs": rhs}
                 ok = ok and holds
             except EpidiffError as exc:

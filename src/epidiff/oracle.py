@@ -20,10 +20,10 @@ centers of all-infinite balls in one stack and polishes the searches in
 lockstep (``_pattern_search``): each round scores the complete polls of every
 live search in one ``SampledFunction.values`` call, whose rows equal ``value``
 at each point bit for bit, so each search takes the path it would take alone.
-The level search is one center over its levels, the parabolic estimate (and
-the parabolic-regularity check, whose centers are the recovery sequence's
-own z_t) a stack of centers z, and the first-order fallback one center,
-unpolished and unrestored.  One stabilizer,
+The level search is a stack of centers, one per probed direction w, the
+parabolic estimate (and the parabolic-regularity check, whose centers are
+the recovery sequence's own z_t) a stack of centers z, and the first-order
+fallback one center, unpolished and unrestored.  One stabilizer,
 ``_stabilize``, folds the level minima of every estimate, a stack of them
 (one row per center) in one pass, and one rule, ``gap_tol``, says when an
 estimate agrees with a closed form.
@@ -57,7 +57,7 @@ GRID_DIM_LIMIT = 4
 # _ball_search values a chunk of centers at a time, sized so that one batch
 # holds about this many rows (centers times ball points).
 Z_BATCH_ROWS = 4096
-# The level search rescues at most this many trial points per level.
+# The level search rescues at most this many trial points per direction and level.
 RESTORE_BUDGET = 150
 # The absolute and relative agreement tolerance of gap_tol.
 GAP_TOL = 0.05
@@ -350,15 +350,15 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
     return best, points
 
 
-def _level_minimum(f: SampledFunction, base_point, lin_coeff, lin_shift, center, sched):
+def _level_minimum(f: SampledFunction, base_point, lin_coeff, lin_shift, centers, sched):
     """At each level t of sched, minimize the quotient
-    (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over the ball around center
-    of radius sched.radius(t).  Returns [(t, min value possibly inf, argmin
-    point)] in level order: _ball_search of one center, polished along lin,
-    rescuing at most RESTORE_BUDGET trial points per level."""
-    best, points = _ball_search(f, base_point, lin_shift, lin_coeff, center[None, :], sched, order=2,
-                                polish=True, rescues=RESTORE_BUDGET)
-    return list(zip(sched.t_levels(), best[0].tolist(), points[0]))
+    (f(base + t*p) - shift - t*<lin,p>) / (t^2/2) over the ball about each
+    row of centers of radius sched.radius(t).  Returns the minima (centers,
+    levels), possibly inf, and their points (centers, levels, dim):
+    _ball_search of the stack, polished along lin, rescuing at most
+    RESTORE_BUDGET trial points per center and level."""
+    return _ball_search(f, base_point, lin_shift, lin_coeff, centers, sched, order=2,
+                        polish=True, rescues=RESTORE_BUDGET)
 
 
 # -- stabilized limits ----------------------------------------------------------
@@ -403,19 +403,6 @@ def gap_tol(value: ExtReal) -> float:
 
 
 # -- the oracle operations -------------------------------------------------------
-
-
-def _second_order_levels(f, x, v, w, sched):
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    f0 = _base_value(f, x)
-    return _level_minimum(f, x, v, f0, w, sched)
-
-
-def estimate_second_subderivative(f: SampledFunction, x, v, w, sched: GridSchedule | None = None) -> ExtReal:
-    sched = sched or GridSchedule()
-    return _stabilize(sched.t_levels(), [m for _, m, _ in _second_order_levels(f, x, v, w, sched)])[0]
 
 
 def estimate_parabolic_subderivative(
@@ -474,15 +461,18 @@ def check_twice_epi_diff(
     formula: Callable[[np.ndarray], ExtReal],
 ) -> list[EpiReport]:
     """Per direction, search for a recovery sequence achieving the limit
-    value that formula supplies."""
+    value that formula supplies.  f(x) is valued once, one _level_minimum
+    searches the stack of all directions, each as it would be searched
+    alone, and one _stabilize folds every direction's levels."""
     sched = sched or GridSchedule()
-    reports = []
-    for w in dirs:
-        w = np.asarray(w, dtype=float)
-        levels = _second_order_levels(f, x, v, w, sched)
-        oracle_value = _stabilize(sched.t_levels(), [m for _, m, _ in levels])[0]
+    x = np.asarray(x, dtype=float)
+    W = np.reshape(np.asarray(dirs, dtype=float), (-1, x.shape[0]))
+    minima, points = _level_minimum(f, x, np.asarray(v, dtype=float), _base_value(f, x), W, sched)
+    ts = sched.t_levels()
+    estimates, reports = _stabilize(ts, minima), []
+    for w, levels, at, oracle_value in zip(W, minima.tolist(), points, estimates):
         formula_value = formula(w)
-        tail = [m for _, m, _ in levels if math.isfinite(m)]
+        tail = [m for m in levels if math.isfinite(m)]
         if formula_value.is_plus_inf:
             converged = oracle_value.is_plus_inf
             gap = 0.0 if converged else math.inf
@@ -501,7 +491,7 @@ def check_twice_epi_diff(
                 direction=w,
                 formula_value=formula_value,
                 oracle_value=oracle_value,
-                achieving_sequence=[(t, p, m) for t, m, p in levels],
+                achieving_sequence=list(zip(ts, at, levels)),
                 converged=converged,
                 gap=gap,
             )
@@ -510,7 +500,7 @@ def check_twice_epi_diff(
 
 
 def check_parabolic_regularity(
-    f: SampledFunction, x, v, w, sched: GridSchedule | None = None, report: EpiReport | None = None
+    f: SampledFunction, x, v, report: EpiReport, sched: GridSchedule | None = None
 ) -> tuple[bool, ExtReal, ExtReal]:
     """Compare the second subderivative estimate lhs against the parabolic
     dual value rhs = inf_z {parabolic(w | z) - <z, v>} along the oracle's
@@ -529,24 +519,19 @@ def check_parabolic_regularity(
     the check holds when it lies within gap_tol(lhs).  rhs is +inf when no
     candidate counts.
 
-    report, an EpiReport of w from check_twice_epi_diff, gives lhs (its
-    oracle_value) and the levels (its achieving_sequence); without it both
-    are computed here."""
+    report, an EpiReport of check_twice_epi_diff, gives w (its direction),
+    lhs (its oracle_value) and the levels (its achieving_sequence)."""
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    w = report.direction
     dfw, dfw_est = float(v @ w), estimate_subderivative(f, x, w, sched)
     if dfw_est.is_plus_inf or abs(dfw_est.value - dfw) > 1e-6:
         raise CriticalConePreconditionFailed(
             "direction fails the numeric critical-cone test"
         )
     ts = sched.t_levels()
-    if report is None:
-        levels = [(t, p, m) for t, m, p in _second_order_levels(f, x, v, w, sched)]
-        lhs = _stabilize(ts, [m for _, _, m in levels])[0]
-    else:
-        levels, lhs = report.achieving_sequence, report.oracle_value
+    levels, lhs = report.achieving_sequence, report.oracle_value
     Z = np.reshape([2.0 * (p - w) / t for t, p, m in levels if math.isfinite(m)], (-1, w.shape[0]))
     minima, _ = _ball_search(f, x, _base_value(f, x), dfw, Z, sched, order=2, drift=w, polish=True)
     full = np.isfinite(minima).all(axis=1)

@@ -9,7 +9,7 @@ from epidiff.errors import PointNotInDomain
 from epidiff.extreal import PLUS_INF, ExtReal
 from epidiff.numkit import Polyhedron, svec
 from epidiff.numkit import sym
-from epidiff.oracle import SampledFunction
+from epidiff.oracle import SampledFunction, check_twice_epi_diff
 from epidiff.outer import (
     NegSemidefIndicator,
     PlqFunction,
@@ -119,6 +119,13 @@ def outer_sampled(g) -> SampledFunction:
         description=f"{g.tag} evaluator",
         restore_feasible=g.domain_project,
     )
+
+
+def estimate_second_subderivative(f: SampledFunction, x, v, w, sched=None) -> ExtReal:
+    """The oracle's stabilized estimate of d^2 f(x | v)(w): the oracle value
+    of check_twice_epi_diff's report on w alone."""
+    (report,) = check_twice_epi_diff(f, x, v, [w], sched, formula=lambda _: PLUS_INF)
+    return report.oracle_value
 
 
 def example35_function() -> SampledFunction:

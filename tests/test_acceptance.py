@@ -12,13 +12,13 @@ from epidiff.cli import run
 from epidiff.composite import check_basic_cq, check_mscq, second_subderivative_chain
 from epidiff.core import GridSchedule
 from epidiff.numkit import svec
-from epidiff.oracle import estimate_second_subderivative
 from epidiff.optimality import check_ssosc, sms_certificate, stationary_data, verify_growth
 from epidiff.outer import NegSemidefIndicator, max_eig
 
 from _instances import (
     a1_problem,
     abs_shift_problem,
+    estimate_second_subderivative,
     example35_function,
     mscq_fail_problem,
     outer_sampled,

@@ -335,6 +335,27 @@ def test_verify_exit_codes_and_break_hook():
     assert code_bad == 1
 
 
+
+@pytest.mark.parametrize("fixture", ["psd_cone.json", "plq_2d.json", "polyhedron_m6.json"])
+def test_each_verify_row_equals_its_direction_verified_alone(fixture, monkeypatch):
+    """verify searches all its directions in one stack, yet each row of the
+    default report equals the one row of that direction passed alone with
+    --dir (written as repr floats): no direction's result depends on the
+    others."""
+    from epidiff import cli
+
+    stacks, check = [], cli.check_twice_epi_diff
+    monkeypatch.setattr(cli, "check_twice_epi_diff",
+                        lambda f, x, v, dirs, *args, **kw: stacks.append(dirs) or check(f, x, v, dirs, *args, **kw))
+    _, text = run(["verify", _fixture(fixture)])
+    (dirs,) = stacks
+    rows = _json_block(text)["directions"]
+    assert len(rows) == len(dirs) > 1
+    for w, row in zip(dirs, rows):
+        _, text = run(["verify", _fixture(fixture), "--dir=" + ",".join(repr(float(c)) for c in w)])
+        assert _json_block(text)["directions"] == [row]
+
+
 # The semidefinite cone under a near-identity linear map; the z search's last
 # point lies where the full schedule finds no feasible ball point.
 BOUNDARY_Z_PROBLEM = {

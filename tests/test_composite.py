@@ -30,7 +30,6 @@ from epidiff.errors import (
 )
 from epidiff.numkit import Polyhedron, ball_steps, lp_max, smat, svec, vertices
 from epidiff.numkit.polyhedra import residuals
-from epidiff.oracle import estimate_second_subderivative
 from epidiff.outer import (
     NegSemidefIndicator,
     PlqFunction,
@@ -47,6 +46,7 @@ from epidiff.problem_io import parse_problem
 from _instances import (
     a1_problem,
     abs_shift_problem,
+    estimate_second_subderivative,
     jacobi_one_matrix,
     old_restore,
     mscq_fail_problem,

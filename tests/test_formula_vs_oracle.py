@@ -10,7 +10,7 @@ import pytest
 
 from epidiff.core import PolyMap
 from epidiff.numkit import Polyhedron, svec
-from epidiff.oracle import estimate_parabolic_subderivative, estimate_second_subderivative
+from epidiff.oracle import estimate_parabolic_subderivative
 from epidiff.outer import (
     NegSemidefIndicator,
     PolyhedralIndicator,
@@ -22,7 +22,7 @@ from epidiff.outer import (
     sum_top_eig,
 )
 
-from _instances import half_square_plq, outer_sampled, psd_base_data
+from _instances import estimate_second_subderivative, half_square_plq, outer_sampled, psd_base_data
 
 N_DIRECTIONS = 50
 N_PARABOLIC = 6

@@ -21,9 +21,6 @@ UNCALLED = {
     "parabolic_chain",
     # the indicator of {0}, a catalog member that only the tests build so far
     "zero_set",
-    # the oracle's stand-alone second-subderivative estimate; its library
-    # callers read the level table it folds instead
-    "estimate_second_subderivative",
 }
 
 # Class members kept on purpose although nothing in the sources reads them.

@@ -8,7 +8,6 @@ from epidiff import optimality
 from epidiff.composite import sampled_objective, second_subderivative_chain
 from epidiff.core import CompositeProblem, PolyMap, hessian, poly_eval
 from epidiff.errors import BasePointInfeasible, NotStationary
-from epidiff.oracle import estimate_second_subderivative
 from epidiff.optimality import (
     check_sonc,
     check_ssosc,
@@ -27,6 +26,7 @@ from epidiff.outer import (
 
 from _instances import (
     eq_constrained_problem,
+    estimate_second_subderivative,
     old_restore,
     parabola_min_problem,
     quartic_problem,

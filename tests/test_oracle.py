@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epidiff import oracle
@@ -26,7 +26,6 @@ from epidiff.oracle import (
     check_parabolic_regularity,
     check_twice_epi_diff,
     estimate_parabolic_subderivative,
-    estimate_second_subderivative,
     estimate_subderivative,
     proximal_modulus_scan,
 )
@@ -36,6 +35,7 @@ from epidiff.outer import absolute_value, nonpositive_orthant
 
 from _instances import (
     a1_problem,
+    estimate_second_subderivative,
     example35_function,
     old_ball_search,
     old_estimate_subderivative,
@@ -353,10 +353,10 @@ def test_one_search_kernel_and_one_stabilizer():
     stack of centers at once, so no caller folds inside a loop."""
     assert _top_level_callers(["_schedule_balls", "_stabilize"]) == {
         "_schedule_balls": {"_ball_search"},
-        "_stabilize": {"estimate_second_subderivative", "estimate_parabolic_subderivative",
-                       "check_parabolic_regularity", "estimate_subderivative", "check_twice_epi_diff"},
+        "_stabilize": {"estimate_parabolic_subderivative", "check_parabolic_regularity",
+                       "estimate_subderivative", "check_twice_epi_diff"},
     }
-    assert _calls_in_loops("_stabilize") == {"check_twice_epi_diff"}  # one fold per direction
+    assert _calls_in_loops("_stabilize") == set()  # check_twice_epi_diff folds every direction at once
 
 
 STABILIZER_BRANCHES = ["no_finite_level", "inv_t_test", "growth_ratio", "extrapolated", "raw"]
@@ -475,8 +475,14 @@ def test_twice_epi_diff_detects_wrong_formula():
 # -- parabolic regularity ------------------------------------------------------------------------
 
 
+def _regularity(f, x, v, w):
+    """check_parabolic_regularity on check_twice_epi_diff's report of w."""
+    (report,) = check_twice_epi_diff(f, x, v, [w], formula=lambda _: PLUS_INF)
+    return check_parabolic_regularity(f, x, v, report)
+
+
 def test_parabolic_regularity_quadratic():
-    holds, lhs, rhs = check_parabolic_regularity(square(), [0.0], [0.0], [1.0])
+    holds, lhs, rhs = _regularity(square(), [0.0], [0.0], [1.0])
     assert holds
     assert lhs.value == pytest.approx(2.0, abs=1e-6)
     assert rhs.value == pytest.approx(2.0, abs=0.05)
@@ -484,7 +490,7 @@ def test_parabolic_regularity_quadratic():
 
 def test_parabolic_regularity_composite():
     f = sampled_objective(a1_problem())
-    holds, lhs, rhs = check_parabolic_regularity(f, [0.0, 0.0], [0.0, 1.0], [1.0, 0.0])
+    holds, lhs, rhs = _regularity(f, [0.0, 0.0], [0.0, 1.0], [1.0, 0.0])
     assert holds
     assert lhs.value == pytest.approx(-2.0, abs=0.05)
     assert rhs.value == pytest.approx(-2.0, abs=0.05)
@@ -492,14 +498,14 @@ def test_parabolic_regularity_composite():
 
 def test_parabolic_regularity_abs():
     gabs = outer_sampled(absolute_value())
-    holds, lhs, rhs = check_parabolic_regularity(gabs, [0.0], [1.0], [1.0])
+    holds, lhs, rhs = _regularity(gabs, [0.0], [1.0], [1.0])
     assert holds and lhs.value == pytest.approx(0.0, abs=1e-6)
     assert rhs.value == pytest.approx(0.0, abs=0.05)
 
 
 def test_parabolic_regularity_precondition():
     with pytest.raises(CriticalConePreconditionFailed):
-        check_parabolic_regularity(outer_sampled(absolute_value()), [0.0], [1.0], [-1.0])
+        _regularity(outer_sampled(absolute_value()), [0.0], [1.0], [-1.0])
 
 
 def _parabolic_rows(argv) -> tuple:
@@ -564,10 +570,10 @@ def test_a_candidate_finite_only_at_its_own_level_does_not_count():
     assert own.is_finite
     table = [(1.0, w + 0.5 * z, own.value), (0.5, w, math.inf), (0.25, w, math.inf)]
     report = oracle.EpiReport(direction=w, formula_value=own, oracle_value=own, achieving_sequence=table)
-    holds, lhs, rhs = check_parabolic_regularity(f, x, v, w, sched, report=report)
+    holds, lhs, rhs = check_parabolic_regularity(f, x, v, report, sched)
     assert not holds and lhs == own and rhs.is_plus_inf
     # an lhs of +inf is refuted only by a finite counted value: none here
-    assert check_parabolic_regularity(f, x, v, w, sched, report=replace(report, oracle_value=PLUS_INF))[0]
+    assert check_parabolic_regularity(f, x, v, replace(report, oracle_value=PLUS_INF), sched)[0]
 
 
 def test_an_lhs_planted_off_the_recovery_sequence_fails_the_check():
@@ -579,10 +585,10 @@ def test_an_lhs_planted_off_the_recovery_sequence_fails_the_check():
     x, v, w = np.zeros(2), np.array([0.0, 1.0]), np.array([1.0, 0.0])
     (rep,) = check_twice_epi_diff(f, x, v, [w], formula=lambda w: ExtReal(-2.0 * w[0] ** 2))
     true = rep.oracle_value
-    assert check_parabolic_regularity(f, x, v, w, report=rep)[0]
+    assert check_parabolic_regularity(f, x, v, rep)[0]
     for sign in (1.0, -1.0):
         planted = replace(rep, oracle_value=ExtReal(true.value + sign * 2.0 * oracle.gap_tol(true)))
-        holds, lhs, rhs = check_parabolic_regularity(f, x, v, w, report=planted)
+        holds, lhs, rhs = check_parabolic_regularity(f, x, v, planted)
         assert not holds and lhs == planted.oracle_value
         assert abs(rhs.value - true.value) <= oracle.gap_tol(true)
 
@@ -785,7 +791,7 @@ def test_level_search_raises_on_a_failed_poll_row():
     level search raises."""
     f = SampledFunction(lambda Y: np.where((Y[:, 0] > 0.2) & (Y[:, 0] < 0.3), -1e16, Y[:, 0] ** 2), 1)
     sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
-    args = (f, np.zeros(1), np.zeros(1), 0.0, np.zeros(1), sched)
+    args = (f, np.zeros(1), np.zeros(1), 0.0, np.zeros((1, 1)), sched)
     with pytest.raises(NegativeInfinityDetected):
         oracle._level_minimum(*args)
 
@@ -803,7 +809,7 @@ def test_level_search_raises_as_the_levels_one_by_one_do_when_two_polls_fail():
             old_level_minimum(f, x, t, v, 0.0, w, sched.radius(t), sched, np.random.default_rng(1))
     assert math.isfinite(old_level_minimum(f, x, 0.25, v, 0.0, w, 0.25, sched, np.random.default_rng(1))[0])
     with pytest.raises(NegativeInfinityDetected) as lockstep:
-        oracle._level_minimum(f, x, v, 0.0, w, sched)
+        oracle._level_minimum(f, x, v, 0.0, w[None], sched)
     with pytest.raises(NegativeInfinityDetected) as one_by_one:
         old_second_order_levels(f, x, v, w, sched)
     assert str(lockstep.value) == str(one_by_one.value)
@@ -819,7 +825,7 @@ def test_a_nan_stripe_raises_an_epidiff_error_on_every_search():
     f = SampledFunction(lambda Y: np.where((Y[:, 0] > 0.2) & (Y[:, 0] < 0.3), math.nan, Y[:, 0] ** 2), 1)
     sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
     zero = np.zeros(1)
-    searches = [lambda: oracle._level_minimum(f, zero, zero, 0.0, zero, sched),
+    searches = [lambda: oracle._level_minimum(f, zero, zero, 0.0, zero[None], sched),
                 lambda: estimate_parabolic_subderivative(f, zero, zero, 0.0, np.array([[0.0], [0.5]]), sched),
                 lambda: estimate_subderivative(f, zero, np.ones(1), sched)]
     for search in searches:
@@ -840,7 +846,7 @@ def test_a_nan_on_a_ball_point_raises_before_any_rescue():
     f = SampledFunction(lambda Y: np.where((Y[:, 0] > 0.9) & (Y[:, 0] < 1.1), math.nan, Y[:, 0] ** 2), 1)
     sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
     with pytest.raises(UndefinedValue):
-        oracle._level_minimum(f, zero, zero, 0.0, zero, sched)
+        oracle._level_minimum(f, zero, zero, 0.0, zero[None], sched)
     restored = []
 
     def value(Y):
@@ -850,7 +856,7 @@ def test_a_nan_on_a_ball_point_raises_before_any_rescue():
     f = SampledFunction(value, 1, restore_feasible=lambda Y: restored.append(Y) or np.minimum(Y, 1.5))
     sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=0.1, seed=1)
     with pytest.raises(UndefinedValue):
-        oracle._level_minimum(f, zero, zero, 0.0, np.array([5.0]), sched)
+        oracle._level_minimum(f, zero, zero, 0.0, np.array([[5.0]]), sched)
     assert restored == []
 
 
@@ -884,7 +890,7 @@ def test_searches_value_each_ball_point_once_and_restore_empty_balls_in_one_stac
     sched = GridSchedule(t0=0.1, steps=5, radius_coeff=33.0, samples_per_axis=4, seed=3)
     x, w, Z = np.zeros(2), np.array([0.0, 1.0]), np.array([[0.0, 5.0], [1.0, -1.0]])
     balls = oracle._schedule_balls(sched, 2)
-    runs = [(lambda: oracle._level_minimum(f, x, w, 0.0, w, sched), w[None, :], lambda t: (x, t)),
+    runs = [(lambda: oracle._level_minimum(f, x, w, 0.0, w[None, :], sched), w[None, :], lambda t: (x, t)),
             (lambda: estimate_parabolic_subderivative(f, x, w, 0.0, Z, sched), Z, lambda t: (x + t * w, 0.5 * t * t))]
     for search, centers, point_map in runs:
         events.clear()
@@ -1100,19 +1106,22 @@ def _reference_cases():
            np.random.default_rng(5).uniform(-1.0, 1.0, (2, 5)), GridSchedule(t0=0.1, steps=4, seed=11))
 
 
-@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
+REFERENCE_CASES = list(_reference_cases())
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=lambda c: c[0])
 def test_lockstep_levels_and_parabolic_estimates_equal_the_loops_they_replace(case):
-    """The lockstep level search gives the (t, m, p) records of the
-    per-level loop bit for bit, and the parabolic estimate of a stack of z
+    """The lockstep level search of check_twice_epi_diff gives the (t, m, p)
+    records of the per-level loop bit for bit, and the parabolic estimate of a stack of z
     gives, row by row, the per-z estimate bit for bit; neither values a
     point outside the balls of the schedule's levels."""
     _, f, x, v, w, dfw, Z, sched = case
     recorded, valued = _recording(f)
-    got = oracle._second_order_levels(recorded, x, v, w, sched)
-    ref = old_second_order_levels(f, x, v, w, sched)
+    (report,) = check_twice_epi_diff(recorded, x, v, [w], sched, formula=lambda _: PLUS_INF)
+    got, ref = report.achieving_sequence, old_second_order_levels(f, x, v, w, sched)
     assert _outside_the_finest_levels(valued, x, w[None], sched) == 0
-    assert [(t, m) for t, m, _ in got] == [(t, m) for t, m, _ in ref]
-    assert all(_same_float(m, m1) and p.tobytes() == p1.tobytes() for (_, m, p), (_, m1, p1) in zip(got, ref))
+    assert [(t, m) for t, _, m in got] == [(t, m) for t, m, _ in ref]
+    assert all(_same_float(m, m1) and p.tobytes() == p1.tobytes() for (_, p, m), (_, m1, p1) in zip(got, ref))
     valued.clear()
     stacked = estimate_parabolic_subderivative(recorded, x, w, dfw, Z, sched)
     assert _outside_the_finest_levels(valued, x, Z, sched, w) == 0
@@ -1121,3 +1130,76 @@ def test_lockstep_levels_and_parabolic_estimates_equal_the_loops_they_replace(ca
         ref = old_parabolic_estimate(f, x, w, dfw, z, sched)
         assert _same_float(est.as_float(), ref.as_float())
         assert _same_float(estimate_parabolic_subderivative(f, x, w, dfw, z, sched).as_float(), ref.as_float())
+
+
+def _per_direction(f, x, v, W, sched):
+    """(levels, oracle value) of each direction searched and folded alone."""
+    out = []
+    for w in W:
+        levels = old_second_order_levels(f, x, v, w, sched)
+        out.append((levels, oracle._stabilize(sched.t_levels(), [m for _, m, _ in levels])[0]))
+    return out
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(["ind_polyhedron", "a1_center_rescue", "dim5"]),
+    rows=st.integers(0, 4),
+    spread=st.sampled_from([0.5, 3.0]),
+    dense=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+@example(name="ind_polyhedron", rows=5, spread=3.0, dense=True, seed=1)
+@example(name="a1_center_rescue", rows=2, spread=0.5, dense=False, seed=2)
+@example(name="dim5", rows=2, spread=0.5, dense=False, seed=3)
+def test_one_stacked_level_search_equals_the_per_direction_loop(name, rows, spread, dense, seed):
+    """check_twice_epi_diff searches all its directions in one stack, yet
+    each direction's level minima, their points and its oracle value equal,
+    bit for bit, the per-level loop of that direction alone folded by a
+    one-row _stabilize.  The stack holds the case's w, -w and perturbations
+    of w, most of them off the critical cone.  The polyhedral member
+    restores its polls, a1 rescues the centers of its empty balls, the
+    dense grid (Z_BATCH_ROWS // 774 = 5 centers a chunk) splits the first
+    example's seven directions into two chunks, and the dimension-5
+    function takes the random-ball path, one center a chunk."""
+    _, f, x, v, w, _, _, sched = next(c for c in REFERENCE_CASES if c[0] == name)
+    if dense:
+        sched = replace(sched, samples_per_axis=9)
+    W = np.vstack([w, -w, w + spread * np.random.default_rng(seed).standard_normal((rows, len(w)))])
+    reports = check_twice_epi_diff(f, x, v, W, sched, formula=lambda _: PLUS_INF)
+    assert len(reports) == len(W)
+    for rep, w, (levels, est) in zip(reports, W, _per_direction(f, x, v, W, sched)):
+        assert rep.direction.tobytes() == w.tobytes()
+        assert _same_float(rep.oracle_value.as_float(), est.as_float())
+        for (t, p, m), (t1, m1, p1) in zip(rep.achieving_sequence, levels, strict=True):
+            assert t == t1 and _same_float(m, m1) and p.tobytes() == p1.tobytes()
+
+
+@pytest.mark.parametrize("stripe, value, dirs, failing, error", [
+    # NaN on 2.9 < y < 3.1: the ball of the second direction, 3, holds y = 3
+    # at t = 1; the first direction's balls and polls stay in |y| <= 1
+    ((2.9, 3.1), math.nan, [0.0, 3.0], 1, UndefinedValue),
+    # below NEG_GUARD on 0.1 < y < 0.2: no ball point lies there, but the
+    # polls of the first direction, 0, reach y = 0.125; -5 stays at y < 0
+    ((0.1, 0.2), -1e16, [0.0, -5.0], 0, NegativeInfinityDetected),
+])
+def test_a_failing_direction_raises_what_the_per_direction_loop_raises(stripe, value, dirs, failing, error):
+    """y^2 on R with one faulty stripe that only one direction's searches
+    meet: the stacked search raises what the per-direction loop raises,
+    class and message, and the other direction alone raises nothing."""
+    lo, hi = stripe
+    f = SampledFunction(lambda Y: np.where((Y[:, 0] > lo) & (Y[:, 0] < hi), value, Y[:, 0] ** 2), 1, "striped")
+    sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
+    x, v, W = np.zeros(1), np.zeros(1), np.array(dirs)[:, None]
+    with pytest.raises(error) as stacked:
+        check_twice_epi_diff(f, x, v, W, sched, formula=lambda _: PLUS_INF)
+    with pytest.raises(error) as looped:
+        _per_direction(f, x, v, W, sched)
+    assert type(stacked.value) is type(looped.value) and str(stacked.value) == str(looped.value)
+    for i, w in enumerate(W):
+        if i == failing:
+            with pytest.raises(error):
+                _per_direction(f, x, v, w[None], sched)
+        else:
+            _per_direction(f, x, v, w[None], sched)
+

@@ -34,11 +34,16 @@ from epidiff.outer import (
     zero_function,
     zero_set,
 )
-from epidiff.oracle import estimate_second_subderivative
 from epidiff.outer.indicators import INDICATOR_FEAS_TOL
 from epidiff.problem_io import parse_problem
 
-from _instances import half_square_plq, max_of_coordinates_plq, outer_sampled, psd_base_data
+from _instances import (
+    estimate_second_subderivative,
+    half_square_plq,
+    max_of_coordinates_plq,
+    outer_sampled,
+    psd_base_data,
+)
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -500,8 +505,6 @@ def test_planar_plq_subdifferential_and_curvature():
     assert cone_vertex.contains([1.0, 0.5]) and cone_vertex.contains([1.0, 1.0])
     assert not cone_vertex.contains([0.0, 1.0])
     # cross-check the kink curvature against the oracle on the diagonal
-    from epidiff.oracle import estimate_second_subderivative
-
     est = estimate_second_subderivative(outer_sampled(g), z, y, diag)
     assert est.value == pytest.approx(0.0, abs=0.05)
 
