@@ -8,8 +8,8 @@ report, then a summary; equal digests in two runs mean byte-identical
 reports.  A verify summary counts the directions that converged and the
 parabolic-regularity checks that hold.  A certify summary ends
 with the oracle's verdict on a failing SSOSC (agree or DISAGREE; n/a when
-SSOSC holds and the growth runs judge it instead).  The script exits 1 if
-any command exits nonzero.
+SSOSC holds and the one growth run, at epsilon = 0.01, judges it instead).
+The script exits 1 if any command exits nonzero.
 """
 
 import argparse

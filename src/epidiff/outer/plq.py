@@ -360,12 +360,6 @@ class PolyhedralIndicator(PlqFunction):
             return None
         return lo, hi
 
-    def value_batch(self, Z: np.ndarray) -> np.ndarray:
-        """0 on C, +inf off it, with no arithmetic on the zero quadratic."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        tol = INDICATOR_FEAS_TOL * (1.0 + row_norms(Z))
-        return np.where(residuals(self.C, Z) <= tol, 0.0, np.inf)
-
     def subdifferential(self, z):
         """The normal cone at z in H-representation only, cut out by the
         tangent cone's generators, without PLQ's conversion to generators

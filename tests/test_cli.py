@@ -416,6 +416,46 @@ def test_certify_on_the_critical_cone_zero_judges_nothing(tmp_path):
     assert block["growth"] == [] and "oracle" not in block
 
 
+def _growth_rows(spec, seed, epsilons):
+    """certify's growth rows at these radii, from verify_growth called directly."""
+    from epidiff import optimality
+    from epidiff.cli import _resolve_kappa
+
+    kappa = _resolve_kappa(spec, seed)[0]
+    base = optimality.stationary_data(spec.problem, spec.x, kappa)
+    ell = 0.5 * optimality.check_ssosc(spec.problem, base, seed=seed).worst_value.value
+    rows = []
+    for eps in epsilons:
+        rep = optimality.verify_growth(spec.problem, spec.x, ell, eps, 2000, seed)
+        rows.append({"ell": ell, "epsilon": eps, "samples": rep.samples, "violations": rep.violations})
+    return rows
+
+
+def test_certify_judges_a_holding_ssosc_by_its_one_growth_run(tmp_path):
+    """The SSOSC gives quadratic growth only on some ball about x (Rockafellar
+    & Wets 1998, Thm 13.24(c)), so certify runs and prints the one growth run
+    that judges it, at epsilon = 0.01.  phi = x1^2 - 100 x1^4 grows with
+    ell = 1 only for |x1| <= 0.07: a run at epsilon = 0.1 counts violations,
+    which a report exiting 0 must not print."""
+    from epidiff.cli import _jsonify
+
+    p = tmp_path / "quartic.json"
+    p.write_text(json.dumps({"phi": ["x1^2", "-100 x1^4"], "F": [["x1"]], "g": {"tag": "zero", "dim": 1},
+                             "x": [0.0], "seed": 5}))
+    wide, judged = _growth_rows(parse_problem(str(p)), 5, (0.1, 0.01))
+    code, text = run(["certify", str(p)])
+    block = _json_block(text)
+    assert code == 0 and block["ssosc"]["holds"] and block["sms_certificate"]["affirmative"]
+    assert block["growth"] == [_jsonify(judged)]
+    assert judged["epsilon"] == 0.01 and judged["violations"] == 0 and wide["violations"] > 0
+    # the one row is the last row of the three shrinking balls certify once ran
+    for fixture in ("parabola_min.json", "sum_top_eig.json"):
+        spec = parse_problem(_fixture(fixture))
+        old_rows = _growth_rows(spec, spec.seed, (0.1, 0.05, 0.01))
+        code, text = run(["certify", _fixture(fixture)])
+        assert code == 0 and _json_block(text)["growth"] == _jsonify(old_rows[-1:]), fixture
+
+
 def test_certify_runs_each_condition_and_cone_once(monkeypatch):
     """One certify runs check_ssosc once (the certificate and SONC reuse its
     report), builds the base point's multiplier set once, and pulls the

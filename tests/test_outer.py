@@ -534,7 +534,7 @@ def test_the_polyhedral_indicator_is_the_one_piece_plq_member():
     assert issubclass(PolyhedralIndicator, PlqFunction)
     own = {name for name, val in vars(PolyhedralIndicator).items()
            if inspect.isfunction(val) or isinstance(val, (staticmethod, classmethod, property))}
-    overrides = {"value_batch", "subdifferential", "critical_cone", "domain_project"}
+    overrides = {"subdifferential", "critical_cone", "domain_project"}
     assert own <= {"__init__", "_detect_axis_bounds"} | overrides
     g = nonpositive_orthant(2)
     assert len(g.pieces) == 1 and not g.pieces[0].A.any() and not g.pieces[0].a.any()
