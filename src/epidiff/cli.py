@@ -200,21 +200,18 @@ def cmd_verify(
 
     f = composite.sampled_objective(prob)
     reports = check_twice_epi_diff(f, x, v, dirs, sched, formula=formula)
+    finite = [rep for rep in reports if rep.formula_value.is_finite]
+    verdicts = iter(check_parabolic_regularity(f, x, v, finite, sched))
     rows = []
-    all_ok = True
     for rep in reports:
-        ok = rep.converged
         row = _oracle_row(rep)
         if rep.formula_value.is_finite:
-            try:
-                holds, lhs, rhs = check_parabolic_regularity(f, x, v, rep, sched)
-                row["parabolic_regularity"] = {"holds": holds, "lhs": lhs, "rhs": rhs}
-                ok = ok and holds
-            except EpidiffError as exc:
-                row["parabolic_regularity"] = {"holds": False, "error": str(exc)}
-                ok = False
-        all_ok = all_ok and ok
+            verdict = next(verdicts)
+            row["parabolic_regularity"] = (
+                {"holds": False, "error": "direction fails the numeric critical-cone test"} if verdict is None
+                else dict(zip(("holds", "lhs", "rhs"), verdict)))
         rows.append(row)
+    all_ok = all(row["converged"] and row.get("parabolic_regularity", {}).get("holds", True) for row in rows)
     payload = {
         "directions": rows,
         "mscq": prov,

@@ -556,8 +556,10 @@ def kernel_meets_cone(K: Polyhedron, A) -> bool:
 def _nnls(A: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The lam >= 0 minimizing |A lam - f| by the active-set algorithm of
     Lawson & Hanson (1974, ch. 23): it stops when no free column has a
-    positive dual A^T (f - A lam), which certifies optimality, or when a
-    pass does not lower the residual, so rounding cannot make it cycle."""
+    positive dual A^T (f - A lam), which certifies optimality, or before a
+    pass that raises the residual or returns to a passive set.  A tie is
+    kept (a gain may lie below the rounding of |r|^2), and as no passive set
+    recurs, it ends within 2^n passes for n columns."""
 
     def solve(cols):
         out = np.zeros(A.shape[1])
@@ -566,7 +568,7 @@ def _nnls(A: np.ndarray, f: np.ndarray) -> np.ndarray:
 
     lam = np.zeros(A.shape[1])
     passive = np.zeros(A.shape[1], dtype=bool)
-    resid = float(f @ f)
+    resid, seen = float(f @ f), {passive.tobytes()}
     while True:
         dual = A.T @ (f - A @ lam)
         dual[passive] = 0.0
@@ -586,9 +588,10 @@ def _nnls(A: np.ndarray, f: np.ndarray) -> np.ndarray:
             trial &= x > 0.0
             s = solve(trial)
         r = f - A @ s
-        if float(r @ r) >= resid:
+        if float(r @ r) > resid or trial.tobytes() in seen:
             return lam
         lam, passive, resid = s, trial, float(r @ r)
+        seen.add(trial.tobytes())
 
 
 def _slice_point(P: Polyhedron, u: np.ndarray, S) -> np.ndarray:

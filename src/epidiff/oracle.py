@@ -19,14 +19,15 @@ the balls of a chunk of centers at its levels in one batch, restores the
 centers of all-infinite balls in one stack and polishes the searches in
 lockstep (``_pattern_search``): each round scores the complete polls of every
 live search in one ``SampledFunction.values`` call, whose rows equal ``value``
-at each point bit for bit, so each search takes the path it would take alone.
-The level search is a stack of centers, one per probed direction w, the
-parabolic estimate (and the parabolic-regularity check, whose centers are
-the recovery sequence's own z_t) a stack of centers z, and the first-order
-fallback one center, unpolished and unrestored.  One stabilizer,
-``_stabilize``, folds the level minima of every estimate, a stack of them
-(one row per center) in one pass, and one rule, ``gap_tol``, says when an
-estimate agrees with a closed form.
+at each point bit for bit, so each search takes the path it would take alone,
+and a stack raises what its first failing center raises alone.  The level
+search is a stack of centers, one per probed direction w, the parabolic
+estimate a stack of centers z, the parabolic-regularity check the z_t of
+every direction's recovery sequence, each with its own drift w, and the
+first-order fallback the directions whose ray leaves the domain, unpolished
+and unrestored.  One stabilizer, ``_stabilize``, folds the level minima of
+every estimate, a stack of them (one row per center) in one pass, and one
+rule, ``gap_tol``, says when an estimate agrees with a closed form.
 
 The sampled scan of the optimality conditions (``optimality.check_ssosc``)
 also refines its least lattice point with ``_pattern_search``: it shares the
@@ -45,7 +46,6 @@ import numpy as np
 from .core import STABLE_LEVELS, GridSchedule
 from .errors import (
     BasePointInfeasible,
-    CriticalConePreconditionFailed,
     NegativeInfinityDetected,
     UndefinedValue,
 )
@@ -269,25 +269,26 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
     """Minimize ((f(x + t*drift + s*p) - shift) - lin(p, t)) / (t^order / order)
     over p in the ball of radius sched.radius(t) about each row of centers,
     at each level t of sched: order 2 (t^2/2) for a second-order quotient,
-    1 (t) for a first-order one, s = t without a drift, s = t^2/2 with one,
-    and lin(p, t) = t*<lin, p> for a vector lin, t*lin for a number.  Returns the minima (centers, levels), possibly
-    inf, and their points (centers, levels, dim).
+    1 (t) for a first-order one, s = t without a drift, s = t^2/2 with one
+    (one vector, or one per center), and lin(p, t) = t*<lin, p> for a vector
+    lin, t*lin for a number or a column of one number per center.  Returns
+    the minima (centers, levels), possibly inf, and their points (centers,
+    levels, dim).
 
-    A chunk of centers is valued at those levels in one eval_batch of at most
-    Z_BATCH_ROWS rows (or of one center), and scored by the quotient formula
-    of the polls.  The batch is one buffer: each level's view takes center +
-    offset, gives lin(p, t), then is scaled by s and shifted in place; the
-    minima are read off views of the values, and each argmin point is its
-    center plus its offset.  A ball point whose evaluation fails (NaN, or
-    below NEG_GUARD) raises in eval_batch, before any rescue, as valuing it
-    alone does.
+    A chunk of centers is valued at those levels in one values call of at
+    most Z_BATCH_ROWS rows (or of one center): one buffer, whose view per
+    level takes center + offset, gives lin(p, t), then is scaled by s and
+    shifted in place; each argmin point is its center plus its offset.
     Each search starts at its best ball point, the first on ties, or, where
     the whole ball lies outside the domain, at its center, restored when f
     can restore: all such centers in one stack, each charged one rescue.
     With polish, _pattern_search polishes every search with a finite start
     in lockstep along the axes and a vector lin, rescuing at most `rescues`
-    trial points per search.  A search that ends on a failed evaluation
-    (-inf) raises here too."""
+    trial points per search.  A failed evaluation (NaN, or below NEG_GUARD)
+    ends its search at -inf, and a center with a failed ball point is
+    neither rescued nor polished; the first failed search of the first such
+    center is valued alone, which raises what that center searched alone
+    raises."""
     n, dim = centers.shape
     balls = _schedule_balls(sched, dim)
     k = len(balls)
@@ -295,21 +296,23 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
     half = 0.5 * ts * ts
     denom = half if order == 2 else ts
     scale = ts if drift is None else half
-    bases = np.broadcast_to(x, (k, dim)) if drift is None else x + ts[:, None] * drift
+    drifts = None if drift is None else np.broadcast_to(drift, (n, dim))
+    bases = np.broadcast_to(x if drift is None else x + ts[:, None] * drifts[:, None, :], (n, k, dim))
     along = np.ndim(lin) == 1
+    slopes = None if along else np.broadcast_to(lin, (n, 1))[:, 0]
 
-    def lin_at(P, j):  # j: the level of each row of P, or one level
-        return ts[j] * np.vecdot(P, lin) if along else ts[j] * lin
+    def lin_at(P, c, j):  # c, j: the center and level of each row of P (j may be one level)
+        return ts[j] * np.vecdot(P, lin) if along else ts[j] * slopes[c]
 
     def score(P, own):  # own: the search of each row, center by center, level by level
-        j = own % k
-        return _quotients(f.values(bases[j] + scale[j][:, None] * P), shift, lin_at(P, j), denom[j]), P
+        c, j = own // k, own % k
+        return _quotients(f.values(bases[c, j] + scale[j][:, None] * P), shift, lin_at(P, c, j), denom[j]), P
 
     def rescue(P, own):
-        j = own % k
-        restored = np.asarray(f.restore_feasible(bases[j] + scale[j][:, None] * P), dtype=float)
-        back = restored - x if drift is None else (restored - x) - ts[j][:, None] * drift
-        cand = _ball_clip(back / scale[j][:, None], centers[own // k], radii[j])
+        c, j = own // k, own % k
+        restored = np.asarray(f.restore_feasible(bases[c, j] + scale[j][:, None] * P), dtype=float)
+        back = restored - x if drift is None else (restored - x) - ts[j][:, None] * drifts[c]
+        cand = _ball_clip(back / scale[j][:, None], centers[c], radii[j])
         val, _ = score(cand, own)
         lost = np.isnan(val)
         val[lost] = math.inf
@@ -323,16 +326,18 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
         cuts = len(C) * np.cumsum(sizes)[:-1]
         batch, lins = np.empty((len(C) * sum(sizes), dim)), []
         for j, (P, (_, _, offsets)) in enumerate(zip(np.split(batch, cuts), balls)):  # views, level by level
-            np.add(C[:, None, :], offsets, out=P.reshape(len(C), -1, dim))
-            lins.append(lin_at(P, j))
-            P *= scale[j]
-            P += bases[j]
-        for j, (vals, (_, _, offsets)) in enumerate(zip(np.split(f.eval_batch(batch), cuts), balls)):
+            P3 = P.reshape(len(C), -1, dim)
+            np.add(C[:, None, :], offsets, out=P3)
+            lins.append(lin_at(P, np.arange(lo, lo + len(C)).repeat(len(offsets)), j))
+            P3 *= scale[j]
+            P3 += bases[lo:lo + chunk, j, None]
+        for j, (vals, (_, _, offsets)) in enumerate(zip(np.split(f.values(batch), cuts), balls)):
             quot = _quotients(vals, shift, lins[j], denom[j]).reshape(len(C), -1)
             quot[np.isnan(quot)] = math.inf  # outside the domain
-            idx = np.argmin(quot, axis=1)
+            idx = np.argmin(quot, axis=1)  # a failed point (-inf) first
             best[lo:lo + chunk, j], points[lo:lo + chunk, j] = quot[np.arange(len(C)), idx], C + offsets[idx]
-    iz, jz = np.nonzero(best == math.inf)  # center by center, level by level
+    failed = (best == -math.inf).any(axis=1)
+    iz, jz = np.nonzero((best == math.inf) & ~failed[:, None])  # center by center, level by level
     points[iz, jz] = centers[iz]
     if f.restore_feasible is not None and iz.size:
         best[iz, jz], points[iz, jz] = rescue(centers[iz], iz * k + jz)
@@ -340,12 +345,12 @@ def _ball_search(f: SampledFunction, x, shift, lin, centers, sched: GridSchedule
         left = np.full((n, k), rescues if f.restore_feasible is not None else 0)
         left[iz, jz] -= left[iz, jz] > 0
         vals, pts = _pattern_search(score, points.reshape(-1, dim), best.ravel(), centers.repeat(k, axis=0),
-                                    np.where(np.isfinite(best), radii, 0.0).ravel(), [lin] if along else [],
-                                    rescue=rescue, rescues=left.ravel())
+                                    np.where(np.isfinite(best) & ~failed[:, None], radii, 0.0).ravel(),
+                                    [lin] if along else [], rescue=rescue, rescues=left.ravel())
         best, points = np.reshape(vals, (n, k)), pts.reshape(n, k, dim)
     iz, jz = np.nonzero(best == -math.inf)
     if iz.size:
-        f.value(bases[jz[0]] + scale[jz[0]] * points[iz[0], jz[0]])  # raises, as valuing it alone does
+        f.value(bases[iz[0], jz[0]] + scale[jz[0]] * points[iz[0], jz[0]])  # raises, as valuing it alone does
         raise NegativeInfinityDetected(f.description or "sampled function")
     return best, points
 
@@ -429,26 +434,30 @@ def estimate_parabolic_subderivative(
     return out[0] if z.ndim == 1 else out
 
 
-def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None = None) -> ExtReal:
+def estimate_subderivative(f: SampledFunction, x, w, sched: GridSchedule | None = None):
     """The limit of the first-order quotients (f(x + t w') - f(x)) / t as
-    t -> 0 and w' -> w, the subderivative (Rockafellar-Wets 1998, Def. 8.1).
+    t -> 0 and w' -> w, the subderivative (Rockafellar-Wets 1998, Def. 8.1):
+    an ExtReal for a direction w, a list of them for a stack, each as alone.
 
-    The levels of the fixed ray w are valued in one eval_batch.  Where the
-    ray leaves the domain at one of them, the levels are instead the least
+    Every ray's levels are valued in one eval_batch, ray by ray.  Where a
+    ray leaves the domain at one of them, its levels are instead the least
     quotients over the balls about w, from one unpolished _ball_search of
-    order 1 that restores no center.  _stabilize folds the levels."""
+    order 1 over all such w that restores no center: an all-infinite ball
+    stays +inf, so the critical-cone test of check_parabolic_regularity
+    sees no restored point.  _stabilize folds."""
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
+    W = w.reshape(-1, x.shape[0])
     f0 = _base_value(f, x)
     ts = np.array(sched.t_levels())
-    quot = _quotients(f.eval_batch(x + ts[:, None] * w), f0, 0.0, ts)
-    if not np.isfinite(quot).all():
-        # an all-infinite ball stays +inf, so the critical-cone test of
-        # check_parabolic_regularity sees no restored point
-        unrestored = replace(f, restore_feasible=None)
-        quot = _ball_search(unrestored, x, f0, 0.0, w[None], sched, order=1)[0]
-    return _stabilize(ts, quot)[0]
+    rays = f.eval_batch((x + ts[:, None] * W[:, None, :]).reshape(-1, x.shape[0]))
+    quot = _quotients(rays.reshape(-1, len(ts)), f0, 0.0, ts)
+    off = np.flatnonzero(~np.isfinite(quot).all(axis=1))
+    if off.size:
+        quot[off] = _ball_search(replace(f, restore_feasible=None), x, f0, 0.0, W[off], sched, order=1)[0]
+    out = _stabilize(ts, quot)
+    return out[0] if w.ndim == 1 else out
 
 
 def check_twice_epi_diff(
@@ -500,66 +509,57 @@ def check_twice_epi_diff(
 
 
 def check_parabolic_regularity(
-    f: SampledFunction, x, v, report: EpiReport, sched: GridSchedule | None = None
-) -> tuple[bool, ExtReal, ExtReal]:
-    """Compare the second subderivative estimate lhs against the parabolic
-    dual value rhs = inf_z {parabolic(w | z) - <z, v>} along the oracle's
-    own recovery sequence.  Returns (holds, lhs, rhs).
+    f: SampledFunction, x, v, reports: list[EpiReport], sched: GridSchedule | None = None
+) -> list[tuple[bool, ExtReal, ExtReal] | None]:
+    """Per report, compare the second subderivative estimate lhs against the
+    parabolic dual value rhs = inf_z {parabolic(w | z) - <z, v>} along the
+    oracle's own recovery sequence.  Returns one verdict per report:
+    (holds, lhs, rhs), or None where w fails the numeric critical-cone test.
 
     f is parabolically regular along w exactly when some recovery sequence
     of the second subderivative has (w_t - w)/t bounded (Rockafellar-Wets
     1998, Prop. 13.64 and Def. 13.65).  Each finite level (t, p_t) of the
     level search gives the candidate z_t = 2(p_t - w)/t: on the arc
     x + t w + t^2 z_t/2, the parabolic quotient minus <z_t, v> is that
-    level's minimum.  One polished _ball_search values every candidate at
-    every level, and one _stabilize folds them.  A candidate counts only if
-    its minimum is finite at all three levels, so its own level alone
-    cannot confirm it.  A counted value below lhs - gap_tol(lhs) refutes
-    lhs and is rhs; otherwise rhs is the counted value closest to lhs, and
-    the check holds when it lies within gap_tol(lhs).  rhs is +inf when no
-    candidate counts.
+    level's minimum.  A candidate counts only if its minimum is finite at
+    all three levels, so its own level alone cannot confirm it.  A counted
+    value below lhs - gap_tol(lhs) refutes lhs and is rhs; otherwise rhs is
+    the counted value closest to lhs, and the check holds when it lies
+    within gap_tol(lhs).  rhs is +inf when no candidate counts.
 
-    report, an EpiReport of check_twice_epi_diff, gives w (its direction),
-    lhs (its oracle_value) and the levels (its achieving_sequence)."""
+    A report of check_twice_epi_diff gives w (its direction), lhs (its
+    oracle_value) and the levels (its achieving_sequence).  One stacked
+    estimate_subderivative tests every w against <v, w> (within 1e-6), one
+    polished _ball_search values the candidates of every w that passes, at
+    every level, with drift w and slope <v, w>, and one _stabilize folds
+    them; each verdict is that of its report checked alone."""
     sched = sched or GridSchedule()
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    w = report.direction
-    dfw, dfw_est = float(v @ w), estimate_subderivative(f, x, w, sched)
-    if dfw_est.is_plus_inf or abs(dfw_est.value - dfw) > 1e-6:
-        raise CriticalConePreconditionFailed(
-            "direction fails the numeric critical-cone test"
-        )
-    ts = sched.t_levels()
-    levels, lhs = report.achieving_sequence, report.oracle_value
-    Z = np.reshape([2.0 * (p - w) / t for t, p, m in levels if math.isfinite(m)], (-1, w.shape[0]))
-    minima, _ = _ball_search(f, x, _base_value(f, x), dfw, Z, sched, order=2, drift=w, polish=True)
+    W = np.reshape([rep.direction for rep in reports], (-1, x.shape[0]))
+    slopes = np.array([float(v @ w) for w in W])
+    estimates = estimate_subderivative(f, x, W, sched)
+    passed = [i for i, est in enumerate(estimates) if est.is_finite and abs(est.value - slopes[i]) <= 1e-6]
+    cands = [(i, 2.0 * (p - W[i]) / t) for i in passed for t, p, m in reports[i].achieving_sequence
+             if math.isfinite(m)]
+    owner = np.array([i for i, _ in cands], dtype=int)
+    Z = np.reshape([z for _, z in cands], (-1, x.shape[0]))
+    minima, _ = _ball_search(f, x, _base_value(f, x), slopes[owner, None], Z, sched, order=2, drift=W[owner],
+                             polish=True)
     full = np.isfinite(minima).all(axis=1)
-    folded = _stabilize(ts, minima[full])
-    values = np.array([est.as_float() for est in folded]) - Z[full] @ v
-    target, tol = lhs.as_float(), gap_tol(lhs)
-    if values.size and values.min() < target - tol:  # a counted value refutes lhs
-        rhs = float(values.min())
-    elif values.size and lhs.is_finite:
-        rhs = float(values[np.argmin(np.abs(values - target))])
-    else:  # no candidate counts, or lhs and every counted value are +inf
-        rhs = math.inf
-    holds = rhs == target or abs(rhs - target) <= tol
-    return holds, lhs, ExtReal(rhs) if math.isfinite(rhs) else PLUS_INF
-
-
-def proximal_modulus_scan(
-    f: SampledFunction, x, v, radius: float = 0.5, n_samples: int = 200, seed: int = 5
-) -> float:
-    """Empirical proximal modulus: the smallest r >= 0 with
-    f(x') >= f(x) + <v, x' - x> - r/2 |x' - x|^2 over sampled x'.  The
-    samples are drawn by ``numkit.ball_steps`` and valued in one stack."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    f0 = _base_value(f, x)
-    steps = ball_steps(np.random.default_rng(seed), n_samples, x.shape[0], radius, 1.0)
-    fx = f.eval_batch(x + steps)
-    nrm2 = np.vecdot(steps, steps)
-    kept = np.isfinite(fx) & (nrm2 > 1e-16)
-    gap = f0 + np.vecdot(steps[kept], v) - fx[kept]
-    return float(np.max(2.0 * gap / nrm2[kept], initial=0.0))
+    folded = _stabilize(sched.t_levels(), minima[full])
+    counted = np.array([est.as_float() for est in folded])
+    verdicts = [None] * len(reports)
+    for i in passed:
+        values = counted[owner[full] == i] - Z[full & (owner == i)] @ v  # each w's own product
+        lhs = reports[i].oracle_value
+        target, tol = lhs.as_float(), gap_tol(lhs)
+        if values.size and values.min() < target - tol:  # a counted value refutes lhs
+            rhs = float(values.min())
+        elif values.size and lhs.is_finite:
+            rhs = float(values[np.argmin(np.abs(values - target))])
+        else:  # no candidate counts, or lhs and every counted value are +inf
+            rhs = math.inf
+        holds = rhs == target or abs(rhs - target) <= tol
+        verdicts[i] = (holds, lhs, ExtReal(rhs) if math.isfinite(rhs) else PLUS_INF)
+    return verdicts

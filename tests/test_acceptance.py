@@ -218,7 +218,6 @@ def test_A9_property_suites():
         ("outer duality grid", test_outer.test_second_subderivative_duality_against_parabolic_grid),
         ("oracle monotone refinement", test_oracle.test_monotone_refinement),
         ("oracle plus-inf consistency", test_oracle.test_plus_inf_consistency_off_critical_cone),
-        ("oracle lower-bound law", test_oracle.test_lower_bound_law),
         ("composite duality", test_composite.test_duality_on_acceptance_instances),
         ("composite tau ball", test_composite.test_tau_ball_attainment),
         ("composite sandwich", test_composite.test_sandwich_estimates),

@@ -338,22 +338,66 @@ def test_verify_exit_codes_and_break_hook():
 
 @pytest.mark.parametrize("fixture", ["psd_cone.json", "plq_2d.json", "polyhedron_m6.json"])
 def test_each_verify_row_equals_its_direction_verified_alone(fixture, monkeypatch):
-    """verify searches all its directions in one stack, yet each row of the
-    default report equals the one row of that direction passed alone with
-    --dir (written as repr floats): no direction's result depends on the
+    """verify runs each oracle stage over all its directions in one stack,
+    yet each row of the default report, at the default seed and at
+    --seed 3, equals the one row of that direction passed alone with --dir
+    (written as repr floats): no direction's result depends on the
     others."""
     from epidiff import cli
 
     stacks, check = [], cli.check_twice_epi_diff
     monkeypatch.setattr(cli, "check_twice_epi_diff",
                         lambda f, x, v, dirs, *args, **kw: stacks.append(dirs) or check(f, x, v, dirs, *args, **kw))
-    _, text = run(["verify", _fixture(fixture)])
-    (dirs,) = stacks
-    rows = _json_block(text)["directions"]
-    assert len(rows) == len(dirs) > 1
-    for w, row in zip(dirs, rows):
-        _, text = run(["verify", _fixture(fixture), "--dir=" + ",".join(repr(float(c)) for c in w)])
-        assert _json_block(text)["directions"] == [row]
+    for seed in ([], ["--seed", "3"]):
+        stacks.clear()
+        _, text = run(["verify", _fixture(fixture)] + seed)
+        (dirs,) = stacks
+        rows = _json_block(text)["directions"]
+        assert len(rows) == len(dirs) > 1
+        for w, row in zip(dirs, rows):
+            _, text = run(["verify", _fixture(fixture), "--dir=" + ",".join(repr(float(c)) for c in w)] + seed)
+            assert _json_block(text)["directions"] == [row]
+
+
+@pytest.mark.parametrize("value, line", [(float("nan"), "error: g(F(.)) is NaN at a point"),
+                                         (-1e16, "error: g(F(.))")])
+def test_a_failed_evaluation_in_the_parabolic_stage_exits_2(monkeypatch, value, line):
+    """verify's parabolic-regularity stage values f by the one failure rule
+    of its level search: a NaN value, or one below NEG_GUARD, at any point
+    but x raises, and verify exits 2 with an error line rather than writing
+    a row error and exiting 1."""
+    from dataclasses import replace
+
+    from epidiff import cli
+
+    check = cli.check_parabolic_regularity
+
+    def faulty(f, x, v, reports, sched):
+        def evaluator(X):
+            return np.where((X == x).all(axis=1), f.evaluator(X), value)
+
+        return check(replace(f, evaluator=evaluator), x, v, reports, sched)
+
+    monkeypatch.setattr(cli, "check_parabolic_regularity", faulty)
+    code, text = run(["verify", _fixture("plq_abs.json")])
+    assert (code, text) == (2, line)
+
+
+def test_a_direction_failing_the_critical_cone_test_is_a_row_verdict(monkeypatch):
+    """a1_parabola along (1, 0) and along (0, 1), which leaves the domain,
+    with every closed form forced to -2: the first-order estimate along
+    (0, 1) is +inf, not <v, w> = 1, so that row alone records the failed
+    critical-cone test, the other row is checked as usual, and verify
+    exits 1."""
+    from epidiff import cli
+    from epidiff.extreal import ExtReal
+
+    monkeypatch.setattr(cli.composite, "chain_dual_value", lambda *args: (ExtReal(-2.0), None))
+    code, text = run(["verify", _fixture("a1_parabola.json"), "--dir=1,0", "--dir=0,1"])
+    along, off = _json_block(text)["directions"]
+    assert code == 1 and along["parabolic_regularity"]["holds"] and set(along["parabolic_regularity"]) == {
+        "holds", "lhs", "rhs"}
+    assert off["parabolic_regularity"] == {"holds": False, "error": "direction fails the numeric critical-cone test"}
 
 
 # The semidefinite cone under a near-identity linear map; the z search's last

@@ -38,6 +38,7 @@ from epidiff.numkit.polyhedra import (
     _PRED_TOL,
     FEAS_TOL,
     MAX_DIM,
+    RANK_TOL,
     _basic_solution,
     _dedupe_sorted,
     _feasible_basis,
@@ -816,19 +817,25 @@ def test_residuals_of_a_stack_are_the_residuals_of_its_points(m, dim, eq, seed):
 #
 # The reference tries every active set of at most dim - rank(E) inequality
 # rows, projects onto each affine slice and keeps the nearest candidate that
-# passes its containment test, exactly as the library did before the NNLS
-# kernel.
+# passes project's own containment test: FEAS_TOL at the size of u and of
+# the row-normalized right-hand sides.  (The library's enumeration before
+# the NNLS kernel accepted 1e-8 at the size of the candidate, looser on
+# these cases, whose coordinates stay below 9.)
 
 
 def _enum_project(P, u):
     u = np.asarray(u, dtype=float)
+    scales = np.concatenate([P.g_scales, P.e_scales])
+    scales[scales <= RANK_TOL] = 1.0
+    rhs = np.concatenate([P.h, P.d]) / scales
+    tol = FEAS_TOL * (1.0 + max(np.abs(u).max(initial=0.0), np.abs(rhs).max(initial=0.0)))
     best, best_d = None, math.inf
     for k in range(0, P.dim - _rank(P.E) + 1):
         for S in itertools.combinations(range(P.n_ineq), k):
             M = np.vstack([P.E, P.G[list(S)]])
             b = np.concatenate([P.d, P.h[list(S)]])
             y = u if M.shape[0] == 0 else u + M.T @ (np.linalg.pinv(M @ M.T) @ (b - M @ u))
-            if not contains(P, y, 1e-8 * (1.0 + float(np.abs(y).max(initial=0.0)))):
+            if not contains(P, y, tol):
                 continue
             # two active sets that reach the same point up to rounding tie,
             # and the lexicographically least copy is kept; of distinct
@@ -861,7 +868,13 @@ def _projection_cases(draw):
 # {y3 <= 1, -y3 <= 1} gives the least-squares point (0, 1, ~0), feasible and
 # only 3e-13 farther from u than the projection (0, 1, 7.85e-7)
 @example((intersect(Polyhedron.make(3, E=[[0.0, 1.0, 0.0]], d=[1.0]), box(3, 1.0)), np.array([0.0, 0.0, 7.85e-7])))
-@settings(max_examples=150, deadline=None)
+# the quadrant {y1 <= 0, y2 >= 0}: NNLS must take the pass that lets the
+# barely violated row y1 <= 0 enter, whose gain lies below rounding
+@example((Polyhedron.make(2, G=[[1.0, 0.0], [0.0, -1.0]], h=[0.0, 0.0]), np.array([1e-8, -1.0])))
+# {0 y <= 0, y <= 0}: u violates y <= 0 by 1e-8, more than project's
+# containment test allows, so both answers are 0
+@example((Polyhedron.make(1, G=[[0.0], [1.0]], h=[0.0, 0.0]), np.array([9.99999994e-09])))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_projection_matches_active_set_enumeration(case):
     P, u = case
     ref, got = _enum_project(P, u), project(P, u)
@@ -869,6 +882,17 @@ def test_projection_matches_active_set_enumeration(case):
     if ref is not None:
         assert np.max(np.abs(got - ref)) <= 1e-9 * (1.0 + np.abs(ref).max())
     assert is_empty(P) == (min_norm_point(P) is None)
+
+
+def test_a_barely_violated_row_enters_the_projection():
+    """The quadrant {y1 <= 0, y2 >= 0} and u = (1e-8, -1): the pass of NNLS
+    that lets y1 <= 0 enter lowers |r|^2 = 0.5 by about 1e-17, below its
+    rounding.  A tie keeps the pass, and the projection is (0, 0); a stop
+    at the tie found no feasible candidate and reported the quadrant
+    empty."""
+    P = Polyhedron.make(2, G=[[1.0, 0.0], [0.0, -1.0]], h=[0.0, 0.0])
+    y = project(P, [1e-8, -1.0])
+    assert y is not None and np.abs(y).max() <= 1e-15
 
 
 def test_projection_far_out_onto_the_apex():

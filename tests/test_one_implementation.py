@@ -13,9 +13,6 @@ LAYERS = ROOT / "perfbench" / "layers.py"
 
 # Kept on purpose although nothing outside the tests calls them.
 UNCALLED = {
-    # the empirical proximal modulus, which ROADMAP item 8 turns into the
-    # prox-regularity check or deletes
-    "proximal_modulus_scan",
     # the paper's first-order and parabolic chain rules
     "subderivative_chain",
     "parabolic_chain",

@@ -14,7 +14,6 @@ from epidiff import oracle
 from epidiff.core import GridSchedule
 from epidiff.errors import (
     BasePointInfeasible,
-    CriticalConePreconditionFailed,
     EpidiffError,
     NegativeInfinityDetected,
     UndefinedValue,
@@ -27,7 +26,6 @@ from epidiff.oracle import (
     check_twice_epi_diff,
     estimate_parabolic_subderivative,
     estimate_subderivative,
-    proximal_modulus_scan,
 )
 from epidiff.cli import run
 from epidiff.composite import sampled_objective
@@ -359,6 +357,14 @@ def test_one_search_kernel_and_one_stabilizer():
     assert _calls_in_loops("_stabilize") == set()  # check_twice_epi_diff folds every direction at once
 
 
+def test_verify_runs_each_oracle_stage_once():
+    """verify searches the stack of its directions: no library function calls
+    the parabolic-regularity check, the first-order estimate or the ball
+    search inside a loop or a comprehension."""
+    for name in ("check_parabolic_regularity", "estimate_subderivative", "_ball_search"):
+        assert _calls_in_loops(name) == set(), name
+
+
 STABILIZER_BRANCHES = ["no_finite_level", "inv_t_test", "growth_ratio", "extrapolated", "raw"]
 
 
@@ -476,9 +482,10 @@ def test_twice_epi_diff_detects_wrong_formula():
 
 
 def _regularity(f, x, v, w):
-    """check_parabolic_regularity on check_twice_epi_diff's report of w."""
+    """check_parabolic_regularity's verdict on check_twice_epi_diff's report of w."""
     (report,) = check_twice_epi_diff(f, x, v, [w], formula=lambda _: PLUS_INF)
-    return check_parabolic_regularity(f, x, v, report)
+    (verdict,) = check_parabolic_regularity(f, x, v, [report])
+    return verdict
 
 
 def test_parabolic_regularity_quadratic():
@@ -504,8 +511,9 @@ def test_parabolic_regularity_abs():
 
 
 def test_parabolic_regularity_precondition():
-    with pytest.raises(CriticalConePreconditionFailed):
-        _regularity(outer_sampled(absolute_value()), [0.0], [1.0], [-1.0])
+    """|.| at 0 with v = 1 along w = -1: the subderivative 1 is not
+    <v, w> = -1, so w fails the critical-cone test, a verdict of None."""
+    assert _regularity(outer_sampled(absolute_value()), [0.0], [1.0], [-1.0]) is None
 
 
 def _parabolic_rows(argv) -> tuple:
@@ -570,10 +578,10 @@ def test_a_candidate_finite_only_at_its_own_level_does_not_count():
     assert own.is_finite
     table = [(1.0, w + 0.5 * z, own.value), (0.5, w, math.inf), (0.25, w, math.inf)]
     report = oracle.EpiReport(direction=w, formula_value=own, oracle_value=own, achieving_sequence=table)
-    holds, lhs, rhs = check_parabolic_regularity(f, x, v, report, sched)
+    ((holds, lhs, rhs),) = check_parabolic_regularity(f, x, v, [report], sched)
     assert not holds and lhs == own and rhs.is_plus_inf
     # an lhs of +inf is refuted only by a finite counted value: none here
-    assert check_parabolic_regularity(f, x, v, replace(report, oracle_value=PLUS_INF), sched)[0]
+    assert check_parabolic_regularity(f, x, v, [replace(report, oracle_value=PLUS_INF)], sched)[0][0]
 
 
 def test_an_lhs_planted_off_the_recovery_sequence_fails_the_check():
@@ -585,10 +593,10 @@ def test_an_lhs_planted_off_the_recovery_sequence_fails_the_check():
     x, v, w = np.zeros(2), np.array([0.0, 1.0]), np.array([1.0, 0.0])
     (rep,) = check_twice_epi_diff(f, x, v, [w], formula=lambda w: ExtReal(-2.0 * w[0] ** 2))
     true = rep.oracle_value
-    assert check_parabolic_regularity(f, x, v, rep)[0]
+    assert check_parabolic_regularity(f, x, v, [rep])[0][0]
     for sign in (1.0, -1.0):
         planted = replace(rep, oracle_value=ExtReal(true.value + sign * 2.0 * oracle.gap_tol(true)))
-        holds, lhs, rhs = check_parabolic_regularity(f, x, v, planted)
+        ((holds, lhs, rhs),) = check_parabolic_regularity(f, x, v, [planted])
         assert not holds and lhs == planted.oracle_value
         assert abs(rhs.value - true.value) <= oracle.gap_tol(true)
 
@@ -619,22 +627,6 @@ def test_plus_inf_consistency_off_critical_cone():
     # finite subderivative mismatching the pairing also diverges
     gabs = outer_sampled(absolute_value())
     assert estimate_second_subderivative(gabs, [0.0], [1.0], [-1.0]).is_plus_inf
-
-
-def test_lower_bound_law():
-    cases = [
-        (square(), [0.0], [0.0]),
-        (outer_sampled(absolute_value()), [0.0], [1.0]),
-        (sampled_objective(a1_problem()), [0.0, 0.0], [0.0, 1.0]),
-    ]
-    rng = np.random.default_rng(21)
-    for f, x, v in cases:
-        r_hat = proximal_modulus_scan(f, x, v, radius=0.3, n_samples=150, seed=5)
-        for _ in range(20):
-            w = rng.standard_normal(f.dim)
-            est = estimate_second_subderivative(f, x, v, w)
-            if est.is_finite:
-                assert est.value >= -r_hat * float(w @ w) - 0.05 * (1 + float(w @ w))
 
 
 # -- complete-poll pattern search ------------------------------------------------------------
@@ -1161,7 +1153,10 @@ def test_one_stacked_level_search_equals_the_per_direction_loop(name, rows, spre
     restores its polls, a1 rescues the centers of its empty balls, the
     dense grid (Z_BATCH_ROWS // 774 = 5 centers a chunk) splits the first
     example's seven directions into two chunks, and the dimension-5
-    function takes the random-ball path, one center a chunk."""
+    function takes the random-ball path, one center a chunk.  Likewise the
+    stacked first-order estimate equals the per-level loop of each direction,
+    and the stacked parabolic-regularity check gives each report the verdict
+    it gets checked alone."""
     _, f, x, v, w, _, _, sched = next(c for c in REFERENCE_CASES if c[0] == name)
     if dense:
         sched = replace(sched, samples_per_axis=9)
@@ -1173,6 +1168,28 @@ def test_one_stacked_level_search_equals_the_per_direction_loop(name, rows, spre
         assert _same_float(rep.oracle_value.as_float(), est.as_float())
         for (t, p, m), (t1, m1, p1) in zip(rep.achieving_sequence, levels, strict=True):
             assert t == t1 and _same_float(m, m1) and p.tobytes() == p1.tobytes()
+    for w, sub in zip(W, estimate_subderivative(f, x, W, sched), strict=True):
+        assert _same_float(sub.as_float(), old_estimate_subderivative(f, x, w, sched).as_float())
+    for rep, verdict in zip(reports, check_parabolic_regularity(f, x, v, reports, sched), strict=True):
+        (alone,) = check_parabolic_regularity(f, x, v, [rep], sched)
+        assert (verdict is None) == (alone is None)
+        if verdict is not None:
+            assert verdict[0] == alone[0] and _same_float(verdict[2].as_float(), alone[2].as_float())
+
+
+def _striped(stripes) -> SampledFunction:
+    """y^2 on R, but value on lo < y < hi for each ((lo, hi), value)."""
+
+    def batch(Y):
+        out = Y[:, 0] ** 2
+        for (lo, hi), value in stripes:
+            out = np.where((Y[:, 0] > lo) & (Y[:, 0] < hi), value, out)
+        return out
+
+    return SampledFunction(batch, 1, "striped")
+
+
+FAILURE_SCHEDULE = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
 
 
 @pytest.mark.parametrize("stripe, value, dirs, failing, error", [
@@ -1182,14 +1199,20 @@ def test_one_stacked_level_search_equals_the_per_direction_loop(name, rows, spre
     # below NEG_GUARD on 0.1 < y < 0.2: no ball point lies there, but the
     # polls of the first direction, 0, reach y = 0.125; -5 stays at y < 0
     ((0.1, 0.2), -1e16, [0.0, -5.0], 0, NegativeInfinityDetected),
+    # both kinds: NaN on 0.09 < y < 0.11, which the ball of 0.2 meets at
+    # t = 0.5 (y = 0.1), and below NEG_GUARD on 2.9 < y < 3.1, which the ball
+    # of 3 meets at t = 1, a level valued earlier; each direction alone
+    # raises its own error, and the stack raises the first direction's
+    pytest.param(((0.09, 0.11), (2.9, 3.1)), (math.nan, -1e16), [0.2, 3.0], 0, UndefinedValue, id="two-stripes"),
 ])
 def test_a_failing_direction_raises_what_the_per_direction_loop_raises(stripe, value, dirs, failing, error):
-    """y^2 on R with one faulty stripe that only one direction's searches
-    meet: the stacked search raises what the per-direction loop raises,
-    class and message, and the other direction alone raises nothing."""
-    lo, hi = stripe
-    f = SampledFunction(lambda Y: np.where((Y[:, 0] > lo) & (Y[:, 0] < hi), value, Y[:, 0] ** 2), 1, "striped")
-    sched = GridSchedule(t0=1.0, steps=3, samples_per_axis=3, radius_coeff=1.0, seed=1)
+    """y^2 on R with faulty stripes: the stacked search raises what the
+    per-direction loop raises, class and message, which is what its first
+    failing direction raises alone.  The directions before it raise
+    nothing alone; with one stripe, neither does any other, and with two,
+    the later direction raises the other error."""
+    f = _striped([(stripe, value)] if np.ndim(value) == 0 else list(zip(stripe, value)))
+    sched = FAILURE_SCHEDULE
     x, v, W = np.zeros(1), np.zeros(1), np.array(dirs)[:, None]
     with pytest.raises(error) as stacked:
         check_twice_epi_diff(f, x, v, W, sched, formula=lambda _: PLUS_INF)
@@ -1200,6 +1223,28 @@ def test_a_failing_direction_raises_what_the_per_direction_loop_raises(stripe, v
         if i == failing:
             with pytest.raises(error):
                 _per_direction(f, x, v, w[None], sched)
-        else:
+        elif i < failing or np.ndim(value) == 0:
             _per_direction(f, x, v, w[None], sched)
+        else:
+            with pytest.raises(EpidiffError) as alone:
+                _per_direction(f, x, v, w[None], sched)
+            assert type(alone.value) is not error
 
+
+def test_a_failing_witness_search_raises_what_its_report_alone_raises():
+    """y^2 on R along 0.2 and 4, whose level searches and critical-cone
+    tests meet neither stripe.  The witness ball of 0.2 meets the NaN stripe
+    -0.165 < y < -0.16 at t = 0.5 only; that of 4 meets the stripe below
+    NEG_GUARD, 2.49 < y < 2.51, at t = 1, a level valued earlier.  Each
+    report checked alone raises its own error, and the stack raises that
+    of 0.2, its first failing report, class and message."""
+    f = _striped([((-0.165, -0.16), math.nan), ((2.49, 2.51), -1e16)])
+    x, v = np.zeros(1), np.zeros(1)
+    reports = check_twice_epi_diff(f, x, v, [[0.2], [4.0]], FAILURE_SCHEDULE, formula=lambda _: PLUS_INF)
+    with pytest.raises(UndefinedValue) as stacked:
+        check_parabolic_regularity(f, x, v, reports, FAILURE_SCHEDULE)
+    with pytest.raises(UndefinedValue) as alone:
+        check_parabolic_regularity(f, x, v, reports[:1], FAILURE_SCHEDULE)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(NegativeInfinityDetected):
+        check_parabolic_regularity(f, x, v, reports[1:], FAILURE_SCHEDULE)
