@@ -26,7 +26,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 PLAN = [
     ("a1_parabola.json", ["analyze", "verify", "check-cq"]),
     ("plq_abs.json", ["analyze", "verify", "certify", "check-cq"]),
-    ("psd_cone.json", ["analyze", "verify", "check-cq"]),
+    ("psd_cone.json", ["analyze", "verify", "certify", "check-cq"]),
     ("parabola_min.json", ["verify", "certify", "check-cq"]),
     ("min_quartic.json", ["verify", "certify"]),
     ("mscq_fail.json", ["check-cq"]),

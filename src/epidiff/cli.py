@@ -66,14 +66,16 @@ class Report:
     exit_code: int = 0
 
     def render(self) -> str:
+        data = _jsonify(self.payload)
         lines = [f"epidiff {self.command}"]
-        lines.extend(_render_block(self.payload, indent=2))
+        lines.extend(_render_block(data, indent=2))
         lines.append("--- machine readable ---")
-        lines.append(json.dumps(_jsonify(self.payload), sort_keys=True, indent=2))
+        lines.append(json.dumps(data, sort_keys=True, indent=2))
         return "\n".join(lines)
 
 
 def _render_block(data, indent=0) -> list[str]:
+    """The text lines of a payload that ``_jsonify`` has already made."""
     pad = " " * indent
     lines = []
     for key, val in data.items():
@@ -86,7 +88,7 @@ def _render_block(data, indent=0) -> list[str]:
                 lines.append(f"{pad}  -")
                 lines.extend(_render_block(item, indent + 4))
         else:
-            lines.append(f"{pad}{key}: {json.dumps(_jsonify(val))}")
+            lines.append(f"{pad}{key}: {json.dumps(val)}")
     return lines
 
 
@@ -95,16 +97,16 @@ def _next_pow2(x: float) -> float:
 
 
 def _resolve_kappa(spec: ProblemSpec, seed: int):
-    """User-supplied kappa wins; otherwise the empirical modulus rounded up to
-    the next power of two, with its provenance recorded."""
+    """(kappa, provenance): user-supplied kappa wins; otherwise the empirical
+    modulus rounded up to the next power of two."""
     if spec.kappa is not None:
-        return spec.kappa, "user-asserted", None
+        return spec.kappa, "user-asserted"
     mscq = composite.check_mscq(spec.problem, spec.x, n_samples=120, radius=0.25, seed=seed)
     if not math.isfinite(mscq.kappa_hat):
         raise MSCQFailed("MSCQ fails empirically: kappa_hat is infinite (restoration failed)")
     kappa = max(_next_pow2(mscq.kappa_hat), 1e-6)
     prov = "verified-empirically" if mscq.holds_evidence else "failed-empirically"
-    return kappa, prov, mscq
+    return kappa, prov
 
 
 def _direction_set(spec: ProblemSpec, ms, seed: int, off_cone: int = 0):
@@ -136,9 +138,9 @@ def _parse_dirs(raw_dirs, n) -> list[np.ndarray]:
 
 
 def cmd_analyze(spec: ProblemSpec, dirs: list, seed: int) -> Report:
-    prob, x, v = spec.problem, spec.x, spec.v
-    kappa, prov, _ = _resolve_kappa(spec, seed)
-    ms = composite.multipliers(prob, x, v, kappa=kappa, ell=spec.ell)
+    prob = spec.problem
+    kappa, prov = _resolve_kappa(spec, seed)
+    ms = composite.multipliers(prob, spec.x, spec.v, kappa=kappa, ell=spec.ell)
     if ms.is_empty:
         return Report(
             "analyze",
@@ -150,7 +152,7 @@ def cmd_analyze(spec: ProblemSpec, dirs: list, seed: int) -> Report:
     results = []
     worst_gap = 0.0
     for w in dirs:
-        info = composite.second_subderivative_chain(prob, x, v, w, kappa=kappa, ell=spec.ell, multys=ms)
+        info = composite.second_subderivative_chain(prob, ms, w)
         entry = {
             "direction": w,
             "dual": info.dual_value,
@@ -185,7 +187,7 @@ def cmd_verify(
     """break_offset (EPIDIFF_BREAK_FORMULA) is added to every finite closed
     form: a self-test hook that must turn a passing report into exit 1."""
     prob, x, v = spec.problem, spec.x, spec.v
-    kappa, prov, _ = _resolve_kappa(spec, seed)
+    kappa, prov = _resolve_kappa(spec, seed)
     ms = composite.multipliers(prob, x, v, kappa=kappa, ell=spec.ell)
     if ms.is_empty:
         return Report("verify", {"error": "v is not a subgradient of g(F(.)) at x"}, exit_code=2)
@@ -193,7 +195,7 @@ def cmd_verify(
         dirs = _direction_set(spec, ms, seed, off_cone=2)
 
     def formula(w):
-        val, _ = composite.chain_dual_value(prob, x, v, w, ms)
+        val, _ = composite.chain_dual_value(prob, ms, w)
         if break_offset and val.is_finite:
             return ExtReal(val.value + break_offset)
         return val
@@ -251,9 +253,9 @@ def cmd_certify(spec: ProblemSpec, seed: int, sched: GridSchedule, break_offset:
     value; the oracle judges a failing one at its worst direction (break_offset
     shifts the value it judges, as in cmd_verify).  A hold on {0} is vacuous."""
     prob, x = spec.problem, spec.x
-    kappa, prov, _ = _resolve_kappa(spec, seed)
+    kappa, prov = _resolve_kappa(spec, seed)
     try:
-        base = optimality.stationary_data(prob, x, kappa)
+        base = optimality.stationary_data(prob, x, kappa, spec.ell)
         ssosc = optimality.check_ssosc(prob, base, seed=seed)
         sonc = optimality.check_sonc(ssosc)
     except NotStationary as exc:

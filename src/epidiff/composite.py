@@ -6,16 +6,17 @@ The dual side maximizes <y, d2F(w,w)> + d2g(F(x), y)(dF(x) w) over the
 multiplier set truncated to the tau-ball box; the primal side minimizes the
 parabolic chain value minus <z, v>.  This module does the problem-level work.
 ``multipliers`` evaluates one base point (x, v) once: its ``MultiplierSet``
-is the per-point record that carries z = F(x), J = dF(x), the multipliers
-that the subdifferential's representation builds, and the critical cone
-that the outer cone pulls back under J.  Every chain-rule function reads the
-base point from that record and adds only the per-direction work; no
-function here asks which representation it holds.  Each catalog member
-answers for its own pieces of the chain rule (``dual_value``,
-``primal_value``, ``basic_cq`` of ``OuterFunction``): exact LPs for
-polyhedral data, a conjugate value at the multiplier for the spectral
-members, and closed forms for smooth data.  Every primal value is a closed
-form.
+is the per-point record that carries x, v, z = F(x), J = dF(x), the
+multipliers that the subdifferential's representation builds, and the
+critical cone that the outer cone pulls back under J.  Every chain-rule
+function (``chain_dual_value``, ``second_subderivative_chain``,
+``_primal_value``) takes that record and a direction, and adds only the
+per-direction work; no function here asks which representation it holds.
+Each catalog member answers for its own pieces of the chain rule
+(``dual_value``, ``primal_value``, ``basic_cq`` of ``OuterFunction``), and
+reads the base point from the same record: exact LPs for polyhedral data, a
+conjugate value at the multiplier for the spectral members, and closed forms
+for smooth data.  Every primal value is a closed form.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .outer import OuterFunction, SubdiffRepr
 
 @dataclass
 class MultiplierSet:
-    """The first-order record of one base point (x, v): z = F(x), J = dF(x)
-    and the Lagrange multipliers {y : adj(J) y = v, y in subdiff g(z)},
+    """The first-order record of one base point (x, v): x, v, z = F(x),
+    J = dF(x) and the Lagrange multipliers {y : adj(J) y = v, y in subdiff g(z)},
     truncated to the tau-ball box before vertex enumeration.  ``subdiff``
     is the subdifferential of g at z that built them.  ``vertices`` are all
     the vertices of ``polyhedron``, before ``multipliers`` keeps those that
@@ -45,6 +46,8 @@ class MultiplierSet:
     critical cone, worked out on first use from ``subdiff`` and kept."""
 
     g: OuterFunction
+    x: np.ndarray
+    v: np.ndarray
     z: np.ndarray
     J: np.ndarray
     tau: float
@@ -145,7 +148,7 @@ def multipliers(
         ell = prob.g.lipschitz_bound(z)
     tau = tau_bound(J, v, kappa, ell)
     rep = prob.g.subdifferential(z)
-    return MultiplierSet(prob.g, z, J, tau, rep, **rep.multiplier_set(J, v, tau))
+    return MultiplierSet(prob.g, x, v, z, J, tau, rep, **rep.multiplier_set(J, v, tau))
 
 
 # -- constraint qualifications ------------------------------------------------------
@@ -294,12 +297,10 @@ def subderivative_chain(prob: CompositeProblem, x, w) -> ExtReal:
     return prob.g.subderivative(z, jacobian(prob.F, x) @ np.asarray(w, dtype=float))
 
 
-def critical_cone(prob: CompositeProblem, x, v, multys: MultiplierSet | None = None):
+def critical_cone(prob: CompositeProblem, x, v):
     """Pullback of the outer critical cone under dF(x): the cone the
     multiplier set of (x, v) keeps."""
-    if multys is None:
-        multys = multipliers(prob, x, v)
-    return multys.cone
+    return multipliers(prob, x, v).cone
 
 
 def parabolic_chain(prob: CompositeProblem, x, w, z) -> ExtReal:
@@ -316,57 +317,43 @@ def parabolic_chain(prob: CompositeProblem, x, w, z) -> ExtReal:
 # -- the dual side -----------------------------------------------------------------------
 
 
-def chain_dual_value(
-    prob: CompositeProblem, x, v, w, multys: MultiplierSet
-) -> tuple[ExtReal, np.ndarray | None]:
-    """The dual-side maximum alone: max over the multiplier set of
-    <y, d2F(x)(w,w)> + d2g(F(x), y)(dF(x) w), PlusInf off the critical cone."""
+def chain_dual_value(prob: CompositeProblem, ms: MultiplierSet, w) -> tuple[ExtReal, np.ndarray | None]:
+    """The dual-side maximum alone at the base point of ms: max over its
+    multipliers of <y, d2F(x)(w,w)> + d2g(F(x), y)(dF(x) w), PlusInf off the
+    critical cone."""
     w = np.asarray(w, dtype=float)
-    if not multys.cone.contains(w):
+    if not ms.cone.contains(w):
         return PLUS_INF, None
-    H = second_form(prob.F, np.asarray(x, dtype=float), w)
-    return prob.g.dual_value(multys.z, multys.J @ w, H, multys)
+    return prob.g.dual_value(ms.J @ w, second_form(prob.F, ms.x, w), ms)
 
 
-def second_subderivative_chain(
-    prob: CompositeProblem,
-    x,
-    v,
-    w,
-    kappa: float = 1.0,
-    ell: float | None = None,
-    multys: MultiplierSet | None = None,
-) -> DualityInfo:
-    """The second subderivative of g(F(.)) at x for v along w, as the maximum
-    over multipliers, together with the primal minimization value; both
-    sides share dF(x) w and d2F(x)(w, w)."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+def second_subderivative_chain(prob: CompositeProblem, ms: MultiplierSet, w) -> DualityInfo:
+    """The second subderivative of g(F(.)) at the base point (x, v) of ms
+    along w, as the maximum over multipliers, together with the primal
+    minimization value; both sides share dF(x) w and d2F(x)(w, w)."""
     w = np.asarray(w, dtype=float)
-    if multys is None:
-        multys = multipliers(prob, x, v, kappa=kappa, ell=ell)
-    if not multys.cone.contains(w):
-        return DualityInfo(PLUS_INF, PLUS_INF, None, multys.tau, 0.0)
-    u, H = multys.J @ w, second_form(prob.F, x, w)
-    dual_val, argmax = prob.g.dual_value(multys.z, u, H, multys)
-    primal_val, _ = _primal_value(prob, v, u, H, multys)
+    if not ms.cone.contains(w):
+        return DualityInfo(PLUS_INF, PLUS_INF, None, ms.tau, 0.0)
+    u, H = ms.J @ w, second_form(prob.F, ms.x, w)
+    dual_val, argmax = prob.g.dual_value(u, H, ms)
+    primal_val, _ = _primal_value(prob, ms, u, H)
     if primal_val.is_finite and dual_val.is_finite:
         gap = abs(primal_val.value - dual_val.value)
     elif primal_val.is_plus_inf and dual_val.is_plus_inf:
         gap = 0.0
     else:
         gap = math.inf
-    return DualityInfo(primal_val, dual_val, argmax, multys.tau, gap)
+    return DualityInfo(primal_val, dual_val, argmax, ms.tau, gap)
 
 
 # -- the primal side ------------------------------------------------------------------------
 
 
-def _primal_value(prob: CompositeProblem, v, u, H, multys: MultiplierSet) -> tuple[ExtReal, bool]:
-    """The primal value for u = dF(x) w, H = d2F(x)(w, w) with w on the
-    critical cone, paired with True (every member's primal value is exact),
-    the shape that tracing tools read."""
-    return prob.g.primal_value(multys.z, multys.J, u, H, v), True
+def _primal_value(prob: CompositeProblem, ms: MultiplierSet, u, H) -> tuple[ExtReal, bool]:
+    """The primal value at the base point of ms for u = dF(x) w and
+    H = d2F(x)(w, w) with w on the critical cone, paired with True (every
+    member's primal value is exact), the shape that tracing tools read."""
+    return prob.g.primal_value(u, H, ms), True
 
 
 # -- sampled assembly --------------------------------------------------------------------------

@@ -76,25 +76,26 @@ class SmsCertificate:
     assumptions: dict
 
 
-def stationary_data(prob: CompositeProblem, x, kappa: float):
-    """(x, v, ms, phi_hess): the base point x, v = -grad phi(x), the
-    multiplier set of (x, v) and the Hessian of phi at x, which is what
-    both conditions take as their ``base``."""
+def stationary_data(prob: CompositeProblem, x, kappa: float, ell: float | None = None):
+    """(ms, phi_hess): the multiplier set of the base point (x, v) with
+    v = -grad phi(x), under kappa and ell as ``multipliers`` takes them, and
+    the Hessian of phi at x; both conditions take the pair as their
+    ``base``."""
     x = np.asarray(x, dtype=float)
     v = -gradient(prob.phi, x)
     try:
-        ms = multipliers(prob, x, v, kappa=kappa)
+        ms = multipliers(prob, x, v, kappa=kappa, ell=ell)
     except EpidiffError as exc:
         raise NotStationary(f"no multipliers at the base point: {exc}") from exc
     if ms.is_empty:
         raise NotStationary("-grad phi(x) is not a subgradient of g(F(.)) at x")
-    return x, v, ms, hessian(prob.phi, x)
+    return ms, hessian(prob.phi, x)
 
 
 def _condition_value(prob: CompositeProblem, base, w) -> ExtReal:
-    x, v, ms, phi_hess = base
+    ms, phi_hess = base
     w = np.asarray(w, dtype=float)
-    dual, _ = chain_dual_value(prob, x, v, w, ms)
+    dual, _ = chain_dual_value(prob, ms, w)
     if dual.is_plus_inf:
         return PLUS_INF
     return ExtReal(float(w @ phi_hess @ w) + dual.value)
@@ -141,14 +142,14 @@ def _exact_minimum(prob: CompositeProblem, base) -> tuple[list[np.ndarray], int]
     condition quadratic over the critical cone's unit sphere (none when the
     cone is {0}) and the number of faces it scanned; None in every other
     case."""
-    x, _, ms, phi_hess = base
+    ms, phi_hess = base
     if len(ms.multipliers) != 1:
         return None
     y = ms.first()
     M = prob.g.second_order_matrix(ms.z, y)
     if M is None:
         return None
-    Q = phi_hess + np.tensordot(y, _hessians(prob.F, x), 1) + ms.J.T @ M @ ms.J
+    Q = phi_hess + np.tensordot(y, _hessians(prob.F, ms.x), 1) + ms.J.T @ M @ ms.J
     exact = ms.cone.min_quadratic(Q)
     if exact is None:
         return None
@@ -167,7 +168,7 @@ def check_ssosc(prob: CompositeProblem, base, seed: int) -> SOCReport:
     point by a pattern search in the unit ball whose trial points are valued
     at their projections onto the cone (an interior direction can be the
     minimizer in cones of dimension >= 2)."""
-    ms = base[2]
+    ms = base[0]
     exact = _exact_minimum(prob, base)
     if exact is not None:
         (dirs, tested), method = exact, "faces"

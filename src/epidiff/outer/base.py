@@ -14,14 +14,16 @@ its own ``multiplier_set``), ``subderivative``, ``second_subderivative``,
 answers for its ``pullback``, ``project`` and ``directions``, given a ``lift``
 toward the cone where sampling needs one), ``lipschitz_bound``,
 ``domain_project`` and, for its part of the composite chain rule,
-``primal_value``: the closed-form minimum of the parabolic subderivative over
-the pulled-back second-order directions (no default).
+``primal_value(u, H, ms)``: the closed-form minimum of the parabolic
+subderivative over the pulled-back second-order directions (no default).
+Both chain-rule parts read the base point (z = F(x), J = dF(x), v and the
+multipliers) from the composite's ``MultiplierSet`` ms.
 The other defaults fit a finite multiplier list and a full domain:
 
-- ``dual_value`` maximizes over the materialized multipliers one by one; a
-  member whose second-order term is the same for every multiplier on the
-  critical cone (PLQ) overrides it with the best vertex of the multiplier
-  polytope plus that term.
+- ``dual_value(u, H, ms)`` maximizes over the materialized multipliers one
+  by one; a member whose second-order term is the same for every multiplier
+  on the critical cone (PLQ) overrides it with the best vertex of the
+  multiplier polytope plus that term.
 - ``domain_distance`` is the distance to ``domain_project(z)``.
 - ``second_order_tangent_contains`` and ``basic_cq`` return True, since a
   full domain has every second-order tangent and the normal cone {0}; a
@@ -102,15 +104,16 @@ class OuterFunction:
 
     # -- the member's part of the composite chain rule ----------------------------
     #
-    # z = F(x), J = dF(x), u = J w and H = d2F(x)(w, w) for the probed
-    # direction w; multys is the composite's multiplier set.
+    # u = J w and H = d2F(x)(w, w) for the probed direction w; ms is the
+    # composite's multiplier set, the record of the base point that holds
+    # z = F(x), J = dF(x), v and the multipliers.
 
-    def dual_value(self, z, u, H, multys):
+    def dual_value(self, u, H, ms):
         """max over the multipliers y of <y, H> + d2 g(z, y)(u), with its
         argmax; PlusInf as soon as one second-order term is infinite."""
         best_val, best_y = None, None
-        for y in multys.multipliers:
-            term = self.second_subderivative(z, y, u)
+        for y in ms.multipliers:
+            term = self.second_subderivative(ms.z, y, u)
             if term.is_plus_inf:
                 return PLUS_INF, None
             val = float(np.asarray(y) @ H) + term.value
@@ -118,7 +121,7 @@ class OuterFunction:
                 best_val, best_y = val, y
         return ExtReal(best_val), best_y
 
-    def primal_value(self, z, J, u, H, v) -> ExtReal:
+    def primal_value(self, u, H, ms) -> ExtReal:
         """min over z' of d2 g(z)(u | J z' + H) - <z', v>."""
         raise NotImplementedError
 

@@ -17,6 +17,16 @@ from .reprs import PredicateConeRepr, SpectralRep
 from .spectral import SymMatrixFunction, arc_expansion
 
 
+def _tangent(E0, W) -> bool:
+    """Whether W is tangent to the cone at a point whose zero eigenvalue
+    cluster E0 spans: E0^T W E0 <= 0 to ACT_TOL * (1 + |W|)."""
+    if E0.shape[1] == 0:
+        return True
+    comp = E0.T @ W @ E0
+    lams, _ = sym_eig(0.5 * (comp + comp.T))
+    return lams[0] <= ACT_TOL * (1.0 + float(np.linalg.norm(W)))
+
+
 class NegSemidefIndicator(SymMatrixFunction):
     """Indicator of the negative semidefinite cone on vectorized S^n."""
 
@@ -53,14 +63,7 @@ class NegSemidefIndicator(SymMatrixFunction):
         return SpectralRep(self.n, np.zeros((self.n, self.n)), self._zero_cluster_basis(A), None)
 
     def subderivative(self, z, w) -> ExtReal:
-        self._require_in_domain(z)
-        A, W = self._to_mat(z), self._to_mat(w)
-        E0 = self._zero_cluster_basis(A)
-        if E0.shape[1] == 0:
-            return ExtReal(0.0)
-        comp = E0.T @ W @ E0
-        lams, _ = sym_eig(0.5 * (comp + comp.T))
-        return ExtReal(0.0) if lams[0] <= ACT_TOL * (1.0 + float(np.linalg.norm(W))) else PLUS_INF
+        return ExtReal(0.0) if _tangent(self.subdifferential(z).basis, self._to_mat(w)) else PLUS_INF
 
     def second_subderivative(self, z, y, u) -> ExtReal:
         """-2 <V, W pinv(A) W> on the critical cone, +inf elsewhere; the
@@ -105,25 +108,23 @@ class NegSemidefIndicator(SymMatrixFunction):
         nu, _ = sym_eig(E1.T @ C @ E1)
         return nu[0] <= ACT_TOL * (1.0 + float(np.linalg.norm(C)))
 
-    def primal_value(self, z, J, u, H, v) -> ExtReal:
-        """The conjugate value <y, H + D>, D = -2 W A^+ W, at the unique
-        multiplier y: a nonempty zero cluster leaves the multiplier cone
-        unpinned, so multipliers() has already required J to be surjective,
-        and criticality puts y on E1, where the tangent set is
-        E1^T (U + D) E1 <= 0.  Zero when W pushes the whole cluster inward."""
-        arc = self._arc(z, u, np.zeros(self.ambient_dim))
+    def primal_value(self, u, H, ms) -> ExtReal:
+        """The conjugate value <y, H + D>, D = -2 W A^+ W, at the one
+        multiplier y of ms, which criticality puts on E1, where the tangent
+        set is E1^T (U + D) E1 <= 0.  Zero when W pushes the whole cluster
+        inward."""
+        arc = self._arc(ms.z, u, np.zeros(self.ambient_dim))
         if arc is None:
             return ExtReal(0.0)
-        y = np.linalg.lstsq(J.T, v, rcond=None)[0]
-        return ExtReal(float(y @ (H + svec(arc[1]))))
+        return ExtReal(float(ms.first() @ (H + svec(arc[1]))))
 
     def critical_cone(self, z, y, subdiff=None):
-        self._require_subgradient(z, y, subdiff)
+        rep = self._require_subgradient(z, y, subdiff)
         V = self._to_mat(y)
 
         def pred(w):
             W = self._to_mat(w)
-            if not self.subderivative(z, svec(W)).is_finite:
+            if not _tangent(rep.basis, W):
                 return False
             pairing = float(np.tensordot(V, W))
             return abs(pairing) <= 1e-8 * (1.0 + np.linalg.norm(V) * np.linalg.norm(W))

@@ -234,7 +234,7 @@ class PlqFunction(OuterFunction):
             description="directions where the subderivative matches the multiplier pairing",
         )
 
-    def dual_value(self, z, u, H, multys):
+    def dual_value(self, u, H, ms):
         """Exact dual over the multiplier polytope: the best vertex of <y, H>,
         from the vertices the multiplier set enumerated once (all of them,
         also those its membership checks dropped), plus the piece term
@@ -246,18 +246,19 @@ class PlqFunction(OuterFunction):
         over the admissible pieces, ties keeping the lower piece index."""
         best = None
         utol = 1e-8 * (1.0 + float(np.linalg.norm(u)))
-        for i in self._admissible(z, u):
+        for i in self._admissible(ms.z, u):
             term = float(u @ self.pieces[i].A @ u)
             if best is None or term > best + utol:
                 best = term
         if best is None:
             return PLUS_INF, None
-        val, arg = max_vertex(H, multys.vertices)
-        return ExtReal(val + best), multys.ball_argmax(H, arg)
+        val, arg = max_vertex(H, ms.vertices)
+        return ExtReal(val + best), ms.ball_argmax(H, arg)
 
-    def primal_value(self, z, J, u, H, v) -> ExtReal:
+    def primal_value(self, u, H, ms) -> ExtReal:
         """Exact: per admissible piece, an LP over the pullback of the
         piece's second-order tangent cone; the smallest total wins."""
+        z, J, v = ms.z, ms.J, ms.v
         best = None
         for i in self._admissible(z, u):
             piece = self.pieces[i]

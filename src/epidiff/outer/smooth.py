@@ -89,15 +89,15 @@ class SmoothQuadratic(OuterFunction):
         u = np.asarray(u, dtype=float)
         return ExtReal(float(w @ self.hess(z) @ w) + float(self.grad(z) @ u))
 
-    def primal_value(self, z, J, u, H, v) -> ExtReal:
+    def primal_value(self, u, H, ms) -> ExtReal:
         """Closed form <hess u, u> + <grad, H>; needs adj(J) grad = v."""
-        grad = self.grad(z)
-        resid = float(np.linalg.norm(J.T @ grad - v))
-        if resid > SUBGRADIENT_TOL * (1.0 + float(np.linalg.norm(v))):
+        grad = self.grad(ms.z)
+        resid = float(np.linalg.norm(ms.J.T @ grad - ms.v))
+        if resid > SUBGRADIENT_TOL * (1.0 + float(np.linalg.norm(ms.v))):
             raise CriticalConePreconditionFailed(
                 "smooth outer gradient does not match the pairing vector"
             )
-        return ExtReal(float(u @ self.hess(z) @ u) + float(grad @ H))
+        return ExtReal(float(u @ self.hess(ms.z) @ u) + float(grad @ H))
 
     def second_order_matrix(self, z, y) -> np.ndarray:
         """The Hessian at z, for the one subgradient y = grad(z)."""

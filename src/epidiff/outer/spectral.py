@@ -6,22 +6,17 @@ is not convex.  g is C^2-reducible wherever lambda_s > lambda_(s+1) (Torki
 2001) and (i - s)-Lipschitz (Hoffman & Wielandt 1953).
 
 The value is the plain sum of the eigenvalues that numkit.sym_eigvals
-gives (a closed form for n <= 2, LAPACK above).  The closed forms take
-their eigenvalues and eigenvectors from the Jacobi solver sym_eig instead,
-so the values the oracle samples come from another eigensolver than the
-formulas it checks.  The closed forms cluster eigenvalues within
-gap_tol = 1e-8 * (1 + |A|) of each other, and split g into a smooth sum
-(ranks s+1 up to the i-th eigenvalue's cluster) and a partial cluster sum.
+gives; the closed forms take theirs from the Jacobi solver sym_eig, so the
+oracle samples another eigensolver than the formulas it checks.  The closed
+forms cluster eigenvalues within cluster_tol(A) of each other and split g
+into a smooth sum (ranks s+1 up to the i-th eigenvalue's cluster) and a
+partial cluster sum; the subdifferential holds that split, and the
+subderivative and the critical cone read it.
 
-The parabolic subderivatives are closed forms for every cluster size: the
-second-order expansion of an eigenvalue cluster along a parabolic arc
-(Shapiro & Fan 1995 for the largest eigenvalue, Torki 2001 for every
-eigenvalue), built once in arc_expansion and shared with the semidefinite
-cone indicator.  The primal value minimizes that parabolic function over
-U = J z' + H in one formula, the conjugate value at the multiplier y: when
-the sum counts the whole binding sub-cluster, the function is affine in U
-and y is its gradient; otherwise multipliers() has already required J to be
-surjective, U ranges over all of S^n, and y is unique.
+The parabolic subderivatives are the second-order expansion of an
+eigenvalue cluster along a parabolic arc (Shapiro & Fan 1995; Torki 2001),
+built once in arc_expansion and shared with the semidefinite cone
+indicator.  The primal value is its conjugate value at the multiplier.
 
 Arguments live on the isometrically vectorized space of symmetric matrices:
 every point is an svec vector of length n(n+1)/2.
@@ -58,6 +53,14 @@ def cluster_ranges(lams_desc: np.ndarray, gap: float) -> list[tuple[int, int]]:
             start = j
     clusters.append((start, len(lams_desc)))
     return clusters
+
+
+def _support(rep: SpectralRep, W) -> float:
+    """dg(z)(W), the support function at W of the subdifferential rep at z:
+    the sum of the top trace eigenvalues of E^T W E, plus <base, W>."""
+    comp = rep.basis.T @ W @ rep.basis
+    mu, _ = sym_eig(0.5 * (comp + comp.T))
+    return float(np.sum(mu[: int(rep.trace)])) + float(np.tensordot(rep.base, W))
 
 
 def _group(clusters, idx: int) -> tuple[int, int]:
@@ -139,13 +142,7 @@ class EigSumFunction(SymMatrixFunction):
         return SpectralRep(self.n, self._smooth_part(lams, Q, c_start), Q[:, cluster], float(count))
 
     def subderivative(self, z, w) -> ExtReal:
-        A, W = self._to_mat(z), self._to_mat(w)
-        lams, Q, c_start, cluster, count = self._structure(A)
-        E = Q[:, cluster]
-        comp = E.T @ W @ E
-        mu, _ = sym_eig(0.5 * (comp + comp.T))
-        smooth = float(np.tensordot(self._smooth_part(lams, Q, c_start), W))
-        return ExtReal(float(np.sum(mu[:count])) + smooth)
+        return ExtReal(_support(self.subdifferential(z), self._to_mat(w)))
 
     def second_subderivative(self, z, y, u) -> ExtReal:
         """2 <V, W pinv(lam_i I - A) W> on the critical cone, +inf elsewhere.
@@ -177,28 +174,23 @@ class EigSumFunction(SymMatrixFunction):
         nu, _ = sym_eig(E1.T @ C @ E1)
         return ExtReal(float(np.trace(E_above.T @ C @ E_above)) + float(np.sum(nu[:r])) + smooth)
 
-    def primal_value(self, z, J, u, H, v) -> ExtReal:
+    def primal_value(self, u, H, ms) -> ExtReal:
         """The conjugate value p(-D) + <y, H + D> at the multiplier y, with
-        D = C(0) and p the parabolic function, whose minimum over U is
-        attained at U = -D.  When r covers E1, p is affine in U and y is its
-        gradient; otherwise multipliers() has already required J to be
-        surjective, and y is the unique solution of J^T y = v."""
-        E_above, E1, r, D, P, _ = self._arc(z, u, np.zeros(self.ambient_dim))
-        if r == E1.shape[1]:
-            y = svec(P + E_above @ E_above.T + E1 @ E1.T)
-        else:
-            y = np.linalg.lstsq(J.T, v, rcond=None)[0]
-        return self.parabolic_subderivative(z, u, -svec(D)) + float(y @ (H + svec(D)))
+        D = C(0) and p the parabolic function of U = J z' + H, whose minimum
+        is attained at U = -D.  When r covers E1, p is affine in U and y is
+        its gradient; otherwise y is the one multiplier of ms."""
+        E_above, E1, r, D, P, _ = self._arc(ms.z, u, np.zeros(self.ambient_dim))
+        y = svec(P + E_above @ E_above.T + E1 @ E1.T) if r == E1.shape[1] else ms.first()
+        return self.parabolic_subderivative(ms.z, u, -svec(D)) + float(y @ (H + svec(D)))
 
     def critical_cone(self, z, y, subdiff=None):
-        self._require_subgradient(z, y, subdiff)
+        rep = self._require_subgradient(z, y, subdiff)
         V = self._to_mat(y)
 
         def pred(w):
             W = self._to_mat(w)
             pair = float(np.tensordot(V, W))
-            d = self.subderivative(z, svec(W)).value
-            return abs(d - pair) <= 1e-8 * (1.0 + abs(pair) + float(np.linalg.norm(W)))
+            return abs(_support(rep, W) - pair) <= 1e-8 * (1.0 + abs(pair) + float(np.linalg.norm(W)))
 
         return PredicateConeRepr(pred, description="directions with tight subderivative pairing")
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from epidiff.cli import run
-from epidiff.composite import check_basic_cq, check_mscq, second_subderivative_chain
+from epidiff.composite import check_basic_cq, check_mscq, multipliers, second_subderivative_chain
 from epidiff.core import GridSchedule
 from epidiff.numkit import svec
 from epidiff.optimality import check_ssosc, sms_certificate, stationary_data, verify_growth
@@ -131,7 +131,7 @@ def test_A5_duality_and_tau():
         (a1_problem(), np.zeros(2), np.array([0.0, 1.0]), 1.0, np.array([1.0, 0.0])),
         (abs_shift_problem(), np.array([1.0]), np.array([1.0]), 0.0, np.array([1.0])),
     ]:
-        info = second_subderivative_chain(prob, x, v, w, kappa=kappa)
+        info = second_subderivative_chain(prob, multipliers(prob, x, v, kappa=kappa), w)
         assert info.gap <= 0.05
         assert float(np.linalg.norm(info.argmax_y)) <= info.tau + 1e-8
         infos.append(info)

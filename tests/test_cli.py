@@ -466,7 +466,7 @@ def _growth_rows(spec, seed, epsilons):
     from epidiff.cli import _resolve_kappa
 
     kappa = _resolve_kappa(spec, seed)[0]
-    base = optimality.stationary_data(spec.problem, spec.x, kappa)
+    base = optimality.stationary_data(spec.problem, spec.x, kappa, spec.ell)
     ell = 0.5 * optimality.check_ssosc(spec.problem, base, seed=seed).worst_value.value
     rows = []
     for eps in epsilons:
@@ -599,6 +599,30 @@ def test_certify_builds_the_base_subdifferential_once(monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_every_command_builds_its_multiplier_set_under_the_files_ell(tmp_path, monkeypatch):
+    """analyze, verify and certify each build the base point's multiplier
+    set once, under the ell that the file gives, so one file gets one tau
+    box."""
+    from epidiff import composite, optimality
+
+    data = json.loads(Path(_fixture("plq_2d.json")).read_text())
+    p = tmp_path / "plq_2d_ell.json"
+    p.write_text(json.dumps({**data, "ell": 0.75}))
+    seen = []
+    original = composite.multipliers
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("ell"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(composite, "multipliers", recording)
+    monkeypatch.setattr(optimality, "multipliers", recording)
+    for command in ("analyze", "verify", "certify"):
+        seen.clear()
+        code, _ = run([command, str(p)])
+        assert code == 0 and seen == [0.75], command
+
+
 def test_a_flat_kernel_direction_gets_the_zero_dual_and_no_sms_claim(monkeypatch):
     """psi(x) = |x1 + 2 x2| at x = 0 with v = (0.5, 1): the multiplier is
     y = 0.5, and the critical directions +-(2, -1)/sqrt(5) span ker dF, where
@@ -707,7 +731,7 @@ def test_analyze_counts_an_infinite_dual_against_a_finite_primal(monkeypatch):
     from epidiff.extreal import PLUS_INF
     from epidiff.outer import PlqFunction
 
-    monkeypatch.setattr(PlqFunction, "dual_value", lambda self, z, u, H, multys: (PLUS_INF, None))
+    monkeypatch.setattr(PlqFunction, "dual_value", lambda self, u, H, ms: (PLUS_INF, None))
     code, text = run(["analyze", _fixture("plq_abs.json")])
     entries = _json_block(text)["directions"]
     assert code == 1 and entries

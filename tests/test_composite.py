@@ -109,7 +109,7 @@ def test_polyhedral_dual_is_the_lp_over_the_multiplier_polytope():
         expect = lp_max(H, ms.polyhedron)
         dropped = [y for y in ms.multipliers if not np.array_equal(y, expect[1])]
         for kept in (ms, replace(ms, multipliers=dropped)):
-            val, arg = prob.g.dual_value(kept.z, np.zeros(2), H, kept)
+            val, arg = prob.g.dual_value(np.zeros(2), H, kept)
             assert _bits([val.value, *arg]) == _bits([expect[0], *expect[1]])
 
 
@@ -482,25 +482,25 @@ def test_parabolic_chain_examples():
 
 def test_second_subderivative_chain_examples():
     prob = a1_problem()
-    info = second_subderivative_chain(prob, A1_X, A1_V, [1.0, 0.0], kappa=1.0)
+    info = second_subderivative_chain(prob, multipliers(prob, A1_X, A1_V, kappa=1.0), [1.0, 0.0])
     assert info.dual_value.value == pytest.approx(-2.0)
     assert info.primal_value.value == pytest.approx(-2.0)
     assert info.argmax_y[0] == pytest.approx(1.0)
     assert info.gap <= 1e-9
-    off = second_subderivative_chain(prob, A1_X, A1_V, [0.0, 1.0], kappa=1.0)
+    off = second_subderivative_chain(prob, multipliers(prob, A1_X, A1_V, kappa=1.0), [0.0, 1.0])
     assert off.dual_value.is_plus_inf and off.primal_value.is_plus_inf
     probA = CompositeProblem(PolyMap.zero(1), PolyMap.identity(1), absolute_value())
-    zero = second_subderivative_chain(probA, [0.0], [0.0], [0.0], kappa=0.0)
+    zero = second_subderivative_chain(probA, multipliers(probA, [0.0], [0.0], kappa=0.0), [0.0])
     assert zero.dual_value.value == 0.0
 
 
 def test_primal_value_examples():
     prob = a1_problem()
-    assert second_subderivative_chain(prob, A1_X, A1_V, [1.0, 0.0]).primal_value.value == pytest.approx(-2.0)
+    assert second_subderivative_chain(prob, multipliers(prob, A1_X, A1_V), [1.0, 0.0]).primal_value.value == pytest.approx(-2.0)
     probA = abs_shift_problem()
-    assert second_subderivative_chain(probA, [1.0], [1.0], [1.0]).primal_value.value == pytest.approx(0.0)
+    assert second_subderivative_chain(probA, multipliers(probA, [1.0], [1.0]), [1.0]).primal_value.value == pytest.approx(0.0)
     # off the critical cone the primal value is +inf
-    assert second_subderivative_chain(prob, A1_X, A1_V, [0.0, 1.0]).primal_value.is_plus_inf
+    assert second_subderivative_chain(prob, multipliers(prob, A1_X, A1_V), [0.0, 1.0]).primal_value.is_plus_inf
 
 
 # Golden values, derived by hand: the spectral primal values are closed forms
@@ -514,7 +514,8 @@ def test_closed_form_primal_golden_negsemidef():
     primal = 0.32 = -2 <V, W A^+ W> = dual."""
     zA, zV = psd_base_data()
     w = svec(np.array([[0.0, 0.4], [0.4, -0.8]]))
-    info = second_subderivative_chain(psd_problem(), zA, zV, w, kappa=1.0)
+    prob = psd_problem()
+    info = second_subderivative_chain(prob, multipliers(prob, zA, zV, kappa=1.0), w)
     assert info.primal_value.value == pytest.approx(0.32, abs=1e-12)
     assert abs(info.primal_value.value - info.dual_value.value) <= 1e-12
 
@@ -527,7 +528,7 @@ def test_closed_form_primal_golden_max_eig():
     primal = 2 (W (I - A)^+ W)11 = 1 = dual."""
     F = PolyMap.from_strings([["1"], ["x1"], ["-1 x1^2"]], 1)
     prob = CompositeProblem(PolyMap.zero(1), F, max_eig(2))
-    info = second_subderivative_chain(prob, [0.0], [0.0], [1.0], kappa=1.0)
+    info = second_subderivative_chain(prob, multipliers(prob, [0.0], [0.0], kappa=1.0), [1.0])
     assert info.primal_value.value == pytest.approx(1.0, abs=1e-12)
     assert abs(info.primal_value.value - info.dual_value.value) <= 1e-12
 
@@ -546,7 +547,7 @@ def test_primal_dual_two_column_cluster():
     V[:2, :2] = [[1.0, 0.5], [0.5, 1.0]]
     prob = CompositeProblem(PolyMap.zero(6), PolyMap.identity(6), NegSemidefIndicator(3))
     x, v = svec(np.diag([0.0, 0.0, -1.0])), svec(V)
-    info = second_subderivative_chain(prob, x, v, svec(W), kappa=1.0)
+    info = second_subderivative_chain(prob, multipliers(prob, x, v, kappa=1.0), svec(W))
     assert info.dual_value.value == pytest.approx(14.0, abs=1e-12)
     assert abs(info.primal_value.value - info.dual_value.value) <= 1e-12
 
@@ -565,7 +566,7 @@ def test_plq_primal_dual_golden_several_pieces():
     x, v, w = np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.7])
     ms = multipliers(prob, x, v, kappa=1.0)
     assert len(ms.multipliers) == 2
-    info = second_subderivative_chain(prob, x, v, w, kappa=1.0, multys=ms)
+    info = second_subderivative_chain(prob, ms, w)
     assert f"{info.primal_value.value:.12g}" == "1.98"
     assert f"{info.dual_value.value:.12g}" == "1.98"
     assert np.allclose(info.argmax_y, [1.0, 0.0], atol=1e-12)
@@ -574,7 +575,7 @@ def test_plq_primal_dual_golden_several_pieces():
 def test_empty_multiplier_raise():
     probA = CompositeProblem(PolyMap.zero(1), PolyMap.identity(1), absolute_value())
     with pytest.raises(EmptyMultiplierSet):
-        second_subderivative_chain(probA, [0.0], [2.0], [1.0], kappa=0.0)
+        second_subderivative_chain(probA, multipliers(probA, [0.0], [2.0], kappa=0.0), [1.0])
 
 
 # -- invariants & properties -----------------------------------------------------------------
@@ -599,7 +600,7 @@ def _acceptance_instances():
 def test_duality_on_acceptance_instances():
     for name, prob, x, v, kappa, dirs in _acceptance_instances():
         for w in dirs:
-            info = second_subderivative_chain(prob, x, v, w, kappa=kappa)
+            info = second_subderivative_chain(prob, multipliers(prob, x, v, kappa=kappa), w)
             assert info.dual_value.is_finite, name
             tol = max(0.05, 0.05 * abs(info.dual_value.value))
             assert info.gap <= tol, (name, info.gap)
@@ -608,7 +609,7 @@ def test_duality_on_acceptance_instances():
 def test_tau_ball_attainment():
     for name, prob, x, v, kappa, dirs in _acceptance_instances():
         for w in dirs:
-            info = second_subderivative_chain(prob, x, v, w, kappa=kappa)
+            info = second_subderivative_chain(prob, multipliers(prob, x, v, kappa=kappa), w)
             assert info.argmax_y is not None
             assert float(np.linalg.norm(info.argmax_y)) <= info.tau + 1e-8, name
 
@@ -621,7 +622,7 @@ def test_sandwich_estimates():
 
         J = jacobian(prob.F, x)
         for w in dirs:
-            info = second_subderivative_chain(prob, x, v, w, kappa=kappa, multys=ms)
+            info = second_subderivative_chain(prob, ms, w)
             H = second_form(prob.F, x, w)
             for y in ms.multipliers:
                 term = prob.g.second_subderivative(zbar, y, J @ w)
@@ -637,11 +638,10 @@ def test_domain_law_chain():
     rng = np.random.default_rng(31)
     for name, prob, x, v, kappa, _ in _acceptance_instances():
         ms = multipliers(prob, x, v, kappa=kappa)
-        cone = critical_cone(prob, x, v, ms)
         for _ in range(100):
             w = rng.standard_normal(prob.n)
-            dual, _ = chain_dual_value(prob, x, v, w, ms)
-            assert dual.is_finite == cone.contains(w), name
+            dual, _ = chain_dual_value(prob, ms, w)
+            assert dual.is_finite == ms.cone.contains(w), name
 
 
 def test_chain_matches_oracle():
@@ -649,7 +649,7 @@ def test_chain_matches_oracle():
     for name, prob, x, v, kappa, dirs in _acceptance_instances():
         f = sampled_objective(prob)
         for w in dirs[:1]:
-            info = second_subderivative_chain(prob, x, v, w, kappa=kappa)
+            info = second_subderivative_chain(prob, multipliers(prob, x, v, kappa=kappa), w)
             est = estimate_second_subderivative(f, x, v, w)
             tol = max(0.05, 0.05 * abs(info.dual_value.value))
             assert abs(est.value - info.dual_value.value) <= tol, (name, est, info.dual_value)
@@ -687,10 +687,58 @@ def test_plq_dual_with_multiplier_segment():
     )
     ms = multipliers(prob, [0.0], [1.0], kappa=1.0)
     assert len(ms.multipliers) == 2
-    cone = critical_cone(prob, [0.0], [1.0], ms)
-    assert cone.contains([2.0]) and not cone.contains([-1.0])
-    info = second_subderivative_chain(prob, [0.0], [1.0], [1.0], kappa=1.0, multys=ms)
+    assert ms.cone.contains([2.0]) and not ms.cone.contains([-1.0])
+    info = second_subderivative_chain(prob, ms, [1.0])
     assert info.dual_value.value == pytest.approx(0.0)
     assert info.primal_value.value == pytest.approx(0.0)
     est = estimate_second_subderivative(sampled_objective(prob), [0.0], [1.0], [1.0])
     assert est.value == pytest.approx(0.0, abs=0.05)
+
+
+_SPECTRAL_FIXTURES = ["psd_cone.json", "sum_top_eig.json", "alpha_eig.json"]
+
+
+@pytest.mark.parametrize("fixture", _SPECTRAL_FIXTURES)
+def test_a_spectral_analyze_solves_for_its_multiplier_once(fixture, monkeypatch):
+    """The multiplier set's least-squares solve of adj(J) y = v is the only
+    one an analyze makes, since every primal value reads the record's
+    multiplier; a subdifferential with a unique element needs none."""
+    from epidiff.cli import run
+
+    path = str(Path(__file__).parent / "fixtures" / fixture)
+    spec = parse_problem(path)
+    J = jacobian(spec.problem.F, spec.x)
+    unique = spec.problem.g.subdifferential(spec.problem.F(spec.x)).unique_element() is not None
+    solves, original = [], np.linalg.lstsq
+
+    def counted(a, b, *args, **kwargs):
+        solves.append(np.array_equal(a, J.T) and np.array_equal(b, spec.v))
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    code, _ = run(["analyze", path])
+    assert code == 0
+    assert sum(solves) == (0 if unique else 1)
+
+
+@pytest.mark.parametrize("fixture", _SPECTRAL_FIXTURES)
+def test_a_spectral_critical_cone_test_runs_at_most_one_eigensolve(fixture, monkeypatch):
+    """A membership test of a spectral critical cone reads the
+    subdifferential the cone was built from, and decomposes only the
+    direction's compression onto the cluster: at most one sym_eig per call,
+    on critical and on random directions alike."""
+    from epidiff.optimality import sample_critical_directions
+    from epidiff.outer import indicators, reprs, spectral
+
+    spec = parse_problem(str(Path(__file__).parent / "fixtures" / fixture))
+    prob = spec.problem
+    ms = multipliers(prob, spec.x, spec.v, kappa=spec.kappa, ell=spec.ell)
+    dirs = sample_critical_directions(prob, ms, 8, 0) + list(np.random.default_rng(0).standard_normal((8, prob.n)))
+    calls = []
+    for module in (indicators, reprs, spectral):
+        original = module.sym_eig
+        monkeypatch.setattr(module, "sym_eig", lambda A, f=original: calls.append(1) or f(A))
+    for w in dirs:
+        before = len(calls)
+        ms.cone.contains(w)
+        assert len(calls) - before <= 1, fixture

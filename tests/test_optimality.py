@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from epidiff import optimality
 
-from epidiff.composite import sampled_objective, second_subderivative_chain
+from epidiff.composite import multipliers, sampled_objective, second_subderivative_chain
 from epidiff.core import CompositeProblem, PolyMap, hessian, poly_eval
 from epidiff.errors import BasePointInfeasible, NotStationary
 from epidiff.optimality import (
@@ -236,7 +236,7 @@ def test_sum_rule_against_oracle():
     x = np.zeros(2)
     v = np.array([0.0, -1.0])
     w = np.array([1.0, 0.0])
-    info = second_subderivative_chain(prob, x, v, w, kappa=1.0)
+    info = second_subderivative_chain(prob, multipliers(prob, x, v, kappa=1.0), w)
     phi_form = float(w @ hessian(prob.phi, x) @ w)
     condition_value = phi_form + info.dual_value.value
     assert condition_value == pytest.approx(2.0, abs=1e-9)
@@ -331,7 +331,7 @@ def test_the_sphere_lattice_never_goes_below_the_face_kernel(kind, n, seed):
     dense lattice values lower."""
     prob, Q = _exact_case(kind, n, seed)
     base = stationary_data(prob, np.zeros(n), 1.0)
-    ms = base[2]
+    ms = base[0]
     assert len(ms.multipliers) == 1
     value, w, _ = ms.cone.min_quadratic(Q)
     if w is None:

@@ -584,13 +584,13 @@ def test_the_polyhedral_indicator_agrees_with_the_plain_one_piece_plq(case, seed
     for u in _unit_lattice(m):
         assert cone_ind.contains(u) == cone_ref.contains(u)
     v, tau = J.T @ y0, 1.0 + 2.0 * float(np.abs(y0).max())
-    sets = [MultiplierSet(g, z, J, tau, rep, **rep.multiplier_set(J, v, tau))
+    sets = [MultiplierSet(g, np.zeros(n), v, z, J, tau, rep, **rep.multiplier_set(J, v, tau))
             for g, rep in ((ind, rep_ind), (ref, rep_ref))]
     H = rng.integers(-3, 4, size=m).astype(float)
     for w in _unit_lattice(n):
         assert sets[0].cone.contains(w) == sets[1].cone.contains(w)
         if sets[0].cone.contains(w):
-            (val_ind, _), (val_ref, _) = (g.dual_value(z, J @ w, H, ms) for g, ms in zip((ind, ref), sets))
+            (val_ind, _), (val_ref, _) = (g.dual_value(J @ w, H, ms) for g, ms in zip((ind, ref), sets))
             assert val_ind.value == pytest.approx(val_ref.value, abs=1e-9)
     P = 3.0 * rng.standard_normal((5, m))
     assert np.allclose(ind.domain_project(P), ref.domain_project(P), rtol=0.0, atol=1e-9)
@@ -672,12 +672,12 @@ def test_the_plq_dual_is_the_best_vertex_plus_one_piece_term(case, seed):
     v = J.T @ y0
     tau = 1.0 + 2.0 * max(float(np.abs(g.pieces[i].grad(z)).max()) for i in g._active(z))
     rep = g.subdifferential(z)
-    ms = MultiplierSet(g, z, J, tau, rep, **rep.multiplier_set(J, v, tau))
+    ms = MultiplierSet(g, np.zeros(n), v, z, J, tau, rep, **rep.multiplier_set(J, v, tau))
     H = np.random.default_rng(seed).integers(-3, 4, size=m).astype(float)
     lattice = [w / np.linalg.norm(w) for w in _unit_lattice(n) if w.any() and ms.cone.contains(w)]
     for w in ms.cone.directions() + lattice:
         u = J @ w
-        val, _ = g.dual_value(z, u, H, ms)
+        val, _ = g.dual_value(u, H, ms)
         assert val.is_finite
         if np.linalg.norm(u) > 1e-12:
             assert val.value == pytest.approx(_slice_lp_dual(g, z, u, H, ms).value, abs=1e-9)
@@ -690,12 +690,13 @@ def test_the_plq_dual_enumerates_no_vertex(monkeypatch):
     g = absolute_value()
     z, J = np.zeros(1), np.array([[1.0, 2.0]])
     rep = g.subdifferential(z)
-    ms = MultiplierSet(g, z, J, 2.0, rep, **rep.multiplier_set(J, np.array([0.5, 1.0]), 2.0))
+    v = np.array([0.5, 1.0])
+    ms = MultiplierSet(g, np.zeros(2), v, z, J, 2.0, rep, **rep.multiplier_set(J, v, 2.0))
     calls = []
     original = polyhedra.vertices
     monkeypatch.setattr(polyhedra, "vertices", lambda P: calls.append(P) or original(P))
     w = np.array([2.0, -1.0]) / np.sqrt(5.0)
-    val, arg = g.dual_value(z, J @ w, np.array([1.0]), ms)
+    val, arg = g.dual_value(J @ w, np.array([1.0]), ms)
     assert calls == []
     assert val.value == pytest.approx(0.5) and arg == pytest.approx([0.5])
 
